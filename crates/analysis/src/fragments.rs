@@ -128,9 +128,10 @@ impl Fragments {
     }
 }
 
-/// Convenience: classify `db` without keeping the graph around.
+/// Convenience: classify `db` without keeping the graph around (a
+/// throwaway [`crate::Prepared`] memo; keep one to classify once).
 pub fn classify(db: &Database) -> Fragments {
-    Fragments::of(db, &DepGraph::of_database(db))
+    crate::Prepared::borrowed(db).fragments()
 }
 
 #[cfg(test)]

@@ -33,6 +33,10 @@
 //!   restriction ([`magic_restrict`]) the planner routes bound queries
 //!   through, with SIP strategy selection ([`sip`]) and the guarded
 //!   program transform ([`magic::rewrite`]) `ddb rewrite` prints;
+//! * **prepared databases** ([`Prepared`]): the facts above that depend
+//!   only on the database — fragments, stratification, the supportable
+//!   closure, rule indexes, peels and islands — memoized per database, so
+//!   a served database is analysed once, not on every query;
 //! * an [`AnalysisReport`] bundling all of the above ([`analyze`]).
 
 pub mod adorn;
@@ -41,6 +45,7 @@ pub mod fragments;
 pub mod lints;
 pub mod magic;
 pub mod plan;
+pub mod prepared;
 pub mod report;
 pub mod schedule;
 pub mod sip;
@@ -55,9 +60,10 @@ pub use fragments::{classify, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
 pub use magic::{magic_restrict, MagicProgram, MagicRestriction, MAGIC_PREFIX};
 pub use plan::{
-    admission, build_plan, decide, plan_lints, Admission, Decision, PlanData, PlanNode, PlanQuery,
-    RouteKind, SemanticsTraits,
+    admission, build_plan, build_plan_prepared, decide, decide_prepared, plan_lints, Admission,
+    Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
 };
+pub use prepared::Prepared;
 pub use report::{analyze, AnalysisReport};
 pub use schedule::islands;
 pub use slice::{project_slice, project_top, relevant_slice, AtomMap, Slice};

@@ -449,7 +449,7 @@ pub fn lint(db: &Database, graph: &DepGraph) -> Vec<Diagnostic> {
         if r.is_integrity() {
             continue;
         }
-        if let Some(&dead) = r.body_pos().iter().find(|&&b| !supportable[b.index()]) {
+        if let Some(&dead) = r.body_pos().iter().find(|&&b| !supportable.contains(b)) {
             out.push(Diagnostic::on_rule(
                 "DDB009",
                 Severity::Warning,
@@ -477,7 +477,7 @@ pub fn lint(db: &Database, graph: &DepGraph) -> Vec<Diagnostic> {
                 r.body_neg()
                     .iter()
                     .copied()
-                    .filter(|b| supportable[b.index()])
+                    .filter(|&b| supportable.contains(b))
                     .collect::<Vec<_>>(),
             )
         })

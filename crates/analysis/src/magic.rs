@@ -35,8 +35,9 @@
 //! restriction is `PositiveExact`, which is exactly the sound case.
 
 use crate::adorn::split_predicate;
+use crate::prepared::Prepared;
 use crate::sip::choose_sip;
-use crate::slice::{relevant_slice, supportable_atoms, Slice};
+use crate::slice::{demand_closure, relevant_slice_prepared, Slice};
 use ddb_logic::{Atom, Database};
 use ddb_obs::json::Json;
 use std::collections::BTreeSet;
@@ -72,7 +73,7 @@ impl MagicRestriction {
 
 /// Computes the magic restriction of `db` for a query over `query_atoms`.
 ///
-/// Without dead pruning this is exactly [`relevant_slice`]. With
+/// Without dead pruning this is exactly [`crate::relevant_slice`]. With
 /// `prune_dead`, rules whose positive body leaves the supportable
 /// fixpoint are excluded from the closure — their atoms do not propagate
 /// demand — and recorded in [`MagicRestriction::dropped_dead`] when the
@@ -81,71 +82,46 @@ impl MagicRestriction {
 /// (positive database, minimal-model determined query — see the module
 /// docs).
 pub fn magic_restrict(db: &Database, query_atoms: &[Atom], prune_dead: bool) -> MagicRestriction {
+    magic_restrict_prepared(&Prepared::borrowed(db), query_atoms, prune_dead)
+}
+
+/// [`magic_restrict`] over a prepared database: the demand closure is a
+/// worklist over its rule indexes, and dead rules are judged against its
+/// memoized supportable closure.
+pub(crate) fn magic_restrict_prepared(
+    p: &Prepared,
+    query_atoms: &[Atom],
+    prune_dead: bool,
+) -> MagicRestriction {
     if !prune_dead {
         return MagicRestriction {
-            slice: relevant_slice(db, query_atoms),
+            slice: relevant_slice_prepared(p, query_atoms),
             dropped_dead: Vec::new(),
         };
     }
-    let supportable = supportable_atoms(db);
-    let rules = db.rules();
-    let dead: Vec<bool> = rules
+    let rules = p.db().rules();
+    let supportable = p.closure();
+    let dead = |i: usize| {
+        let r = &rules[i];
+        !r.is_integrity() && r.body_pos().iter().any(|&b| !supportable.contains(b))
+    };
+    // The relevance closure, except dead rules never join and never
+    // propagate demand into their bodies. Split-closure is judged against
+    // *every* non-kept rule: a dropped dead rule with a demanded head
+    // reads the restriction, so pruning and the product correction can
+    // never combine.
+    let slice = demand_closure(p, query_atoms, dead);
+    let mut dropped_dead: Vec<usize> = slice
+        .atoms
         .iter()
-        .map(|r| !r.is_integrity() && r.body_pos().iter().any(|&b| !supportable[b.index()]))
+        .flat_map(|&a| p.heads().rules_of(a))
+        .map(|&i| i as usize)
+        .filter(|&i| dead(i))
         .collect();
-    let n = db.num_atoms();
-    let mut in_slice = vec![false; n];
-    for &a in query_atoms {
-        in_slice[a.index()] = true;
-    }
-    let mut rule_in = vec![false; rules.len()];
-    // Same least fixpoint as `relevant_slice`, except dead rules never
-    // join and never propagate demand into their bodies.
-    loop {
-        let mut changed = false;
-        for (i, r) in rules.iter().enumerate() {
-            if rule_in[i] || dead[i] {
-                continue;
-            }
-            let triggered = if r.is_integrity() {
-                r.atoms().any(|a| in_slice[a.index()])
-            } else {
-                r.head().iter().any(|&h| in_slice[h.index()])
-            };
-            if triggered {
-                rule_in[i] = true;
-                changed = true;
-                for a in r.atoms() {
-                    in_slice[a.index()] = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let dropped_dead: Vec<usize> = (0..rules.len())
-        .filter(|&i| dead[i] && rules[i].head().iter().any(|&h| in_slice[h.index()]))
-        .collect();
-    // Split-closure is judged against *every* non-kept rule: a dropped
-    // dead rule with a demanded head reads the restriction, so pruning
-    // and the product correction can never combine.
-    let blocking_rule = rules
-        .iter()
-        .enumerate()
-        .find(|(i, r)| !rule_in[*i] && r.atoms().any(|a| in_slice[a.index()]))
-        .map(|(i, _)| i);
+    dropped_dead.sort_unstable();
+    dropped_dead.dedup();
     MagicRestriction {
-        slice: Slice {
-            atoms: (0..n as u32)
-                .map(Atom::new)
-                .filter(|a| in_slice[a.index()])
-                .collect(),
-            rules: (0..rules.len()).filter(|&i| rule_in[i]).collect(),
-            split_closed: blocking_rule.is_none(),
-            blocking_rule,
-            in_slice,
-        },
+        slice,
         dropped_dead,
     }
 }
@@ -300,6 +276,7 @@ fn render_demand(target: &str, body: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice::relevant_slice;
     use ddb_logic::Rule;
 
     fn atom(db: &Database, name: &str) -> Atom {
@@ -358,7 +335,7 @@ mod tests {
         assert!(!m.slice.split_closed);
         assert_eq!(m.slice.blocking_rule, Some(1));
         // ghost(x) never joined the demand set.
-        assert!(!m.slice.in_slice[atom(&db, "ghost(x)").index()]);
+        assert!(!m.slice.in_slice.contains(atom(&db, "ghost(x)")));
     }
 
     #[test]

@@ -33,16 +33,16 @@
 
 use crate::adorn::{split_predicate, Adornments};
 use crate::cost::{display_bound, oracle_call_bound};
-use crate::fragments::{classify, Fragments};
+use crate::fragments::Fragments;
 use crate::lints::Diagnostic;
-use crate::magic::{magic_restrict, MagicRestriction, MAGIC_PREFIX};
-use crate::schedule::islands;
-use crate::slice::{project_slice, project_top, relevant_slice, Slice};
-use crate::splitting::{peel_with, Peel};
-use ddb_logic::depgraph::DepGraph;
+use crate::magic::{magic_restrict_prepared, MagicRestriction, MAGIC_PREFIX};
+use crate::prepared::Prepared;
+use crate::slice::{project_slice, project_top, relevant_slice, relevant_slice_prepared, Slice};
+use crate::splitting::Peel;
 use ddb_logic::parse::display_rule;
 use ddb_logic::{Atom, Database};
 use ddb_obs::json::Json;
+use std::sync::Arc;
 
 /// Why a query may (or may not) be answered on its relevance slice.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -209,13 +209,15 @@ pub enum PlanData {
     },
     /// The splitting-set peel.
     Peel {
-        /// The peel: decided atoms plus the residual program.
-        peel: Peel,
+        /// The peel: decided atoms plus the residual program (shared with
+        /// the database's [`Prepared`] memo).
+        peel: Arc<Peel>,
     },
     /// The island decomposition.
     Islands {
-        /// One split-closed slice per weakly-connected island.
-        parts: Vec<Slice>,
+        /// One split-closed slice per weakly-connected island (shared with
+        /// the database's [`Prepared`] memo).
+        parts: Arc<[Slice]>,
     },
 }
 
@@ -255,7 +257,14 @@ enum Scope {
 /// whatever this returns, and [`build_plan`] predicts by calling the same
 /// function.
 pub fn decide(db: &Database, frags: &Fragments, t: &SemanticsTraits, q: &PlanQuery) -> Decision {
-    decide_scoped(db, frags, t, q, Scope::Full)
+    decide_prepared(&Prepared::borrowed(db).with_fragments(*frags), t, q)
+}
+
+/// [`decide`] over a prepared database: the fragments, the relevance and
+/// demand closures' indexes, the peel and the islands all come from its
+/// memo, so only the query-dependent closures are computed per call.
+pub fn decide_prepared(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery) -> Decision {
+    decide_scoped(p, t, q, Scope::Full)
 }
 
 fn leaf(route: RouteKind, slice_blocked: bool) -> Decision {
@@ -267,13 +276,7 @@ fn leaf(route: RouteKind, slice_blocked: bool) -> Decision {
     }
 }
 
-fn decide_scoped(
-    db: &Database,
-    frags: &Fragments,
-    t: &SemanticsTraits,
-    q: &PlanQuery,
-    scope: Scope,
-) -> Decision {
+fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Decision {
     if t.generic_only {
         return leaf(RouteKind::Generic, false);
     }
@@ -281,17 +284,20 @@ fn decide_scoped(
         // The residual of an existence peel: the dispatcher tries the
         // island decomposition before handing the residual to the inner
         // (tail) call, even when the residual is Horn.
-        let parts = islands(db);
+        let parts = p.islands();
         if parts.len() >= 2 {
             return Decision {
                 route: RouteKind::Islands,
-                data: PlanData::Islands { parts },
+                data: PlanData::Islands {
+                    parts: parts.clone(),
+                },
                 slice_blocked: false,
                 magic_blocked: None,
             };
         }
-        return decide_scoped(db, frags, t, q, Scope::Tail);
+        return decide_scoped(p, t, q, Scope::Tail);
     }
+    let (db, frags) = (p.db(), p.fragments());
     if frags.horn && t.horn_collapse {
         return leaf(RouteKind::Horn, false);
     }
@@ -313,9 +319,10 @@ fn decide_scoped(
                 // determined answers on positive databases (see
                 // `crate::magic`); elsewhere the restriction falls back to
                 // the relevance closure.
-                let restriction = magic_restrict(db, q.atoms(), frags.positive && mm_determined);
+                let restriction =
+                    magic_restrict_prepared(p, q.atoms(), frags.positive && mm_determined);
                 if !restriction.is_whole(db) {
-                    let adm = admission(frags, &restriction.slice, mm_determined);
+                    let adm = admission(&frags, &restriction.slice, mm_determined);
                     if adm == Admission::Blocked {
                         magic_blocked = restriction
                             .slice
@@ -334,9 +341,9 @@ fn decide_scoped(
                     }
                 }
             }
-            let slice = relevant_slice(db, q.atoms());
+            let slice = relevant_slice_prepared(p, q.atoms());
             if !slice.is_whole(db) {
-                let adm = admission(frags, &slice, mm_determined);
+                let adm = admission(&frags, &slice, mm_determined);
                 if adm == Admission::Blocked {
                     slice_blocked = true;
                 } else {
@@ -354,12 +361,11 @@ fn decide_scoped(
         }
         if !matches!(q, PlanQuery::Enumeration) {
             if let Some(peel_negation) = t.peel_negation {
-                let graph = DepGraph::of_database(db);
-                let peel = peel_with(db, &graph, peel_negation);
+                let peel = p.peel(peel_negation);
                 if peel.num_decided > 0 {
                     return Decision {
                         route: RouteKind::Split,
-                        data: PlanData::Peel { peel },
+                        data: PlanData::Peel { peel: peel.clone() },
                         slice_blocked,
                         magic_blocked,
                     };
@@ -367,11 +373,13 @@ fn decide_scoped(
             }
         }
         if matches!(q, PlanQuery::Existence) {
-            let parts = islands(db);
+            let parts = p.islands();
             if parts.len() >= 2 {
                 return Decision {
                     route: RouteKind::Islands,
-                    data: PlanData::Islands { parts },
+                    data: PlanData::Islands {
+                        parts: parts.clone(),
+                    },
                     slice_blocked,
                     magic_blocked,
                 };
@@ -472,7 +480,13 @@ pub fn build_plan(
     t: &SemanticsTraits,
     q: &PlanQuery,
 ) -> PlanNode {
-    build(db, frags, t, q, Scope::Full)
+    build_plan_prepared(&Prepared::borrowed(db).with_fragments(*frags), t, q)
+}
+
+/// [`build_plan`] over a prepared database (its root decision reads the
+/// memo exactly as [`decide_prepared`] does).
+pub fn build_plan_prepared(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery) -> PlanNode {
+    build(p, t, q, Scope::Full)
 }
 
 fn plan_leaf(route: RouteKind, db: &Database, t: &SemanticsTraits, detail: String) -> PlanNode {
@@ -493,14 +507,9 @@ fn plan_leaf(route: RouteKind, db: &Database, t: &SemanticsTraits, detail: Strin
     }
 }
 
-fn build(
-    db: &Database,
-    frags: &Fragments,
-    t: &SemanticsTraits,
-    q: &PlanQuery,
-    scope: Scope,
-) -> PlanNode {
-    let d = decide_scoped(db, frags, t, q, scope);
+fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> PlanNode {
+    let db = p.db();
+    let d = decide_scoped(p, t, q, scope);
     let magic_blocked = d.magic_blocked;
     let mut node = match d.data {
         PlanData::Leaf => match d.route {
@@ -531,7 +540,6 @@ fn build(
             admission,
         } => {
             let (sub, map) = project_slice(db, &restriction.slice);
-            let sub_frags = classify(&sub);
             let sub_q = match q {
                 PlanQuery::Literal(a) => PlanQuery::Literal(
                     map.to_sub[a.index()].expect("query atom is in its restriction"),
@@ -544,13 +552,11 @@ fn build(
                 ),
                 _ => unreachable!("magic route requires an inference query"),
             };
-            let mut children = vec![build(&sub, &sub_frags, t, &sub_q, Scope::Full)];
+            let mut children = vec![build(&Prepared::borrowed(&sub), t, &sub_q, Scope::Full)];
             if admission == Admission::Product {
                 let (top, _) = project_top(db, &restriction.slice);
-                let top_frags = classify(&top);
                 children.push(build(
-                    &top,
-                    &top_frags,
+                    &Prepared::borrowed(&top),
                     t,
                     &PlanQuery::Existence,
                     Scope::Tail,
@@ -582,7 +588,6 @@ fn build(
         }
         PlanData::Slice { slice, admission } => {
             let (sub, map) = project_slice(db, &slice);
-            let sub_frags = classify(&sub);
             let sub_q = match q {
                 PlanQuery::Literal(a) => {
                     PlanQuery::Literal(map.to_sub[a.index()].expect("query atom is in its slice"))
@@ -595,15 +600,13 @@ fn build(
                 ),
                 _ => unreachable!("slice route requires an inference query"),
             };
-            let mut children = vec![build(&sub, &sub_frags, t, &sub_q, Scope::Full)];
+            let mut children = vec![build(&Prepared::borrowed(&sub), t, &sub_q, Scope::Full)];
             if admission == Admission::Product {
                 // A cautious `false` on the slice owes one model-existence
                 // check on the independent top part.
                 let (top, _) = project_top(db, &slice);
-                let top_frags = classify(&top);
                 children.push(build(
-                    &top,
-                    &top_frags,
+                    &Prepared::borrowed(&top),
                     t,
                     &PlanQuery::Existence,
                     Scope::Tail,
@@ -630,7 +633,6 @@ fn build(
             }
         }
         PlanData::Peel { peel } => {
-            let res_frags = classify(&peel.residual);
             let (child_q, child_scope) = match q {
                 PlanQuery::Literal(a) => match peel.decided[a.index()] {
                     None => (PlanQuery::Literal(*a), Scope::Tail),
@@ -651,7 +653,12 @@ fn build(
                 PlanQuery::Existence => (PlanQuery::Existence, Scope::IslandsOnly),
                 PlanQuery::Enumeration => unreachable!("peel route never serves enumeration"),
             };
-            let children = vec![build(&peel.residual, &res_frags, t, &child_q, child_scope)];
+            let children = vec![build(
+                &Prepared::borrowed(&peel.residual),
+                t,
+                &child_q,
+                child_scope,
+            )];
             let detail = format!(
                 "splitting-set peel decides {} atom(s) in {} bottom component(s); recurse on the residual",
                 peel.num_decided, peel.components_decided
@@ -673,8 +680,12 @@ fn build(
                 .iter()
                 .map(|island| {
                     let (sub, _) = project_slice(db, island);
-                    let sub_frags = classify(&sub);
-                    build(&sub, &sub_frags, t, &PlanQuery::Existence, Scope::Tail)
+                    build(
+                        &Prepared::borrowed(&sub),
+                        t,
+                        &PlanQuery::Existence,
+                        Scope::Tail,
+                    )
                 })
                 .collect();
             let detail = format!(
@@ -783,6 +794,7 @@ pub fn ineffective_slice(db: &Database, query_atoms: &[Atom]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragments::classify;
     use ddb_logic::parse::parse_program;
     use ddb_logic::Rule;
 

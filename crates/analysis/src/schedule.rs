@@ -21,7 +21,7 @@
 //! cannot affect model existence or inference over the returned islands.
 
 use crate::slice::Slice;
-use ddb_logic::{Atom, Database};
+use ddb_logic::{Atom, Database, Interpretation};
 
 /// Union-find with path halving and union by size.
 struct Dsu {
@@ -87,7 +87,7 @@ pub fn islands(db: &Database) -> Vec<Slice> {
         if island_of_root[root] == usize::MAX {
             island_of_root[root] = islands.len();
             islands.push(Slice {
-                in_slice: vec![false; n],
+                in_slice: Interpretation::empty(n),
                 atoms: Vec::new(),
                 rules: Vec::new(),
                 split_closed: true,
@@ -95,7 +95,7 @@ pub fn islands(db: &Database) -> Vec<Slice> {
             });
         }
         let island = &mut islands[island_of_root[root]];
-        island.in_slice[v] = true;
+        island.in_slice.insert(Atom::new(v as u32));
         island.atoms.push(Atom::new(v as u32));
     }
     for (i, r) in rules.iter().enumerate() {
@@ -109,7 +109,7 @@ pub fn islands(db: &Database) -> Vec<Slice> {
 
 fn whole(db: &Database) -> Slice {
     Slice {
-        in_slice: vec![true; db.num_atoms()],
+        in_slice: Interpretation::full(db.num_atoms()),
         atoms: (0..db.num_atoms() as u32).map(Atom::new).collect(),
         rules: (0..db.len()).collect(),
         split_closed: true,
@@ -178,6 +178,6 @@ mod tests {
         let free = db.symbols_mut().intern("free");
         let parts = islands(&db);
         assert_eq!(parts.len(), 1);
-        assert!(!parts[0].in_slice[free.index()]);
+        assert!(!parts[0].in_slice.contains(free));
     }
 }

@@ -29,14 +29,15 @@
 //! `crates/core`'s dispatcher checks these preconditions per semantics and
 //! falls back to the generic whole-database procedure when neither holds.
 
-use ddb_logic::{Atom, Database, Rule, Symbols};
+use crate::prepared::Prepared;
+use ddb_logic::{Atom, Database, Interpretation, Rule, Symbols};
 
 /// The result of backward relevance slicing: which atoms and rules can
 /// influence the query, and whether the slice boundary is split-closed.
 #[derive(Clone, Debug)]
 pub struct Slice {
-    /// `in_slice[atom.index()]` — whether the atom is query-relevant.
-    pub in_slice: Vec<bool>,
+    /// The relevant atoms as a set: `in_slice.contains(atom)`.
+    pub in_slice: Interpretation,
     /// The relevant atoms, sorted.
     pub atoms: Vec<Atom>,
     /// Indices (into `db.rules()`) of the rules in the slice, ascending.
@@ -67,54 +68,82 @@ impl Slice {
 ///   constraint touching a relevant atom prunes its models, so it must
 ///   ride along for the slice to be exact).
 pub fn relevant_slice(db: &Database, query_atoms: &[Atom]) -> Slice {
-    let n = db.num_atoms();
+    relevant_slice_prepared(&Prepared::borrowed(db), query_atoms)
+}
+
+/// [`relevant_slice`] over a prepared database: a worklist over its rule
+/// indexes, in time linear in the slice and the rules reading it rather
+/// than in the database.
+pub(crate) fn relevant_slice_prepared(p: &Prepared, query_atoms: &[Atom]) -> Slice {
+    demand_closure(p, query_atoms, |_| false)
+}
+
+/// The least closure of [`relevant_slice`], except that rules `skip`
+/// selects never join and never propagate demand. Each demanded atom is
+/// visited once and pulls in the rules defining it and the constraints
+/// mentioning it.
+pub(crate) fn demand_closure(
+    p: &Prepared,
+    query_atoms: &[Atom],
+    skip: impl Fn(usize) -> bool,
+) -> Slice {
+    let db = p.db();
     let rules = db.rules();
-    let mut in_slice = vec![false; n];
-    for &a in query_atoms {
-        in_slice[a.index()] = true;
-    }
+    let (heads, occurrences) = (p.heads(), p.occurrences());
+    let mut in_slice = Interpretation::empty(db.num_atoms());
     let mut rule_in = vec![false; rules.len()];
-    // Fixpoint: each pass pulls in every rule the current set triggers;
-    // at most `rules.len()` productive passes.
-    loop {
-        let mut changed = false;
-        for (i, r) in rules.iter().enumerate() {
-            if rule_in[i] {
+    // `atoms` doubles as the worklist: entries past `next` are unvisited.
+    let mut atoms: Vec<Atom> = Vec::new();
+    let mut kept: Vec<usize> = Vec::new();
+    let mut demand = |a: Atom, atoms: &mut Vec<Atom>| {
+        if !in_slice.contains(a) {
+            in_slice.insert(a);
+            atoms.push(a);
+        }
+    };
+    for &a in query_atoms {
+        demand(a, &mut atoms);
+    }
+    let mut next = 0;
+    while let Some(&a) = atoms.get(next) {
+        next += 1;
+        let constraints = occurrences
+            .rules_of(a)
+            .iter()
+            .filter(|&&i| rules[i as usize].is_integrity());
+        for i in heads.rules_of(a).iter().chain(constraints) {
+            let i = *i as usize;
+            if rule_in[i] || skip(i) {
                 continue;
             }
-            let triggered = if r.is_integrity() {
-                r.atoms().any(|a| in_slice[a.index()])
-            } else {
-                r.head().iter().any(|&h| in_slice[h.index()])
-            };
-            if triggered {
-                rule_in[i] = true;
-                changed = true;
-                for a in r.atoms() {
-                    in_slice[a.index()] = true;
-                }
+            rule_in[i] = true;
+            kept.push(i);
+            for b in rules[i].atoms() {
+                demand(b, &mut atoms);
             }
-        }
-        if !changed {
-            break;
         }
     }
     // A non-slice rule reading a slice atom breaks the split: the top
-    // part is not vocabulary-disjoint from the slice.
-    let blocking_rule = rules
+    // part is not vocabulary-disjoint from the slice. The witness is the
+    // lowest-numbered such rule.
+    let blocking_rule = atoms
         .iter()
-        .enumerate()
-        .find(|(i, r)| !rule_in[*i] && r.atoms().any(|a| in_slice[a.index()]))
-        .map(|(i, _)| i);
+        .filter_map(|&a| {
+            occurrences
+                .rules_of(a)
+                .iter()
+                .map(|&i| i as usize)
+                .find(|&i| !rule_in[i])
+        })
+        .min();
+    atoms.sort_unstable();
+    kept.sort_unstable();
     Slice {
-        atoms: (0..n as u32)
-            .map(Atom::new)
-            .filter(|a| in_slice[a.index()])
-            .collect(),
-        rules: (0..rules.len()).filter(|&i| rule_in[i]).collect(),
+        in_slice,
+        atoms,
+        rules: kept,
         split_closed: blocking_rule.is_none(),
         blocking_rule,
-        in_slice,
     }
 }
 
@@ -144,13 +173,13 @@ pub fn project_top(db: &Database, slice: &Slice) -> (Database, AtomMap) {
     debug_assert!(slice.split_closed, "top projection requires a split");
     let atoms: Vec<Atom> = (0..db.num_atoms() as u32)
         .map(Atom::new)
-        .filter(|a| !slice.in_slice[a.index()])
+        .filter(|&a| !slice.in_slice.contains(a))
         .collect();
     let in_slice = &slice.in_slice;
     let rules: Vec<usize> = (0..db.len()).filter(|i| !slice.rules.contains(i)).collect();
     debug_assert!(rules
         .iter()
-        .all(|&i| db.rules()[i].atoms().all(|a| !in_slice[a.index()])));
+        .all(|&i| db.rules()[i].atoms().all(|a| !in_slice.contains(a))));
     project_rules(db, &atoms, &rules)
 }
 
@@ -189,30 +218,11 @@ fn project_rules(db: &Database, atoms: &[Atom], rules: &[usize]) -> (Database, A
 /// ignored — optimistically assumed to succeed, and a disjunctive fact
 /// optimistically supports all its head atoms). An atom outside `S` can
 /// never be derived by any semantics; a rule whose positive body leaves
-/// `S` can never fire (lint `DDB009`).
-pub fn supportable_atoms(db: &Database) -> Vec<bool> {
-    let n = db.num_atoms();
-    let mut supportable = vec![false; n];
-    loop {
-        let mut changed = false;
-        for r in db.rules() {
-            if r.is_integrity() {
-                continue;
-            }
-            if r.body_pos().iter().all(|&b| supportable[b.index()])
-                && r.head().iter().any(|&h| !supportable[h.index()])
-            {
-                for &h in r.head() {
-                    supportable[h.index()] = true;
-                }
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    supportable
+/// `S` can never fire (lint `DDB009`). This is
+/// [`Database::positive_closure`], the worklist shared with the DDR
+/// fixpoint.
+pub fn supportable_atoms(db: &Database) -> Interpretation {
+    db.positive_closure()
 }
 
 #[cfg(test)]
@@ -291,8 +301,116 @@ mod tests {
     fn supportable_ignores_negation_and_trusts_disjunction() {
         let db = parse_program("a | b. c :- a, not z. d :- e.").unwrap();
         let s = supportable_atoms(&db);
-        let name = |x: &str| db.symbols().lookup(x).unwrap().index();
-        assert!(s[name("a")] && s[name("b")] && s[name("c")]);
-        assert!(!s[name("d")] && !s[name("e")] && !s[name("z")]);
+        let name = |x: &str| db.symbols().lookup(x).unwrap();
+        assert!(s.contains(name("a")) && s.contains(name("b")) && s.contains(name("c")));
+        assert!(!s.contains(name("d")) && !s.contains(name("e")) && !s.contains(name("z")));
+    }
+
+    /// The rescanning least fixpoint the worklist closure replaced, kept as
+    /// the oracle: each pass pulls in every rule the current set triggers,
+    /// except rules `dead` selects.
+    fn fixpoint_oracle(db: &Database, query_atoms: &[Atom], dead: &[bool]) -> Slice {
+        let n = db.num_atoms();
+        let rules = db.rules();
+        let mut in_slice = Interpretation::empty(n);
+        for &a in query_atoms {
+            in_slice.insert(a);
+        }
+        let mut rule_in = vec![false; rules.len()];
+        loop {
+            let mut changed = false;
+            for (i, r) in rules.iter().enumerate() {
+                if rule_in[i] || dead[i] {
+                    continue;
+                }
+                let triggered = if r.is_integrity() {
+                    r.atoms().any(|a| in_slice.contains(a))
+                } else {
+                    r.head().iter().any(|&h| in_slice.contains(h))
+                };
+                if triggered {
+                    rule_in[i] = true;
+                    changed = true;
+                    for a in r.atoms() {
+                        in_slice.insert(a);
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let blocking_rule = rules
+            .iter()
+            .enumerate()
+            .find(|(i, r)| !rule_in[*i] && r.atoms().any(|a| in_slice.contains(a)))
+            .map(|(i, _)| i);
+        Slice {
+            atoms: (0..n as u32)
+                .map(Atom::new)
+                .filter(|&a| in_slice.contains(a))
+                .collect(),
+            rules: (0..rules.len()).filter(|&i| rule_in[i]).collect(),
+            split_closed: blocking_rule.is_none(),
+            blocking_rule,
+            in_slice,
+        }
+    }
+
+    fn assert_same_slice(got: &Slice, want: &Slice, what: &str) {
+        assert_eq!(got.in_slice, want.in_slice, "{what}: in_slice");
+        assert_eq!(got.atoms, want.atoms, "{what}: atoms");
+        assert_eq!(got.rules, want.rules, "{what}: rules");
+        assert_eq!(got.split_closed, want.split_closed, "{what}: split_closed");
+        assert_eq!(
+            got.blocking_rule, want.blocking_rule,
+            "{what}: blocking_rule"
+        );
+    }
+
+    #[test]
+    fn worklist_closures_match_the_fixpoint_oracle() {
+        use ddb_workloads::random::{random_db, DbSpec};
+        for seed in 0..150u64 {
+            let spec = match seed % 3 {
+                0 => DbSpec::positive(8, 10),
+                1 => DbSpec::deductive(8, 10),
+                _ => DbSpec::normal(8, 10),
+            };
+            let db = random_db(&spec, seed);
+            let supportable = supportable_atoms(&db);
+            let dead: Vec<bool> = db
+                .rules()
+                .iter()
+                .map(|r| {
+                    !r.is_integrity() && r.body_pos().iter().any(|&b| !supportable.contains(b))
+                })
+                .collect();
+            let live = vec![false; db.len()];
+            let p = Prepared::borrowed(&db);
+            for q in [vec![], vec![0], vec![1, 5], vec![2, 3, 7]] {
+                let q: Vec<Atom> = q.into_iter().map(Atom::new).collect();
+                let what = format!("seed {seed} query {q:?}");
+                let want = fixpoint_oracle(&db, &q, &live);
+                assert_same_slice(&relevant_slice(&db, &q), &want, &what);
+                assert_same_slice(&relevant_slice_prepared(&p, &q), &want, &what);
+                let plain = crate::magic::magic_restrict_prepared(&p, &q, false);
+                assert_same_slice(&plain.slice, &want, &what);
+                assert!(plain.dropped_dead.is_empty());
+                let pruned = crate::magic::magic_restrict(&db, &q, true);
+                let want = fixpoint_oracle(&db, &q, &dead);
+                assert_same_slice(&pruned.slice, &want, &what);
+                let dropped: Vec<usize> = (0..db.len())
+                    .filter(|&i| {
+                        dead[i]
+                            && db.rules()[i]
+                                .head()
+                                .iter()
+                                .any(|&h| want.in_slice.contains(h))
+                    })
+                    .collect();
+                assert_eq!(pruned.dropped_dead, dropped, "{what}: dropped_dead");
+            }
+        }
     }
 }

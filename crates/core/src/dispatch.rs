@@ -21,7 +21,7 @@
 //! complete are bit-for-bit identical to unbudgeted runs.
 
 use crate::icwa::Layers;
-use ddb_analysis::{Diagnostic, Fragments, PlanData, PlanNode, PlanQuery, RouteKind};
+use ddb_analysis::{Diagnostic, Fragments, PlanData, PlanNode, PlanQuery, Prepared, RouteKind};
 use ddb_logic::{Database, Formula, Interpretation, Literal};
 use ddb_models::{Cost, Partition};
 use ddb_obs::{Governed, Interrupted, Resource};
@@ -386,7 +386,13 @@ impl SemanticsConfig {
     /// Whether this semantics is defined for `db`'s syntactic class;
     /// returns the reason when it is not.
     pub fn check_applicable(&self, db: &Database) -> Result<(), Unsupported> {
-        self.check_fragments(db, &ddb_analysis::classify(db))
+        self.check_applicable_prepared(&Prepared::borrowed(db))
+    }
+
+    /// [`SemanticsConfig::check_applicable`] on a prepared database (its
+    /// memoized fragment flags).
+    pub fn check_applicable_prepared(&self, p: &Prepared) -> Result<(), Unsupported> {
+        self.prepare(p).map(drop)
     }
 
     /// Applicability from the shared fragment flags (no re-derivation of
@@ -456,12 +462,12 @@ impl SemanticsConfig {
         }
     }
 
-    /// Shared prologue of every query: classify once, reject inapplicable
-    /// combinations. The fragments ride along so the planner and the
-    /// executors can consult them without re-classifying.
-    fn prepare(&self, db: &Database) -> Result<Fragments, Unsupported> {
-        let frags = ddb_analysis::classify(db);
-        self.check_fragments(db, &frags)?;
+    /// Shared prologue of every query: read the fragments from the memo,
+    /// reject inapplicable combinations. The fragments ride along so the
+    /// executors can consult them.
+    fn prepare(&self, p: &Prepared) -> Result<Fragments, Unsupported> {
+        let frags = p.fragments();
+        self.check_fragments(p.db(), &frags)?;
         Ok(frags)
     }
 
@@ -471,18 +477,23 @@ impl SemanticsConfig {
     /// feed the same [`ddb_analysis::SemanticsTraits`] (via
     /// [`crate::planner::traits_for`]) into the same decision kernel.
     pub fn plan(&self, db: &Database, query: &PlanQuery) -> Result<PlanNode, Unsupported> {
-        let frags = ddb_analysis::classify(db);
-        self.check_fragments(db, &frags)?;
-        Ok(crate::planner::plan(self, db, &frags, query))
+        self.plan_prepared(&Prepared::borrowed(db), query)
     }
 
-    fn icwa_layers(&self, db: &Database) -> Layers {
-        let strata = db.stratification().expect("checked stratifiable");
+    /// [`SemanticsConfig::plan`] on a prepared database.
+    pub fn plan_prepared(&self, p: &Prepared, query: &PlanQuery) -> Result<PlanNode, Unsupported> {
+        self.prepare(p)?;
+        Ok(crate::planner::plan(self, p, query))
+    }
+
+    fn icwa_layers(&self, p: &Prepared) -> Layers {
+        let db = p.db();
+        let strata = p.stratification().expect("checked stratifiable");
         let z = self
             .icwa_varying
             .clone()
             .unwrap_or_else(|| Interpretation::empty(db.num_atoms()));
-        Layers::new(db, &strata, &z)
+        Layers::new(db, strata, &z)
     }
 
     /// The paper's *inference of a literal* problem.
@@ -497,9 +508,21 @@ impl SemanticsConfig {
         lit: Literal,
         cost: &mut Cost,
     ) -> Result<Verdict, Unsupported> {
+        self.infers_literal_prepared(&Prepared::borrowed(db), lit, cost)
+    }
+
+    /// [`SemanticsConfig::infers_literal`] on a prepared database: every
+    /// per-database fact the route needs comes from its memo.
+    pub fn infers_literal_prepared(
+        &self,
+        p: &Prepared,
+        lit: Literal,
+        cost: &mut Cost,
+    ) -> Result<Verdict, Unsupported> {
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
-        let frags = self.prepare(db)?;
-        let d = crate::planner::decide(self, db, &frags, &PlanQuery::Literal(lit.atom()));
+        let frags = self.prepare(p)?;
+        let db = p.db();
+        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Literal(lit.atom()));
         if d.slice_blocked {
             ddb_obs::counter_bump("route.slice.blocked", 1);
         }
@@ -549,7 +572,7 @@ impl SemanticsConfig {
             }
             PlanData::Leaf if d.route == RouteKind::Horn => {
                 Self::note_leaf(RouteKind::Horn);
-                return Ok(crate::route::horn_infers_literal(db, lit).into());
+                return Ok(crate::route::horn_infers_literal(p, lit).into());
             }
             _ => {}
         }
@@ -570,7 +593,7 @@ impl SemanticsConfig {
             SemanticsId::Ddr => crate::ddr::infers_literal(db, lit, cost),
             SemanticsId::Pws => crate::pws::infers_literal(db, lit, cost),
             SemanticsId::Perf => crate::perf::infers_literal(db, lit, cost),
-            SemanticsId::Icwa => crate::icwa::infers_literal(db, &self.icwa_layers(db), lit, cost),
+            SemanticsId::Icwa => crate::icwa::infers_literal(db, &self.icwa_layers(p), lit, cost),
             SemanticsId::Dsm => crate::dsm::infers_literal(db, lit, cost),
             SemanticsId::Pdsm => crate::pdsm::infers_literal(db, lit, cost),
         }))
@@ -585,9 +608,20 @@ impl SemanticsConfig {
         f: &Formula,
         cost: &mut Cost,
     ) -> Result<Verdict, Unsupported> {
+        self.infers_formula_prepared(&Prepared::borrowed(db), f, cost)
+    }
+
+    /// [`SemanticsConfig::infers_formula`] on a prepared database.
+    pub fn infers_formula_prepared(
+        &self,
+        p: &Prepared,
+        f: &Formula,
+        cost: &mut Cost,
+    ) -> Result<Verdict, Unsupported> {
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
-        let frags = self.prepare(db)?;
-        let d = crate::planner::decide(self, db, &frags, &PlanQuery::Formula(f.atoms()));
+        let frags = self.prepare(p)?;
+        let db = p.db();
+        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Formula(f.atoms()));
         if d.slice_blocked {
             ddb_obs::counter_bump("route.slice.blocked", 1);
         }
@@ -619,7 +653,7 @@ impl SemanticsConfig {
             },
             PlanData::Leaf if d.route == RouteKind::Horn => {
                 Self::note_leaf(RouteKind::Horn);
-                return Ok(crate::route::horn_infers_formula(db, f).into());
+                return Ok(crate::route::horn_infers_formula(p, f).into());
             }
             _ => {}
         }
@@ -636,7 +670,7 @@ impl SemanticsConfig {
             SemanticsId::Ddr => crate::ddr::infers_formula(db, f, cost),
             SemanticsId::Pws => crate::pws::infers_formula(db, f, cost),
             SemanticsId::Perf => crate::perf::infers_formula(db, f, cost),
-            SemanticsId::Icwa => crate::icwa::infers_formula(db, &self.icwa_layers(db), f, cost),
+            SemanticsId::Icwa => crate::icwa::infers_formula(db, &self.icwa_layers(p), f, cost),
             SemanticsId::Dsm => crate::dsm::infers_formula(db, f, cost),
             SemanticsId::Pdsm => crate::pdsm::infers_formula(db, f, cost),
         }))
@@ -646,23 +680,37 @@ impl SemanticsConfig {
     /// Traced like [`SemanticsConfig::infers_literal`] (`dispatch.query`
     /// span, `dispatch.query.ns` histogram).
     pub fn has_model(&self, db: &Database, cost: &mut Cost) -> Result<Verdict, Unsupported> {
+        self.has_model_prepared(&Prepared::borrowed(db), cost)
+    }
+
+    /// [`SemanticsConfig::has_model`] on a prepared database.
+    pub fn has_model_prepared(
+        &self,
+        p: &Prepared,
+        cost: &mut Cost,
+    ) -> Result<Verdict, Unsupported> {
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
-        let frags = self.prepare(db)?;
-        let d = crate::planner::decide(self, db, &frags, &PlanQuery::Existence);
+        let frags = self.prepare(p)?;
+        let db = p.db();
+        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Existence);
         match d.data {
-            PlanData::Peel { peel } => match crate::slicing::run_exist_split(self, &peel, cost) {
-                Ok(Some(ans)) => return Ok(ans.into()),
-                Ok(None) => {}
-                Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-            },
-            PlanData::Islands { .. } => match crate::parallel::islands_has_model(self, db, cost) {
-                Ok(Some(ans)) => return Ok(ans.into()),
-                Ok(None) => {}
-                Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-            },
+            PlanData::Peel { peel } => {
+                match crate::slicing::run_exist_split(self, p, &peel, cost) {
+                    Ok(Some(ans)) => return Ok(ans.into()),
+                    Ok(None) => {}
+                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
+                }
+            }
+            PlanData::Islands { parts } => {
+                match crate::parallel::islands_has_model(self, db, &parts, cost) {
+                    Ok(Some(ans)) => return Ok(ans.into()),
+                    Ok(None) => {}
+                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
+                }
+            }
             PlanData::Leaf if d.route == RouteKind::Horn => {
                 Self::note_leaf(RouteKind::Horn);
-                return Ok(crate::route::horn_has_model(db).into());
+                return Ok(crate::route::horn_has_model(p).into());
             }
             _ => {}
         }
@@ -679,7 +727,7 @@ impl SemanticsConfig {
             SemanticsId::Ddr => crate::ddr::has_model(db, cost),
             SemanticsId::Pws => crate::pws::has_model(db, cost),
             SemanticsId::Perf => crate::perf::has_model(db, cost),
-            SemanticsId::Icwa => crate::icwa::has_model(db, &self.icwa_layers(db), cost),
+            SemanticsId::Icwa => crate::icwa::has_model(db, &self.icwa_layers(p), cost),
             SemanticsId::Dsm => crate::dsm::has_model(db, cost),
             SemanticsId::Pdsm => crate::pdsm::has_model(db, cost),
         }))
@@ -702,14 +750,24 @@ impl SemanticsConfig {
     /// one; PDSM reports its total models. An exhausted budget yields an
     /// [`Enumeration`] with `interrupted` set instead of an error.
     pub fn models(&self, db: &Database, cost: &mut Cost) -> Result<Enumeration, Unsupported> {
-        let frags = self.prepare(db)?;
+        self.models_prepared(&Prepared::borrowed(db), cost)
+    }
+
+    /// [`SemanticsConfig::models`] on a prepared database.
+    pub fn models_prepared(
+        &self,
+        p: &Prepared,
+        cost: &mut Cost,
+    ) -> Result<Enumeration, Unsupported> {
+        self.prepare(p)?;
+        let db = p.db();
         // Model enumeration needs the whole vocabulary; the planner only
         // ever returns a leaf route for `PlanQuery::Enumeration`.
-        let d = crate::planner::decide(self, db, &frags, &PlanQuery::Enumeration);
+        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Enumeration);
         Self::note_leaf(d.route);
         match d.route {
             RouteKind::Horn => {
-                return Ok(Enumeration::complete(crate::route::horn_models(db)));
+                return Ok(Enumeration::complete(crate::route::horn_models(p)));
             }
             RouteKind::Hcf => {
                 return Ok(crate::route::hcf_dsm_models(db, cost).into());
@@ -737,7 +795,7 @@ impl SemanticsConfig {
             SemanticsId::Ddr => crate::ddr::models(db, cost),
             SemanticsId::Pws => crate::pws::models(db, cost),
             SemanticsId::Perf => crate::perf::models(db, cost),
-            SemanticsId::Icwa => crate::icwa::models(db, &self.icwa_layers(db), cost),
+            SemanticsId::Icwa => crate::icwa::models(db, &self.icwa_layers(p), cost),
             SemanticsId::Dsm => crate::dsm::models(db, cost),
             SemanticsId::Pdsm => crate::pdsm::models(db, cost).map(|ps| {
                 ps.into_iter()

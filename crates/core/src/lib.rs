@@ -23,7 +23,9 @@
 //! non-empty for `DB`?) — plus a `models` enumerator used by tests and
 //! examples, all threading a [`ddb_models::Cost`] for oracle accounting.
 //! The [`dispatch`] module gives a uniform, enum-indexed entry point used
-//! by the benchmark harness.
+//! by the benchmark harness; its `*_prepared` variants take a [`Prepared`]
+//! database whose per-database analysis facts are computed once and
+//! shared by every query against it.
 //!
 //! Beyond the paper's ten semantics:
 //!
@@ -74,5 +76,6 @@ pub mod supported;
 pub mod wfs;
 pub mod witness;
 
+pub use ddb_analysis::Prepared;
 pub use dispatch::{Enumeration, RoutingMode, SemanticsConfig, SemanticsId, Unsupported, Verdict};
 pub use parallel::infers_formulas_batch;

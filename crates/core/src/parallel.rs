@@ -25,13 +25,14 @@
 //! every worker, and counter totals merge back deterministically.
 
 use crate::dispatch::{SemanticsConfig, Unsupported, Verdict};
-use ddb_analysis::project_slice;
+use ddb_analysis::{project_slice, Prepared, Slice};
 use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
 use ddb_obs::{Governed, Interrupted};
 
-/// Model existence over the weakly-connected islands of `db`, evaluated on
-/// the worker pool. Returns `Ok(None)` when the database has fewer than two
+/// Model existence over `parts`, the weakly-connected islands of `db` (as
+/// the planner or the prepared memo computed them), evaluated on the
+/// worker pool. Returns `Ok(None)` when the database has fewer than two
 /// islands (nothing to decompose — the caller falls through to its
 /// sequential routes).
 ///
@@ -45,9 +46,9 @@ use ddb_obs::{Governed, Interrupted};
 pub(crate) fn islands_has_model(
     cfg: &SemanticsConfig,
     db: &Database,
+    parts: &[Slice],
     cost: &mut Cost,
 ) -> Governed<Option<bool>> {
-    let parts = ddb_analysis::islands(db);
     if parts.len() < 2 {
         return Ok(None);
     }
@@ -98,9 +99,9 @@ pub(crate) fn islands_has_model(
 }
 
 /// Decides [`SemanticsConfig::infers_formula`] for many formulas against
-/// one database, sharing a single applicability/classification pass and
-/// evaluating the formulas concurrently on `cfg.threads` workers
-/// ([`SemanticsConfig::threads`]).
+/// one database, sharing one [`Prepared`] memo — so a single
+/// applicability/classification pass — and evaluating the formulas
+/// concurrently on `cfg.threads` workers ([`SemanticsConfig::threads`]).
 ///
 /// The result vector is index-aligned with `formulas` (workers return
 /// indexed results; the pool re-assembles them in submission order), so the
@@ -113,16 +114,18 @@ pub fn infers_formulas_batch(
     formulas: &[Formula],
 ) -> Result<Vec<(Verdict, Cost)>, Unsupported> {
     // Reject inapplicable semantics once, before spawning anything.
-    cfg.check_applicable(db)?;
+    let prepared = Prepared::borrowed(db);
+    cfg.check_applicable_prepared(&prepared)?;
     ddb_obs::counter_bump("pool.batch.formulas", formulas.len() as u64);
     let job_cfg = cfg.clone().with_threads(1);
+    let prepared = &prepared;
     let jobs: Vec<_> = formulas
         .iter()
         .map(|f| {
             let job_cfg = job_cfg.clone();
             move || {
                 let mut c = Cost::new();
-                let v = job_cfg.infers_formula(db, f, &mut c);
+                let v = job_cfg.infers_formula_prepared(prepared, f, &mut c);
                 (v, c)
             }
         })

@@ -6,11 +6,13 @@
 //!
 //! * **Horn** databases ([`horn_models`] and friends): the least model `L`
 //!   of the definite rules is computable by the polynomial worklist
-//!   fixpoint ([`ddb_models::fixpoint::active_atoms`]); the database is
+//!   fixpoint ([`ddb_logic::Database::positive_closure`]); the database is
 //!   consistent iff `L` satisfies its integrity clauses, and then *every*
 //!   one of the ten semantics has `{L}` as its characteristic model set —
 //!   inference is formula evaluation at `L` (vacuously true when
 //!   inconsistent) and model existence is consistency. Zero oracle calls.
+//!   Both `L` and its consistency are facts of the database, read from
+//!   its [`Prepared`] memo.
 //! * **Head-cycle-free** databases ([`for_each_hcf_stable_model`]): by the
 //!   Ben-Eliyahu & Dechter theorem, `DSM(DB)` equals the stable models of
 //!   the *shifted* normal program ([`ddb_analysis::shift`]), whose
@@ -26,6 +28,7 @@
 
 use crate::reduct::gl_reduct;
 use ddb_analysis::transform::shift;
+use ddb_analysis::Prepared;
 use ddb_logic::cnf::database_to_cnf;
 use ddb_logic::{Database, Formula, Interpretation, Literal};
 use ddb_models::fixpoint::active_atoms;
@@ -35,23 +38,19 @@ use ddb_sat::Solver;
 
 /// The least model of a Horn database's definite rules, plus whether the
 /// database is consistent (i.e. that model also satisfies the integrity
-/// clauses). Polynomial; no oracle calls.
-///
-/// # Panics
-/// Panics if `db` is not Horn (the fixpoint rejects negation).
-pub fn horn_least_model(db: &Database) -> (Interpretation, bool) {
-    debug_assert!(db.is_horn(), "horn fast path on a non-Horn database");
-    let least = active_atoms(db);
-    let consistent = db.satisfied_by(&least);
-    (least, consistent)
+/// clauses). Polynomial, no oracle calls, and computed once per prepared
+/// database.
+pub fn horn_least_model<'p>(p: &'p Prepared) -> (&'p Interpretation, bool) {
+    debug_assert!(p.fragments().horn, "horn fast path on a non-Horn database");
+    (p.closure(), p.closure_is_model())
 }
 
 /// Horn fast path for the characteristic model set: `{L}` when consistent,
 /// empty otherwise — identical for all ten semantics.
-pub fn horn_models(db: &Database) -> Vec<Interpretation> {
-    let (least, consistent) = horn_least_model(db);
+pub fn horn_models(p: &Prepared) -> Vec<Interpretation> {
+    let (least, consistent) = horn_least_model(p);
     if consistent {
-        vec![least]
+        vec![least.clone()]
     } else {
         Vec::new()
     }
@@ -59,20 +58,20 @@ pub fn horn_models(db: &Database) -> Vec<Interpretation> {
 
 /// Horn fast path for formula inference: `F` evaluated at the least model,
 /// vacuously true when the database is inconsistent.
-pub fn horn_infers_formula(db: &Database, f: &Formula) -> bool {
-    let (least, consistent) = horn_least_model(db);
-    !consistent || f.eval(&least)
+pub fn horn_infers_formula(p: &Prepared, f: &Formula) -> bool {
+    let (least, consistent) = horn_least_model(p);
+    !consistent || f.eval(least)
 }
 
 /// Horn fast path for literal inference.
-pub fn horn_infers_literal(db: &Database, lit: Literal) -> bool {
-    let (least, consistent) = horn_least_model(db);
+pub fn horn_infers_literal(p: &Prepared, lit: Literal) -> bool {
+    let (least, consistent) = horn_least_model(p);
     !consistent || least.contains(lit.atom()) == lit.is_positive()
 }
 
 /// Horn fast path for model existence: consistency of the least model.
-pub fn horn_has_model(db: &Database) -> bool {
-    horn_least_model(db).1
+pub fn horn_has_model(p: &Prepared) -> bool {
+    horn_least_model(p).1
 }
 
 /// Polynomial stability check for a **normal** program (every head has at
@@ -185,14 +184,16 @@ mod tests {
     #[test]
     fn horn_least_model_and_consistency() {
         let db = parse_program("a. b :- a. c :- b, d.").unwrap();
-        let (least, consistent) = horn_least_model(&db);
+        let p = Prepared::borrowed(&db);
+        let (least, consistent) = horn_least_model(&p);
         assert!(consistent);
         assert_eq!(least.count(), 2); // a, b
         let bad = parse_program("a. b :- a. :- b.").unwrap();
+        let bad = Prepared::borrowed(&bad);
         assert!(!horn_has_model(&bad));
         assert!(horn_models(&bad).is_empty());
         // Vacuous inference on inconsistent databases.
-        let f = parse_formula("false", bad.symbols()).unwrap();
+        let f = parse_formula("false", bad.db().symbols()).unwrap();
         assert!(horn_infers_formula(&bad, &f));
     }
 
@@ -201,7 +202,7 @@ mod tests {
         let db = parse_program("a. b :- a. c :- b, d. :- e.").unwrap();
         let mut cost = Cost::new();
         assert_eq!(
-            horn_models(&db),
+            horn_models(&Prepared::borrowed(&db)),
             crate::dsm::models(&db, &mut cost).unwrap()
         );
         assert!(cost.sat_calls > 0, "generic path pays oracle calls");

@@ -69,7 +69,9 @@
 //! stops being unique.
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
-use ddb_analysis::{project_slice, project_top, Fragments, MagicRestriction, Peel, Slice};
+use ddb_analysis::{
+    project_slice, project_top, Fragments, MagicRestriction, Peel, Prepared, Slice,
+};
 use ddb_logic::{Database, Formula, Literal};
 use ddb_models::Cost;
 use ddb_obs::Governed;
@@ -282,17 +284,20 @@ pub(crate) fn run_peel(
 }
 
 /// Executes a decided peel route for model existence: solve the
-/// deterministic bottom, then decompose the residual into
-/// weakly-connected islands and evaluate them on the worker pool
+/// deterministic bottom, then evaluate the residual's weakly-connected
+/// islands (memoized with the peel in `prepared`) on the worker pool
 /// ([`crate::parallel::islands_has_model`]); a single-island residual
 /// falls through to an inner existence check.
 pub(crate) fn run_exist_split(
     cfg: &SemanticsConfig,
+    prepared: &Prepared,
     p: &Peel,
     cost: &mut Cost,
 ) -> Governed<Option<bool>> {
     note_split(p);
-    if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, cost)? {
+    let mode = peel_mode(cfg.id).expect("only peelable semantics take the split route");
+    let parts = prepared.peel_islands(mode);
+    if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, parts, cost)? {
         return Ok(Some(ans));
     }
     definite(inner(cfg).has_model(&p.residual, cost))
@@ -304,10 +309,32 @@ mod tests {
     use crate::dispatch::RoutingMode;
     use ddb_logic::parse::{parse_formula, parse_program};
 
-    fn counters_after(f: impl FnOnce()) -> ddb_obs::CounterSnapshot {
-        let before = ddb_obs::snapshot();
+    /// The route counters the tests below read.
+    const PROBED: [&str; 5] = [
+        "route.slice",
+        "route.slice.dropped_rules",
+        "route.slice.blocked",
+        "route.split",
+        "route.generic",
+    ];
+
+    /// This thread's gains of the [`PROBED`] counters while `f` runs.
+    /// Dispatch at `threads = 1` runs inline, so every bump lands on the
+    /// calling thread, and other test threads cannot race the probe.
+    struct Spent([u64; PROBED.len()]);
+
+    impl Spent {
+        fn get(&self, name: &str) -> u64 {
+            let i = PROBED.iter().position(|&n| n == name).expect("probed");
+            self.0[i]
+        }
+    }
+
+    fn counters_after(f: impl FnOnce()) -> Spent {
+        let before = PROBED.map(ddb_obs::thread_counter_total);
         f();
-        ddb_obs::snapshot().diff(&before)
+        let after = PROBED.map(ddb_obs::thread_counter_total);
+        Spent(std::array::from_fn(|i| after[i] - before[i]))
     }
 
     #[test]

@@ -74,6 +74,12 @@ impl Database {
         &self.rules
     }
 
+    /// Releases spare rule capacity (for databases kept long after they
+    /// were built).
+    pub fn shrink_to_fit(&mut self) {
+        self.rules.shrink_to_fit();
+    }
+
     /// The vocabulary.
     pub fn symbols(&self) -> &Symbols {
         &self.symbols
@@ -138,6 +144,51 @@ impl Database {
     /// Whether `m ⊨ DB` (every rule satisfied).
     pub fn satisfied_by(&self, m: &Interpretation) -> bool {
         self.rules.iter().all(|r| r.satisfied_by(m))
+    }
+
+    /// The least set `S` of atoms containing every head atom of every
+    /// non-integrity rule whose positive body lies inside `S`. Negative
+    /// bodies are ignored. On a Horn database `S` is the least model; on a
+    /// negation-free one it is the set of atoms occurring in `T_DB ↑ ω`
+    /// (the DDR fixpoint); in general it over-approximates every atom any
+    /// semantics can derive. Worklist propagation in `O(Σ rule sizes)`,
+    /// independent of rule order.
+    pub fn positive_closure(&self) -> Interpretation {
+        let n = self.num_atoms();
+        let mut closed = Interpretation::empty(n);
+        // Per rule, the number of positive body atoms not yet in `closed`;
+        // per atom, the rules whose positive body mentions it.
+        let mut missing: Vec<usize> = self.rules.iter().map(|r| r.body_pos().len()).collect();
+        let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, r) in self.rules.iter().enumerate() {
+            for &b in r.body_pos() {
+                watchers[b.index()].push(i as u32);
+            }
+        }
+        let mut queue: Vec<Atom> = Vec::new();
+        let fire = |i: usize, closed: &mut Interpretation, queue: &mut Vec<Atom>| {
+            for &h in self.rules[i].head() {
+                if !closed.contains(h) {
+                    closed.insert(h);
+                    queue.push(h);
+                }
+            }
+        };
+        for (i, &m) in missing.iter().enumerate() {
+            if m == 0 {
+                fire(i, &mut closed, &mut queue);
+            }
+        }
+        while let Some(a) = queue.pop() {
+            for i in std::mem::take(&mut watchers[a.index()]) {
+                let i = i as usize;
+                missing[i] -= 1;
+                if missing[i] == 0 {
+                    fire(i, &mut closed, &mut queue);
+                }
+            }
+        }
+        closed
     }
 
     /// Computes a stratification `⟨S₁, …, S_r⟩` of the vocabulary, if one

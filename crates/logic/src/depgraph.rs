@@ -38,11 +38,14 @@ pub enum EdgeKind {
     Negative,
 }
 
-/// The atom-level dependency graph of a database.
+/// The atom-level dependency graph of a database, stored flat: the
+/// out-edges of atom `v` are `edges[offsets[v] .. offsets[v + 1]]`, in
+/// rule order.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
     num_atoms: usize,
-    adj: Vec<Vec<(u32, EdgeKind)>>,
+    offsets: Vec<u32>,
+    edges: Vec<(u32, EdgeKind)>,
 }
 
 /// A strongly-connected-component decomposition of a [`DepGraph`]
@@ -81,26 +84,49 @@ impl DepGraph {
     /// not define atoms).
     pub fn of_database(db: &Database) -> Self {
         let n = db.num_atoms();
-        let mut adj: Vec<Vec<(u32, EdgeKind)>> = vec![Vec::new(); n];
+        // (source, target, kind) in rule order.
+        let mut list: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        let mut edge = |from: Atom, to: Atom, kind| {
+            list.push((from.index() as u32, to.index() as u32, kind));
+        };
         for rule in db.rules() {
             if rule.is_integrity() {
                 continue;
             }
             let head = rule.head();
             for w in head.windows(2) {
-                adj[w[0].index()].push((w[1].index() as u32, EdgeKind::HeadSibling));
-                adj[w[1].index()].push((w[0].index() as u32, EdgeKind::HeadSibling));
+                edge(w[0], w[1], EdgeKind::HeadSibling);
+                edge(w[1], w[0], EdgeKind::HeadSibling);
             }
             for &h in head {
                 for &b in rule.body_pos() {
-                    adj[b.index()].push((h.index() as u32, EdgeKind::Positive));
+                    edge(b, h, EdgeKind::Positive);
                 }
                 for &c in rule.body_neg() {
-                    adj[c.index()].push((h.index() as u32, EdgeKind::Negative));
+                    edge(c, h, EdgeKind::Negative);
                 }
             }
         }
-        DepGraph { num_atoms: n, adj }
+        // A stable sort groups edges by source and keeps rule order within
+        // each group.
+        list.sort_by_key(|&(from, _, _)| from);
+        let mut offsets = vec![0u32; n + 1];
+        for &(from, _, _) in &list {
+            offsets[from as usize + 1] += 1;
+        }
+        for v in 1..offsets.len() {
+            offsets[v] += offsets[v - 1];
+        }
+        DepGraph {
+            num_atoms: n,
+            offsets,
+            edges: list.iter().map(|&(_, to, kind)| (to, kind)).collect(),
+        }
+    }
+
+    /// The raw out-edges of atom index `v`.
+    fn out(&self, v: usize) -> &[(u32, EdgeKind)] {
+        &self.edges[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Number of atoms (nodes).
@@ -110,7 +136,7 @@ impl DepGraph {
 
     /// The labelled out-edges of an atom.
     pub fn edges_from(&self, a: Atom) -> impl Iterator<Item = (Atom, EdgeKind)> + '_ {
-        self.adj[a.index()]
+        self.out(a.index())
             .iter()
             .map(|&(to, kind)| (Atom::new(to), kind))
     }
@@ -118,7 +144,7 @@ impl DepGraph {
     /// Whether the graph has a positive self-loop at `a` (an atom depending
     /// positively on itself, `a ← a ∧ …`).
     pub fn has_positive_self_loop(&self, a: Atom) -> bool {
-        self.adj[a.index()]
+        self.out(a.index())
             .iter()
             .any(|&(to, kind)| kind == EdgeKind::Positive && to as usize == a.index())
     }
@@ -150,8 +176,8 @@ impl DepGraph {
             on_stack[start] = true;
             while let Some(&mut (v, ref mut i)) = frames.last_mut() {
                 let mut advanced = false;
-                while *i < self.adj[v].len() {
-                    let (w, kind) = self.adj[v][*i];
+                while *i < self.out(v).len() {
+                    let (w, kind) = self.out(v)[*i];
                     *i += 1;
                     if !keep(kind) {
                         continue;
@@ -220,7 +246,7 @@ impl DepGraph {
     pub fn unstratifiable_witness(&self) -> Option<Vec<Atom>> {
         let sccs = self.sccs();
         for v in 0..self.num_atoms {
-            for &(w, kind) in &self.adj[v] {
+            for &(w, kind) in self.out(v) {
                 if kind == EdgeKind::Negative && sccs.comp[v] == sccs.comp[w as usize] {
                     let c = sccs.comp[v];
                     return Some(
@@ -244,7 +270,7 @@ impl DepGraph {
         let sccs = self.sccs();
         // A strict edge within a component ⇒ unstratifiable.
         for v in 0..n {
-            for &(w, kind) in &self.adj[v] {
+            for &(w, kind) in self.out(v) {
                 if kind == EdgeKind::Negative && sccs.comp[v] == sccs.comp[w as usize] {
                     return None;
                 }
@@ -256,7 +282,7 @@ impl DepGraph {
         let mut level = vec![0usize; sccs.num_components];
         let mut comp_edges: Vec<Vec<(usize, bool)>> = vec![Vec::new(); sccs.num_components];
         for v in 0..n {
-            for &(w, kind) in &self.adj[v] {
+            for &(w, kind) in self.out(v) {
                 let (cv, cw) = (sccs.comp[v], sccs.comp[w as usize]);
                 if cv != cw {
                     comp_edges[cv].push((cw, kind == EdgeKind::Negative));

@@ -3,6 +3,7 @@
 use crate::Atom;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The vocabulary `V` of a propositional database: an interner mapping
 /// variable names to dense [`Atom`] indices and back.
@@ -12,8 +13,17 @@ use std::fmt;
 /// the `Symbols` table they were built against. Atoms are handed out in
 /// insertion order, so index `i` always names the `i`-th distinct variable
 /// interned.
+///
+/// Clones share one table until one of them interns a new name (copy on
+/// write), so the sub-databases built over an unchanged vocabulary — peel
+/// residuals, ICWA prefixes — cost no copy of it.
 #[derive(Clone, Default)]
 pub struct Symbols {
+    table: Arc<Table>,
+}
+
+#[derive(Clone, Default)]
+struct Table {
     names: Vec<String>,
     index: HashMap<String, Atom>,
 }
@@ -26,19 +36,20 @@ impl Symbols {
 
     /// Interns `name`, returning the existing atom if already present.
     pub fn intern(&mut self, name: &str) -> Atom {
-        if let Some(&a) = self.index.get(name) {
+        if let Some(a) = self.lookup(name) {
             return a;
         }
+        let table = Arc::make_mut(&mut self.table);
         let a =
-            Atom::new(u32::try_from(self.names.len()).expect("vocabulary exceeds u32::MAX atoms"));
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), a);
+            Atom::new(u32::try_from(table.names.len()).expect("vocabulary exceeds u32::MAX atoms"));
+        table.names.push(name.to_owned());
+        table.index.insert(name.to_owned(), a);
         a
     }
 
     /// Looks up an existing atom by name without interning.
     pub fn lookup(&self, name: &str) -> Option<Atom> {
-        self.index.get(name).copied()
+        self.table.index.get(name).copied()
     }
 
     /// The name of `atom`.
@@ -46,22 +57,22 @@ impl Symbols {
     /// # Panics
     /// Panics if `atom` was not interned in this table.
     pub fn name(&self, atom: Atom) -> &str {
-        &self.names[atom.index()]
+        &self.table.names[atom.index()]
     }
 
     /// Number of interned atoms (`|V|`).
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.table.names.len()
     }
 
     /// Whether the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.table.names.is_empty()
     }
 
     /// Iterates over all atoms in index order.
     pub fn atoms(&self) -> impl Iterator<Item = Atom> + '_ {
-        (0..self.names.len()).map(|i| Atom::new(i as u32))
+        (0..self.len()).map(|i| Atom::new(i as u32))
     }
 
     /// Creates `n` atoms named `x0..x{n-1}` — convenient for generated
@@ -126,6 +137,18 @@ mod tests {
         let idx: Vec<usize> = s.atoms().map(|a| a.index()).collect();
         assert_eq!(idx, vec![0, 1, 2, 3, 4]);
         assert_eq!(s.name(Atom::new(3)), "x3");
+    }
+
+    #[test]
+    fn clones_share_until_one_interns() {
+        let mut s = Symbols::fresh(2);
+        let t = s.clone();
+        assert!(Arc::ptr_eq(&s.table, &t.table));
+        let y = s.intern("y");
+        assert!(!Arc::ptr_eq(&s.table, &t.table));
+        assert_eq!((s.len(), t.len()), (3, 2));
+        assert_eq!(t.lookup("y"), None);
+        assert_eq!(s.name(y), "y");
     }
 
     #[test]

@@ -38,55 +38,15 @@ use ddb_obs::budget::{self, Governed};
 /// a semantics for *deductive* databases, `DB ⊆ C⁺`); this function panics
 /// if it meets one. Integrity clauses are skipped — they have no head to
 /// derive (Chan's Example 3.1 shows DDR deliberately ignores them).
+///
+/// The closure itself is [`Database::positive_closure`], the one worklist
+/// implementation shared with the analyzer's supportable-atom fixpoint.
 pub fn active_atoms(db: &Database) -> Interpretation {
     assert!(
         !db.has_negation(),
         "the DDR fixpoint is defined for databases without negation"
     );
-    let n = db.num_atoms();
-    let mut active = Interpretation::empty(n);
-    // Worklist propagation: count unsatisfied body atoms per rule.
-    let rules: Vec<usize> = (0..db.rules().len())
-        .filter(|&i| !db.rules()[i].is_integrity())
-        .collect();
-    let mut missing: Vec<usize> = rules
-        .iter()
-        .map(|&i| db.rules()[i].body_pos().len())
-        .collect();
-    // For each atom, the rules (indices into `rules`) whose body mentions it.
-    let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (k, &i) in rules.iter().enumerate() {
-        for &b in db.rules()[i].body_pos() {
-            watchers[b.index()].push(k as u32);
-        }
-    }
-    let mut queue: Vec<Atom> = Vec::new();
-    let fire = |k: usize, active: &mut Interpretation, queue: &mut Vec<Atom>| {
-        for &h in db.rules()[rules[k]].head() {
-            if !active.contains(h) {
-                active.insert(h);
-                queue.push(h);
-            }
-        }
-    };
-    for (k, &m) in missing.iter().enumerate() {
-        if m == 0 {
-            fire(k, &mut active, &mut queue);
-        }
-    }
-    while let Some(a) = queue.pop() {
-        // Clone the watcher list indices to appease the borrow checker; the
-        // lists are small and visited once per atom activation.
-        let ws = std::mem::take(&mut watchers[a.index()]);
-        for &k in &ws {
-            let k = k as usize;
-            missing[k] -= 1;
-            if missing[k] == 0 {
-                fire(k, &mut active, &mut queue);
-            }
-        }
-    }
-    active
+    db.positive_closure()
 }
 
 /// One step of an activation proof: `atom` is activated by rule

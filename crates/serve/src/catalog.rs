@@ -3,7 +3,13 @@
 //! Datalog∨ `.dlv`, with the CLI's auto-detection) and can be added at
 //! runtime through the `load` op — which runs under the request budget,
 //! so a pathological grounding is bounded like any other query.
+//!
+//! Each entry is a [`Prepared`] database: its analysis facts (fragments,
+//! indexes, peels, islands) fill lazily on the first request that needs
+//! them and then serve every later request against the same loaded
+//! version. Replacing an entry starts a fresh memo.
 
+use ddb_core::Prepared;
 use ddb_ground::{ground_reduced, parse::parse_datalog, GroundingError};
 use ddb_logic::parse::parse_program;
 use ddb_logic::Database;
@@ -61,7 +67,7 @@ pub fn load_source(
 /// `overwrite` flag on the request.
 #[derive(Default)]
 pub struct Catalog {
-    entries: BTreeMap<String, Arc<Database>>,
+    entries: BTreeMap<String, Arc<Prepared<'static>>>,
     protected: BTreeSet<String>,
 }
 
@@ -81,9 +87,10 @@ impl Catalog {
         Ok(())
     }
 
-    /// Inserts (or replaces) a named database.
+    /// Inserts (or replaces) a named database, with an empty memo.
     pub fn insert(&mut self, name: &str, db: Database) {
-        self.entries.insert(name.to_owned(), Arc::new(db));
+        self.entries
+            .insert(name.to_owned(), Arc::new(Prepared::new(db)));
     }
 
     /// Seals every current entry as operator-provisioned: runtime `load`
@@ -103,8 +110,8 @@ impl Catalog {
         self.entries.contains_key(name)
     }
 
-    /// Looks up a database by name.
-    pub fn get(&self, name: &str) -> Option<Arc<Database>> {
+    /// Looks up a database, with its memo, by name.
+    pub fn get(&self, name: &str) -> Option<Arc<Prepared<'static>>> {
         self.entries.get(name).cloned()
     }
 

@@ -29,7 +29,7 @@
 
 use crate::catalog::{load_source, Catalog, LoadError};
 use crate::protocol::{error_frame, ok_frame, parse_request, Op, Request, WireError};
-use ddb_core::{witness, SemanticsConfig, SemanticsId, Verdict};
+use ddb_core::{witness, Prepared, SemanticsConfig, SemanticsId, Verdict};
 use ddb_logic::parse::parse_formula;
 use ddb_logic::{Database, Formula};
 use ddb_models::{Cost, Partition};
@@ -550,7 +550,8 @@ fn catalog_response(shared: &Arc<Shared>, id: Option<&Json>) -> String {
         .names()
         .into_iter()
         .map(|name| {
-            let db = catalog.get(&name).expect("name from listing");
+            let entry = catalog.get(&name).expect("name from listing");
+            let db = entry.db();
             let sample: Vec<Json> = db
                 .symbols()
                 .atoms()
@@ -815,7 +816,7 @@ fn parse_query_formula(raw: &str, db: &Database) -> Result<Formula, WireError> {
     }
 }
 
-fn resolve_db(shared: &Shared, request: &Request) -> Result<Arc<Database>, WireError> {
+fn resolve_db(shared: &Shared, request: &Request) -> Result<Arc<Prepared<'static>>, WireError> {
     let name = request
         .db
         .as_deref()
@@ -904,18 +905,19 @@ fn run_query_class(
     shared: &Shared,
     request: &Request,
 ) -> Result<Vec<(&'static str, Json)>, WireError> {
-    let db = resolve_db(shared, request)?;
-    let cfg = config_from_request(shared, request, &db)?;
+    let prepared = resolve_db(shared, request)?;
+    let db = prepared.db();
+    let cfg = config_from_request(shared, request, db)?;
     let mut cost = Cost::new();
     let mut fields: Vec<(&'static str, Json)> = Vec::new();
     match request.op {
         Op::Query => {
-            let formula = request_formula(request, &db)?;
+            let formula = request_formula(request, db)?;
             let verdict: Verdict = if request.brave {
-                witness::brave_infers_formula(&cfg, &db, &formula, &mut cost)
+                witness::brave_infers_formula(&cfg, db, &formula, &mut cost)
                     .map_err(|e| WireError::usage(e.to_string()))?
             } else {
-                cfg.infers_formula(&db, &formula, &mut cost)
+                cfg.infers_formula_prepared(&prepared, &formula, &mut cost)
                     .map_err(|e| WireError::usage(e.to_string()))?
             };
             let answer = match (request.brave, verdict.as_bool()) {
@@ -931,7 +933,7 @@ fn run_query_class(
         }
         Op::Exists => {
             let verdict = cfg
-                .has_model(&db, &mut cost)
+                .has_model_prepared(&prepared, &mut cost)
                 .map_err(|e| WireError::usage(e.to_string()))?;
             let answer = match verdict.as_bool() {
                 Some(true) => "has a model",
@@ -944,7 +946,7 @@ fn run_query_class(
         }
         Op::Models => {
             let enumeration = cfg
-                .models(&db, &mut cost)
+                .models_prepared(&prepared, &mut cost)
                 .map_err(|e| WireError::usage(e.to_string()))?;
             let answer = if enumeration.is_complete() {
                 format!("{} model(s) under {}:", enumeration.len(), cfg.id)

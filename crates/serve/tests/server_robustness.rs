@@ -301,6 +301,120 @@ fn load_cannot_shadow_operator_databases_or_silently_overwrite() {
     assert_eq!(report.sessions_leaked, 0, "leaked sessions: {report}");
 }
 
+/// A catalog entry's analysis memo belongs to one loaded version: after
+/// an `overwrite`, queries answer from the new program, never from facts
+/// the old one filled in. Filling the memo leaves the `catalog` listing
+/// byte-identical.
+#[test]
+fn overwritten_entries_answer_from_the_new_program() {
+    let handle = Server::start(ServerConfig::default(), Catalog::new()).expect("server starts");
+    let addr = handle.addr().to_string();
+    let mut c = Client::connect(&addr, Duration::from_secs(30)).unwrap();
+    let load = |source: &str, overwrite: bool| {
+        Json::obj([
+            ("op", Json::Str("load".to_owned())),
+            ("db", Json::Str("t".to_owned())),
+            ("source", Json::Str(source.to_owned())),
+            ("overwrite", Json::Bool(overwrite)),
+        ])
+        .render()
+    };
+    let ask = |c: &mut Client, op: &str, semantics: &str, literal: Option<&str>| {
+        let mut fields = vec![
+            ("op", Json::Str(op.to_owned())),
+            ("db", Json::Str("t".to_owned())),
+            ("semantics", Json::Str(semantics.to_owned())),
+        ];
+        if let Some(l) = literal {
+            fields.push(("literal", Json::Str(l.to_owned())));
+        }
+        let resp = c.call(&Json::obj(fields).render()).unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        resp.get("answer")
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_owned()
+    };
+    // (first program, second program, op, literal, first answer, second answer):
+    // a Horn pair (least model and consistency from the memo) and a
+    // disjunctive pair (fragments, peel and islands from the memo).
+    let cases = [
+        (
+            "a. b :- a.",
+            "a. b :- c.",
+            "query",
+            Some("b"),
+            "inferred",
+            "not inferred",
+        ),
+        (
+            "a. b :- a.",
+            "a. b :- a. :- b.",
+            "exists",
+            None,
+            "has a model",
+            "no model",
+        ),
+        (
+            "x | y. z :- x. z :- y. w.",
+            "x | y. z :- x. w.",
+            "query",
+            Some("z"),
+            "inferred",
+            "not inferred",
+        ),
+        (
+            "x | y. w.",
+            "x | y. w. :- x. :- y.",
+            "exists",
+            None,
+            "has a model",
+            "no model",
+        ),
+    ];
+    for (i, (first, second, op, literal, before, after)) in cases.into_iter().enumerate() {
+        let resp = c.call(&load(first, i > 0)).unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        let listing = c.call(r#"{"op":"catalog"}"#).unwrap().render();
+        for semantics in ["gcwa", "dsm", "perf"] {
+            assert_eq!(
+                ask(&mut c, op, semantics, literal),
+                before,
+                "case {i} {semantics}"
+            );
+        }
+        let filled = c.call(r#"{"op":"catalog"}"#).unwrap().render();
+        assert_eq!(
+            filled, listing,
+            "case {i}: the memo must not show in the listing"
+        );
+        let resp = c.call(&load(second, true)).unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        for semantics in ["gcwa", "dsm", "perf"] {
+            assert_eq!(
+                ask(&mut c, op, semantics, literal),
+                after,
+                "case {i} {semantics}"
+            );
+        }
+    }
+    handle.shutdown();
+    let report = handle.join();
+    assert_eq!(report.sessions_leaked, 0, "leaked sessions: {report}");
+}
+
 /// The slowloris guard covers pipelined partial frames: bytes left in
 /// the buffer after a complete frame start the frame clock, so a
 /// trickled tail is cut off by the read timeout, not the (much longer)
