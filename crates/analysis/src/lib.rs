@@ -17,10 +17,10 @@
 //!   stable codes and severities (catalog in `docs/ANALYSIS.md`);
 //! * the **shift** transformation ([`shift`]) that turns head-cycle-free
 //!   disjunctive databases into equivalent normal programs;
-//! * **query-relevant slicing** ([`relevant_slice`]): the least
-//!   sub-database that can influence a query formula, with the
-//!   splitting-set closure check that decides when answering on the slice
-//!   is exact;
+//! * **query-relevant slicing** ([`relevant_slice`], [`demand_closure`]):
+//!   the least sub-database that can influence a query formula — minus
+//!   dead rules when pruning is sound — with the splitting-set closure
+//!   check that decides when answering on the slice is exact;
 //! * **bottom-up splitting evaluation** ([`peel`]): solve the
 //!   deterministic bottom levels of the SCC condensation and partially
 //!   evaluate their consequences into a smaller residual program;
@@ -29,10 +29,9 @@
 //!   ([`build_plan`]) `ddb explain` prints, with binding-pattern
 //!   adornments ([`adorn()`]) and the domain/cost estimators ([`cost`])
 //!   feeding its class and oracle-call bounds;
-//! * the **magic-sets rewrite** ([`magic`]): the goal-directed demand
-//!   restriction ([`magic_restrict`]) the planner routes bound queries
-//!   through, with SIP strategy selection ([`sip`]) and the guarded
-//!   program transform ([`magic::rewrite`]) `ddb rewrite` prints;
+//! * the **magic-sets rewrite** ([`magic`]): the guarded program
+//!   transform ([`magic::rewrite`]) of a query's demand closure that
+//!   `ddb rewrite` prints, with SIP strategy selection ([`sip`]);
 //! * **prepared databases** ([`Prepared`]): the facts above that depend
 //!   only on the database — fragments, stratification, the supportable
 //!   closure, rule indexes, peels and islands — memoized per database, so
@@ -58,14 +57,14 @@ pub use cost::{oracle_call_bound, DomainEstimate};
 pub use ddb_logic::depgraph::{DepGraph, EdgeKind, Sccs};
 pub use fragments::{classify, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
-pub use magic::{magic_restrict, MagicProgram, MagicRestriction, MAGIC_PREFIX};
+pub use magic::{MagicProgram, MAGIC_PREFIX};
 pub use plan::{
-    admission, build_plan, build_plan_prepared, decide, decide_prepared, plan_lints, Admission,
-    Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
+    admission, bound_query, build_plan, build_plan_prepared, decide, decide_prepared, plan_lints,
+    prunes_dead, Admission, Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
 };
 pub use prepared::Prepared;
 pub use report::{analyze, AnalysisReport};
 pub use schedule::islands;
-pub use slice::{project_slice, project_top, relevant_slice, AtomMap, Slice};
+pub use slice::{demand_closure, project_slice, project_top, relevant_slice, AtomMap, Slice};
 pub use splitting::{layering, peel, peel_with, Layering, Peel};
 pub use transform::shift;

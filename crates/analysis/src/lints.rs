@@ -183,9 +183,10 @@ impl Diagnostic {
         }
     }
 
-    /// `DDB016` — the magic-sets rewrite found a proper restriction but
-    /// the admission analysis rejects it for this semantics; the blocking
-    /// rule witnesses why the restriction boundary is not exact.
+    /// `DDB016` — a bound query's demand closure (the restriction the
+    /// magic-sets rewrite guards) is proper, but the admission analysis
+    /// rejects it for this semantics; the blocking rule witnesses why the
+    /// closure boundary is not exact.
     pub fn magic_inadmissible(semantics: &str, rule_index: usize, rule_text: &str) -> Self {
         Diagnostic {
             code: "DDB016",

@@ -8,36 +8,36 @@
 //! ([`crate::sip`]). On the ground databases this workspace analyzes the
 //! demand closure is computable statically, which yields two artifacts:
 //!
-//! * [`magic_restrict`] — the set of rules a magic-guarded evaluation
-//!   could ever fire: the backward relevance closure of the query
-//!   ([`crate::relevant_slice`]), *minus* dead rules (rules with a
-//!   positive body atom outside the supportable fixpoint,
-//!   [`crate::slice::supportable_atoms`]) when the caller proves dead
-//!   pruning sound. Dead pruning is sound exactly for minimal-model
-//!   determined answers on **positive** databases: a rule whose positive
-//!   body can never be derived never fires in any minimal model. With
-//!   negation a dead body atom can still flip answers through `not`, so
-//!   callers must pass `prune_dead = false` there — the restriction then
-//!   coincides with the relevance slice.
+//! * the **restriction** — the set of rules a magic-guarded evaluation
+//!   could ever fire — is the query's demand closure
+//!   ([`crate::slice::demand_closure`]): the backward relevance closure,
+//!   *minus* dead rules (rules with a positive body atom outside the
+//!   supportable fixpoint, [`crate::slice::supportable_atoms`]) when dead
+//!   pruning is sound. It is sound exactly for minimal-model determined
+//!   answers on **positive** databases: a rule whose positive body can
+//!   never be derived never fires in any minimal model. With negation a
+//!   dead body atom can still flip answers through `not`, so the planner's
+//!   gate ([`crate::plan::prunes_dead`]) leaves pruning off there and the
+//!   restriction is the relevance slice. The planner routes every
+//!   inference query through this one closure (`RouteKind::Slice`).
 //! * [`rewrite`] — the rewritten program itself ([`MagicProgram`]):
 //!   `magic__`-prefixed seeds for the query atoms, one guarded variant
 //!   per kept rule, and demand rules for positive bodies (SIP-ordered),
 //!   negative bodies and disjunctive head siblings. This is the program
-//!   `ddb rewrite` prints and `ddb explain` attaches to Magic plan
-//!   nodes; execution answers on the projected restriction directly,
-//!   which is equivalent and keeps the solver vocabulary small.
+//!   `ddb rewrite` prints and `ddb explain` attaches to the slice plans of
+//!   bound queries; execution answers on the projected restriction
+//!   directly, which is equivalent and keeps the solver vocabulary small.
 //!
-//! **Admission** is decided by the planner with the same per-semantics
-//! rules as slicing ([`crate::plan::admission`]): a dropped dead rule
-//! whose head is demanded always blocks the split-closure side condition
-//! (its head reads into the restriction), so the product route and dead
-//! pruning never combine — the only admission that ever sees a pruned
+//! **Admission** follows the per-semantics slicing rules
+//! ([`crate::plan::admission`]): a dropped dead rule whose head is
+//! demanded always blocks the split-closure side condition (its head
+//! reads into the restriction), so the product route and dead pruning
+//! never combine — the only admission that ever sees a pruned
 //! restriction is `PositiveExact`, which is exactly the sound case.
 
 use crate::adorn::split_predicate;
-use crate::prepared::Prepared;
 use crate::sip::choose_sip;
-use crate::slice::{demand_closure, relevant_slice_prepared, Slice};
+use crate::slice::Slice;
 use ddb_logic::{Atom, Database};
 use ddb_obs::json::Json;
 use std::collections::BTreeSet;
@@ -46,85 +46,6 @@ use std::collections::BTreeSet;
 /// the *input* database starting with this prefix collide with the
 /// rewrite's fresh predicates (lint `DDB018`).
 pub const MAGIC_PREFIX: &str = "magic__";
-
-/// The goal-directed restriction of a database to one query: which rules
-/// a magic-guarded evaluation can fire, plus the dead rules the demand
-/// closure skipped.
-#[derive(Clone, Debug)]
-pub struct MagicRestriction {
-    /// The kept atoms and rules, with split-closure data computed against
-    /// **all** non-kept rules (dropped dead rules included, so a pruned
-    /// restriction is never reported split-closed when its boundary
-    /// leaks).
-    pub slice: Slice,
-    /// Rules inside the backward relevance closure that were dropped as
-    /// dead (positive body outside the supportable fixpoint), ascending.
-    /// Empty unless `prune_dead` was set.
-    pub dropped_dead: Vec<usize>,
-}
-
-impl MagicRestriction {
-    /// Whether the restriction keeps every rule (the rewrite would guard
-    /// the whole program — a no-op as a reduction).
-    pub fn is_whole(&self, db: &Database) -> bool {
-        self.slice.is_whole(db)
-    }
-}
-
-/// Computes the magic restriction of `db` for a query over `query_atoms`.
-///
-/// Without dead pruning this is exactly [`crate::relevant_slice`]. With
-/// `prune_dead`, rules whose positive body leaves the supportable
-/// fixpoint are excluded from the closure — their atoms do not propagate
-/// demand — and recorded in [`MagicRestriction::dropped_dead`] when the
-/// final demand set reaches their head. Callers must only set
-/// `prune_dead` when dead pruning is sound for the answers they need
-/// (positive database, minimal-model determined query — see the module
-/// docs).
-pub fn magic_restrict(db: &Database, query_atoms: &[Atom], prune_dead: bool) -> MagicRestriction {
-    magic_restrict_prepared(&Prepared::borrowed(db), query_atoms, prune_dead)
-}
-
-/// [`magic_restrict`] over a prepared database: the demand closure is a
-/// worklist over its rule indexes, and dead rules are judged against its
-/// memoized supportable closure.
-pub(crate) fn magic_restrict_prepared(
-    p: &Prepared,
-    query_atoms: &[Atom],
-    prune_dead: bool,
-) -> MagicRestriction {
-    if !prune_dead {
-        return MagicRestriction {
-            slice: relevant_slice_prepared(p, query_atoms),
-            dropped_dead: Vec::new(),
-        };
-    }
-    let rules = p.db().rules();
-    let supportable = p.closure();
-    let dead = |i: usize| {
-        let r = &rules[i];
-        !r.is_integrity() && r.body_pos().iter().any(|&b| !supportable.contains(b))
-    };
-    // The relevance closure, except dead rules never join and never
-    // propagate demand into their bodies. Split-closure is judged against
-    // *every* non-kept rule: a dropped dead rule with a demanded head
-    // reads the restriction, so pruning and the product correction can
-    // never combine.
-    let slice = demand_closure(p, query_atoms, dead);
-    let mut dropped_dead: Vec<usize> = slice
-        .atoms
-        .iter()
-        .flat_map(|&a| p.heads().rules_of(a))
-        .map(|&i| i as usize)
-        .filter(|&i| dead(i))
-        .collect();
-    dropped_dead.sort_unstable();
-    dropped_dead.dedup();
-    MagicRestriction {
-        slice,
-        dropped_dead,
-    }
-}
 
 /// The rewritten (magic-guarded) program, rendered as source lines.
 #[derive(Clone, Debug)]
@@ -164,20 +85,17 @@ impl MagicProgram {
 }
 
 /// Emits the magic-guarded rewrite of the kept rules of `restriction`
-/// for a query over `query_atoms`. Deterministic: kept rules ascending,
-/// demand rules in SIP order within each rule.
-pub fn rewrite(
-    db: &Database,
-    query_atoms: &[Atom],
-    restriction: &MagicRestriction,
-) -> MagicProgram {
+/// (the query's demand closure) for a query over `query_atoms`.
+/// Deterministic: kept rules ascending, demand rules in SIP order within
+/// each rule.
+pub fn rewrite(db: &Database, query_atoms: &[Atom], restriction: &Slice) -> MagicProgram {
     let name = |a: Atom| db.symbols().name(a);
     let seeds = query_atoms
         .iter()
         .map(|&q| format!("{MAGIC_PREFIX}{}.", name(q)))
         .collect();
     let mut rules = Vec::new();
-    for &i in &restriction.slice.rules {
+    for &i in &restriction.rules {
         let r = &db.rules()[i];
         let pos: Vec<&str> = r.body_pos().iter().map(|&b| name(b)).collect();
         let neg: Vec<&str> = r.body_neg().iter().map(|&b| name(b)).collect();
@@ -276,7 +194,8 @@ fn render_demand(target: &str, body: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::relevant_slice;
+    use crate::prepared::Prepared;
+    use crate::slice::{demand_closure, relevant_slice};
     use ddb_logic::Rule;
 
     fn atom(db: &Database, name: &str) -> Atom {
@@ -300,24 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn restriction_without_pruning_is_the_relevance_slice() {
-        let db = ground_db(&[
-            (&["e(a,b)"], &[]),
-            (&["r(b)"], &["e(a,b)", "r(a)"]),
-            (&["r(a)"], &[]),
-            (&["q(z)"], &[]),
-        ]);
-        let q = [atom(&db, "r(b)")];
-        let m = magic_restrict(&db, &q, false);
-        let s = relevant_slice(&db, &q);
-        assert_eq!(m.slice.rules, s.rules);
-        assert_eq!(m.slice.atoms, s.atoms);
-        assert!(m.dropped_dead.is_empty());
-        assert_eq!(m.slice.rules, vec![0, 1, 2]);
-        assert!(!m.is_whole(&db));
-    }
-
-    #[test]
     fn dead_rules_are_pruned_and_block_the_split() {
         // Rule 1 demands r(b) but its body atom ghost(x) is unsupportable,
         // so it can never fire: pruning keeps the restriction to the fact.
@@ -327,15 +228,15 @@ mod tests {
             (&["q(z)"], &[]),
         ]);
         let q = [atom(&db, "r(b)")];
-        let m = magic_restrict(&db, &q, true);
-        assert_eq!(m.slice.rules, vec![0]);
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
+        assert_eq!(m.rules, vec![0]);
         assert_eq!(m.dropped_dead, vec![1]);
         // The dropped rule's head reads the restriction, so it must not
         // be reported split-closed (product would be unsound here).
-        assert!(!m.slice.split_closed);
-        assert_eq!(m.slice.blocking_rule, Some(1));
+        assert!(!m.split_closed);
+        assert_eq!(m.blocking_rule, Some(1));
         // ghost(x) never joined the demand set.
-        assert!(!m.slice.in_slice.contains(atom(&db, "ghost(x)")));
+        assert!(!m.in_slice.contains(atom(&db, "ghost(x)")));
     }
 
     #[test]
@@ -349,10 +250,10 @@ mod tests {
         ]);
         let q = [atom(&db, "r(b)")];
         let plain = relevant_slice(&db, &q);
-        let m = magic_restrict(&db, &q, true);
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
         assert_eq!(plain.rules, vec![0, 1, 2]);
-        assert_eq!(m.slice.rules, vec![0]);
-        assert!(m.slice.rules.len() < plain.rules.len());
+        assert_eq!(m.rules, vec![0]);
+        assert!(m.rules.len() < plain.rules.len());
     }
 
     #[test]
@@ -363,7 +264,7 @@ mod tests {
             (&["r(a)"], &[]),
         ]);
         let q = [atom(&db, "r(b)")];
-        let m = magic_restrict(&db, &q, true);
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
         let p = rewrite(&db, &q, &m);
         assert_eq!(p.seeds, vec!["magic__r(b)."]);
         assert!(p.collisions.is_empty());
@@ -392,7 +293,7 @@ mod tests {
     fn disjunctive_heads_demand_their_siblings() {
         let db = ground_db(&[(&["p(a)", "p(b)"], &[]), (&["q(a)"], &["p(a)"])]);
         let q = [atom(&db, "q(a)")];
-        let m = magic_restrict(&db, &q, true);
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
         let p = rewrite(&db, &q, &m);
         assert!(
             p.rules.contains(&"p(a) | p(b) :- magic__p(a).".to_owned()),
@@ -406,7 +307,7 @@ mod tests {
     fn existing_magic_names_are_collisions() {
         let db = ground_db(&[(&["magic__p(a)"], &[]), (&["q(a)"], &["magic__p(a)"])]);
         let q = [atom(&db, "q(a)")];
-        let m = magic_restrict(&db, &q, true);
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
         let p = rewrite(&db, &q, &m);
         assert_eq!(p.collisions, vec!["magic__p(a)".to_owned()]);
     }

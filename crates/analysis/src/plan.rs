@@ -1,7 +1,7 @@
 //! The static query planner: every routing decision the dispatcher can
-//! take — Horn fixpoint, HCF shift, magic-sets restriction, relevance
-//! slice, splitting-set peel, island decomposition, generic oracle
-//! procedure — reified in one auditable structure *before* anything runs.
+//! take — Horn fixpoint, HCF shift, demand (relevance) slice,
+//! splitting-set peel, island decomposition, generic oracle procedure —
+//! reified in one auditable structure *before* anything runs.
 //!
 //! The planner is deliberately split in two layers:
 //!
@@ -35,9 +35,9 @@ use crate::adorn::{split_predicate, Adornments};
 use crate::cost::{display_bound, oracle_call_bound};
 use crate::fragments::Fragments;
 use crate::lints::Diagnostic;
-use crate::magic::{magic_restrict_prepared, MagicRestriction, MAGIC_PREFIX};
+use crate::magic::MAGIC_PREFIX;
 use crate::prepared::Prepared;
-use crate::slice::{project_slice, project_top, relevant_slice, relevant_slice_prepared, Slice};
+use crate::slice::{demand_closure, project_slice, project_top, relevant_slice, Slice};
 use crate::splitting::Peel;
 use ddb_logic::parse::display_rule;
 use ddb_logic::{Atom, Database};
@@ -83,6 +83,30 @@ pub fn admission(frags: &Fragments, slice: &Slice, mm_determined: bool) -> Admis
     } else {
         Admission::Blocked
     }
+}
+
+/// Whether some query atom fixes argument constants (`p(a)`, not `p`) —
+/// a bound query in the magic-sets sense. Only bound queries prune dead
+/// rules from their demand closure ([`prunes_dead`]), raise `DDB016`
+/// when it is blocked, and get the rewritten program in `ddb explain`.
+pub fn bound_query(db: &Database, query_atoms: &[Atom]) -> bool {
+    query_atoms
+        .iter()
+        .any(|&a| !split_predicate(db.symbols().name(a)).1.is_empty())
+}
+
+/// The dead-rule pruning gate of a query's demand closure
+/// ([`demand_closure`]), shared by the planner and `ddb rewrite`.
+/// Pruning is sound exactly for minimal-model-determined answers on
+/// positive databases (see [`crate::magic`]), and is attempted only for
+/// bound queries.
+pub fn prunes_dead(
+    db: &Database,
+    frags: &Fragments,
+    query_atoms: &[Atom],
+    mm_determined: bool,
+) -> bool {
+    frags.positive && mm_determined && bound_query(db, query_atoms)
 }
 
 /// The routing-relevant facts about one semantics for one problem, filled
@@ -158,10 +182,9 @@ pub enum RouteKind {
     Horn,
     /// Head-cycle-free shift to a normal program (DSM).
     Hcf,
-    /// Magic-sets demand restriction of a bound query; recurse on the
-    /// projected restriction.
-    Magic,
-    /// Backward relevance slice; recurse on the projected sub-database.
+    /// The query's demand closure (the relevance slice, minus dead rules
+    /// when [`prunes_dead`] admits it); recurse on the projected
+    /// sub-database.
     Slice,
     /// Splitting-set peel; recurse on the residual program.
     Split,
@@ -177,7 +200,6 @@ impl RouteKind {
         match self {
             RouteKind::Horn => "horn",
             RouteKind::Hcf => "hcf",
-            RouteKind::Magic => "magic",
             RouteKind::Slice => "slice",
             RouteKind::Split => "split",
             RouteKind::Islands => "islands",
@@ -192,17 +214,10 @@ impl RouteKind {
 pub enum PlanData {
     /// No payload (Horn / HCF / generic leaves).
     Leaf,
-    /// The admitted magic-sets restriction of a bound query.
-    Magic {
-        /// The goal-directed demand restriction (kept rules + dead rules
-        /// the demand closure skipped).
-        restriction: MagicRestriction,
-        /// Why answering on the restriction is sound.
-        admission: Admission,
-    },
-    /// The admitted relevance slice.
+    /// The admitted demand closure.
     Slice {
-        /// The backward slice of the query atoms.
+        /// The demand closure of the query atoms (kept rules, plus the
+        /// dead rules it dropped).
         slice: Slice,
         /// Why answering on the slice is sound.
         admission: Admission,
@@ -222,21 +237,18 @@ pub enum PlanData {
 }
 
 /// Output of the decision kernel: the route plus its payload. The
-/// `slice_blocked` flag records that a proper slice existed but its
-/// admission failed — execution bumps `route.slice.blocked` for it; the
-/// `magic_blocked` witness does the same for `route.magic.blocked` and
-/// carries the rule that blocked the rewrite's admission (lint `DDB016`).
+/// `blocked` witness records that a proper demand closure existed but its
+/// admission failed — execution bumps `route.slice.blocked` for it — and
+/// names the rule that blocked it (lint `DDB016` for bound queries).
 #[derive(Clone, Debug)]
 pub struct Decision {
     /// The route to take.
     pub route: RouteKind,
     /// The route's payload.
     pub data: PlanData,
-    /// A proper slice existed but was not admitted.
-    pub slice_blocked: bool,
-    /// A proper magic restriction existed but was not admitted; carries
-    /// the blocking rule's index.
-    pub magic_blocked: Option<usize>,
+    /// A proper demand closure existed but was not admitted; carries the
+    /// blocking rule's index.
+    pub blocked: Option<usize>,
 }
 
 /// How much of the reduction waterfall a recursive plan position may use.
@@ -267,18 +279,17 @@ pub fn decide_prepared(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery) -> Deci
     decide_scoped(p, t, q, Scope::Full)
 }
 
-fn leaf(route: RouteKind, slice_blocked: bool) -> Decision {
+fn leaf(route: RouteKind, blocked: Option<usize>) -> Decision {
     Decision {
         route,
         data: PlanData::Leaf,
-        slice_blocked,
-        magic_blocked: None,
+        blocked,
     }
 }
 
 fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Decision {
     if t.generic_only {
-        return leaf(RouteKind::Generic, false);
+        return leaf(RouteKind::Generic, None);
     }
     if scope == Scope::IslandsOnly {
         // The residual of an existence peel: the dispatcher tries the
@@ -291,61 +302,25 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
                 data: PlanData::Islands {
                     parts: parts.clone(),
                 },
-                slice_blocked: false,
-                magic_blocked: None,
+                blocked: None,
             };
         }
         return decide_scoped(p, t, q, Scope::Tail);
     }
     let (db, frags) = (p.db(), p.fragments());
     if frags.horn && t.horn_collapse {
-        return leaf(RouteKind::Horn, false);
+        return leaf(RouteKind::Horn, None);
     }
-    let mut slice_blocked = false;
-    let mut magic_blocked: Option<usize> = None;
+    let mut blocked = None;
     if t.reductions && scope == Scope::Full {
         if q.is_inference() && !q.atoms().is_empty() {
             let mm_determined = q.is_literal() || t.mm_determined_formulas;
-            // Magic-sets restriction: only for bound queries — some query
-            // atom must fix argument constants, otherwise the demand
-            // closure is the plain relevance slice and the rewrite adds
-            // nothing (propositional databases always skip this).
-            let bound_query = q
-                .atoms()
-                .iter()
-                .any(|&a| !split_predicate(db.symbols().name(a)).1.is_empty());
-            if bound_query {
-                // Dead-rule pruning is sound exactly for minimal-model
-                // determined answers on positive databases (see
-                // `crate::magic`); elsewhere the restriction falls back to
-                // the relevance closure.
-                let restriction =
-                    magic_restrict_prepared(p, q.atoms(), frags.positive && mm_determined);
-                if !restriction.is_whole(db) {
-                    let adm = admission(&frags, &restriction.slice, mm_determined);
-                    if adm == Admission::Blocked {
-                        magic_blocked = restriction
-                            .slice
-                            .blocking_rule
-                            .or_else(|| restriction.dropped_dead.first().copied());
-                    } else {
-                        return Decision {
-                            route: RouteKind::Magic,
-                            data: PlanData::Magic {
-                                restriction,
-                                admission: adm,
-                            },
-                            slice_blocked: false,
-                            magic_blocked: None,
-                        };
-                    }
-                }
-            }
-            let slice = relevant_slice_prepared(p, q.atoms());
+            let prune = prunes_dead(db, &frags, q.atoms(), mm_determined);
+            let slice = demand_closure(p, q.atoms(), prune);
             if !slice.is_whole(db) {
                 let adm = admission(&frags, &slice, mm_determined);
                 if adm == Admission::Blocked {
-                    slice_blocked = true;
+                    blocked = slice.blocking_rule;
                 } else {
                     return Decision {
                         route: RouteKind::Slice,
@@ -353,8 +328,7 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
                             slice,
                             admission: adm,
                         },
-                        slice_blocked: false,
-                        magic_blocked,
+                        blocked: None,
                     };
                 }
             }
@@ -366,8 +340,7 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
                     return Decision {
                         route: RouteKind::Split,
                         data: PlanData::Peel { peel: peel.clone() },
-                        slice_blocked,
-                        magic_blocked,
+                        blocked,
                     };
                 }
             }
@@ -380,20 +353,15 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
                     data: PlanData::Islands {
                         parts: parts.clone(),
                     },
-                    slice_blocked,
-                    magic_blocked,
+                    blocked,
                 };
             }
         }
     }
     if t.hcf_shift && frags.head_cycle_free {
-        let mut d = leaf(RouteKind::Hcf, slice_blocked);
-        d.magic_blocked = magic_blocked;
-        return d;
+        return leaf(RouteKind::Hcf, blocked);
     }
-    let mut d = leaf(RouteKind::Generic, slice_blocked);
-    d.magic_blocked = magic_blocked;
-    d
+    leaf(RouteKind::Generic, blocked)
 }
 
 /// One node of the plan tree `ddb explain` prints: the decided route, the
@@ -415,14 +383,14 @@ pub struct PlanNode {
     pub oracle_bound: u64,
     /// Human-readable justification of the decision.
     pub detail: String,
-    /// Child plans (magic/slice sub-query and product correction, peel
+    /// Child plans (slice sub-query and product correction, peel
     /// residual, per-island existence checks).
     pub children: Vec<PlanNode>,
     /// The route's payload (what execution would consume).
     pub data: PlanData,
-    /// A proper magic restriction existed at this node but was not
-    /// admitted (the blocking rule's index — lint `DDB016`).
-    pub magic_blocked: Option<usize>,
+    /// A proper demand closure existed at this node but was not admitted
+    /// (the blocking rule's index — lint `DDB016` for bound queries).
+    pub blocked: Option<usize>,
 }
 
 impl PlanNode {
@@ -503,14 +471,14 @@ fn plan_leaf(route: RouteKind, db: &Database, t: &SemanticsTraits, detail: Strin
         detail,
         children: Vec::new(),
         data: PlanData::Leaf,
-        magic_blocked: None,
+        blocked: None,
     }
 }
 
 fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> PlanNode {
     let db = p.db();
     let d = decide_scoped(p, t, q, scope);
-    let magic_blocked = d.magic_blocked;
+    let blocked = d.blocked;
     let mut node = match d.data {
         PlanData::Leaf => match d.route {
             RouteKind::Horn => plan_leaf(
@@ -526,7 +494,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 "head-cycle-free: shift to a normal program, polynomial stability checks".into(),
             ),
             _ => {
-                let detail = if d.slice_blocked {
+                let detail = if blocked.is_some() {
                     "generic oracle procedure (a proper slice exists but its admission is blocked)"
                         .to_owned()
                 } else {
@@ -535,57 +503,6 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 plan_leaf(RouteKind::Generic, db, t, detail)
             }
         },
-        PlanData::Magic {
-            restriction,
-            admission,
-        } => {
-            let (sub, map) = project_slice(db, &restriction.slice);
-            let sub_q = match q {
-                PlanQuery::Literal(a) => PlanQuery::Literal(
-                    map.to_sub[a.index()].expect("query atom is in its restriction"),
-                ),
-                PlanQuery::Formula(atoms) => PlanQuery::Formula(
-                    atoms
-                        .iter()
-                        .map(|a| map.to_sub[a.index()].expect("query atom is in its restriction"))
-                        .collect(),
-                ),
-                _ => unreachable!("magic route requires an inference query"),
-            };
-            let mut children = vec![build(&Prepared::borrowed(&sub), t, &sub_q, Scope::Full)];
-            if admission == Admission::Product {
-                let (top, _) = project_top(db, &restriction.slice);
-                children.push(build(
-                    &Prepared::borrowed(&top),
-                    t,
-                    &PlanQuery::Existence,
-                    Scope::Tail,
-                ));
-            }
-            let detail = format!(
-                "magic rewrite restricts to {}/{} atoms, {}/{} rules, {} dead rule(s) skipped (admission: {})",
-                restriction.slice.atoms.len(),
-                db.num_atoms(),
-                restriction.slice.rules.len(),
-                db.len(),
-                restriction.dropped_dead.len(),
-                admission.label()
-            );
-            PlanNode {
-                route: RouteKind::Magic,
-                atoms: db.num_atoms(),
-                rules: db.len(),
-                class: t.class,
-                oracle_bound: sum_bounds(&children),
-                detail,
-                children,
-                data: PlanData::Magic {
-                    restriction,
-                    admission,
-                },
-                magic_blocked: None,
-            }
-        }
         PlanData::Slice { slice, admission } => {
             let (sub, map) = project_slice(db, &slice);
             let sub_q = match q {
@@ -612,8 +529,12 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                     Scope::Tail,
                 ));
             }
+            let dead = match slice.dropped_dead.len() {
+                0 => String::new(),
+                n => format!(", {n} dead rule(s) skipped"),
+            };
             let detail = format!(
-                "backward slice keeps {}/{} atoms, {}/{} rules (admission: {})",
+                "backward slice keeps {}/{} atoms, {}/{} rules{dead} (admission: {})",
                 slice.atoms.len(),
                 db.num_atoms(),
                 slice.rules.len(),
@@ -629,7 +550,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 detail,
                 children,
                 data: PlanData::Slice { slice, admission },
-                magic_blocked: None,
+                blocked: None,
             }
         }
         PlanData::Peel { peel } => {
@@ -672,7 +593,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 detail,
                 children,
                 data: PlanData::Peel { peel },
-                magic_blocked: None,
+                blocked: None,
             }
         }
         PlanData::Islands { parts } => {
@@ -701,11 +622,11 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 detail,
                 children,
                 data: PlanData::Islands { parts },
-                magic_blocked: None,
+                blocked: None,
             }
         }
     };
-    node.magic_blocked = magic_blocked;
+    node.blocked = blocked;
     node
 }
 
@@ -734,11 +655,12 @@ pub fn plan_lints(
     for p in adornments.unbound() {
         out.push(Diagnostic::unbound_adornment(&p.display()));
     }
-    // DDB016 — first semantics whose magic rewrite was blocked, with the
-    // rule that witnesses the inadmissible boundary.
+    // DDB016 — first semantics whose demand restriction of a bound query
+    // was blocked, with the rule that witnesses the inadmissible boundary.
     if let Some((name, i)) = plans
         .iter()
-        .find_map(|(name, p)| p.magic_blocked.map(|i| (name, i)))
+        .find_map(|(name, p)| p.blocked.map(|i| (name, i)))
+        .filter(|_| bound_query(db, query_atoms))
     {
         out.push(Diagnostic::magic_inadmissible(
             name,
@@ -878,9 +800,14 @@ mod tests {
             .unwrap();
         let d = decide(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
         // `e.` peels away, so the fallthrough is the split route — with
-        // the blocked slice remembered for the counter.
+        // the blocked slice's witness remembered for the counter.
         assert_eq!(d.route, RouteKind::Split);
-        assert!(d.slice_blocked);
+        assert_eq!(d.blocked, Some(2));
+        // DDB016 is about bound queries only; a propositional one is quiet.
+        let plan = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
+        let ad = crate::adorn::adorn(&db, &[c]);
+        let lints = plan_lints(&db, &[c], &[("TEST", &plan)], &ad, None);
+        assert!(lints.iter().all(|d| d.code != "DDB016"), "{lints:?}");
     }
 
     #[test]
@@ -932,7 +859,7 @@ mod tests {
         t.generic_only = true;
         let d = decide(&db, &frags, &t, &PlanQuery::Existence);
         assert_eq!(d.route, RouteKind::Generic);
-        assert!(!d.slice_blocked);
+        assert_eq!(d.blocked, None);
     }
 
     #[test]
@@ -976,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn bound_query_on_a_positive_db_routes_magic() {
+    fn bound_query_on_a_positive_db_prunes_dead_rules() {
         // A bound literal on a positive disjunctive database: the demand
         // closure drops the unrelated island and the dead rule.
         let db = ground_db(&[
@@ -990,21 +917,17 @@ mod tests {
         let t = traits("Πᵖ₂-complete");
         let q = PlanQuery::Literal(ground_atom(&db, "r(b)"));
         let d = decide(&db, &frags, &t, &q);
-        assert_eq!(d.route, RouteKind::Magic);
-        assert_eq!(d.magic_blocked, None);
-        let PlanData::Magic {
-            restriction,
-            admission,
-        } = &d.data
-        else {
-            panic!("magic payload expected");
+        assert_eq!(d.route, RouteKind::Slice);
+        assert_eq!(d.blocked, None);
+        let PlanData::Slice { slice, admission } = &d.data else {
+            panic!("slice payload expected");
         };
         assert_eq!(*admission, Admission::PositiveExact);
-        assert_eq!(restriction.slice.rules, vec![0, 1, 2]);
-        assert_eq!(restriction.dropped_dead, vec![3]);
+        assert_eq!(slice.rules, vec![0, 1, 2]);
+        assert_eq!(slice.dropped_dead, vec![3]);
         // The plan tree mirrors the decision and sums its children.
         let plan = build_plan(&db, &frags, &t, &q);
-        assert_eq!(plan.route, RouteKind::Magic);
+        assert_eq!(plan.route, RouteKind::Slice);
         assert!(
             plan.detail.contains("1 dead rule(s) skipped"),
             "{}",
@@ -1015,24 +938,27 @@ mod tests {
     }
 
     #[test]
-    fn propositional_queries_never_route_magic() {
-        let db = parse_program("a | b. c :- a. c :- b. x | y.").unwrap();
+    fn propositional_queries_never_prune_dead_rules() {
+        // `b :- ghost.` is dead, but `b` binds no constants: the closure
+        // is the plain relevance slice, dead rule and its body included.
+        let db = parse_program("a | z. b :- a. b :- ghost. ghost :- ghost2. x | y.").unwrap();
         let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
-        let c = db
-            .symbols()
-            .atoms()
-            .find(|&a| db.symbols().name(a) == "c")
-            .unwrap();
-        let d = decide(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
-        assert_eq!(d.route, RouteKind::Slice, "propositional stays on slice");
-        assert_eq!(d.magic_blocked, None);
+        let b = db.symbols().lookup("b").unwrap();
+        assert!(!prunes_dead(&db, &frags, &[b], true));
+        let d = decide(&db, &frags, &t, &PlanQuery::Literal(b));
+        assert_eq!(d.route, RouteKind::Slice);
+        let PlanData::Slice { slice, .. } = &d.data else {
+            panic!("slice payload expected");
+        };
+        assert_eq!(slice.rules, vec![0, 1, 2, 3]);
+        assert!(slice.dropped_dead.is_empty());
     }
 
     #[test]
-    fn blocked_magic_restriction_carries_its_witness() {
+    fn blocked_bound_restriction_carries_its_witness() {
         // Negation kills positive-exact; the non-restriction rule reading
-        // `p(a)` kills the split — magic and slice both block.
+        // `p(a)` kills the split.
         let db = ground_db(&[
             (&["p(a)", "p(b)"], &[], &[]),
             (&["q(a)"], &["p(a)"], &[]),
@@ -1045,10 +971,9 @@ mod tests {
         let q = PlanQuery::Literal(ground_atom(&db, "q(a)"));
         let d = decide(&db, &frags, &t, &q);
         assert_eq!(d.route, RouteKind::Generic);
-        assert!(d.slice_blocked);
-        assert_eq!(d.magic_blocked, Some(2));
+        assert_eq!(d.blocked, Some(2));
         let plan = build_plan(&db, &frags, &t, &q);
-        assert_eq!(plan.magic_blocked, Some(2));
+        assert_eq!(plan.blocked, Some(2));
         // DDB016 names the blocking rule; no collision, no no-op.
         let ad = crate::adorn::adorn(&db, q.atoms());
         let lints = plan_lints(&db, q.atoms(), &[("TEST", &plan)], &ad, None);

@@ -92,6 +92,7 @@ pub fn islands(db: &Database) -> Vec<Slice> {
                 rules: Vec::new(),
                 split_closed: true,
                 blocking_rule: None,
+                dropped_dead: Vec::new(),
             });
         }
         let island = &mut islands[island_of_root[root]];
@@ -114,6 +115,7 @@ fn whole(db: &Database) -> Slice {
         rules: (0..db.len()).collect(),
         split_closed: true,
         blocking_rule: None,
+        dropped_dead: Vec::new(),
     }
 }
 

@@ -49,6 +49,10 @@ pub struct Slice {
     /// A non-slice rule whose body reads a slice atom, witnessing why
     /// `split_closed` failed (for diagnostics and `ddb slice` output).
     pub blocking_rule: Option<usize>,
+    /// Rules whose head the closure reached but which it dropped as dead
+    /// (a positive body atom outside the supportable closure), ascending.
+    /// Empty unless the closure was asked to prune dead rules.
+    pub dropped_dead: Vec<usize>,
 }
 
 impl Slice {
@@ -68,33 +72,39 @@ impl Slice {
 ///   constraint touching a relevant atom prunes its models, so it must
 ///   ride along for the slice to be exact).
 pub fn relevant_slice(db: &Database, query_atoms: &[Atom]) -> Slice {
-    relevant_slice_prepared(&Prepared::borrowed(db), query_atoms)
+    demand_closure(&Prepared::borrowed(db), query_atoms, false)
 }
 
-/// [`relevant_slice`] over a prepared database: a worklist over its rule
-/// indexes, in time linear in the slice and the rules reading it rather
-/// than in the database.
-pub(crate) fn relevant_slice_prepared(p: &Prepared, query_atoms: &[Atom]) -> Slice {
-    demand_closure(p, query_atoms, |_| false)
-}
-
-/// The least closure of [`relevant_slice`], except that rules `skip`
-/// selects never join and never propagate demand. Each demanded atom is
-/// visited once and pulls in the rules defining it and the constraints
-/// mentioning it.
-pub(crate) fn demand_closure(
-    p: &Prepared,
-    query_atoms: &[Atom],
-    skip: impl Fn(usize) -> bool,
-) -> Slice {
+/// The demand closure of a query over a prepared database: the least
+/// closure of [`relevant_slice`], computed as a worklist over the rule
+/// indexes in time linear in the closure and the rules reading it.
+///
+/// With `prune_dead`, dead rules (a positive body atom outside the
+/// supportable closure, [`Prepared::closure`]) never join and never
+/// propagate demand into their bodies; those whose head the closure
+/// reaches are recorded in [`Slice::dropped_dead`]. This is the
+/// restriction a magic-guarded evaluation can fire ([`crate::magic`]).
+/// Pruning is sound only for minimal-model-determined answers on
+/// positive databases ([`crate::plan::prunes_dead`] is the gate). The
+/// split-closure data is judged against every non-kept rule, dropped
+/// dead rules included, so a pruned closure whose boundary a dropped
+/// rule reads is never reported split-closed.
+pub fn demand_closure(p: &Prepared, query_atoms: &[Atom], prune_dead: bool) -> Slice {
     let db = p.db();
     let rules = db.rules();
     let (heads, occurrences) = (p.heads(), p.occurrences());
+    let supportable = prune_dead.then(|| p.closure());
+    let dead = |i: usize| {
+        let r = &rules[i];
+        supportable
+            .is_some_and(|s| !r.is_integrity() && r.body_pos().iter().any(|&b| !s.contains(b)))
+    };
     let mut in_slice = Interpretation::empty(db.num_atoms());
     let mut rule_in = vec![false; rules.len()];
     // `atoms` doubles as the worklist: entries past `next` are unvisited.
     let mut atoms: Vec<Atom> = Vec::new();
     let mut kept: Vec<usize> = Vec::new();
+    let mut dropped_dead: Vec<usize> = Vec::new();
     let mut demand = |a: Atom, atoms: &mut Vec<Atom>| {
         if !in_slice.contains(a) {
             in_slice.insert(a);
@@ -113,7 +123,11 @@ pub(crate) fn demand_closure(
             .filter(|&&i| rules[i as usize].is_integrity());
         for i in heads.rules_of(a).iter().chain(constraints) {
             let i = *i as usize;
-            if rule_in[i] || skip(i) {
+            if rule_in[i] {
+                continue;
+            }
+            if dead(i) {
+                dropped_dead.push(i);
                 continue;
             }
             rule_in[i] = true;
@@ -138,12 +152,15 @@ pub(crate) fn demand_closure(
         .min();
     atoms.sort_unstable();
     kept.sort_unstable();
+    dropped_dead.sort_unstable();
+    dropped_dead.dedup();
     Slice {
         in_slice,
         atoms,
         rules: kept,
         split_closed: blocking_rule.is_none(),
         blocking_rule,
+        dropped_dead,
     }
 }
 
@@ -345,6 +362,9 @@ mod tests {
             .enumerate()
             .find(|(i, r)| !rule_in[*i] && r.atoms().any(|a| in_slice.contains(a)))
             .map(|(i, _)| i);
+        let dropped_dead = (0..rules.len())
+            .filter(|&i| dead[i] && rules[i].head().iter().any(|&h| in_slice.contains(h)))
+            .collect();
         Slice {
             atoms: (0..n as u32)
                 .map(Atom::new)
@@ -354,6 +374,7 @@ mod tests {
             split_closed: blocking_rule.is_none(),
             blocking_rule,
             in_slice,
+            dropped_dead,
         }
     }
 
@@ -366,6 +387,7 @@ mod tests {
             got.blocking_rule, want.blocking_rule,
             "{what}: blocking_rule"
         );
+        assert_eq!(got.dropped_dead, want.dropped_dead, "{what}: dropped_dead");
     }
 
     #[test]
@@ -393,23 +415,9 @@ mod tests {
                 let what = format!("seed {seed} query {q:?}");
                 let want = fixpoint_oracle(&db, &q, &live);
                 assert_same_slice(&relevant_slice(&db, &q), &want, &what);
-                assert_same_slice(&relevant_slice_prepared(&p, &q), &want, &what);
-                let plain = crate::magic::magic_restrict_prepared(&p, &q, false);
-                assert_same_slice(&plain.slice, &want, &what);
-                assert!(plain.dropped_dead.is_empty());
-                let pruned = crate::magic::magic_restrict(&db, &q, true);
+                assert_same_slice(&demand_closure(&p, &q, false), &want, &what);
                 let want = fixpoint_oracle(&db, &q, &dead);
-                assert_same_slice(&pruned.slice, &want, &what);
-                let dropped: Vec<usize> = (0..db.len())
-                    .filter(|&i| {
-                        dead[i]
-                            && db.rules()[i]
-                                .head()
-                                .iter()
-                                .any(|&h| want.in_slice.contains(h))
-                    })
-                    .collect();
-                assert_eq!(pruned.dropped_dead, dropped, "{what}: dropped_dead");
+                assert_same_slice(&demand_closure(&p, &q, true), &want, &what);
             }
         }
     }

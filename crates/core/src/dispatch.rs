@@ -523,11 +523,8 @@ impl SemanticsConfig {
         let frags = self.prepare(p)?;
         let db = p.db();
         let d = crate::planner::decide_prepared(self, p, &PlanQuery::Literal(lit.atom()));
-        if d.slice_blocked {
+        if d.blocked.is_some() {
             ddb_obs::counter_bump("route.slice.blocked", 1);
-        }
-        if d.magic_blocked.is_some() {
-            ddb_obs::counter_bump("route.magic.blocked", 1);
         }
         match d.data {
             // The reductions go first: they shrink the database, and the
@@ -535,25 +532,6 @@ impl SemanticsConfig {
             // the smaller one. `Ok(None)` means the executor abandoned
             // the route (an inner call hit `Unsupported`); fall through
             // to the leaf tail.
-            PlanData::Magic {
-                restriction,
-                admission,
-            } => {
-                let f = Formula::literal(lit.atom(), lit.is_positive());
-                match crate::slicing::run_magic(
-                    self,
-                    db,
-                    &restriction,
-                    admission,
-                    &f,
-                    Some(lit),
-                    cost,
-                ) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
             PlanData::Slice { slice, admission } => {
                 let f = Formula::literal(lit.atom(), lit.is_positive());
                 match crate::slicing::run_slice(self, db, &slice, admission, &f, Some(lit), cost) {
@@ -622,23 +600,10 @@ impl SemanticsConfig {
         let frags = self.prepare(p)?;
         let db = p.db();
         let d = crate::planner::decide_prepared(self, p, &PlanQuery::Formula(f.atoms()));
-        if d.slice_blocked {
+        if d.blocked.is_some() {
             ddb_obs::counter_bump("route.slice.blocked", 1);
         }
-        if d.magic_blocked.is_some() {
-            ddb_obs::counter_bump("route.magic.blocked", 1);
-        }
         match d.data {
-            PlanData::Magic {
-                restriction,
-                admission,
-            } => {
-                match crate::slicing::run_magic(self, db, &restriction, admission, f, None, cost) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
             PlanData::Slice { slice, admission } => {
                 match crate::slicing::run_slice(self, db, &slice, admission, f, None, cost) {
                     Ok(Some(ans)) => return Ok(ans.into()),

@@ -98,10 +98,10 @@ pub struct CellProfile {
     pub wall_ns: u64,
     /// Reason the cell is inapplicable, when `answer` is `None`.
     pub unsupported: Option<String>,
-    /// Which dispatch route served this cell (`"magic"`, `"horn"`,
-    /// `"slice"`, `"split"`, `"islands"`, `"hcf"`, or `"generic"`), read
-    /// off the `route.*` counters; `None` when the cell was unsupported or
-    /// routing never ran. Magic/slice/split/islands outrank the others:
+    /// Which dispatch route served this cell (`"horn"`, `"slice"`,
+    /// `"split"`, `"islands"`, `"hcf"`, or `"generic"`), read off the
+    /// `route.*` counters; `None` when the cell was unsupported or
+    /// routing never ran. Slice/split/islands outrank the others:
     /// their recursive inner calls bump the plain counters too, but the
     /// query was claimed by the reduction.
     pub route: Option<&'static str>,
@@ -113,12 +113,11 @@ pub struct CellProfile {
 /// attribute routes exactly even while sibling cells run concurrently on
 /// other workers — a global snapshot diff would see their bumps too.
 struct RouteProbe {
-    before: [u64; 7],
+    before: [u64; 6],
 }
 
 impl RouteProbe {
-    const NAMES: [&'static str; 7] = [
-        "route.magic",
+    const NAMES: [&'static str; 6] = [
         "route.slice",
         "route.split",
         "route.islands",
@@ -126,9 +125,7 @@ impl RouteProbe {
         "route.hcf",
         "route.generic",
     ];
-    const LABELS: [&'static str; 7] = [
-        "magic", "slice", "split", "islands", "horn", "hcf", "generic",
-    ];
+    const LABELS: [&'static str; 6] = ["slice", "split", "islands", "horn", "hcf", "generic"];
 
     fn begin() -> Self {
         RouteProbe {
@@ -298,7 +295,7 @@ pub fn render_table(cells: &[CellProfile]) -> String {
                 Some(c) if c.answer.is_some() => {
                     let fast = match c.route {
                         Some("horn") | Some("hcf") => "*",
-                        Some("magic") | Some("slice") | Some("split") | Some("islands") => "~",
+                        Some("slice") | Some("split") | Some("islands") => "~",
                         _ => "",
                     };
                     row.push_str(&format!(
@@ -335,14 +332,12 @@ pub fn render_table(cells: &[CellProfile]) -> String {
     {
         out.push_str(" * served by an analysis fast path (route.horn / route.hcf)\n");
     }
-    if cells.iter().any(|c| {
-        matches!(
-            c.route,
-            Some("magic") | Some("slice") | Some("split") | Some("islands")
-        )
-    }) {
+    if cells
+        .iter()
+        .any(|c| matches!(c.route, Some("slice") | Some("split") | Some("islands")))
+    {
         out.push_str(
-            " ~ answered on a magic restriction, query-relevant slice, split residual or island decomposition (route.magic / route.slice / route.split / route.islands)\n",
+            " ~ answered on a query-relevant slice, split residual or island decomposition (route.slice / route.split / route.islands)\n",
         );
     }
     if cells.iter().any(|c| c.interrupted.is_some()) {

@@ -1,24 +1,21 @@
-//! Execution of the magic, query-relevant slicing and splitting-set
-//! routes.
+//! Execution of the query-relevant slicing and splitting-set routes.
 //!
-//! Three complementary reductions that shrink the database a query
-//! actually has to reason over, all driven by the static analyzer:
+//! Two complementary reductions that shrink the database a query
+//! actually has to reason over, both driven by the static analyzer:
 //!
-//! * **Backward relevance slicing** ([`ddb_analysis::relevant_slice`]):
-//!   a query formula mentions a handful of atoms; only the rules
-//!   backward-reachable from them can influence its truth value. When the
-//!   soundness precondition ([`Admission`]) holds, inference runs on the
-//!   projected slice — a strictly smaller database, so the oracle sees
-//!   strictly smaller CNFs (and may even collapse to the Horn fast path).
-//! * **Magic-sets restriction** ([`ddb_analysis::magic_restrict`]): for
-//!   bound queries (argument constants fixed by the query) the demand
-//!   closure of the magic rewrite — the relevance slice minus dead rules
-//!   whose positive body can never be derived. Admission reuses the slice
-//!   rules below; dead pruning only survives admission in the
-//!   positive-exact case, where it is sound (a never-firing rule fires in
-//!   no minimal model of a positive database). `run_magic` answers on
-//!   the projected restriction, which is answer-equivalent to running the
-//!   guarded rewrite `ddb rewrite` prints.
+//! * **Demand slicing** ([`ddb_analysis::demand_closure`]): a query
+//!   formula mentions a handful of atoms; only the rules
+//!   backward-reachable from them can influence its truth value. For
+//!   bound queries (argument constants fixed by the query) on positive
+//!   databases the closure also skips dead rules whose positive body can
+//!   never be derived — the restriction of the magic-sets rewrite, sound
+//!   there because a never-firing rule fires in no minimal model
+//!   ([`ddb_analysis::prunes_dead`]). When the soundness precondition
+//!   ([`Admission`]) holds, inference runs on the projected slice — a
+//!   strictly smaller database, so the oracle sees strictly smaller CNFs
+//!   (and may even collapse to the Horn fast path). Answering on the
+//!   projected slice is answer-equivalent to running the guarded rewrite
+//!   `ddb rewrite` prints.
 //! * **Splitting-set peeling** ([`ddb_analysis::peel`]): the
 //!   deterministic bottom components of the SCC condensation have a
 //!   unique solution computable in polynomial time; partially evaluating
@@ -69,9 +66,7 @@
 //! stops being unique.
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
-use ddb_analysis::{
-    project_slice, project_top, Fragments, MagicRestriction, Peel, Prepared, Slice,
-};
+use ddb_analysis::{project_slice, project_top, Fragments, Peel, Prepared, Slice};
 use ddb_logic::{Database, Formula, Literal};
 use ddb_models::Cost;
 use ddb_obs::Governed;
@@ -202,56 +197,6 @@ pub(crate) fn run_slice(
     // to the whole database when the independent top part has a model at
     // all — an empty top model set makes every inference vacuously true.
     let (top, _) = project_top(db, slice);
-    match definite(inner(cfg).has_model(&top, cost))? {
-        Some(has) => Ok(Some(!has)),
-        None => Ok(None),
-    }
-}
-
-/// Executes an admitted magic route for an inference query: project the
-/// demand restriction and answer on it, exactly as [`run_slice`] does on
-/// a relevance slice (the restriction's `Slice` carries split-closure
-/// data computed against every non-kept rule, dropped dead rules
-/// included, so the product correction below is only ever reached when
-/// it is sound).
-pub(crate) fn run_magic(
-    cfg: &SemanticsConfig,
-    db: &Database,
-    restriction: &MagicRestriction,
-    admission: Admission,
-    f: &Formula,
-    lit: Option<Literal>,
-    cost: &mut Cost,
-) -> Governed<Option<bool>> {
-    ddb_obs::counter_bump("route.magic", 1);
-    ddb_obs::counter_bump(
-        "route.magic.dropped_rules",
-        (db.len() - restriction.slice.rules.len()) as u64,
-    );
-    let (sub, map) = project_slice(db, &restriction.slice);
-    let ans = match lit {
-        Some(l) => {
-            let a = map.to_sub[l.atom().index()].expect("query atom is in its restriction");
-            definite(cfg.infers_literal(&sub, Literal::with_sign(a, l.is_positive()), cost))?
-        }
-        None => {
-            let f_sub = f.map_atoms(&mut |a| {
-                Formula::Atom(map.to_sub[a.index()].expect("query atom is in its restriction"))
-            });
-            definite(cfg.infers_formula(&sub, &f_sub, cost))?
-        }
-    };
-    let Some(ans) = ans else {
-        return Ok(None);
-    };
-    if ans || admission == Admission::PositiveExact {
-        return Ok(Some(ans));
-    }
-    // Product correction, as in `run_slice`. A product admission implies
-    // the restriction dropped no dead rules (a dropped rule's demanded
-    // head would break the split), so the top part is the exact
-    // complement.
-    let (top, _) = project_top(db, &restriction.slice);
     match definite(inner(cfg).has_model(&top, cost))? {
         Some(has) => Ok(Some(!has)),
         None => Ok(None),

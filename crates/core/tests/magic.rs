@@ -1,23 +1,29 @@
-//! Seeded property tests for the magic (goal-directed restriction)
-//! route: on databases whose atoms carry ground argument tuples, bound
-//! queries may be answered on the demand-restricted sub-database, and
+//! Seeded property tests for goal-directed (magic) restriction: on
+//! databases whose atoms carry ground argument tuples, bound queries may
+//! be answered on their demand closure with dead rules pruned, and
 //! whatever `RoutingMode::Auto` decides the answers must be identical to
 //! the generic whole-database procedures — for all ten semantics, on the
 //! corpus and on random structured databases, for bound and unbound
 //! queries alike. Where the route is admitted it must never pay more
 //! oracle calls, and both the admitted route and the blocked fallback
-//! must be observable in the `route.magic.*` counters.
+//! must be observable in the `route.slice*` counters.
 
-use ddb_analysis::magic_restrict;
+use ddb_analysis::{demand_closure, Prepared};
 use ddb_core::{RoutingMode, SemanticsConfig, SemanticsId};
 use ddb_logic::parse::parse_program;
 use ddb_logic::rng::XorShift64Star;
 use ddb_logic::{Atom, Database, Formula};
 use ddb_models::Cost;
-use std::sync::Mutex;
 
-/// Serializes tests that assert on the process-global obs counters.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+/// This thread's gains of `counters` while `f` runs. Dispatch at the
+/// default width of one runs inline, so every bump lands on the calling
+/// thread and concurrently running tests cannot race the probe.
+fn gained<const N: usize>(counters: [&'static str; N], f: impl FnOnce()) -> [u64; N] {
+    let before = counters.map(ddb_obs::thread_counter_total);
+    f();
+    let after = counters.map(ddb_obs::thread_counter_total);
+    std::array::from_fn(|i| after[i] - before[i])
+}
 
 /// Hand-picked structured databases covering the admission paths: a
 /// two-component ancestry program (pruned and admitted), negation read
@@ -57,8 +63,8 @@ fn query_formulas(db: &Database) -> Vec<Formula> {
     fs
 }
 
-/// The heart of the suite: the auto-routed config (magic, slice, split,
-/// Horn — whichever the planner picks) must agree with the generic one
+/// The heart of the suite: the auto-routed config (slice, split, Horn —
+/// whichever the planner picks) must agree with the generic one
 /// on every public entry point. Literal queries over structured atoms
 /// are the bound case; the formula queries and propositional atoms
 /// exercise the unbound fallback.
@@ -179,15 +185,15 @@ fn chained_db(components: usize, depth: usize) -> (Database, String) {
 fn magic_restriction_never_grows_the_rule_set_and_prunes_chains() {
     let (db, query) = chained_db(6, 4);
     let atom = db.symbols().lookup(&query).unwrap();
-    let restriction = magic_restrict(&db, &[atom], true);
+    let restriction = demand_closure(&Prepared::borrowed(&db), &[atom], true);
     assert!(
-        restriction.slice.rules.len() <= db.len(),
+        restriction.rules.len() <= db.len(),
         "a restriction can never have more rules than the database"
     );
     // Six identical components, one demanded: the restriction keeps one
     // component's 7 rules out of 42.
-    assert_eq!(restriction.slice.rules.len(), 7);
-    assert!(restriction.slice.split_closed);
+    assert_eq!(restriction.rules.len(), 7);
+    assert!(restriction.split_closed);
 }
 
 #[test]
@@ -210,7 +216,7 @@ fn admitted_magic_pays_no_more_oracle_calls_for_any_semantics() {
         assert_eq!(a, g, "{id:?} on the chained family");
         assert!(
             ca.sat_calls <= cg.sat_calls,
-            "{id:?}: the magic route must never pay more oracle calls \
+            "{id:?}: the restricted route must never pay more oracle calls \
              ({} vs {} SAT calls)",
             ca.sat_calls,
             cg.sat_calls
@@ -219,60 +225,49 @@ fn admitted_magic_pays_no_more_oracle_calls_for_any_semantics() {
 }
 
 #[test]
-fn bound_query_takes_the_magic_route_and_counts_dropped_rules() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+fn bound_query_takes_the_slice_route_and_counts_dropped_rules() {
     let (db, query) = chained_db(4, 3);
     let atom = db.symbols().lookup(&query).unwrap();
-    let before = ddb_obs::snapshot();
-    let mut cost = Cost::new();
-    let ans = SemanticsConfig::new(SemanticsId::Gcwa)
-        .infers_literal(&db, atom.pos(), &mut cost)
-        .unwrap()
-        .definite();
+    let mut ans = false;
+    let [taken, dropped] = gained(["route.slice", "route.slice.dropped_rules"], || {
+        ans = SemanticsConfig::new(SemanticsId::Gcwa)
+            .infers_literal(&db, atom.pos(), &mut Cost::new())
+            .unwrap()
+            .definite();
+    });
     assert!(ans, "the chain endpoint holds in every minimal model");
-    let diff = ddb_obs::snapshot().diff(&before);
-    assert!(diff.get("route.magic") > 0, "magic route taken: {diff:?}");
-    assert!(
-        diff.get("route.magic.dropped_rules") > 0,
-        "pruned rules must be counted: {diff:?}"
-    );
+    assert!(taken > 0, "slice route taken");
+    assert!(dropped > 0, "pruned rules must be counted");
 }
 
 #[test]
 fn blocked_restriction_falls_back_and_counts_it() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     // The restriction of `q(a)` is {p(a), p(b), q(a)}, but `r(b) :- not
     // q(a).` reads `q(a)` through negation from outside: not
-    // split-closed, and the database is not positive, so the magic
-    // admission is Blocked for DSM and the generic route must answer.
+    // split-closed, and the database is not positive, so the admission
+    // is Blocked for DSM and the generic route must answer.
     let db = parse_program("p(a) | p(b). q(a) :- p(a). r(b) :- not q(a). s(b).").unwrap();
-    let before = ddb_obs::snapshot();
-    assert_magic_agrees(SemanticsId::Dsm, &db);
-    let diff = ddb_obs::snapshot().diff(&before);
-    assert!(
-        diff.get("route.magic.blocked") > 0,
-        "fallback must be observable: {diff:?}"
-    );
+    let [blocked] = gained(["route.slice.blocked"], || {
+        assert_magic_agrees(SemanticsId::Dsm, &db)
+    });
+    assert!(blocked > 0, "fallback must be observable");
 }
 
 #[test]
-fn propositional_queries_never_take_the_magic_route() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    // `e` carries no argument tuple, so the query is unbound and the
-    // planner must not attempt a demand restriction.
-    let db = parse_program("e. f(a) :- e. g(b).").unwrap();
-    let atom = db.symbols().lookup("e").unwrap();
-    let before = ddb_obs::snapshot();
-    let mut cost = Cost::new();
-    let ans = SemanticsConfig::new(SemanticsId::Gcwa)
-        .infers_literal(&db, atom.pos(), &mut cost)
-        .unwrap()
-        .definite();
-    assert!(ans, "a fact holds everywhere");
-    let diff = ddb_obs::snapshot().diff(&before);
-    assert_eq!(
-        diff.get("route.magic"),
-        0,
-        "unbound query routed magic: {diff:?}"
-    );
+fn propositional_queries_never_prune_dead_rules() {
+    // `b :- ghost.` is dead, but `b` carries no argument tuple: the query
+    // is unbound, so the closure keeps the dead rule and its body and
+    // drops only the unrelated `x | y.`.
+    let db = parse_program("a | z. b :- a. b :- ghost. ghost :- ghost2. x | y.").unwrap();
+    let atom = db.symbols().lookup("b").unwrap();
+    let mut ans = false;
+    let [taken, dropped] = gained(["route.slice", "route.slice.dropped_rules"], || {
+        ans = SemanticsConfig::new(SemanticsId::Egcwa)
+            .infers_literal(&db, atom.pos(), &mut Cost::new())
+            .unwrap()
+            .definite();
+    });
+    assert!(!ans, "b fails in the minimal model {{z}}");
+    assert!(taken > 0, "slice route taken");
+    assert_eq!(dropped, 1, "only the unrelated island is dropped");
 }

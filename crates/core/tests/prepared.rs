@@ -39,16 +39,13 @@ const CORPUS: &[&str] = &[
 ];
 
 /// Every `route.*` counter dispatch bumps.
-const ROUTES: [&str; 15] = [
+const ROUTES: [&str; 12] = [
     "route.generic",
     "route.hcf",
     "route.hcf.stability_checks",
     "route.horn",
     "route.islands",
     "route.islands.components",
-    "route.magic",
-    "route.magic.blocked",
-    "route.magic.dropped_rules",
     "route.slice",
     "route.slice.blocked",
     "route.slice.dropped_rules",

@@ -11,10 +11,16 @@ use ddb_logic::parse::parse_program;
 use ddb_logic::rng::XorShift64Star;
 use ddb_logic::{Atom, Database, Formula, Rule};
 use ddb_models::Cost;
-use std::sync::Mutex;
 
-/// Serializes tests that assert on the process-global obs counters.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+/// This thread's gains of `counters` while `f` runs. Dispatch at the
+/// default width of one runs inline, so every bump lands on the calling
+/// thread and concurrently running tests cannot race the probe.
+fn gained<const N: usize>(counters: [&'static str; N], f: impl FnOnce()) -> [u64; N] {
+    let before = counters.map(ddb_obs::thread_counter_total);
+    f();
+    let after = counters.map(ddb_obs::thread_counter_total);
+    std::array::from_fn(|i| after[i] - before[i])
+}
 
 /// Hand-picked databases covering every admission/peel path: positive
 /// sliceable layers, the GCWA/CCWA non-minimal-model trap, blocked
@@ -189,52 +195,40 @@ fn sliced_literal_inference_pays_strictly_fewer_oracle_calls() {
 
 #[test]
 fn blocked_precondition_falls_back_and_counts_it() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     // The slice of `c` is {a, b, c}, but `d :- not c.` reads `c` through
     // negation from outside: not split-closed, and the database is not
     // positive, so every admission is Blocked for DSM.
     let db = parse_program("a | b. c :- a. d :- not c. e.").unwrap();
-    let before = ddb_obs::snapshot();
-    assert_sliced_agrees(SemanticsId::Dsm, &db);
-    let diff = ddb_obs::snapshot().diff(&before);
-    assert!(
-        diff.get("route.slice.blocked") > 0,
-        "fallback must be observable: {diff:?}"
-    );
+    let [blocked] = gained(["route.slice.blocked"], || {
+        assert_sliced_agrees(SemanticsId::Dsm, &db)
+    });
+    assert!(blocked > 0, "fallback must be observable");
 }
 
 #[test]
 fn admitted_slices_and_peels_are_observable() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let db = parse_program("a | b. c :- a. c :- b. x | y. z :- x.").unwrap();
-    let before = ddb_obs::snapshot();
-    let mut cost = Cost::new();
-    let ans = SemanticsConfig::new(SemanticsId::Egcwa)
-        .infers_literal(&db, Atom::new(2).pos(), &mut cost)
-        .unwrap()
-        .definite();
+    let mut ans = false;
+    let [sliced] = gained(["route.slice"], || {
+        ans = SemanticsConfig::new(SemanticsId::Egcwa)
+            .infers_literal(&db, Atom::new(2).pos(), &mut Cost::new())
+            .unwrap()
+            .definite();
+    });
     assert!(ans, "c holds in every minimal model");
-    let diff = ddb_obs::snapshot().diff(&before);
-    assert!(diff.get("route.slice") > 0, "slice route taken: {diff:?}");
+    assert!(sliced > 0, "slice route taken");
 
     let db = parse_program("x0. x1 :- x0. a | b :- x1. q :- a. q :- b.").unwrap();
-    let before = ddb_obs::snapshot();
-    let mut cost = Cost::new();
-    let ans = SemanticsConfig::new(SemanticsId::Dsm)
-        .infers_formula(
-            &db,
-            &Formula::And(vec![
-                Formula::Atom(Atom::new(1)),
-                Formula::Atom(Atom::new(4)),
-            ]),
-            &mut cost,
-        )
-        .unwrap()
-        .definite();
+    let f = Formula::And(vec![
+        Formula::Atom(Atom::new(1)),
+        Formula::Atom(Atom::new(4)),
+    ]);
+    let [sliced, split] = gained(["route.slice", "route.split"], || {
+        ans = SemanticsConfig::new(SemanticsId::Dsm)
+            .infers_formula(&db, &f, &mut Cost::new())
+            .unwrap()
+            .definite();
+    });
     assert!(ans, "x1 and q hold in every stable model");
-    let diff = ddb_obs::snapshot().diff(&before);
-    assert!(
-        diff.get("route.slice") > 0 || diff.get("route.split") > 0,
-        "a reduction route must be taken: {diff:?}"
-    );
+    assert!(sliced + split > 0, "a reduction route must be taken");
 }

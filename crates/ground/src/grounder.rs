@@ -190,7 +190,8 @@ pub fn ground_full(prog: &DatalogProgram, limit: usize) -> Result<Database, Grou
 /// **Intelligent (reduced) grounding**, DLV-style: instantiate rules only
 /// over the *possibly-true* closure (least fixpoint of positive-body
 /// joins, negation ignored), then simplify — drop negated literals whose
-/// atom is not possibly true.
+/// atom is not possibly true. This is [`ground_magic`]'s grounding loop
+/// with every rule demanded.
 ///
 /// Sound for the supported semantics (DSM, PDSM, WFS, PWS: every
 /// stable/possible model is contained in the possibly-true closure) and
@@ -208,144 +209,12 @@ pub fn ground_full(prog: &DatalogProgram, limit: usize) -> Result<Database, Grou
 /// ```
 pub fn ground_reduced(prog: &DatalogProgram, limit: usize) -> Result<Database, GroundingError> {
     check_program(prog)?;
-    // Possibly-true ground atoms, keyed by predicate name.
-    let mut possible: BTreeMap<String, BTreeSet<Vec<String>>> = BTreeMap::new();
-    let mut emitted: BTreeSet<GroundRule> = BTreeSet::new();
-
-    // Backtracking join of a rule's positive body against `possible`.
-    fn join(
-        body: &[PredAtom],
-        idx: usize,
-        binding: &mut Binding,
-        possible: &BTreeMap<String, BTreeSet<Vec<String>>>,
-        visit: &mut dyn FnMut(&Binding) -> Result<(), GroundingError>,
-    ) -> Result<(), GroundingError> {
-        // One checkpoint per join node: the semi-naive closure is the
-        // grounder's hot loop, so deadlines and cancel flags trip here.
-        budget::checkpoint()?;
-        if idx == body.len() {
-            return visit(binding);
-        }
-        let atom = &body[idx];
-        let Some(tuples) = possible.get(&atom.pred) else {
-            return Ok(());
-        };
-        'tuples: for tuple in tuples {
-            if tuple.len() != atom.args.len() {
-                continue;
-            }
-            let mut added: Vec<String> = Vec::new();
-            for (arg, value) in atom.args.iter().zip(tuple) {
-                match arg {
-                    Term::Const(c) => {
-                        if c != value {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(v) {
-                        Some(bound) if bound != value => {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                        Some(_) => {}
-                        None => {
-                            binding.insert(v.clone(), value.clone());
-                            added.push(v.clone());
-                        }
-                    },
-                }
-            }
-            join(body, idx + 1, binding, possible, visit)?;
-            for v in added {
-                binding.remove(&v);
-            }
-        }
-        Ok(())
-    }
-
-    loop {
-        let mut grew = false;
-        for rule in &prog.rules {
-            budget::checkpoint()?;
-            let mut new_heads: Vec<(String, Vec<String>)> = Vec::new();
-            let mut new_rules: Vec<GroundRule> = Vec::new();
-            {
-                let mut binding = Binding::new();
-                let rule_ref = rule;
-                let possible_ref = &possible;
-                let emitted_ref = &emitted;
-                join(
-                    &rule.body_pos,
-                    0,
-                    &mut binding,
-                    possible_ref,
-                    &mut |b: &Binding| {
-                        if !disequalities_hold(rule_ref, b) {
-                            return Ok(());
-                        }
-                        let ground = instantiate_rule(rule_ref, b);
-                        if !emitted_ref.contains(&ground) && !new_rules.contains(&ground) {
-                            for h in rule_ref.head.iter() {
-                                let inst = instantiate_atom(h, b);
-                                let tuple: Vec<String> = inst
-                                    .args
-                                    .iter()
-                                    .map(|t| match t {
-                                        Term::Const(c) => c.clone(),
-                                        Term::Var(_) => unreachable!("instantiated"),
-                                    })
-                                    .collect();
-                                new_heads.push((inst.pred, tuple));
-                            }
-                            new_rules.push(ground);
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-            for r in new_rules {
-                emitted.insert(r);
-                grew = true;
-                if emitted.len() > limit {
-                    return Err(GroundingError::TooLarge { limit });
-                }
-            }
-            for (pred, tuple) in new_heads {
-                possible.entry(pred).or_default().insert(tuple);
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // Simplify: drop negated literals whose atom is impossible; a negated
-    // literal whose atom IS possible stays.
-    let is_possible = |name: &String| -> bool {
-        // Re-derive (pred, tuple) from the rendered name.
-        match name.find('(') {
-            None => possible.get(name).is_some_and(|s| s.contains(&Vec::new())),
-            Some(p) => {
-                let pred = &name[..p];
-                let inner = &name[p + 1..name.len() - 1];
-                let tuple: Vec<String> = inner.split(',').map(str::to_owned).collect();
-                possible.get(pred).is_some_and(|s| s.contains(&tuple))
-            }
-        }
-    };
-    let simplified: BTreeSet<GroundRule> = emitted
-        .into_iter()
-        .map(|mut r| {
-            r.body_neg.retain(|g| is_possible(g));
-            r
-        })
+    let everything: Vec<Activation> = prog
+        .rules
+        .iter()
+        .map(|_| Activation::Unrestricted)
         .collect();
-    Ok(build_database(simplified))
+    ground_active(prog, &everything, limit)
 }
 
 /// Per-predicate demand on first arguments, the abstraction the
@@ -508,27 +377,27 @@ fn demand_fixpoint(prog: &DatalogProgram, query: &PredAtom) -> BTreeMap<String, 
 }
 
 /// First-argument index key of a ground tuple (empty string for arity 0).
-fn first_key(tuple: &[String]) -> String {
-    tuple.first().cloned().unwrap_or_default()
+fn first_key(tuple: &[String]) -> &str {
+    tuple.first().map_or("", String::as_str)
 }
 
 /// **Goal-directed (magic) grounding**: like [`ground_reduced`], but only
-/// rules whose heads are *demanded* by the query are instantiated, and
-/// joins run against a per-predicate first-argument index of the
-/// possibly-true closure. Demand is a static per-predicate
-/// first-argument fixpoint: seeded by the query atom, propagated from
-/// activated heads through positive bodies, negative bodies and sibling
-/// heads — the grounding-side mirror of the planner's magic restriction.
+/// rules whose heads are *demanded* by the query are instantiated. Demand
+/// is a static per-predicate first-argument fixpoint: seeded by the query
+/// atom, propagated from activated heads through positive bodies,
+/// negative bodies and sibling heads — the grounding-side mirror of the
+/// planner's demand closure.
 ///
 /// The result is the demand-relevant fragment of the reduced grounding:
 /// query answers agree with [`ground_reduced`] exactly when the planner
-/// admits the magic route for the semantics at hand (positive programs
-/// under minimal-model-determined queries unconditionally; otherwise
-/// only when the fragment is split-closed). The payoff is largest when
-/// the first argument is invariant through the recursion (a component
-/// or chain identifier): only the demanded component is instantiated.
-/// A body atom whose first argument is some *other* variable widens the
-/// demand to `open` for that predicate — still sound, just no savings.
+/// admits answering on the query's demand closure for the semantics at
+/// hand (positive programs under minimal-model-determined queries
+/// unconditionally; otherwise only when the fragment is split-closed).
+/// The payoff is largest when the first argument is invariant through
+/// the recursion (a component or chain identifier): only the demanded
+/// component is instantiated. A body atom whose first argument is some
+/// *other* variable widens the demand to `open` for that predicate —
+/// still sound, just no savings.
 /// ```
 /// use ddb_ground::{ground_magic, parse::parse_datalog};
 /// let prog = parse_datalog(
@@ -548,13 +417,6 @@ pub fn ground_magic(
 ) -> Result<Database, GroundingError> {
     check_program(prog)?;
     let demand = demand_fixpoint(prog, query);
-
-    // Possibly-true ground atoms, with a first-argument index per
-    // predicate (the `BTreeSet` inside keeps join order deterministic).
-    let mut possible: BTreeMap<String, BTreeSet<Vec<String>>> = BTreeMap::new();
-    let mut index: BTreeMap<String, BTreeMap<String, BTreeSet<Vec<String>>>> = BTreeMap::new();
-    let mut emitted: BTreeSet<GroundRule> = BTreeSet::new();
-
     // Per-rule activation under the (static) demand: skip, run freely, or
     // run with one variable confined to a constant set.
     let activations: Vec<Activation> = prog
@@ -609,148 +471,139 @@ pub fn ground_magic(
             }
         })
         .collect();
+    ground_active(prog, &activations, limit)
+}
 
-    // Backtracking join against the indexed closure. Candidate tuples for
-    // an atom whose first argument is already fixed (a constant, a bound
-    // variable, or the restricted variable) come from the index bucket(s)
-    // instead of the whole relation.
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        body: &[PredAtom],
-        idx: usize,
-        binding: &mut Binding,
-        possible: &BTreeMap<String, BTreeSet<Vec<String>>>,
-        index: &BTreeMap<String, BTreeMap<String, BTreeSet<Vec<String>>>>,
-        restriction: Option<&(String, BTreeSet<String>)>,
-        visit: &mut dyn FnMut(&Binding) -> Result<(), GroundingError>,
-    ) -> Result<(), GroundingError> {
-        // Checkpoint per join node, as in `ground_reduced`: deadlines and
-        // cancel flags must trip inside the demand-driven closure too.
-        budget::checkpoint()?;
-        if idx == body.len() {
-            return visit(binding);
-        }
-        let atom = &body[idx];
-        let by_first = index.get(&atom.pred);
-        let buckets: Vec<&BTreeSet<Vec<String>>> = match atom.args.first() {
-            None => vec![],
-            Some(Term::Const(c)) => by_first.and_then(|m| m.get(c)).into_iter().collect(),
-            Some(Term::Var(v)) => match binding.get(v) {
-                Some(val) => by_first.and_then(|m| m.get(val)).into_iter().collect(),
-                None => match restriction {
-                    Some((rv, firsts)) if rv == v => firsts
-                        .iter()
-                        .filter_map(|f| by_first.and_then(|m| m.get(f)))
-                        .collect(),
-                    _ => by_first.map(|m| m.values().collect()).unwrap_or_default(),
-                },
-            },
-        };
-        // Zero-arity atoms have no index key; fall back to the relation.
-        let tuples: Box<dyn Iterator<Item = &Vec<String>>> = if atom.args.is_empty() {
-            Box::new(possible.get(&atom.pred).into_iter().flatten())
-        } else {
-            Box::new(buckets.into_iter().flatten())
-        };
-        'tuples: for tuple in tuples {
-            if tuple.len() != atom.args.len() {
-                continue;
+/// The possibly-true ground tuples of each predicate, indexed by first
+/// argument (`""` for the empty tuple of a zero-arity atom); the
+/// `BTreeSet`s keep join order deterministic.
+type Closure = BTreeMap<String, BTreeMap<String, BTreeSet<Vec<String>>>>;
+
+/// A rule's demand restriction: one variable confined to a constant set.
+type Restriction<'a> = Option<(&'a str, &'a BTreeSet<String>)>;
+
+/// Backtracking join of `body[idx..]` against the indexed closure.
+/// Candidate tuples for an atom whose first argument is already fixed (a
+/// constant, a bound variable, or the restricted variable) come from its
+/// index bucket(s) instead of the whole relation. The restricted variable
+/// is a head variable, which safety puts in the positive body, so it is
+/// bound here and a binding outside its constant set is never visited.
+fn join(
+    body: &[PredAtom],
+    idx: usize,
+    binding: &mut Binding,
+    possible: &Closure,
+    restriction: Restriction,
+    visit: &mut dyn FnMut(&Binding) -> Result<(), GroundingError>,
+) -> Result<(), GroundingError> {
+    // One checkpoint per join node: the closure is the grounder's hot
+    // loop, so deadlines and cancel flags trip here.
+    budget::checkpoint()?;
+    if idx == body.len() {
+        return visit(binding);
+    }
+    let atom = &body[idx];
+    let by_first = possible.get(&atom.pred);
+    let bucket = |key: &str| by_first.and_then(|m| m.get(key)).into_iter().flatten();
+    let tuples: Box<dyn Iterator<Item = &Vec<String>>> = match atom.args.first() {
+        None => Box::new(bucket("")),
+        Some(Term::Const(c)) => Box::new(bucket(c)),
+        Some(Term::Var(v)) => match (binding.get(v), restriction) {
+            (Some(val), _) => Box::new(bucket(val)),
+            (None, Some((rv, firsts))) if rv == v => {
+                Box::new(firsts.iter().flat_map(|f| bucket(f)))
             }
-            let mut added: Vec<String> = Vec::new();
-            for (arg, value) in atom.args.iter().zip(tuple) {
-                match arg {
-                    Term::Const(c) => {
-                        if c != value {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(v) {
-                        Some(bound) if bound != value => {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                        Some(_) => {}
-                        None => {
-                            if let Some((rv, firsts)) = restriction {
-                                if rv == v && !firsts.contains(value) {
-                                    for v in added.drain(..) {
-                                        binding.remove(&v);
-                                    }
-                                    continue 'tuples;
-                                }
-                            }
+            (None, _) => Box::new(by_first.into_iter().flat_map(|m| m.values()).flatten()),
+        },
+    };
+    'tuples: for tuple in tuples {
+        if tuple.len() != atom.args.len() {
+            continue;
+        }
+        let mut added: Vec<String> = Vec::new();
+        for (arg, value) in atom.args.iter().zip(tuple) {
+            let consistent = match arg {
+                Term::Const(c) => c == value,
+                Term::Var(v) => match binding.get(v) {
+                    Some(bound) => bound == value,
+                    None => {
+                        let allowed = restriction
+                            .is_none_or(|(rv, firsts)| rv != v || firsts.contains(value));
+                        if allowed {
                             binding.insert(v.clone(), value.clone());
                             added.push(v.clone());
                         }
-                    },
+                        allowed
+                    }
+                },
+            };
+            if !consistent {
+                for v in added.drain(..) {
+                    binding.remove(&v);
                 }
-            }
-            join(body, idx + 1, binding, possible, index, restriction, visit)?;
-            for v in added {
-                binding.remove(&v);
+                continue 'tuples;
             }
         }
-        Ok(())
+        join(body, idx + 1, binding, possible, restriction, visit)?;
+        for v in added {
+            binding.remove(&v);
+        }
     }
+    Ok(())
+}
 
+/// The grounding loop both grounders share: instantiate every active rule
+/// against the indexed possibly-true closure until a round emits nothing
+/// new, then drop each negated literal whose atom never became possible
+/// (negative body atoms are demanded, so within a demanded fragment their
+/// derivability is fully explored).
+fn ground_active(
+    prog: &DatalogProgram,
+    activations: &[Activation],
+    limit: usize,
+) -> Result<Database, GroundingError> {
+    let mut possible: Closure = BTreeMap::new();
+    let mut emitted: BTreeSet<GroundRule> = BTreeSet::new();
     loop {
         let mut grew = false;
-        for (rule, activation) in prog.rules.iter().zip(&activations) {
+        for (rule, activation) in prog.rules.iter().zip(activations) {
             budget::checkpoint()?;
             let restriction = match activation {
                 Activation::Inactive => continue,
                 Activation::Unrestricted => None,
-                Activation::Restricted(v, firsts) => Some((v.clone(), firsts.clone())),
+                Activation::Restricted(v, firsts) => Some((v.as_str(), firsts)),
             };
             let mut new_heads: Vec<(String, Vec<String>)> = Vec::new();
             let mut new_rules: Vec<GroundRule> = Vec::new();
-            {
-                let mut binding = Binding::new();
-                let rule_ref = rule;
-                let emitted_ref = &emitted;
-                join(
-                    &rule.body_pos,
-                    0,
-                    &mut binding,
-                    &possible,
-                    &index,
-                    restriction.as_ref(),
-                    &mut |b: &Binding| {
-                        if !disequalities_hold(rule_ref, b) {
-                            return Ok(());
+            join(
+                &rule.body_pos,
+                0,
+                &mut Binding::new(),
+                &possible,
+                restriction,
+                &mut |b: &Binding| {
+                    if !disequalities_hold(rule, b) {
+                        return Ok(());
+                    }
+                    let ground = instantiate_rule(rule, b);
+                    if !emitted.contains(&ground) && !new_rules.contains(&ground) {
+                        for h in &rule.head {
+                            let inst = instantiate_atom(h, b);
+                            let tuple: Vec<String> = inst
+                                .args
+                                .iter()
+                                .map(|t| match t {
+                                    Term::Const(c) => c.clone(),
+                                    Term::Var(_) => unreachable!("instantiated"),
+                                })
+                                .collect();
+                            new_heads.push((inst.pred, tuple));
                         }
-                        if let Some((rv, firsts)) = restriction.as_ref() {
-                            // Safety puts every head variable in the
-                            // positive body, so the binding is total here.
-                            if b.get(rv).is_some_and(|val| !firsts.contains(val)) {
-                                return Ok(());
-                            }
-                        }
-                        let ground = instantiate_rule(rule_ref, b);
-                        if !emitted_ref.contains(&ground) && !new_rules.contains(&ground) {
-                            for h in rule_ref.head.iter() {
-                                let inst = instantiate_atom(h, b);
-                                let tuple: Vec<String> = inst
-                                    .args
-                                    .iter()
-                                    .map(|t| match t {
-                                        Term::Const(c) => c.clone(),
-                                        Term::Var(_) => unreachable!("instantiated"),
-                                    })
-                                    .collect();
-                                new_heads.push((inst.pred, tuple));
-                            }
-                            new_rules.push(ground);
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
+                        new_rules.push(ground);
+                    }
+                    Ok(())
+                },
+            )?;
             for r in new_rules {
                 emitted.insert(r);
                 grew = true;
@@ -759,33 +612,34 @@ pub fn ground_magic(
                 }
             }
             for (pred, tuple) in new_heads {
-                index
-                    .entry(pred.clone())
+                possible
+                    .entry(pred)
                     .or_default()
-                    .entry(first_key(&tuple))
+                    .entry(first_key(&tuple).to_owned())
                     .or_default()
-                    .insert(tuple.clone());
-                possible.entry(pred).or_default().insert(tuple);
+                    .insert(tuple);
             }
         }
         if !grew {
             break;
         }
     }
-
-    // Negation simplification, exactly as in `ground_reduced`, against
-    // the demanded closure (negative body atoms are demanded, so their
-    // derivability within the fragment is fully explored).
     let is_possible = |name: &String| -> bool {
-        match name.find('(') {
-            None => possible.get(name).is_some_and(|s| s.contains(&Vec::new())),
-            Some(p) => {
-                let pred = &name[..p];
-                let inner = &name[p + 1..name.len() - 1];
-                let tuple: Vec<String> = inner.split(',').map(str::to_owned).collect();
-                possible.get(pred).is_some_and(|s| s.contains(&tuple))
-            }
-        }
+        // Re-derive (pred, tuple) from the rendered name.
+        let (pred, tuple): (&str, Vec<String>) = match name.find('(') {
+            None => (name, Vec::new()),
+            Some(p) => (
+                &name[..p],
+                name[p + 1..name.len() - 1]
+                    .split(',')
+                    .map(str::to_owned)
+                    .collect(),
+            ),
+        };
+        possible
+            .get(pred)
+            .and_then(|m| m.get(first_key(&tuple)))
+            .is_some_and(|s| s.contains(&tuple))
     };
     let simplified: BTreeSet<GroundRule> = emitted
         .into_iter()
@@ -1048,6 +902,74 @@ mod tests {
         let db = ground_reduced(&prog, 100).unwrap();
         assert!(db.symbols().lookup("self(a)").is_some());
         assert!(db.symbols().lookup("self(b)").is_none());
+    }
+
+    /// The ground rules of `db`, rendered, in database order.
+    fn rendered(db: &Database) -> Vec<String> {
+        db.rules()
+            .iter()
+            .map(|r| ddb_logic::parse::display_rule(r, db.symbols()))
+            .collect()
+    }
+
+    #[test]
+    fn zero_arity_atoms_join_and_negate_through_the_index() {
+        // `flag` lives under the index key "": it must join as a positive
+        // body atom and count as possible under `not`.
+        let prog = parse_datalog(
+            "flag. base(a). p(X) :- base(X), flag. q(X) :- base(X), not flag. \
+             done :- flag, not q(a).",
+        )
+        .unwrap();
+        let q = query_atom("done.");
+        for db in [
+            ground_reduced(&prog, 100).unwrap(),
+            ground_magic(&prog, &q, 100).unwrap(),
+        ] {
+            let rules = rendered(&db);
+            assert!(rules.contains(&"q(a) :- base(a), not flag.".to_owned()));
+            assert!(rules.contains(&"done :- flag, not q(a).".to_owned()));
+        }
+        let reduced = rendered(&ground_reduced(&prog, 100).unwrap());
+        assert!(reduced.contains(&"p(a) :- base(a), flag.".to_owned()));
+    }
+
+    #[test]
+    fn one_predicate_at_two_arities() {
+        // `p` and `p(a)` share a predicate name; a join on one arity must
+        // never pick up the other's tuples.
+        let prog = parse_datalog("p. p(a). r :- p. s(X) :- p(X). t :- not p. u(X) :- p(X), not p.")
+            .unwrap();
+        let db = ground_reduced(&prog, 100).unwrap();
+        let mut rules = rendered(&db);
+        rules.sort();
+        assert_eq!(
+            rules,
+            [
+                "p(a).",
+                "p.",
+                "r :- p.",
+                "s(a) :- p(a).",
+                "t :- not p.",
+                "u(a) :- p(a), not p.",
+            ]
+        );
+    }
+
+    #[test]
+    fn never_derived_negated_atoms_are_simplified_away() {
+        // `blocked(a)` has a populated predicate but no such tuple, and
+        // `ghost` never heads a rule: both literals simplify to true.
+        let prog =
+            parse_datalog("base(a). blocked(c). p(X) :- base(X), not blocked(X). z :- not ghost.")
+                .unwrap();
+        let q = query_atom("p(a).");
+        let reduced = ground_reduced(&prog, 100).unwrap();
+        assert!(rendered(&reduced).contains(&"z.".to_owned()));
+        for db in [reduced, ground_magic(&prog, &q, 100).unwrap()] {
+            assert!(rendered(&db).contains(&"p(a) :- base(a).".to_owned()));
+            assert!(db.symbols().lookup("blocked(a)").is_none());
+        }
     }
 
     fn query_atom(src: &str) -> PredAtom {

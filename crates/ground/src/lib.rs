@@ -11,22 +11,27 @@
 //!   the disequality builtin `X != Y` (evaluated at grounding time);
 //! * [`safety`] — the classical range-restriction check (every variable
 //!   of a rule must occur in its positive body);
-//! * [`grounder`] — three grounding strategies:
+//! * [`grounder`] — the exact Herbrand instantiation and one grounding
+//!   loop:
 //!     * [`grounder::ground_full`] — the exact Herbrand instantiation,
 //!       equivalent for **every** semantics (exponential in rule arity);
-//!     * [`grounder::ground_reduced`] — DLV-style *intelligent grounding*
-//!       over the possibly-true closure. Sound for the supported
-//!       semantics (DSM, PDSM, WFS, PWS) on all programs and for the
-//!       minimal-model family on positive programs; **not** model-set
+//!       the tests use it as the oracle;
+//!     * the grounding loop instantiates the *active* rules against a
+//!       per-predicate first-argument index of the possibly-true closure
+//!       until nothing new is derived, then drops negated literals whose
+//!       atom never became possible. [`grounder::ground_magic`] is
+//!       *goal-directed* grounding for one bound query atom: a static
+//!       per-predicate first-argument demand fixpoint decides which rules
+//!       can reach the query, and only those are active — the
+//!       grounding-side mirror of the planner's demand closure.
+//!       [`grounder::ground_reduced`], DLV-style *intelligent grounding*,
+//!       is the same loop with every rule active. It is sound for the
+//!       supported semantics (DSM, PDSM, WFS, PWS) on all programs and for
+//!       the minimal-model family on positive programs; **not** model-set
 //!       preserving for classical/minimal semantics in the presence of
 //!       negation (a `⊨`-minimal model may make an underivable negated
 //!       atom true). The tests pin both the equivalences and the
-//!       documented counterexample;
-//!     * [`grounder::ground_magic`] — *goal-directed* grounding for one
-//!       bound query atom: a static per-predicate first-argument demand
-//!       fixpoint decides which rules can reach the query, and only
-//!       those are instantiated, joining against a first-argument index.
-//!       The grounding-side mirror of the planner's magic restriction.
+//!       documented counterexample.
 //!
 //! The output is an ordinary [`ddb_logic::Database`] whose atom names are
 //! the ground atoms (`edge(a,b)`), ready for any semantics in `ddb-core`.

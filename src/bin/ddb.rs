@@ -17,9 +17,10 @@
 //!     soundness precondition admits (or blocks) answering on the slice.
 //!
 //! ddb rewrite <file> --query "<f>" [--semantics <name>] [--json]
-//!     The magic-sets rewrite of the query: the demand restriction the
-//!     planner routes bound queries through (dead rules pruned when the
-//!     database is positive and the query minimal-model-determined),
+//!     The magic-sets rewrite of the query: the demand closure the
+//!     planner routes it through (dead rules pruned when the query is
+//!     bound, the database positive and the query
+//!     minimal-model-determined),
 //!     rendered as a guarded program with `magic__` seeds and demand
 //!     rules, and — per semantics — whether the rewrite is admitted or
 //!     which rule blocks it.
@@ -50,8 +51,8 @@
 //!
 //! ddb explain <file> [--query "<f>"] [--semantics <name>] [--json] [--execute]
 //!     The static query plan: per semantics, the route tree the
-//!     dispatcher will take for the query (Horn / hcf / magic / slice /
-//!     split / islands / generic), annotated with the paper's complexity
+//!     dispatcher will take for the query (Horn / hcf / slice / split /
+//!     islands / generic), annotated with the paper's complexity
 //!     class and a sound upper bound on oracle calls per node, plus the
 //!     binding-pattern adornments of the query's backward slice and the
 //!     plan lints DDB012–DDB018. `--max-oracle-calls <n>` declares the
@@ -872,14 +873,13 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// `ddb rewrite`: print the magic-sets rewrite of a query — the demand
-/// restriction the planner routes bound queries through, rendered as a
-/// guarded program with `magic__` seeds and demand rules, plus the
-/// per-semantics admission verdicts. The pruning gate is exactly the
-/// planner's: dead rules are dropped only when the database is positive
-/// and the query is minimal-model-determined for the semantics, so the
-/// printed program is the one `RouteKind::Magic` would execute.
+/// closure the planner routes the query through, rendered as a guarded
+/// program with `magic__` seeds and demand rules, plus the per-semantics
+/// admission verdicts. Dead rules are dropped under the planner's own
+/// gate ([`prunes_dead`](disjunctive_db::analysis::prunes_dead)), so the
+/// printed program is the one the slice route executes.
 fn rewrite_cmd(args: &[String]) -> Result<(), String> {
-    use disjunctive_db::analysis::{magic, magic_restrict, DepGraph, Fragments, MagicRestriction};
+    use disjunctive_db::analysis::{demand_closure, magic, prunes_dead, Prepared, Slice};
     use disjunctive_db::core::slicing::{admission, Admission};
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
@@ -895,25 +895,27 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
     let literal_query = query_atoms.len() == 1
         && (formula == Formula::literal(query_atoms[0], true)
             || formula == Formula::literal(query_atoms[0], false));
-    let graph = DepGraph::of_database(&db);
-    let frags = Fragments::of(&db, &graph);
+    let prepared = Prepared::borrowed(&db);
+    let frags = prepared.fragments();
     let semantics: Vec<SemanticsId> = match opts.value("semantics") {
         Some(name) => vec![semantics_id(name)?],
         None => SemanticsId::ALL.to_vec(),
     };
     let mm_determined =
         |id: SemanticsId| literal_query || !matches!(id, SemanticsId::Gcwa | SemanticsId::Ccwa);
-    // At most two distinct restrictions exist (pruned and unpruned); on
-    // non-positive databases or literal queries they coincide.
-    let restriction_for = |prune: bool| magic_restrict(&db, &query_atoms, prune);
-    let pruned = restriction_for(frags.positive);
-    let needs_unpruned = frags.positive && semantics.iter().any(|&id| !mm_determined(id));
-    let unpruned: Option<MagicRestriction> = needs_unpruned.then(|| restriction_for(false));
-    let restriction_of = |id: SemanticsId| -> &MagicRestriction {
-        if frags.positive && !mm_determined(id) {
-            unpruned.as_ref().expect("computed when needed")
-        } else {
-            &pruned
+    let prunes = |id: SemanticsId| prunes_dead(&db, &frags, &query_atoms, mm_determined(id));
+    // At most two distinct restrictions exist: the one for
+    // minimal-model-determined answers and, when that one prunes, the
+    // unpruned one GCWA/CCWA formula queries take.
+    let prune = prunes_dead(&db, &frags, &query_atoms, true);
+    let restriction = demand_closure(&prepared, &query_atoms, prune);
+    let needs_unpruned = prune && semantics.iter().any(|&id| !prunes(id));
+    let unpruned: Option<Slice> =
+        needs_unpruned.then(|| demand_closure(&prepared, &query_atoms, false));
+    let restriction_of = |id: SemanticsId| -> &Slice {
+        match &unpruned {
+            Some(r) if !prunes(id) => r,
+            _ => &restriction,
         }
     };
     let admission_label = |a: Admission| match a {
@@ -921,24 +923,18 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
         Admission::Product => "product",
         Admission::Blocked => "blocked (generic fallback)",
     };
-    let program_pruned = magic::rewrite(&db, &query_atoms, &pruned);
+    let program = magic::rewrite(&db, &query_atoms, &restriction);
     let program_unpruned = unpruned
         .as_ref()
         .map(|r| magic::rewrite(&db, &query_atoms, r));
     if opts.flag("json") {
-        let restriction_json = |r: &MagicRestriction, prog: &magic::MagicProgram| {
+        let restriction_json = |r: &Slice, prog: &magic::MagicProgram| {
             Json::obj([
                 ("pruned", Json::Bool(!r.dropped_dead.is_empty())),
-                ("atoms", Json::UInt(r.slice.atoms.len() as u64)),
+                ("atoms", Json::UInt(r.atoms.len() as u64)),
                 (
                     "rules",
-                    Json::Arr(
-                        r.slice
-                            .rules
-                            .iter()
-                            .map(|&i| Json::UInt(i as u64))
-                            .collect(),
-                    ),
+                    Json::Arr(r.rules.iter().map(|&i| Json::UInt(i as u64)).collect()),
                 ),
                 (
                     "dropped_dead",
@@ -949,17 +945,15 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
                             .collect(),
                     ),
                 ),
-                ("split_closed", Json::Bool(r.slice.split_closed)),
+                ("split_closed", Json::Bool(r.split_closed)),
                 (
                     "blocking_rule",
-                    r.slice
-                        .blocking_rule
-                        .map_or(Json::Null, |i| Json::UInt(i as u64)),
+                    r.blocking_rule.map_or(Json::Null, |i| Json::UInt(i as u64)),
                 ),
                 ("program", prog.to_json()),
             ])
         };
-        let mut restrictions = vec![restriction_json(&pruned, &program_pruned)];
+        let mut restrictions = vec![restriction_json(&restriction, &program)];
         if let (Some(r), Some(p)) = (unpruned.as_ref(), program_unpruned.as_ref()) {
             restrictions.push(restriction_json(r, p));
         }
@@ -967,20 +961,16 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
             .iter()
             .map(|&id| {
                 let r = restriction_of(id);
-                let adm = admission(id, &frags, &r.slice, literal_query);
+                let adm = admission(id, &frags, r, literal_query);
                 Json::obj([
                     ("semantics", Json::Str(id.to_string())),
                     ("admission", Json::Str(admission_label(adm).to_owned())),
-                    ("pruning", Json::Bool(frags.positive && mm_determined(id))),
+                    ("pruning", Json::Bool(prunes(id))),
                     (
                         "blocking_rule",
-                        if adm == Admission::Blocked {
-                            r.slice
-                                .blocking_rule
-                                .or_else(|| r.dropped_dead.first().copied())
-                                .map_or(Json::Null, |i| Json::UInt(i as u64))
-                        } else {
-                            Json::Null
+                        match r.blocking_rule {
+                            Some(i) if adm == Admission::Blocked => Json::UInt(i as u64),
+                            _ => Json::Null,
                         },
                     ),
                 ])
@@ -1005,38 +995,31 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
         opts.file.as_deref().unwrap_or("-"),
         if literal_query { "literal" } else { "formula" },
     );
-    let describe = |label: &str, r: &MagicRestriction| {
+    let describe = |label: &str, r: &Slice| {
         oprintln!(
             "{label}: {} of {} atom(s), {} of {} rule(s), {} dead rule(s) dropped, split-closed: {}",
-            r.slice.atoms.len(),
+            r.atoms.len(),
             db.num_atoms(),
-            r.slice.rules.len(),
+            r.rules.len(),
             db.len(),
             r.dropped_dead.len(),
-            if r.slice.split_closed { "yes" } else { "no" },
+            if r.split_closed { "yes" } else { "no" },
         );
     };
-    describe("restriction", &pruned);
+    describe("restriction", &restriction);
     if let Some(r) = unpruned.as_ref() {
         describe("restriction (gcwa/ccwa formula queries, no pruning)", r);
     }
     oprintln!("admission:");
     for &id in &semantics {
         let r = restriction_of(id);
-        let adm = admission(id, &frags, &r.slice, literal_query);
-        let witness = if adm == Admission::Blocked {
-            r.slice
-                .blocking_rule
-                .or_else(|| r.dropped_dead.first().copied())
-                .map(|i| {
-                    format!(
-                        " — rule #{i}: {}",
-                        display_rule(&db.rules()[i], db.symbols())
-                    )
-                })
-                .unwrap_or_default()
-        } else {
-            String::new()
+        let adm = admission(id, &frags, r, literal_query);
+        let witness = match r.blocking_rule {
+            Some(i) if adm == Admission::Blocked => format!(
+                " — rule #{i}: {}",
+                display_rule(&db.rules()[i], db.symbols())
+            ),
+            _ => String::new(),
         };
         oprintln!(
             "  {:<13} {}{}",
@@ -1062,7 +1045,7 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
             );
         }
     };
-    show_program("rewritten program", &program_pruned);
+    show_program("rewritten program", &program);
     if let Some(p) = program_unpruned.as_ref() {
         show_program("rewritten program (no pruning)", p);
     }
@@ -1443,7 +1426,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
 /// answers or oracle-call totals).
 fn explain_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::analysis::{
-        adorn, magic, plan_lints, DomainEstimate, PlanData, PlanNode, PlanQuery,
+        adorn, bound_query, magic, plan_lints, DomainEstimate, PlanData, PlanNode, PlanQuery,
     };
     use disjunctive_db::core::planner::problem_of;
     let opts = parse_opts(args)?;
@@ -1511,18 +1494,17 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
         .filter_map(|(id, _, p)| p.as_ref().ok().map(|p| (id.name(), p)))
         .collect();
     let lints = plan_lints(&db, &query_atoms, &plan_refs, &adornments, oracle_budget);
-    // When any plan routes through the magic rewrite, the transformed
-    // program is part of the explanation (the restriction is taken from
-    // the plan itself, so the rendered program is the one executed).
-    let magic_rewrite = explained.iter().find_map(|(_, _, plan)| match plan {
-        Ok(p) => match &p.data {
-            PlanData::Magic { restriction, .. } => {
-                Some(magic::rewrite(&db, &query_atoms, restriction))
-            }
+    // When a bound query routes through its demand closure, the magic
+    // rewrite of that closure is part of the explanation (taken from the
+    // plan itself, so the rendered program is the one executed).
+    let magic_rewrite = explained
+        .iter()
+        .find_map(|(_, _, plan)| match plan.as_ref().map(|p| &p.data) {
+            Ok(PlanData::Slice { slice, .. }) => Some(slice),
             _ => None,
-        },
-        Err(_) => None,
-    });
+        })
+        .filter(|_| bound_query(&db, &query_atoms))
+        .map(|slice| magic::rewrite(&db, &query_atoms, slice));
     // --execute: run each planned cell and compare prediction to
     // observation. The dummy literal for existence-only audits is never
     // dereferenced (`has_model` ignores the query arguments).
