@@ -82,6 +82,26 @@ impl SemanticsId {
             SemanticsId::Pdsm => "PDSM",
         }
     }
+
+    /// Resolves a command-line/wire spelling, case-insensitively:
+    /// `gcwa`, `egcwa`, `ccwa`, `ecwa`/`circ`, `ddr`/`wgcwa`, `pws`/`pms`,
+    /// `perf`, `icwa`, `dsm`/`stable`, `pdsm`. The error names the
+    /// unknown spelling.
+    pub fn from_name(name: &str) -> Result<SemanticsId, String> {
+        Ok(match name.to_ascii_lowercase().as_str() {
+            "gcwa" => SemanticsId::Gcwa,
+            "egcwa" => SemanticsId::Egcwa,
+            "ccwa" => SemanticsId::Ccwa,
+            "ecwa" | "circ" => SemanticsId::Ecwa,
+            "ddr" | "wgcwa" => SemanticsId::Ddr,
+            "pws" | "pms" => SemanticsId::Pws,
+            "perf" => SemanticsId::Perf,
+            "icwa" => SemanticsId::Icwa,
+            "dsm" | "stable" => SemanticsId::Dsm,
+            "pdsm" => SemanticsId::Pdsm,
+            other => return Err(format!("unknown semantics `{other}`")),
+        })
+    }
 }
 
 impl fmt::Display for SemanticsId {

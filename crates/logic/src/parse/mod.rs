@@ -30,8 +30,37 @@ mod parser;
 
 pub use parser::{parse_formula, parse_program, ParseError};
 
-use crate::{Database, Formula, Rule, Symbols};
+use crate::{Database, Formula, Literal, Rule, Symbols};
 use std::fmt::Write as _;
+
+/// Parses query text: the formula grammar first, then — because the
+/// formula lexer cannot read Datalog ground atoms such as `path(a,b)` or
+/// `not(a)` — a verbatim vocabulary lookup with an optional leading `-`.
+/// When the lookup misses too, the original formula parse error is
+/// returned.
+pub fn parse_query(raw: &str, symbols: &Symbols) -> Result<Formula, ParseError> {
+    parse_formula(raw, symbols).or_else(|parse_err| {
+        let (name, positive) = match raw.trim().strip_prefix('-') {
+            Some(rest) => (rest.trim(), false),
+            None => (raw.trim(), true),
+        };
+        let atom = symbols.lookup(name).ok_or(parse_err)?;
+        Ok(Formula::literal(atom, positive))
+    })
+}
+
+/// Parses a query literal `atom` or `-atom`, the name taken verbatim.
+/// The error names the unknown atom.
+pub fn parse_literal(raw: &str, symbols: &Symbols) -> Result<Literal, String> {
+    let (name, positive) = match raw.strip_prefix('-') {
+        Some(rest) => (rest, false),
+        None => (raw, true),
+    };
+    let atom = symbols
+        .lookup(name)
+        .ok_or_else(|| format!("unknown atom `{name}`"))?;
+    Ok(Literal::with_sign(atom, positive))
+}
 
 /// Renders a rule in program syntax using the names in `symbols`.
 pub fn display_rule(rule: &Rule, symbols: &Symbols) -> String {

@@ -329,6 +329,20 @@ pub struct Consumed {
     pub models: u64,
 }
 
+impl Consumed {
+    /// The totals as a JSON object, in field order — the `consumed` block
+    /// of a served response and the CLI trace's `budget_consumed`.
+    pub fn to_json(&self) -> crate::json::Json {
+        use crate::json::Json;
+        Json::obj([
+            ("checkpoints", Json::UInt(self.checkpoints)),
+            ("conflicts", Json::UInt(self.conflicts)),
+            ("oracle_calls", Json::UInt(self.oracle_calls)),
+            ("models", Json::UInt(self.models)),
+        ])
+    }
+}
+
 /// The cross-thread state of one installed governor: immutable limits
 /// plus atomically shared consumption counters and trip flag. Every
 /// thread mirroring this governor (via [`BudgetHandle`]) charges the

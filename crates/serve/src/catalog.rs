@@ -17,6 +17,10 @@ use ddb_obs::Interrupted;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// The default cap on grounded rules, for the CLI and for `load` requests
+/// ([`crate::ServerConfig::grounding_limit`]).
+pub const GROUNDING_LIMIT: usize = 1_000_000;
+
 /// Why a database failed to load.
 #[derive(Debug)]
 pub enum LoadError {

@@ -13,6 +13,10 @@
 //! errors, and a handler panic is fenced into an `internal` error
 //! without taking the process down.
 //!
+//! [`answer`] is the executor behind the three problems, shared with the
+//! local `ddb query`/`exists`/`models` commands, so served and local
+//! answers are the same bytes by construction.
+//!
 //! [`chaos`] is the matching attack harness: it drives malformed
 //! frames, oversized payloads, half-closes, disconnects, concurrent
 //! cancellation, and a deterministic fault-injection sweep against a
@@ -20,6 +24,7 @@
 //! throughout. `ddb serve`, `ddb call`, and `ddb chaos` are the CLI
 //! fronts for the three pieces.
 
+pub mod answer;
 pub mod catalog;
 pub mod chaos;
 pub mod protocol;

@@ -52,17 +52,6 @@ impl ErrorKind {
             ErrorKind::Internal => "internal",
         }
     }
-
-    /// The CLI exit code a one-shot client (`ddb call`) maps this kind
-    /// to: `parse`/`usage`/`internal` are exit 4 (the CLI's usage/parse
-    /// contract), `resource`/`overloaded` are exit 3 (retryable — the
-    /// work was bounded away, not wrong).
-    pub fn exit_code(self) -> u8 {
-        match self {
-            ErrorKind::Parse | ErrorKind::Usage | ErrorKind::Internal => 4,
-            ErrorKind::Resource | ErrorKind::Overloaded => 3,
-        }
-    }
 }
 
 impl fmt::Display for ErrorKind {
@@ -239,6 +228,57 @@ pub struct Limits {
 }
 
 impl Limits {
+    /// The wire field names, in field order. Each CLI flag is its field
+    /// name with `_` spelled `-` (`max_oracle_calls` ↔ `--max-oracle-calls`).
+    pub const FIELDS: [&'static str; 5] = [
+        "timeout_ms",
+        "max_oracle_calls",
+        "max_conflicts",
+        "max_models",
+        "fail_after",
+    ];
+
+    fn values(&self) -> [Option<u64>; 5] {
+        [
+            self.timeout_ms,
+            self.max_oracle_calls,
+            self.max_conflicts,
+            self.max_models,
+            self.fail_after,
+        ]
+    }
+
+    fn slots(&mut self) -> [&mut Option<u64>; 5] {
+        [
+            &mut self.timeout_ms,
+            &mut self.max_oracle_calls,
+            &mut self.max_conflicts,
+            &mut self.max_models,
+            &mut self.fail_after,
+        ]
+    }
+
+    /// Reads every limit through `get`, called once per name in
+    /// [`Limits::FIELDS`] — the one table behind the wire `limits` object
+    /// and the CLI's resource flags.
+    pub fn read<E>(mut get: impl FnMut(&'static str) -> Result<Option<u64>, E>) -> Result<Self, E> {
+        let mut limits = Limits::default();
+        for (name, slot) in Limits::FIELDS.into_iter().zip(limits.slots()) {
+            *slot = get(name)?;
+        }
+        Ok(limits)
+    }
+
+    /// The wire `limits` object: the set limits only.
+    pub fn to_json(&self) -> Json {
+        Json::obj(
+            Limits::FIELDS
+                .into_iter()
+                .zip(self.values())
+                .filter_map(|(name, v)| Some((name, Json::UInt(v?)))),
+        )
+    }
+
     /// The limits as a [`Budget`] (no cancel flag attached).
     pub fn to_budget(&self) -> Budget {
         let mut b = Budget::unlimited();
@@ -262,7 +302,7 @@ impl Limits {
 }
 
 /// One parsed request frame.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Request {
     /// Client correlation id (echoed verbatim; string or number).
     pub id: Option<Json>,
@@ -303,6 +343,36 @@ impl Request {
     /// The id in rendered form (registry key for cancellation).
     pub fn id_key(&self) -> Option<String> {
         self.id.as_ref().map(render_id)
+    }
+
+    /// The request as a wire frame object — the inverse of
+    /// [`parse_request`]. Unset fields are omitted.
+    pub fn to_json(&self) -> Json {
+        let text = |v: &Option<String>| v.clone().map(Json::Str);
+        let names = |v: &[String]| {
+            (!v.is_empty()).then(|| Json::Arr(v.iter().cloned().map(Json::Str).collect()))
+        };
+        let fields = [
+            ("op", Some(Json::Str(self.op.name().to_owned()))),
+            ("id", self.id.clone()),
+            ("db", text(&self.db)),
+            ("semantics", text(&self.semantics)),
+            ("formula", text(&self.formula)),
+            ("literal", text(&self.literal)),
+            ("brave", self.brave.then_some(Json::Bool(true))),
+            ("threads", self.threads.map(|n| Json::UInt(n as u64))),
+            (
+                "limits",
+                (self.limits != Limits::default()).then(|| self.limits.to_json()),
+            ),
+            ("target", text(&self.target)),
+            ("source", text(&self.source)),
+            ("datalog", self.datalog.map(Json::Bool)),
+            ("overwrite", self.overwrite.then_some(Json::Bool(true))),
+            ("partition_p", names(&self.partition_p)),
+            ("partition_q", names(&self.partition_q)),
+        ];
+        Json::obj(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
     }
 }
 
@@ -390,13 +460,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         .ok_or_else(|| fail(WireError::usage(format!("unknown op `{op_name}`"))))?;
     let limits = match value.get("limits") {
         None | Some(Json::Null) => Limits::default(),
-        Some(l @ Json::Obj(_)) => Limits {
-            timeout_ms: field_u64(l, "timeout_ms").map_err(&fail)?,
-            max_oracle_calls: field_u64(l, "max_oracle_calls").map_err(&fail)?,
-            max_conflicts: field_u64(l, "max_conflicts").map_err(&fail)?,
-            max_models: field_u64(l, "max_models").map_err(&fail)?,
-            fail_after: field_u64(l, "fail_after").map_err(&fail)?,
-        },
+        Some(l @ Json::Obj(_)) => Limits::read(|name| field_u64(l, name)).map_err(&fail)?,
         Some(_) => return Err(fail(WireError::usage("field `limits` must be an object"))),
     };
     let threads = match field_u64(&value, "threads").map_err(&fail)? {
@@ -518,6 +582,88 @@ mod tests {
         assert_eq!(req.target.as_deref(), Some("job-1"));
         let req = parse_request(r#"{"op":"query","id":"job-1"}"#).unwrap();
         assert_eq!(req.id_key().as_deref(), Some("job-1"));
+    }
+
+    /// A seeded random request: every op, any subset of limits, optional
+    /// partitions, `brave`/`threads`, and a string, numeric or no `id`.
+    fn random_request(rng: &mut ddb_logic::rng::XorShift64Star) -> Request {
+        const OPS: [Op; 9] = [
+            Op::Ping,
+            Op::Catalog,
+            Op::Stats,
+            Op::Query,
+            Op::Models,
+            Op::Exists,
+            Op::Load,
+            Op::Cancel,
+            Op::Shutdown,
+        ];
+        const TEXT: [&str; 5] = [
+            "vase",
+            "-treat",
+            "a & (b | !c)",
+            "path(a,b)",
+            "q\"\\\u{e9}\n",
+        ];
+        let text = |rng: &mut ddb_logic::rng::XorShift64Star| {
+            rng.gen_bool(0.5).then(|| (*rng.choose(&TEXT)).to_owned())
+        };
+        let names = |rng: &mut ddb_logic::rng::XorShift64Star| {
+            (0..rng.gen_range(0, 3))
+                .map(|i| format!("a{i}"))
+                .collect::<Vec<_>>()
+        };
+        Request {
+            id: match rng.gen_range(0, 3) {
+                0 => None,
+                1 => Some(Json::UInt(rng.next_u64())),
+                _ => Some(Json::Str(format!("job-{}", rng.gen_range(0, 100)))),
+            },
+            op: *rng.choose(&OPS),
+            db: text(rng),
+            semantics: text(rng),
+            formula: text(rng),
+            literal: text(rng),
+            brave: rng.gen_bool(0.5),
+            threads: rng.gen_bool(0.5).then(|| rng.gen_range(1, 64)),
+            limits: Limits::read(|_| Ok::<_, ()>(rng.gen_bool(0.5).then(|| rng.next_u64())))
+                .unwrap(),
+            target: text(rng),
+            source: text(rng),
+            datalog: rng.gen_bool(0.5).then(|| rng.gen_bool(0.5)),
+            overwrite: rng.gen_bool(0.5),
+            partition_p: names(rng),
+            partition_q: names(rng),
+        }
+    }
+
+    #[test]
+    fn requests_roundtrip_through_to_json() {
+        let mut rng = ddb_logic::rng::XorShift64Star::seed_from_u64(15);
+        for round in 0..500 {
+            let request = random_request(&mut rng);
+            let frame = request.to_json().render();
+            let back = parse_request(&frame)
+                .unwrap_or_else(|e| panic!("round {round}: {frame} rejected: {}", e.error));
+            assert_eq!(back, request, "round {round}: {frame}");
+        }
+    }
+
+    #[test]
+    fn every_limit_is_a_wire_key() {
+        for (i, name) in Limits::FIELDS.into_iter().enumerate() {
+            let req =
+                parse_request(&format!(r#"{{"op":"query","limits":{{"{name}":7}}}}"#)).unwrap();
+            let set: Vec<usize> = (0..5)
+                .filter(|&j| req.limits.values()[j].is_some())
+                .collect();
+            assert_eq!(set, vec![i], "{name} sets exactly its own field");
+            assert_eq!(req.limits.to_json().render(), format!(r#"{{"{name}":7}}"#));
+            assert!(
+                !req.limits.to_budget().is_unlimited(),
+                "{name} bounds the budget"
+            );
+        }
     }
 
     #[test]

@@ -27,14 +27,12 @@
 //! (`ddb_obs::pool`) through `SemanticsConfig::with_threads`, so
 //! component-parallel routes stay governed by the session's budget.
 
-use crate::catalog::{load_source, Catalog, LoadError};
+use crate::answer::answer_request;
+use crate::catalog::{load_source, Catalog, LoadError, GROUNDING_LIMIT};
 use crate::protocol::{error_frame, ok_frame, parse_request, Op, Request, WireError};
-use ddb_core::{witness, Prepared, SemanticsConfig, SemanticsId, Verdict};
-use ddb_logic::parse::parse_formula;
-use ddb_logic::{Database, Formula};
-use ddb_models::{Cost, Partition};
+use ddb_core::Prepared;
 use ddb_obs::json::Json;
-use ddb_obs::{budget, Budget, Interrupted};
+use ddb_obs::{budget, Budget};
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,7 +96,7 @@ impl Default for ServerConfig {
             retry_after_ms: 250,
             defaults: Budget::unlimited(),
             max_query_threads: 8,
-            grounding_limit: 1_000_000,
+            grounding_limit: GROUNDING_LIMIT,
         }
     }
 }
@@ -656,17 +654,7 @@ fn governed_response(shared: &Arc<Shared>, request: Request, run: GovernedRun) -
     }));
     match outcome {
         Ok((Ok(mut fields), consumed)) => {
-            fields.push((
-                "consumed",
-                consumed.map_or(Json::Null, |c| {
-                    Json::obj([
-                        ("checkpoints", Json::UInt(c.checkpoints)),
-                        ("conflicts", Json::UInt(c.conflicts)),
-                        ("oracle_calls", Json::UInt(c.oracle_calls)),
-                        ("models", Json::UInt(c.models)),
-                    ])
-                }),
-            ));
+            fields.push(("consumed", consumed.map_or(Json::Null, |c| c.to_json())));
             fields.push(("wall_ms", Json::UInt(started.elapsed().as_millis() as u64)));
             ok_frame(id.as_ref(), fields)
         }
@@ -774,48 +762,6 @@ fn shed_request(shared: &Shared) {
     ddb_obs::counter_bump("serve.shed", 1);
 }
 
-/// CLI-compatible semantics-name resolution (the ten paper semantics).
-fn semantics_from_name(name: &str) -> Result<SemanticsId, WireError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "gcwa" => SemanticsId::Gcwa,
-        "egcwa" => SemanticsId::Egcwa,
-        "ccwa" => SemanticsId::Ccwa,
-        "ecwa" | "circ" => SemanticsId::Ecwa,
-        "ddr" | "wgcwa" => SemanticsId::Ddr,
-        "pws" | "pms" => SemanticsId::Pws,
-        "perf" => SemanticsId::Perf,
-        "icwa" => SemanticsId::Icwa,
-        "dsm" | "stable" => SemanticsId::Dsm,
-        "pdsm" => SemanticsId::Pdsm,
-        "cwa" => {
-            return Err(WireError::usage(
-                "semantics `cwa` is not served; use one of the ten paper semantics",
-            ))
-        }
-        other => return Err(WireError::usage(format!("unknown semantics `{other}`"))),
-    })
-}
-
-/// CLI-compatible query-formula parsing: formula grammar first, verbatim
-/// symbol lookup (with optional leading `-`) as the fallback for Datalog
-/// atom names like `path(a,b)`.
-fn parse_query_formula(raw: &str, db: &Database) -> Result<Formula, WireError> {
-    match parse_formula(raw, db.symbols()) {
-        Ok(f) => Ok(f),
-        Err(parse_err) => {
-            let (name, positive) = match raw.trim().strip_prefix('-') {
-                Some(rest) => (rest.trim(), false),
-                None => (raw.trim(), true),
-            };
-            let atom = db
-                .symbols()
-                .lookup(name)
-                .ok_or_else(|| WireError::usage(parse_err.to_string()))?;
-            Ok(Formula::literal(atom, positive))
-        }
-    }
-}
-
 fn resolve_db(shared: &Shared, request: &Request) -> Result<Arc<Prepared<'static>>, WireError> {
     let name = request
         .db
@@ -829,155 +775,14 @@ fn resolve_db(shared: &Shared, request: &Request) -> Result<Arc<Prepared<'static
         .ok_or_else(|| WireError::usage(format!("unknown database `{name}`")))
 }
 
-fn config_from_request(
-    shared: &Shared,
-    request: &Request,
-    db: &Database,
-) -> Result<SemanticsConfig, WireError> {
-    let name = request
-        .semantics
-        .as_deref()
-        .ok_or_else(|| WireError::usage("missing field `semantics`"))?;
-    let id = semantics_from_name(name)?;
-    let mut cfg = SemanticsConfig::new(id);
-    if !request.partition_p.is_empty() || !request.partition_q.is_empty() {
-        let collect = |names: &[String]| -> Result<Vec<ddb_logic::Atom>, WireError> {
-            names
-                .iter()
-                .map(|n| {
-                    db.symbols()
-                        .lookup(n)
-                        .ok_or_else(|| WireError::usage(format!("unknown partition atom `{n}`")))
-                })
-                .collect()
-        };
-        let p = collect(&request.partition_p)?;
-        let q = collect(&request.partition_q)?;
-        cfg = cfg.with_partition(Partition::from_p_q(db.num_atoms(), p, q));
-    }
-    let threads = request
-        .threads
-        .unwrap_or(1)
-        .min(shared.config.max_query_threads.max(1));
-    Ok(cfg.with_threads(threads))
-}
-
-fn request_formula(request: &Request, db: &Database) -> Result<Formula, WireError> {
-    match (request.formula.as_deref(), request.literal.as_deref()) {
-        (Some(f), None) => parse_query_formula(f, db),
-        (None, Some(l)) => {
-            let (name, positive) = match l.strip_prefix('-') {
-                Some(rest) => (rest, false),
-                None => (l, true),
-            };
-            let atom = db
-                .symbols()
-                .lookup(name)
-                .ok_or_else(|| WireError::usage(format!("unknown atom `{name}`")))?;
-            Ok(Formula::literal(atom, positive))
-        }
-        _ => Err(WireError::usage(
-            "need exactly one of `formula` / `literal`",
-        )),
-    }
-}
-
-fn interrupt_fields(interrupted: Option<&Interrupted>) -> Vec<(&'static str, Json)> {
-    match interrupted {
-        None => vec![("resource", Json::Null)],
-        Some(i) => {
-            let mut fields = vec![
-                ("resource", Json::Str(i.resource.label().to_owned())),
-                ("checkpoint", Json::UInt(i.checkpoint)),
-            ];
-            if let Some(p) = &i.partial {
-                fields.push(("partial", Json::Str(p.clone())));
-            }
-            fields
-        }
-    }
-}
-
-/// The `query`/`models`/`exists` body, running under the installed
-/// budget. Answer strings are byte-identical to the CLI's stdout lines —
-/// the chaos harness and CI parity checks diff them directly.
+/// The `query`/`models`/`exists` body: [`answer_request`] on the named
+/// catalog entry, under the installed budget.
 fn run_query_class(
     shared: &Shared,
     request: &Request,
 ) -> Result<Vec<(&'static str, Json)>, WireError> {
     let prepared = resolve_db(shared, request)?;
-    let db = prepared.db();
-    let cfg = config_from_request(shared, request, db)?;
-    let mut cost = Cost::new();
-    let mut fields: Vec<(&'static str, Json)> = Vec::new();
-    match request.op {
-        Op::Query => {
-            let formula = request_formula(request, db)?;
-            let verdict: Verdict = if request.brave {
-                witness::brave_infers_formula(&cfg, db, &formula, &mut cost)
-                    .map_err(|e| WireError::usage(e.to_string()))?
-            } else {
-                cfg.infers_formula_prepared(&prepared, &formula, &mut cost)
-                    .map_err(|e| WireError::usage(e.to_string()))?
-            };
-            let answer = match (request.brave, verdict.as_bool()) {
-                (false, Some(true)) => "inferred".to_owned(),
-                (false, Some(false)) => "not inferred".to_owned(),
-                (true, Some(true)) => "bravely inferred (holds in some model)".to_owned(),
-                (true, Some(false)) => "not bravely inferred".to_owned(),
-                (_, None) => "unknown".to_owned(),
-            };
-            fields.push(("answer", Json::Str(answer)));
-            fields.push(("verdict", verdict.as_bool().map_or(Json::Null, Json::Bool)));
-            fields.extend(interrupt_fields(verdict.interrupted()));
-        }
-        Op::Exists => {
-            let verdict = cfg
-                .has_model_prepared(&prepared, &mut cost)
-                .map_err(|e| WireError::usage(e.to_string()))?;
-            let answer = match verdict.as_bool() {
-                Some(true) => "has a model",
-                Some(false) => "no model",
-                None => "unknown",
-            };
-            fields.push(("answer", Json::Str(answer.to_owned())));
-            fields.push(("verdict", verdict.as_bool().map_or(Json::Null, Json::Bool)));
-            fields.extend(interrupt_fields(verdict.interrupted()));
-        }
-        Op::Models => {
-            let enumeration = cfg
-                .models_prepared(&prepared, &mut cost)
-                .map_err(|e| WireError::usage(e.to_string()))?;
-            let answer = if enumeration.is_complete() {
-                format!("{} model(s) under {}:", enumeration.len(), cfg.id)
-            } else {
-                format!(
-                    "{} model(s) under {} (incomplete — budget exhausted):",
-                    enumeration.len(),
-                    cfg.id
-                )
-            };
-            let models: Vec<Json> = enumeration
-                .iter()
-                .map(|m| {
-                    Json::Arr(
-                        m.iter()
-                            .map(|a| Json::Str(db.symbols().name(a).to_owned()))
-                            .collect(),
-                    )
-                })
-                .collect();
-            fields.push(("answer", Json::Str(answer)));
-            fields.push(("count", Json::UInt(models.len() as u64)));
-            fields.push(("complete", Json::Bool(enumeration.is_complete())));
-            fields.push(("models", Json::Arr(models)));
-            fields.extend(interrupt_fields(enumeration.interrupted.as_ref()));
-        }
-        _ => unreachable!("run_query_class only handles query/models/exists"),
-    }
-    fields.push(("sat_calls", Json::UInt(cost.sat_calls)));
-    fields.push(("candidates", Json::UInt(cost.candidates)));
-    Ok(fields)
+    answer_request(request, &prepared, shared.config.max_query_threads)
 }
 
 /// The `load` body: parse/ground under the request budget, then publish

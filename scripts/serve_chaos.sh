@@ -3,8 +3,10 @@
 #
 #   1. start the server on the examples catalog with --drain-on-stdin-close,
 #      holding its stdin open on a pipe (the supervisor handshake);
-#   2. parity: `ddb call` answers must be byte-identical — stdout AND the
-#      oracle line on stderr — to the local CLI for all ten semantics;
+#   2. parity: `ddb call` answers must be byte-identical — stdout AND
+#      stderr (the oracle line, the `unknown` notice) — to the local CLI:
+#      query, exists and models under all ten semantics, a CCWA partition
+#      query, and a budget-tripped query;
 #   3. chaos: malformed frames, oversized payloads, half-closes,
 #      mid-request disconnects, concurrent cancellation (`ddb chaos`);
 #   4. a deterministic fail-after sweep: every trip is a typed `unknown`
@@ -31,7 +33,8 @@ trap cleanup EXIT
 
 echo "== serve smoke (--threads $THREADS)"
 mkfifo "$WORK/stdin"
-"$DDB" serve examples/vase.dl --db layers=examples/layers.dlv \
+printf 'a | b.\n' > "$WORK/ab.dl"
+"$DDB" serve examples/vase.dl --db layers=examples/layers.dlv --db "ab=$WORK/ab.dl" \
     --threads "$THREADS" --workers 4 --queue 8 --drain-on-stdin-close \
     < "$WORK/stdin" > "$WORK/out" 2> "$WORK/err" &
 SERVER_PID=$!
@@ -48,27 +51,35 @@ done
 [ -n "$ADDR" ] || { echo "server never announced its address"; exit 1; }
 echo "   listening on $ADDR"
 
+# parity <op> <file> <db> <flags…>: the local command and `ddb call` must
+# agree on stdout, stderr and the exit code.
+parity() {
+    local op="$1" file="$2" db="$3" rc_local=0 rc_served=0
+    shift 3
+    "$DDB" "$op" "$file" "$@" > "$WORK/local.out" 2> "$WORK/local.err" || rc_local=$?
+    "$DDB" call --addr "$ADDR" --op "$op" --db "$db" "$@" \
+        > "$WORK/served.out" 2> "$WORK/served.err" || rc_served=$?
+    cmp "$WORK/local.out" "$WORK/served.out" \
+        || { echo "stdout parity broke: $op $*"; exit 1; }
+    cmp "$WORK/local.err" "$WORK/served.err" \
+        || { echo "stderr parity broke: $op $*"; exit 1; }
+    [ "$rc_local" -eq "$rc_served" ] \
+        || { echo "exit parity broke: $op $* ($rc_local vs $rc_served)"; exit 1; }
+}
+
 echo "== parity: served answers byte-identical to the CLI, all ten semantics"
 for sem in gcwa egcwa ccwa ecwa ddr pws perf icwa dsm pdsm; do
-    "$DDB" query examples/vase.dl --semantics "$sem" --formula "-treat" \
-        > "$WORK/local.out" 2> "$WORK/local.err"
-    "$DDB" call --addr "$ADDR" --db vase --semantics "$sem" --formula "-treat" \
-        > "$WORK/served.out" 2> "$WORK/served.err"
-    cmp "$WORK/local.out" "$WORK/served.out" \
-        || { echo "stdout parity broke under $sem"; exit 1; }
-    cmp "$WORK/local.err" "$WORK/served.err" \
-        || { echo "oracle-line parity broke under $sem"; exit 1; }
+    parity query examples/vase.dl vase --semantics "$sem" --formula "-treat"
+    parity exists examples/vase.dl vase --semantics "$sem"
 done
 for sem in gcwa dsm pdsm; do
-    "$DDB" models examples/vase.dl --semantics "$sem" \
-        > "$WORK/local.out" 2> "$WORK/local.err"
-    "$DDB" call --addr "$ADDR" --op models --db vase --semantics "$sem" \
-        > "$WORK/served.out" 2> "$WORK/served.err"
-    cmp "$WORK/local.out" "$WORK/served.out" \
-        || { echo "models parity broke under $sem"; exit 1; }
-    cmp "$WORK/local.err" "$WORK/served.err" \
-        || { echo "models oracle-line parity broke under $sem"; exit 1; }
+    parity models examples/vase.dl vase --semantics "$sem"
 done
+parity query "$WORK/ab.dl" ab --semantics ccwa --partition-p a --literal -a
+grep -qx inferred "$WORK/served.out" || { echo "partition query lost its partition"; exit 1; }
+parity query examples/vase.dl vase --semantics gcwa --formula "-treat" --fail-after 3
+grep -q '^unknown (fault_injection): interrupted' "$WORK/served.err" \
+    || { echo "tripped query lost its unknown notice"; exit 1; }
 
 echo "== chaos: malformed frames, disconnects, cancellation, fail-after sweep"
 "$DDB" chaos --addr "$ADDR" --rounds 120 --fail-after-max 128

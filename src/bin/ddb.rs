@@ -92,13 +92,18 @@
 //! perf, icwa, dsm, pdsm, cwa. `<file>` may be `-` for stdin.
 //! ```
 
-use disjunctive_db::core::{cwa, parallel, profile, wfs, witness};
+use disjunctive_db::core::{cwa, parallel, profile, wfs, witness, Prepared};
 use disjunctive_db::ground::{ground_reduced, parse::parse_datalog};
 use disjunctive_db::obs::json::Json;
 use disjunctive_db::prelude::*;
+use disjunctive_db::serve::answer::{
+    answer_request, interrupt_fields, query_formula, semantics_config, verdict_fields, verdict_text,
+};
+use disjunctive_db::serve::catalog::{load_source, GROUNDING_LIMIT};
+use disjunctive_db::serve::protocol::{Limits, Op, Request};
 use std::io::Read;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Exit code for usage, parse and I/O failures (`Err` out of [`run`]).
 const EXIT_USAGE: u8 = 4;
@@ -187,9 +192,9 @@ fn run(args: &[String]) -> Result<u8, String> {
         "check" => check_cmd(&args[1..]),
         "slice" => slice_cmd(&args[1..]).map(|()| 0),
         "rewrite" => rewrite_cmd(&args[1..]).map(|()| 0),
-        "models" => models(&args[1..]),
-        "query" => query(&args[1..]),
-        "exists" => exists(&args[1..]),
+        "models" => answer_cmd(&args[1..], Op::Models),
+        "query" => answer_cmd(&args[1..], Op::Query),
+        "exists" => answer_cmd(&args[1..], Op::Exists),
         "wfs" => wfs_cmd(&args[1..]).map(|()| 0),
         "ground" => ground_cmd(&args[1..]).map(|()| 0),
         "proof" => proof_cmd(&args[1..]).map(|()| 0),
@@ -246,9 +251,10 @@ const USAGE: &str = "usage:
   ddb call   --addr host:port [--op <op>] [--db <name>] [--semantics <name>]
       [--formula \"<f>\" | --literal [-]<atom>] [--brave] [--id <id>]
       [--target <id>] [--threads <n>] [--json] [<file>] [resource limits]
-      (one-shot client; stdout matches the corresponding CLI command
-       byte-for-byte; exit mirrors the CLI: 0 ok, 3 resource/overloaded,
-       4 parse/usage/internal; a positional <file> is sent as `load` source)
+      (one-shot client; stdout, stderr and exit match the corresponding CLI
+       command byte-for-byte: 0 ok, 3 resource/overloaded, 4 parse/usage/
+       internal; --explain, --partial and batched --formula are refused;
+       with --op load a positional <file> is sent as the source)
   ddb chaos  --addr host:port [--rounds <n>] [--seed <n>] [--db <name>]
       [--formula \"<f>\"] [--fail-after-max <n>]
       (attack a running server: malformed frames, oversized payloads,
@@ -338,6 +344,28 @@ impl Opts {
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// `--key <n>` as an unsigned integer, when given.
+    fn u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.value(key)
+            .map(|v| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("--{key} needs an unsigned integer, got `{v}`"))
+            })
+            .transpose()
+    }
+
+    /// The resource-limit flags: each [`Limits::FIELDS`] name with `_`
+    /// spelled `-`. Malformed values are usage errors (exit 4).
+    fn limits(&self) -> Result<Limits, String> {
+        Limits::read(|field| self.u64(&field.replace('_', "-")))
+    }
+
+    /// The limits as a budget to install, or `None` when none was set.
+    fn budget(&self) -> Result<Option<Budget>, String> {
+        let budget = self.limits()?.to_budget();
+        Ok((!budget.is_unlimited()).then_some(budget))
+    }
 }
 
 /// Parses `--threads N` (worker-pool width for component-parallel
@@ -353,130 +381,157 @@ fn threads_from(opts: &Opts) -> Result<usize, String> {
     }
 }
 
-fn load(opts: &Opts) -> Result<Database, String> {
-    let path = opts.file.as_deref().ok_or("missing <file> argument")?;
-    let source = if path == "-" {
+fn read_source(path: &str) -> Result<String, String> {
+    if path == "-" {
         let mut s = String::new();
         std::io::stdin()
             .read_to_string(&mut s)
             .map_err(|e| format!("reading stdin: {e}"))?;
-        s
+        Ok(s)
     } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    // Datalog mode: explicit --datalog flag, .dlv extension, or the
-    // telltale `(` of predicate atoms.
-    let datalog = opts.flag("datalog") || path.ends_with(".dlv") || source.contains('(');
-    if datalog {
-        let program = parse_datalog(&source).map_err(|e| e.to_string())?;
-        ground_reduced(&program, 1_000_000).map_err(|e| e.to_string())
-    } else {
-        parse_program(&source).map_err(|e| e.to_string())
+        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
     }
 }
 
-fn semantics_id(name: &str) -> Result<SemanticsId, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "gcwa" => SemanticsId::Gcwa,
-        "egcwa" => SemanticsId::Egcwa,
-        "ccwa" => SemanticsId::Ccwa,
-        "ecwa" | "circ" => SemanticsId::Ecwa,
-        "ddr" | "wgcwa" => SemanticsId::Ddr,
-        "pws" | "pms" => SemanticsId::Pws,
-        "perf" => SemanticsId::Perf,
-        "icwa" => SemanticsId::Icwa,
-        "dsm" | "stable" => SemanticsId::Dsm,
-        "pdsm" => SemanticsId::Pdsm,
-        other => return Err(format!("unknown semantics `{other}`")),
+/// Datalog mode: an explicit `--datalog` flag, a `.dlv` extension, or the
+/// telltale `(` of predicate atoms.
+fn is_datalog(opts: &Opts, path: &str, source: &str) -> bool {
+    opts.flag("datalog") || path.ends_with(".dlv") || source.contains('(')
+}
+
+fn load(opts: &Opts) -> Result<Database, String> {
+    let path = opts.file.as_deref().ok_or("missing <file> argument")?;
+    let source = read_source(path)?;
+    let datalog = is_datalog(opts, path, &source);
+    load_source(&source, Some(datalog), GROUNDING_LIMIT).map_err(|e| e.to_string())
+}
+
+/// The wire request for `op` built from command-line flags — the one
+/// mapping behind the local `query`/`exists`/`models` commands and
+/// `ddb call`. Query ops default to `--semantics egcwa`; a `load` reads
+/// its source from the positional file.
+fn request_from(opts: &Opts, op: Op) -> Result<Request, String> {
+    let text = |key: &str| opts.value(key).map(str::to_owned);
+    let names = |key: &str| -> Vec<String> {
+        opts.value(key).map_or(Vec::new(), |spec| {
+            spec.split(',')
+                .map(str::trim)
+                .filter(|t| !t.is_empty())
+                .map(str::to_owned)
+                .collect()
+        })
+    };
+    let is_query = matches!(op, Op::Query | Op::Exists | Op::Models);
+    let source = match (op, opts.file.as_deref()) {
+        (Op::Load, Some(path)) => Some(read_source(path)?),
+        _ => None,
+    };
+    Ok(Request {
+        id: opts.value("id").map(|id| Json::Str(id.to_owned())),
+        op,
+        db: text("db"),
+        semantics: text("semantics").or_else(|| is_query.then(|| "egcwa".to_owned())),
+        formula: text("formula"),
+        literal: text("literal"),
+        brave: opts.flag("brave"),
+        threads: opts
+            .value("threads")
+            .map(|_| threads_from(opts))
+            .transpose()?,
+        limits: opts.limits()?,
+        target: text("target"),
+        datalog: (source.is_some() && opts.flag("datalog")).then_some(true),
+        source,
+        overwrite: false,
+        partition_p: names("partition-p"),
+        partition_q: names("partition-q"),
     })
 }
 
-fn config_for(opts: &Opts, db: &Database) -> Result<SemanticsConfig, String> {
-    let name = opts
-        .value("semantics")
-        .ok_or("missing --semantics <name>")?;
-    let id = semantics_id(name)?;
-    let mut cfg = SemanticsConfig::new(id);
-    if opts.value("partition-p").is_some() || opts.value("partition-q").is_some() {
-        let collect = |spec: Option<&str>| -> Result<Vec<Atom>, String> {
-            spec.map_or(Ok(Vec::new()), |s| {
-                s.split(',')
-                    .filter(|t| !t.is_empty())
-                    .map(|t| {
-                        db.symbols().lookup(t.trim()).ok_or_else(|| {
-                            disjunctive_db::analysis::Diagnostic::unknown_atom("partition", t)
-                                .to_string()
-                        })
-                    })
-                    .collect()
-            })
-        };
-        let p = collect(opts.value("partition-p"))?;
-        let q = collect(opts.value("partition-q"))?;
-        cfg = cfg.with_partition(Partition::from_p_q(db.num_atoms(), p, q));
-    }
-    Ok(cfg)
-}
-
-/// Parses the resource-limit flags into a [`Budget`], or `None` when no
-/// limit was requested. Malformed values are usage errors (exit 4).
-fn budget_from(opts: &Opts) -> Result<Option<Budget>, String> {
-    let parse = |key: &str| -> Result<Option<u64>, String> {
-        opts.value(key)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--{key} needs an unsigned integer, got `{v}`"))
-            })
-            .transpose()
-    };
-    let mut budget = Budget::unlimited();
-    if let Some(ms) = parse("timeout-ms")? {
-        budget = budget.with_timeout(std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = parse("max-oracle-calls")? {
-        budget = budget.with_max_oracle_calls(n);
-    }
-    if let Some(n) = parse("max-conflicts")? {
-        budget = budget.with_max_conflicts(n);
-    }
-    if let Some(n) = parse("max-models")? {
-        budget = budget.with_max_models(n);
-    }
-    if let Some(n) = parse("fail-after")? {
-        budget = budget.fail_after(n);
-    }
-    Ok((!budget.is_unlimited()).then_some(budget))
-}
-
 /// Trace-document fields describing the command's governance outcome:
-/// which resource (if any) tripped, and the checkpoint/charge totals the
-/// innermost governor consumed. Read while the budget guard is alive.
+/// the `resource` (if any) a response reports tripped, and the
+/// checkpoint/charge totals the innermost governor consumed.
 fn govern_extra<'a>(
-    interrupted: Option<&Interrupted>,
+    response: &Json,
     consumed: Option<disjunctive_db::obs::Consumed>,
 ) -> Vec<(&'a str, Json)> {
     vec![
         (
             "interrupted",
-            interrupted.map_or(Json::Null, |i| Json::Str(i.resource.label().to_owned())),
+            response.get("resource").cloned().unwrap_or(Json::Null),
         ),
         (
             "budget_consumed",
-            consumed.map_or(Json::Null, |c| {
-                Json::obj([
-                    ("checkpoints", Json::UInt(c.checkpoints)),
-                    ("conflicts", Json::UInt(c.conflicts)),
-                    ("oracle_calls", Json::UInt(c.oracle_calls)),
-                    ("models", Json::UInt(c.models)),
-                ])
-            }),
+            consumed.map_or(Json::Null, |c| c.to_json()),
         ),
     ]
 }
 
-/// Prints the degradation notice for an interrupted command to stderr.
-fn report_unknown(i: &Interrupted) {
-    eprintln!("unknown ({}): {i}", i.resource.label());
+/// The exit code of a response: the wire error kind's, else
+/// [`EXIT_EXHAUSTED`] when the budget tripped, else 0.
+fn exit_code(response: &Json) -> u8 {
+    if response.get("ok").and_then(Json::as_bool) == Some(false) {
+        return match response
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+        {
+            Some("resource" | "overloaded") => EXIT_EXHAUSTED,
+            _ => EXIT_USAGE,
+        };
+    }
+    match response.get("resource") {
+        Some(Json::Str(_)) => EXIT_EXHAUSTED,
+        _ => 0,
+    }
+}
+
+/// The one printer for a response, served or local: the `answer` line and
+/// one line per model on stdout; then on stderr the `[oracle: …]` bill
+/// and, when the budget tripped, the `unknown (<resource>): …` notice —
+/// or the typed error of an error frame. Returns the exit code.
+fn print_response(response: &Json) -> u8 {
+    let field = |key: &str| response.get(key);
+    if let Some(error) = field("error") {
+        let text = |key: &str| error.get(key).and_then(Json::as_str);
+        let kind = text("kind").unwrap_or("internal");
+        eprintln!("error ({kind}): {}", text("message").unwrap_or(""));
+        return exit_code(response);
+    }
+    if let Some(answer) = field("answer").and_then(Json::as_str) {
+        emit(answer);
+    }
+    for model in field("models").and_then(Json::as_arr).unwrap_or(&[]) {
+        let line = match model {
+            Json::Str(preformatted) => preformatted.clone(),
+            atoms => {
+                let names: Vec<&str> = atoms
+                    .as_arr()
+                    .unwrap_or(&[])
+                    .iter()
+                    .filter_map(Json::as_str)
+                    .collect();
+                format!("{{{}}}", names.join(", "))
+            }
+        };
+        if !emit(&format!("  {line}")) {
+            break;
+        }
+    }
+    let count = |key: &str| field(key).and_then(Json::as_u64);
+    if let (Some(sat), Some(candidates)) = (count("sat_calls"), count("candidates")) {
+        eprintln!("[oracle: {sat} SAT calls, {candidates} candidates]");
+    }
+    if let Some(resource) = field("resource").and_then(Json::as_str) {
+        let checkpoint = count("checkpoint").unwrap_or(0);
+        let partial = field("partial")
+            .and_then(Json::as_str)
+            .map_or(String::new(), |p| format!("; {p}"));
+        eprintln!(
+            "unknown ({resource}): interrupted: {resource} (checkpoint {checkpoint}){partial}"
+        );
+    }
+    exit_code(response)
 }
 
 /// Observability session for one CLI command: starts a counter snapshot,
@@ -580,30 +635,34 @@ impl Observation {
     }
 }
 
-/// Parse a query formula against the database's vocabulary. The formula
-/// lexer cannot read datalog `name(args)` atoms, so on a parse failure
-/// fall back to a verbatim symbol lookup (with optional leading `-`);
-/// the original parse error is reported when the lookup misses too.
-fn parse_query_formula(raw: &str, db: &Database) -> Result<Formula, String> {
-    match parse_formula(raw, db.symbols()) {
-        Ok(f) => Ok(f),
-        Err(parse_err) => {
-            let (name, positive) = match raw.trim().strip_prefix('-') {
-                Some(rest) => (rest.trim(), false),
-                None => (raw.trim(), true),
-            };
-            let atom = db
-                .symbols()
-                .lookup(name)
-                .ok_or_else(|| parse_err.to_string())?;
-            Ok(Formula::literal(atom, positive))
-        }
+/// The `--semantics` named on the command line, or all ten.
+fn semantics_or_all(opts: &Opts) -> Result<Vec<SemanticsId>, String> {
+    match opts.value("semantics") {
+        Some(name) => Ok(vec![SemanticsId::from_name(name)?]),
+        None => Ok(SemanticsId::ALL.to_vec()),
     }
 }
 
 fn render_model(db: &Database, m: &Interpretation) -> String {
     let names: Vec<&str> = m.iter().map(|a| db.symbols().name(a)).collect();
     format!("{{{}}}", names.join(", "))
+}
+
+/// A partial interpretation as `atom=value` pairs, value 1, 1/2 or 0.
+fn render_partial(db: &Database, p: &PartialInterpretation) -> String {
+    let parts: Vec<String> = db
+        .symbols()
+        .atoms()
+        .map(|a| {
+            let v = match p.value(a) {
+                TruthValue::True => "1",
+                TruthValue::Undefined => "1/2",
+                TruthValue::False => "0",
+            };
+            format!("{}={v}", db.symbols().name(a))
+        })
+        .collect();
+    parts.join(", ")
 }
 
 fn classify(args: &[String]) -> Result<(), String> {
@@ -627,18 +686,6 @@ fn classify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn read_source(path: &str) -> Result<String, String> {
-    if path == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        Ok(s)
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
-    }
-}
-
 /// `ddb check` with the stable exit-code contract: `Ok(0)` for a clean
 /// report, `Ok(1)` when only warning-level lints fired, `Ok(2)` on any
 /// error — error-level diagnostics, unreadable files, parse and safety
@@ -656,8 +703,8 @@ fn check_cmd(args: &[String]) -> Result<u8, String> {
         Ok(s) => s,
         Err(e) => return fail(e),
     };
-    let datalog = opts.flag("datalog") || path.ends_with(".dlv") || source.contains('(');
-    let db = if datalog {
+    let datalog = is_datalog(&opts, path, &source);
+    if datalog {
         let program = match parse_datalog(&source) {
             Ok(p) => p,
             Err(e) => return fail(e.to_string()),
@@ -690,15 +737,10 @@ fn check_cmd(args: &[String]) -> Result<u8, String> {
             }
             return fail(format!("check failed: {} error(s)", diags.len()));
         }
-        match ground_reduced(&program, 1_000_000) {
-            Ok(db) => db,
-            Err(e) => return fail(e.to_string()),
-        }
-    } else {
-        match parse_program(&source) {
-            Ok(db) => db,
-            Err(e) => return fail(e.to_string()),
-        }
+    }
+    let db = match load_source(&source, Some(datalog), GROUNDING_LIMIT) {
+        Ok(db) => db,
+        Err(e) => return fail(e.to_string()),
     };
     let report = analyze(&db);
     if opts.flag("json") {
@@ -730,7 +772,7 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
     let raw = opts.value("query").ok_or("missing --query <formula>")?;
-    let formula = parse_query_formula(raw, &db)?;
+    let formula = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
     let query_atoms = formula.atoms();
     if query_atoms.is_empty() {
         return Err("the query mentions no atoms; nothing to slice".into());
@@ -742,10 +784,7 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
     let graph = DepGraph::of_database(&db);
     let frags = Fragments::of(&db, &graph);
     let layers = layering(&db, &graph);
-    let semantics: Vec<SemanticsId> = match opts.value("semantics") {
-        Some(name) => vec![semantics_id(name)?],
-        None => SemanticsId::ALL.to_vec(),
-    };
+    let semantics = semantics_or_all(&opts)?;
     let admission_label = |a: Admission| match a {
         Admission::PositiveExact => "positive-exact",
         Admission::Product => "product",
@@ -887,7 +926,7 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
     // static analysis, so the output is identical at every width.
     let _ = threads_from(&opts)?;
     let raw = opts.value("query").ok_or("missing --query <formula>")?;
-    let formula = parse_query_formula(raw, &db)?;
+    let formula = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
     let query_atoms = formula.atoms();
     if query_atoms.is_empty() {
         return Err("the query mentions no atoms; nothing to rewrite".into());
@@ -897,10 +936,7 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
             || formula == Formula::literal(query_atoms[0], false));
     let prepared = Prepared::borrowed(&db);
     let frags = prepared.fragments();
-    let semantics: Vec<SemanticsId> = match opts.value("semantics") {
-        Some(name) => vec![semantics_id(name)?],
-        None => SemanticsId::ALL.to_vec(),
-    };
+    let semantics = semantics_or_all(&opts)?;
     let mm_determined =
         |id: SemanticsId| literal_query || !matches!(id, SemanticsId::Gcwa | SemanticsId::Ccwa);
     let prunes = |id: SemanticsId| prunes_dead(&db, &frags, &query_atoms, mm_determined(id));
@@ -1059,199 +1095,147 @@ fn emit(line: &str) -> bool {
     !out::closed()
 }
 
-fn models(args: &[String]) -> Result<u8, String> {
+/// `ddb query`/`exists`/`models`: the flags become a [`Request`]
+/// ([`request_from`]), answered on the loaded database by the server's
+/// executor ([`answer_request`]) or a CLI-only branch ([`answer_local`]),
+/// and printed by [`print_response`] — the path `ddb call` prints served
+/// answers through.
+fn answer_cmd(args: &[String], op: Op) -> Result<u8, String> {
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
-    let budget = budget_from(&opts)?;
-    let observation = begin_observation(&opts, "cmd.models");
-    let guard = budget.map(Budget::install);
-    let name = opts.value("semantics").unwrap_or("egcwa");
-    let mut cost = Cost::new();
-    let mut model_count: u64 = 0;
-    let mut interrupted: Option<Interrupted> = None;
-    if name.eq_ignore_ascii_case("cwa") {
-        match cwa::model(&db, &mut cost) {
-            Ok(Some(m)) => {
-                model_count = 1;
-                oprintln!("{}", render_model(&db, &m));
-            }
-            Ok(None) => oprintln!("CWA is inconsistent for this database"),
-            Err(i) => interrupted = Some(i),
-        }
-    } else if name.eq_ignore_ascii_case("pdsm") && opts.flag("partial") {
-        match disjunctive_db::core::pdsm::models(&db, &mut cost) {
-            Ok(models) => {
-                model_count = models.len() as u64;
-                oprintln!("{} partial stable model(s):", models.len());
-                for p in &models {
-                    let mut parts = Vec::new();
-                    for a in db.symbols().atoms() {
-                        let v = match p.value(a) {
-                            TruthValue::True => "1",
-                            TruthValue::Undefined => "1/2",
-                            TruthValue::False => "0",
-                        };
-                        parts.push(format!("{}={v}", db.symbols().name(a)));
-                    }
-                    if !emit(&format!("  <{}>", parts.join(", "))) {
-                        break;
-                    }
-                }
-            }
-            Err(i) => interrupted = Some(i),
-        }
-    } else {
-        let cfg = config_for(&opts, &db)?.with_threads(threads_from(&opts)?);
-        let enumeration = cfg.models(&db, &mut cost).map_err(|e| e.to_string())?;
-        model_count = enumeration.len() as u64;
-        if enumeration.is_complete() {
-            oprintln!("{} model(s) under {}:", enumeration.len(), cfg.id);
-        } else {
-            oprintln!(
-                "{} model(s) under {} (incomplete — budget exhausted):",
-                enumeration.len(),
-                cfg.id
-            );
-        }
-        for m in enumeration.iter() {
-            if !emit(&format!("  {}", render_model(&db, m))) {
-                break;
-            }
-        }
-        interrupted = enumeration.interrupted;
-    }
-    eprintln!(
-        "[oracle: {} SAT calls, {} candidates]",
-        cost.sat_calls, cost.candidates
-    );
-    let consumed = disjunctive_db::obs::budget::consumed();
-    drop(guard);
-    if let Some(i) = &interrupted {
-        report_unknown(i);
-    }
-    let answer = if interrupted.is_some() && model_count == 0 {
-        Json::Null
-    } else {
-        Json::UInt(model_count)
-    };
-    observation.finish(
-        &opts,
-        "models",
-        answer,
-        govern_extra(interrupted.as_ref(), consumed),
-    )?;
-    Ok(if interrupted.is_some() {
-        EXIT_EXHAUSTED
-    } else {
-        0
-    })
-}
-
-fn query(args: &[String]) -> Result<u8, String> {
-    let opts = parse_opts(args)?;
-    let db = load(&opts)?;
-    if opts.values_all("formula").len() > 1 {
+    if op == Op::Query && opts.values_all("formula").len() > 1 {
         return query_batch(&opts, &db);
     }
-    let formula = match (opts.value("formula"), opts.value("literal")) {
-        (Some(f), None) => parse_query_formula(f, &db)?,
-        (None, Some(l)) => {
-            let (name, positive) = match l.strip_prefix('-') {
-                Some(rest) => (rest, false),
-                None => (l, true),
-            };
-            let atom = db
-                .symbols()
-                .lookup(name)
-                .ok_or_else(|| format!("unknown atom `{name}`"))?;
-            Formula::literal(atom, positive)
-        }
-        _ => return Err("need exactly one of --formula / --literal".into()),
+    let request = request_from(&opts, op)?;
+    let budget = opts.budget()?;
+    let root = match op {
+        Op::Query => "cmd.query",
+        Op::Exists => "cmd.exists",
+        _ => "cmd.models",
     };
-    let budget = budget_from(&opts)?;
-    let observation = begin_observation(&opts, "cmd.query");
+    let observation = begin_observation(&opts, root);
     let guard = budget.map(Budget::install);
-    let mut cost = Cost::new();
-    let name = opts.value("semantics").unwrap_or("egcwa");
-    let verdict: Verdict;
-    if name.eq_ignore_ascii_case("cwa") {
-        verdict = cwa::infers_formula(&db, &formula, &mut cost).into();
-        match verdict.as_bool() {
-            Some(ans) => oprintln!("{}", if ans { "inferred" } else { "not inferred" }),
-            None => oprintln!("unknown"),
+    let fields = match answer_local(&opts, &request, &db)? {
+        Some(fields) => fields,
+        None => {
+            answer_request(&request, &Prepared::borrowed(&db), usize::MAX).map_err(|e| e.message)?
         }
-    } else {
-        let cfg = config_for(&opts, &db)?.with_threads(threads_from(&opts)?);
-        if opts.flag("brave") {
-            verdict = witness::brave_infers_formula(&cfg, &db, &formula, &mut cost)
-                .map_err(|e| e.to_string())?;
-            match verdict.as_bool() {
-                Some(true) => oprintln!("bravely inferred (holds in some model)"),
-                Some(false) => oprintln!("not bravely inferred"),
-                None => oprintln!("unknown"),
-            }
-        } else if opts.flag("explain") {
-            match witness::explain_formula(&cfg, &db, &formula, &mut cost)
-                .map_err(|e| e.to_string())?
-            {
-                witness::QueryOutcome::Inferred => {
-                    verdict = Verdict::True;
-                    oprintln!("inferred");
-                }
-                witness::QueryOutcome::Countermodel(m) => {
-                    verdict = Verdict::False;
-                    oprintln!("not inferred; countermodel: {}", render_model(&db, &m));
-                }
-                witness::QueryOutcome::CountermodelPartial(p) => {
-                    verdict = Verdict::False;
-                    let mut parts = Vec::new();
-                    for a in db.symbols().atoms() {
-                        let v = match p.value(a) {
-                            TruthValue::True => "1",
-                            TruthValue::Undefined => "1/2",
-                            TruthValue::False => "0",
-                        };
-                        parts.push(format!("{}={v}", db.symbols().name(a)));
-                    }
-                    oprintln!("not inferred; partial countermodel: ⟨{}⟩", parts.join(", "));
-                }
-                witness::QueryOutcome::Unknown(i) => {
-                    verdict = Verdict::Unknown(i);
-                    oprintln!("unknown");
-                }
-            }
-        } else {
-            verdict = cfg
-                .infers_formula(&db, &formula, &mut cost)
-                .map_err(|e| e.to_string())?;
-            match verdict.as_bool() {
-                Some(ans) => oprintln!("{}", if ans { "inferred" } else { "not inferred" }),
-                None => oprintln!("unknown"),
-            }
-        }
-    }
-    eprintln!(
-        "[oracle: {} SAT calls, {} candidates]",
-        cost.sat_calls, cost.candidates
-    );
+    };
     let consumed = disjunctive_db::obs::budget::consumed();
     drop(guard);
-    let interrupted = verdict.interrupted().cloned();
-    if let Some(i) = &interrupted {
-        report_unknown(i);
-    }
-    let answer = verdict.as_bool().map_or(Json::Null, Json::Bool);
-    observation.finish(
-        &opts,
-        "query",
-        answer,
-        govern_extra(interrupted.as_ref(), consumed),
-    )?;
-    Ok(if interrupted.is_some() {
-        EXIT_EXHAUSTED
-    } else {
-        0
-    })
+    let response = Json::obj(fields);
+    let code = print_response(&response);
+    // The trace `answer`: the verdict, or the model count (null when the
+    // budget tripped before any model was found).
+    let answer = match response.get(if op == Op::Models { "count" } else { "verdict" }) {
+        Some(Json::UInt(0)) if code == EXIT_EXHAUSTED => Json::Null,
+        answer => answer.cloned().unwrap_or(Json::Null),
+    };
+    observation.finish(&opts, op.name(), answer, govern_extra(&response, consumed))?;
+    Ok(code)
+}
+
+/// The CLI-only answers, in the response fields of [`answer_request`]:
+/// `cwa` (not served), `query --explain` countermodels and
+/// `models --partial` under PDSM. `None` for every other request.
+fn answer_local(
+    opts: &Opts,
+    request: &Request,
+    db: &Database,
+) -> Result<Option<Vec<(&'static str, Json)>>, String> {
+    let named = |s: &str| {
+        request
+            .semantics
+            .as_deref()
+            .is_some_and(|n| n.eq_ignore_ascii_case(s))
+    };
+    let formula = || query_formula(request, db).map_err(|e| e.message);
+    // An enumeration the budget stopped before it had any model.
+    let tripped = |i: &Interrupted| -> Vec<(&'static str, Json)> {
+        [("count", Json::UInt(0))]
+            .into_iter()
+            .chain(interrupt_fields(Some(i)))
+            .collect()
+    };
+    let mut cost = Cost::new();
+    let mut fields = match request.op {
+        Op::Query | Op::Exists if named("cwa") => {
+            let verdict: Verdict = if request.op == Op::Exists {
+                cwa::is_consistent(db, &mut cost).into()
+            } else {
+                cwa::infers_formula(db, &formula()?, &mut cost).into()
+            };
+            verdict_fields(verdict_text(request.op, false, verdict.as_bool()), &verdict)
+        }
+        Op::Models if named("cwa") => match cwa::model(db, &mut cost) {
+            Ok(model) => vec![
+                (
+                    "answer",
+                    Json::Str(model.as_ref().map_or_else(
+                        || "CWA is inconsistent for this database".to_owned(),
+                        |m| render_model(db, m),
+                    )),
+                ),
+                ("count", Json::UInt(u64::from(model.is_some()))),
+                ("resource", Json::Null),
+            ],
+            Err(i) => tripped(&i),
+        },
+        Op::Query if opts.flag("explain") && !request.brave => {
+            let cfg = semantics_config(request, db, usize::MAX).map_err(|e| e.message)?;
+            let outcome = witness::explain_formula(&cfg, db, &formula()?, &mut cost)
+                .map_err(|e| e.to_string())?;
+            let refuted = verdict_text(Op::Query, false, Some(false));
+            let (answer, verdict) = match outcome {
+                witness::QueryOutcome::Inferred => (
+                    verdict_text(Op::Query, false, Some(true)).to_owned(),
+                    Verdict::True,
+                ),
+                witness::QueryOutcome::Countermodel(m) => (
+                    format!("{refuted}; countermodel: {}", render_model(db, &m)),
+                    Verdict::False,
+                ),
+                witness::QueryOutcome::CountermodelPartial(p) => (
+                    format!(
+                        "{refuted}; partial countermodel: ⟨{}⟩",
+                        render_partial(db, &p)
+                    ),
+                    Verdict::False,
+                ),
+                witness::QueryOutcome::Unknown(i) => (
+                    verdict_text(Op::Query, false, None).to_owned(),
+                    Verdict::Unknown(i),
+                ),
+            };
+            verdict_fields(answer, &verdict)
+        }
+        Op::Models if named("pdsm") && opts.flag("partial") => {
+            match disjunctive_db::core::pdsm::models(db, &mut cost) {
+                Ok(models) => vec![
+                    (
+                        "answer",
+                        Json::Str(format!("{} partial stable model(s):", models.len())),
+                    ),
+                    ("count", Json::UInt(models.len() as u64)),
+                    (
+                        "models",
+                        Json::Arr(
+                            models
+                                .iter()
+                                .map(|p| Json::Str(format!("<{}>", render_partial(db, p))))
+                                .collect(),
+                        ),
+                    ),
+                    ("resource", Json::Null),
+                ],
+                Err(i) => tripped(&i),
+            }
+        }
+        _ => return Ok(None),
+    };
+    fields.push(("sat_calls", Json::UInt(cost.sat_calls)));
+    fields.push(("candidates", Json::UInt(cost.candidates)));
+    Ok(Some(fields))
 }
 
 /// Batched `ddb query`: repeated `--formula` occurrences share one
@@ -1265,17 +1249,21 @@ fn query_batch(opts: &Opts, db: &Database) -> Result<u8, String> {
     if opts.flag("brave") || opts.flag("explain") {
         return Err("--brave/--explain take a single --formula at a time".into());
     }
-    let name = opts.value("semantics").unwrap_or("egcwa");
-    if name.eq_ignore_ascii_case("cwa") {
+    let request = request_from(opts, Op::Query)?;
+    if request
+        .semantics
+        .as_deref()
+        .is_some_and(|s| s.eq_ignore_ascii_case("cwa"))
+    {
         return Err("batch query is not available for cwa".into());
     }
     let raw = opts.values_all("formula");
     let formulas: Vec<Formula> = raw
         .iter()
-        .map(|s| parse_query_formula(s, db))
+        .map(|s| parse_query(s, db.symbols()).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
-    let cfg = config_for(opts, db)?.with_threads(threads_from(opts)?);
-    let budget = budget_from(opts)?;
+    let cfg = semantics_config(&request, db, usize::MAX).map_err(|e| e.message)?;
+    let budget = opts.budget()?;
     let observation = begin_observation(opts, "cmd.query");
     let guard = budget.map(Budget::install);
     let results =
@@ -1285,75 +1273,33 @@ fn query_batch(opts: &Opts, db: &Database) -> Result<u8, String> {
     let mut answers = Vec::with_capacity(results.len());
     for (src, (verdict, cost)) in raw.iter().zip(&results) {
         total.merge(cost);
-        let text = match verdict.as_bool() {
-            Some(true) => "inferred",
-            Some(false) => "not inferred",
-            None => "unknown",
-        };
-        oprintln!("{src}: {text}");
+        oprintln!(
+            "{src}: {}",
+            verdict_text(Op::Query, false, verdict.as_bool())
+        );
         if interrupted.is_none() {
             interrupted = verdict.interrupted().cloned();
         }
         answers.push(verdict.as_bool().map_or(Json::Null, Json::Bool));
     }
-    eprintln!(
-        "[oracle: {} SAT calls, {} candidates]",
-        total.sat_calls, total.candidates
-    );
     let consumed = disjunctive_db::obs::budget::consumed();
     drop(guard);
-    if let Some(i) = &interrupted {
-        report_unknown(i);
-    }
+    let status = Json::obj(
+        [
+            ("sat_calls", Json::UInt(total.sat_calls)),
+            ("candidates", Json::UInt(total.candidates)),
+        ]
+        .into_iter()
+        .chain(interrupt_fields(interrupted.as_ref())),
+    );
+    let code = print_response(&status);
     observation.finish(
         opts,
         "query",
         Json::Arr(answers),
-        govern_extra(interrupted.as_ref(), consumed),
+        govern_extra(&status, consumed),
     )?;
-    Ok(if interrupted.is_some() {
-        EXIT_EXHAUSTED
-    } else {
-        0
-    })
-}
-
-fn exists(args: &[String]) -> Result<u8, String> {
-    let opts = parse_opts(args)?;
-    let db = load(&opts)?;
-    let budget = budget_from(&opts)?;
-    let observation = begin_observation(&opts, "cmd.exists");
-    let guard = budget.map(Budget::install);
-    let mut cost = Cost::new();
-    let name = opts.value("semantics").unwrap_or("egcwa");
-    let verdict: Verdict = if name.eq_ignore_ascii_case("cwa") {
-        cwa::is_consistent(&db, &mut cost).into()
-    } else {
-        let cfg = config_for(&opts, &db)?.with_threads(threads_from(&opts)?);
-        cfg.has_model(&db, &mut cost).map_err(|e| e.to_string())?
-    };
-    match verdict.as_bool() {
-        Some(ans) => oprintln!("{}", if ans { "has a model" } else { "no model" }),
-        None => oprintln!("unknown"),
-    }
-    let consumed = disjunctive_db::obs::budget::consumed();
-    drop(guard);
-    let interrupted = verdict.interrupted().cloned();
-    if let Some(i) = &interrupted {
-        report_unknown(i);
-    }
-    let answer = verdict.as_bool().map_or(Json::Null, Json::Bool);
-    observation.finish(
-        &opts,
-        "exists",
-        answer,
-        govern_extra(interrupted.as_ref(), consumed),
-    )?;
-    Ok(if interrupted.is_some() {
-        EXIT_EXHAUSTED
-    } else {
-        0
-    })
+    Ok(code)
 }
 
 fn profile_cmd(args: &[String]) -> Result<(), String> {
@@ -1365,35 +1311,22 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
     // Queries for the two inference columns: default to the first atom as
     // a positive literal and as a formula.
     let lit = match opts.value("literal") {
-        Some(l) => {
-            let (name, positive) = match l.strip_prefix('-') {
-                Some(rest) => (rest, false),
-                None => (l, true),
-            };
-            let atom = db
-                .symbols()
-                .lookup(name)
-                .ok_or_else(|| format!("unknown atom `{name}`"))?;
-            Literal::with_sign(atom, positive)
-        }
+        Some(l) => parse_literal(l, db.symbols())?,
         None => Atom::new(0).pos(),
     };
     let f = match opts.value("formula") {
-        Some(src) => parse_query_formula(src, &db)?,
+        Some(src) => parse_query(src, db.symbols()).map_err(|e| e.to_string())?,
         None => Formula::literal(lit.atom(), lit.is_positive()),
     };
     // Per-cell budget: --cell-timeout-ms plus any of the general resource
     // limits. Each matrix cell gets a fresh installation, so one slow
     // Πᵖ₂ cell is marked `?<resource>` while the sweep continues.
-    let mut cell_budget = budget_from(&opts)?;
-    if let Some(ms) = opts.value("cell-timeout-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--cell-timeout-ms needs an unsigned integer, got `{ms}`"))?;
+    let mut cell_budget = opts.budget()?;
+    if let Some(ms) = opts.u64("cell-timeout-ms")? {
         cell_budget = Some(
             cell_budget
                 .unwrap_or_else(Budget::unlimited)
-                .with_timeout(std::time::Duration::from_millis(ms)),
+                .with_timeout(Duration::from_millis(ms)),
         );
     }
     let threads = threads_from(&opts)?;
@@ -1436,7 +1369,7 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
     // literal (matching `ddb profile`'s default), else model existence.
     let (plan_query, query_label, lit, formula) = match opts.value("query") {
         Some(raw) => {
-            let f = parse_query_formula(raw, &db)?;
+            let f = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
             let atoms = f.atoms();
             let lit = (atoms.len() == 1
                 && (f == Formula::literal(atoms[0], true)
@@ -1465,17 +1398,8 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
         ),
     };
     let problem = problem_of(&plan_query);
-    let oracle_budget = opts
-        .value("max-oracle-calls")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("--max-oracle-calls needs an unsigned integer, got `{v}`"))
-        })
-        .transpose()?;
-    let ids: Vec<SemanticsId> = match opts.value("semantics") {
-        Some(name) => vec![semantics_id(name)?],
-        None => SemanticsId::ALL.to_vec(),
-    };
+    let oracle_budget = opts.limits()?.max_oracle_calls;
+    let ids = semantics_or_all(&opts)?;
     // One plan per semantics; unsupported combinations are reported, not
     // fatal (a sweep over all ten must survive DDR/PWS on negation).
     let explained: Vec<(SemanticsId, SemanticsConfig, Result<PlanNode, String>)> = ids
@@ -1696,14 +1620,13 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
     let raw = opts.value("query").ok_or("missing --query \"<formula>\"")?;
-    let formula = parse_query_formula(raw, &db)?;
-    let top = match opts.value("top") {
-        Some(t) => t
-            .parse::<usize>()
-            .map_err(|_| format!("--top needs an unsigned integer, got `{t}`"))?,
-        None => 0,
-    };
-    let budget = budget_from(&opts)?;
+    let formula = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
+    let top = opts.u64("top")?.unwrap_or(0) as usize;
+    // The query's semantics, partition and width, defaulting to EGCWA
+    // like `ddb query`, so a bare `ddb trace <file> --query ...` works.
+    let cfg = semantics_config(&request_from(&opts, Op::Query)?, &db, usize::MAX)
+        .map_err(|e| e.message)?;
+    let budget = opts.budget()?;
     let sink = disjunctive_db::obs::MemorySink::new();
     disjunctive_db::obs::set_sink(sink.clone());
     disjunctive_db::obs::reset_histograms();
@@ -1714,13 +1637,6 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
         // The root span's depth-0 exit flushes this thread's buffered
         // counters, histograms, and trace events before the reads below.
         let _root = disjunctive_db::obs::span("cmd.trace");
-        // Default to EGCWA like `ddb query` does, so a bare
-        // `ddb trace <file> --query ...` works out of the box.
-        let cfg = match opts.value("semantics") {
-            Some(_) => config_for(&opts, &db)?,
-            None => SemanticsConfig::new(SemanticsId::Egcwa),
-        }
-        .with_threads(threads_from(&opts)?);
         cfg.infers_formula(&db, &formula, &mut cost)
             .map_err(|e| e.to_string())?
     };
@@ -1730,7 +1646,6 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
     disjunctive_db::obs::clear_sink();
     let events = sink.take();
     let report = disjunctive_db::obs::TraceReport::build(&events);
-    let interrupted = verdict.interrupted().cloned();
     if opts.flag("json") {
         let doc = Json::obj([
             ("version", Json::UInt(1)),
@@ -1743,12 +1658,10 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
         ]);
         oprintln!("{}", doc.render_pretty());
     } else {
-        let answer = match verdict.as_bool() {
-            Some(true) => "inferred",
-            Some(false) => "not inferred",
-            None => "unknown",
-        };
-        oprintln!("{raw}: {answer}");
+        oprintln!(
+            "{raw}: {}",
+            verdict_text(Op::Query, false, verdict.as_bool())
+        );
         oprintln!();
         oprint!("{}", report.render(top));
         if opts.flag("stats") {
@@ -1758,33 +1671,19 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
             }
         }
     }
-    if let Some(i) = &interrupted {
-        report_unknown(i);
-    }
-    Ok(if interrupted.is_some() {
-        EXIT_EXHAUSTED
-    } else {
-        0
-    })
+    Ok(print_response(&Json::obj(interrupt_fields(
+        verdict.interrupted(),
+    ))))
 }
 
 fn ground_cmd(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args)?;
     let path = opts.file.as_deref().ok_or("missing <file> argument")?;
-    let source = if path == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        s
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    let program = parse_datalog(&source).map_err(|e| e.to_string())?;
+    let program = parse_datalog(&read_source(path)?).map_err(|e| e.to_string())?;
     let db = if opts.flag("full") {
-        disjunctive_db::ground::ground_full(&program, 1_000_000)
+        disjunctive_db::ground::ground_full(&program, GROUNDING_LIMIT)
     } else {
-        ground_reduced(&program, 1_000_000)
+        ground_reduced(&program, GROUNDING_LIMIT)
     }
     .map_err(|e| e.to_string())?;
     emit(display_database(&db).trim_end());
@@ -1857,14 +1756,6 @@ fn wfs_cmd(args: &[String]) -> Result<(), String> {
 fn serve_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::serve::{catalog::name_from_path, Catalog, Server, ServerConfig};
     let opts = parse_opts(args)?;
-    let parse_u64 = |key: &str| -> Result<Option<u64>, String> {
-        opts.value(key)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--{key} needs an unsigned integer, got `{v}`"))
-            })
-            .transpose()
-    };
     let mut config = ServerConfig::default();
     let mut catalog = Catalog::new();
     if let Some(path) = opts.file.as_deref() {
@@ -1888,40 +1779,34 @@ fn serve_cmd(args: &[String]) -> Result<u8, String> {
     if let Some(addr) = opts.value("addr") {
         config.addr = addr.to_owned();
     }
-    if let Some(n) = parse_u64("max-sessions")? {
+    if let Some(n) = opts.u64("max-sessions")? {
         config.max_sessions = n.max(1) as usize;
     }
-    if let Some(n) = parse_u64("workers")? {
+    if let Some(n) = opts.u64("workers")? {
         config.workers = n.max(1) as usize;
     }
-    if let Some(n) = parse_u64("queue")? {
+    if let Some(n) = opts.u64("queue")? {
         config.queue = n as usize;
     }
-    if let Some(ms) = parse_u64("read-timeout-ms")? {
-        config.read_timeout = std::time::Duration::from_millis(ms);
+    if let Some(ms) = opts.u64("read-timeout-ms")? {
+        config.read_timeout = Duration::from_millis(ms);
     }
-    if let Some(ms) = parse_u64("write-timeout-ms")? {
-        config.write_timeout = std::time::Duration::from_millis(ms);
+    if let Some(ms) = opts.u64("write-timeout-ms")? {
+        config.write_timeout = Duration::from_millis(ms);
     }
-    if let Some(ms) = parse_u64("idle-timeout-ms")? {
-        config.idle_timeout = std::time::Duration::from_millis(ms);
+    if let Some(ms) = opts.u64("idle-timeout-ms")? {
+        config.idle_timeout = Duration::from_millis(ms);
     }
-    if let Some(n) = parse_u64("max-frame-bytes")? {
+    if let Some(n) = opts.u64("max-frame-bytes")? {
         config.max_frame_bytes = n.max(64) as usize;
     }
-    if let Some(ms) = parse_u64("retry-after-ms")? {
+    if let Some(ms) = opts.u64("retry-after-ms")? {
         config.retry_after_ms = ms;
     }
-    if let Some(n) = opts.value("threads") {
-        config.max_query_threads = n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--threads needs a positive integer, got `{n}`"))?;
+    if opts.value("threads").is_some() {
+        config.max_query_threads = threads_from(&opts)?;
     }
-    if let Some(budget) = budget_from(&opts)? {
-        config.defaults = budget;
-    }
+    config.defaults = opts.limits()?.to_budget();
     let handle = Server::start(config, catalog)?;
     // The harness (CI, tests, supervisors) parses this line for the
     // bound address, so it goes to stdout and flushes immediately.
@@ -1939,113 +1824,29 @@ fn serve_cmd(args: &[String]) -> Result<u8, String> {
     Ok(if report.sessions_leaked == 0 { 0 } else { 1 })
 }
 
-/// `ddb call`: one-shot client for a running server. Stdout reproduces
-/// the matching CLI command byte-for-byte (`query` prints the verdict
-/// line, `models` the header plus one `  {…}` line per model), so CI can
-/// diff served answers against local ones; the exit code mirrors the
-/// CLI contract (0 ok, 3 resource/overloaded, 4 parse/usage/internal).
+/// `ddb call`: one-shot client for a running server. The flags become
+/// the request exactly as the local command builds it ([`request_from`]),
+/// and the response prints through the local printer
+/// ([`print_response`]), so stdout, stderr and the exit code match the
+/// local `query`/`exists`/`models` byte for byte. Flags the wire cannot
+/// carry are usage errors, never silently dropped.
 fn call_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::serve::chaos::Client;
     let opts = parse_opts(args)?;
     let addr = opts.value("addr").ok_or("missing --addr <host:port>")?;
-    let op = opts.value("op").unwrap_or("query");
-    let mut fields: Vec<(&str, Json)> = vec![("op", Json::Str(op.to_owned()))];
-    if let Some(id) = opts.value("id") {
-        fields.push(("id", Json::Str(id.to_owned())));
+    if opts.flag("explain") || opts.flag("partial") || opts.values_all("formula").len() > 1 {
+        return Err("--explain, --partial and batched --formula are local-only".into());
     }
-    for key in ["db", "semantics", "formula", "literal", "target"] {
-        if let Some(v) = opts.value(key) {
-            fields.push((key, Json::Str(v.to_owned())));
-        }
-    }
-    if opts.flag("brave") {
-        fields.push(("brave", Json::Bool(true)));
-    }
-    if let Some(n) = opts.value("threads") {
-        let n: u64 = n
-            .parse()
-            .map_err(|_| format!("--threads needs a positive integer, got `{n}`"))?;
-        fields.push(("threads", Json::UInt(n)));
-    }
-    if let Some(path) = opts.file.as_deref() {
-        fields.push(("source", Json::Str(read_source(path)?)));
-        if opts.flag("datalog") {
-            fields.push(("datalog", Json::Bool(true)));
-        }
-    }
-    let mut limits: Vec<(&str, Json)> = Vec::new();
-    for (flag, field) in [
-        ("timeout-ms", "timeout_ms"),
-        ("max-oracle-calls", "max_oracle_calls"),
-        ("max-conflicts", "max_conflicts"),
-        ("max-models", "max_models"),
-        ("fail-after", "fail_after"),
-    ] {
-        if let Some(v) = opts.value(flag) {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--{flag} needs an unsigned integer, got `{v}`"))?;
-            limits.push((field, Json::UInt(n)));
-        }
-    }
-    if !limits.is_empty() {
-        fields.push(("limits", Json::obj(limits)));
-    }
-    let frame = Json::obj(fields).render();
-    let mut client = Client::connect(addr, std::time::Duration::from_secs(30))?;
-    let doc = client.call(&frame)?;
+    let name = opts.value("op").unwrap_or("query");
+    let op = Op::from_name(name).ok_or_else(|| format!("unknown op `{name}`"))?;
+    let request = request_from(&opts, op)?;
+    let mut client = Client::connect(addr, Duration::from_secs(30))?;
+    let response = client.call(&request.to_json().render())?;
     if opts.flag("json") {
-        oprintln!("{}", doc.render_pretty());
-    } else if doc.get("ok").and_then(Json::as_bool) == Some(true) {
-        if let Some(answer) = doc.get("answer").and_then(Json::as_str) {
-            oprintln!("{answer}");
-        }
-        if let Some(models) = doc.get("models").and_then(Json::as_arr) {
-            for m in models {
-                let names: Vec<&str> = m
-                    .as_arr()
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(Json::as_str)
-                    .collect();
-                oprintln!("  {{{}}}", names.join(", "));
-            }
-        }
-        if let (Some(sat), Some(cand)) = (
-            doc.get("sat_calls").and_then(Json::as_u64),
-            doc.get("candidates").and_then(Json::as_u64),
-        ) {
-            eprintln!("[oracle: {sat} SAT calls, {cand} candidates]");
-        }
-    } else if let Some(error) = doc.get("error") {
-        let kind = error
-            .get("kind")
-            .and_then(Json::as_str)
-            .unwrap_or("internal");
-        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
-        eprintln!("error ({kind}): {message}");
+        oprintln!("{}", response.render_pretty());
+        return Ok(exit_code(&response));
     }
-    // Exit contract: typed errors map through the wire taxonomy; a
-    // budget-degraded success (`resource` set) exits 3 like the CLI.
-    let code = if doc.get("ok").and_then(Json::as_bool) == Some(true) {
-        match doc.get("resource") {
-            Some(Json::Str(resource)) => {
-                eprintln!("unknown ({resource})");
-                EXIT_EXHAUSTED
-            }
-            _ => 0,
-        }
-    } else {
-        match doc
-            .get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str)
-        {
-            Some("resource") | Some("overloaded") => EXIT_EXHAUSTED,
-            _ => EXIT_USAGE,
-        }
-    };
-    Ok(code)
+    Ok(print_response(&response))
 }
 
 /// `ddb chaos`: run the full attack harness against a live server and
@@ -2058,21 +1859,13 @@ fn chaos_cmd(args: &[String]) -> Result<u8, String> {
         addr: addr.to_owned(),
         ..ChaosConfig::default()
     };
-    let parse_u64 = |key: &str| -> Result<Option<u64>, String> {
-        opts.value(key)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--{key} needs an unsigned integer, got `{v}`"))
-            })
-            .transpose()
-    };
-    if let Some(n) = parse_u64("rounds")? {
+    if let Some(n) = opts.u64("rounds")? {
         config.rounds = n;
     }
-    if let Some(n) = parse_u64("seed")? {
+    if let Some(n) = opts.u64("seed")? {
         config.seed = n;
     }
-    if let Some(n) = parse_u64("fail-after-max")? {
+    if let Some(n) = opts.u64("fail-after-max")? {
         config.fail_after_max = n;
     }
     config.db = opts.value("db").map(str::to_owned);
@@ -2116,12 +1909,72 @@ mod tests {
 
     #[test]
     fn semantics_names_resolve() {
-        assert_eq!(semantics_id("gcwa").unwrap(), SemanticsId::Gcwa);
-        assert_eq!(semantics_id("CIRC").unwrap(), SemanticsId::Ecwa);
-        assert_eq!(semantics_id("wgcwa").unwrap(), SemanticsId::Ddr);
-        assert_eq!(semantics_id("pms").unwrap(), SemanticsId::Pws);
-        assert_eq!(semantics_id("stable").unwrap(), SemanticsId::Dsm);
-        assert!(semantics_id("nope").is_err());
+        assert_eq!(SemanticsId::from_name("gcwa").unwrap(), SemanticsId::Gcwa);
+        assert_eq!(SemanticsId::from_name("CIRC").unwrap(), SemanticsId::Ecwa);
+        assert_eq!(SemanticsId::from_name("wgcwa").unwrap(), SemanticsId::Ddr);
+        assert_eq!(SemanticsId::from_name("pms").unwrap(), SemanticsId::Pws);
+        assert_eq!(SemanticsId::from_name("stable").unwrap(), SemanticsId::Dsm);
+        assert!(SemanticsId::from_name("nope").is_err());
+    }
+
+    #[test]
+    fn every_limit_is_a_flag() {
+        for name in Limits::FIELDS {
+            let flag = format!("--{}", name.replace('_', "-"));
+            let opts = parse_opts(&args(&["f.dl", &flag, "7"])).unwrap();
+            let limits = opts.limits().unwrap();
+            assert_eq!(limits.to_json().render(), format!(r#"{{"{name}":7}}"#));
+            assert!(opts.budget().unwrap().is_some(), "{flag} installs a budget");
+            let bad = parse_opts(&args(&["f.dl", &flag, "soon"])).unwrap();
+            assert!(bad.limits().is_err(), "{flag} rejects a non-integer");
+        }
+    }
+
+    #[test]
+    fn request_from_carries_every_wire_flag() {
+        let opts = parse_opts(&args(&[
+            "--db",
+            "ab",
+            "--semantics",
+            "ccwa",
+            "--partition-p",
+            "a, b,",
+            "--partition-q",
+            "c",
+            "--literal",
+            "-a",
+            "--brave",
+            "--threads",
+            "2",
+            "--fail-after",
+            "3",
+            "--id",
+            "job-1",
+        ]))
+        .unwrap();
+        let request = request_from(&opts, Op::Query).unwrap();
+        assert_eq!(request.partition_p, ["a", "b"]);
+        assert_eq!(request.partition_q, ["c"]);
+        assert_eq!(request.literal.as_deref(), Some("-a"));
+        assert!(request.brave);
+        assert_eq!(request.threads, Some(2));
+        assert_eq!(request.limits.fail_after, Some(3));
+        assert_eq!(request.id_key().as_deref(), Some("job-1"));
+        // Query ops default to EGCWA, like the local commands.
+        let bare = request_from(&parse_opts(&[]).unwrap(), Op::Exists).unwrap();
+        assert_eq!(bare.semantics.as_deref(), Some("egcwa"));
+        let ping = request_from(&parse_opts(&[]).unwrap(), Op::Ping).unwrap();
+        assert_eq!(ping.semantics, None);
+    }
+
+    #[test]
+    fn call_rejects_flags_the_wire_cannot_carry() {
+        for extra in [&["--explain"][..], &["--partial"], &["--formula", "b"]] {
+            let mut list = vec!["call", "--addr", "127.0.0.1:1", "--formula", "a"];
+            list.extend_from_slice(extra);
+            let err = run(&args(&list)).unwrap_err();
+            assert!(err.contains("local-only"), "{extra:?}: {err}");
+        }
     }
 
     #[test]
@@ -2132,7 +1985,7 @@ mod tests {
 
     /// A database whose vocabulary is datalog ground-atom names — the
     /// shapes the grounder emits and the formula lexer cannot tokenize,
-    /// so `parse_query_formula` (shared by query/trace/slice/explain)
+    /// so `parse_query` (shared by query/trace/slice/explain and the server)
     /// must resolve them through the verbatim-lookup fallback.
     fn ground_atom_db(names: &[&str]) -> Database {
         let mut db = Database::with_fresh_atoms(0);
@@ -2155,7 +2008,7 @@ mod tests {
         // Plain, nested-paren, and zero-arity ground atoms resolve.
         for name in ["edge(a,b)", "p(f(a),b)", "p()"] {
             assert_eq!(
-                parse_query_formula(name, &db).unwrap(),
+                parse_query(name, db.symbols()).unwrap(),
                 Formula::literal(lookup(name), true),
                 "{name}"
             );
@@ -2163,16 +2016,16 @@ mod tests {
         // A reserved-word predicate name must reach the verbatim lookup,
         // not be lexed as the connective `not`.
         assert_eq!(
-            parse_query_formula("not(a)", &db).unwrap(),
+            parse_query("not(a)", db.symbols()).unwrap(),
             Formula::literal(lookup("not(a)"), true)
         );
         // Leading `-` negates a ground atom through the fallback path.
         assert_eq!(
-            parse_query_formula("-edge(a,b)", &db).unwrap(),
+            parse_query("-edge(a,b)", db.symbols()).unwrap(),
             Formula::literal(lookup("edge(a,b)"), false)
         );
         assert_eq!(
-            parse_query_formula("  -p(f(a),b) ", &db).unwrap(),
+            parse_query("  -p(f(a),b) ", db.symbols()).unwrap(),
             Formula::literal(lookup("p(f(a),b)"), false)
         );
     }
@@ -2182,13 +2035,13 @@ mod tests {
         let db = ground_atom_db(&["edge(a,b)"]);
         // Mismatched parens never resolve and never panic; the original
         // formula parse error is what the user sees.
-        assert!(parse_query_formula("edge(a", &db).is_err());
-        assert!(parse_query_formula("edge(a))", &db).is_err());
+        assert!(parse_query("edge(a", db.symbols()).is_err());
+        assert!(parse_query("edge(a))", db.symbols()).is_err());
         // Unknown predicate / wrong argument tuple.
-        assert!(parse_query_formula("edge(b,a)", &db).is_err());
-        assert!(parse_query_formula("node(a)", &db).is_err());
+        assert!(parse_query("edge(b,a)", db.symbols()).is_err());
+        assert!(parse_query("node(a)", db.symbols()).is_err());
         // The fallback must not hijack real formula syntax errors.
-        assert!(parse_query_formula("a &", &db).is_err());
+        assert!(parse_query("a &", db.symbols()).is_err());
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub mod prelude {
         SemanticsId, Verdict,
     };
     pub use ddb_logic::parse::{
-        display_database, display_formula, display_rule, parse_formula, parse_program,
+        display_database, display_formula, display_rule, parse_formula, parse_literal,
+        parse_program, parse_query,
     };
     pub use ddb_logic::{
         Atom, Database, DbClass, Formula, Interpretation, Literal, PartialInterpretation, Rule,
