@@ -1,8 +1,9 @@
 //! `T1-slicing` — the query-relevant slicing route against the generic
 //! whole-database procedures on the sliceable-towers family.
 //!
-//! The query (tower 0's first-stage closure atom) has a 5-atom relevance
-//! slice however many towers exist, so the sliced route's cost stays
+//! The query (tower 0's first-stage closure atom, or for PDSM the negation
+//! of a goal that needs it) has a relevance slice of at most 6 atoms
+//! however many towers exist, so the sliced route's cost stays
 //! flat while the generic route pays for every minimal model of the
 //! product database. Each timed pair is preceded by an untimed oracle
 //! audit asserting the sliced route answers identically with strictly
@@ -12,7 +13,7 @@
 use ddb_bench::families;
 use ddb_bench::microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddb_core::{RoutingMode, SemanticsConfig, SemanticsId};
-use ddb_logic::{Atom, Literal};
+use ddb_logic::{Atom, Database, Literal, Rule};
 use ddb_models::Cost;
 use std::time::Duration;
 
@@ -28,18 +29,36 @@ fn query() -> Atom {
     Atom::new(4)
 }
 
+/// A benchmark case: the database and queried literal for a tower count.
+type Case = fn(usize) -> (Database, Literal);
+
+/// Tower 0's `c₁` as a positive literal.
+fn c1_pos(towers: usize) -> (Database, Literal) {
+    (families::sliceable(towers), query().pos())
+}
+
+/// `sliceable(towers)` plus `g :- c₁, d₀.` over a fresh atom `g`, queried
+/// for `¬g`. `c₁` needs `c₀`, which excludes `d₀` in every minimal model,
+/// so `¬g` is inferred, and a route that does not slice walks every
+/// minimal model of the product database to show it.
+fn not_goal(towers: usize) -> (Database, Literal) {
+    let mut db = families::sliceable(towers);
+    let g = db.symbols_mut().fresh_atom("g");
+    db.add_rule(Rule::new([g], [query(), Atom::new(1)], []));
+    (db, g.neg())
+}
+
 /// Asserts answer equality and strictly fewer oracle calls for the
 /// sliced route, returning the two call counts for the report.
-fn audit(id: SemanticsId, towers: usize, lit: Literal) -> (u64, u64) {
-    let db = families::sliceable(towers);
+fn audit(id: SemanticsId, towers: usize, db: &Database, lit: Literal) -> (u64, u64) {
     let mut ca = Cost::new();
     let mut cg = Cost::new();
     let sliced = SemanticsConfig::new(id)
-        .infers_literal(&db, lit, &mut ca)
+        .infers_literal(db, lit, &mut ca)
         .unwrap();
     let generic = SemanticsConfig::new(id)
         .with_routing(RoutingMode::Generic)
-        .infers_literal(&db, lit, &mut cg)
+        .infers_literal(db, lit, &mut cg)
         .unwrap();
     assert_eq!(sliced, generic, "{id:?} on {towers} towers");
     assert!(
@@ -52,14 +71,14 @@ fn audit(id: SemanticsId, towers: usize, lit: Literal) -> (u64, u64) {
     (ca.sat_calls, cg.sat_calls)
 }
 
-fn bench_pair(c: &mut Criterion, group: &str, id: SemanticsId, lit: Literal, sizes: &[usize]) {
+fn bench_pair(c: &mut Criterion, group: &str, id: SemanticsId, case: Case, sizes: &[usize]) {
     let mut g = c.benchmark_group(group);
     for &towers in sizes {
-        let (sat_sliced, sat_generic) = audit(id, towers, lit);
+        let (db, lit) = case(towers);
+        let (sat_sliced, sat_generic) = audit(id, towers, &db, lit);
         eprintln!(
             "{group} towers={towers}: {sat_sliced} sliced vs {sat_generic} generic SAT calls"
         );
-        let db = families::sliceable(towers);
         g.bench_with_input(BenchmarkId::new("sliced", towers), &towers, |b, _| {
             let cfg = SemanticsConfig::new(id);
             b.iter(|| {
@@ -85,7 +104,7 @@ fn bench_ccwa(c: &mut Criterion) {
         c,
         "T1-slicing-CCWA-lit (sliced vs generic)",
         SemanticsId::Ccwa,
-        query().pos(),
+        c1_pos,
         &[1, 2, 3],
     );
 }
@@ -97,20 +116,21 @@ fn bench_dsm(c: &mut Criterion) {
         c,
         "T1-slicing-DSM-lit (sliced vs generic)",
         SemanticsId::Dsm,
-        query().pos(),
+        c1_pos,
         &[2, 4, 8],
     );
 }
 
-/// PDSM negative-literal inference over 3-valued stable models — the
-/// steepest generic/sliced gap of the ten semantics.
+/// PDSM negative-literal inference over 3-valued stable models. The
+/// query `¬g` is inferred, so the generic walk visits every truth-minimal
+/// model of the product database while the slice keeps one tower stage.
 fn bench_pdsm(c: &mut Criterion) {
     bench_pair(
         c,
         "T1-slicing-PDSM-neglit (sliced vs generic)",
         SemanticsId::Pdsm,
-        query().neg(),
-        &[1, 2, 3],
+        not_goal,
+        &[1, 2, 3, 4],
     );
 }
 

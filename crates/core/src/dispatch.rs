@@ -609,13 +609,19 @@ impl SemanticsConfig {
         self.infers_formula_prepared(&Prepared::borrowed(db), f, cost)
     }
 
-    /// [`SemanticsConfig::infers_formula`] on a prepared database.
+    /// [`SemanticsConfig::infers_formula`] on a prepared database. A
+    /// formula that is a single literal ([`Formula::as_literal`]) is
+    /// answered by [`SemanticsConfig::infers_literal_prepared`], so it is
+    /// planned as a literal query.
     pub fn infers_formula_prepared(
         &self,
         p: &Prepared,
         f: &Formula,
         cost: &mut Cost,
     ) -> Result<Verdict, Unsupported> {
+        if let Some(lit) = f.as_literal() {
+            return self.infers_literal_prepared(p, lit, cost);
+        }
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
         let frags = self.prepare(p)?;
         let db = p.db();

@@ -9,13 +9,16 @@
 //!
 //! The implementation works over the standard **pair encoding**: each atom
 //! `x` becomes two Boolean variables, `x¹` ("value = 1", the first `n`
-//! variables) and `x²` ("value ≥ ½", the next `n`), with `x¹ → x²`.
-//! Three-valued rule satisfaction `val(head) ≥ val(body)` splits into two
-//! clauses per rule (the value-1 and value-½ thresholds), so candidate
-//! partial models come from plain SAT enumeration; the stability check is
-//! one more SAT call (search a strictly smaller 3-valued model of the
-//! reduct). Formula inference translates the query through the same pair
-//! encoding ([`encode_ge1`]).
+//! variables) and `x²` ("value ≥ ½", the next `n`), with `x¹ → x²`, so bit
+//! order is truth order. Three-valued rule satisfaction splits into a
+//! value-1 and a value-½ rule, which makes the 3-valued models of `DB` the
+//! models of a database over `2n` atoms ([`pair_database`]). Formula
+//! inference translates the query the same way ([`encode_ge1`]).
+//!
+//! If `J ≤ I` and `J ⊨ DB` then `J ⊨ DB^I`: replacing `not c` by
+//! `1 − I(c)` only lowers rule bodies. So partial stable models are
+//! truth-minimal 3-valued models of `DB`, and the enumerator walks those
+//! as DSM walks `MM(DB)` ([`for_each_partial_stable`]).
 //!
 //! On positive databases PDSM and DSM coincide for the problems studied
 //! (Przymusinski) — the total partial stable models are exactly the stable
@@ -23,38 +26,61 @@
 //! `pdsm_dsm_positive` test pins this.
 
 use crate::reduct::{reduct3, satisfies_reduct3, Reduct3Rule};
-use ddb_logic::cnf::{Cnf, CnfBuilder};
+use ddb_logic::cnf::CnfBuilder;
 use ddb_logic::{
-    Atom, Database, Formula, Interpretation, Literal, PartialInterpretation, TruthValue,
+    Atom, Database, Formula, Interpretation, Literal, PartialInterpretation, Rule, Symbols,
+    TruthValue,
 };
-use ddb_models::Cost;
+use ddb_models::minimal::{self, Minimizer};
+use ddb_models::{Cost, Partition};
 use ddb_obs::{budget, Governed};
 use ddb_sat::Solver;
 
-/// Builds the pair-encoded CNF of the 3-valued models of `db` (over `2n`
-/// variables: `x¹ = x`, `x² = n + x`).
-pub fn three_valued_cnf(db: &Database) -> Cnf {
-    let n = db.num_atoms();
-    let mut b = CnfBuilder::new(2 * n);
-    let v1 = |a: Atom| a;
-    let v2 = |a: Atom| Atom::new((n + a.index()) as u32);
-    for i in 0..n {
-        let a = Atom::new(i as u32);
-        b.add_clause(vec![v1(a).neg(), v2(a).pos()]); // x¹ → x²
+/// Both thresholds of a rule: value 1 (`true`) and value ½ (`false`).
+const BOTH: &[bool] = &[true, false];
+
+/// A pair-encoded database over `symbols` (`2n` atoms, `x¹ = x`,
+/// `x² = n + x`): `x² :- x¹` per atom, and per `(H, B⁺, B⁻, levels)` the
+/// value-1 rule `H¹ :- B⁺¹, not B⁻²` and/or the value-½ rule
+/// `H² :- B⁺², not B⁻¹`, as `levels` lists them.
+fn pair_rules<'a>(
+    symbols: &Symbols,
+    rules: impl Iterator<Item = (&'a [Atom], &'a [Atom], &'a [Atom], &'a [bool])>,
+) -> Database {
+    let n = symbols.len() / 2;
+    let at = |&a: &Atom, offset: usize| Atom::new((a.index() + offset) as u32);
+    let mut out = Database::new(symbols.clone());
+    for a in (0..n).map(|i| Atom::new(i as u32)) {
+        out.add_rule(Rule::new([at(&a, n)], [a], []));
     }
-    for rule in db.rules() {
-        // Threshold 1: all b¹ ∧ all ¬c "≥1" (i.e. c = 0, ¬c²) → some h¹.
-        let mut c1: Vec<Literal> = rule.body_pos().iter().map(|&x| v1(x).neg()).collect();
-        c1.extend(rule.body_neg().iter().map(|&x| v2(x).pos()));
-        c1.extend(rule.head().iter().map(|&x| v1(x).pos()));
-        b.add_clause(c1);
-        // Threshold ½: all b² ∧ all ¬c "≥½" (c ≤ ½, ¬c¹) → some h².
-        let mut ch: Vec<Literal> = rule.body_pos().iter().map(|&x| v2(x).neg()).collect();
-        ch.extend(rule.body_neg().iter().map(|&x| v1(x).pos()));
-        ch.extend(rule.head().iter().map(|&x| v2(x).pos()));
-        b.add_clause(ch);
+    for (head, pos, neg, levels) in rules {
+        for &one in levels {
+            let (hi, lo) = if one { (0, n) } else { (n, 0) };
+            out.add_rule(Rule::new(
+                head.iter().map(|a| at(a, hi)),
+                pos.iter().map(|a| at(a, hi)),
+                neg.iter().map(|a| at(a, lo)),
+            ));
+        }
     }
-    b.finish()
+    out
+}
+
+/// The pair-encoded database of `db` over `2n` atoms: its models are the
+/// pair encodings of the 3-valued models of `db`.
+pub fn pair_database(db: &Database) -> Database {
+    let rules = db.rules().iter();
+    let rules = rules.map(|r| (r.head(), r.body_pos(), r.body_neg(), BOTH));
+    pair_rules(&Symbols::fresh(2 * db.num_atoms()), rules)
+}
+
+/// The pair encoding of a partial interpretation over `n` atoms (`2n`
+/// variables); [`decode`] inverts it.
+fn encode(p: &PartialInterpretation) -> Interpretation {
+    let n = p.num_atoms();
+    let half = (0..n).filter(|&i| !p.false_set().contains(Atom::new(i as u32)));
+    let half = half.map(|i| Atom::new((n + i) as u32));
+    Interpretation::from_atoms(2 * n, p.true_set().iter().chain(half))
 }
 
 /// Decodes a pair-encoded assignment (over ≥ `2n` variables) into a
@@ -116,68 +142,6 @@ fn translate(f: &Formula, n: usize, level1: bool) -> Formula {
     }
 }
 
-/// Whether some 3-valued model of the reduct rules is strictly below `i`
-/// in the truth order — one SAT call over the pair encoding.
-fn exists_smaller_reduct_model(
-    rules: &[Reduct3Rule],
-    i: &PartialInterpretation,
-    cost: &mut Cost,
-) -> Governed<bool> {
-    let n = i.num_atoms();
-    let mut solver = Solver::new();
-    solver.ensure_vars(2 * n);
-    let v1 = |a: Atom| a;
-    let v2 = |a: Atom| Atom::new((n + a.index()) as u32);
-    for k in 0..n {
-        let a = Atom::new(k as u32);
-        solver.add_clause(&[v1(a).neg(), v2(a).pos()]);
-    }
-    for rule in rules {
-        match rule.body_const {
-            TruthValue::True => {
-                let mut c1: Vec<Literal> = rule.body_pos.iter().map(|&x| v1(x).neg()).collect();
-                c1.extend(rule.head.iter().map(|&x| v1(x).pos()));
-                solver.add_clause(&c1);
-                let mut ch: Vec<Literal> = rule.body_pos.iter().map(|&x| v2(x).neg()).collect();
-                ch.extend(rule.head.iter().map(|&x| v2(x).pos()));
-                solver.add_clause(&ch);
-            }
-            TruthValue::Undefined => {
-                // Body can reach at most ½: only the ½ threshold binds.
-                let mut ch: Vec<Literal> = rule.body_pos.iter().map(|&x| v2(x).neg()).collect();
-                ch.extend(rule.head.iter().map(|&x| v2(x).pos()));
-                solver.add_clause(&ch);
-            }
-            TruthValue::False => {} // body is 0: rule trivially satisfied
-        }
-    }
-    // J ≤ I pointwise, and strictly below somewhere.
-    let mut strict: Vec<Literal> = Vec::new();
-    for k in 0..n {
-        let a = Atom::new(k as u32);
-        match i.value(a) {
-            TruthValue::True => strict.push(v1(a).neg()),
-            TruthValue::Undefined => {
-                solver.add_clause(&[v1(a).neg()]);
-                strict.push(v2(a).neg());
-            }
-            TruthValue::False => {
-                solver.add_clause(&[v2(a).neg()]);
-            }
-        }
-    }
-    if strict.is_empty() {
-        return Ok(false); // I is the bottom interpretation
-    }
-    if !solver.add_clause(&strict) {
-        cost.absorb(&solver);
-        return Ok(false);
-    }
-    let result = solver.solve();
-    cost.absorb(&solver);
-    Ok(result?.is_sat())
-}
-
 /// Whether `i` is a partial stable model of `db`: `i` satisfies its own
 /// reduct and no strictly smaller 3-valued interpretation does.
 pub fn is_partial_stable(
@@ -185,14 +149,49 @@ pub fn is_partial_stable(
     i: &PartialInterpretation,
     cost: &mut Cost,
 ) -> Governed<bool> {
+    is_stable_over(db, &Symbols::fresh(2 * db.num_atoms()), i, cost)
+}
+
+/// [`is_partial_stable`] over a caller's pair vocabulary. A reduct rule
+/// keeps the thresholds its body constant can reach, and since bit order
+/// is truth order, "a strictly smaller model of the reduct" is one
+/// minimality shrink step (one SAT call) over the pair-encoded reduct.
+fn is_stable_over(
+    db: &Database,
+    pair_symbols: &Symbols,
+    i: &PartialInterpretation,
+    cost: &mut Cost,
+) -> Governed<bool> {
     let rules = reduct3(db, i);
-    Ok(satisfies_reduct3(&rules, i) && !exists_smaller_reduct_model(&rules, i, cost)?)
+    if !satisfies_reduct3(&rules, i) {
+        return Ok(false);
+    }
+    let levels = |r: &Reduct3Rule| match r.body_const {
+        TruthValue::True => BOTH,
+        TruthValue::Undefined => &[false][..],
+        TruthValue::False => &[],
+    };
+    let pairs = rules
+        .iter()
+        .map(|r| (&r.head[..], &r.body_pos[..], &[][..], levels(r)));
+    let reduct = pair_rules(pair_symbols, pairs);
+    let part = Partition::minimize_all(reduct.num_atoms());
+    Ok(minimal::shrink_step(&reduct, &encode(i), &part, cost)?.is_none())
 }
 
 /// Visits partial stable models one at a time; `extra` (if given) is a
-/// pair-encoded constraint candidates must satisfy. Callback returns
+/// pair-encoded constraint the visited models satisfy. Callback returns
 /// `false` to stop. Each round starts with a budget checkpoint, so an
 /// exhausted [`ddb_obs::Budget`] interrupts between rounds.
+///
+/// The walk is DSM's ([`crate::dsm::for_each_stable_model`]) over the pair
+/// encoding. One [`Minimizer`], held for the whole walk, shrinks each
+/// candidate of `pair CNF ∧ extra` to a bit-minimal model `M` of the pair
+/// CNF alone. `M` is tested against `extra` by evaluation and for
+/// stability, then `⋁_{b∈M} ¬b` blocks it and everything above it. Sound
+/// because partial stable models are truth-minimal models of `db`;
+/// complete because a stable `M′ ⊨ extra` is only blocked by a minimal
+/// `M ≤ M′`, that is, by `M′` itself.
 pub fn for_each_partial_stable(
     db: &Database,
     extra: Option<&Formula>,
@@ -200,42 +199,33 @@ pub fn for_each_partial_stable(
     mut visit: impl FnMut(&PartialInterpretation) -> bool,
 ) -> Governed<()> {
     let n = db.num_atoms();
-    let base = three_valued_cnf(db);
-    let mut b = CnfBuilder::new(base.num_vars);
-    for c in &base.clauses {
-        b.add_clause(c.clone());
-    }
+    let pair = pair_database(db);
+    let mut b = CnfBuilder::new(2 * n);
+    b.add_database(&pair);
     if let Some(f) = extra {
         b.assert_formula(f);
     }
-    let cnf = b.finish();
-    let mut candidates = Solver::from_cnf(&cnf);
-    candidates.ensure_vars(cnf.num_vars.max(2 * n));
+    let mut candidates = Solver::from_cnf(&b.finish());
+    candidates.ensure_vars(2 * n);
+    let mut shrink = Minimizer::new(&pair, Partition::minimize_all(2 * n));
     let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<()> {
         loop {
             budget::checkpoint()?;
             if !candidates.solve()?.is_sat() {
                 return Ok(());
             }
-            let assignment = {
-                let full = candidates.model();
-                let mut m = Interpretation::empty(2 * n);
-                for a in full.iter().filter(|a| a.index() < 2 * n) {
-                    m.insert(a);
+            let full = candidates.model();
+            let assignment =
+                Interpretation::from_atoms(2 * n, full.iter().filter(|a| a.index() < 2 * n));
+            let minimal = shrink.minimize(&assignment, cost)?;
+            ddb_obs::counter_bump("pdsm.candidates", 1);
+            if extra.is_none_or(|f| f.eval(&minimal)) {
+                let candidate = decode(&minimal, n);
+                if is_stable_over(db, pair.symbols(), &candidate, cost)? && !visit(&candidate) {
+                    return Ok(());
                 }
-                m
-            };
-            let candidate = decode(&assignment, n);
-            if is_partial_stable(db, &candidate, cost)? && !visit(&candidate) {
-                return Ok(());
             }
-            // Block this exact pair-encoded assignment.
-            let blocking: Vec<Literal> = (0..2 * n)
-                .map(|i| {
-                    let a = Atom::new(i as u32);
-                    Literal::with_sign(a, !assignment.contains(a))
-                })
-                .collect();
+            let blocking: Vec<Literal> = minimal.iter().map(|a| a.neg()).collect();
             if blocking.is_empty() || !candidates.add_clause(&blocking) {
                 return Ok(());
             }
@@ -410,6 +400,86 @@ mod tests {
         // ← a? Integrity head is empty (value 0); body a = ½ → need
         // 0 ≥ ½ — fails. So only ⟨{b},{a}⟩.
         assert_eq!(ms, vec![partial(&db, &["b"], &[])]);
+    }
+
+    /// All `3ⁿ` partial interpretations over `n` atoms.
+    fn all_partials(n: usize) -> Vec<PartialInterpretation> {
+        let mut out = vec![PartialInterpretation::undefined(n)];
+        for i in 0..n {
+            let a = Atom::new(i as u32);
+            out = out
+                .into_iter()
+                .flat_map(|p| {
+                    [TruthValue::False, TruthValue::Undefined, TruthValue::True].map(|v| {
+                        let mut q = p.clone();
+                        q.set(a, v);
+                        q
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    #[test]
+    fn walk_checks_each_truth_minimal_model_once() {
+        use ddb_workloads::random::{random_db, DbSpec};
+        use std::cmp::Ordering::Less;
+        let below =
+            |j: &PartialInterpretation, i: &PartialInterpretation| j.truth_cmp(i) == Some(Less);
+        let key = |p: &PartialInterpretation| (p.true_set().clone(), p.false_set().clone());
+        let (mut negation, mut integrity) = (false, false);
+        for seed in 0..80 {
+            let n = 1 + seed as usize % 5;
+            let db = random_db(&DbSpec::normal(n, 1 + seed as usize % (2 * n)), seed);
+            negation |= db.has_negation();
+            integrity |= db.has_integrity_clauses();
+            let all = all_partials(n);
+            let models: Vec<&PartialInterpretation> = all
+                .iter()
+                .filter(|p| db.rules().iter().all(|r| r.value3(p)))
+                .collect();
+            let minimal: Vec<&PartialInterpretation> = models
+                .iter()
+                .copied()
+                .filter(|i| !models.iter().any(|j| below(j, i)))
+                .collect();
+            // Partial stable models by definition: truth-minimal models of
+            // their own reduct.
+            let mut stable: Vec<PartialInterpretation> = all
+                .iter()
+                .filter(|i| {
+                    let rules = reduct3(&db, i);
+                    satisfies_reduct3(&rules, i)
+                        && !all
+                            .iter()
+                            .any(|j| below(j, i) && satisfies_reduct3(&rules, j))
+                })
+                .cloned()
+                .collect();
+            for s in &stable {
+                assert!(
+                    minimal.contains(&s),
+                    "seed {seed}: {s:?} is not truth-minimal"
+                );
+            }
+            stable.sort_by_key(key);
+            let before = ddb_obs::thread_counter_total("pdsm.candidates");
+            let got = super::models(&db, &mut Cost::new()).unwrap();
+            let checked = ddb_obs::thread_counter_total("pdsm.candidates") - before;
+            assert_eq!(got, stable, "seed {seed}");
+            // Every minimal model is a candidate exactly once: each round
+            // yields a minimal model no earlier block covers.
+            assert_eq!(checked, minimal.len() as u64, "seed {seed}");
+        }
+        assert!(negation && integrity, "the sample covers both features");
+    }
+
+    #[test]
+    fn encode_inverts_decode() {
+        for p in all_partials(3) {
+            assert_eq!(decode(&encode(&p), 3), p);
+        }
     }
 
     #[test]

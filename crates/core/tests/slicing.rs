@@ -168,21 +168,28 @@ fn layered_db(layers: usize) -> Database {
 #[test]
 fn sliced_literal_inference_pays_strictly_fewer_oracle_calls() {
     let db = layered_db(4);
+    // PDSM refutes ¬c1 on its first minimal candidate either way, so it
+    // gets an inferred query: `g :- c1, d0.` holds in no minimal model
+    // (c1 needs c0, which excludes d0), and only the slice avoids walking
+    // every minimal model to show ¬g.
+    let mut with_goal = db.clone();
+    let goal = with_goal.symbols_mut().fresh_atom("g");
+    with_goal.add_rule(Rule::new([goal], [Atom::new(4), Atom::new(1)], []));
     // c1 (one stage up from the base) and its negation: the slice keeps 5
     // of 14 atoms, and the semantics whose literal procedures enumerate
     // characteristic models pay per model they no longer see.
-    for (id, lit) in [
-        (SemanticsId::Ccwa, Atom::new(4).pos()),
-        (SemanticsId::Icwa, Atom::new(4).neg()),
-        (SemanticsId::Dsm, Atom::new(4).pos()),
-        (SemanticsId::Pdsm, Atom::new(4).neg()),
+    for (id, db, lit) in [
+        (SemanticsId::Ccwa, &db, Atom::new(4).pos()),
+        (SemanticsId::Icwa, &db, Atom::new(4).neg()),
+        (SemanticsId::Dsm, &db, Atom::new(4).pos()),
+        (SemanticsId::Pdsm, &with_goal, goal.neg()),
     ] {
         let mut ca = Cost::new();
         let mut cg = Cost::new();
         let auto = SemanticsConfig::new(id);
         let generic = SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
-        let a = auto.infers_literal(&db, lit, &mut ca).unwrap();
-        let g = generic.infers_literal(&db, lit, &mut cg).unwrap();
+        let a = auto.infers_literal(db, lit, &mut ca).unwrap();
+        let g = generic.infers_literal(db, lit, &mut cg).unwrap();
         assert_eq!(a, g, "{id:?} on the layered family");
         assert!(
             ca.sat_calls < cg.sat_calls,

@@ -1,7 +1,7 @@
 //! Propositional formulas — the objects of the paper's *formula inference*
 //! problem.
 
-use crate::{Atom, Interpretation, PartialInterpretation, TruthValue};
+use crate::{Atom, Interpretation, Literal, PartialInterpretation, TruthValue};
 
 /// A propositional formula over a vocabulary of atoms.
 ///
@@ -41,6 +41,19 @@ impl Formula {
             Formula::Atom(atom)
         } else {
             Formula::Atom(atom).negated()
+        }
+    }
+
+    /// The literal `self` is, if it is one: `a` or `¬a`. Callers plan
+    /// such a formula as a literal query.
+    pub fn as_literal(&self) -> Option<Literal> {
+        match self {
+            Formula::Atom(a) => Some(a.pos()),
+            Formula::Not(g) => match **g {
+                Formula::Atom(a) => Some(a.neg()),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
@@ -352,6 +365,16 @@ mod tests {
             }
         }
         check_nnf(&g);
+    }
+
+    #[test]
+    fn as_literal_recognizes_exactly_literals() {
+        let a = Atom::new(0);
+        assert_eq!(Formula::literal(a, true).as_literal(), Some(a.pos()));
+        assert_eq!(Formula::literal(a, false).as_literal(), Some(a.neg()));
+        assert_eq!(Formula::atom(a).negated().negated().as_literal(), None);
+        assert_eq!(Formula::and([Formula::atom(a)]).as_literal(), None);
+        assert_eq!(Formula::True.as_literal(), None);
     }
 
     #[test]

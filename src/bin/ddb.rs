@@ -1370,14 +1370,10 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
     let (plan_query, query_label, lit, formula) = match opts.value("query") {
         Some(raw) => {
             let f = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
-            let atoms = f.atoms();
-            let lit = (atoms.len() == 1
-                && (f == Formula::literal(atoms[0], true)
-                    || f == Formula::literal(atoms[0], false)))
-            .then(|| Literal::with_sign(atoms[0], f == Formula::literal(atoms[0], true)));
+            let lit = f.as_literal();
             let pq = match lit {
                 Some(l) => PlanQuery::Literal(l.atom()),
-                None => PlanQuery::Formula(atoms),
+                None => PlanQuery::Formula(f.atoms()),
             };
             (pq, raw.to_owned(), lit, Some(f))
         }

@@ -110,8 +110,18 @@ fn timeout_on_sigma2_hard_existence_is_prompt() {
 fn budgeted_profile_completes_the_matrix_with_interrupted_cells() {
     let inst = forall_exists_to_gcwa(&parity_family(8));
     let path = temp_file("profile", &display_database(&inst.db));
+    // A one-literal formula is planned as a literal, and the GCWA/CCWA
+    // literal cells can finish within 1 ms; a two-atom formula keeps the
+    // formula cells on the Πᵖ₂ procedures.
     let out = ddb()
-        .args(["profile", &path, "--cell-timeout-ms", "1"])
+        .args([
+            "profile",
+            &path,
+            "--cell-timeout-ms",
+            "1",
+            "--formula",
+            "v0 | v1",
+        ])
         .output()
         .unwrap();
     // The sweep itself succeeds: slow cells are marked, not fatal.

@@ -249,3 +249,56 @@ fn corpus_inference_vacuity() {
         }
     }
 }
+
+#[test]
+fn literal_and_one_literal_formula_are_one_query() {
+    // A formula that is a single literal is planned and answered as that
+    // literal, locally and through the served request path: same verdict,
+    // same oracle bill. Wrapping the literal in a one-element conjunction
+    // keeps it on the formula route, which must agree on the verdict.
+    use disjunctive_db::core::Prepared;
+    use disjunctive_db::serve::{answer, protocol};
+    use disjunctive_db::workloads::random::{random_db, DbSpec};
+    let mut dbs: Vec<Database> = CORPUS
+        .iter()
+        .map(|(src, _)| parse_program(src).unwrap())
+        .collect();
+    for seed in 0..4 {
+        dbs.push(random_db(&DbSpec::positive(5, 6), seed));
+        dbs.push(random_db(&DbSpec::deductive(5, 6), seed));
+        dbs.push(random_db(&DbSpec::normal(5, 6), seed));
+    }
+    for db in &dbs {
+        let prepared = Prepared::borrowed(db);
+        for id in SemanticsId::ALL {
+            let cfg = SemanticsConfig::new(id);
+            let cli_name = id.name().split(' ').next().unwrap().to_ascii_lowercase();
+            for lit in db.symbols().atoms().flat_map(|a| [a.pos(), a.neg()]) {
+                let f = Formula::literal(lit.atom(), lit.is_positive());
+                let (mut cl, mut cf, mut cw) = (Cost::new(), Cost::new(), Cost::new());
+                let Ok(by_literal) = cfg.infers_literal(db, lit, &mut cl) else {
+                    assert!(cfg.infers_formula(db, &f, &mut cf).is_err(), "{id}");
+                    continue;
+                };
+                let by_formula = cfg.infers_formula(db, &f, &mut cf).unwrap();
+                let wrapped = cfg
+                    .infers_formula(db, &Formula::and([f.clone()]), &mut cw)
+                    .unwrap();
+                let what = format!("{id} on {lit:?} of `{}`", display_database(db));
+                assert_eq!(by_literal, by_formula, "{what}");
+                assert_eq!(cl.sat_calls, cf.sat_calls, "{what}");
+                assert_eq!(by_literal, wrapped, "{what}");
+
+                let sign = if lit.is_positive() { "" } else { "-" };
+                let frame = format!(
+                    r#"{{"op":"query","db":"d","semantics":"{cli_name}","literal":"{sign}{}"}}"#,
+                    db.symbols().name(lit.atom())
+                );
+                let request = protocol::parse_request(&frame).unwrap();
+                let fields = answer::answer_request(&request, &prepared, 1).unwrap();
+                let served = fields.iter().find(|(k, _)| *k == "sat_calls").unwrap();
+                assert_eq!(served.1.as_u64(), Some(cl.sat_calls), "served {what}");
+            }
+        }
+    }
+}
