@@ -59,10 +59,10 @@ pub use fragments::{classify, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
 pub use magic::{MagicProgram, MAGIC_PREFIX};
 pub use plan::{
-    admission, bound_query, build_plan, build_plan_prepared, decide, decide_prepared, plan_lints,
-    prunes_dead, Admission, Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
+    admission, bound_query, build_plan, decide, plan_lints, prunes_dead, Admission, Decision,
+    PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
 };
-pub use prepared::Prepared;
+pub use prepared::{AsPrepared, Prepared};
 pub use report::{analyze, AnalysisReport};
 pub use schedule::islands;
 pub use slice::{demand_closure, project_slice, project_top, relevant_slice, AtomMap, Slice};

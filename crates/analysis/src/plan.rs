@@ -36,11 +36,11 @@ use crate::cost::{display_bound, oracle_call_bound};
 use crate::fragments::Fragments;
 use crate::lints::Diagnostic;
 use crate::magic::MAGIC_PREFIX;
-use crate::prepared::Prepared;
+use crate::prepared::{AsPrepared, Prepared};
 use crate::slice::{demand_closure, project_slice, project_top, relevant_slice, Slice};
 use crate::splitting::Peel;
 use ddb_logic::parse::display_rule;
-use ddb_logic::{Atom, Database};
+use ddb_logic::{Atom, Database, Formula};
 use ddb_obs::json::Json;
 use std::sync::Arc;
 
@@ -154,6 +154,16 @@ pub enum PlanQuery {
 }
 
 impl PlanQuery {
+    /// The plan query of inferring `f`: a literal query when `f` is a
+    /// single literal ([`Formula::as_literal`]), a formula query over its
+    /// atoms otherwise. The one place a formula's literal-ness is read.
+    pub fn of(f: &Formula) -> PlanQuery {
+        match f.as_literal() {
+            Some(l) => PlanQuery::Literal(l.atom()),
+            None => PlanQuery::Formula(f.atoms()),
+        }
+    }
+
     /// The query's atoms (empty for existence/enumeration and constant
     /// formulas).
     pub fn atoms(&self) -> &[Atom] {
@@ -267,16 +277,11 @@ enum Scope {
 /// (`db`, `q`) under semantics `t`, with the route's payload. This is the
 /// single source of truth for routing — `ddb_core::dispatch` executes
 /// whatever this returns, and [`build_plan`] predicts by calling the same
-/// function.
-pub fn decide(db: &Database, frags: &Fragments, t: &SemanticsTraits, q: &PlanQuery) -> Decision {
-    decide_prepared(&Prepared::borrowed(db).with_fragments(*frags), t, q)
-}
-
-/// [`decide`] over a prepared database: the fragments, the relevance and
-/// demand closures' indexes, the peel and the islands all come from its
-/// memo, so only the query-dependent closures are computed per call.
-pub fn decide_prepared(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery) -> Decision {
-    decide_scoped(p, t, q, Scope::Full)
+/// function. The fragments, the relevance and demand closures' indexes,
+/// the peel and the islands all come from the database's memo, so only
+/// the query-dependent closures are computed per call.
+pub fn decide(db: &impl AsPrepared, t: &SemanticsTraits, q: &PlanQuery) -> Decision {
+    db.with_prepared(|p| decide_scoped(p, t, q, Scope::Full))
 }
 
 fn leaf(route: RouteKind, blocked: Option<usize>) -> Decision {
@@ -440,21 +445,10 @@ impl PlanNode {
 /// Builds the full plan tree for (`db`, `q`) under semantics `t`,
 /// recursing through the reductions exactly as execution would. The root
 /// route equals what [`decide`] returns on the same inputs (it *is* that
-/// decision), so `ddb explain`'s prediction matches dispatch by
-/// construction.
-pub fn build_plan(
-    db: &Database,
-    frags: &Fragments,
-    t: &SemanticsTraits,
-    q: &PlanQuery,
-) -> PlanNode {
-    build_plan_prepared(&Prepared::borrowed(db).with_fragments(*frags), t, q)
-}
-
-/// [`build_plan`] over a prepared database (its root decision reads the
-/// memo exactly as [`decide_prepared`] does).
-pub fn build_plan_prepared(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery) -> PlanNode {
-    build(p, t, q, Scope::Full)
+/// decision, read from the same memo), so `ddb explain`'s prediction
+/// matches dispatch by construction.
+pub fn build_plan(db: &impl AsPrepared, t: &SemanticsTraits, q: &PlanQuery) -> PlanNode {
+    db.with_prepared(|p| build(p, t, q, Scope::Full))
 }
 
 fn plan_leaf(route: RouteKind, db: &Database, t: &SemanticsTraits, detail: String) -> PlanNode {
@@ -756,9 +750,8 @@ mod tests {
     #[test]
     fn horn_db_plans_horn_with_zero_bound() {
         let db = parse_program("a. b :- a.").unwrap();
-        let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Existence);
+        let plan = build_plan(&db, &t, &PlanQuery::Existence);
         assert_eq!(plan.route, RouteKind::Horn);
         assert_eq!(plan.oracle_bound, 0);
         assert_eq!(plan.class, "P");
@@ -768,14 +761,13 @@ mod tests {
     #[test]
     fn slice_plan_recurses_and_sums_bounds() {
         let db = parse_program("a | b. c :- a. c :- b. x | y. z :- x.").unwrap();
-        let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
         let c = db
             .symbols()
             .atoms()
             .find(|&a| db.symbols().name(a) == "c")
             .unwrap();
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
+        let plan = build_plan(&db, &t, &PlanQuery::Formula(vec![c]));
         assert_eq!(plan.route, RouteKind::Slice);
         assert_eq!(plan.children.len(), 1, "positive-exact: no top child");
         assert_eq!(plan.oracle_bound, plan.children[0].oracle_bound);
@@ -790,7 +782,6 @@ mod tests {
     #[test]
     fn blocked_slice_is_flagged_and_falls_through() {
         let db = parse_program("a | b. c :- a. d :- not c. e.").unwrap();
-        let frags = classify(&db);
         let mut t = traits("Πᵖ₂-complete");
         t.peel_negation = Some(true);
         let c = db
@@ -798,13 +789,13 @@ mod tests {
             .atoms()
             .find(|&a| db.symbols().name(a) == "c")
             .unwrap();
-        let d = decide(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
+        let d = decide(&db, &t, &PlanQuery::Formula(vec![c]));
         // `e.` peels away, so the fallthrough is the split route — with
         // the blocked slice's witness remembered for the counter.
         assert_eq!(d.route, RouteKind::Split);
         assert_eq!(d.blocked, Some(2));
         // DDB016 is about bound queries only; a propositional one is quiet.
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
+        let plan = build_plan(&db, &t, &PlanQuery::Formula(vec![c]));
         let ad = crate::adorn::adorn(&db, &[c]);
         let lints = plan_lints(&db, &[c], &[("TEST", &plan)], &ad, None);
         assert!(lints.iter().all(|d| d.code != "DDB016"), "{lints:?}");
@@ -814,9 +805,8 @@ mod tests {
     fn existence_peel_then_islands_on_residual() {
         // The fact layer peels; the residual has two disjunctive islands.
         let db = parse_program("f. a | b :- f. x | y.").unwrap();
-        let frags = classify(&db);
         let t = traits("Σᵖ₂-complete");
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Existence);
+        let plan = build_plan(&db, &t, &PlanQuery::Existence);
         assert_eq!(plan.route, RouteKind::Split);
         assert_eq!(plan.children.len(), 1);
         let residual_plan = &plan.children[0];
@@ -832,8 +822,7 @@ mod tests {
         let mut t = traits("NP-complete");
         t.peel_negation = None;
         let db = parse_program("a | b. x | y.").unwrap();
-        let frags = classify(&db);
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Existence);
+        let plan = build_plan(&db, &t, &PlanQuery::Existence);
         assert_eq!(plan.route, RouteKind::Islands);
         assert_eq!(plan.children.len(), 2);
         assert_eq!(
@@ -845,19 +834,17 @@ mod tests {
     #[test]
     fn enumeration_never_slices_or_peels() {
         let db = parse_program("f. a | b :- f. x | y.").unwrap();
-        let frags = classify(&db);
         let t = traits("Σᵖ₂-complete");
-        let d = decide(&db, &frags, &t, &PlanQuery::Enumeration);
+        let d = decide(&db, &t, &PlanQuery::Enumeration);
         assert_eq!(d.route, RouteKind::Generic);
     }
 
     #[test]
     fn generic_only_short_circuits() {
         let db = parse_program("a | b. x | y.").unwrap();
-        let frags = classify(&db);
         let mut t = traits("NP-complete");
         t.generic_only = true;
-        let d = decide(&db, &frags, &t, &PlanQuery::Existence);
+        let d = decide(&db, &t, &PlanQuery::Existence);
         assert_eq!(d.route, RouteKind::Generic);
         assert_eq!(d.blocked, None);
     }
@@ -867,7 +854,6 @@ mod tests {
         // Not positive (an integrity clause), but the slice for q is
         // split-closed: the plan owes the empty-top correction child.
         let db = parse_program("a | b. q :- a. q :- b. t. :- t.").unwrap();
-        let frags = classify(&db);
         let mut t = traits("Πᵖ₂-complete");
         t.peel_negation = Some(false);
         let q = db
@@ -875,7 +861,7 @@ mod tests {
             .atoms()
             .find(|&a| db.symbols().name(a) == "q")
             .unwrap();
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![q]));
+        let plan = build_plan(&db, &t, &PlanQuery::Formula(vec![q]));
         assert_eq!(plan.route, RouteKind::Slice);
         let PlanData::Slice { admission, .. } = &plan.data else {
             panic!("slice payload expected");
@@ -887,15 +873,14 @@ mod tests {
     #[test]
     fn render_and_json_are_deterministic() {
         let db = parse_program("a | b. c :- a. c :- b. x | y.").unwrap();
-        let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
         let c = db
             .symbols()
             .atoms()
             .find(|&a| db.symbols().name(a) == "c")
             .unwrap();
-        let p1 = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
-        let p2 = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
+        let p1 = build_plan(&db, &t, &PlanQuery::Formula(vec![c]));
+        let p2 = build_plan(&db, &t, &PlanQuery::Formula(vec![c]));
         assert_eq!(p1.render(), p2.render());
         assert_eq!(p1.to_json().render(), p2.to_json().render());
         let parsed = ddb_obs::json::parse(&p1.to_json().render()).unwrap();
@@ -913,10 +898,9 @@ mod tests {
             (&["r(b)"], &["ghost(x)"], &[]),
             (&["s(a)", "s(b)"], &[], &[]),
         ]);
-        let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
         let q = PlanQuery::Literal(ground_atom(&db, "r(b)"));
-        let d = decide(&db, &frags, &t, &q);
+        let d = decide(&db, &t, &q);
         assert_eq!(d.route, RouteKind::Slice);
         assert_eq!(d.blocked, None);
         let PlanData::Slice { slice, admission } = &d.data else {
@@ -926,7 +910,7 @@ mod tests {
         assert_eq!(slice.rules, vec![0, 1, 2]);
         assert_eq!(slice.dropped_dead, vec![3]);
         // The plan tree mirrors the decision and sums its children.
-        let plan = build_plan(&db, &frags, &t, &q);
+        let plan = build_plan(&db, &t, &q);
         assert_eq!(plan.route, RouteKind::Slice);
         assert!(
             plan.detail.contains("1 dead rule(s) skipped"),
@@ -946,7 +930,7 @@ mod tests {
         let t = traits("Πᵖ₂-complete");
         let b = db.symbols().lookup("b").unwrap();
         assert!(!prunes_dead(&db, &frags, &[b], true));
-        let d = decide(&db, &frags, &t, &PlanQuery::Literal(b));
+        let d = decide(&db, &t, &PlanQuery::Literal(b));
         assert_eq!(d.route, RouteKind::Slice);
         let PlanData::Slice { slice, .. } = &d.data else {
             panic!("slice payload expected");
@@ -965,14 +949,13 @@ mod tests {
             (&["t(z)"], &["p(a)"], &[]),
             (&["u(z)"], &[], &["q(a)"]),
         ]);
-        let frags = classify(&db);
         let mut t = traits("Πᵖ₂-complete");
         t.peel_negation = None;
         let q = PlanQuery::Literal(ground_atom(&db, "q(a)"));
-        let d = decide(&db, &frags, &t, &q);
+        let d = decide(&db, &t, &q);
         assert_eq!(d.route, RouteKind::Generic);
         assert_eq!(d.blocked, Some(2));
-        let plan = build_plan(&db, &frags, &t, &q);
+        let plan = build_plan(&db, &t, &q);
         assert_eq!(plan.blocked, Some(2));
         // DDB016 names the blocking rule; no collision, no no-op.
         let ad = crate::adorn::adorn(&db, q.atoms());
@@ -992,10 +975,9 @@ mod tests {
             (&["p(b)"], &[], &[]),
             (&["flag"], &["p(a)", "p(b)"], &[]),
         ]);
-        let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
         let q = PlanQuery::Literal(ground_atom(&db, "flag"));
-        let plan = build_plan(&db, &frags, &t, &q);
+        let plan = build_plan(&db, &t, &q);
         let ad = crate::adorn::adorn(&db, q.atoms());
         let lints = plan_lints(&db, q.atoms(), &[("TEST", &plan)], &ad, None);
         assert!(lints.iter().any(|d| d.code == "DDB017"), "{lints:?}");
@@ -1007,10 +989,9 @@ mod tests {
             (&["magic__p(a)"], &[], &[]),
             (&["q(a)"], &["magic__p(a)"], &[]),
         ]);
-        let frags = classify(&db);
         let t = traits("Πᵖ₂-complete");
         let q = PlanQuery::Literal(ground_atom(&db, "q(a)"));
-        let plan = build_plan(&db, &frags, &t, &q);
+        let plan = build_plan(&db, &t, &q);
         let ad = crate::adorn::adorn(&db, q.atoms());
         let lints = plan_lints(&db, q.atoms(), &[("TEST", &plan)], &ad, None);
         let d18 = lints.iter().find(|d| d.code == "DDB018").expect("DDB018");
@@ -1020,7 +1001,6 @@ mod tests {
     #[test]
     fn plan_lints_fire_and_sort_by_code() {
         let db = parse_program("a | b. c :- a. c :- b.").unwrap();
-        let frags = classify(&db);
         let mut t = traits("Πᵖ₂-complete");
         t.reductions = false;
         let c = db
@@ -1028,7 +1008,7 @@ mod tests {
             .atoms()
             .find(|&a| db.symbols().name(a) == "c")
             .unwrap();
-        let plan = build_plan(&db, &frags, &t, &PlanQuery::Formula(vec![c]));
+        let plan = build_plan(&db, &t, &PlanQuery::Formula(vec![c]));
         let ad = crate::adorn::adorn(&db, &[c]);
         let lints = plan_lints(&db, &[c], &[("TEST", &plan)], &ad, Some(1));
         // Bound exceeds the budget of 1 → DDB015; the whole-program slice

@@ -22,10 +22,10 @@
 //! on a query, on a semantics' partition or varying atoms, or on a budget:
 //! computing one never hits a budget checkpoint or calls the oracle.
 //! Answers are never memoized. [`Prepared::borrowed`] wraps a borrowed
-//! database in a throwaway memo — what the plain `&Database` entry points
-//! use, so they run the same code path — and [`Prepared::new`] owns its
-//! database, as a served catalog entry does, shared by every request
-//! against that entry.
+//! database in a throwaway memo and [`Prepared::new`] owns its database,
+//! as a served catalog entry does, shared by every request against that
+//! entry. Entry points take either form through [`AsPrepared`], so a
+//! plain database and a prepared one run the same code path.
 
 use crate::fragments::Fragments;
 use crate::schedule::islands;
@@ -88,7 +88,7 @@ impl<'a> Prepared<'a> {
 
     /// Seeds the fragment flags with ones the caller already computed for
     /// this database.
-    pub(crate) fn with_fragments(self, frags: Fragments) -> Self {
+    pub fn with_fragments(self, frags: Fragments) -> Self {
         let _ = self.fragments.set(frags);
         self
     }
@@ -175,6 +175,33 @@ impl<'a> Prepared<'a> {
     /// The weakly-connected islands of the whole database ([`islands`]).
     pub(crate) fn islands(&self) -> &Arc<[Slice]> {
         self.islands.get_or_init(|| exact(islands(&self.db)))
+    }
+}
+
+/// A database as the planning and inference entry points accept it: a
+/// plain [`Database`], answered on a throwaway memo, or a [`Prepared`]
+/// one, answered on its shared memo. Either way the entry point runs the
+/// same code on a `&Prepared`.
+pub trait AsPrepared {
+    /// Runs `f` on the prepared form of `self`.
+    fn with_prepared<R>(&self, f: impl FnOnce(&Prepared<'_>) -> R) -> R;
+}
+
+impl AsPrepared for Database {
+    fn with_prepared<R>(&self, f: impl FnOnce(&Prepared<'_>) -> R) -> R {
+        f(&Prepared::borrowed(self))
+    }
+}
+
+impl AsPrepared for Prepared<'_> {
+    fn with_prepared<R>(&self, f: impl FnOnce(&Prepared<'_>) -> R) -> R {
+        f(self)
+    }
+}
+
+impl<T: AsPrepared + ?Sized> AsPrepared for Arc<T> {
+    fn with_prepared<R>(&self, f: impl FnOnce(&Prepared<'_>) -> R) -> R {
+        (**self).with_prepared(f)
     }
 }
 

@@ -19,7 +19,7 @@ use ddb_bench::microbench::{
 use ddb_core::{RoutingMode, SemanticsConfig, SemanticsId, Verdict};
 use ddb_ground::parse::parse_datalog;
 use ddb_ground::{ground_magic, ground_reduced, DatalogProgram, PredAtom};
-use ddb_logic::Database;
+use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
 use ddb_workloads::structured::bound_chains;
 use std::time::Duration;
@@ -51,7 +51,7 @@ fn infers(db: &Database, name: &str, id: SemanticsId, routing: RoutingMode) -> (
     let mut cost = Cost::new();
     let answer = SemanticsConfig::new(id)
         .with_routing(routing)
-        .infers_literal(db, atom.pos(), &mut cost)
+        .infers_formula(db, &Formula::atom(atom), &mut cost)
         .expect("unbudgeted run cannot be interrupted");
     (answer, cost.sat_calls)
 }
@@ -158,19 +158,19 @@ fn bench_query(c: &mut Criterion) {
     for &depth in &DEPTHS {
         let (prog, _, name) = family(depth);
         let whole = ground_reduced(&prog, LIMIT).unwrap();
-        let atom = whole.symbols().lookup(&name).unwrap();
+        let query = Formula::atom(whole.symbols().lookup(&name).unwrap());
         g.bench_with_input(BenchmarkId::new("magic-route", depth), &depth, |b, _| {
             let cfg = SemanticsConfig::new(SemanticsId::Gcwa);
             b.iter(|| {
                 let mut cost = Cost::new();
-                cfg.infers_literal(&whole, atom.pos(), &mut cost).unwrap()
+                cfg.infers_formula(&whole, &query, &mut cost).unwrap()
             })
         });
         g.bench_with_input(BenchmarkId::new("generic", depth), &depth, |b, _| {
             let cfg = SemanticsConfig::new(SemanticsId::Gcwa).with_routing(RoutingMode::Generic);
             b.iter(|| {
                 let mut cost = Cost::new();
-                cfg.infers_literal(&whole, atom.pos(), &mut cost).unwrap()
+                cfg.infers_formula(&whole, &query, &mut cost).unwrap()
             })
         });
     }

@@ -6,7 +6,7 @@
 
 use ddb_bench::families;
 use ddb_bench::microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddb_logic::Atom;
+use ddb_logic::{Atom, Formula};
 use ddb_models::{circumscribe, classical, minimal, Cost, Partition};
 use ddb_workloads::queries;
 use std::time::Duration;
@@ -33,13 +33,13 @@ fn bench_ccwa_partition_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("T1-CCWA-lit by |P| fraction (n=24)");
     let n = 24usize;
     let db = families::table1_random(n, 31);
-    let lit = queries::random_literal(n, 5);
+    let lit = Formula::from(queries::random_literal(n, 5));
     for (label, p_frac) in [("P=25%", 0.25), ("P=50%", 0.5), ("P=100%", 1.0)] {
         let part = partition(n, p_frac, (1.0 - p_frac) / 2.0);
         g.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
             b.iter(|| {
                 let mut cost = Cost::new();
-                ddb_core::ccwa::infers_literal(&db, &part, lit, &mut cost)
+                ddb_core::ccwa::infers_formula(&db, &part, &lit, &mut cost)
             })
         });
     }

@@ -12,6 +12,7 @@
 use ddb_bench::families;
 use ddb_bench::microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddb_core::{SemanticsConfig, SemanticsId};
+use ddb_logic::Formula;
 use ddb_models::Cost;
 use ddb_workloads::queries;
 use std::time::Duration;
@@ -52,11 +53,11 @@ fn bench_mm_semantics_random(c: &mut Criterion) {
         let cfg = SemanticsConfig::new(id);
         for n in [16usize, 32] {
             let db = families::table1_random(n, 13);
-            let lit = queries::random_literal(n, 5);
+            let lit = Formula::from(queries::random_literal(n, 5));
             g.bench_with_input(BenchmarkId::new(id.name(), n), &n, |b, _| {
                 b.iter(|| {
                     let mut cost = Cost::new();
-                    cfg.infers_literal(&db, lit, &mut cost).unwrap()
+                    cfg.infers_formula(&db, &lit, &mut cost).unwrap()
                 })
             });
         }
@@ -86,12 +87,12 @@ fn bench_icwa_stratified(c: &mut Criterion) {
     let mut g = c.benchmark_group("T2-ICWA-lit (stratified DBs)");
     for n in [8usize, 12, 16] {
         let db = families::stratified_random(n, 3);
-        let lit = queries::random_literal(n, 5);
+        let lit = Formula::from(queries::random_literal(n, 5));
         let cfg = SemanticsConfig::new(SemanticsId::Icwa);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut cost = Cost::new();
-                cfg.infers_literal(&db, lit, &mut cost).unwrap()
+                cfg.infers_formula(&db, &lit, &mut cost).unwrap()
             })
         });
     }
@@ -102,11 +103,11 @@ fn bench_pdsm_inference(c: &mut Criterion) {
     let mut g = c.benchmark_group("T2-PDSM-lit (normal DBs, 3-valued)");
     for n in [4usize, 6, 8] {
         let db = families::normal_random(n, 3);
-        let lit = queries::random_literal(n, 5);
+        let lit = Formula::from(queries::random_literal(n, 5));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut cost = Cost::new();
-                ddb_core::pdsm::infers_literal(&db, lit, &mut cost)
+                ddb_core::pdsm::infers_formula(&db, &lit, &mut cost)
             })
         });
     }

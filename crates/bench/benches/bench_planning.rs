@@ -69,9 +69,8 @@ fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> u64 {
 
 fn bench_planning(c: &mut Criterion) {
     let db = workload();
-    let lit = query_atom().pos();
-    let f = Formula::Atom(lit.atom());
-    let q = PlanQuery::Literal(lit.atom());
+    let f = Formula::from(query_atom().pos());
+    let q = PlanQuery::of(&f);
     let ids = [SemanticsId::Ccwa, SemanticsId::Dsm, SemanticsId::Pdsm];
     let iters = if fast() { 20 } else { 50 };
 
@@ -85,7 +84,7 @@ fn bench_planning(c: &mut Criterion) {
         // Untimed audit: the `ddb explain --execute` contract on every
         // bench run — predicted route taken, observed calls under bound.
         let plan = cfg.plan(&db, &q).expect("planable");
-        let cell = profile_cell(&cfg, &db, Problem::Literal, lit, &f, None);
+        let cell = profile_cell(&cfg, &db, Problem::Literal, &f, None);
         assert!(cell.unsupported.is_none(), "{name}: cell must run");
         assert_eq!(
             cell.route,
@@ -122,12 +121,12 @@ fn bench_planning(c: &mut Criterion) {
         let generic = cfg.with_routing(RoutingMode::Generic);
         let generic_ns = median_ns(iters, || {
             let mut cost = Cost::new();
-            black_box(generic.infers_literal(&db, lit, &mut cost).unwrap());
+            black_box(generic.infers_formula(&db, &f, &mut cost).unwrap());
         });
         let routed_ns = median_ns(iters, || {
             let mut cost = Cost::new();
             let cfg = SemanticsConfig::new(id);
-            black_box(cfg.infers_literal(&db, lit, &mut cost).unwrap());
+            black_box(cfg.infers_formula(&db, &f, &mut cost).unwrap());
         });
         plan_ns_worst = plan_ns_worst.max(plan_ns);
         generic_ns_worst = generic_ns_worst.max(generic_ns);
@@ -151,7 +150,7 @@ fn bench_planning(c: &mut Criterion) {
             let cfg = SemanticsConfig::new(id);
             b.iter(|| {
                 let mut cost = Cost::new();
-                cfg.infers_literal(&db, lit, &mut cost).unwrap()
+                cfg.infers_formula(&db, &f, &mut cost).unwrap()
             })
         });
     }

@@ -13,7 +13,7 @@
 use ddb_bench::families;
 use ddb_bench::microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddb_core::{RoutingMode, SemanticsConfig, SemanticsId};
-use ddb_logic::{Atom, Database, Literal, Rule};
+use ddb_logic::{Atom, Database, Formula, Literal, Rule};
 use ddb_models::Cost;
 use std::time::Duration;
 
@@ -50,15 +50,15 @@ fn not_goal(towers: usize) -> (Database, Literal) {
 
 /// Asserts answer equality and strictly fewer oracle calls for the
 /// sliced route, returning the two call counts for the report.
-fn audit(id: SemanticsId, towers: usize, db: &Database, lit: Literal) -> (u64, u64) {
+fn audit(id: SemanticsId, towers: usize, db: &Database, f: &Formula) -> (u64, u64) {
     let mut ca = Cost::new();
     let mut cg = Cost::new();
     let sliced = SemanticsConfig::new(id)
-        .infers_literal(db, lit, &mut ca)
+        .infers_formula(db, f, &mut ca)
         .unwrap();
     let generic = SemanticsConfig::new(id)
         .with_routing(RoutingMode::Generic)
-        .infers_literal(db, lit, &mut cg)
+        .infers_formula(db, f, &mut cg)
         .unwrap();
     assert_eq!(sliced, generic, "{id:?} on {towers} towers");
     assert!(
@@ -75,7 +75,8 @@ fn bench_pair(c: &mut Criterion, group: &str, id: SemanticsId, case: Case, sizes
     let mut g = c.benchmark_group(group);
     for &towers in sizes {
         let (db, lit) = case(towers);
-        let (sat_sliced, sat_generic) = audit(id, towers, &db, lit);
+        let f = Formula::from(lit);
+        let (sat_sliced, sat_generic) = audit(id, towers, &db, &f);
         eprintln!(
             "{group} towers={towers}: {sat_sliced} sliced vs {sat_generic} generic SAT calls"
         );
@@ -83,14 +84,14 @@ fn bench_pair(c: &mut Criterion, group: &str, id: SemanticsId, case: Case, sizes
             let cfg = SemanticsConfig::new(id);
             b.iter(|| {
                 let mut cost = Cost::new();
-                cfg.infers_literal(&db, lit, &mut cost).unwrap()
+                cfg.infers_formula(&db, &f, &mut cost).unwrap()
             })
         });
         g.bench_with_input(BenchmarkId::new("generic", towers), &towers, |b, _| {
             let cfg = SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
             b.iter(|| {
                 let mut cost = Cost::new();
-                cfg.infers_literal(&db, lit, &mut cost).unwrap()
+                cfg.infers_formula(&db, &f, &mut cost).unwrap()
             })
         });
     }

@@ -6,7 +6,7 @@
 use ddb_bench::families;
 use ddb_bench::microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddb_core::{RoutingMode, SemanticsConfig, SemanticsId};
-use ddb_logic::Atom;
+use ddb_logic::{Atom, Formula};
 use ddb_models::Cost;
 use ddb_workloads::queries;
 use std::time::Duration;
@@ -87,27 +87,27 @@ fn bench_horn_routing(c: &mut Criterion) {
     let mut g = c.benchmark_group("T1-Horn-routing (GCWA lit: routed vs generic)");
     for n in [200usize, 800] {
         let db = families::tractable_chain(n);
-        let lit = Atom::new((n - 1) as u32).neg();
+        let lit = Formula::from(Atom::new((n - 1) as u32).neg());
         let auto = SemanticsConfig::new(SemanticsId::Gcwa);
         let generic = SemanticsConfig::new(SemanticsId::Gcwa).with_routing(RoutingMode::Generic);
         let mut ca = Cost::new();
         let mut cg = Cost::new();
         assert_eq!(
-            auto.infers_literal(&db, lit, &mut ca).unwrap(),
-            generic.infers_literal(&db, lit, &mut cg).unwrap()
+            auto.infers_formula(&db, &lit, &mut ca).unwrap(),
+            generic.infers_formula(&db, &lit, &mut cg).unwrap()
         );
         assert_eq!(ca.sat_calls, 0, "routed Horn path must be oracle-free");
         assert!(cg.sat_calls > 0, "generic path must pay oracle calls");
         g.bench_with_input(BenchmarkId::new("routed", n), &n, |b, _| {
             b.iter(|| {
                 let mut cost = Cost::new();
-                auto.infers_literal(&db, lit, &mut cost).unwrap()
+                auto.infers_formula(&db, &lit, &mut cost).unwrap()
             })
         });
         g.bench_with_input(BenchmarkId::new("generic", n), &n, |b, _| {
             b.iter(|| {
                 let mut cost = Cost::new();
-                generic.infers_literal(&db, lit, &mut cost).unwrap()
+                generic.infers_formula(&db, &lit, &mut cost).unwrap()
             })
         });
     }

@@ -13,7 +13,7 @@
 use ddb_bench::families;
 use ddb_bench::harness::{measure_median, table_header, CellReport, Measurement};
 use ddb_core::{SemanticsConfig, SemanticsId};
-use ddb_logic::Database;
+use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
 use ddb_reductions::qbf::random_forall_exists;
 use ddb_reductions::{dsm_hardness, gcwa_hardness, sat_reductions, uminsat};
@@ -43,7 +43,7 @@ fn run_task(cfg: &SemanticsConfig, db: &Database, task: Task, seed: u64, cost: &
     match task {
         Task::Lit => {
             let lit = queries::random_literal(db.num_atoms(), seed);
-            cfg.infers_literal(db, lit, cost)
+            cfg.infers_formula(db, &Formula::from(lit), cost)
                 .ok()
                 .and_then(|v| v.as_bool())
                 .unwrap_or(false)

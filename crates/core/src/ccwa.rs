@@ -36,22 +36,6 @@ pub fn false_atoms(db: &Database, part: &Partition, cost: &mut Cost) -> Governed
     Ok(out)
 }
 
-/// Literal inference `CCWA(DB) ⊨ ℓ` (via the formula path).
-pub fn infers_literal(
-    db: &Database,
-    part: &Partition,
-    lit: Literal,
-    cost: &mut Cost,
-) -> Governed<bool> {
-    let _span = ddb_obs::span("ccwa.infers_literal");
-    infers_formula(
-        db,
-        part,
-        &Formula::literal(lit.atom(), lit.is_positive()),
-        cost,
-    )
-}
-
 /// Formula inference `CCWA(DB) ⊨ F`: compute `N`, then `DB ∪ ¬N ⊨ F`.
 pub fn infers_formula(
     db: &Database,
@@ -105,7 +89,7 @@ mod tests {
             for sign in [true, false] {
                 let l = Literal::with_sign(Atom::new(i as u32), sign);
                 assert_eq!(
-                    infers_literal(&db, &part, l, &mut cost).unwrap(),
+                    infers_formula(&db, &part, &Formula::from(l), &mut cost).unwrap(),
                     crate::gcwa::infers_literal(&db, l, &mut cost).unwrap(),
                     "atom {i} sign {sign}"
                 );
@@ -121,17 +105,17 @@ mod tests {
         let db = parse_program("a | b.").unwrap();
         let part = part_pq(&db, &["a"], &["b"]);
         let mut cost = Cost::new();
-        assert!(!infers_literal(
+        assert!(!infers_formula(
             &db,
             &part,
-            db.symbols().lookup("a").unwrap().neg(),
+            &Formula::from(db.symbols().lookup("a").unwrap().neg()),
             &mut cost
         )
         .unwrap());
-        assert!(!infers_literal(
+        assert!(!infers_formula(
             &db,
             &part,
-            db.symbols().lookup("b").unwrap().neg(),
+            &Formula::from(db.symbols().lookup("b").unwrap().neg()),
             &mut cost
         )
         .unwrap());
@@ -145,10 +129,10 @@ mod tests {
         let db = parse_program("a | b.").unwrap();
         let part = part_pq(&db, &["a"], &[]);
         let mut cost = Cost::new();
-        assert!(infers_literal(
+        assert!(infers_formula(
             &db,
             &part,
-            db.symbols().lookup("a").unwrap().neg(),
+            &Formula::from(db.symbols().lookup("a").unwrap().neg()),
             &mut cost
         )
         .unwrap());

@@ -50,11 +50,6 @@ pub fn model(db: &Database, cost: &mut Cost) -> Governed<Option<Interpretation>>
     }))
 }
 
-/// Literal inference `CWA(DB) ⊨ ℓ` (everything, if inconsistent).
-pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
-}
-
 /// Formula inference `CWA(DB) ⊨ F`: entailment from `DB` plus the closed
 /// negations.
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
@@ -90,8 +85,8 @@ mod tests {
         assert!(model(&db, &mut cost).unwrap().is_none());
         // Inconsistent CWA infers everything — including a and ¬a.
         let a = db.symbols().lookup("a").unwrap();
-        assert!(infers_literal(&db, a.pos(), &mut cost).unwrap());
-        assert!(infers_literal(&db, a.neg(), &mut cost).unwrap());
+        assert!(infers_formula(&db, &Formula::from(a.pos()), &mut cost).unwrap());
+        assert!(infers_formula(&db, &Formula::from(a.neg()), &mut cost).unwrap());
     }
 
     #[test]
@@ -115,7 +110,7 @@ mod tests {
             for sign in [true, false] {
                 let lit = Literal::with_sign(a, sign);
                 assert_eq!(
-                    infers_literal(&db, lit, &mut cost).unwrap(),
+                    infers_formula(&db, &Formula::from(lit), &mut cost).unwrap(),
                     crate::gcwa::infers_literal(&db, lit, &mut cost).unwrap(),
                     "{name} {sign}"
                 );

@@ -53,12 +53,7 @@ pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<
         return Ok(n_set.contains(lit.atom()));
     }
     let units: Vec<Literal> = n_set.iter().map(|a| a.neg()).collect();
-    classical::entails(
-        db,
-        &units,
-        &Formula::literal(lit.atom(), lit.is_positive()),
-        cost,
-    )
+    classical::entails(db, &units, &lit.into(), cost)
 }
 
 /// Formula inference `DDR(DB) ⊨ F`: one coNP entailment `DB ∪ ¬N ⊨ F`.

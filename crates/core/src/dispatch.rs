@@ -21,8 +21,11 @@
 //! complete are bit-for-bit identical to unbudgeted runs.
 
 use crate::icwa::Layers;
-use ddb_analysis::{Diagnostic, Fragments, PlanData, PlanNode, PlanQuery, Prepared, RouteKind};
-use ddb_logic::{Database, Formula, Interpretation, Literal};
+use ddb_analysis::{
+    AsPrepared, Diagnostic, Fragments, PlanData, PlanNode, PlanQuery, Prepared, RouteKind,
+    SemanticsTraits,
+};
+use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::{Cost, Partition};
 use ddb_obs::{Governed, Interrupted, Resource};
 use std::fmt;
@@ -405,14 +408,8 @@ impl SemanticsConfig {
 
     /// Whether this semantics is defined for `db`'s syntactic class;
     /// returns the reason when it is not.
-    pub fn check_applicable(&self, db: &Database) -> Result<(), Unsupported> {
-        self.check_applicable_prepared(&Prepared::borrowed(db))
-    }
-
-    /// [`SemanticsConfig::check_applicable`] on a prepared database (its
-    /// memoized fragment flags).
-    pub fn check_applicable_prepared(&self, p: &Prepared) -> Result<(), Unsupported> {
-        self.prepare(p).map(drop)
+    pub fn check_applicable(&self, db: &impl AsPrepared) -> Result<(), Unsupported> {
+        db.with_prepared(|p| self.prepare(p).map(drop))
     }
 
     /// Applicability from the shared fragment flags (no re-derivation of
@@ -496,14 +493,16 @@ impl SemanticsConfig {
     /// dispatcher executes on the same query by construction: both sides
     /// feed the same [`ddb_analysis::SemanticsTraits`] (via
     /// [`crate::planner::traits_for`]) into the same decision kernel.
-    pub fn plan(&self, db: &Database, query: &PlanQuery) -> Result<PlanNode, Unsupported> {
-        self.plan_prepared(&Prepared::borrowed(db), query)
+    pub fn plan(&self, db: &impl AsPrepared, query: &PlanQuery) -> Result<PlanNode, Unsupported> {
+        db.with_prepared(|p| {
+            self.prepare(p)?;
+            Ok(ddb_analysis::build_plan(p, &self.traits(query), query))
+        })
     }
 
-    /// [`SemanticsConfig::plan`] on a prepared database.
-    pub fn plan_prepared(&self, p: &Prepared, query: &PlanQuery) -> Result<PlanNode, Unsupported> {
-        self.prepare(p)?;
-        Ok(crate::planner::plan(self, p, query))
+    /// The routing traits of this configuration for `query`'s problem.
+    fn traits(&self, query: &PlanQuery) -> SemanticsTraits {
+        crate::planner::traits_for(self, crate::planner::problem_of(query))
     }
 
     fn icwa_layers(&self, p: &Prepared) -> Layers {
@@ -516,136 +515,51 @@ impl SemanticsConfig {
         Layers::new(db, strata, &z)
     }
 
-    /// The paper's *inference of a literal* problem.
+    /// The paper's *inference of a literal* and *inference of a formula*
+    /// problems: a one-literal formula ([`Formula::as_literal`]) is planned
+    /// as a literal query ([`PlanQuery::of`]) and answered by the
+    /// semantics' literal procedure where it has its own (GCWA, DDR, PWS).
     ///
     /// Runs under a `dispatch.query` trace span with its wall time in the
     /// `dispatch.query.ns` histogram; slice/split routes re-enter the
     /// dispatcher on sub-databases, which shows up as nested
     /// `dispatch.query` spans in timelines.
-    pub fn infers_literal(
-        &self,
-        db: &Database,
-        lit: Literal,
-        cost: &mut Cost,
-    ) -> Result<Verdict, Unsupported> {
-        self.infers_literal_prepared(&Prepared::borrowed(db), lit, cost)
-    }
-
-    /// [`SemanticsConfig::infers_literal`] on a prepared database: every
-    /// per-database fact the route needs comes from its memo.
-    pub fn infers_literal_prepared(
-        &self,
-        p: &Prepared,
-        lit: Literal,
-        cost: &mut Cost,
-    ) -> Result<Verdict, Unsupported> {
-        let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
-        let frags = self.prepare(p)?;
-        let db = p.db();
-        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Literal(lit.atom()));
-        if d.blocked.is_some() {
-            ddb_obs::counter_bump("route.slice.blocked", 1);
-        }
-        match d.data {
-            // The reductions go first: they shrink the database, and the
-            // recursive call still rides the HCF (or Horn) fast path on
-            // the smaller one. `Ok(None)` means the executor abandoned
-            // the route (an inner call hit `Unsupported`); fall through
-            // to the leaf tail.
-            PlanData::Slice { slice, admission } => {
-                let f = Formula::literal(lit.atom(), lit.is_positive());
-                match crate::slicing::run_slice(self, db, &slice, admission, &f, Some(lit), cost) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
-            PlanData::Peel { peel } => {
-                let f = Formula::literal(lit.atom(), lit.is_positive());
-                match crate::slicing::run_peel(self, &peel, &f, Some(lit), cost) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
-            PlanData::Leaf if d.route == RouteKind::Horn => {
-                Self::note_leaf(RouteKind::Horn);
-                return Ok(crate::route::horn_infers_literal(p, lit).into());
-            }
-            _ => {}
-        }
-        let tail = self.tail_route(&frags);
-        Self::note_leaf(tail);
-        if tail == RouteKind::Hcf {
-            return Ok(crate::route::hcf_dsm_infers_literal(db, lit, cost).into());
-        }
-        Ok(Verdict::from(match self.id {
-            SemanticsId::Gcwa => crate::gcwa::infers_literal(db, lit, cost),
-            SemanticsId::Egcwa => crate::egcwa::infers_literal(db, lit, cost),
-            SemanticsId::Ccwa => {
-                crate::ccwa::infers_literal(db, &self.partition_for(db), lit, cost)
-            }
-            SemanticsId::Ecwa => {
-                crate::ecwa::infers_literal(db, &self.partition_for(db), lit, cost)
-            }
-            SemanticsId::Ddr => crate::ddr::infers_literal(db, lit, cost),
-            SemanticsId::Pws => crate::pws::infers_literal(db, lit, cost),
-            SemanticsId::Perf => crate::perf::infers_literal(db, lit, cost),
-            SemanticsId::Icwa => crate::icwa::infers_literal(db, &self.icwa_layers(p), lit, cost),
-            SemanticsId::Dsm => crate::dsm::infers_literal(db, lit, cost),
-            SemanticsId::Pdsm => crate::pdsm::infers_literal(db, lit, cost),
-        }))
-    }
-
-    /// The paper's *inference of a formula* problem. Traced like
-    /// [`SemanticsConfig::infers_literal`] (`dispatch.query` span,
-    /// `dispatch.query.ns` histogram).
     pub fn infers_formula(
         &self,
-        db: &Database,
+        db: &impl AsPrepared,
         f: &Formula,
         cost: &mut Cost,
     ) -> Result<Verdict, Unsupported> {
-        self.infers_formula_prepared(&Prepared::borrowed(db), f, cost)
+        db.with_prepared(|p| self.infers(p, f, cost))
     }
 
-    /// [`SemanticsConfig::infers_formula`] on a prepared database. A
-    /// formula that is a single literal ([`Formula::as_literal`]) is
-    /// answered by [`SemanticsConfig::infers_literal_prepared`], so it is
-    /// planned as a literal query.
-    pub fn infers_formula_prepared(
-        &self,
-        p: &Prepared,
-        f: &Formula,
-        cost: &mut Cost,
-    ) -> Result<Verdict, Unsupported> {
-        if let Some(lit) = f.as_literal() {
-            return self.infers_literal_prepared(p, lit, cost);
-        }
+    fn infers(&self, p: &Prepared, f: &Formula, cost: &mut Cost) -> Result<Verdict, Unsupported> {
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
         let frags = self.prepare(p)?;
         let db = p.db();
-        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Formula(f.atoms()));
+        let q = PlanQuery::of(f);
+        let d = ddb_analysis::decide(p, &self.traits(&q), &q);
         if d.blocked.is_some() {
             ddb_obs::counter_bump("route.slice.blocked", 1);
         }
-        match d.data {
-            PlanData::Slice { slice, admission } => {
-                match crate::slicing::run_slice(self, db, &slice, admission, f, None, cost) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
-            PlanData::Peel { peel } => match crate::slicing::run_peel(self, &peel, f, None, cost) {
-                Ok(Some(ans)) => return Ok(ans.into()),
-                Ok(None) => {}
-                Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-            },
+        // The reductions go first: they shrink the database, and the
+        // recursive call still rides the HCF (or Horn) fast path on the
+        // smaller one. `Ok(None)` means the executor abandoned the route
+        // (an inner call hit `Unsupported`); fall through to the leaf tail.
+        let reduced = match d.data {
+            PlanData::Slice { slice, admission } => Some(crate::slicing::run_slice(
+                self, db, &slice, admission, f, cost,
+            )),
+            PlanData::Peel { peel } => Some(crate::slicing::run_peel(self, &peel, f, cost)),
             PlanData::Leaf if d.route == RouteKind::Horn => {
                 Self::note_leaf(RouteKind::Horn);
                 return Ok(crate::route::horn_infers_formula(p, f).into());
             }
+            _ => None,
+        };
+        match reduced {
+            Some(Ok(Some(ans))) => return Ok(ans.into()),
+            Some(Err(i)) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
             _ => {}
         }
         let tail = self.tail_route(&frags);
@@ -653,37 +567,42 @@ impl SemanticsConfig {
         if tail == RouteKind::Hcf {
             return Ok(crate::route::hcf_dsm_infers_formula(db, f, cost).into());
         }
-        Ok(Verdict::from(match self.id {
-            SemanticsId::Gcwa => crate::gcwa::infers_formula(db, f, cost),
-            SemanticsId::Egcwa => crate::egcwa::infers_formula(db, f, cost),
-            SemanticsId::Ccwa => crate::ccwa::infers_formula(db, &self.partition_for(db), f, cost),
-            SemanticsId::Ecwa => crate::ecwa::infers_formula(db, &self.partition_for(db), f, cost),
-            SemanticsId::Ddr => crate::ddr::infers_formula(db, f, cost),
-            SemanticsId::Pws => crate::pws::infers_formula(db, f, cost),
-            SemanticsId::Perf => crate::perf::infers_formula(db, f, cost),
-            SemanticsId::Icwa => crate::icwa::infers_formula(db, &self.icwa_layers(p), f, cost),
-            SemanticsId::Dsm => crate::dsm::infers_formula(db, f, cost),
-            SemanticsId::Pdsm => crate::pdsm::infers_formula(db, f, cost),
+        Ok(Verdict::from(match (self.id, f.as_literal()) {
+            (SemanticsId::Gcwa, Some(lit)) => crate::gcwa::infers_literal(db, lit, cost),
+            (SemanticsId::Ddr, Some(lit)) => crate::ddr::infers_literal(db, lit, cost),
+            (SemanticsId::Pws, Some(lit)) => crate::pws::infers_literal(db, lit, cost),
+            (SemanticsId::Gcwa, None) => crate::gcwa::infers_formula(db, f, cost),
+            (SemanticsId::Ddr, None) => crate::ddr::infers_formula(db, f, cost),
+            (SemanticsId::Pws, None) => crate::pws::infers_formula(db, f, cost),
+            (SemanticsId::Egcwa, _) => crate::egcwa::infers_formula(db, f, cost),
+            (SemanticsId::Ccwa, _) => {
+                crate::ccwa::infers_formula(db, &self.partition_for(db), f, cost)
+            }
+            (SemanticsId::Ecwa, _) => {
+                crate::ecwa::infers_formula(db, &self.partition_for(db), f, cost)
+            }
+            (SemanticsId::Perf, _) => crate::perf::infers_formula(db, f, cost),
+            (SemanticsId::Icwa, _) => {
+                crate::icwa::infers_formula(db, &self.icwa_layers(p), f, cost)
+            }
+            (SemanticsId::Dsm, _) => crate::dsm::infers_formula(db, f, cost),
+            (SemanticsId::Pdsm, _) => crate::pdsm::infers_formula(db, f, cost),
         }))
     }
 
     /// The paper's *∃ model* problem: is the semantics non-empty for `db`?
-    /// Traced like [`SemanticsConfig::infers_literal`] (`dispatch.query`
+    /// Traced like [`SemanticsConfig::infers_formula`] (`dispatch.query`
     /// span, `dispatch.query.ns` histogram).
-    pub fn has_model(&self, db: &Database, cost: &mut Cost) -> Result<Verdict, Unsupported> {
-        self.has_model_prepared(&Prepared::borrowed(db), cost)
+    pub fn has_model(&self, db: &impl AsPrepared, cost: &mut Cost) -> Result<Verdict, Unsupported> {
+        db.with_prepared(|p| self.exists(p, cost))
     }
 
-    /// [`SemanticsConfig::has_model`] on a prepared database.
-    pub fn has_model_prepared(
-        &self,
-        p: &Prepared,
-        cost: &mut Cost,
-    ) -> Result<Verdict, Unsupported> {
+    fn exists(&self, p: &Prepared, cost: &mut Cost) -> Result<Verdict, Unsupported> {
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
         let frags = self.prepare(p)?;
         let db = p.db();
-        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Existence);
+        let q = PlanQuery::Existence;
+        let d = ddb_analysis::decide(p, &self.traits(&q), &q);
         match d.data {
             PlanData::Peel { peel } => {
                 match crate::slicing::run_exist_split(self, p, &peel, cost) {
@@ -724,37 +643,24 @@ impl SemanticsConfig {
         }))
     }
 
-    /// Brave (possibility) inference: `F` true in *some* characteristic
-    /// model (value 1 in some partial stable model, for PDSM) — the
-    /// Σ-side dual of [`SemanticsConfig::infers_formula`]. Delegates to
-    /// [`crate::witness::brave_infers_formula`].
-    pub fn brave_infers_formula(
-        &self,
-        db: &Database,
-        f: &Formula,
-        cost: &mut Cost,
-    ) -> Result<Verdict, Unsupported> {
-        crate::witness::brave_infers_formula(self, db, f, cost)
-    }
-
     /// The characteristic (two-valued) model set, where the semantics has
     /// one; PDSM reports its total models. An exhausted budget yields an
     /// [`Enumeration`] with `interrupted` set instead of an error.
-    pub fn models(&self, db: &Database, cost: &mut Cost) -> Result<Enumeration, Unsupported> {
-        self.models_prepared(&Prepared::borrowed(db), cost)
-    }
-
-    /// [`SemanticsConfig::models`] on a prepared database.
-    pub fn models_prepared(
+    pub fn models(
         &self,
-        p: &Prepared,
+        db: &impl AsPrepared,
         cost: &mut Cost,
     ) -> Result<Enumeration, Unsupported> {
+        db.with_prepared(|p| self.enumerate(p, cost))
+    }
+
+    fn enumerate(&self, p: &Prepared, cost: &mut Cost) -> Result<Enumeration, Unsupported> {
         self.prepare(p)?;
         let db = p.db();
         // Model enumeration needs the whole vocabulary; the planner only
         // ever returns a leaf route for `PlanQuery::Enumeration`.
-        let d = crate::planner::decide_prepared(self, p, &PlanQuery::Enumeration);
+        let q = PlanQuery::Enumeration;
+        let d = ddb_analysis::decide(p, &self.traits(&q), &q);
         Self::note_leaf(d.route);
         match d.route {
             RouteKind::Horn => {

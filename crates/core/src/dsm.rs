@@ -100,12 +100,6 @@ pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     Ok(out)
 }
 
-/// Literal inference `DSM(DB) ⊨ ℓ` (cautious: true in every stable model).
-pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("dsm.infers_literal");
-    infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
-}
-
 /// Formula inference `DSM(DB) ⊨ F`: true in every stable model
 /// (vacuously true when none exists).
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
@@ -124,8 +118,8 @@ pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<b
 /// Batch cautious inference: in **one** enumeration pass, computes the
 /// atoms true in every stable model and the atoms false in every stable
 /// model. Returns `None` when no stable model exists (cautious inference
-/// is vacuous there). Compared to `2·|V|` separate `infers_literal`
-/// calls this shares the whole enumeration.
+/// is vacuous there). Compared to `2·|V|` separate literal inferences
+/// this shares the whole enumeration.
 pub fn cautious_literals(
     db: &Database,
     cost: &mut Cost,
@@ -253,8 +247,8 @@ mod tests {
         assert_eq!(models(&db, &mut cost).unwrap(), vec![interp(&db, &["p"])]);
         let p = db.symbols().lookup("p").unwrap();
         let q = db.symbols().lookup("q").unwrap();
-        assert!(infers_literal(&db, p.pos(), &mut cost).unwrap());
-        assert!(infers_literal(&db, q.neg(), &mut cost).unwrap());
+        assert!(infers_formula(&db, &Formula::from(p.pos()), &mut cost).unwrap());
+        assert!(infers_formula(&db, &Formula::from(q.neg()), &mut cost).unwrap());
     }
 
     #[test]
@@ -275,7 +269,7 @@ mod tests {
         );
         // c is cautiously false.
         let c = db.symbols().lookup("c").unwrap();
-        assert!(infers_literal(&db, c.neg(), &mut cost).unwrap());
+        assert!(infers_formula(&db, &Formula::from(c.neg()), &mut cost).unwrap());
     }
 
     #[test]
@@ -306,12 +300,12 @@ mod tests {
                 let a = ddb_logic::Atom::new(i as u32);
                 assert_eq!(
                     t.contains(a),
-                    infers_literal(&db, a.pos(), &mut cost).unwrap(),
+                    infers_formula(&db, &Formula::from(a.pos()), &mut cost).unwrap(),
                     "{src}: positive {i}"
                 );
                 assert_eq!(
                     f.contains(a),
-                    infers_literal(&db, a.neg(), &mut cost).unwrap(),
+                    infers_formula(&db, &Formula::from(a.neg()), &mut cost).unwrap(),
                     "{src}: negative {i}"
                 );
             }

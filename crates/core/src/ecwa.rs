@@ -17,25 +17,9 @@
 //! ⟨P;Z⟩-minimal ([`satisfies_circumscription`] evaluates the second-order
 //! body by explicit search over ⟨P′,Z′⟩, test-sized).
 
-use ddb_logic::{Database, Formula, Interpretation, Literal};
+use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::{brute, circumscribe, classical, minimal, Cost, Partition};
 use ddb_obs::Governed;
-
-/// Literal inference `ECWA_{P;Z}(DB) ⊨ ℓ`.
-pub fn infers_literal(
-    db: &Database,
-    part: &Partition,
-    lit: Literal,
-    cost: &mut Cost,
-) -> Governed<bool> {
-    let _span = ddb_obs::span("ecwa.infers_literal");
-    infers_formula(
-        db,
-        part,
-        &Formula::literal(lit.atom(), lit.is_positive()),
-        cost,
-    )
-}
 
 /// Formula inference `ECWA_{P;Z}(DB) ⊨ F`: one Πᵖ₂ CEGAR query.
 pub fn infers_formula(
@@ -103,7 +87,6 @@ pub fn circ_models_brute(db: &Database, part: &Partition) -> Vec<Interpretation>
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
-    use ddb_logic::Atom;
 
     fn part_pq(db: &Database, p: &[&str], q: &[&str]) -> Partition {
         Partition::from_p_q(
@@ -199,22 +182,5 @@ mod tests {
         assert_eq!(cost.sat_calls, 0);
         let unsat = parse_program("a. :- a.").unwrap();
         assert!(!has_model(&unsat, &mut cost).unwrap());
-    }
-
-    #[test]
-    fn literal_and_formula_paths_agree() {
-        let db = parse_program("a | b. c :- a. :- b, c.").unwrap();
-        let part = part_pq(&db, &["a", "b"], &["c"]);
-        let mut cost = Cost::new();
-        for i in 0..db.num_atoms() {
-            for sign in [true, false] {
-                let l = Literal::with_sign(Atom::new(i as u32), sign);
-                let f = Formula::literal(l.atom(), sign);
-                assert_eq!(
-                    infers_literal(&db, &part, l, &mut cost).unwrap(),
-                    infers_formula(&db, &part, &f, &mut cost).unwrap()
-                );
-            }
-        }
     }
 }

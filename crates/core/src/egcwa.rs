@@ -14,16 +14,9 @@
 //!   this is `O(1)` (the full interpretation is always a model); with
 //!   integrity clauses it is one SAT call (NP-complete — Table 2).
 
-use ddb_logic::{Database, Formula, Interpretation, Literal};
+use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::{circumscribe, classical, minimal, Cost};
 use ddb_obs::Governed;
-
-/// Literal inference `EGCWA(DB) ⊨ ℓ`: truth in all minimal models.
-pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("egcwa.infers_literal");
-    let f = Formula::literal(lit.atom(), lit.is_positive());
-    circumscribe::holds_in_all_minimal_models(db, &f, cost)
-}
 
 /// Formula inference `EGCWA(DB) ⊨ F`: truth in all minimal models.
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
@@ -99,7 +92,7 @@ pub fn derived_integrity_clauses(
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
-    use ddb_logic::Atom;
+    use ddb_logic::{Atom, Literal};
 
     #[test]
     fn egcwa_infers_integrity_clauses_gcwa_misses() {
@@ -123,7 +116,7 @@ mod tests {
             for sign in [true, false] {
                 let l = Literal::with_sign(Atom::new(i as u32), sign);
                 assert_eq!(
-                    infers_literal(&db, l, &mut cost).unwrap(),
+                    infers_formula(&db, &Formula::from(l), &mut cost).unwrap(),
                     crate::gcwa::infers_literal(&db, l, &mut cost).unwrap()
                 );
             }

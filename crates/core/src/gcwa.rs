@@ -110,8 +110,7 @@ fn at_least_k_atoms_occur(db: &Database, k: usize, cost: &mut Cost) -> Governed<
 /// ```
 pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("gcwa.infers_literal");
-    let f = Formula::literal(lit.atom(), lit.is_positive());
-    circumscribe::holds_in_all_minimal_models(db, &f, cost)
+    circumscribe::holds_in_all_minimal_models(db, &lit.into(), cost)
 }
 
 /// Formula inference `GCWA(DB) ⊨ F`: compute `N`, then `DB ∪ ¬N ⊨ F`.
@@ -224,10 +223,9 @@ mod tests {
         for name in ["a", "b", "c", "d", "e"] {
             for sign in [true, false] {
                 let l = lit(&db, name, sign);
-                let f = Formula::literal(l.atom(), sign);
                 assert_eq!(
                     infers_literal(&db, l, &mut cost).unwrap(),
-                    infers_formula(&db, &f, &mut cost).unwrap(),
+                    infers_formula(&db, &l.into(), &mut cost).unwrap(),
                     "{name} {sign}"
                 );
             }

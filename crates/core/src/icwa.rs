@@ -164,22 +164,6 @@ pub fn models(db: &Database, layers: &Layers, cost: &mut Cost) -> Governed<Vec<I
     Ok(out)
 }
 
-/// Literal inference `ICWA(DB) ⊨ ℓ`.
-pub fn infers_literal(
-    db: &Database,
-    layers: &Layers,
-    lit: Literal,
-    cost: &mut Cost,
-) -> Governed<bool> {
-    let _span = ddb_obs::span("icwa.infers_literal");
-    infers_formula(
-        db,
-        layers,
-        &Formula::literal(lit.atom(), lit.is_positive()),
-        cost,
-    )
-}
-
 /// Formula inference `ICWA(DB) ⊨ F`: search a countermodel among the
 /// ICWA models (guess a model of `DB ∧ ¬F`, verify layer-wise minimality
 /// with `r` oracle calls — the paper's Theorem 4.1 upper-bound shape).
@@ -257,7 +241,7 @@ mod tests {
             vec![interp(&db, &["a", "c"])]
         );
         let b = db.symbols().lookup("b").unwrap();
-        assert!(infers_literal(&db, &layers, b.neg(), &mut cost).unwrap());
+        assert!(infers_formula(&db, &layers, &Formula::from(b.neg()), &mut cost).unwrap());
     }
 
     #[test]

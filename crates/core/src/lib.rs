@@ -18,14 +18,16 @@
 //! | [`dsm`] | Disjunctive stable models | `M ∈ MM(DB^M)` (GL-reduct) |
 //! | [`pdsm`] | Partial (3-valued) disjunctive stable models | 3-valued reduct + truth-minimal 3-valued models |
 //!
-//! Every module exposes the paper's three decision problems —
-//! `infers_literal`, `infers_formula`, `has_model` (is the semantics
+//! Every module exposes the paper's decision problems — `infers_formula`
+//! (a literal is a one-literal formula) and `has_model` (is the semantics
 //! non-empty for `DB`?) — plus a `models` enumerator used by tests and
 //! examples, all threading a [`ddb_models::Cost`] for oracle accounting.
-//! The [`dispatch`] module gives a uniform, enum-indexed entry point used
-//! by the benchmark harness; its `*_prepared` variants take a [`Prepared`]
-//! database whose per-database analysis facts are computed once and
-//! shared by every query against it.
+//! [`gcwa`], [`ddr`] and [`pws`] also expose `infers_literal`, because
+//! their literal algorithms differ from their formula ones. The
+//! [`dispatch`] module gives a uniform, enum-indexed entry point for each
+//! problem; it takes a plain [`ddb_logic::Database`] or a [`Prepared`]
+//! one ([`AsPrepared`]), whose per-database analysis facts are computed
+//! once and shared by every query against it.
 //!
 //! Beyond the paper's ten semantics:
 //!
@@ -76,6 +78,6 @@ pub mod supported;
 pub mod wfs;
 pub mod witness;
 
-pub use ddb_analysis::Prepared;
+pub use ddb_analysis::{AsPrepared, Prepared};
 pub use dispatch::{Enumeration, RoutingMode, SemanticsConfig, SemanticsId, Unsupported, Verdict};
 pub use parallel::infers_formulas_batch;

@@ -115,7 +115,7 @@ pub fn infers_formulas_batch(
 ) -> Result<Vec<(Verdict, Cost)>, Unsupported> {
     // Reject inapplicable semantics once, before spawning anything.
     let prepared = Prepared::borrowed(db);
-    cfg.check_applicable_prepared(&prepared)?;
+    cfg.check_applicable(&prepared)?;
     ddb_obs::counter_bump("pool.batch.formulas", formulas.len() as u64);
     let job_cfg = cfg.clone().with_threads(1);
     let prepared = &prepared;
@@ -125,7 +125,7 @@ pub fn infers_formulas_batch(
             let job_cfg = job_cfg.clone();
             move || {
                 let mut c = Cost::new();
-                let v = job_cfg.infers_formula_prepared(prepared, f, &mut c);
+                let v = job_cfg.infers_formula(prepared, f, &mut c);
                 (v, c)
             }
         })

@@ -248,13 +248,6 @@ pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<PartialInterpretat
     Ok(out)
 }
 
-/// Literal inference `PDSM(DB) ⊨ ℓ`: the literal has value 1 in every
-/// partial stable model.
-pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("pdsm.infers_literal");
-    infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
-}
-
 /// Formula inference `PDSM(DB) ⊨ F`: `F` has value 1 in every partial
 /// stable model (vacuously true when none exists).
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
@@ -371,10 +364,11 @@ mod tests {
         let mut cost = Cost::new();
         let b_lit = db.symbols().lookup("b").unwrap().pos();
         let a_lit = db.symbols().lookup("a").unwrap().pos();
-        assert!(infers_literal(&db, b_lit, &mut cost).unwrap());
-        assert!(!infers_literal(&db, a_lit, &mut cost).unwrap());
-        assert!(!infers_literal(&db, a_lit.complement(), &mut cost).unwrap());
-        assert!(crate::dsm::infers_literal(&db, a_lit, &mut cost).unwrap()); // vacuous
+        assert!(infers_formula(&db, &Formula::from(b_lit), &mut cost).unwrap());
+        assert!(!infers_formula(&db, &Formula::from(a_lit), &mut cost).unwrap());
+        assert!(!infers_formula(&db, &Formula::from(a_lit.complement()), &mut cost).unwrap());
+        assert!(crate::dsm::infers_formula(&db, &Formula::from(a_lit), &mut cost).unwrap());
+        // vacuous
     }
 
     #[test]

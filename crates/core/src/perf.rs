@@ -181,12 +181,6 @@ pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     Ok(out)
 }
 
-/// Literal inference `PERF(DB) ⊨ ℓ` (true in every perfect model).
-pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("perf.infers_literal");
-    infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
-}
-
 /// Formula inference `PERF(DB) ⊨ F` (vacuously true when no perfect model
 /// exists).
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
@@ -259,7 +253,7 @@ mod tests {
             vec![interp(&db, &["a", "c"])]
         );
         let b = db.symbols().lookup("b").unwrap();
-        assert!(infers_literal(&db, b.neg(), &mut cost).unwrap());
+        assert!(infers_formula(&db, &Formula::from(b.neg()), &mut cost).unwrap());
     }
 
     #[test]

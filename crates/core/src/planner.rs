@@ -15,14 +15,14 @@
 //! * the paper's complexity class for the (semantics, problem) cell
 //!   ([`crate::profile::paper_complexity`]).
 //!
-//! `dispatch` calls [`decide_prepared`] on every query and executes the
-//! returned [`Decision`]; `ddb explain` calls [`SemanticsConfig::plan`],
-//! which lands on [`plan`] here — both feed the *same* traits into the
-//! *same* kernel, so the predicted route always matches the executed one.
+//! `dispatch` calls the kernel on every query and executes the returned
+//! [`Decision`]; `ddb explain` calls [`SemanticsConfig::plan`], which
+//! builds the plan tree from the same kernel — both feed the *same* traits
+//! into it, so the predicted route always matches the executed one.
 
 use crate::dispatch::{RoutingMode, SemanticsConfig, SemanticsId};
 use crate::profile::{paper_complexity, Problem};
-use ddb_analysis::{Decision, Fragments, PlanNode, PlanQuery, Prepared, SemanticsTraits};
+use ddb_analysis::{Decision, Fragments, PlanQuery, Prepared, SemanticsTraits};
 use ddb_logic::Database;
 
 /// The paper's problem row a [`PlanQuery`] is scored against. Enumeration
@@ -56,18 +56,8 @@ pub fn traits_for(cfg: &SemanticsConfig, problem: Problem) -> SemanticsTraits {
 /// The decision kernel, specialized to `cfg`, with `frags` already
 /// computed for `db`.
 pub fn decide(cfg: &SemanticsConfig, db: &Database, frags: &Fragments, q: &PlanQuery) -> Decision {
-    ddb_analysis::decide(db, frags, &traits_for(cfg, problem_of(q)), q)
-}
-
-/// The decision kernel, specialized to `cfg`, on a prepared database: what
-/// `dispatch` executes.
-pub fn decide_prepared(cfg: &SemanticsConfig, p: &Prepared, q: &PlanQuery) -> Decision {
-    ddb_analysis::decide_prepared(p, &traits_for(cfg, problem_of(q)), q)
-}
-
-/// The full plan tree, specialized to `cfg`: what `ddb explain` prints.
-pub fn plan(cfg: &SemanticsConfig, p: &Prepared, q: &PlanQuery) -> PlanNode {
-    ddb_analysis::build_plan_prepared(p, &traits_for(cfg, problem_of(q)), q)
+    let t = traits_for(cfg, problem_of(q));
+    ddb_analysis::decide(&Prepared::borrowed(db).with_fragments(*frags), &t, q)
 }
 
 #[cfg(test)]

@@ -194,7 +194,8 @@ impl CellProfile {
 }
 
 /// Measure one cell: run `problem` under `cfg` on `db`, recording cost and
-/// wall time. `lit` and `f` supply the queries for the inference problems.
+/// wall time. `f` is the query of the inference problems (a one-literal
+/// formula for the literal problem); existence ignores it.
 /// A `cell_budget` governs just this cell (its relative timeout restarts
 /// from zero here); a tripped budget yields an interrupted cell, never a
 /// panic, so the rest of the matrix still completes.
@@ -202,7 +203,6 @@ pub fn profile_cell(
     cfg: &SemanticsConfig,
     db: &Database,
     problem: Problem,
-    lit: Literal,
     f: &Formula,
     cell_budget: Option<&Budget>,
 ) -> CellProfile {
@@ -212,8 +212,7 @@ pub fn profile_cell(
     let probe = RouteProbe::begin();
     let started = Instant::now();
     let outcome = match problem {
-        Problem::Literal => cfg.infers_literal(db, lit, &mut cost),
-        Problem::Formula => cfg.infers_formula(db, f, &mut cost),
+        Problem::Literal | Problem::Formula => cfg.infers_formula(db, f, &mut cost),
         Problem::Existence => cfg.has_model(db, &mut cost),
     };
     let wall_ns = started.elapsed().as_nanos() as u64;
@@ -258,6 +257,7 @@ pub fn profile_all_budgeted(
     threads: usize,
 ) -> Vec<CellProfile> {
     let _span = ddb_obs::span("profile.all");
+    let lit = &Formula::from(lit);
     let jobs: Vec<_> = SemanticsId::ALL
         .into_iter()
         .flat_map(|id| Problem::ALL.into_iter().map(move |problem| (id, problem)))
@@ -265,7 +265,8 @@ pub fn profile_all_budgeted(
             let cell_budget = cell_budget.cloned();
             move || {
                 let cfg = SemanticsConfig::new(id);
-                profile_cell(&cfg, db, problem, lit, f, cell_budget.as_ref())
+                let q = if problem == Problem::Literal { lit } else { f };
+                profile_cell(&cfg, db, problem, q, cell_budget.as_ref())
             }
         })
         .collect();

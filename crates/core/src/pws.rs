@@ -233,7 +233,7 @@ pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<
     if lit.is_negative() && !db.has_integrity_clauses() {
         return Ok(!fixpoint::active_atoms(db).contains(lit.atom()));
     }
-    infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
+    infers_formula(db, &lit.into(), cost)
 }
 
 /// Formula inference `PWS(DB) ⊨ F`: one SAT call on the possible-model

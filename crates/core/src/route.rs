@@ -63,12 +63,6 @@ pub fn horn_infers_formula(p: &Prepared, f: &Formula) -> bool {
     !consistent || f.eval(least)
 }
 
-/// Horn fast path for literal inference.
-pub fn horn_infers_literal(p: &Prepared, lit: Literal) -> bool {
-    let (least, consistent) = horn_least_model(p);
-    !consistent || least.contains(lit.atom()) == lit.is_positive()
-}
-
 /// Horn fast path for model existence: consistency of the least model.
 pub fn horn_has_model(p: &Prepared) -> bool {
     horn_least_model(p).1
@@ -159,11 +153,6 @@ pub fn hcf_dsm_infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Go
         true
     })?;
     Ok(holds)
-}
-
-/// HCF fast path for DSM literal inference.
-pub fn hcf_dsm_infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    hcf_dsm_infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
 }
 
 /// HCF fast path for DSM model existence.

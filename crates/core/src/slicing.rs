@@ -67,7 +67,7 @@
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
 use ddb_analysis::{project_slice, project_top, Fragments, Peel, Prepared, Slice};
-use ddb_logic::{Database, Formula, Literal};
+use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
 use ddb_obs::Governed;
 
@@ -153,17 +153,14 @@ fn note_split(p: &Peel) {
 /// slice, re-enter the dispatcher on the sub-database (the recursive call
 /// may still peel it or ride the Horn fast path), and apply the product
 /// correction when a cautious `false` must survive an independent top
-/// part. `lit` is `Some` exactly when the query is a single literal —
-/// threaded through so the reduced sub-database is still queried with the
-/// specialized `infers_literal` procedures, which for GCWA/CCWA are far
-/// cheaper than generic formula inference.
+/// part. Renaming atoms keeps a one-literal query a literal, so the
+/// recursive call plans it as one.
 pub(crate) fn run_slice(
     cfg: &SemanticsConfig,
     db: &Database,
     slice: &Slice,
     admission: Admission,
     f: &Formula,
-    lit: Option<Literal>,
     cost: &mut Cost,
 ) -> Governed<Option<bool>> {
     ddb_obs::counter_bump("route.slice", 1);
@@ -175,18 +172,10 @@ pub(crate) fn run_slice(
     // Re-slicing the projected slice is a no-op (the closure is already
     // whole), so the recursive call may still peel it or ride the Horn
     // fast path.
-    let ans = match lit {
-        Some(l) => {
-            let a = map.to_sub[l.atom().index()].expect("query atom is in its slice");
-            definite(cfg.infers_literal(&sub, Literal::with_sign(a, l.is_positive()), cost))?
-        }
-        None => {
-            let f_sub = f.map_atoms(&mut |a| {
-                Formula::Atom(map.to_sub[a.index()].expect("query atom is in its slice"))
-            });
-            definite(cfg.infers_formula(&sub, &f_sub, cost))?
-        }
-    };
+    let f_sub = f.map_atoms(&mut |a| {
+        Formula::Atom(map.to_sub[a.index()].expect("query atom is in its slice"))
+    });
+    let ans = definite(cfg.infers_formula(&sub, &f_sub, cost))?;
     let Some(ans) = ans else {
         return Ok(None);
     };
@@ -205,21 +194,15 @@ pub(crate) fn run_slice(
 
 /// Executes a decided peel route for an inference query: substitute the
 /// decided atoms into the formula and answer on the residual with an
-/// inner (non-re-slicing) configuration.
+/// inner (non-re-slicing) configuration. A literal over an undecided atom
+/// stays a literal; over a decided one it becomes a constant.
 pub(crate) fn run_peel(
     cfg: &SemanticsConfig,
     p: &Peel,
     f: &Formula,
-    lit: Option<Literal>,
     cost: &mut Cost,
 ) -> Governed<Option<bool>> {
     note_split(p);
-    if let Some(l) = lit {
-        if p.decided[l.atom().index()].is_none() {
-            return definite(inner(cfg).infers_literal(&p.residual, l, cost));
-        }
-        // A decided query atom degenerates to a constant formula below.
-    }
     let f_res = f.map_atoms(&mut |a| match p.decided[a.index()] {
         Some(true) => Formula::True,
         Some(false) => Formula::False,

@@ -20,7 +20,7 @@
 //! exactly what support does *not* require).
 
 use ddb_logic::cnf::{Cnf, CnfBuilder};
-use ddb_logic::{Database, Formula, Interpretation, Literal};
+use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::Cost;
 use ddb_obs::Governed;
 use ddb_sat::{enumerate_models, Solver};
@@ -129,11 +129,6 @@ pub fn brave_infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Gove
     let result = solver.solve();
     cost.absorb(&solver);
     Ok(result?.is_sat())
-}
-
-/// Cautious literal inference.
-pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
-    infers_formula(db, &Formula::literal(lit.atom(), lit.is_positive()), cost)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
 use crate::icwa::Layers;
+use ddb_analysis::AsPrepared;
 use ddb_logic::cnf::CnfBuilder;
 use ddb_logic::{Database, Formula, Interpretation, PartialInterpretation, TruthValue};
 use ddb_models::{circumscribe, Cost, Partition};
@@ -202,14 +203,15 @@ pub fn explain_formula(
 /// [`Verdict::Unknown`].
 pub fn brave_infers_formula(
     cfg: &SemanticsConfig,
-    db: &Database,
+    db: &impl AsPrepared,
     f: &Formula,
     cost: &mut Cost,
 ) -> Result<Verdict, Unsupported> {
     let _span = ddb_obs::span("witness.brave_infers_formula");
-    match cfg.id {
+    db.with_prepared(|p| match cfg.id {
         SemanticsId::Pdsm => {
-            cfg.check_applicable(db)?;
+            cfg.check_applicable(p)?;
+            let db = p.db();
             let value1 = crate::pdsm::encode_ge1(f, db.num_atoms());
             let mut found = false;
             let result = crate::pdsm::for_each_partial_stable(db, Some(&value1), cost, |p| {
@@ -229,19 +231,19 @@ pub fn brave_infers_formula(
             // F holds somewhere iff ¬F is not cautiously inferred…
             // except in the empty-model-set case, where cautious inference
             // is vacuous and brave inference must be false.
-            match cfg.has_model(db, cost)? {
+            match cfg.has_model(p, cost)? {
                 Verdict::False => return Ok(Verdict::False),
                 Verdict::Unknown(i) => return Ok(Verdict::Unknown(i)),
                 Verdict::True => {}
             }
             Ok(
-                match explain_formula(cfg, db, &f.clone().negated(), cost)? {
+                match explain_formula(cfg, p.db(), &f.clone().negated(), cost)? {
                     QueryOutcome::Unknown(i) => Verdict::Unknown(i),
                     out => Verdict::from(!out.is_inferred()),
                 },
             )
         }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ fn run_all(
         Formula::Atom(Atom::new(0)),
         Formula::Atom(Atom::new(1)).negated(),
     ]);
-    let l = cfg.infers_literal(db, lit, cost).ok()?;
+    let l = cfg.infers_formula(db, &Formula::from(lit), cost).ok()?;
     let fo = cfg.infers_formula(db, &f, cost).ok()?;
     let e = cfg.has_model(db, cost).ok()?;
     Some((l, fo, e))
@@ -159,7 +159,7 @@ fn exhausted_oracle_budget_is_unknown_for_every_semantics() {
         let cfg = SemanticsConfig::new(id).with_routing(ddb_core::RoutingMode::Generic);
         let guard = Budget::unlimited().with_max_oracle_calls(0).install();
         let mut cost = Cost::new();
-        let got = cfg.infers_literal(&db, Atom::new(2).neg(), &mut cost);
+        let got = cfg.infers_formula(&db, &Formula::from(Atom::new(2).neg()), &mut cost);
         drop(guard);
         if let Ok(v) = got {
             if let Some(i) = v.interrupted() {

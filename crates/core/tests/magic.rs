@@ -85,10 +85,11 @@ fn assert_magic_agrees(id: SemanticsId, db: &Database) {
     // random databases × ten semantics × 120 databases is pure runtime.
     for i in 0..db.num_atoms().min(6) as u32 {
         for lit in [Atom::new(i).pos(), Atom::new(i).neg()] {
+            let f = Formula::from(lit);
             assert_eq!(
-                auto.infers_literal(db, lit, &mut ca).unwrap(),
-                generic.infers_literal(db, lit, &mut cg).unwrap(),
-                "{id:?} infers_literal {lit:?} on {db:?}"
+                auto.infers_formula(db, &f, &mut ca).unwrap(),
+                generic.infers_formula(db, &f, &mut cg).unwrap(),
+                "{id:?} literal {lit:?} on {db:?}"
             );
         }
     }
@@ -206,8 +207,8 @@ fn admitted_magic_pays_no_more_oracle_calls_for_any_semantics() {
         let mut ca = Cost::new();
         let mut cg = Cost::new();
         let (a, g) = match (
-            auto.infers_literal(&db, atom.pos(), &mut ca),
-            generic.infers_literal(&db, atom.pos(), &mut cg),
+            auto.infers_formula(&db, &Formula::from(atom.pos()), &mut ca),
+            generic.infers_formula(&db, &Formula::from(atom.pos()), &mut cg),
         ) {
             (Ok(a), Ok(g)) => (a, g),
             (Err(_), Err(_)) => continue,
@@ -231,7 +232,7 @@ fn bound_query_takes_the_slice_route_and_counts_dropped_rules() {
     let mut ans = false;
     let [taken, dropped] = gained(["route.slice", "route.slice.dropped_rules"], || {
         ans = SemanticsConfig::new(SemanticsId::Gcwa)
-            .infers_literal(&db, atom.pos(), &mut Cost::new())
+            .infers_formula(&db, &Formula::from(atom.pos()), &mut Cost::new())
             .unwrap()
             .definite();
     });
@@ -263,7 +264,7 @@ fn propositional_queries_never_prune_dead_rules() {
     let mut ans = false;
     let [taken, dropped] = gained(["route.slice", "route.slice.dropped_rules"], || {
         ans = SemanticsConfig::new(SemanticsId::Egcwa)
-            .infers_literal(&db, atom.pos(), &mut Cost::new())
+            .infers_formula(&db, &Formula::from(atom.pos()), &mut Cost::new())
             .unwrap()
             .definite();
     });

@@ -47,7 +47,9 @@ fn run_all(cfg: &SemanticsConfig, db: &Database) -> Option<(Verdict, Verdict, Ve
         Formula::Atom(Atom::new(1)).negated(),
     ]);
     let mut cost = Cost::new();
-    let l = cfg.infers_literal(db, lit, &mut cost).ok()?;
+    let l = cfg
+        .infers_formula(db, &Formula::from(lit), &mut cost)
+        .ok()?;
     let fo = cfg.infers_formula(db, &f, &mut cost).ok()?;
     let e = cfg.has_model(db, &mut cost).ok()?;
     Some((l, fo, e, cost))

@@ -4,7 +4,7 @@
 //! oracle calls never exceed the plan's static bound.
 //!
 //! Both sides run through the same decision kernel
-//! (`ddb_core::planner::decide`), so a mismatch here means the plan
+//! (`ddb_analysis::decide`), so a mismatch here means the plan
 //! *interpreter* in dispatch diverged from the plan *builder* — the one
 //! regression this layer must never allow.
 
@@ -23,15 +23,15 @@ fn predicted_route_and_bound_hold_on_random_dbs() {
         DbSpec::deductive(8, 14),
         DbSpec::normal(8, 14),
     ];
-    let lit = Atom::new(0).pos();
+    let lit = Formula::from(Atom::new(0).pos());
     let f = Formula::Or(vec![
         Formula::Atom(Atom::new(1)),
         Formula::Atom(Atom::new(2)).negated(),
     ]);
     let cells = [
-        (Problem::Literal, PlanQuery::Literal(lit.atom())),
-        (Problem::Formula, PlanQuery::Formula(f.atoms())),
-        (Problem::Existence, PlanQuery::Existence),
+        (Problem::Literal, PlanQuery::of(&lit), &lit),
+        (Problem::Formula, PlanQuery::of(&f), &f),
+        (Problem::Existence, PlanQuery::Existence, &f),
     ];
     let mut dbs = 0usize;
     let mut checked = 0usize;
@@ -41,11 +41,11 @@ fn predicted_route_and_bound_hold_on_random_dbs() {
             dbs += 1;
             for id in SemanticsId::ALL {
                 let cfg = SemanticsConfig::new(id);
-                for (problem, q) in &cells {
+                for (problem, q, query) in &cells {
                     let Ok(plan) = cfg.plan(&db, q) else {
                         continue; // semantics not applicable to this class
                     };
-                    let cell = profile_cell(&cfg, &db, *problem, lit, &f, None);
+                    let cell = profile_cell(&cfg, &db, *problem, query, None);
                     if cell.unsupported.is_some() {
                         continue; // problem-specific gap the planner can't see
                     }

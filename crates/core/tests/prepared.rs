@@ -1,7 +1,7 @@
 //! The prepared-database memo changes costs, never answers: a query asked
 //! through a shared `Prepared` entry — first when it fills the memo, then
-//! again when it reads it — must return the verdict or model set the plain
-//! `&Database` entry point returns, with the same oracle bill
+//! again when it reads it — must return the verdict or model set the same
+//! entry point returns on a plain `&Database`, with the same oracle bill
 //! (`Cost.sat_calls`, `Cost.candidates`) and the same `route.*` counter
 //! gains on the calling thread. The entry is shared across every
 //! configuration of a database, including the generic routing mode, a
@@ -9,10 +9,11 @@
 //! computed for the default structure cannot leak into them.
 
 use ddb_core::{
-    Enumeration, Prepared, RoutingMode, SemanticsConfig, SemanticsId, Unsupported, Verdict,
+    AsPrepared, Enumeration, Prepared, RoutingMode, SemanticsConfig, SemanticsId, Unsupported,
+    Verdict,
 };
 use ddb_logic::parse::parse_program;
-use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
+use ddb_logic::{Atom, Database, Formula, Interpretation};
 use ddb_models::{Cost, Partition};
 use ddb_workloads::random::{random_db, DbSpec};
 use ddb_workloads::structured::{even_loops, horn_chain, layered_disjunctive};
@@ -91,10 +92,10 @@ fn configs(id: SemanticsId, n: usize) -> Vec<SemanticsConfig> {
     out
 }
 
-/// One query of the paper's four problems.
+/// One query of the paper's problems: inference (of a literal when the
+/// formula is one), existence and enumeration.
 #[derive(Clone, Debug)]
 enum Query {
-    Literal(Literal),
     Formula(Formula),
     Existence,
     Enumeration,
@@ -106,9 +107,9 @@ fn queries(db: &Database) -> Vec<Query> {
     atoms.dedup();
     let mut out: Vec<Query> = atoms
         .iter()
-        .map(|&i| Query::Literal(Atom::new(i).pos()))
+        .map(|&i| Query::Formula(Atom::new(i).pos().into()))
         .collect();
-    out.push(Query::Literal(Atom::new(0).neg()));
+    out.push(Query::Formula(Atom::new(0).neg().into()));
     out.push(Query::Formula(Formula::Or(vec![
         Formula::Atom(Atom::new(0)),
         Formula::Atom(Atom::new(n / 2)).negated(),
@@ -147,21 +148,12 @@ fn observe(run: impl FnOnce(&mut Cost) -> Result<Answer, Unsupported>) -> Outcom
     }
 }
 
-fn plain(cfg: &SemanticsConfig, db: &Database, q: &Query) -> Outcome {
+/// Asks `q` of `db`, a plain database or a prepared entry.
+fn ask(cfg: &SemanticsConfig, db: &impl AsPrepared, q: &Query) -> Outcome {
     observe(|c| match q {
-        Query::Literal(l) => cfg.infers_literal(db, *l, c).map(Answer::Verdict),
         Query::Formula(f) => cfg.infers_formula(db, f, c).map(Answer::Verdict),
         Query::Existence => cfg.has_model(db, c).map(Answer::Verdict),
         Query::Enumeration => cfg.models(db, c).map(Answer::Models),
-    })
-}
-
-fn prepared(cfg: &SemanticsConfig, p: &Prepared, q: &Query) -> Outcome {
-    observe(|c| match q {
-        Query::Literal(l) => cfg.infers_literal_prepared(p, *l, c).map(Answer::Verdict),
-        Query::Formula(f) => cfg.infers_formula_prepared(p, f, c).map(Answer::Verdict),
-        Query::Existence => cfg.has_model_prepared(p, c).map(Answer::Verdict),
-        Query::Enumeration => cfg.models_prepared(p, c).map(Answer::Models),
     })
 }
 
@@ -179,12 +171,12 @@ fn prepared_entries_answer_and_bill_like_the_plain_path() {
                         cfg.routing,
                         cfg.partition.is_some() || cfg.icwa_varying.is_some()
                     );
-                    let want = plain(&cfg, db, &q);
-                    assert_eq!(prepared(&cfg, &entry, &q), want, "{what}: first ask");
-                    assert_eq!(prepared(&cfg, &entry, &q), want, "{what}: memo hit");
+                    let want = ask(&cfg, db, &q);
+                    assert_eq!(ask(&cfg, &entry, &q), want, "{what}: first ask");
+                    assert_eq!(ask(&cfg, &entry, &q), want, "{what}: memo hit");
                 }
                 assert_eq!(
-                    cfg.check_applicable_prepared(&entry),
+                    cfg.check_applicable(&entry),
                     cfg.check_applicable(db),
                     "db {di} {id}"
                 );
@@ -208,16 +200,8 @@ fn plans_read_from_the_memo_match_the_plain_plans() {
             ] {
                 let render = |p: Result<ddb_analysis::PlanNode, Unsupported>| p.map(|n| n.render());
                 let want = render(cfg.plan(db, &q));
-                assert_eq!(
-                    render(cfg.plan_prepared(&entry, &q)),
-                    want,
-                    "db {di} {id} {q:?}"
-                );
-                assert_eq!(
-                    render(cfg.plan_prepared(&entry, &q)),
-                    want,
-                    "db {di} {id} {q:?}"
-                );
+                assert_eq!(render(cfg.plan(&entry, &q)), want, "db {di} {id} {q:?}");
+                assert_eq!(render(cfg.plan(&entry, &q)), want, "db {di} {id} {q:?}");
             }
         }
     }
@@ -229,7 +213,7 @@ fn transcript(entry: &Prepared, db: &Database) -> String {
     for id in SemanticsId::ALL {
         let cfg = SemanticsConfig::new(id);
         for q in queries(db) {
-            out.push_str(&format!("{id} {q:?} {:?}\n", prepared(&cfg, entry, &q)));
+            out.push_str(&format!("{id} {q:?} {:?}\n", ask(&cfg, entry, &q)));
         }
     }
     out
@@ -251,7 +235,7 @@ fn eight_threads_share_one_entry_and_agree() {
         for id in SemanticsId::ALL {
             let cfg = SemanticsConfig::new(id);
             for q in queries(db) {
-                want.push_str(&format!("{id} {q:?} {:?}\n", plain(&cfg, db, &q)));
+                want.push_str(&format!("{id} {q:?} {:?}\n", ask(&cfg, db, &q)));
             }
         }
         // Eight threads race to fill one fresh entry.

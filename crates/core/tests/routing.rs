@@ -82,10 +82,11 @@ fn assert_routes_agree(id: SemanticsId, db: &Database) {
     );
     for i in 0..db.num_atoms() as u32 {
         for lit in [Atom::new(i).pos(), Atom::new(i).neg()] {
+            let f = Formula::from(lit);
             assert_eq!(
-                auto.infers_literal(db, lit, &mut ca).unwrap(),
-                generic.infers_literal(db, lit, &mut cg).unwrap(),
-                "{id:?} infers_literal {lit:?} on {db:?}"
+                auto.infers_formula(db, &f, &mut ca).unwrap(),
+                generic.infers_formula(db, &f, &mut cg).unwrap(),
+                "{id:?} literal {lit:?} on {db:?}"
             );
         }
     }

@@ -421,19 +421,18 @@ fn pdsm_matches_brute() {
 fn literal_and_formula_inference_consistent() {
     let mut rng = XorShift64Star::seed_from_u64(0x5B0B);
     for case in 0..CASES {
-        // For every semantics: infers_literal must equal infers_formula on
-        // the literal read as a formula.
+        // For every semantics: a one-literal formula (planned and answered
+        // as a literal) must get the verdict of the same literal wrapped in
+        // a one-conjunct `And` (planned and answered as a formula).
         let db = random_db(&mut rng, true, true);
         let mut cost = Cost::new();
         for id in SemanticsId::ALL {
             let cfg = SemanticsConfig::new(id);
             for i in 0..N {
                 for sign in [true, false] {
-                    let a = Atom::new(i as u32);
-                    let lit = ddb_logic::Literal::with_sign(a, sign);
-                    let f = Formula::literal(a, sign);
-                    let l = cfg.infers_literal(&db, lit, &mut cost);
-                    let g = cfg.infers_formula(&db, &f, &mut cost);
+                    let f = Formula::literal(Atom::new(i as u32), sign);
+                    let l = cfg.infers_formula(&db, &f, &mut cost);
+                    let g = cfg.infers_formula(&db, &Formula::and([f]), &mut cost);
                     match (l, g) {
                         (Ok(a1), Ok(a2)) => assert_eq!(a1, a2, "{id}, case {case}"),
                         (Err(_), Err(_)) => {}

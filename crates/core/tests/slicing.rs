@@ -76,10 +76,11 @@ fn assert_sliced_agrees(id: SemanticsId, db: &Database) {
 
     for i in 0..db.num_atoms() as u32 {
         for lit in [Atom::new(i).pos(), Atom::new(i).neg()] {
+            let f = Formula::from(lit);
             assert_eq!(
-                auto.infers_literal(db, lit, &mut ca).unwrap(),
-                generic.infers_literal(db, lit, &mut cg).unwrap(),
-                "{id:?} infers_literal {lit:?} on {db:?}"
+                auto.infers_formula(db, &f, &mut ca).unwrap(),
+                generic.infers_formula(db, &f, &mut cg).unwrap(),
+                "{id:?} literal {lit:?} on {db:?}"
             );
         }
     }
@@ -188,8 +189,9 @@ fn sliced_literal_inference_pays_strictly_fewer_oracle_calls() {
         let mut cg = Cost::new();
         let auto = SemanticsConfig::new(id);
         let generic = SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
-        let a = auto.infers_literal(db, lit, &mut ca).unwrap();
-        let g = generic.infers_literal(db, lit, &mut cg).unwrap();
+        let f = Formula::from(lit);
+        let a = auto.infers_formula(db, &f, &mut ca).unwrap();
+        let g = generic.infers_formula(db, &f, &mut cg).unwrap();
         assert_eq!(a, g, "{id:?} on the layered family");
         assert!(
             ca.sat_calls < cg.sat_calls,
@@ -218,7 +220,7 @@ fn admitted_slices_and_peels_are_observable() {
     let mut ans = false;
     let [sliced] = gained(["route.slice"], || {
         ans = SemanticsConfig::new(SemanticsId::Egcwa)
-            .infers_literal(&db, Atom::new(2).pos(), &mut Cost::new())
+            .infers_formula(&db, &Formula::from(Atom::new(2).pos()), &mut Cost::new())
             .unwrap()
             .definite();
     });

@@ -269,6 +269,14 @@ impl Formula {
     }
 }
 
+/// The one-literal formula `a` or `¬a`; the inverse of
+/// [`Formula::as_literal`].
+impl From<Literal> for Formula {
+    fn from(lit: Literal) -> Self {
+        Formula::literal(lit.atom(), lit.is_positive())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +383,13 @@ mod tests {
         assert_eq!(Formula::atom(a).negated().negated().as_literal(), None);
         assert_eq!(Formula::and([Formula::atom(a)]).as_literal(), None);
         assert_eq!(Formula::True.as_literal(), None);
+    }
+
+    #[test]
+    fn from_literal_round_trips_through_as_literal() {
+        for l in [a(0).pos(), a(0).neg(), a(7).pos(), a(7).neg()] {
+            assert_eq!(Formula::from(l).as_literal(), Some(l));
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@ mod tests {
     use super::*;
     use crate::qbf::random_forall_exists;
     use ddb_core::{SemanticsConfig, SemanticsId};
+    use ddb_logic::Formula;
     use ddb_models::Cost;
 
     #[test]
@@ -117,7 +118,7 @@ mod tests {
             ] {
                 let cfg = SemanticsConfig::new(id);
                 let got = cfg
-                    .infers_literal(&inst.db, inst.w.neg(), &mut cost)
+                    .infers_formula(&inst.db, &Formula::from(inst.w.neg()), &mut cost)
                     .expect("applicable on positive DBs");
                 assert_eq!(got, expected, "seed {seed} semantics {id}");
             }

@@ -101,7 +101,7 @@ pub fn query_formula(request: &Request, db: &Database) -> Result<Formula, WireEr
         }
         (None, Some(l)) => {
             let lit = parse_literal(l, db.symbols()).map_err(WireError::usage)?;
-            Ok(Formula::literal(lit.atom(), lit.is_positive()))
+            Ok(lit.into())
         }
         _ => Err(WireError::usage(
             "need exactly one of `formula` / `literal`",
@@ -125,13 +125,13 @@ pub fn answer_request(
     let mut fields = match request.op {
         Op::Query | Op::Exists => {
             let verdict = if request.op == Op::Exists {
-                cfg.has_model_prepared(prepared, &mut cost)
+                cfg.has_model(prepared, &mut cost)
             } else {
                 let formula = query_formula(request, db)?;
                 if request.brave {
-                    witness::brave_infers_formula(&cfg, db, &formula, &mut cost)
+                    witness::brave_infers_formula(&cfg, prepared, &formula, &mut cost)
                 } else {
-                    cfg.infers_formula_prepared(prepared, &formula, &mut cost)
+                    cfg.infers_formula(prepared, &formula, &mut cost)
                 }
             }
             .map_err(unsupported)?;
@@ -141,9 +141,7 @@ pub fn answer_request(
             )
         }
         Op::Models => {
-            let enumeration = cfg
-                .models_prepared(prepared, &mut cost)
-                .map_err(unsupported)?;
+            let enumeration = cfg.models(prepared, &mut cost).map_err(unsupported)?;
             let answer = if enumeration.is_complete() {
                 format!("{} model(s) under {}:", enumeration.len(), cfg.id)
             } else {

@@ -53,11 +53,11 @@ fn main() {
         for (name, _expected) in queries {
             let atom = db.symbols().lookup(name).unwrap();
             let pos = cfg
-                .infers_literal(&db, atom.pos(), &mut cost)
+                .infers_formula(&db, &Formula::from(atom.pos()), &mut cost)
                 .unwrap()
                 .definite();
             let neg = cfg
-                .infers_literal(&db, atom.neg(), &mut cost)
+                .infers_formula(&db, &Formula::from(atom.neg()), &mut cost)
                 .unwrap()
                 .definite();
             let verdict = match (pos, neg) {

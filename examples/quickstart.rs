@@ -48,7 +48,7 @@ fn main() {
     ] {
         let cfg = SemanticsConfig::new(id);
         let ans = cfg
-            .infers_literal(&db, therapy.neg(), &mut cost)
+            .infers_formula(&db, &Formula::from(therapy.neg()), &mut cost)
             .unwrap()
             .definite();
         println!("  {id}: {ans}");

@@ -777,9 +777,7 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
     if query_atoms.is_empty() {
         return Err("the query mentions no atoms; nothing to slice".into());
     }
-    let literal_query = query_atoms.len() == 1
-        && (formula == Formula::literal(query_atoms[0], true)
-            || formula == Formula::literal(query_atoms[0], false));
+    let literal_query = formula.as_literal().is_some();
     let slice = relevant_slice(&db, &query_atoms);
     let graph = DepGraph::of_database(&db);
     let frags = Fragments::of(&db, &graph);
@@ -931,9 +929,7 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
     if query_atoms.is_empty() {
         return Err("the query mentions no atoms; nothing to rewrite".into());
     }
-    let literal_query = query_atoms.len() == 1
-        && (formula == Formula::literal(query_atoms[0], true)
-            || formula == Formula::literal(query_atoms[0], false));
+    let literal_query = formula.as_literal().is_some();
     let prepared = Prepared::borrowed(&db);
     let frags = prepared.fragments();
     let semantics = semantics_or_all(&opts)?;
@@ -1316,7 +1312,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
     };
     let f = match opts.value("formula") {
         Some(src) => parse_query(src, db.symbols()).map_err(|e| e.to_string())?,
-        None => Formula::literal(lit.atom(), lit.is_positive()),
+        None => lit.into(),
     };
     // Per-cell budget: --cell-timeout-ms plus any of the general resource
     // limits. Each matrix cell gets a fresh installation, so one slow
@@ -1364,44 +1360,33 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::core::planner::problem_of;
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
-    let threads = threads_from(&opts)?;
     // The planned query: --query, else the first atom as a positive
     // literal (matching `ddb profile`'s default), else model existence.
-    let (plan_query, query_label, lit, formula) = match opts.value("query") {
+    let (query_label, formula) = match opts.value("query") {
         Some(raw) => {
             let f = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
-            let lit = f.as_literal();
-            let pq = match lit {
-                Some(l) => PlanQuery::Literal(l.atom()),
-                None => PlanQuery::Formula(f.atoms()),
-            };
-            (pq, raw.to_owned(), lit, Some(f))
+            (raw.to_owned(), Some(f))
         }
         None if db.num_atoms() > 0 => {
             let a = Atom::new(0);
-            (
-                PlanQuery::Literal(a),
-                db.symbols().name(a).to_owned(),
-                Some(a.pos()),
-                None,
-            )
+            (db.symbols().name(a).to_owned(), Some(a.pos().into()))
         }
-        None => (
-            PlanQuery::Existence,
-            "(model existence)".to_owned(),
-            None,
-            None,
-        ),
+        None => ("(model existence)".to_owned(), None),
     };
+    let plan_query = formula.as_ref().map_or(PlanQuery::Existence, PlanQuery::of);
     let problem = problem_of(&plan_query);
     let oracle_budget = opts.limits()?.max_oracle_calls;
     let ids = semantics_or_all(&opts)?;
-    // One plan per semantics; unsupported combinations are reported, not
+    // One plan per semantics, each configured as `ddb query` configures
+    // it (partition, width); unsupported combinations are reported, not
     // fatal (a sweep over all ten must survive DDR/PWS on negation).
+    let base = semantics_config(&request_from(&opts, Op::Query)?, &db, usize::MAX)
+        .map_err(|e| e.message)?;
     let explained: Vec<(SemanticsId, SemanticsConfig, Result<PlanNode, String>)> = ids
         .into_iter()
         .map(|id| {
-            let cfg = SemanticsConfig::new(id).with_threads(threads);
+            let mut cfg = base.clone();
+            cfg.id = id;
             let plan = cfg.plan(&db, &plan_query).map_err(|u| u.reason);
             (id, cfg, plan)
         })
@@ -1426,18 +1411,14 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
         .filter(|_| bound_query(&db, &query_atoms))
         .map(|slice| magic::rewrite(&db, &query_atoms, slice));
     // --execute: run each planned cell and compare prediction to
-    // observation. The dummy literal for existence-only audits is never
-    // dereferenced (`has_model` ignores the query arguments).
+    // observation. Existence-only audits ignore the query formula.
     let mut audits: Vec<(SemanticsId, &PlanNode, profile::CellProfile)> = Vec::new();
     let mut audit_failures = 0usize;
     if opts.flag("execute") {
-        let lit_q = lit.unwrap_or_else(|| Atom::new(0).pos());
-        let f_q = formula
-            .clone()
-            .unwrap_or_else(|| Formula::literal(lit_q.atom(), lit_q.is_positive()));
+        let f_q = formula.unwrap_or(Formula::True);
         for (id, cfg, plan) in &explained {
             let Ok(plan) = plan else { continue };
-            let cell = profile::profile_cell(cfg, &db, problem, lit_q, &f_q, None);
+            let cell = profile::profile_cell(cfg, &db, problem, &f_q, None);
             if cell.unsupported.is_none()
                 && (cell.route != Some(plan.route.label())
                     || cell.cost.sat_calls > plan.oracle_bound)

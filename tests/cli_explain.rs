@@ -138,6 +138,52 @@ fn json_of(args: &[&str]) -> ddb_obs::json::Json {
 }
 
 #[test]
+fn explain_audits_the_partition_query_runs() {
+    // `--partition-p/-q` reach the plan and the audit exactly as they
+    // reach `ddb query`: the predicted route is the one `query --stats`
+    // counts, and the audited bill is the bill `query` prints.
+    let path = temp_file("partition", "a | b. c :- a.");
+    for semantics in ["ccwa", "ecwa"] {
+        for partition in [&[][..], &["--partition-p", "a", "--partition-q", "b"][..]] {
+            let flags = [&["--semantics", semantics][..], partition].concat();
+            let what = format!("{flags:?}");
+            let explain = json_of(
+                &[
+                    &["explain", &path, "--query", "-b", "--execute", "--json"][..],
+                    &flags,
+                ]
+                .concat(),
+            );
+            let audit = &explain.get("audits").and_then(|a| a.as_arr()).unwrap()[0];
+            let route = audit
+                .get("predicted_route")
+                .and_then(|r| r.as_str())
+                .unwrap();
+            let sat_calls = audit.get("observed_sat_calls").and_then(|n| n.as_u64());
+            let out = ddb()
+                .args([&["query", &path, "--literal", "-b", "--stats"][..], &flags].concat())
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code().unwrap(), 0, "{what}");
+            let stats = String::from_utf8(out.stderr).unwrap();
+            let billed = stats
+                .split("[oracle: ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|n| n.parse::<u64>().ok());
+            assert_eq!(billed, sat_calls, "{what}: {stats}");
+            assert!(
+                stats
+                    .lines()
+                    .any(|l| l.split_whitespace().next() == Some(&format!("route.{route}"))),
+                "{what}: predicted {route}, but query --stats counted\n{stats}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn rewrite_restriction_is_the_slice_the_plan_executes() {
     // `b :- ghost.` is dead, but the propositional query `b` is unbound,
     // so the planner keeps it; the magic.dlv queries are bound, and the

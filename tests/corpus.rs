@@ -252,18 +252,23 @@ fn corpus_inference_vacuity() {
 
 #[test]
 fn literal_and_one_literal_formula_are_one_query() {
-    // A formula that is a single literal is planned and answered as that
-    // literal, locally and through the served request path: same verdict,
-    // same oracle bill. Wrapping the literal in a one-element conjunction
-    // keeps it on the formula route, which must agree on the verdict.
-    use disjunctive_db::core::Prepared;
+    // One query, one bill, every front end: a literal is a one-literal
+    // formula, answered on one path. What `ddb explain --execute` audits
+    // (`profile_cell`) and what the served executor answers for a
+    // `literal` frame and for a `formula` frame agree on the verdict and
+    // the oracle bill; the literal wrapped in a one-conjunct `And` (the
+    // formula route) agrees on the verdict; and where a semantics keeps a
+    // literal procedure of its own (GCWA, DDR, PWS), it agrees with that
+    // semantics' formula procedure.
+    use disjunctive_db::core::profile::{profile_cell, Problem};
+    use disjunctive_db::core::{ddr, gcwa, pws, Prepared};
     use disjunctive_db::serve::{answer, protocol};
     use disjunctive_db::workloads::random::{random_db, DbSpec};
     let mut dbs: Vec<Database> = CORPUS
         .iter()
         .map(|(src, _)| parse_program(src).unwrap())
         .collect();
-    for seed in 0..4 {
+    for seed in 0..6 {
         dbs.push(random_db(&DbSpec::positive(5, 6), seed));
         dbs.push(random_db(&DbSpec::deductive(5, 6), seed));
         dbs.push(random_db(&DbSpec::normal(5, 6), seed));
@@ -272,32 +277,61 @@ fn literal_and_one_literal_formula_are_one_query() {
         let prepared = Prepared::borrowed(db);
         for id in SemanticsId::ALL {
             let cfg = SemanticsConfig::new(id);
-            let cli_name = id.name().split(' ').next().unwrap().to_ascii_lowercase();
+            let wire_name = id.name().split(' ').next().unwrap().to_ascii_lowercase();
             for lit in db.symbols().atoms().flat_map(|a| [a.pos(), a.neg()]) {
-                let f = Formula::literal(lit.atom(), lit.is_positive());
-                let (mut cl, mut cf, mut cw) = (Cost::new(), Cost::new(), Cost::new());
-                let Ok(by_literal) = cfg.infers_literal(db, lit, &mut cl) else {
-                    assert!(cfg.infers_formula(db, &f, &mut cf).is_err(), "{id}");
+                let f = Formula::from(lit);
+                let what = format!("{id} on {lit:?} of `{}`", display_database(db));
+                let cell = profile_cell(&cfg, db, Problem::Literal, &f, None);
+                let name = db.symbols().name(lit.atom());
+                let (sign, not) = if lit.is_positive() {
+                    ("", "")
+                } else {
+                    ("-", "!")
+                };
+                for field in [
+                    format!(r#""literal":"{sign}{name}""#),
+                    format!(r#""formula":"{not}{name}""#),
+                ] {
+                    let frame =
+                        format!(r#"{{"op":"query","db":"d","semantics":"{wire_name}",{field}}}"#);
+                    let request = protocol::parse_request(&frame).unwrap();
+                    let served = answer::answer_request(&request, &prepared, 1);
+                    let Ok(fields) = served else {
+                        assert!(cell.unsupported.is_some(), "{what}: {field}");
+                        continue;
+                    };
+                    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).unwrap().1.clone();
+                    assert_eq!(get("verdict").as_bool(), cell.answer, "{what}: {field}");
+                    assert_eq!(
+                        get("sat_calls").as_u64(),
+                        Some(cell.cost.sat_calls),
+                        "{what}: {field}"
+                    );
+                }
+                let Some(verdict) = cell.answer else {
                     continue;
                 };
-                let by_formula = cfg.infers_formula(db, &f, &mut cf).unwrap();
-                let wrapped = cfg
-                    .infers_formula(db, &Formula::and([f.clone()]), &mut cw)
-                    .unwrap();
-                let what = format!("{id} on {lit:?} of `{}`", display_database(db));
-                assert_eq!(by_literal, by_formula, "{what}");
-                assert_eq!(cl.sat_calls, cf.sat_calls, "{what}");
-                assert_eq!(by_literal, wrapped, "{what}");
-
-                let sign = if lit.is_positive() { "" } else { "-" };
-                let frame = format!(
-                    r#"{{"op":"query","db":"d","semantics":"{cli_name}","literal":"{sign}{}"}}"#,
-                    db.symbols().name(lit.atom())
-                );
-                let request = protocol::parse_request(&frame).unwrap();
-                let fields = answer::answer_request(&request, &prepared, 1).unwrap();
-                let served = fields.iter().find(|(k, _)| *k == "sat_calls").unwrap();
-                assert_eq!(served.1.as_u64(), Some(cl.sat_calls), "served {what}");
+                let mut cost = Cost::new();
+                let wrapped = cfg.infers_formula(db, &Formula::and([f.clone()]), &mut cost);
+                assert_eq!(wrapped.unwrap(), verdict, "{what}: And([literal])");
+                let own = match id {
+                    SemanticsId::Gcwa => Some((
+                        gcwa::infers_literal(db, lit, &mut cost),
+                        gcwa::infers_formula(db, &f, &mut cost),
+                    )),
+                    SemanticsId::Ddr => Some((
+                        ddr::infers_literal(db, lit, &mut cost),
+                        ddr::infers_formula(db, &f, &mut cost),
+                    )),
+                    SemanticsId::Pws => Some((
+                        pws::infers_literal(db, lit, &mut cost),
+                        pws::infers_formula(db, &f, &mut cost),
+                    )),
+                    _ => None,
+                };
+                if let Some((by_literal, by_formula)) = own {
+                    assert_eq!(by_literal.unwrap(), by_formula.unwrap(), "{what}: module");
+                }
             }
         }
     }

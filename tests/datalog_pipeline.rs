@@ -8,7 +8,7 @@
 //! — exactly the ½ values of WFS and the undefined atoms of PDSM, and
 //! exactly where the stable models multiply.
 
-use disjunctive_db::core::{dsm, pdsm, wfs};
+use disjunctive_db::core::{dsm, pdsm, wfs, witness};
 use disjunctive_db::ground::{ground_full, ground_reduced, parse::parse_datalog};
 use disjunctive_db::prelude::*;
 
@@ -120,8 +120,7 @@ fn win_move_queries_through_dispatch() {
         .infers_formula(&db, &win_d, &mut cost)
         .unwrap()
         .definite());
-    assert!(cfg
-        .brave_infers_formula(&db, &win_d, &mut cost)
+    assert!(witness::brave_infers_formula(&cfg, &db, &win_d, &mut cost)
         .unwrap()
         .definite());
     // The drawn disjunction holds cautiously: in every stable model,

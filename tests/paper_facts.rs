@@ -43,7 +43,7 @@ fn example_3_1() {
     // Chan's improvement motivation: GCWA does infer ¬c here.
     assert!(gcwa::infers_literal(&db, c.neg(), &mut cost).unwrap());
     // And EGCWA (= minimal models) likewise.
-    assert!(egcwa::infers_literal(&db, c.neg(), &mut cost).unwrap());
+    assert!(egcwa::infers_formula(&db, &Formula::from(c.neg()), &mut cost).unwrap());
 }
 
 /// `EGCWA(DB) = MM(DB)` — the paper's stated characterization.
@@ -157,10 +157,11 @@ fn theorem_4_2_degenerate_stratification() {
     let inst = gcwa_hardness::forall_exists_to_gcwa(&q);
     let mut cost = Cost::new();
     let icwa_ans = SemanticsConfig::new(SemanticsId::Icwa)
-        .infers_literal(&inst.db, inst.w.neg(), &mut cost)
+        .infers_formula(&inst.db, &Formula::from(inst.w.neg()), &mut cost)
         .unwrap()
         .definite();
-    let egcwa_ans = egcwa::infers_literal(&inst.db, inst.w.neg(), &mut cost).unwrap();
+    let egcwa_ans =
+        egcwa::infers_formula(&inst.db, &Formula::from(inst.w.neg()), &mut cost).unwrap();
     assert_eq!(icwa_ans, egcwa_ans);
     assert!(icwa_ans, "parity family is valid");
 }

@@ -87,7 +87,7 @@ fn unsupported_semantics_fail_gracefully() {
     let mut cost = Cost::new();
     for id in [SemanticsId::Ddr, SemanticsId::Pws, SemanticsId::Icwa] {
         let err = SemanticsConfig::new(id)
-            .infers_literal(&db, Atom::new(0).pos(), &mut cost)
+            .infers_formula(&db, &Formula::from(Atom::new(0).pos()), &mut cost)
             .unwrap_err();
         assert_eq!(err.semantics, id);
         assert!(!err.reason.is_empty());
