@@ -11,13 +11,39 @@
 //! * An **NP witness encoding** ([`possible_model_cnf`]): `M` is a possible
 //!   model iff `M ⊨ DB` and every `x ∈ M` is *acyclically supported* —
 //!   some rule has `x` in its head, its body inside `M`, and all body atoms
-//!   at strictly smaller derivation levels. Levels are binary-encoded
-//!   (`⌈log₂ n⌉` auxiliary bits per atom), so possible-model existence and
-//!   formula inference are each **one SAT call** — the right shape for the
-//!   coNP-complete table cells. Correctness of the characterization: for a
-//!   definite program `P_M = {x ← body : body ⊆ M, x ∈ head ∩ M}` we have
-//!   `LM(P_M) ⊆ M` always, and `M ⊆ LM(P_M)` iff every atom of `M` has a
-//!   well-founded support — precisely the level-mapping condition.
+//!   at strictly smaller derivation levels. Correctness of the
+//!   characterization: for a definite program `P_M = {x ← body : body ⊆ M,
+//!   x ∈ head ∩ M}` we have `LM(P_M) ⊆ M` always, and `M ⊆ LM(P_M)` iff
+//!   every atom of `M` has a well-founded support — precisely the
+//!   level-mapping condition. Possible-model existence and formula
+//!   inference are each **one SAT call** — the right shape for the
+//!   coNP-complete table cells.
+//!
+//!   Levels are encoded only inside the strongly connected components of
+//!   the *positive dependency graph* (an edge `b → x` per rule with `b` in
+//!   its body and `x` in its head). An atom of a component `C` with
+//!   `|C| ≥ 2` gets `⌈log₂|C|⌉` local level bits, every other atom none.
+//!   A support of `x` compares levels only for body atoms in `x`'s own
+//!   component, and a rule with `x` in its body never supports `x`. This
+//!   loses nothing:
+//!   - *Sound:* component ids are in topological order, so every body
+//!     atom outside `x`'s component has a smaller id. The pair (component
+//!     id, local level) therefore strictly decreases along every chosen
+//!     support; lexicographic order on such pairs is well-founded, so
+//!     every atom of `M` is acyclically supported.
+//!   - *Complete:* for a possible model `M`, let `stage(x)` be the round of
+//!     the `T_{P_M}` iteration that derives `x`, and dense-rank the stages
+//!     of `M`'s atoms within each component. The ranks are below `|C|`, so
+//!     they fit the bits. The rule deriving `x` has all body atoms at
+//!     earlier stages (so `x` is not among them), hence those in `x`'s
+//!     component at smaller ranks.
+//!
+//!   The clauses are emitted directly and one-sided (Plaisted–Greenbaum):
+//!   each support literal `s` and comparator `t` occurs only positively,
+//!   in the support clause `¬x ∨ ⋁ s`, so `s → body` and `t → ℓ_b < ℓ_x`
+//!   suffice and the projected models are unchanged. A tight database (no
+//!   positive cycle) gets the support half of Clark's completion and
+//!   nothing more.
 //! * A **reference split enumerator** ([`possible_models_by_splits`]),
 //!   exponential in the number of disjunctive rules, used by tests to
 //!   validate the encoding.
@@ -32,13 +58,22 @@
 //! otherwise.
 
 use ddb_logic::cnf::{Cnf, CnfBuilder};
+use ddb_logic::depgraph::DepGraph;
 use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
 use ddb_models::{fixpoint, Cost};
 use ddb_obs::Governed;
 use ddb_sat::{enumerate_models, Solver};
+use std::collections::HashMap;
 
 /// Builds the possible-model CNF: satisfying assignments, projected onto
 /// the database atoms, are exactly the possible models of `db`.
+///
+/// The CNF is the database's clauses plus, per atom `x`, the one-sided
+/// support clause `¬x ∨ ⋁ sᵣ` over the rules `r` that can support `x`,
+/// with `sᵣ → b` for each body atom and `sᵣ → lt(b, x)` for each body
+/// atom in `x`'s positive SCC. Level bits and comparators exist only
+/// inside positive SCCs of two or more atoms, so a tight database gets the
+/// completion's support half and nothing more.
 pub fn possible_model_cnf(db: &Database) -> Cnf {
     assert!(
         !db.has_negation(),
@@ -47,49 +82,149 @@ pub fn possible_model_cnf(db: &Database) -> Cnf {
     let n = db.num_atoms();
     let mut b = CnfBuilder::new(n);
     b.add_database(db);
-    if n == 0 {
-        return b.finish();
-    }
-    // Level bits (LSB first) per atom.
-    let bits = usize::max(1, n.next_power_of_two().trailing_zeros() as usize);
-    let levels: Vec<Vec<Atom>> = (0..n)
-        .map(|_| (0..bits).map(|_| b.fresh_var()).collect())
-        .collect();
-    // lt(a, x): binary comparison ℓ_a < ℓ_x.
-    let lt = |a: usize, x: usize| -> Formula {
-        let mut cases = Vec::with_capacity(bits);
-        for i in 0..bits {
-            let mut conj = vec![
-                Formula::atom(levels[a][i]).negated(),
-                Formula::atom(levels[x][i]),
-            ];
-            for (&la, &lx) in levels[a][i + 1..].iter().zip(&levels[x][i + 1..]) {
-                conj.push(Formula::atom(la).iff(Formula::atom(lx)));
-            }
-            cases.push(Formula::And(conj));
+    let mut ranks = Ranks::new(db, &mut b);
+    // supports[x]: the support literals of x, `None` once a fact makes
+    // x's support clause vacuous. Filled in one pass over the rules.
+    let mut supports: Vec<Option<Vec<Literal>>> = vec![Some(Vec::new()); n];
+    let mut conj: Vec<Literal> = Vec::new();
+    for rule in db.rules() {
+        if rule.is_integrity() {
+            continue;
         }
-        Formula::Or(cases)
-    };
-    // Support constraints: x → ⋁_{rules r with x ∈ head} ⋀_{b ∈ body(r)}
-    // (b ∧ lt(b, x)).
-    for xi in 0..n {
-        let x = Atom::new(xi as u32);
-        let mut supports = Vec::new();
-        for rule in db.rules() {
-            if !rule.head().contains(&x) {
+        let body = rule.body_pos();
+        // The support literal of the body alone, shared by every head atom
+        // that needs no comparator for it.
+        let mut plain: Option<Literal> = None;
+        for &x in rule.head() {
+            if body.is_empty() {
+                supports[x.index()] = None;
                 continue;
             }
-            let conj: Vec<Formula> = rule
-                .body_pos()
-                .iter()
-                .flat_map(|&ba| [Formula::atom(ba), lt(ba.index(), xi)])
-                .collect();
-            supports.push(Formula::And(conj));
+            let Some(sx) = &mut supports[x.index()] else {
+                continue;
+            };
+            if body.contains(&x) {
+                continue;
+            }
+            let ranked = body.iter().any(|&a| ranks.same(a, x));
+            let s = match plain {
+                Some(s) if !ranked => s,
+                _ => {
+                    conj.clear();
+                    for &a in body {
+                        conj.push(a.pos());
+                        if ranks.same(a, x) {
+                            conj.push(ranks.lt(&mut b, a, x));
+                        }
+                    }
+                    let s = define_conjunction(&mut b, &conj);
+                    if !ranked {
+                        plain = Some(s);
+                    }
+                    s
+                }
+            };
+            sx.push(s);
         }
-        let constraint = Formula::atom(x).implies(Formula::Or(supports));
-        b.assert_formula(&constraint);
+    }
+    for (xi, s) in supports.into_iter().enumerate() {
+        if let Some(s) = s {
+            let mut clause = Vec::with_capacity(s.len() + 1);
+            clause.push(Atom::new(xi as u32).neg());
+            clause.extend(s);
+            b.add_clause(clause);
+        }
     }
     b.finish()
+}
+
+/// A literal `s` with `s → ℓ` for every `ℓ` in `conj` (the literal itself
+/// when there is only one).
+fn define_conjunction(b: &mut CnfBuilder, conj: &[Literal]) -> Literal {
+    if let [l] = conj {
+        return *l;
+    }
+    let s = b.fresh_var();
+    for &l in conj {
+        b.add_clause(vec![s.neg(), l]);
+    }
+    s.pos()
+}
+
+/// Local derivation levels inside the positive SCCs: an atom of a
+/// component `C` with `|C| ≥ 2` gets `⌈log₂|C|⌉` level bits (LSB first,
+/// consecutive variables), every other atom none.
+struct Ranks {
+    comp: Vec<usize>,
+    /// Level bits per component.
+    width: Vec<u32>,
+    /// First level variable of each atom (meaningful when its width is
+    /// non-zero).
+    first: Vec<u32>,
+    /// `lt(b, x)` per (b, x) pair, memoised.
+    lt: HashMap<(Atom, Atom), Literal>,
+}
+
+impl Ranks {
+    fn new(db: &Database, b: &mut CnfBuilder) -> Ranks {
+        let sccs = DepGraph::of_database(db).positive_sccs();
+        let width: Vec<u32> = sccs
+            .sizes()
+            .into_iter()
+            .map(|size| size.next_power_of_two().trailing_zeros())
+            .collect();
+        let first = sccs
+            .comp
+            .iter()
+            .map(|&c| {
+                let first = b.num_vars() as u32;
+                for _ in 0..width[c] {
+                    b.fresh_var();
+                }
+                first
+            })
+            .collect();
+        Ranks {
+            comp: sccs.comp,
+            width,
+            first,
+            lt: HashMap::new(),
+        }
+    }
+
+    /// Whether `a ≠ x` share a positive SCC, so a support of `x` through
+    /// `a` must compare their levels.
+    fn same(&self, a: Atom, x: Atom) -> bool {
+        a != x && self.comp[a.index()] == self.comp[x.index()]
+    }
+
+    /// Level bit `i` of atom `a`.
+    fn bit(&self, a: Atom, i: u32) -> Atom {
+        Atom::new(self.first[a.index()] + i)
+    }
+
+    /// A literal `t` with `t → ℓ_a < ℓ_x`, for `a` and `x` in one SCC.
+    /// From the top bit down, `t_i → (¬a_i ∨ x_i) ∧ (x_i ∨ t_{i-1}) ∧
+    /// (¬a_i ∨ t_{i-1})`, and at bit 0 `t_0 → ¬a_0 ∧ x_0`.
+    fn lt(&mut self, b: &mut CnfBuilder, a: Atom, x: Atom) -> Literal {
+        if let Some(&t) = self.lt.get(&(a, x)) {
+            return t;
+        }
+        let t = b.fresh_var();
+        let mut cur = t;
+        for i in (1..self.width[self.comp[x.index()]]).rev() {
+            let (ai, xi) = (self.bit(a, i), self.bit(x, i));
+            let next = b.fresh_var();
+            b.add_clause(vec![cur.neg(), ai.neg(), xi.pos()]);
+            b.add_clause(vec![cur.neg(), xi.pos(), next.pos()]);
+            b.add_clause(vec![cur.neg(), ai.neg(), next.pos()]);
+            cur = next;
+        }
+        b.add_clause(vec![cur.neg(), self.bit(a, 0).neg()]);
+        b.add_clause(vec![cur.neg(), self.bit(x, 0).pos()]);
+        self.lt.insert((a, x), t.pos());
+        t.pos()
+    }
 }
 
 /// Whether `m` is a possible model of `db` (polynomial check: model of the
@@ -240,11 +375,7 @@ pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<
 /// encoding conjoined with `¬F`.
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("pws.infers_formula");
-    let cnf = possible_model_cnf(db);
-    let mut b = CnfBuilder::new(cnf.num_vars);
-    for c in &cnf.clauses {
-        b.add_clause(c.clone());
-    }
+    let mut b = CnfBuilder::from(possible_model_cnf(db));
     b.assert_formula(&f.clone().negated());
     let mut solver = Solver::from_cnf(&b.finish());
     let result = solver.solve();
@@ -274,6 +405,7 @@ pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
+    use ddb_logic::Rule;
 
     fn interp(db: &Database, names: &[&str]) -> Interpretation {
         Interpretation::from_atoms(
@@ -412,6 +544,69 @@ mod tests {
         assert_eq!(cost.sat_calls, 0);
         assert!(has_model(&parse_program("a | b. :- a, b.").unwrap(), &mut cost).unwrap());
         assert!(!has_model(&parse_program("a. :- a.").unwrap(), &mut cost).unwrap());
+    }
+
+    /// Level variables `Ranks` allocates for `db`.
+    fn level_vars(db: &Database) -> usize {
+        let mut b = CnfBuilder::new(db.num_atoms());
+        Ranks::new(db, &mut b);
+        b.num_vars() - db.num_atoms()
+    }
+
+    #[test]
+    fn tight_database_gets_no_level_variables() {
+        // horn_chain: every support is one body atom from an earlier SCC,
+        // so the encoding is the database plus one support clause per
+        // non-fact atom, over the database atoms alone.
+        let db = ddb_workloads::structured::horn_chain(50);
+        assert_eq!(level_vars(&db), 0);
+        let cnf = possible_model_cnf(&db);
+        assert_eq!(cnf.num_vars, db.num_atoms());
+        let facts = db
+            .rules()
+            .iter()
+            .filter(|r| r.body_pos().is_empty())
+            .count();
+        assert_eq!(cnf.clauses.len(), db.rules().len() + db.num_atoms() - facts);
+    }
+
+    #[test]
+    fn cycle_gets_log_bits_per_atom() {
+        for k in 2..=9usize {
+            // x0 | z.  x(i+1 mod k) :- x(i).
+            let mut db = Database::with_fresh_atoms(k + 1);
+            let x = |i: usize| Atom::new((i % k) as u32);
+            db.add_rule(Rule::fact([x(0), Atom::new(k as u32)]));
+            for i in 0..k {
+                db.add_rule(Rule::new([x(i + 1)], [x(i)], []));
+            }
+            let bits = k.next_power_of_two().trailing_zeros() as usize;
+            assert_eq!(level_vars(&db), k * bits, "k = {k}");
+            let mut cost = Cost::new();
+            assert_eq!(
+                models(&db, &mut cost).unwrap(),
+                possible_models_by_splits(&db),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoding_sizes_are_pinned() {
+        // Both are tight. Towers: 39 rule clauses plus a support clause
+        // for each of the 42 atoms but the 6 base choices, whose fact
+        // makes it vacuous; every body is one atom, so no auxiliaries.
+        let towers = ddb_workloads::structured::sliceable_towers(3, 4);
+        let cnf = possible_model_cnf(&towers);
+        assert_eq!((cnf.clauses.len(), cnf.num_vars), (75, 42), "towers");
+        // Chains: 152 ground atoms, and one definition variable (two
+        // clauses) per two-atom `reach` body.
+        let (source, _) = ddb_workloads::structured::bound_chains(8, 8);
+        let program = ddb_ground::parse::parse_datalog(&source).unwrap();
+        let chains = ddb_ground::ground_reduced(&program, 1_000_000).unwrap();
+        let cnf = possible_model_cnf(&chains);
+        assert_eq!(level_vars(&chains), 0);
+        assert_eq!((cnf.clauses.len(), cnf.num_vars), (352, 216), "chains");
     }
 
     #[test]

@@ -104,11 +104,7 @@ pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
 /// Cautious formula inference: `F` true in every supported model — one
 /// coNP check (vacuously true when none exists).
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let base = completion_cnf(db);
-    let mut b = CnfBuilder::new(base.num_vars);
-    for c in &base.clauses {
-        b.add_clause(c.clone());
-    }
+    let mut b = CnfBuilder::from(completion_cnf(db));
     b.assert_formula(&f.clone().negated());
     let mut solver = Solver::from_cnf(&b.finish());
     let result = solver.solve();
@@ -119,11 +115,7 @@ pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<b
 /// Brave formula inference: `F` true in some supported model — one NP
 /// check.
 pub fn brave_infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let base = completion_cnf(db);
-    let mut b = CnfBuilder::new(base.num_vars);
-    for c in &base.clauses {
-        b.add_clause(c.clone());
-    }
+    let mut b = CnfBuilder::from(completion_cnf(db));
     b.assert_formula(f);
     let mut solver = Solver::from_cnf(&b.finish());
     let result = solver.solve();

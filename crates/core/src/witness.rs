@@ -119,11 +119,7 @@ pub fn explain_formula(
             }
             SemanticsId::Pws => {
                 // Possible-model encoding ∧ ¬F.
-                let base = crate::pws::possible_model_cnf(db);
-                let mut b = CnfBuilder::new(base.num_vars);
-                for c in &base.clauses {
-                    b.add_clause(c.clone());
-                }
+                let mut b = CnfBuilder::from(crate::pws::possible_model_cnf(db));
                 b.assert_formula(&neg);
                 let cnf = b.finish();
                 let mut solver = Solver::from_cnf(&cnf);

@@ -4,8 +4,10 @@
 //! textbook definition* on random small databases. Randomization runs on
 //! the in-repo deterministic PRNG (formerly proptest).
 
+use ddb_core::witness::{self, QueryOutcome};
 use ddb_core::{icwa::Layers, SemanticsConfig, SemanticsId};
 use ddb_core::{pdsm, perf, pws, reduct};
+use ddb_logic::depgraph::DepGraph;
 use ddb_logic::rng::XorShift64Star;
 use ddb_logic::{Atom, Database, Formula, Interpretation, PartialInterpretation, Rule, TruthValue};
 use ddb_models::{brute, Cost, Partition};
@@ -40,25 +42,30 @@ fn random_db(rng: &mut XorShift64Star, allow_neg: bool, allow_integrity: bool) -
 }
 
 fn random_formula(rng: &mut XorShift64Star, depth: usize) -> Formula {
+    random_formula_over(rng, N, depth)
+}
+
+/// A random formula over the first `n` atoms.
+fn random_formula_over(rng: &mut XorShift64Star, n: usize, depth: usize) -> Formula {
     if depth == 0 || rng.gen_bool(0.3) {
         return match rng.gen_range(0, 6) {
-            0..=3 => Formula::Atom(Atom::new(rng.gen_range(0, N) as u32)),
+            0..=3 => Formula::Atom(Atom::new(rng.gen_range(0, n) as u32)),
             _ => Formula::True,
         };
     }
     match rng.gen_range(0, 4) {
-        0 => random_formula(rng, depth - 1).negated(),
+        0 => random_formula_over(rng, n, depth - 1).negated(),
         1 => Formula::And(
             (0..rng.gen_range_inclusive(1, 2))
-                .map(|_| random_formula(rng, depth - 1))
+                .map(|_| random_formula_over(rng, n, depth - 1))
                 .collect(),
         ),
         2 => Formula::Or(
             (0..rng.gen_range_inclusive(1, 2))
-                .map(|_| random_formula(rng, depth - 1))
+                .map(|_| random_formula_over(rng, n, depth - 1))
                 .collect(),
         ),
-        _ => random_formula(rng, depth - 1).implies(random_formula(rng, depth - 1)),
+        _ => random_formula_over(rng, n, depth - 1).implies(random_formula_over(rng, n, depth - 1)),
     }
 }
 
@@ -332,6 +339,82 @@ fn pws_matches_split_reference() {
         );
         check_inference(SemanticsId::Pws, &cfg, &db, &f, &reference, case);
     }
+}
+
+/// A random positive database over 1–8 atoms with at most four
+/// disjunctive rules, its definite rules biased towards positive cycles
+/// (bodies of one or two atoms), and integrity clauses when `integrity`.
+fn random_positive_db(rng: &mut XorShift64Star, integrity: bool) -> Database {
+    let n = rng.gen_range_inclusive(1, 8);
+    let atoms = |rng: &mut XorShift64Star, lo: usize, hi: usize| -> Vec<Atom> {
+        (0..rng.gen_range_inclusive(lo, hi))
+            .map(|_| Atom::new(rng.gen_range(0, n) as u32))
+            .collect()
+    };
+    let mut db = Database::with_fresh_atoms(n);
+    for _ in 0..rng.gen_range_inclusive(0, 4) {
+        let head = atoms(rng, 2, 3);
+        let body = atoms(rng, 0, 1);
+        db.add_rule(Rule::new(head, body, []));
+    }
+    for _ in 0..rng.gen_range_inclusive(0, 2 * n) {
+        let head = atoms(rng, 1, 1);
+        let body = atoms(rng, 0, 2);
+        db.add_rule(Rule::new(head, body, []));
+    }
+    if integrity {
+        for _ in 0..rng.gen_range_inclusive(1, 2) {
+            db.add_rule(Rule::integrity(atoms(rng, 1, 2), []));
+        }
+    }
+    db
+}
+
+/// The possible-model encoding ranks atoms only inside positive cycles;
+/// this suite pins it to the split reference on databases large enough
+/// for multi-bit ranks: `models`, cautious inference, countermodels and
+/// existence all agree with the reference set.
+#[test]
+fn pws_encoding_matches_splits_up_to_eight_atoms() {
+    const PWS_CASES: usize = 2000;
+    let mut rng = XorShift64Star::seed_from_u64(0x5B19);
+    let mut ranked = 0;
+    for case in 0..PWS_CASES {
+        let db = random_positive_db(&mut rng, case % 2 == 1);
+        let f = random_formula_over(&mut rng, db.num_atoms(), 3);
+        let sizes = DepGraph::of_database(&db).positive_sccs().sizes();
+        ranked += usize::from(sizes.iter().any(|&s| s >= 3));
+        let reference = pws::possible_models_by_splits(&db);
+        let mut cost = Cost::new();
+        assert_eq!(
+            pws::models(&db, &mut cost).unwrap(),
+            reference,
+            "case {case}"
+        );
+        let expected = reference.iter().all(|m| f.eval(m));
+        assert_eq!(
+            pws::infers_formula(&db, &f, &mut cost).unwrap(),
+            expected,
+            "inference, case {case}"
+        );
+        let cfg = SemanticsConfig::new(SemanticsId::Pws);
+        match witness::explain_formula(&cfg, &db, &f, &mut cost).unwrap() {
+            QueryOutcome::Inferred => assert!(expected, "case {case}"),
+            QueryOutcome::Countermodel(m) => {
+                assert!(reference.contains(&m) && !f.eval(&m), "case {case}")
+            }
+            other => panic!("unexpected outcome {other:?}, case {case}"),
+        }
+        assert_eq!(
+            pws::has_model(&db, &mut cost).unwrap(),
+            !reference.is_empty(),
+            "existence, case {case}"
+        );
+    }
+    assert!(
+        ranked >= 200,
+        "only {ranked} cases had a positive SCC of three or more atoms"
+    );
 }
 
 #[test]

@@ -215,6 +215,17 @@ impl CnfBuilder {
     }
 }
 
+/// Extends a finished encoding: the builder keeps its variables (database
+/// atoms and auxiliaries alike) and takes over its clauses.
+impl From<Cnf> for CnfBuilder {
+    fn from(cnf: Cnf) -> Self {
+        CnfBuilder {
+            num_vars: cnf.num_vars,
+            clauses: cnf.clauses,
+        }
+    }
+}
+
 impl Cnf {
     /// Whether `m` (over at least `num_vars` variables) satisfies every
     /// clause. Used by tests and the brute-force reference engine.
@@ -359,6 +370,23 @@ mod tests {
             let m = Interpretation::from_atoms(2, (0..2).filter(|&i| bits >> i & 1 == 1).map(a));
             assert_eq!(cnf.satisfied_by(&m), db.satisfied_by(&m));
         }
+    }
+
+    #[test]
+    fn builder_from_cnf_extends_it() {
+        let mut b = CnfBuilder::new(2);
+        b.assert_formula(&Formula::atom(a(0)).iff(Formula::atom(a(1))));
+        let cnf = b.finish();
+        let mut ext = CnfBuilder::from(cnf.clone());
+        assert_eq!(ext.num_vars(), cnf.num_vars);
+        // Fresh variables continue after the auxiliaries, and the old
+        // clauses come first, unchanged.
+        assert_eq!(ext.fresh_var(), a(cnf.num_vars as u32));
+        ext.assert_literal(a(0).pos());
+        let out = ext.finish();
+        assert_eq!(out.num_vars, cnf.num_vars + 1);
+        assert_eq!(out.clauses[..cnf.clauses.len()], cnf.clauses[..]);
+        assert_eq!(out.clauses.last(), Some(&vec![a(0).pos()]));
     }
 
     #[test]

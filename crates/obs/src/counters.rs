@@ -14,7 +14,9 @@
 //! loops) go through [`counter_bump`] instead of [`counter_add`]: the name
 //! is a `&'static str` interned into a per-thread slot table, and deltas
 //! accumulate in a thread-local buffer — no global lock, no `String`
-//! allocation per bump. Buffers flush into the registry on
+//! allocation per bump. Hot high-water gauges (`sat.clauses.peak`) go
+//! through [`counter_bump_max`] the same way and flush with max, not sum,
+//! semantics. Buffers flush into the registry on
 //! [`flush_thread_counters`] (called on outermost span exit, worker-pool
 //! exit, and by [`snapshot`]/[`counter_value`] for the calling thread).
 //! With a trace sink installed, each bump additionally queues a
@@ -67,6 +69,9 @@ struct LocalBuf {
     names: Vec<&'static str>,
     pending: Vec<u64>,
     totals: Vec<u64>,
+    /// [`counter_bump_max`] gauges: name, the peak not yet merged into
+    /// the registry, and this thread's lifetime peak.
+    peaks: Vec<(&'static str, u64, u64)>,
     dirty: bool,
 }
 
@@ -81,6 +86,17 @@ impl LocalBuf {
         self.totals.push(0);
         self.slots.insert(name, i);
         i
+    }
+
+    fn peak(&mut self, name: &'static str) -> &mut (&'static str, u64, u64) {
+        let i = match self.peaks.iter().position(|p| p.0 == name) {
+            Some(i) => i,
+            None => {
+                self.peaks.push((name, 0, 0));
+                self.peaks.len() - 1
+            }
+        };
+        &mut self.peaks[i]
     }
 }
 
@@ -135,6 +151,14 @@ pub fn flush_thread_counters() {
                 *slot = slot.saturating_add(p);
                 buf.pending[i] = 0;
             }
+            for (name, pending, _) in &mut buf.peaks {
+                if *pending == 0 {
+                    continue;
+                }
+                let slot = map.entry((*name).to_owned()).or_insert(0);
+                *slot = (*slot).max(*pending);
+                *pending = 0;
+            }
         });
         buf.names = names;
         // No events here: each bump already queued its own trace event
@@ -154,8 +178,38 @@ pub fn thread_counter_total(name: &'static str) -> u64 {
     })
 }
 
+/// Raise the named hot gauge to at least `value` via this thread's
+/// buffer — the high-water-mark twin of [`counter_bump`]: no global lock
+/// and no allocation on the hot path. The next [`flush_thread_counters`]
+/// merges the thread's peak into the registry with max, not sum,
+/// semantics. With a trace sink installed, a `Counter` event is queued
+/// whenever this thread's lifetime peak rises.
+pub fn counter_bump_max(name: &'static str, value: u64) {
+    let raised = LOCAL.with(|l| {
+        let mut buf = l.borrow_mut();
+        let (_, pending, lifetime) = buf.peak(name);
+        if value <= *pending {
+            return false;
+        }
+        *pending = value;
+        let raised = value > *lifetime;
+        *lifetime = (*lifetime).max(value);
+        buf.dirty = true;
+        raised
+    });
+    if raised {
+        emit(|| Event::Counter {
+            name: name.to_owned(),
+            delta: 0,
+            total: value,
+            at_ns: crate::span::now_ns(),
+        });
+    }
+}
+
 /// Raise the named counter to at least `value` (a high-water-mark gauge,
-/// e.g. peak clause count).
+/// e.g. peak clause count). Locks the registry: hot sites use
+/// [`counter_bump_max`].
 pub fn counter_max(name: &str, value: u64) {
     let changed = with_counters(|map| {
         let slot = map.entry(name.to_owned()).or_insert(0);
@@ -193,6 +247,7 @@ pub fn reset_counters() {
         let mut buf = l.borrow_mut();
         buf.dirty = false;
         buf.pending.iter_mut().for_each(|p| *p = 0);
+        buf.peaks.iter_mut().for_each(|p| p.1 = 0);
     });
     with_counters(|map| map.clear());
 }
@@ -343,5 +398,24 @@ mod tests {
             }
         });
         assert_eq!(counter_value("test.merge"), 400);
+    }
+
+    #[test]
+    fn buffered_peaks_flush_with_max_semantics() {
+        let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        reset_counters();
+        std::thread::scope(|s| {
+            for peak in [7, 19] {
+                s.spawn(move || {
+                    counter_bump_max("test.bump.peak", peak);
+                    counter_bump_max("test.bump.peak", 3); // lower: no change
+                    flush_thread_counters();
+                });
+            }
+        });
+        assert_eq!(counter_value("test.bump.peak"), 19, "max, not sum");
+        // A lower peak after the flush leaves the registry alone.
+        counter_bump_max("test.bump.peak", 5);
+        assert_eq!(counter_value("test.bump.peak"), 19);
     }
 }

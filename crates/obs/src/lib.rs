@@ -8,9 +8,10 @@
 //! the single instrumentation contract the rest of the workspace reports
 //! against:
 //!
-//! - **Counters** ([`counter_add`], [`counter_max`], [`snapshot`]) — named
-//!   monotonic totals and high-water gauges, e.g. `sat.solves`,
-//!   `models.circ.candidates`, `sat.clauses.peak`.
+//! - **Counters** ([`counter_add`], [`counter_max`], their thread-buffered
+//!   hot-path twins [`counter_bump`] and [`counter_bump_max`],
+//!   [`snapshot`]) — named monotonic totals and high-water gauges, e.g.
+//!   `sat.solves`, `models.circ.candidates`, `sat.clauses.peak`.
 //! - **Histograms** ([`hist_record`], [`hist_snapshot`]) — log-bucketed
 //!   latency/size distributions (~2 significant digits), e.g.
 //!   `sat.solve.ns`, `cegar.round.ns`, `pool.job.ns`, with p50/p90/p99
@@ -60,8 +61,8 @@ pub use budget::{
     Budget, BudgetGuard, BudgetHandle, Consumed, Governed, HandleGuard, Interrupted, Resource,
 };
 pub use counters::{
-    counter_add, counter_bump, counter_max, counter_value, flush_thread_counters, reset_counters,
-    snapshot, thread_counter_total, CounterSnapshot,
+    counter_add, counter_bump, counter_bump_max, counter_max, counter_value, flush_thread_counters,
+    reset_counters, snapshot, thread_counter_total, CounterSnapshot,
 };
 pub use histogram::{
     flush_thread_histograms, hist_record, hist_snapshot, reset_histograms, Histogram,

@@ -705,7 +705,7 @@ impl Solver {
             self.stats.propagations - before.propagations,
         );
         ddb_obs::counter_bump("sat.conflicts", self.stats.conflicts - before.conflicts);
-        ddb_obs::counter_max("sat.clauses.peak", self.stats.max_clauses);
+        ddb_obs::counter_bump_max("sat.clauses.peak", self.stats.max_clauses);
         ddb_obs::hist_record("sat.solve.ns", span.elapsed_ns());
         ddb_obs::hist_record(
             "sat.solve.conflicts",

@@ -100,10 +100,7 @@ fn assumptions_equal_added_units() {
             .unwrap()
             .is_sat();
 
-        let mut b = CnfBuilder::new(cnf.num_vars);
-        for c in &cnf.clauses {
-            b.add_clause(c.clone());
-        }
+        let mut b = CnfBuilder::from(cnf.clone());
         for &l in &assumptions {
             b.add_clause(vec![l]);
         }

@@ -62,26 +62,32 @@ fn overload_sheds_typed_and_admitted_requests_still_answer() {
     // Occupy the single worker with an exponential enumeration.
     let mut occupant = Client::connect(&addr, timeout).unwrap();
     occupant.send_line(&heavy_models("occupant")).unwrap();
+    // Wait on the stats op until the gate reads (busy, waiting).
+    let mut probe = Client::connect(&addr, timeout).unwrap();
+    let mut await_gate = |want_busy: u64, want_waiting: u64| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            assert!(Instant::now() < deadline, "gate never filled up");
+            let stats = probe.call(r#"{"op":"stats"}"#).unwrap();
+            let busy = stats.get("workers_busy").and_then(Json::as_u64);
+            let waiting = stats.get("queue_waiting").and_then(Json::as_u64);
+            if busy == Some(want_busy) && waiting == Some(want_waiting) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    // The occupant must hold the worker before the waiter arrives:
+    // otherwise the quick waiter can run first, and the burst then waits
+    // out the read timeout behind the occupant instead of being shed.
+    await_gate(1, 0);
     // Fill the one queue slot with a query that will eventually run.
     let waiter_addr = addr.clone();
     let waiter = std::thread::spawn(move || {
         let mut c = Client::connect(&waiter_addr, timeout).unwrap();
         c.call(&vase_query("waiter")).unwrap()
     });
-    // Deterministically wait until the occupant holds the worker AND the
-    // waiter occupies the queue slot — the stats op exposes both.
-    let mut probe = Client::connect(&addr, timeout).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        assert!(Instant::now() < deadline, "gate never filled up");
-        let stats = probe.call(r#"{"op":"stats"}"#).unwrap();
-        let busy = stats.get("workers_busy").and_then(Json::as_u64);
-        let waiting = stats.get("queue_waiting").and_then(Json::as_u64);
-        if busy == Some(1) && waiting == Some(1) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    await_gate(1, 1);
 
     // The burst: with the worker busy and the queue full, excess hard
     // queries must shed immediately with the typed overload response.
