@@ -508,10 +508,12 @@ impl SemanticsConfig {
     fn icwa_layers(&self, p: &Prepared) -> Layers {
         let db = p.db();
         let strata = p.stratification().expect("checked stratifiable");
-        let z = self
-            .icwa_varying
-            .clone()
-            .unwrap_or_else(|| Interpretation::empty(db.num_atoms()));
+        // An empty varying set admits the slice routes, whose
+        // sub-databases have vocabularies of their own.
+        let z = match &self.icwa_varying {
+            Some(z) if !z.is_empty_set() => z.clone(),
+            _ => Interpretation::empty(db.num_atoms()),
+        };
         Layers::new(db, strata, &z)
     }
 

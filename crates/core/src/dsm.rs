@@ -5,9 +5,9 @@
 //! Gelfond–Lifschitz reduct ([`crate::reduct::gl_reduct`]). Two structural
 //! facts drive the procedures (both from \[20\], both pinned by tests):
 //!
-//! * `DSM(DB) ⊆ MM(DB)` — stable models are minimal models, so the
-//!   enumerator walks the minimal models of `DB` (with superset blocking)
-//!   and filters by the stability check;
+//! * `DSM(DB) ⊆ MM(DB)` — stable models are minimal models, so every
+//!   problem is the minimal-model walk of `DB` (with superset blocking)
+//!   filtered by the stability check;
 //! * on positive databases `DB^M = DB`, hence `DSM(DB) = MM(DB)` — which
 //!   is how the Πᵖ₂ lower bounds of the EGCWA rows carry over.
 //!
@@ -17,11 +17,10 @@
 //! Σᵖ₂-complete).
 
 use crate::reduct::gl_reduct;
-use ddb_logic::cnf::database_to_cnf;
-use ddb_logic::{Database, Formula, Interpretation, Literal};
-use ddb_models::{minimal, Cost};
-use ddb_obs::{budget, Governed};
-use ddb_sat::Solver;
+use ddb_logic::{Database, Formula, Interpretation};
+use ddb_models::walk::{first, walk};
+use ddb_models::{minimal, Cost, Partition};
+use ddb_obs::Governed;
 
 /// Whether `m` is a disjunctive stable model of `db`: `m ∈ MM(DB^m)`.
 /// One model check plus one oracle call.
@@ -34,50 +33,25 @@ pub fn is_stable_model(db: &Database, m: &Interpretation, cost: &mut Cost) -> Go
     minimal::is_minimal_model(&reduct, m, cost)
 }
 
-/// Visits the stable models of `db` one at a time (in the order the
-/// underlying enumeration discovers minimal models of `db`). The callback
-/// returns `false` to stop early. This is the shared engine for
-/// [`models`], [`infers_formula`] and [`has_model`]. Each round starts
-/// with a budget checkpoint, so an exhausted [`ddb_obs::Budget`]
-/// interrupts between rounds.
+/// Visits the stable models of `db` that satisfy `extra` (when given),
+/// one at a time: the minimal-model walk ([`ddb_models::walk`]) over
+/// `MM(DB)` with [`is_stable_model`] as its check — complete because
+/// `DSM(DB) ⊆ MM(DB)`. The callback returns `false` to stop early.
 pub fn for_each_stable_model(
     db: &Database,
+    extra: Option<&Formula>,
     cost: &mut Cost,
-    mut visit: impl FnMut(&Interpretation) -> bool,
+    visit: impl FnMut(&Interpretation) -> bool,
 ) -> Governed<()> {
-    let n = db.num_atoms();
-    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
-    candidates.ensure_vars(n);
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<()> {
-        loop {
-            budget::checkpoint()?;
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let model = {
-                let full = candidates.model();
-                let mut m = Interpretation::empty(n);
-                for a in full.iter().filter(|a| a.index() < n) {
-                    m.insert(a);
-                }
-                m
-            };
-            // Minimize within DB: stable ⊆ minimal, so only minimal models
-            // are worth testing, and blocking their supersets never loses
-            // one.
-            let minimal = minimal::minimize(db, &model, cost)?;
-            if is_stable_model(db, &minimal, cost)? && !visit(&minimal) {
-                return Ok(());
-            }
-            let blocking: Vec<Literal> = minimal.iter().map(|a| a.neg()).collect();
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
-        }
-    };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    walk(db, &minimize_all(db), extra, cost, stable(db), visit)
+}
+
+fn stable(db: &Database) -> impl FnMut(&Interpretation, &mut Cost) -> Governed<bool> + '_ {
+    |m, cost| is_stable_model(db, m, cost)
+}
+
+fn minimize_all(db: &Database) -> Partition {
+    Partition::minimize_all(db.num_atoms())
 }
 
 /// All disjunctive stable models, sorted.
@@ -91,28 +65,16 @@ pub fn for_each_stable_model(
 /// ```
 pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("dsm.models");
-    let mut out = Vec::new();
-    for_each_stable_model(db, cost, |m| {
-        out.push(m.clone());
-        true
-    })?;
-    out.sort();
-    Ok(out)
+    minimal::completions(db, &minimize_all(db), cost, stable(db))
 }
 
 /// Formula inference `DSM(DB) ⊨ F`: true in every stable model
-/// (vacuously true when none exists).
+/// (vacuously true when none exists). The walk runs on `DB ∧ ¬F` and
+/// stops at the first stable countermodel.
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("dsm.infers_formula");
-    let mut holds = true;
-    for_each_stable_model(db, cost, |m| {
-        if !f.eval(m) {
-            holds = false;
-            return false;
-        }
-        true
-    })?;
-    Ok(holds)
+    let not_f = f.clone().negated();
+    Ok(first(db, &minimize_all(db), Some(&not_f), cost, stable(db))?.is_none())
 }
 
 /// Batch cautious inference: in **one** enumeration pass, computes the
@@ -127,7 +89,7 @@ pub fn cautious_literals(
     let n = db.num_atoms();
     let mut true_in_all: Option<Interpretation> = None;
     let mut false_in_all: Option<Interpretation> = None;
-    for_each_stable_model(db, cost, |m| {
+    for_each_stable_model(db, None, cost, |m| {
         match &mut true_in_all {
             None => true_in_all = Some(m.clone()),
             Some(t) => t.intersect_with(m),
@@ -155,7 +117,7 @@ pub fn cautious_literals(
 /// `min(count, cap)`).
 pub fn count_models(db: &Database, cap: usize, cost: &mut Cost) -> Governed<usize> {
     let mut count = 0usize;
-    for_each_stable_model(db, cost, |_| {
+    for_each_stable_model(db, None, cost, |_| {
         count += 1;
         count < cap
     })?;
@@ -166,12 +128,7 @@ pub fn count_models(db: &Database, cap: usize, cost: &mut Cost) -> Governed<usiz
 /// (Σᵖ₂-complete in general.)
 pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("dsm.has_model");
-    let mut found = false;
-    for_each_stable_model(db, cost, |_| {
-        found = true;
-        false
-    })?;
-    Ok(found)
+    Ok(first(db, &minimize_all(db), None, cost, stable(db))?.is_some())
 }
 
 #[cfg(test)]

@@ -19,17 +19,39 @@
 //! on positive databases (Theorem 4.2). For stratified databases without
 //! integrity clauses, ICWA is consistent (`∃ model` is `O(1)` — the
 //! paper's "stratifiability asserts consistency").
+//!
+//! **Every problem is the minimal-model walk** ([`ddb_models::walk`])
+//! over `MM(DB; V∖Z; Z)` with the layer checks as its check, because
+//! prioritized minimality implies plain minimality:
+//!
+//! * *Claim:* `ICWA(DB) ⊆ MM(DB; V∖Z; Z)`.
+//! * *Proof:* let `M ∈ ICWA(DB)` and suppose `M′ ⊨ DB` with `M′ < M` on
+//!   `P = V∖Z`. Take the lowest stratum `Sᵢ` where their `P`-parts differ.
+//!   The lower strata agree, so `M′` and `M` have the same `Qᵢ`-part; on
+//!   `Pᵢ = Sᵢ∖Z` the part of `M′` is a proper subset of that of `M`; and
+//!   `M′` satisfies the prefix `DB₁ ∪ … ∪ DBᵢ ⊆ DB`. So `M′` refutes the
+//!   ⟨Pᵢ;Zᵢ⟩-minimality of `M` in that prefix — a contradiction.
+//!
+//! For a model of `DB`, membership depends only on its non-`Z` part: each
+//! prefix is satisfied because `DB` is, and each layer check compares
+//! `Pᵢ`- and `Qᵢ`-parts, which lie outside `Z`. That is what lets one
+//! witness per ⟨V∖Z⟩-signature stand for the signature in the walk, and
+//! [`models`] expand each accepted signature to all of its `Z`-completions.
+//! The top layer's check is implied by the walk's own minimality (it fixes
+//! more atoms than ⟨V∖Z; Z⟩ does), so the walk checks only the layers
+//! below it; with one stratum and `Z = ∅` ICWA is EGCWA and no check is
+//! left.
 
-use ddb_logic::cnf::CnfBuilder;
-use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
+use ddb_logic::{Atom, Database, Formula, Interpretation};
+use ddb_models::walk::{first, walk};
 use ddb_models::{minimal, Cost, Partition};
-use ddb_obs::{budget, Governed};
-use ddb_sat::Solver;
+use ddb_obs::Governed;
 
 /// The per-stratum reasoning context: prefix databases and partitions.
 pub struct Layers {
     prefixes: Vec<Database>,
     partitions: Vec<Partition>,
+    walked: Partition,
 }
 
 impl Layers {
@@ -59,9 +81,12 @@ impl Layers {
             partitions.push(Partition::new(p, q, zi));
             lower.union_with(&Interpretation::from_atoms(n, stratum.iter().copied()));
         }
+        let mut fixed = Interpretation::full(n);
+        fixed.difference_with(z);
         Layers {
             prefixes,
             partitions,
+            walked: Partition::new(fixed, Interpretation::empty(n), z.clone()),
         }
     }
 
@@ -89,7 +114,18 @@ impl Layers {
 /// Whether `m ∈ ICWA(DB)`: ⟨Pᵢ;Zᵢ⟩-minimal model of every prefix —
 /// `r` oracle calls.
 pub fn is_icwa_model(layers: &Layers, m: &Interpretation, cost: &mut Cost) -> Governed<bool> {
-    for i in 0..layers.len() {
+    minimal_in_layers(layers, layers.len(), m, cost)
+}
+
+/// Whether `m` is a ⟨Pᵢ;Zᵢ⟩-minimal model of each of the first `k`
+/// prefixes — `k` oracle calls.
+fn minimal_in_layers(
+    layers: &Layers,
+    k: usize,
+    m: &Interpretation,
+    cost: &mut Cost,
+) -> Governed<bool> {
+    for i in 0..k {
         if !minimal::is_pz_minimal_model(layers.prefix(i), m, layers.partition(i), cost)? {
             return Ok(false);
         }
@@ -97,76 +133,34 @@ pub fn is_icwa_model(layers: &Layers, m: &Interpretation, cost: &mut Cost) -> Go
     Ok(true)
 }
 
-/// Visits the ICWA models one at a time: enumerate models of the full
-/// database falsifying nothing (all models), check layer-wise minimality,
-/// block each examined model exactly. Each round starts with a budget
-/// checkpoint, so an exhausted [`ddb_obs::Budget`] interrupts between
-/// rounds.
+/// The walk's check: every layer but the top one, whose minimality the
+/// walk itself guarantees.
+fn below_top(layers: &Layers) -> impl FnMut(&Interpretation, &mut Cost) -> Governed<bool> + '_ {
+    |m, cost| minimal_in_layers(layers, layers.len().saturating_sub(1), m, cost)
+}
+
+/// Visits the ICWA models satisfying `extra` (when given), one per
+/// ⟨V∖Z⟩-signature: the minimal-model walk over `MM(DB; V∖Z; Z)` with
+/// the layer checks. Callback returns `false` to stop.
 pub fn for_each_icwa_model(
     db: &Database,
     layers: &Layers,
     extra: Option<&Formula>,
     cost: &mut Cost,
-    mut visit: impl FnMut(&Interpretation) -> bool,
+    visit: impl FnMut(&Interpretation) -> bool,
 ) -> Governed<()> {
-    let n = db.num_atoms();
-    let mut b = CnfBuilder::new(n);
-    b.add_database(db);
-    if let Some(f) = extra {
-        b.assert_formula(f);
-    }
-    let cnf = b.finish();
-    let mut candidates = Solver::from_cnf(&cnf);
-    candidates.ensure_vars(cnf.num_vars.max(n));
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<()> {
-        loop {
-            budget::checkpoint()?;
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let model = {
-                let full = candidates.model();
-                let mut m = Interpretation::empty(n);
-                for a in full.iter().filter(|a| a.index() < n) {
-                    m.insert(a);
-                }
-                m
-            };
-            if is_icwa_model(layers, &model, cost)? && !visit(&model) {
-                return Ok(());
-            }
-            // Block this exact model (projected).
-            let blocking: Vec<Literal> = (0..n)
-                .map(|i| {
-                    let a = Atom::new(i as u32);
-                    Literal::with_sign(a, !model.contains(a))
-                })
-                .collect();
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
-        }
-    };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    walk(db, &layers.walked, extra, cost, below_top(layers), visit)
 }
 
-/// All ICWA models, sorted (enumerative; test/example sized).
+/// All ICWA models, sorted: the walk's accepted signatures, each expanded
+/// to its `Z`-completions (enumerative; test/example sized).
 pub fn models(db: &Database, layers: &Layers, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("icwa.models");
-    let mut out = Vec::new();
-    for_each_icwa_model(db, layers, None, cost, |m| {
-        out.push(m.clone());
-        true
-    })?;
-    out.sort();
-    Ok(out)
+    minimal::completions(db, &layers.walked, cost, below_top(layers))
 }
 
-/// Formula inference `ICWA(DB) ⊨ F`: search a countermodel among the
-/// ICWA models (guess a model of `DB ∧ ¬F`, verify layer-wise minimality
-/// with `r` oracle calls — the paper's Theorem 4.1 upper-bound shape).
+/// Formula inference `ICWA(DB) ⊨ F`: the walk on `DB ∧ ¬F` finds no ICWA
+/// model (the paper's Theorem 4.1 upper-bound shape).
 pub fn infers_formula(
     db: &Database,
     layers: &Layers,
@@ -174,29 +168,17 @@ pub fn infers_formula(
     cost: &mut Cost,
 ) -> Governed<bool> {
     let _span = ddb_obs::span("icwa.infers_formula");
-    let negated = f.clone().negated();
-    let mut holds = true;
-    for_each_icwa_model(db, layers, Some(&negated), cost, |_| {
-        holds = false;
-        false
-    })?;
-    Ok(holds)
+    let not_f = f.clone().negated();
+    Ok(first(db, &layers.walked, Some(&not_f), cost, below_top(layers))?.is_none())
 }
 
 /// Model existence `ICWA(DB) ≠ ∅`. `O(1)` for stratified databases
 /// without integrity clauses (stratifiability asserts consistency \[12\]);
-/// otherwise decided by the enumeration loop.
+/// otherwise decided by the walk.
 pub fn has_model(db: &Database, layers: &Layers, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("icwa.has_model");
-    if !db.has_integrity_clauses() {
-        return Ok(true);
-    }
-    let mut found = false;
-    for_each_icwa_model(db, layers, None, cost, |_| {
-        found = true;
-        false
-    })?;
-    Ok(found)
+    Ok(!db.has_integrity_clauses()
+        || first(db, &layers.walked, None, cost, below_top(layers))?.is_some())
 }
 
 #[cfg(test)]

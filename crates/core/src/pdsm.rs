@@ -26,15 +26,12 @@
 //! `pdsm_dsm_positive` test pins this.
 
 use crate::reduct::{reduct3, satisfies_reduct3, Reduct3Rule};
-use ddb_logic::cnf::CnfBuilder;
 use ddb_logic::{
-    Atom, Database, Formula, Interpretation, Literal, PartialInterpretation, Rule, Symbols,
-    TruthValue,
+    Atom, Database, Formula, Interpretation, PartialInterpretation, Rule, Symbols, TruthValue,
 };
-use ddb_models::minimal::{self, Minimizer};
-use ddb_models::{Cost, Partition};
-use ddb_obs::{budget, Governed};
-use ddb_sat::Solver;
+use ddb_models::walk::walk;
+use ddb_models::{minimal, Cost, Partition};
+use ddb_obs::Governed;
 
 /// Both thresholds of a rule: value 1 (`true`) and value ½ (`false`).
 const BOTH: &[bool] = &[true, false];
@@ -181,17 +178,12 @@ fn is_stable_over(
 
 /// Visits partial stable models one at a time; `extra` (if given) is a
 /// pair-encoded constraint the visited models satisfy. Callback returns
-/// `false` to stop. Each round starts with a budget checkpoint, so an
-/// exhausted [`ddb_obs::Budget`] interrupts between rounds.
+/// `false` to stop.
 ///
-/// The walk is DSM's ([`crate::dsm::for_each_stable_model`]) over the pair
-/// encoding. One [`Minimizer`], held for the whole walk, shrinks each
-/// candidate of `pair CNF ∧ extra` to a bit-minimal model `M` of the pair
-/// CNF alone. `M` is tested against `extra` by evaluation and for
-/// stability, then `⋁_{b∈M} ¬b` blocks it and everything above it. Sound
-/// because partial stable models are truth-minimal models of `db`;
-/// complete because a stable `M′ ⊨ extra` is only blocked by a minimal
-/// `M ≤ M′`, that is, by `M′` itself.
+/// This is the minimal-model walk ([`ddb_models::walk`]) over
+/// [`pair_database`], whose minimal models are the truth-minimal 3-valued
+/// models of `db`, with the partial-stability check on each decoded
+/// witness. Complete because partial stable models are truth-minimal.
 pub fn for_each_partial_stable(
     db: &Database,
     extra: Option<&Formula>,
@@ -200,40 +192,11 @@ pub fn for_each_partial_stable(
 ) -> Governed<()> {
     let n = db.num_atoms();
     let pair = pair_database(db);
-    let mut b = CnfBuilder::new(2 * n);
-    b.add_database(&pair);
-    if let Some(f) = extra {
-        b.assert_formula(f);
-    }
-    let mut candidates = Solver::from_cnf(&b.finish());
-    candidates.ensure_vars(2 * n);
-    let mut shrink = Minimizer::new(&pair, Partition::minimize_all(2 * n));
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<()> {
-        loop {
-            budget::checkpoint()?;
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let full = candidates.model();
-            let assignment =
-                Interpretation::from_atoms(2 * n, full.iter().filter(|a| a.index() < 2 * n));
-            let minimal = shrink.minimize(&assignment, cost)?;
-            ddb_obs::counter_bump("pdsm.candidates", 1);
-            if extra.is_none_or(|f| f.eval(&minimal)) {
-                let candidate = decode(&minimal, n);
-                if is_stable_over(db, pair.symbols(), &candidate, cost)? && !visit(&candidate) {
-                    return Ok(());
-                }
-            }
-            let blocking: Vec<Literal> = minimal.iter().map(|a| a.neg()).collect();
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
-        }
+    let part = Partition::minimize_all(2 * n);
+    let check = |m: &Interpretation, cost: &mut Cost| {
+        is_stable_over(db, pair.symbols(), &decode(m, n), cost)
     };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    walk(&pair, &part, extra, cost, check, |m| visit(&decode(m, n)))
 }
 
 /// All partial stable models.
@@ -458,13 +421,12 @@ mod tests {
                 );
             }
             stable.sort_by_key(key);
-            let before = ddb_obs::thread_counter_total("pdsm.candidates");
-            let got = super::models(&db, &mut Cost::new()).unwrap();
-            let checked = ddb_obs::thread_counter_total("pdsm.candidates") - before;
+            let mut cost = Cost::new();
+            let got = super::models(&db, &mut cost).unwrap();
             assert_eq!(got, stable, "seed {seed}");
             // Every minimal model is a candidate exactly once: each round
             // yields a minimal model no earlier block covers.
-            assert_eq!(checked, minimal.len() as u64, "seed {seed}");
+            assert_eq!(cost.candidates, minimal.len() as u64, "seed {seed}");
         }
         assert!(negation && integrity, "the sample covers both features");
     }

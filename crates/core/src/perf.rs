@@ -25,8 +25,9 @@
 
 use ddb_logic::cnf::database_to_cnf;
 use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
-use ddb_models::{minimal, Cost};
-use ddb_obs::{budget, Governed};
+use ddb_models::walk::{first, walk};
+use ddb_models::{minimal, Cost, Partition};
+use ddb_obs::Governed;
 use ddb_sat::Solver;
 
 /// The transitive priority relation: `lt[x]` is the set of atoms `y` with
@@ -127,85 +128,46 @@ pub fn is_perfect_model(db: &Database, m: &Interpretation, cost: &mut Cost) -> G
     Ok(!exists_preferable_model(db, &lt, m, cost)?)
 }
 
-/// Visits the perfect models one at a time. Since perfect ⊆ minimal, the
-/// walk enumerates minimal models (superset blocking) and filters with the
-/// preference check. Each round starts with a budget checkpoint, so an
-/// exhausted [`ddb_obs::Budget`] interrupts between rounds.
+/// Visits the perfect models satisfying `extra` (when given) one at a
+/// time. Since perfect ⊆ minimal, this is the minimal-model walk
+/// ([`ddb_models::walk`]) with "no preferable model" as its check.
 pub fn for_each_perfect_model(
     db: &Database,
+    extra: Option<&Formula>,
     cost: &mut Cost,
-    mut visit: impl FnMut(&Interpretation) -> bool,
+    visit: impl FnMut(&Interpretation) -> bool,
 ) -> Governed<()> {
+    walk(db, &minimize_all(db), extra, cost, perfect(db), visit)
+}
+
+fn perfect(db: &Database) -> impl FnMut(&Interpretation, &mut Cost) -> Governed<bool> + '_ {
     let lt = priority_lt(db);
-    let n = db.num_atoms();
-    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
-    candidates.ensure_vars(n);
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<()> {
-        loop {
-            budget::checkpoint()?;
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let model = {
-                let full = candidates.model();
-                let mut m = Interpretation::empty(n);
-                for a in full.iter().filter(|a| a.index() < n) {
-                    m.insert(a);
-                }
-                m
-            };
-            let min = minimal::minimize(db, &model, cost)?;
-            if !exists_preferable_model(db, &lt, &min, cost)? && !visit(&min) {
-                return Ok(());
-            }
-            let blocking: Vec<Literal> = min.iter().map(|a| a.neg()).collect();
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
-        }
-    };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    move |m, cost| Ok(!exists_preferable_model(db, &lt, m, cost)?)
+}
+
+fn minimize_all(db: &Database) -> Partition {
+    Partition::minimize_all(db.num_atoms())
 }
 
 /// All perfect models, sorted.
 pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("perf.models");
-    let mut out = Vec::new();
-    for_each_perfect_model(db, cost, |m| {
-        out.push(m.clone());
-        true
-    })?;
-    out.sort();
-    Ok(out)
+    minimal::completions(db, &minimize_all(db), cost, perfect(db))
 }
 
 /// Formula inference `PERF(DB) ⊨ F` (vacuously true when no perfect model
-/// exists).
+/// exists): the walk on `DB ∧ ¬F` finds no perfect model.
 pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("perf.infers_formula");
-    let mut holds = true;
-    for_each_perfect_model(db, cost, |m| {
-        if !f.eval(m) {
-            holds = false;
-            return false;
-        }
-        true
-    })?;
-    Ok(holds)
+    let not_f = f.clone().negated();
+    Ok(first(db, &minimize_all(db), Some(&not_f), cost, perfect(db))?.is_none())
 }
 
 /// Model existence: does `db` have a perfect model? (Σᵖ₂-complete for
 /// general DNDBs; guaranteed for stratified ones.)
 pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("perf.has_model");
-    let mut found = false;
-    for_each_perfect_model(db, cost, |_| {
-        found = true;
-        false
-    })?;
-    Ok(found)
+    Ok(first(db, &minimize_all(db), None, cost, perfect(db))?.is_some())
 }
 
 #[cfg(test)]

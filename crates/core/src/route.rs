@@ -13,7 +13,7 @@
 //!   inconsistent) and model existence is consistency. Zero oracle calls.
 //!   Both `L` and its consistency are facts of the database, read from
 //!   its [`Prepared`] memo.
-//! * **Head-cycle-free** databases ([`for_each_hcf_stable_model`]): by the
+//! * **Head-cycle-free** databases ([`hcf_dsm_models`] and friends): by the
 //!   Ben-Eliyahu & Dechter theorem, `DSM(DB)` equals the stable models of
 //!   the *shifted* normal program ([`ddb_analysis::shift`]), whose
 //!   stability check is a polynomial reduct-fixpoint comparison instead of
@@ -29,12 +29,11 @@
 use crate::reduct::gl_reduct;
 use ddb_analysis::transform::shift;
 use ddb_analysis::Prepared;
-use ddb_logic::cnf::database_to_cnf;
-use ddb_logic::{Database, Formula, Interpretation, Literal};
+use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::fixpoint::active_atoms;
-use ddb_models::{minimal, Cost};
-use ddb_obs::{budget, Governed};
-use ddb_sat::Solver;
+use ddb_models::walk::first;
+use ddb_models::{minimal, Cost, Partition};
+use ddb_obs::Governed;
 
 /// The least model of a Horn database's definite rules, plus whether the
 /// database is consistent (i.e. that model also satisfies the integrity
@@ -84,85 +83,37 @@ pub fn normal_is_stable(normal: &Database, m: &Interpretation) -> bool {
     active_atoms(&gl_reduct(normal, m)) == *m
 }
 
-/// Visits the disjunctive stable models of a **head-cycle-free** database:
-/// the same minimal-model enumeration as [`crate::dsm::for_each_stable_model`],
-/// but with the per-candidate stability oracle call replaced by the
-/// polynomial shifted-program check ([`normal_is_stable`]). Sound and
-/// complete for HCF databases by Ben-Eliyahu & Dechter. Each round starts
-/// with a budget checkpoint, so an exhausted [`ddb_obs::Budget`]
-/// interrupts between rounds.
-pub fn for_each_hcf_stable_model(
-    db: &Database,
-    cost: &mut Cost,
-    mut visit: impl FnMut(&Interpretation) -> bool,
-) -> Governed<()> {
+/// The walk's check on a **head-cycle-free** database: the DSM walk over
+/// `MM(DB)` ([`crate::dsm::for_each_stable_model`]) with the stability
+/// oracle call replaced by the polynomial shifted-program check
+/// ([`normal_is_stable`]). Sound and complete for HCF databases by
+/// Ben-Eliyahu & Dechter.
+fn hcf_stable(db: &Database) -> impl FnMut(&Interpretation, &mut Cost) -> Governed<bool> {
     let shifted = shift(db);
-    let n = db.num_atoms();
-    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
-    candidates.ensure_vars(n);
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<()> {
-        loop {
-            budget::checkpoint()?;
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let model = {
-                let full = candidates.model();
-                let mut m = Interpretation::empty(n);
-                for a in full.iter().filter(|a| a.index() < n) {
-                    m.insert(a);
-                }
-                m
-            };
-            let minimal = minimal::minimize(db, &model, cost)?;
-            ddb_obs::counter_bump("route.hcf.stability_checks", 1);
-            if normal_is_stable(&shifted, &minimal) && !visit(&minimal) {
-                return Ok(());
-            }
-            let blocking: Vec<Literal> = minimal.iter().map(|a| a.neg()).collect();
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
-        }
-    };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    move |m, _| {
+        ddb_obs::counter_bump("route.hcf.stability_checks", 1);
+        Ok(normal_is_stable(&shifted, m))
+    }
 }
 
 /// HCF fast path for [`crate::dsm::models`].
 pub fn hcf_dsm_models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
-    let mut out = Vec::new();
-    for_each_hcf_stable_model(db, cost, |m| {
-        out.push(m.clone());
-        true
-    })?;
-    out.sort();
-    Ok(out)
+    let part = Partition::minimize_all(db.num_atoms());
+    minimal::completions(db, &part, cost, hcf_stable(db))
 }
 
 /// HCF fast path for DSM formula inference (cautious; vacuously true
-/// without stable models).
+/// without stable models): the walk on `DB ∧ ¬F` finds no stable model.
 pub fn hcf_dsm_infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let mut holds = true;
-    for_each_hcf_stable_model(db, cost, |m| {
-        if !f.eval(m) {
-            holds = false;
-            return false;
-        }
-        true
-    })?;
-    Ok(holds)
+    let part = Partition::minimize_all(db.num_atoms());
+    let not_f = f.clone().negated();
+    Ok(first(db, &part, Some(&not_f), cost, hcf_stable(db))?.is_none())
 }
 
 /// HCF fast path for DSM model existence.
 pub fn hcf_dsm_has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
-    let mut found = false;
-    for_each_hcf_stable_model(db, cost, |_| {
-        found = true;
-        false
-    })?;
-    Ok(found)
+    let part = Partition::minimize_all(db.num_atoms());
+    Ok(first(db, &part, None, cost, hcf_stable(db))?.is_some())
 }
 
 #[cfg(test)]

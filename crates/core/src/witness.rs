@@ -137,40 +137,30 @@ pub fn explain_formula(
                     QueryOutcome::Inferred
                 }
             }
-            SemanticsId::Perf => {
+            // The walk on `DB ∧ ¬F` stops at the first countermodel.
+            SemanticsId::Perf | SemanticsId::Icwa | SemanticsId::Dsm => {
                 let mut found = None;
-                crate::perf::for_each_perfect_model(db, cost, |m| {
-                    if !f.eval(m) {
-                        found = Some(m.clone());
-                        return false;
-                    }
-                    true
-                })?;
-                found.map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Icwa => {
-                let strata = db.stratification().expect("checked stratifiable");
-                let z = cfg
-                    .icwa_varying
-                    .clone()
-                    .unwrap_or_else(|| Interpretation::empty(n));
-                let layers = Layers::new(db, &strata, &z);
-                let mut found = None;
-                crate::icwa::for_each_icwa_model(db, &layers, Some(&neg), cost, |m| {
+                let visit = |m: &Interpretation| {
                     found = Some(m.clone());
                     false
-                })?;
-                found.map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Dsm => {
-                let mut found = None;
-                crate::dsm::for_each_stable_model(db, cost, |m| {
-                    if !f.eval(m) {
-                        found = Some(m.clone());
-                        return false;
+                };
+                match cfg.id {
+                    SemanticsId::Perf => {
+                        crate::perf::for_each_perfect_model(db, Some(&neg), cost, visit)
                     }
-                    true
-                })?;
+                    SemanticsId::Dsm => {
+                        crate::dsm::for_each_stable_model(db, Some(&neg), cost, visit)
+                    }
+                    _ => {
+                        let strata = db.stratification().expect("checked stratifiable");
+                        let z = cfg
+                            .icwa_varying
+                            .clone()
+                            .unwrap_or_else(|| Interpretation::empty(n));
+                        let layers = Layers::new(db, &strata, &z);
+                        crate::icwa::for_each_icwa_model(db, &layers, Some(&neg), cost, visit)
+                    }
+                }?;
                 found.map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
             }
             SemanticsId::Pdsm => {

@@ -5,7 +5,7 @@
 //! the in-repo deterministic PRNG (formerly proptest).
 
 use ddb_core::witness::{self, QueryOutcome};
-use ddb_core::{icwa::Layers, SemanticsConfig, SemanticsId};
+use ddb_core::{icwa::Layers, RoutingMode, SemanticsConfig, SemanticsId};
 use ddb_core::{pdsm, perf, pws, reduct};
 use ddb_logic::depgraph::DepGraph;
 use ddb_logic::rng::XorShift64Star;
@@ -151,10 +151,11 @@ fn perf_models_brute(db: &Database) -> Vec<Interpretation> {
         .collect()
 }
 
-/// Brute-force ICWA models along the default stratification.
-fn icwa_models_brute(db: &Database) -> Option<Vec<Interpretation>> {
+/// Brute-force ICWA models along the default stratification, with `z`
+/// varying.
+fn icwa_models_brute(db: &Database, z: &Interpretation) -> Option<Vec<Interpretation>> {
     let strata = db.stratification()?;
-    let layers = Layers::new(db, &strata, &Interpretation::empty(N));
+    let layers = Layers::new(db, &strata, z);
     let full = brute::models(db);
     Some(
         full.iter()
@@ -168,6 +169,12 @@ fn icwa_models_brute(db: &Database) -> Option<Vec<Interpretation>> {
             .cloned()
             .collect(),
     )
+}
+
+/// A random set of varying atoms, each atom in it with probability ⅓.
+fn random_varying(rng: &mut XorShift64Star) -> Interpretation {
+    let atoms = (0..N).filter(|_| rng.gen_range(0, 3) == 0);
+    Interpretation::from_atoms(N, atoms.map(|i| Atom::new(i as u32)))
 }
 
 /// All 3^N partial interpretations.
@@ -438,11 +445,20 @@ fn perf_matches_brute() {
 #[test]
 fn icwa_matches_brute() {
     let mut rng = XorShift64Star::seed_from_u64(0x5B08);
+    let mut varied = 0;
     for case in 0..CASES {
         let db = random_db(&mut rng, true, true);
         let f = random_formula(&mut rng, 3);
-        if let Some(reference) = icwa_models_brute(&db) {
-            let cfg = SemanticsConfig::new(SemanticsId::Icwa);
+        // Half the cases let a random set of atoms vary.
+        let z = if case % 2 == 0 {
+            Interpretation::empty(N)
+        } else {
+            random_varying(&mut rng)
+        };
+        if let Some(reference) = icwa_models_brute(&db, &z) {
+            varied += usize::from(!z.is_empty_set());
+            let mut cfg = SemanticsConfig::new(SemanticsId::Icwa);
+            cfg.icwa_varying = Some(z);
             let mut cost = Cost::new();
             assert_eq!(
                 cfg.models(&db, &mut cost).unwrap(),
@@ -450,6 +466,64 @@ fn icwa_matches_brute() {
                 "case {case}"
             );
             check_inference(SemanticsId::Icwa, &cfg, &db, &f, &reference, case);
+        }
+    }
+    assert!(varied >= 20, "only {varied} cases had varying atoms");
+}
+
+/// With no query, `models` pays exactly one walk candidate per minimal
+/// signature: every round yields a signature no earlier block covers.
+#[test]
+fn models_cost_one_walk_candidate_per_minimal_signature() {
+    let mut rng = XorShift64Star::seed_from_u64(0x5B0C);
+    let signatures = |models: Vec<Interpretation>, part: &Partition| {
+        let mut fixed = part.p().clone();
+        fixed.union_with(part.q());
+        let mut sigs: Vec<Interpretation> = models
+            .into_iter()
+            .map(|mut m| {
+                m.intersect_with(&fixed);
+                m
+            })
+            .collect();
+        sigs.sort();
+        sigs.dedup();
+        sigs.len() as u64
+    };
+    for case in 0..CASES {
+        let db = random_db(&mut rng, true, true);
+        let all = Partition::minimize_all(N);
+        let minimal = signatures(brute::minimal_models(&db), &all);
+        let pair = pdsm::pair_database(&db);
+        let truth_minimal = brute::minimal_models(&pair).len() as u64;
+        let part = random_partition(&mut rng);
+        let z = random_varying(&mut rng);
+        let mut non_z = Interpretation::full(N);
+        non_z.difference_with(&z);
+        let icwa_part = Partition::new(non_z, Interpretation::empty(N), z.clone());
+        let generic = |id| SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
+        let mut ecwa = generic(SemanticsId::Ecwa);
+        ecwa.partition = Some(part.clone());
+        let mut icwa = generic(SemanticsId::Icwa);
+        icwa.icwa_varying = Some(z);
+        let mut cases = vec![
+            (generic(SemanticsId::Dsm), minimal),
+            (generic(SemanticsId::Perf), minimal),
+            (generic(SemanticsId::Pdsm), truth_minimal),
+            (generic(SemanticsId::Egcwa), minimal),
+            (
+                ecwa,
+                signatures(brute::pz_minimal_models(&db, &part), &part),
+            ),
+        ];
+        if db.stratification().is_some() {
+            let icwa_signatures = brute::pz_minimal_models(&db, &icwa_part);
+            cases.push((icwa, signatures(icwa_signatures, &icwa_part)));
+        }
+        for (cfg, expected) in cases {
+            let mut cost = Cost::new();
+            cfg.models(&db, &mut cost).unwrap();
+            assert_eq!(cost.candidates, expected, "{} case {case}", cfg.id);
         }
     }
 }

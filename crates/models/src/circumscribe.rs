@@ -2,23 +2,13 @@
 //!
 //! `MM(DB;P;Z) ⊨ F` is the paper's central upper-bound pattern (GCWA,
 //! EGCWA, CCWA, ECWA/CIRC, ICWA and — via reducts — DSM all bottom out
-//! here). We implement it as a counterexample-guided abstraction refinement
-//! (CEGAR) loop over the NP oracle:
-//!
-//! 1. *Guess* a candidate countermodel `M ⊨ DB ∧ ¬F` (one SAT call; if none
-//!    exists, `F` holds in every model, a fortiori in every minimal one).
-//! 2. *Minimize* `M` within `DB` to a ⟨P;Z⟩-minimal `M*` (shrink loop).
-//! 3. Since ⟨P;Z⟩-minimality depends only on the `P`- and `Q`-parts of a
-//!    model, ask whether *any* model with `M*`'s exact ⟨P,Q⟩-signature
-//!    falsifies `F` (one SAT call). If yes — that model is a genuine
-//!    minimal countermodel: answer **no**.
-//! 4. Otherwise *refine*: block every candidate whose `Q`-part equals and
-//!    whose `P`-part dominates `M*`'s. No true countermodel is lost: a
-//!    ⟨P;Z⟩-minimal countermodel `X` caught by the block would satisfy
-//!    `X∩Q = M*∩Q` and `X∩P ⊇ M*∩P`; minimality of both forces
-//!    `X∩P = M*∩P`, i.e. `X` has the signature just proven to admit no
-//!    countermodel — contradiction. The current candidate is always
-//!    blocked, so the loop terminates.
+//! here). It is a counterexample-guided (CEGAR) loop over the NP oracle:
+//! the minimal-model [`walk`](crate::walk) with `extra = ¬F` and no check,
+//! stopped at its first visit. Each round guesses a countermodel of
+//! `DB ∧ ¬F`, minimizes it within `DB`, asks whether its ⟨P,Q⟩-signature
+//! admits a model of `¬F` (a genuine minimal countermodel: answer **no**)
+//! and otherwise blocks the signature's cone; the walk's module docs prove
+//! that no countermodel is lost.
 //!
 //! The candidate count ([`crate::Cost::candidates`]) is the number of CEGAR
 //! rounds — the quantity that blows up exactly on Πᵖ₂-hard instances,
@@ -26,13 +16,10 @@
 //! governance checkpoint, so a deadline or cancellation budget interrupts
 //! the loop between rounds even when individual oracle calls are cheap.
 
-use crate::classical::project;
-use crate::minimal::Minimizer;
+use crate::walk::first;
 use crate::{Cost, Partition};
-use ddb_logic::cnf::CnfBuilder;
-use ddb_logic::{Database, Formula, Interpretation, Literal};
-use ddb_obs::budget::{self, Governed};
-use ddb_sat::Solver;
+use ddb_logic::{Database, Formula, Interpretation};
+use ddb_obs::budget::Governed;
 
 /// Whether `F` holds in every ⟨P;Z⟩-minimal model of `DB`
 /// (`MM(DB;P;Z) ⊨ F`). Vacuously true when `DB` is unsatisfiable.
@@ -54,68 +41,8 @@ pub fn holds_in_all_pz_minimal_models(
     cost: &mut Cost,
 ) -> Governed<bool> {
     let _span = ddb_obs::span("models.circ.holds_in_all");
-    let n = db.num_atoms();
-    // Candidate source: DB ∧ ¬F (Tseitin over an extended vocabulary).
-    let mut b = CnfBuilder::new(n);
-    b.add_database(db);
-    b.assert_formula(&f.clone().negated());
-    let counterexample_cnf = b.finish();
-    let mut candidates = Solver::from_cnf(&counterexample_cnf);
-    candidates.ensure_vars(counterexample_cnf.num_vars.max(n));
-    let mut minimizer = Minimizer::new(db, part.clone());
-
-    // `candidates` is absorbed exactly once, after the loop exits (Ok or
-    // interrupted), so its statistics are never double-counted.
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<bool> {
-        loop {
-            budget::checkpoint()?;
-            let _round = ddb_obs::hist_span("cegar.round", "cegar.round.ns");
-            if !candidates.solve()?.is_sat() {
-                return Ok(true);
-            }
-            cost.candidates += 1;
-            ddb_obs::counter_bump("models.circ.candidates", 1);
-            let m = project(&candidates.model(), n);
-            debug_assert!(db.satisfied_by(&m));
-            debug_assert!(!f.eval(&m));
-            let minimal = minimizer.minimize(&m, cost)?;
-
-            // Signature check: some model with M*'s ⟨P,Q⟩-signature ⊨ ¬F?
-            let same_signature =
-                minimal.agrees_within(&m, part.p()) && minimal.agrees_within(&m, part.q());
-            if same_signature {
-                // M itself is ⟨P;Z⟩-minimal and falsifies F.
-                return Ok(false);
-            }
-            let mut check = Solver::from_cnf(&counterexample_cnf);
-            check.ensure_vars(counterexample_cnf.num_vars.max(n));
-            for a in part.p().iter().chain(part.q().iter()) {
-                check.add_clause(&[Literal::with_sign(a, minimal.contains(a))]);
-            }
-            let counter_result = check.solve();
-            cost.absorb(&check);
-            if counter_result?.is_sat() {
-                return Ok(false);
-            }
-
-            // Refine: block the dominated cone of M*'s signature.
-            let mut blocking: Vec<Literal> = Vec::new();
-            for a in part.q().iter() {
-                blocking.push(Literal::with_sign(a, !minimal.contains(a)));
-            }
-            for a in part.p().iter() {
-                if minimal.contains(a) {
-                    blocking.push(a.neg());
-                }
-            }
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(true);
-            }
-        }
-    };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    let counter = first(db, part, Some(&f.clone().negated()), cost, |_, _| Ok(true))?;
+    Ok(counter.is_none())
 }
 
 /// Whether `F` holds in every (subset-)minimal model (`MM(DB) ⊨ F`).
@@ -138,10 +65,9 @@ pub fn exists_pz_minimal_model_satisfying(
     )?)
 }
 
-/// Returns a ⟨P;Z⟩-minimal model satisfying `F`, if one exists.
-///
-/// Same CEGAR loop as [`holds_in_all_pz_minimal_models`] (searching for a
-/// countermodel of `¬F`), but materializing the witness.
+/// Returns a ⟨P;Z⟩-minimal model satisfying `F`, if one exists: the same
+/// walk as [`holds_in_all_pz_minimal_models`] with `extra = F`,
+/// materializing the witness.
 pub fn find_pz_minimal_model_satisfying(
     db: &Database,
     part: &Partition,
@@ -149,60 +75,7 @@ pub fn find_pz_minimal_model_satisfying(
     cost: &mut Cost,
 ) -> Governed<Option<Interpretation>> {
     let _span = ddb_obs::span("models.circ.find_model");
-    let n = db.num_atoms();
-    let mut b = CnfBuilder::new(n);
-    b.add_database(db);
-    b.assert_formula(f);
-    let cnf = b.finish();
-    let mut candidates = Solver::from_cnf(&cnf);
-    candidates.ensure_vars(cnf.num_vars.max(n));
-    let mut minimizer = Minimizer::new(db, part.clone());
-
-    let mut run = |cost: &mut Cost, candidates: &mut Solver| -> Governed<Option<Interpretation>> {
-        loop {
-            budget::checkpoint()?;
-            let _round = ddb_obs::hist_span("cegar.round", "cegar.round.ns");
-            if !candidates.solve()?.is_sat() {
-                return Ok(None);
-            }
-            cost.candidates += 1;
-            ddb_obs::counter_bump("models.circ.candidates", 1);
-            let m = project(&candidates.model(), n);
-            let minimal = minimizer.minimize(&m, cost)?;
-            let same_signature =
-                minimal.agrees_within(&m, part.p()) && minimal.agrees_within(&m, part.q());
-            if same_signature {
-                return Ok(Some(m));
-            }
-            let mut check = Solver::from_cnf(&cnf);
-            check.ensure_vars(cnf.num_vars.max(n));
-            for a in part.p().iter().chain(part.q().iter()) {
-                check.add_clause(&[Literal::with_sign(a, minimal.contains(a))]);
-            }
-            let witness_result = check.solve();
-            cost.absorb(&check);
-            if witness_result?.is_sat() {
-                let witness = project(&check.model(), n);
-                return Ok(Some(witness));
-            }
-
-            let mut blocking: Vec<Literal> = Vec::new();
-            for a in part.q().iter() {
-                blocking.push(Literal::with_sign(a, !minimal.contains(a)));
-            }
-            for a in part.p().iter() {
-                if minimal.contains(a) {
-                    blocking.push(a.neg());
-                }
-            }
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(None);
-            }
-        }
-    };
-    let result = run(cost, &mut candidates);
-    cost.absorb(&candidates);
-    result
+    first(db, part, Some(f), cost, |_, _| Ok(true))
 }
 
 #[cfg(test)]

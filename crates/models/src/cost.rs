@@ -10,15 +10,16 @@ use ddb_sat::Solver;
 /// `Cost` through and bumps:
 ///
 /// * [`Cost::sat_calls`] — invocations of the NP oracle (one CDCL `solve`);
-/// * [`Cost::candidates`] — candidate models examined by CEGAR loops (a
-///   proxy for Σᵖ₂-oracle invocations: each candidate round is one
-///   guess-and-check);
+/// * [`Cost::candidates`] — rounds of the minimal-model walk
+///   ([`crate::walk`]), which every CEGAR query, minimal-model enumeration
+///   and subset-of-`MM` semantics runs (a proxy for Σᵖ₂-oracle
+///   invocations: each round is one guess-and-check);
 /// * conflict/decision/propagation totals aggregated from the solvers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Cost {
     /// NP-oracle (SAT solver) invocations.
     pub sat_calls: u64,
-    /// Candidate models examined by counterexample-guided loops.
+    /// Rounds of the minimal-model walk (candidate models examined).
     pub candidates: u64,
     /// Aggregated SAT decisions.
     pub decisions: u64,

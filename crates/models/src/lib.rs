@@ -10,11 +10,12 @@
 //! * [`classical`] — satisfiability, model checking and clausal entailment
 //!   (the NP/coNP layer);
 //! * [`minimal`] — minimal-model checking (one oracle call — the coNP
-//!   subproblem), shrink-loop minimization, and minimal-model enumeration
-//!   with blocking clauses;
+//!   subproblem), shrink-loop minimization, and minimal-model enumeration;
+//! * [`walk`] — the one candidate → minimize → check → block loop that
+//!   enumeration, the circumscription queries and every subset-of-`MM`
+//!   semantics share; its soundness argument is spelled out in the module;
 //! * [`circumscribe`] — the Πᵖ₂ workhorse: "does formula F hold in every
-//!   ⟨P;Z⟩-minimal model?", implemented as a counterexample-guided
-//!   (CEGAR) loop whose soundness argument is spelled out in the module;
+//!   ⟨P;Z⟩-minimal model?", a walk that stops at the first countermodel;
 //! * [`fixpoint`] — the polynomial `T_DB`-based machinery for DDR/WGCWA:
 //!   the *active-atom closure* (linear-time) and, as a cross-check, the
 //!   explicit (worst-case exponential) fixpoint over atomic disjunctions;
@@ -38,6 +39,7 @@ pub mod fixpoint;
 pub mod minimal;
 mod partition;
 pub mod transversal;
+pub mod walk;
 
 pub use cost::Cost;
 pub use partition::Partition;

@@ -4,12 +4,13 @@
 //! SAT call ([`shrink_step`] finding a strictly smaller model, or failing).
 //! Minimization ([`minimize`]) is the classical shrink loop: at most `|P|`
 //! oracle calls, each strictly decreasing `|M ∩ P|`. Enumeration
-//! ([`minimal_models`]) interleaves candidate search, minimization and
-//! blocking clauses; each round emits a *new* minimal model, so the total
+//! ([`minimal_models`], [`pz_minimal_models`]) is the minimal-model
+//! [`walk`]; each round emits a *new* minimal signature, so the total
 //! oracle bill is `O(#minimal-models · |V|)` — exponential only when the
 //! answer itself is.
 
 use crate::classical::project;
+use crate::walk::walk;
 use crate::{Cost, Partition};
 use ddb_logic::cnf::database_to_cnf;
 use ddb_logic::{Database, Interpretation, Literal};
@@ -25,8 +26,8 @@ use ddb_sat::Solver;
 ///
 /// Per step: the `Q`-part and the excluded `P`-atoms become assumptions;
 /// the "drop at least one `P`-atom of `M`" disjunction is added once as a
-/// clause guarded by a fresh activation variable that is only assumed in
-/// this step (later steps leave it unassigned, deactivating the clause).
+/// clause guarded by a fresh activation variable that is assumed in this
+/// step and asserted false right after it, retiring the clause.
 pub struct Minimizer {
     solver: Solver,
     part: Partition,
@@ -94,8 +95,14 @@ impl Minimizer {
         cost.decisions += after.decisions - before.decisions;
         cost.conflicts += after.conflicts - before.conflicts;
         cost.propagations += after.propagations - before.propagations;
-        let sat = result?.is_sat();
-        Ok(sat.then(|| project(&self.solver.model(), self.num_atoms)))
+        let shrunk = match result {
+            Ok(r) if r.is_sat() => Ok(Some(project(&self.solver.model(), self.num_atoms))),
+            other => other.map(|_| None),
+        };
+        // Retire the step's clause: with `¬act` a unit, it is satisfied for
+        // good instead of lingering behind a free decision variable.
+        self.solver.add_clause(&[act.neg()]);
+        shrunk
     }
 
     /// Minimizes `m` to a ⟨P;Z⟩-minimal model below it (shrink loop).
@@ -225,13 +232,8 @@ pub fn some_minimal_model(db: &Database, cost: &mut Cost) -> Governed<Option<Int
 /// # Ok::<(), ddb_obs::Interrupted>(())
 /// ```
 ///
-/// Candidate search and blocking happen in one incremental solver; each
-/// discovered minimal model `M` is blocked with the clause `⋁_{x∈M} ¬x`,
-/// which excludes exactly the supersets of `M` — sound because distinct
-/// minimal models are never ⊆-comparable, and complete because every model
-/// above a *new* minimal model survives blocking of the old ones.
-/// Minimization runs against `DB` alone (fresh solver) so blocking clauses
-/// cannot strand it at a non-minimal point.
+/// One [`walk`] over `DB` with no check: each round yields a new minimal
+/// model and blocks its supersets.
 pub fn minimal_models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let (out, interrupted) = minimal_models_partial(db, cost);
     match interrupted {
@@ -242,207 +244,187 @@ pub fn minimal_models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpreta
 
 /// Like [`minimal_models`], but an exhausted budget yields the models
 /// verified before the trip instead of discarding them. Every returned
-/// interpretation is a genuine minimal model — the enumerator only
-/// pushes fully minimized candidates — the set is just not known to be
-/// complete unless the second component is `None`.
+/// interpretation is a genuine minimal model — the walk only visits fully
+/// minimized candidates — the set is just not known to be complete unless
+/// the second component is `None`.
 pub fn minimal_models_partial(
     db: &Database,
     cost: &mut Cost,
 ) -> (Vec<Interpretation>, Option<Interrupted>) {
     let _span = ddb_obs::span("models.minimal.enumerate");
-    let n = db.num_atoms();
-    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
-    candidates.ensure_vars(n);
+    let part = Partition::minimize_all(db.num_atoms());
     let mut out = Vec::new();
-    let interrupted = loop {
-        let sat = match candidates.solve() {
-            Ok(r) => r.is_sat(),
-            Err(e) => break Some(e),
-        };
-        if !sat {
-            break None;
-        }
-        let candidate = project(&candidates.model(), n);
-        let minimal = match minimize(db, &candidate, cost) {
-            Ok(m) => m,
-            Err(e) => break Some(e),
-        };
-        debug_assert!(
-            !out.contains(&minimal),
-            "enumeration must not repeat minimal models"
-        );
-        let blocking: Vec<Literal> = minimal.iter().map(|a| a.neg()).collect();
-        out.push(minimal);
-        if blocking.is_empty() || !candidates.add_clause(&blocking) {
-            break None; // the empty model is minimal (blocks everything above it)
-        }
-    };
-    cost.absorb(&candidates);
+    let walked = walk(
+        db,
+        &part,
+        None,
+        cost,
+        |_, _| Ok(true),
+        |m| {
+            out.push(m.clone());
+            true
+        },
+    );
     out.sort();
-    let interrupted =
-        interrupted.map(|e| e.with_partial(format!("{} minimal model(s) found", out.len())));
+    let interrupted = walked
+        .err()
+        .map(|e| e.with_partial(format!("{} minimal model(s) found", out.len())));
     (out, interrupted)
 }
 
 /// Enumerates all ⟨P;Z⟩-minimal models `MM(DB; P; Z)`, sorted.
 ///
-/// Works by enumerating minimal *⟨P,Q⟩-signatures* with blocking clauses
-/// (minimality depends only on the `P`- and `Q`-parts), then expanding each
-/// signature to all of its `Z`-completions that are models. Exponential in
-/// the worst case — the callers that only need *inference* use the CEGAR
-/// loop in [`crate::circumscribe`] instead.
-///
-/// One incremental expander is shared across all signatures: the clauses
-/// fixing a signature's `P`/`Q`-parts — and its `Z`-blocking clauses —
-/// are guarded by a per-signature activation literal that is only assumed
-/// while that signature expands, so later signatures deactivate them but
-/// inherit every learnt clause (same trick as [`Minimizer`]). The oracle
-/// *call* count is identical to the fresh-solver baseline
-/// ([`pz_minimal_models_fresh`]); only the work per call shrinks.
+/// The [`walk`] yields the minimal *⟨P,Q⟩-signatures* (minimality depends
+/// only on the `P`- and `Q`-parts); an `Expander` turns each into all of
+/// its `Z`-completions that are models. Exponential in the worst case —
+/// the callers that only need *inference* use the walk with the query
+/// instead ([`crate::circumscribe`]).
 pub fn pz_minimal_models(
     db: &Database,
     part: &Partition,
     cost: &mut Cost,
 ) -> Governed<Vec<Interpretation>> {
-    let _span = ddb_obs::span("models.minimal.enumerate_pz");
-    let n = db.num_atoms();
-    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
-    candidates.ensure_vars(n);
-    let mut expander = Solver::from_cnf(&database_to_cnf(db));
-    expander.ensure_vars(n);
-    let mut next_activation = n as u32;
-    let mut out: Vec<Interpretation> = Vec::new();
-    let mut run = || -> Governed<()> {
-        loop {
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let candidate = project(&candidates.model(), n);
-            let minimal = pz_minimize(db, &candidate, part, cost)?;
-            // Expand the signature to all Z-completions (each is
-            // ⟨P;Z⟩-minimal: minimality only constrains the P- and Q-parts).
-            let act = ddb_logic::Atom::new(next_activation);
-            next_activation += 1;
-            expander.ensure_vars(next_activation as usize);
-            for a in part.p().iter().chain(part.q().iter()) {
-                expander.add_clause(&[act.neg(), Literal::with_sign(a, minimal.contains(a))]);
-            }
-            loop {
-                // Propagation-only exhaustion check first: where the
-                // fresh baseline's `add_clause` detected "no further
-                // completion" via level-0 units, the guarded encoding
-                // shows the same conflict under the assumption — caught
-                // here without a counted oracle call.
-                if expander.refuted_by_propagation(&[act.pos()])
-                    || !expander.solve_with_assumptions(&[act.pos()])?.is_sat()
-                {
-                    break;
-                }
-                let model = project(&expander.model(), n);
-                let mut blocking: Vec<Literal> = part
-                    .z()
-                    .iter()
-                    .map(|a| Literal::with_sign(a, !model.contains(a)))
-                    .collect();
-                out.push(model);
-                if blocking.is_empty() {
-                    break; // Z = ∅: a signature has exactly one completion
-                }
-                blocking.push(act.neg());
-                if !expander.add_clause(&blocking) {
-                    break;
-                }
-            }
-            // Block the whole signature cone: no future candidate with the
-            // same Q-part may dominate this P-part.
-            let mut blocking: Vec<Literal> = Vec::new();
-            for a in part.q().iter() {
-                blocking.push(Literal::with_sign(a, !minimal.contains(a)));
-            }
-            for a in part.p().iter() {
-                if minimal.contains(a) {
-                    blocking.push(a.neg());
-                }
-            }
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
-        }
-    };
-    let result = run();
-    cost.absorb(&candidates);
-    cost.absorb(&expander);
-    result.map_err(|e| e.with_partial(format!("{} ⟨P;Z⟩-minimal model(s) found", out.len())))?;
-    out.sort();
-    out.dedup();
-    Ok(out)
+    completions(db, part, cost, |_, _| Ok(true))
 }
 
 /// Like [`pz_minimal_models`] but rebuilding a fresh expander solver for
 /// every signature — kept as the ablation baseline the incremental
-/// enumerator is measured against (the `minimization: incremental vs
+/// `Expander` is measured against (the `minimization: incremental vs
 /// fresh` family of benches, and the oracle-count non-regression test).
 pub fn pz_minimal_models_fresh(
     db: &Database,
     part: &Partition,
     cost: &mut Cost,
 ) -> Governed<Vec<Interpretation>> {
+    let mut expansion = Cost::new();
+    let out = completions_with(
+        db,
+        part,
+        cost,
+        |_, _| Ok(true),
+        |s, out| {
+            let mut expander = Expander::new(db, part.clone());
+            let expanded = expander.expand(s, out);
+            expansion.absorb(&expander.solver);
+            expanded
+        },
+    );
+    cost.merge(&expansion);
+    out
+}
+
+/// The models of `db` in the signatures the [`walk`] visits under `part`
+/// (those passing `check`), sorted: each signature expands to its
+/// `Z`-completions through one `Expander`.
+pub fn completions(
+    db: &Database,
+    part: &Partition,
+    cost: &mut Cost,
+    check: impl FnMut(&Interpretation, &mut Cost) -> Governed<bool>,
+) -> Governed<Vec<Interpretation>> {
+    let mut expander = None;
+    let out = completions_with(db, part, cost, check, |s, out| {
+        let expander = expander.get_or_insert_with(|| Expander::new(db, part.clone()));
+        expander.expand(s, out)
+    });
+    if let Some(e) = &expander {
+        cost.absorb(&e.solver);
+    }
+    out
+}
+
+/// [`completions`] with the expansion step as a parameter. With `Z = ∅` a
+/// signature is its own only completion, and `expand` is not called.
+fn completions_with(
+    db: &Database,
+    part: &Partition,
+    cost: &mut Cost,
+    check: impl FnMut(&Interpretation, &mut Cost) -> Governed<bool>,
+    mut expand: impl FnMut(&Interpretation, &mut Vec<Interpretation>) -> Governed<()>,
+) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("models.minimal.enumerate_pz");
-    let n = db.num_atoms();
-    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
-    candidates.ensure_vars(n);
-    let mut out: Vec<Interpretation> = Vec::new();
-    let mut run = || -> Governed<()> {
-        loop {
-            if !candidates.solve()?.is_sat() {
-                return Ok(());
-            }
-            let candidate = project(&candidates.model(), n);
-            let minimal = pz_minimize(db, &candidate, part, cost)?;
-            let mut expander = Solver::from_cnf(&database_to_cnf(db));
-            expander.ensure_vars(n);
-            for a in part.p().iter().chain(part.q().iter()) {
-                expander.add_clause(&[Literal::with_sign(a, minimal.contains(a))]);
-            }
-            let expansion = loop {
-                match expander.solve() {
-                    Ok(r) if !r.is_sat() => break Ok(()),
-                    Ok(_) => {}
-                    Err(e) => break Err(e),
-                }
-                let model = project(&expander.model(), n);
-                let blocking: Vec<Literal> = part
-                    .z()
-                    .iter()
-                    .map(|a| Literal::with_sign(a, !model.contains(a)))
-                    .collect();
-                out.push(model);
-                if blocking.is_empty() || !expander.add_clause(&blocking) {
-                    break Ok(());
-                }
-            };
-            cost.absorb(&expander);
-            expansion?;
-            let mut blocking: Vec<Literal> = Vec::new();
-            for a in part.q().iter() {
-                blocking.push(Literal::with_sign(a, !minimal.contains(a)));
-            }
-            for a in part.p().iter() {
-                if minimal.contains(a) {
-                    blocking.push(a.neg());
-                }
-            }
-            if blocking.is_empty() || !candidates.add_clause(&blocking) {
-                return Ok(());
-            }
+    let mut out = Vec::new();
+    let mut failed = None;
+    let walked = walk(db, part, None, cost, check, |s| {
+        if part.z().is_empty_set() {
+            out.push(s.clone());
+            return true;
         }
-    };
-    let result = run();
-    cost.absorb(&candidates);
-    result.map_err(|e| e.with_partial(format!("{} ⟨P;Z⟩-minimal model(s) found", out.len())))?;
+        expand(s, &mut out).map_err(|e| failed = Some(e)).is_ok()
+    });
+    walked
+        .and(failed.map_or(Ok(()), Err))
+        .map_err(|e| e.with_partial(format!("{} ⟨P;Z⟩-minimal model(s) found", out.len())))?;
     out.sort();
-    out.dedup();
     Ok(out)
+}
+
+/// Expands ⟨P,Q⟩-signatures into their `Z`-completions: the models of
+/// `DB` that agree with the signature on `P ∪ Q`. One incremental solver
+/// serves every signature: the clauses fixing a signature — and its
+/// `Z`-blocking clauses — are guarded by an activation literal assumed
+/// only while that signature expands and retired after, so later
+/// signatures inherit every learnt clause (same trick as [`Minimizer`]).
+struct Expander {
+    solver: Solver,
+    part: Partition,
+    num_atoms: usize,
+}
+
+impl Expander {
+    /// Builds the expander for `db` under `part` (one CNF construction).
+    fn new(db: &Database, part: Partition) -> Self {
+        let n = db.num_atoms();
+        let mut solver = Solver::from_cnf(&database_to_cnf(db));
+        solver.ensure_vars(n);
+        Expander {
+            solver,
+            part,
+            num_atoms: n,
+        }
+    }
+
+    /// Pushes every `Z`-completion of `signature` (a model of `DB`) to
+    /// `out`, one SAT call each plus one to find there are no more.
+    fn expand(
+        &mut self,
+        signature: &Interpretation,
+        out: &mut Vec<Interpretation>,
+    ) -> Governed<()> {
+        let act = ddb_logic::Atom::new(self.solver.num_vars() as u32);
+        self.solver.ensure_vars(act.index() + 1);
+        for a in self.part.p().iter().chain(self.part.q().iter()) {
+            let fixed = Literal::with_sign(a, signature.contains(a));
+            self.solver.add_clause(&[act.neg(), fixed]);
+        }
+        let expanded = loop {
+            // Propagation-only exhaustion check first: where a fresh
+            // solver detects "no further completion" via level-0 units,
+            // the guarded encoding shows the same conflict under the
+            // assumption — caught here without a counted oracle call.
+            if self.solver.refuted_by_propagation(&[act.pos()]) {
+                break Ok(());
+            }
+            match self.solver.solve_with_assumptions(&[act.pos()]) {
+                Ok(r) if r.is_sat() => {}
+                done => break done.map(drop),
+            }
+            let model = project(&self.solver.model(), self.num_atoms);
+            let mut blocking: Vec<Literal> = self
+                .part
+                .z()
+                .iter()
+                .map(|a| Literal::with_sign(a, !model.contains(a)))
+                .collect();
+            out.push(model);
+            blocking.push(act.neg());
+            if !self.solver.add_clause(&blocking) {
+                break Ok(());
+            }
+        };
+        self.solver.add_clause(&[act.neg()]);
+        expanded
+    }
 }
 
 #[cfg(test)]
@@ -574,6 +556,43 @@ mod tests {
             );
         }
         assert!(cost.sat_calls > 0);
+    }
+
+    #[test]
+    fn one_minimizer_retires_every_activation() {
+        use ddb_logic::rng::XorShift64Star;
+        let n = 5;
+        let mut rng = XorShift64Star::seed_from_u64(21);
+        let mut calls = 0;
+        for _ in 0..12 {
+            let mut db = Database::with_fresh_atoms(n);
+            for _ in 0..rng.gen_range_inclusive(1, 6) {
+                let mut pick = |lo, hi| {
+                    let k = rng.gen_range_inclusive(lo, hi);
+                    (0..k)
+                        .map(|_| Atom::new(rng.gen_range(0, n) as u32))
+                        .collect::<Vec<_>>()
+                };
+                let (head, body) = (pick(1, 3), pick(0, 2));
+                db.add_rule(ddb_logic::Rule::new(head, body, []));
+            }
+            let mm = crate::brute::minimal_models(&db);
+            let mut minimizer = Minimizer::new(&db, Partition::minimize_all(n));
+            let mut cost = Cost::new();
+            for start in crate::brute::models(&db) {
+                let m = minimizer.minimize(&start, &mut cost).unwrap();
+                assert!(
+                    mm.contains(&m) && m.is_subset(&start),
+                    "{db:?} from {start:?}"
+                );
+                calls += 1;
+            }
+            for act in n as u32..minimizer.next_activation {
+                let act = Atom::new(act).pos();
+                assert!(minimizer.solver.refuted_by_propagation(&[act]), "{db:?}");
+            }
+        }
+        assert!(calls >= 50, "only {calls} minimize calls");
     }
 
     #[test]

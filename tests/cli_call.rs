@@ -16,23 +16,33 @@ fn ddb() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ddb"))
 }
 
-/// A `ddb serve` child on an ephemeral port serving `vase`, `layers` and
-/// the partition database `ab` (`a | b.`, in a file of the test's own);
+/// A `ddb serve` child on an ephemeral port serving `vase`, `layers`, the
+/// partition database `ab` (`a | b.`) and `four` (`a | b. c | d.`, four
+/// minimal models), each of the last two in a file of the test's own;
 /// killed on drop.
 struct Served {
     child: Child,
     addr: String,
     ab: String,
+    four: String,
 }
 
 impl Served {
     fn start(test: &str) -> Served {
-        let ab = std::env::temp_dir()
-            .join(format!("ddb_cli_call_{test}_{}.dl", std::process::id()))
-            .to_str()
-            .unwrap()
-            .to_owned();
-        std::fs::write(&ab, "a | b.\n").unwrap();
+        let file = |name: &str, text: &str| {
+            let path = std::env::temp_dir()
+                .join(format!(
+                    "ddb_cli_call_{test}_{name}_{}.dl",
+                    std::process::id()
+                ))
+                .to_str()
+                .unwrap()
+                .to_owned();
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+        let ab = file("ab", "a | b.\n");
+        let four = file("four", "a | b. c | d.\n");
         let mut child = ddb()
             .args([
                 "serve",
@@ -41,6 +51,8 @@ impl Served {
                 "layers=examples/layers.dlv",
                 "--db",
                 &format!("ab={ab}"),
+                "--db",
+                &format!("four={four}"),
                 "--addr",
                 "127.0.0.1:0",
             ])
@@ -57,7 +69,12 @@ impl Served {
             .strip_prefix("listening on ")
             .unwrap_or_else(|| panic!("no address announced: {line:?}"))
             .to_owned();
-        Served { child, addr, ab }
+        Served {
+            child,
+            addr,
+            ab,
+            four,
+        }
     }
 
     /// Runs the local command on `file` and the same whitespace-separated
@@ -95,6 +112,7 @@ impl Drop for Served {
         let _ = self.child.kill();
         let _ = self.child.wait();
         std::fs::remove_file(&self.ab).ok();
+        std::fs::remove_file(&self.four).ok();
     }
 }
 
@@ -167,6 +185,30 @@ fn tripped_budgets_match_local() {
         assert_eq!(local.2, 3, "{op} {flags} trips: {local:?}");
         assert!(local.1.contains("unknown ("), "{local:?}");
         assert_eq!(local, served, "{op} {flags}");
+    }
+}
+
+#[test]
+fn max_models_trips_every_minimal_model_walk() {
+    let server = Served::start("max_models_trips_every_minimal_model_walk");
+    let four = server.four.clone();
+    for sem in ["dsm", "perf", "pdsm", "egcwa", "ecwa", "icwa"] {
+        let flags = format!("--semantics {sem} --max-models 1");
+        let [local, served] = server.both("models", &four, "four", &flags);
+        assert_eq!(local, served, "{flags}");
+        assert_eq!(local.2, 3, "{flags} trips: {local:?}");
+        assert!(
+            local.1.contains("interrupted: models"),
+            "{flags}: {local:?}"
+        );
+        assert!(!local.0.starts_with("4 model(s)"), "{flags}: {local:?}");
+        // EGCWA keeps the models it verified before the trip.
+        let kept = if sem == "egcwa" {
+            "1 model(s)"
+        } else {
+            "0 model(s)"
+        };
+        assert!(local.0.starts_with(kept), "{flags}: {local:?}");
     }
 }
 
