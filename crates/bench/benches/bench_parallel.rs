@@ -53,13 +53,12 @@ fn bench_islands_exist(c: &mut Criterion) {
     let mut g = c.benchmark_group("T1-parallel-DSM-exist (threads scaling)");
     for width in WIDTHS {
         let cfg = SemanticsConfig::new(SemanticsId::Dsm).with_threads(width);
-        ddb_obs::reset_histograms();
-        let solves_before = ddb_obs::snapshot().get("sat.solves");
         let mut cost = Cost::new();
-        assert_eq!(cfg.has_model(&db, &mut cost).unwrap(), reference);
+        let (verdict, rec) = ddb_obs::record(false, || cfg.has_model(&db, &mut cost).unwrap());
+        assert_eq!(verdict, reference);
         assert_eq!(cost.sat_calls, base.sat_calls, "width {width} oracle bill");
-        let solves = ddb_obs::snapshot().get("sat.solves") - solves_before;
-        let samples = ddb_obs::hist_snapshot().count("sat.solve.ns");
+        let solves = rec.counters.get("sat.solves");
+        let samples = rec.histograms.count("sat.solve.ns");
         assert_eq!(
             samples, solves,
             "width {width}: sat.solve.ns histogram samples vs sat.solves counter"

@@ -177,14 +177,20 @@ mod tests {
     fn island_counters_fire_at_every_width() {
         let db = two_island_db();
         for threads in [1, 2] {
-            let before = ddb_obs::thread_counter_total("route.islands");
             let cfg = SemanticsConfig::new(SemanticsId::Egcwa).with_threads(threads);
             let mut cost = Cost::new();
-            cfg.has_model(&db, &mut cost).unwrap();
+            let (_, rec) = ddb_obs::record(false, || cfg.has_model(&db, &mut cost).unwrap());
             assert!(
-                ddb_obs::thread_counter_total("route.islands") > before,
+                rec.counters.get("route.islands") > 0,
                 "decomposition must be taken at width {threads}"
             );
+            if threads > 1 {
+                // The recording reaches into the pool: every job the batch
+                // dispatched ran, on a worker, under a `pool.job` span.
+                let jobs = rec.counters.get("pool.jobs");
+                assert!(jobs > 0, "width {threads} must fan out");
+                assert_eq!(rec.counters.get("span.pool.job.calls"), jobs);
+            }
         }
     }
 

@@ -107,41 +107,22 @@ pub struct CellProfile {
     pub route: Option<&'static str>,
 }
 
-/// Per-thread before/after probe over the `route.*` counters. A cell runs
-/// wholly on one thread (its inner configuration is width-1), so this
-/// thread's monotone counter totals ([`ddb_obs::thread_counter_total`])
-/// attribute routes exactly even while sibling cells run concurrently on
-/// other workers — a global snapshot diff would see their bumps too.
-struct RouteProbe {
-    before: [u64; 6],
-}
-
-impl RouteProbe {
-    const NAMES: [&'static str; 6] = [
-        "route.slice",
-        "route.split",
-        "route.islands",
-        "route.horn",
-        "route.hcf",
-        "route.generic",
+/// The highest-precedence route in a cell's recording. The cell records
+/// under its own [`ddb_obs::record`] scope, so sibling cells running
+/// concurrently on other workers never show up in it.
+fn route_of(recording: &ddb_obs::Recording) -> Option<&'static str> {
+    const ROUTES: [(&str, &str); 6] = [
+        ("route.slice", "slice"),
+        ("route.split", "split"),
+        ("route.islands", "islands"),
+        ("route.horn", "horn"),
+        ("route.hcf", "hcf"),
+        ("route.generic", "generic"),
     ];
-    const LABELS: [&'static str; 6] = ["slice", "split", "islands", "horn", "hcf", "generic"];
-
-    fn begin() -> Self {
-        RouteProbe {
-            before: Self::NAMES.map(ddb_obs::thread_counter_total),
-        }
-    }
-
-    /// The highest-precedence route bumped on this thread since `begin`.
-    fn route(&self) -> Option<&'static str> {
-        Self::NAMES
-            .iter()
-            .zip(Self::LABELS)
-            .zip(self.before)
-            .find(|((name, _), before)| ddb_obs::thread_counter_total(name) > *before)
-            .map(|((_, label), _)| label)
-    }
+    ROUTES
+        .into_iter()
+        .find(|(name, _)| recording.counters.get(name) > 0)
+        .map(|(_, label)| label)
 }
 
 impl CellProfile {
@@ -209,14 +190,15 @@ pub fn profile_cell(
     let _span = ddb_obs::hist_span("profile.cell", "profile.cell.ns");
     let _guard = cell_budget.map(|b| b.clone().install());
     let mut cost = Cost::new();
-    let probe = RouteProbe::begin();
-    let started = Instant::now();
-    let outcome = match problem {
-        Problem::Literal | Problem::Formula => cfg.infers_formula(db, f, &mut cost),
-        Problem::Existence => cfg.has_model(db, &mut cost),
-    };
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let route = probe.route();
+    let ((outcome, wall_ns), recording) = ddb_obs::record(false, || {
+        let started = Instant::now();
+        let outcome = match problem {
+            Problem::Literal | Problem::Formula => cfg.infers_formula(db, f, &mut cost),
+            Problem::Existence => cfg.has_model(db, &mut cost),
+        };
+        (outcome, started.elapsed().as_nanos() as u64)
+    });
+    let route = route_of(&recording);
     let (answer, interrupted, unsupported) = match outcome {
         Ok(Verdict::True) => (Some(true), None, None),
         Ok(Verdict::False) => (Some(false), None, None),

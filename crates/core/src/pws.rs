@@ -62,7 +62,7 @@ use ddb_logic::depgraph::DepGraph;
 use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
 use ddb_models::{fixpoint, Cost};
 use ddb_obs::Governed;
-use ddb_sat::{enumerate_models, Solver};
+use ddb_sat::Solver;
 use std::collections::HashMap;
 
 /// Builds the possible-model CNF: satisfying assignments, projected onto
@@ -343,18 +343,7 @@ pub fn possible_models_by_splits(db: &Database) -> Vec<Interpretation> {
 /// All possible models via the SAT encoding (projected enumeration).
 pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("pws.models");
-    let cnf = possible_model_cnf(db);
-    let mut out = Vec::new();
-    let mut calls = 0u64;
-    let result = enumerate_models(&cnf, db.num_atoms(), |m| {
-        calls += 1;
-        out.push(m.clone());
-        true
-    });
-    cost.sat_calls += calls + 1;
-    result?;
-    out.sort();
-    Ok(out)
+    ddb_models::classical::enumerate_projected(&possible_model_cnf(db), db.num_atoms(), cost)
 }
 
 /// Literal inference `PWS(DB) ⊨ ℓ`. Fast path (zero oracle calls):

@@ -237,32 +237,9 @@ mod tests {
     use crate::dispatch::RoutingMode;
     use ddb_logic::parse::{parse_formula, parse_program};
 
-    /// The route counters the tests below read.
-    const PROBED: [&str; 5] = [
-        "route.slice",
-        "route.slice.dropped_rules",
-        "route.slice.blocked",
-        "route.split",
-        "route.generic",
-    ];
-
-    /// This thread's gains of the [`PROBED`] counters while `f` runs.
-    /// Dispatch at `threads = 1` runs inline, so every bump lands on the
-    /// calling thread, and other test threads cannot race the probe.
-    struct Spent([u64; PROBED.len()]);
-
-    impl Spent {
-        fn get(&self, name: &str) -> u64 {
-            let i = PROBED.iter().position(|&n| n == name).expect("probed");
-            self.0[i]
-        }
-    }
-
-    fn counters_after(f: impl FnOnce()) -> Spent {
-        let before = PROBED.map(ddb_obs::thread_counter_total);
-        f();
-        let after = PROBED.map(ddb_obs::thread_counter_total);
-        Spent(std::array::from_fn(|i| after[i] - before[i]))
+    /// The counters recorded while `f` runs.
+    fn counters_after(f: impl FnOnce()) -> ddb_obs::CounterSnapshot {
+        ddb_obs::record(false, f).1.counters
     }
 
     #[test]

@@ -23,7 +23,7 @@ use ddb_logic::cnf::{Cnf, CnfBuilder};
 use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::Cost;
 use ddb_obs::Governed;
-use ddb_sat::{enumerate_models, Solver};
+use ddb_sat::Solver;
 
 /// Whether every rule head is a single atom (supported models are a
 /// normal-program notion; disjunctive generalizations diverge and are
@@ -79,18 +79,7 @@ pub fn is_supported_model(db: &Database, m: &Interpretation) -> bool {
 
 /// All supported models (projected SAT enumeration).
 pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
-    let cnf = completion_cnf(db);
-    let mut out = Vec::new();
-    let mut calls = 0u64;
-    let result = enumerate_models(&cnf, db.num_atoms(), |m| {
-        calls += 1;
-        out.push(m.clone());
-        true
-    });
-    cost.sat_calls += calls + 1;
-    result?;
-    out.sort();
-    Ok(out)
+    ddb_models::classical::enumerate_projected(&completion_cnf(db), db.num_atoms(), cost)
 }
 
 /// Model existence — one SAT call (NP-complete).

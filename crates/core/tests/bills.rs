@@ -1,0 +1,125 @@
+//! One bill: the `Cost` a call returns and the counters its `record`
+//! scope saw are two readouts of the same oracle work, so they must agree
+//! — `sat.solves` with `Cost.sat_calls` and `models.circ.candidates` with
+//! `Cost.candidates` — for all ten semantics on the three problems
+//! (existence, inference, model enumeration) over random deductive and
+//! normal databases. A recording is the call's alone: answered by eight
+//! threads at once, every count a call records matches its uncontended
+//! recording exactly.
+
+use ddb_core::{SemanticsConfig, SemanticsId};
+use ddb_logic::{Atom, Database, Formula};
+use ddb_models::Cost;
+use ddb_obs::{record, CounterSnapshot};
+use ddb_workloads::random::{random_db, DbSpec};
+
+#[derive(Clone, Copy, Debug)]
+enum Problem {
+    Exists,
+    Query,
+    Models,
+}
+
+const PROBLEMS: [Problem; 3] = [Problem::Exists, Problem::Query, Problem::Models];
+
+fn databases() -> Vec<Database> {
+    (0..40u64)
+        .map(|seed| {
+            let spec = if seed.is_multiple_of(2) {
+                DbSpec::deductive(6, 8)
+            } else {
+                DbSpec::normal(6, 8)
+            };
+            random_db(&spec, seed)
+        })
+        .collect()
+}
+
+/// A literal query on even seeds and a two-atom disjunction on odd ones,
+/// so both GCWA/DDR/PWS literal procedures and formula procedures run.
+fn query(db: &Database, i: usize) -> Formula {
+    let atom = |k: usize| Formula::Atom(Atom::new((k % db.num_atoms()) as u32));
+    if i.is_multiple_of(2) {
+        atom(i).negated()
+    } else {
+        Formula::Or(vec![atom(i), atom(i + 3).negated()])
+    }
+}
+
+/// Answers one problem under its own scope: the call's bill and what it
+/// recorded.
+fn bill(id: SemanticsId, db: &Database, f: &Formula, problem: Problem) -> (Cost, CounterSnapshot) {
+    let cfg = SemanticsConfig::new(id);
+    let mut cost = Cost::new();
+    let ((), rec) = record(false, || match problem {
+        Problem::Exists => drop(cfg.has_model(db, &mut cost)),
+        Problem::Query => drop(cfg.infers_formula(db, f, &mut cost)),
+        Problem::Models => drop(cfg.models(db, &mut cost)),
+    });
+    (cost, rec.counters)
+}
+
+/// The counters whose values do not depend on timing.
+fn counts(counters: &CounterSnapshot) -> Vec<(String, u64)> {
+    counters
+        .iter()
+        .filter(|(name, _)| {
+            (name.starts_with("sat.") && !name.ends_with(".ns"))
+                || name.starts_with("route.")
+                || name.starts_with("models.")
+        })
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect()
+}
+
+#[test]
+fn recorded_counters_match_the_returned_bill() {
+    let dbs = databases();
+    let mut checked = 0;
+    for (i, db) in dbs.iter().enumerate() {
+        let f = query(db, i);
+        for id in SemanticsId::ALL {
+            for problem in PROBLEMS {
+                let (cost, counters) = bill(id, db, &f, problem);
+                let case = format!("db {i}, {id}, {problem:?}");
+                assert_eq!(counters.get("sat.solves"), cost.sat_calls, "{case}");
+                assert_eq!(
+                    counters.get("models.circ.candidates"),
+                    cost.candidates,
+                    "{case}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 40 * 10 * 3);
+}
+
+#[test]
+fn concurrent_recordings_match_uncontended_ones() {
+    let dbs = databases();
+    let cases = |i: usize, db: &Database| {
+        let f = query(db, i);
+        SemanticsId::ALL
+            .into_iter()
+            .flat_map(move |id| PROBLEMS.map(|p| (id, p)))
+            .map(move |(id, p)| counts(&bill(id, db, &f, p).1))
+            .collect::<Vec<_>>()
+    };
+    let alone: Vec<_> = dbs.iter().enumerate().map(|(i, db)| cases(i, db)).collect();
+    assert!(
+        alone.iter().flatten().any(|c| !c.is_empty()),
+        "the calls must record something"
+    );
+    const THREADS: usize = 8;
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (dbs, alone) = (&dbs, &alone);
+            s.spawn(move || {
+                for i in (t..dbs.len()).step_by(THREADS) {
+                    assert_eq!(cases(i, &dbs[i]), alone[i], "db {i} on thread {t}");
+                }
+            });
+        }
+    });
+}

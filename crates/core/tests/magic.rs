@@ -15,14 +15,11 @@ use ddb_logic::rng::XorShift64Star;
 use ddb_logic::{Atom, Database, Formula};
 use ddb_models::Cost;
 
-/// This thread's gains of `counters` while `f` runs. Dispatch at the
-/// default width of one runs inline, so every bump lands on the calling
-/// thread and concurrently running tests cannot race the probe.
+/// The gains of `counters` recorded while `f` runs. The recording is
+/// this call's alone, so concurrently running tests cannot race it.
 fn gained<const N: usize>(counters: [&'static str; N], f: impl FnOnce()) -> [u64; N] {
-    let before = counters.map(ddb_obs::thread_counter_total);
-    f();
-    let after = counters.map(ddb_obs::thread_counter_total);
-    std::array::from_fn(|i| after[i] - before[i])
+    let ((), rec) = ddb_obs::record(false, f);
+    counters.map(|name| rec.counters.get(name))
 }
 
 /// Hand-picked structured databases covering the admission paths: a

@@ -171,12 +171,11 @@ fn parallel_islands_route_fires_and_agrees_with_sequential() {
     assert_eq!(base.as_bool(), Some(true));
     for width in [2, 8] {
         let cfg = SemanticsConfig::new(SemanticsId::Gcwa).with_threads(width);
-        let before = ddb_obs::thread_counter_total("route.islands");
         let mut cost = Cost::new();
-        let wide = cfg.has_model(&db, &mut cost).unwrap();
+        let (wide, rec) = ddb_obs::record(false, || cfg.has_model(&db, &mut cost).unwrap());
         assert_eq!(base, wide, "threads {width}");
         assert!(
-            ddb_obs::thread_counter_total("route.islands") > before,
+            rec.counters.get("route.islands") > 0,
             "threads {width}: the islands route must actually fire"
         );
     }

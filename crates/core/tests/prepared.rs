@@ -2,8 +2,8 @@
 //! through a shared `Prepared` entry — first when it fills the memo, then
 //! again when it reads it — must return the verdict or model set the same
 //! entry point returns on a plain `&Database`, with the same oracle bill
-//! (`Cost.sat_calls`, `Cost.candidates`) and the same `route.*` counter
-//! gains on the calling thread. The entry is shared across every
+//! (`Cost.sat_calls`, `Cost.candidates`) and the same `route.*` counters
+//! in its recording. The entry is shared across every
 //! configuration of a database, including the generic routing mode, a
 //! non-default CCWA/ECWA partition and ICWA varying atoms, so a fact
 //! computed for the default structure cannot leak into them.
@@ -126,7 +126,7 @@ enum Answer {
 }
 
 /// Everything a query is allowed to show: its answer (or rejection), its
-/// oracle bill and the route counters it bumped on this thread.
+/// oracle bill and the route counters it recorded.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     answer: Result<Answer, Unsupported>,
@@ -136,15 +136,13 @@ struct Outcome {
 }
 
 fn observe(run: impl FnOnce(&mut Cost) -> Result<Answer, Unsupported>) -> Outcome {
-    let before = ROUTES.map(ddb_obs::thread_counter_total);
     let mut cost = Cost::new();
-    let answer = run(&mut cost);
-    let after = ROUTES.map(ddb_obs::thread_counter_total);
+    let (answer, rec) = ddb_obs::record(false, || run(&mut cost));
     Outcome {
         answer,
         sat_calls: cost.sat_calls,
         candidates: cost.candidates,
-        routes: std::array::from_fn(|i| after[i] - before[i]),
+        routes: ROUTES.map(|name| rec.counters.get(name)),
     }
 }
 

@@ -6,7 +6,7 @@
 //! underlying oracle call and propagates out with `?`.
 
 use crate::Cost;
-use ddb_logic::cnf::{database_to_cnf, CnfBuilder};
+use ddb_logic::cnf::{database_to_cnf, Cnf, CnfBuilder};
 use ddb_logic::{Database, Formula, Interpretation, Literal};
 use ddb_obs::Governed;
 use ddb_sat::{enumerate_models, Solver};
@@ -56,15 +56,24 @@ pub fn entails(db: &Database, units: &[Literal], f: &Formula, cost: &mut Cost) -
 /// worst case — intended for reference computations and tests).
 pub fn all_models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     ddb_obs::counter_bump("models.classical.enumerations", 1);
-    let cnf = database_to_cnf(db);
+    enumerate_projected(&database_to_cnf(db), db.num_atoms(), cost)
+}
+
+/// Every model of `cnf` projected onto its first `project_to` variables,
+/// sorted. Billed from the enumeration solver's own statistics, so the
+/// bill is exactly the SAT calls made, also when a budget trips.
+pub fn enumerate_projected(
+    cnf: &Cnf,
+    project_to: usize,
+    cost: &mut Cost,
+) -> Governed<Vec<Interpretation>> {
+    let mut solver = Solver::from_cnf(cnf);
     let mut out = Vec::new();
-    let mut calls = 0u64;
-    let result = enumerate_models(&cnf, db.num_atoms(), |m| {
-        calls += 1;
+    let result = enumerate_models(&mut solver, project_to, |m| {
         out.push(m.clone());
         true
     });
-    cost.sat_calls += calls + 1; // final UNSAT call
+    cost.absorb(&solver);
     result?;
     out.sort();
     Ok(out)

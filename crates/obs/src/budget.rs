@@ -620,7 +620,7 @@ fn counter_trip(resource: Resource) {
     crate::counter_bump(name, 1);
     // Mark the trip on the tripping thread's trace track so timelines
     // show *where* the interruption landed, not just that one happened.
-    crate::sink::emit(|| crate::sink::Event::Instant {
+    crate::recorder::emit(|| crate::trace::Event::Instant {
         name: name.to_owned(),
         at_ns: crate::span::now_ns(),
     });

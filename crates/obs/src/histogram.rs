@@ -1,4 +1,4 @@
-//! Log-bucketed latency histograms with a thread-buffered registry.
+//! Log-bucketed latency histograms.
 //!
 //! Counters say *how many* oracle calls a decision procedure made;
 //! histograms say how those calls were *distributed* — a Δᵖ₃[O(log n)]
@@ -10,17 +10,11 @@
 //! digits) across the full `u64` range with at most [`MAX_BUCKETS`]
 //! buckets and no allocation beyond one lazily-grown `Vec<u64>`.
 //!
-//! The process-global registry mirrors the interned-counter design in
-//! [`crate::counters`]: [`hist_record`] takes a `&'static str` name and
-//! accumulates into a per-thread buffer (no global lock on the hot
-//! path); buffers merge into the registry on
-//! [`flush_thread_histograms`], called from the same flush points as
-//! counters (outermost span exit, worker-pool exit, read side).
+//! [`crate::hist_record`] records into the calling thread's recorder,
+//! which flushes like counters (see [`crate::recorder`]).
 
 use crate::json::Json;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
 /// Sub-bucket resolution: each power-of-two octave is split into this
 /// many linear sub-buckets, bounding relative bucket width to ~3.1%.
@@ -206,102 +200,11 @@ impl Histogram {
     }
 }
 
-static HISTS: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
-
-fn with_hists<R>(f: impl FnOnce(&mut BTreeMap<&'static str, Histogram>) -> R) -> R {
-    let mut guard = HISTS.lock().unwrap_or_else(|e| e.into_inner());
-    f(&mut guard)
-}
-
-/// Per-thread buffer mirroring `counters::LocalBuf`: interned name slots
-/// and local histograms not yet merged into the registry.
-#[derive(Default)]
-struct LocalHists {
-    slots: HashMap<&'static str, usize>,
-    names: Vec<&'static str>,
-    hists: Vec<Histogram>,
-    dirty: bool,
-}
-
-thread_local! {
-    static LOCAL: RefCell<LocalHists> = RefCell::new(LocalHists::default());
-}
-
-/// Record one observation into the named histogram via this thread's
-/// buffer: no global lock and no allocation on the hot path (after the
-/// first observation of each name per thread). The registry observes it
-/// at the next [`flush_thread_histograms`].
-pub fn hist_record(name: &'static str, value: u64) {
-    LOCAL.with(|l| {
-        let mut buf = l.borrow_mut();
-        let i = match buf.slots.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = buf.names.len();
-                buf.names.push(name);
-                buf.hists.push(Histogram::new());
-                buf.slots.insert(name, i);
-                i
-            }
-        };
-        buf.hists[i].record(value);
-        buf.dirty = true;
-    });
-}
-
-/// Merge this thread's buffered observations into the global registry.
-/// Cheap when nothing is pending. Called automatically on outermost span
-/// exit, on worker-pool thread exit, and by the read-side functions for
-/// the calling thread.
-pub fn flush_thread_histograms() {
-    LOCAL.with(|l| {
-        let mut buf = l.borrow_mut();
-        if !buf.dirty {
-            return;
-        }
-        buf.dirty = false;
-        let names = std::mem::take(&mut buf.names);
-        with_hists(|map| {
-            for (i, name) in names.iter().enumerate() {
-                if buf.hists[i].is_empty() {
-                    continue;
-                }
-                map.entry(name).or_default().merge(&buf.hists[i]);
-                buf.hists[i] = Histogram::new();
-            }
-        });
-        buf.names = names;
-    });
-}
-
-/// Reset the whole registry, including the calling thread's pending
-/// buffer. Used by the CLI between independent runs and by tests.
-pub fn reset_histograms() {
-    LOCAL.with(|l| {
-        let mut buf = l.borrow_mut();
-        buf.dirty = false;
-        buf.hists.iter_mut().for_each(|h| *h = Histogram::new());
-    });
-    with_hists(|map| map.clear());
-}
-
-/// An immutable copy of every named histogram at one instant.
+/// Histograms at one instant: the registry ([`crate::hist_snapshot`]) or
+/// one scope ([`crate::Recording`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    values: BTreeMap<String, Histogram>,
-}
-
-/// Capture the current state of every histogram. Flushes the calling
-/// thread's buffer first so single-threaded before/after reads are exact.
-pub fn hist_snapshot() -> HistogramSnapshot {
-    flush_thread_histograms();
-    HistogramSnapshot {
-        values: with_hists(|map| {
-            map.iter()
-                .map(|(k, v)| ((*k).to_owned(), v.clone()))
-                .collect()
-        }),
-    }
+    pub(crate) values: BTreeMap<String, Histogram>,
 }
 
 impl HistogramSnapshot {
@@ -495,19 +398,19 @@ mod tests {
 
     #[test]
     fn thread_buffers_merge_into_registry() {
-        // Registry is global: use a unique name and diff counts.
-        let before = hist_snapshot().count("test.hist.threads");
+        // The registry is global: use a unique name and diff counts.
+        let before = crate::hist_snapshot().count("test.hist.threads");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for v in 0..100 {
-                        hist_record("test.hist.threads", v);
+                        crate::hist_record("test.hist.threads", v);
                     }
-                    flush_thread_histograms();
+                    crate::flush();
                 });
             }
         });
-        let after = hist_snapshot().count("test.hist.threads");
+        let after = crate::hist_snapshot().count("test.hist.threads");
         assert_eq!(after - before, 400);
     }
 

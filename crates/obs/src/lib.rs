@@ -8,22 +8,24 @@
 //! the single instrumentation contract the rest of the workspace reports
 //! against:
 //!
-//! - **Counters** ([`counter_add`], [`counter_max`], their thread-buffered
-//!   hot-path twins [`counter_bump`] and [`counter_bump_max`],
-//!   [`snapshot`]) — named monotonic totals and high-water gauges, e.g.
-//!   `sat.solves`, `models.circ.candidates`, `sat.clauses.peak`.
-//! - **Histograms** ([`hist_record`], [`hist_snapshot`]) — log-bucketed
-//!   latency/size distributions (~2 significant digits), e.g.
-//!   `sat.solve.ns`, `cegar.round.ns`, `pool.job.ns`, with p50/p90/p99
-//!   readouts.
-//! - **Spans** ([`span()`], [`time`]) — RAII-guarded hierarchical timing for
-//!   decision procedures, e.g. `gcwa.infers_literal`. Each span contributes
-//!   `span.<name>.calls` and `span.<name>.ns` counters.
-//! - **Sink & traces** ([`set_sink`], [`MemorySink`], [`chrome_trace`],
-//!   [`folded_stacks`], [`TraceReport`]) — an optional structured event
-//!   stream ([`TraceEvent`]: thread id + per-thread ordinal + event),
-//!   buffered per thread, with Chrome trace-event and flamegraph
-//!   exporters and an aggregated span-tree report.
+//! - **Counters** ([`counter_bump`], [`counter_bump_max`]) — named
+//!   monotonic totals and high-water gauges, e.g. `sat.solves`,
+//!   `models.circ.candidates`, `sat.clauses.peak`.
+//! - **Histograms** ([`hist_record`]) — log-bucketed latency/size
+//!   distributions (~2 significant digits), e.g. `sat.solve.ns`,
+//!   `cegar.round.ns`, `pool.job.ns`, with p50/p90/p99 readouts.
+//! - **Spans** ([`span()`], [`hist_span`]) — RAII-guarded hierarchical
+//!   timing for decision procedures, e.g. `gcwa.infers_literal`. Each span
+//!   contributes `span.<name>.calls` and `span.<name>.ns` counters.
+//! - **Recording** ([`record`], [`Recording`], [`snapshot`],
+//!   [`hist_snapshot`]) — all of the above land in one per-thread
+//!   recorder. A `record` scope returns exactly what one piece of work
+//!   recorded, pool workers included, and optionally its trace events
+//!   ([`TraceEvent`]: thread id + per-thread ordinal + event); finished
+//!   scopes fold into the process registry that the snapshots read.
+//! - **Traces** ([`chrome_trace`], [`folded_stacks`], [`TraceReport`]) —
+//!   Chrome trace-event and flamegraph exporters and an aggregated
+//!   span-tree report over a recording's events.
 //! - **JSON** ([`json::Json`], [`json::parse`]) — a hand-rolled writer and
 //!   parser so traces and metrics serialize with no external crates.
 //! - **Budget** ([`budget::Budget`], [`budget::checkpoint`]) — resource
@@ -38,14 +40,14 @@
 //! # Example
 //!
 //! ```
-//! let before = ddb_obs::snapshot();
-//! {
+//! let (answer, recording) = ddb_obs::record(false, || {
 //!     let _outer = ddb_obs::span("example.outer");
-//!     ddb_obs::counter_add("example.oracle_calls", 3);
-//! }
-//! let spent = ddb_obs::snapshot().diff(&before);
-//! assert_eq!(spent.get("example.oracle_calls"), 3);
-//! assert_eq!(spent.get("span.example.outer.calls"), 1);
+//!     ddb_obs::counter_bump("example.oracle_calls", 3);
+//!     42
+//! });
+//! assert_eq!(answer, 42);
+//! assert_eq!(recording.counters.get("example.oracle_calls"), 3);
+//! assert_eq!(recording.counters.get("span.example.outer.calls"), 1);
 //! ```
 
 pub mod budget;
@@ -53,25 +55,20 @@ pub mod counters;
 pub mod histogram;
 pub mod json;
 pub mod pool;
-pub mod sink;
+pub mod recorder;
 pub mod span;
 pub mod trace;
 
 pub use budget::{
     Budget, BudgetGuard, BudgetHandle, Consumed, Governed, HandleGuard, Interrupted, Resource,
 };
-pub use counters::{
-    counter_add, counter_bump, counter_bump_max, counter_max, counter_value, flush_thread_counters,
-    reset_counters, snapshot, thread_counter_total, CounterSnapshot,
-};
-pub use histogram::{
-    flush_thread_histograms, hist_record, hist_snapshot, reset_histograms, Histogram,
-    HistogramSnapshot,
-};
+pub use counters::CounterSnapshot;
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use pool::run_indexed;
-pub use sink::{check_span_nesting, clear_sink, set_sink, Event, MemorySink, Sink, TraceEvent};
-pub use span::{current_depth, hist_span, now_ns, span, time, HistSpanGuard, SpanGuard};
+pub use recorder::{
+    counter_bump, counter_bump_max, flush, hist_record, hist_snapshot, record, snapshot, Recording,
+};
+pub use span::{hist_span, now_ns, span, HistSpanGuard, SpanGuard};
 pub use trace::{
-    check_track_nesting, chrome_trace, flush_thread_events, folded_stacks, trace_thread_id,
-    TraceReport, TreeNode,
+    check_track_nesting, chrome_trace, folded_stacks, Event, TraceEvent, TraceReport, TreeNode,
 };

@@ -5,11 +5,14 @@
 //! cells, batched queries). This pool runs such job lists on `std`
 //! scoped threads with three guarantees the evaluation stack relies on:
 //!
-//! - **Budget inheritance**: each worker installs the parent thread's
-//!   [`crate::budget::BudgetHandle`] on entry, so deadlines, caps,
-//!   cancel flags, and fault injection govern workers exactly as they
-//!   govern the parent; a trip anywhere stops every thread at its next
-//!   checkpoint, and consumption merges into the parent's totals.
+//! - **Budget and scope inheritance**: each worker installs the parent
+//!   thread's [`crate::budget::BudgetHandle`] on entry, so deadlines,
+//!   caps, cancel flags, and fault injection govern workers exactly as
+//!   they govern the parent; a trip anywhere stops every thread at its
+//!   next checkpoint, and consumption merges into the parent's totals.
+//!   Likewise each worker records under the parent's innermost
+//!   [`crate::record`] scope: what it recorded folds into that scope when
+//!   the batch joins.
 //! - **Deterministic merge**: jobs return indexed results and the parent
 //!   receives them in submission order, so output is byte-identical to a
 //!   sequential run regardless of scheduling.
@@ -26,9 +29,7 @@
 //! keeps its zero-overhead contract.
 
 use crate::budget;
-use crate::counters::{counter_bump, counter_max, flush_thread_counters};
-use crate::histogram::flush_thread_histograms;
-use crate::trace::flush_thread_events;
+use crate::recorder::{self, counter_bump, counter_bump_max};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -38,8 +39,8 @@ use std::sync::Mutex;
 /// With `threads <= 1` or fewer than two jobs, everything runs inline on
 /// the calling thread. Otherwise `min(threads, jobs.len())` scoped
 /// workers pull jobs from a shared index, each under the parent's
-/// mirrored budget stack; panics in jobs propagate to the caller after
-/// all workers finish.
+/// mirrored budget stack and recording scope; panics in jobs propagate
+/// to the caller.
 pub fn run_indexed<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -52,40 +53,45 @@ where
     let workers = threads.min(n);
     counter_bump("pool.batches", 1);
     counter_bump("pool.jobs", n as u64);
-    counter_max("pool.threads.peak", workers as u64);
+    counter_bump_max("pool.threads.peak", workers as u64);
     let handle = budget::handle();
+    let events = recorder::keeps_events();
     let next = AtomicUsize::new(0);
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _governed = handle.install();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = jobs[i]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        .expect("each job index is claimed exactly once");
-                    let out = {
-                        let _job_span = crate::span::hist_span("pool.job", "pool.job.ns");
-                        job()
-                    };
-                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                }
-                // Publish this worker's buffered hot-counter bumps,
-                // histogram observations, and trace events before the
-                // parent reads the registry or drains the sink.
-                flush_thread_counters();
-                flush_thread_histograms();
-                flush_thread_events();
-            });
-        }
+    let handoffs: Vec<_> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _governed = handle.install();
+                    recorder::on_worker(events, || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let job = jobs[i]
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .take()
+                            .expect("each job index is claimed exactly once");
+                        let out = {
+                            let _job_span = crate::span::hist_span("pool.job", "pool.job.ns");
+                            job()
+                        };
+                        *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+                    })
+                })
+            })
+            .collect();
+        // Re-raise a job's panic; `scope` still joins every worker first.
+        spawned
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
+    for handoff in handoffs {
+        handoff.absorb();
+    }
     results
         .into_iter()
         .map(|slot| {
@@ -120,6 +126,21 @@ mod tests {
             let want: Vec<_> = (0..32).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_scope() {
+        let ((), rec) = crate::record(true, || {
+            let jobs: Vec<_> = (0..6)
+                .map(|i| move || counter_bump("test.pool.worker", i))
+                .collect();
+            run_indexed(3, jobs);
+        });
+        assert_eq!(rec.counters.get("test.pool.worker"), 15);
+        assert_eq!(rec.counters.get("pool.jobs"), 6);
+        assert_eq!(rec.counters.get("span.pool.job.calls"), 6);
+        assert_eq!(rec.histograms.count("pool.job.ns"), 6);
+        assert_eq!(crate::check_track_nesting(&rec.events), Ok(6));
     }
 
     #[test]

@@ -1,56 +1,15 @@
 //! Hierarchical timing spans with RAII guards.
 //!
-//! A span brackets one decision procedure: entering pushes onto a
-//! thread-local stack (so nesting depth is race-free), and dropping the
-//! guard pops it, accumulates `span.<name>.calls` and `span.<name>.ns`
-//! counters, and reports enter/exit events to the installed sink.
-//!
-//! Span exit is allocation-free: the derived counter names are interned
-//! once per distinct span name (a process-lifetime leak bounded by the
-//! static set of span names) and cached per thread, so the drop path is
-//! two [`counter_bump`]s — no `String`, no global lock.
+//! A span brackets one decision procedure: entering pushes onto this
+//! thread's recorder span stack (so nesting depth is race-free), and
+//! dropping the guard pops it, bills the `span.<name>.calls` and
+//! `span.<name>.ns` counters, and queues enter/exit trace events for a
+//! scope that keeps them. Leaving the outermost span flushes the
+//! recorder. Nothing on either path locks or allocates once the span's
+//! name has been seen on the thread.
 
-use crate::counters::counter_bump;
-use crate::sink::{emit, Event};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use crate::recorder;
 use std::time::Instant;
-
-thread_local! {
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Process-global interner mapping a span name to its leaked
-/// `span.<name>.calls` / `span.<name>.ns` counter keys. Hit at most once
-/// per (thread, span name) thanks to the thread-local cache below.
-static INTERNED: Mutex<Option<HashMap<&'static str, (&'static str, &'static str)>>> =
-    Mutex::new(None);
-
-thread_local! {
-    static KEY_CACHE: RefCell<HashMap<&'static str, (&'static str, &'static str)>> =
-        RefCell::new(HashMap::new());
-}
-
-fn span_counter_keys(name: &'static str) -> (&'static str, &'static str) {
-    KEY_CACHE.with(|cache| {
-        if let Some(&keys) = cache.borrow().get(name) {
-            return keys;
-        }
-        let keys = {
-            let mut guard = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
-            let map = guard.get_or_insert_with(HashMap::new);
-            *map.entry(name).or_insert_with(|| {
-                (
-                    Box::leak(format!("span.{name}.calls").into_boxed_str()),
-                    Box::leak(format!("span.{name}.ns").into_boxed_str()),
-                )
-            })
-        };
-        cache.borrow_mut().insert(name, keys);
-        keys
-    })
-}
 
 /// Nanoseconds since the first observability call in this process. Only
 /// differences are meaningful.
@@ -61,26 +20,11 @@ pub fn now_ns() -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Current span nesting depth on this thread (0 outside any span).
-pub fn current_depth() -> usize {
-    STACK.with(|s| s.borrow().len())
-}
-
 /// Enter a named span; the returned guard closes it on drop.
 pub fn span(name: &'static str) -> SpanGuard {
-    let depth = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        stack.push(name);
-        stack.len() - 1
-    });
-    emit(|| Event::SpanEnter {
-        name: name.to_owned(),
-        depth,
-        at_ns: now_ns(),
-    });
     SpanGuard {
         name,
-        depth,
+        depth: recorder::enter(name),
         started: Instant::now(),
     }
 }
@@ -95,11 +39,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The nesting depth this span was entered at (0 = outermost).
     pub fn depth(&self) -> usize {
         self.depth
@@ -113,37 +52,8 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let popped = STACK.with(|s| s.borrow_mut().pop());
-        debug_assert_eq!(
-            popped,
-            Some(self.name),
-            "span guards dropped out of LIFO order"
-        );
-        let dur_ns = self.started.elapsed().as_nanos() as u64;
-        let (calls_key, ns_key) = span_counter_keys(self.name);
-        counter_bump(calls_key, 1);
-        counter_bump(ns_key, dur_ns.max(1));
-        emit(|| Event::SpanExit {
-            name: self.name.to_owned(),
-            depth: self.depth,
-            at_ns: now_ns(),
-            dur_ns,
-        });
-        if self.depth == 0 {
-            // Leaving the outermost span: publish this thread's buffered
-            // hot-counter bumps, histogram observations, and trace events
-            // so `--stats` tables and sinks see them.
-            crate::counters::flush_thread_counters();
-            crate::histogram::flush_thread_histograms();
-            crate::trace::flush_thread_events();
-        }
+        recorder::exit(self.name, self.depth, self.elapsed_ns());
     }
-}
-
-/// Time a closure under a named span and return its result.
-pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let _guard = span(name);
-    f()
 }
 
 /// Enter a named span that also records its duration into the named
@@ -165,15 +75,8 @@ pub struct HistSpanGuard {
     guard: SpanGuard,
 }
 
-impl HistSpanGuard {
-    /// Nanoseconds elapsed since the span was entered.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.guard.elapsed_ns()
-    }
-}
-
 impl Drop for HistSpanGuard {
     fn drop(&mut self) {
-        crate::histogram::hist_record(self.hist, self.guard.elapsed_ns());
+        recorder::hist_record(self.hist, self.guard.elapsed_ns());
     }
 }

@@ -1,16 +1,12 @@
-//! Trace timelines: per-thread event buffering, Chrome trace-event and
-//! folded-stack (flamegraph) exporters, and an aggregated span-tree
-//! report.
+//! Trace events and timelines: the [`Event`] stream a [`crate::record`]
+//! scope keeps when asked, Chrome trace-event and folded-stack
+//! (flamegraph) exporters, and an aggregated span-tree report.
 //!
-//! Every emitted [`Event`] is stamped into a [`TraceEvent`] with a dense
-//! thread id and a monotone per-thread ordinal, then buffered in a
-//! thread-local vector — worker threads never touch the sink mutex per
-//! event. Buffers flush (batch-deliver to the installed sink) on
-//! outermost span exit, on worker-pool exit, when the buffer fills, and
-//! explicitly via [`flush_thread_events`].
-//!
-//! The flushed stream is a set of *tracks* (one per thread), each
-//! internally ordered; the three consumers here respect that:
+//! Each event is stamped into a [`TraceEvent`] with a dense thread id and
+//! a monotone per-thread ordinal. A recording's stream is a set of
+//! *tracks* (one per thread), each internally ordered; cross-track order
+//! reflects when pool workers handed their events back, not wall-clock
+//! order. The consumers here respect that:
 //!
 //! - [`chrome_trace`] renders Chrome trace-event JSON (open in Perfetto
 //!   or `chrome://tracing`) with one track per thread — spans as `B`/`E`
@@ -25,81 +21,119 @@
 
 use crate::histogram::Histogram;
 use crate::json::Json;
-use crate::sink::{Event, TraceEvent};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Buffered events per thread before an automatic flush. Big enough that
-/// SAT-heavy inner loops amortize the sink mutex, small enough to keep
-/// memory bounded when a sink stays installed across a long run.
-const FLUSH_THRESHOLD: usize = 4096;
-
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-
-struct TraceState {
-    thread: Option<u64>,
-    ordinal: u64,
-    buffer: Vec<TraceEvent>,
+/// One observability event.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event {
+    /// A span was entered.
+    SpanEnter {
+        /// Span name.
+        name: String,
+        /// Nesting depth at entry (0 = outermost).
+        depth: usize,
+        /// Nanoseconds since the process-local epoch.
+        at_ns: u64,
+    },
+    /// A span was exited.
+    SpanExit {
+        /// Span name.
+        name: String,
+        /// Nesting depth the span was entered at.
+        depth: usize,
+        /// Nanoseconds since the process-local epoch, at exit.
+        at_ns: u64,
+        /// Wall-clock duration of the span in nanoseconds.
+        dur_ns: u64,
+    },
+    /// A counter was bumped.
+    Counter {
+        /// Counter name.
+        name: String,
+        /// Amount added by this update.
+        delta: u64,
+        /// The emitting thread's lifetime total after the update (for a
+        /// gauge, its lifetime peak).
+        total: u64,
+        /// Nanoseconds since the process-local epoch.
+        at_ns: u64,
+    },
+    /// A point event with no duration — e.g. a budget trip.
+    Instant {
+        /// Event name (e.g. `govern.interrupt.deadline`).
+        name: String,
+        /// Nanoseconds since the process-local epoch.
+        at_ns: u64,
+    },
 }
 
-thread_local! {
-    static STATE: RefCell<TraceState> = const {
-        RefCell::new(TraceState { thread: None, ordinal: 0, buffer: Vec::new() })
-    };
+/// An [`Event`] stamped with its emitting thread's provenance.
+///
+/// `thread` is a small stable id assigned in first-emission order (the
+/// main thread is almost always 0); `ordinal` increments per emitting
+/// thread, so `(thread, ordinal)` totally orders each thread's events —
+/// a *track* — even after pool workers' events join the caller's stream.
+/// Order across tracks is **not** meaningful; align tracks by `at_ns`
+/// instead.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceEvent {
+    /// Stable id of the emitting thread (dense, from 0).
+    pub thread: u64,
+    /// Position of this event in the emitting thread's stream (from 0).
+    pub ordinal: u64,
+    /// The event itself.
+    pub event: Event,
 }
 
-/// This thread's stable trace id, assigned on first use in emission
-/// order (the main thread is almost always 0).
-pub fn trace_thread_id() -> u64 {
-    STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        match st.thread {
-            Some(t) => t,
-            None => {
-                let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-                st.thread = Some(t);
-                t
-            }
-        }
-    })
-}
-
-/// Stamp `event` with this thread's id and next ordinal and buffer it.
-/// Called by [`crate::sink::emit`] only when a sink is installed.
-pub(crate) fn buffer_event(event: Event) {
-    let full = STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        let thread = match st.thread {
-            Some(t) => t,
-            None => {
-                let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-                st.thread = Some(t);
-                t
-            }
+impl TraceEvent {
+    /// JSON rendering used by `--trace-json`: `thread`, `ordinal`, the
+    /// event's `type` and `name`, then its own fields.
+    pub fn to_json(&self) -> Json {
+        let uint = |key: &str, v: u64| (key.to_owned(), Json::UInt(v));
+        let (kind, name, rest) = match &self.event {
+            Event::SpanEnter { name, depth, at_ns } => (
+                "span_enter",
+                name,
+                vec![uint("depth", *depth as u64), uint("at_ns", *at_ns)],
+            ),
+            Event::SpanExit {
+                name,
+                depth,
+                at_ns,
+                dur_ns,
+            } => (
+                "span_exit",
+                name,
+                vec![
+                    uint("depth", *depth as u64),
+                    uint("at_ns", *at_ns),
+                    uint("dur_ns", *dur_ns),
+                ],
+            ),
+            Event::Counter {
+                name,
+                delta,
+                total,
+                at_ns,
+            } => (
+                "counter",
+                name,
+                vec![
+                    uint("delta", *delta),
+                    uint("total", *total),
+                    uint("at_ns", *at_ns),
+                ],
+            ),
+            Event::Instant { name, at_ns } => ("instant", name, vec![uint("at_ns", *at_ns)]),
         };
-        let ordinal = st.ordinal;
-        st.ordinal += 1;
-        st.buffer.push(TraceEvent {
-            thread,
-            ordinal,
-            event,
-        });
-        st.buffer.len() >= FLUSH_THRESHOLD
-    });
-    if full {
-        flush_thread_events();
-    }
-}
-
-/// Deliver this thread's buffered events to the installed sink as one
-/// batch (one sink-mutex acquisition). Cheap when the buffer is empty.
-/// Called automatically on outermost span exit, worker-pool thread exit,
-/// buffer overflow, and [`crate::sink::clear_sink`].
-pub fn flush_thread_events() {
-    let batch = STATE.with(|s| std::mem::take(&mut s.borrow_mut().buffer));
-    if !batch.is_empty() {
-        crate::sink::deliver(&batch);
+        let mut fields = vec![
+            uint("thread", self.thread),
+            uint("ordinal", self.ordinal),
+            ("type".to_owned(), Json::Str(kind.into())),
+            ("name".to_owned(), Json::Str(name.clone())),
+        ];
+        fields.extend(rest);
+        Json::Obj(fields)
     }
 }
 
@@ -428,12 +462,13 @@ impl TraceReport {
     /// non-zero only the `top` heaviest children per node are shown,
     /// with an elision line counting the rest.
     pub fn render(&self, top: usize) -> String {
-        let mut rows: Vec<(String, &TreeNode)> = Vec::new();
+        // An elision row has no node.
+        let mut rows: Vec<(String, Option<&TreeNode>)> = Vec::new();
         fn walk<'a>(
             node: &'a TreeNode,
             depth: usize,
             top: usize,
-            rows: &mut Vec<(String, &'a TreeNode)>,
+            rows: &mut Vec<(String, Option<&'a TreeNode>)>,
         ) {
             let mut kids: Vec<&TreeNode> = node.children.iter().collect();
             kids.sort_by(|a, b| {
@@ -446,18 +481,13 @@ impl TraceReport {
             } else {
                 top.min(kids.len())
             };
+            let indent = "  ".repeat(depth);
             for child in &kids[..shown] {
-                rows.push((format!("{}{}", "  ".repeat(depth), child.name), child));
+                rows.push((format!("{indent}{}", child.name), Some(child)));
                 walk(child, depth + 1, top, rows);
             }
             if shown < kids.len() {
-                let hidden = kids.len() - shown;
-                rows.push((
-                    format!("{}… {hidden} more", "  ".repeat(depth)),
-                    // Sentinel handled by the caller via empty name rows:
-                    // reuse the child so columns stay aligned but blank.
-                    kids[shown],
-                ));
+                rows.push((format!("{indent}… {} more", kids.len() - shown), None));
             }
         }
         walk(&self.root, 0, top, &mut rows);
@@ -473,10 +503,10 @@ impl TraceReport {
             "span", "calls", "incl", "excl", "oracle", "p50", "p90", "p99"
         ));
         for (label, node) in &rows {
-            if label.trim_start().starts_with('…') {
+            let Some(node) = node else {
                 out.push_str(&format!("{label}\n"));
                 continue;
-            }
+            };
             out.push_str(&format!(
                 "{label:name_w$}  {:>6}  {:>10}  {:>10}  {:>7}  {:>10}  {:>10}  {:>10}\n",
                 node.calls,

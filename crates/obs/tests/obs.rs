@@ -1,41 +1,35 @@
 //! Integration tests for the observability layer: counter arithmetic, span
-//! nesting well-formedness, sink delivery with thread/ordinal provenance,
-//! and the JSON contract.
+//! nesting well-formedness, recorded events with thread/ordinal
+//! provenance, and the JSON contract.
 //!
-//! The counter registry and sink are process-global, so every test that
-//! touches them serializes on `GUARD`.
+//! Every test reads its own `record` scope, or diffs the process registry
+//! on names no other test touches, so none of them serializes.
 
 use ddb_obs::json::{self, Json};
 use ddb_obs::{
-    check_span_nesting, check_track_nesting, clear_sink, counter_add, counter_bump, counter_max,
-    set_sink, snapshot, span, CounterSnapshot, Event, MemorySink, TraceEvent,
+    check_track_nesting, counter_bump, counter_bump_max, record, snapshot, span, Event, TraceEvent,
 };
-use std::sync::Mutex;
-
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn counters_accumulate_and_diff() {
-    let _g = lock();
     let before = snapshot();
-    counter_add("test.alpha", 2);
-    counter_add("test.alpha", 3);
-    counter_max("test.gauge.peak", 10);
-    counter_max("test.gauge.peak", 7); // lower: no change
-    let spent = snapshot().diff(&before);
+    let ((), rec) = record(false, || {
+        counter_bump("test.alpha", 2);
+        counter_bump("test.alpha", 3);
+        counter_bump_max("test.gauge.peak", 10);
+        counter_bump_max("test.gauge.peak", 7); // lower: no change
+    });
+    let spent = rec.counters;
     assert_eq!(spent.get("test.alpha"), 5);
-    assert!(spent.get("test.gauge.peak") >= 10);
+    assert_eq!(spent.get("test.gauge.peak"), 10);
     assert_eq!(spent.get("test.never_touched"), 0);
+    // The finished scope folded into the registry.
+    assert_eq!(snapshot().diff(&before).get("test.alpha"), 5);
 }
 
 #[test]
 fn snapshot_diff_drops_zero_deltas() {
-    let _g = lock();
-    counter_add("test.static", 1);
+    counter_bump("test.static", 1);
     let before = snapshot();
     let spent = snapshot().diff(&before);
     assert_eq!(spent.get("test.static"), 0);
@@ -43,43 +37,36 @@ fn snapshot_diff_drops_zero_deltas() {
 
 #[test]
 fn span_nesting_depth_tracks_scope() {
-    let _g = lock();
-    assert_eq!(ddb_obs::current_depth(), 0);
+    let outer = span("test.outer");
+    assert_eq!(outer.depth(), 0);
     {
-        let outer = span("test.outer");
-        assert_eq!(outer.depth(), 0);
-        assert_eq!(ddb_obs::current_depth(), 1);
-        {
-            let inner = span("test.inner");
-            assert_eq!(inner.depth(), 1);
-            assert_eq!(ddb_obs::current_depth(), 2);
-        }
-        assert_eq!(ddb_obs::current_depth(), 1);
+        let inner = span("test.inner");
+        assert_eq!(inner.depth(), 1);
     }
-    assert_eq!(ddb_obs::current_depth(), 0);
+    let sibling = span("test.sibling");
+    assert_eq!(sibling.depth(), 1);
+    drop(sibling);
+    drop(outer);
+    assert_eq!(span("test.after").depth(), 0);
 }
 
 #[test]
 fn spans_report_calls_and_time() {
-    let _g = lock();
-    let before = snapshot();
-    for _ in 0..3 {
-        let _s = span("test.timed");
-    }
-    let spent = snapshot().diff(&before);
-    assert_eq!(spent.get("span.test.timed.calls"), 3);
+    let ((), rec) = record(false, || {
+        for _ in 0..3 {
+            let _s = span("test.timed");
+        }
+    });
+    assert_eq!(rec.counters.get("span.test.timed.calls"), 3);
     assert!(
-        spent.get("span.test.timed.ns") >= 3,
+        rec.counters.get("span.test.timed.ns") >= 3,
         "durations are >= 1ns each"
     );
 }
 
 #[test]
-fn sink_sees_well_formed_nesting() {
-    let _g = lock();
-    let sink = MemorySink::new();
-    set_sink(sink.clone());
-    {
+fn recording_sees_well_formed_nesting() {
+    let ((), rec) = record(true, || {
         let _a = span("test.sink.a");
         {
             let _b = span("test.sink.b");
@@ -87,26 +74,24 @@ fn sink_sees_well_formed_nesting() {
         {
             let _c = span("test.sink.c");
         }
-    }
-    clear_sink();
-    let events: Vec<Event> = sink
-        .take()
+    });
+    let events: Vec<TraceEvent> = rec
+        .events
         .into_iter()
-        .map(|te| te.event)
-        .filter(|e| match e {
+        .filter(|te| match &te.event {
             Event::SpanEnter { name, .. } | Event::SpanExit { name, .. } => {
                 name.starts_with("test.sink.")
             }
             Event::Counter { .. } | Event::Instant { .. } => false,
         })
         .collect();
-    let matched = check_span_nesting(&events).expect("nesting well-formed");
+    let matched = check_track_nesting(&events).expect("nesting well-formed");
     assert_eq!(matched, 3);
     // Exit durations are present and ordering is enter-a, enter-b, exit-b,
     // enter-c, exit-c, exit-a.
     let names: Vec<(bool, &str)> = events
         .iter()
-        .map(|e| match e {
+        .map(|te| match &te.event {
             Event::SpanEnter { name, .. } => (true, name.as_str()),
             Event::SpanExit { name, .. } => (false, name.as_str()),
             _ => unreachable!(),
@@ -126,46 +111,64 @@ fn sink_sees_well_formed_nesting() {
 }
 
 #[test]
-fn check_span_nesting_rejects_malformed() {
-    let enter = |name: &str, depth: usize| Event::SpanEnter {
+fn track_nesting_rejects_malformed() {
+    let on = |thread: u64, event: Event| TraceEvent {
+        thread,
+        ordinal: 0,
+        event,
+    };
+    let enter = |name: &str| Event::SpanEnter {
         name: name.into(),
-        depth,
+        depth: 0,
         at_ns: 0,
     };
-    let exit = |name: &str, depth: usize| Event::SpanExit {
+    let exit = |name: &str| Event::SpanExit {
         name: name.into(),
-        depth,
+        depth: 0,
         at_ns: 1,
         dur_ns: 1,
     };
-    assert!(check_span_nesting(&[exit("a", 0)]).is_err());
-    assert!(check_span_nesting(&[enter("a", 0)]).is_err());
-    assert!(check_span_nesting(&[enter("a", 0), exit("b", 0)]).is_err());
-    assert!(check_span_nesting(&[enter("a", 1), exit("a", 1)]).is_err());
+    assert!(check_track_nesting(&[on(0, exit("a"))]).is_err());
+    assert!(check_track_nesting(&[on(0, enter("a"))]).is_err());
+    assert!(check_track_nesting(&[on(0, enter("a")), on(0, exit("b"))]).is_err());
+    assert!(
+        check_track_nesting(&[on(0, enter("a")), on(1, exit("a"))]).is_err(),
+        "an exit closes a span of its own track only"
+    );
     assert_eq!(
-        check_span_nesting(&[enter("a", 0), enter("b", 1), exit("b", 1), exit("a", 0)]),
+        check_track_nesting(&[
+            on(0, enter("a")),
+            on(0, enter("b")),
+            on(0, exit("b")),
+            on(0, exit("a"))
+        ]),
         Ok(2)
     );
 }
 
-#[test]
-fn counter_events_reach_sink_with_totals() {
-    let _g = lock();
-    let sink = MemorySink::new();
-    set_sink(sink.clone());
-    counter_add("test.evt", 4);
-    counter_add("test.evt", 2);
-    clear_sink();
-    let deltas: Vec<(u64, u64)> = sink
-        .take()
+/// The `(delta, total)` of every `name` counter event in `events`.
+fn counter_updates(events: Vec<TraceEvent>, name: &str) -> Vec<(u64, u64)> {
+    events
         .into_iter()
         .filter_map(|te| match te.event {
             Event::Counter {
-                name, delta, total, ..
-            } if name == "test.evt" => Some((delta, total)),
+                name: n,
+                delta,
+                total,
+                ..
+            } if n == name => Some((delta, total)),
             _ => None,
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn counter_events_reach_recording_with_totals() {
+    let ((), rec) = record(true, || {
+        counter_bump("test.evt", 4);
+        counter_bump("test.evt", 2);
+    });
+    let deltas = counter_updates(rec.events, "test.evt");
     assert_eq!(deltas.len(), 2);
     assert_eq!(deltas[0].0, 4);
     assert_eq!(deltas[1].0, 2);
@@ -174,25 +177,14 @@ fn counter_events_reach_sink_with_totals() {
 
 #[test]
 fn bumped_counter_events_carry_thread_totals() {
-    let _g = lock();
-    let sink = MemorySink::new();
-    set_sink(sink.clone());
-    let base = ddb_obs::thread_counter_total("test.bump.evt");
-    counter_bump("test.bump.evt", 3);
-    counter_bump("test.bump.evt", 2);
-    clear_sink();
-    let got: Vec<(u64, u64)> = sink
-        .take()
-        .into_iter()
-        .filter_map(|te| match te.event {
-            Event::Counter {
-                name, delta, total, ..
-            } if name == "test.bump.evt" => Some((delta, total)),
-            _ => None,
-        })
-        .collect();
+    let ((), warm) = record(true, || counter_bump("test.bump.evt", 1));
+    let base = counter_updates(warm.events, "test.bump.evt")[0].1;
+    let ((), rec) = record(true, || {
+        counter_bump("test.bump.evt", 3);
+        counter_bump("test.bump.evt", 2);
+    });
     assert_eq!(
-        got,
+        counter_updates(rec.events, "test.bump.evt"),
         vec![(3, base + 3), (2, base + 5)],
         "one event per bump, totals are the thread's lifetime totals"
     );
@@ -200,19 +192,14 @@ fn bumped_counter_events_carry_thread_totals() {
 
 #[test]
 fn events_carry_thread_ids_and_monotone_ordinals() {
-    let _g = lock();
-    let sink = MemorySink::new();
-    set_sink(sink.clone());
-    {
-        let _a = span("test.ord.main");
-    }
-    std::thread::spawn(|| {
-        let _b = span("test.ord.worker");
-    })
-    .join()
-    .unwrap();
-    clear_sink();
-    let events: Vec<TraceEvent> = sink.take();
+    let ((), rec) = record(true, || {
+        {
+            let _a = span("test.ord.main");
+        }
+        let jobs: Vec<_> = (0..2).map(|_| || drop(span("test.ord.worker"))).collect();
+        ddb_obs::run_indexed(2, jobs);
+    });
+    let events = rec.events;
     let mut threads: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
     for te in &events {
         threads.entry(te.thread).or_default().push(te.ordinal);
@@ -228,12 +215,11 @@ fn events_carry_thread_ids_and_monotone_ordinals() {
 
 #[test]
 fn snapshot_json_roundtrips_through_parser() {
-    let _g = lock();
-    let before = snapshot();
-    counter_add("test.json.a", 1);
-    counter_add("test.json.b", 99);
-    let spent = snapshot().diff(&before);
-    let text = spent.to_json().render();
+    let ((), rec) = record(false, || {
+        counter_bump("test.json.a", 1);
+        counter_bump("test.json.b", 99);
+    });
+    let text = rec.counters.to_json().render();
     let parsed = json::parse(&text).expect("snapshot renders valid JSON");
     assert_eq!(parsed.get("test.json.a").and_then(Json::as_u64), Some(1));
     assert_eq!(parsed.get("test.json.b").and_then(Json::as_u64), Some(99));
@@ -298,28 +284,23 @@ fn event_json_roundtrips_through_parser() {
 
 #[test]
 fn render_table_is_aligned() {
-    // Build via diff of a live registry to keep the type's invariants.
-    let snap: CounterSnapshot = {
-        let _g = lock();
-        let before = snapshot();
-        counter_add("test.table.long_counter_name", 12);
-        counter_add("test.t", 3);
-        snapshot().diff(&before)
-    };
-    let table = snap.render_table();
+    let ((), rec) = record(false, || {
+        counter_bump("test.table.long_counter_name", 12);
+        counter_bump("test.t", 3);
+    });
+    let table = rec.counters.render_table();
     assert!(table.contains("test.table.long_counter_name"));
-    assert!(table.lines().count() >= 3);
+    assert_eq!(table.lines().count(), 3);
 }
 
 #[test]
 fn histograms_flow_from_spansites_to_snapshot() {
-    let _g = lock();
     let before = ddb_obs::hist_snapshot().count("test.obs.hist");
     {
         let _s = span("test.hist.outer");
         ddb_obs::hist_record("test.obs.hist", 10);
         ddb_obs::hist_record("test.obs.hist", 1_000);
-    } // depth-0 exit flushes the thread's histogram buffer
+    } // depth-0 exit flushes the thread's recorder
     let snap = ddb_obs::hist_snapshot();
     assert_eq!(snap.count("test.obs.hist") - before, 2);
     let h = snap.get("test.obs.hist").unwrap();

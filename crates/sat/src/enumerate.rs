@@ -5,14 +5,17 @@ use ddb_logic::cnf::Cnf;
 use ddb_logic::{Atom, Interpretation, Literal};
 use ddb_obs::budget::{self, Governed};
 
-/// Enumerates the satisfying assignments of `cnf`, projected onto the first
-/// `project_to` variables (the database atoms; Tseitin auxiliaries are
-/// existentially quantified away).
+/// Enumerates the satisfying assignments of `solver`'s clauses, projected
+/// onto the first `project_to` variables (the database atoms; Tseitin
+/// auxiliaries are existentially quantified away).
 ///
 /// Each distinct projection is reported exactly once, via blocking clauses
 /// over the projected variables. The callback returns `true` to continue
 /// enumeration, `false` to stop early. Returns the number of projections
-/// reported.
+/// reported. The caller owns the solver, so its [`crate::Stats`] are the
+/// enumeration's exact oracle bill — also after an early stop, a blocking
+/// clause that is already false at the root (no final UNSAT call), or a
+/// budget trip.
 ///
 /// Worst case the number of models is exponential — callers are the
 /// Σᵖ₂/Πᵖ₂ procedures of `ddb-models`, which either bound enumeration or
@@ -21,15 +24,13 @@ use ddb_obs::budget::{self, Governed};
 /// projection reported, so `max_models`/deadline budgets interrupt
 /// runaway enumerations with a typed error instead of a hang.
 pub fn enumerate_models(
-    cnf: &Cnf,
+    solver: &mut Solver,
     project_to: usize,
     mut on_model: impl FnMut(&Interpretation) -> bool,
 ) -> Governed<usize> {
-    assert!(project_to <= cnf.num_vars);
-    let mut solver = Solver::from_cnf(cnf);
-    // Important: make sure the projection variables all exist even if the
-    // CNF never mentions some of them.
-    solver.ensure_vars(cnf.num_vars.max(project_to));
+    // Make sure the projection variables all exist even if no clause
+    // mentions some of them.
+    solver.ensure_vars(project_to);
     let mut count = 0usize;
     while solver.solve()?.is_sat() {
         let full = solver.model();
@@ -64,7 +65,7 @@ pub fn enumerate_models(
 /// (kept public for reference engines and benches)
 pub fn all_models(cnf: &Cnf, project_to: usize) -> Governed<Vec<Interpretation>> {
     let mut out = Vec::new();
-    enumerate_models(cnf, project_to, |m| {
+    enumerate_models(&mut Solver::from_cnf(cnf), project_to, |m| {
         out.push(m.clone());
         true
     })?;
@@ -105,7 +106,7 @@ mod tests {
         let mut b = CnfBuilder::new(3);
         b.add_clause(vec![lit(0, true), lit(1, true), lit(2, true)]);
         let mut seen = 0;
-        let count = enumerate_models(&b.finish(), 3, |_| {
+        let count = enumerate_models(&mut Solver::from_cnf(&b.finish()), 3, |_| {
             seen += 1;
             seen < 2
         })
@@ -122,12 +123,29 @@ mod tests {
     }
 
     #[test]
+    fn solver_stats_bill_exactly_the_calls_made() {
+        // `a` is forced at the root, so blocking its one model closes the
+        // search with no final UNSAT call.
+        let mut b = CnfBuilder::new(1);
+        b.add_clause(vec![lit(0, true)]);
+        let mut solver = Solver::from_cnf(&b.finish());
+        assert_eq!(enumerate_models(&mut solver, 1, |_| true).unwrap(), 1);
+        assert_eq!(solver.stats().solves, 1);
+        // An early stop makes no further call either.
+        let mut b = CnfBuilder::new(2);
+        b.add_clause(vec![lit(0, true), lit(1, true)]);
+        let mut solver = Solver::from_cnf(&b.finish());
+        assert_eq!(enumerate_models(&mut solver, 2, |_| false).unwrap(), 1);
+        assert_eq!(solver.stats().solves, 1);
+    }
+
+    #[test]
     fn zero_projection_reports_once() {
         // Satisfiable formula projected to zero variables: exactly one
         // (empty) projection.
         let mut b = CnfBuilder::new(1);
         b.add_clause(vec![lit(0, true)]);
-        let n = enumerate_models(&b.finish(), 0, |_| true).unwrap();
+        let n = enumerate_models(&mut Solver::from_cnf(&b.finish()), 0, |_| true).unwrap();
         assert_eq!(n, 1);
     }
 

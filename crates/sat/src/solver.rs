@@ -683,7 +683,7 @@ impl Solver {
     /// Each call increments `stats().solves` by exactly one and reports the
     /// per-call deltas (`sat.solves`, `sat.decisions`, `sat.propagations`,
     /// `sat.conflicts`) and the clause high-water mark (`sat.clauses.peak`)
-    /// to the `ddb-obs` counter registry, runs under a `sat.solve` trace
+    /// to the thread's `ddb-obs` recorder, runs under a `sat.solve` trace
     /// span, and records the per-call wall time, conflicts, and
     /// propagations into the `sat.solve.{ns,conflicts,propagations}`
     /// histograms.

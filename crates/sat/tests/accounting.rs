@@ -162,12 +162,14 @@ fn add_assign_identity_is_default() {
 
 #[test]
 fn solver_reports_oracle_calls_to_obs_counters() {
-    let before = ddb_obs::snapshot();
     let mut s = chain_solver(6);
-    s.solve().unwrap();
-    s.solve().unwrap();
-    let spent = ddb_obs::snapshot().diff(&before);
-    assert!(spent.get("sat.solves") >= 2);
+    let ((), rec) = ddb_obs::record(false, || {
+        s.solve().unwrap();
+        s.solve().unwrap();
+    });
+    let spent = rec.counters;
+    assert_eq!(spent.get("sat.solves"), 2);
+    assert_eq!(spent.get("sat.decisions"), s.stats().decisions);
     assert!(spent.get("sat.propagations") >= spent.get("sat.decisions"));
-    assert!(ddb_obs::counter_value("sat.clauses.peak") >= 6);
+    assert_eq!(spent.get("sat.clauses.peak"), s.stats().max_clauses);
 }

@@ -74,7 +74,7 @@ fn enumeration_finds_exactly_the_models() {
         let cnf = random_cnf(&mut rng);
         let expected = brute_force_models(&cnf);
         let mut got = Vec::new();
-        enumerate_models(&cnf, cnf.num_vars, |m| {
+        enumerate_models(&mut Solver::from_cnf(&cnf), cnf.num_vars, |m| {
             got.push(m.clone());
             true
         })

@@ -255,8 +255,7 @@ impl ServerHandle {
 
     /// Blocks until the server has fully drained (accept loop exited,
     /// every session joined) and returns the drain report. Flushes this
-    /// thread's observability buffers so `serve.*` counters are visible
-    /// to the caller.
+    /// thread's recorder so `serve.*` counters are visible to the caller.
     pub fn join(self) -> DrainReport {
         let _ = self.listener_thread.join();
         let mut drained = 0usize;
@@ -270,8 +269,7 @@ impl ServerHandle {
                 drained += 1;
             }
         }
-        ddb_obs::flush_thread_counters();
-        ddb_obs::flush_thread_histograms();
+        ddb_obs::flush();
         DrainReport {
             served: self.shared.served.load(Ordering::SeqCst),
             shed: self.shared.shed.load(Ordering::SeqCst),
@@ -324,8 +322,8 @@ fn accept_loop(
                 }
                 shared.active_sessions.fetch_add(1, Ordering::SeqCst);
                 ddb_obs::counter_bump("serve.sessions", 1);
-                ddb_obs::counter_max("serve.active.peak", (active + 1) as u64);
-                ddb_obs::flush_thread_counters();
+                ddb_obs::counter_bump_max("serve.active.peak", (active + 1) as u64);
+                ddb_obs::flush();
                 let session_shared = shared.clone();
                 match std::thread::Builder::new()
                     .name("ddb-serve-session".to_owned())
@@ -356,7 +354,7 @@ fn accept_loop(
 fn shed_connection(shared: &Shared, mut stream: TcpStream, why: &str) {
     shared.shed.fetch_add(1, Ordering::SeqCst);
     ddb_obs::counter_bump("serve.shed", 1);
-    ddb_obs::flush_thread_counters();
+    ddb_obs::flush();
     let frame = error_frame(
         None,
         &WireError::overloaded(why, shared.config.retry_after_ms),
@@ -418,7 +416,7 @@ fn session_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 shared.config.max_frame_bytes
             ));
             ddb_obs::counter_bump("serve.errors.parse", 1);
-            ddb_obs::flush_thread_counters();
+            ddb_obs::flush();
             let _ = write_line(&mut stream, &error_frame(None, &err));
             return;
         }
@@ -467,7 +465,7 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 /// line; a failed write (mid-request disconnect) closes the session.
 fn handle_frame(shared: &Arc<Shared>, line: &str, stream: &mut TcpStream) -> FrameOutcome {
     // Root span for the request: its depth-0 exit flushes this session
-    // thread's counter/histogram buffers, so `stats` stays fresh and
+    // thread's recorder, so `stats` stays fresh and
     // `dispatch.query.ns` samples land attributed to this request.
     let _root = ddb_obs::hist_span("serve.request", "serve.request.ns");
     ddb_obs::counter_bump("serve.requests", 1);

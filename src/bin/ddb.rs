@@ -534,15 +534,12 @@ fn print_response(response: &Json) -> u8 {
     exit_code(response)
 }
 
-/// Observability session for one CLI command: starts a counter snapshot,
-/// resets the histogram registry, opens a `cmd.<command>` root span, and
-/// — with any of `--trace-json`/`--trace-chrome`/`--flame` — installs an
-/// event sink before the work runs.
+/// What one CLI command recorded under its `cmd.<command>` root span —
+/// with trace events when `--trace-json`, `--trace-chrome` or `--flame`
+/// asks for them — and its wall time.
 struct Observation {
-    sink: Option<std::sync::Arc<disjunctive_db::obs::MemorySink>>,
-    before: disjunctive_db::obs::CounterSnapshot,
-    started: Instant,
-    root: Option<disjunctive_db::obs::SpanGuard>,
+    recording: disjunctive_db::obs::Recording,
+    wall_ns: u64,
 }
 
 fn wants_events(opts: &Opts) -> bool {
@@ -551,22 +548,17 @@ fn wants_events(opts: &Opts) -> bool {
         || opts.value("flame").is_some()
 }
 
-/// `root_span` is the `cmd.<command>` span name bracketing the observed
-/// region; it closes (flushing all thread-local buffers) before
-/// [`Observation::finish`] reads counters, histograms, or events.
-fn begin_observation(opts: &Opts, root_span: &'static str) -> Observation {
-    let sink = wants_events(opts).then(|| {
-        let s = disjunctive_db::obs::MemorySink::new();
-        disjunctive_db::obs::set_sink(s.clone());
-        s
+/// Runs `work` under its own `record` scope and a `root_span` span (the
+/// `cmd.<command>` name), so the counters, histograms and events read by
+/// [`Observation::finish`] are exactly this command's.
+fn observe<R>(opts: &Opts, root_span: &'static str, work: impl FnOnce() -> R) -> (R, Observation) {
+    let started = Instant::now();
+    let (out, recording) = disjunctive_db::obs::record(wants_events(opts), || {
+        let _root = disjunctive_db::obs::span(root_span);
+        work()
     });
-    disjunctive_db::obs::reset_histograms();
-    Observation {
-        sink,
-        before: disjunctive_db::obs::snapshot(),
-        started: Instant::now(),
-        root: Some(disjunctive_db::obs::span(root_span)),
-    }
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    (out, Observation { recording, wall_ns })
 }
 
 impl Observation {
@@ -574,31 +566,24 @@ impl Observation {
     /// `--trace-json`, `--trace-chrome` and `--flame` files. `answer` and
     /// `extra` land verbatim in the trace document.
     fn finish(
-        mut self,
+        self,
         opts: &Opts,
         command: &str,
         answer: Json,
         extra: Vec<(&str, Json)>,
     ) -> Result<(), String> {
-        // Close the root span first: its depth-0 exit flushes this
-        // thread's buffered counters, histograms, and trace events.
-        drop(self.root.take());
-        let wall_ns = self.started.elapsed().as_nanos() as u64;
-        let counters = disjunctive_db::obs::snapshot().diff(&self.before);
-        let hists = disjunctive_db::obs::hist_snapshot();
+        let disjunctive_db::obs::Recording {
+            counters,
+            histograms: hists,
+            events,
+        } = self.recording;
+        let wall_ns = self.wall_ns;
         if opts.flag("stats") {
             eprint!("{}", counters.render_table());
             if !hists.is_empty() {
                 eprint!("{}", hists.render_table());
             }
         }
-        let events = match self.sink.as_ref() {
-            Some(sink) => {
-                disjunctive_db::obs::clear_sink();
-                sink.take()
-            }
-            None => Vec::new(),
-        };
         if let Some(path) = opts.value("trace-json") {
             let semantics = opts
                 .value("semantics")
@@ -1109,18 +1094,20 @@ fn answer_cmd(args: &[String], op: Op) -> Result<u8, String> {
         Op::Exists => "cmd.exists",
         _ => "cmd.models",
     };
-    let observation = begin_observation(&opts, root);
-    let guard = budget.map(Budget::install);
-    let fields = match answer_local(&opts, &request, &db)? {
-        Some(fields) => fields,
-        None => {
-            answer_request(&request, &Prepared::borrowed(&db), usize::MAX).map_err(|e| e.message)?
-        }
-    };
-    let consumed = disjunctive_db::obs::budget::consumed();
-    drop(guard);
-    let response = Json::obj(fields);
-    let code = print_response(&response);
+    let (answered, observation) = observe(&opts, root, || -> Result<_, String> {
+        let guard = budget.map(Budget::install);
+        let fields = match answer_local(&opts, &request, &db)? {
+            Some(fields) => fields,
+            None => answer_request(&request, &Prepared::borrowed(&db), usize::MAX)
+                .map_err(|e| e.message)?,
+        };
+        let consumed = disjunctive_db::obs::budget::consumed();
+        drop(guard);
+        let response = Json::obj(fields);
+        let code = print_response(&response);
+        Ok((response, code, consumed))
+    });
+    let (response, code, consumed) = answered?;
     // The trace `answer`: the verdict, or the model count (null when the
     // budget tripped before any model was found).
     let answer = match response.get(if op == Op::Models { "count" } else { "verdict" }) {
@@ -1260,35 +1247,38 @@ fn query_batch(opts: &Opts, db: &Database) -> Result<u8, String> {
         .collect::<Result<_, _>>()?;
     let cfg = semantics_config(&request, db, usize::MAX).map_err(|e| e.message)?;
     let budget = opts.budget()?;
-    let observation = begin_observation(opts, "cmd.query");
-    let guard = budget.map(Budget::install);
-    let results =
-        parallel::infers_formulas_batch(&cfg, db, &formulas).map_err(|e| e.to_string())?;
-    let mut total = Cost::new();
-    let mut interrupted: Option<Interrupted> = None;
-    let mut answers = Vec::with_capacity(results.len());
-    for (src, (verdict, cost)) in raw.iter().zip(&results) {
-        total.merge(cost);
-        oprintln!(
-            "{src}: {}",
-            verdict_text(Op::Query, false, verdict.as_bool())
-        );
-        if interrupted.is_none() {
-            interrupted = verdict.interrupted().cloned();
+    let (answered, observation) = observe(opts, "cmd.query", || -> Result<_, String> {
+        let guard = budget.map(Budget::install);
+        let results =
+            parallel::infers_formulas_batch(&cfg, db, &formulas).map_err(|e| e.to_string())?;
+        let mut total = Cost::new();
+        let mut interrupted: Option<Interrupted> = None;
+        let mut answers = Vec::with_capacity(results.len());
+        for (src, (verdict, cost)) in raw.iter().zip(&results) {
+            total.merge(cost);
+            oprintln!(
+                "{src}: {}",
+                verdict_text(Op::Query, false, verdict.as_bool())
+            );
+            if interrupted.is_none() {
+                interrupted = verdict.interrupted().cloned();
+            }
+            answers.push(verdict.as_bool().map_or(Json::Null, Json::Bool));
         }
-        answers.push(verdict.as_bool().map_or(Json::Null, Json::Bool));
-    }
-    let consumed = disjunctive_db::obs::budget::consumed();
-    drop(guard);
-    let status = Json::obj(
-        [
-            ("sat_calls", Json::UInt(total.sat_calls)),
-            ("candidates", Json::UInt(total.candidates)),
-        ]
-        .into_iter()
-        .chain(interrupt_fields(interrupted.as_ref())),
-    );
-    let code = print_response(&status);
+        let consumed = disjunctive_db::obs::budget::consumed();
+        drop(guard);
+        let status = Json::obj(
+            [
+                ("sat_calls", Json::UInt(total.sat_calls)),
+                ("candidates", Json::UInt(total.candidates)),
+            ]
+            .into_iter()
+            .chain(interrupt_fields(interrupted.as_ref())),
+        );
+        let code = print_response(&status);
+        Ok((answers, status, code, consumed))
+    });
+    let (answers, status, code, consumed) = answered?;
     observation.finish(
         opts,
         "query",
@@ -1326,8 +1316,9 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
         );
     }
     let threads = threads_from(&opts)?;
-    let observation = begin_observation(&opts, "cmd.profile");
-    let cells = profile::profile_all_budgeted(&db, lit, &f, cell_budget.as_ref(), threads);
+    let (cells, observation) = observe(&opts, "cmd.profile", || {
+        profile::profile_all_budgeted(&db, lit, &f, cell_budget.as_ref(), threads)
+    });
     oprintln!(
         "profile of {} ({} atoms, {} rules); query literal `{}{}`",
         opts.file.as_deref().unwrap_or("-"),
@@ -1590,9 +1581,8 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
 
 /// `ddb trace`: run one formula query under a full event trace and print
 /// an aggregated span-tree report — calls, inclusive/exclusive time,
-/// attributed oracle calls, and p50/p90/p99 latency per tree node. The
-/// sink is always installed (that is the point of the command), so
-/// `--trace-json`/`--trace-chrome`/`--flame` compose with it for free.
+/// attributed oracle calls, and p50/p90/p99 latency per tree node, built
+/// from the events of one `record` scope.
 fn trace_cmd(args: &[String]) -> Result<u8, String> {
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
@@ -1604,24 +1594,19 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
     let cfg = semantics_config(&request_from(&opts, Op::Query)?, &db, usize::MAX)
         .map_err(|e| e.message)?;
     let budget = opts.budget()?;
-    let sink = disjunctive_db::obs::MemorySink::new();
-    disjunctive_db::obs::set_sink(sink.clone());
-    disjunctive_db::obs::reset_histograms();
-    let before = disjunctive_db::obs::snapshot();
     let guard = budget.map(Budget::install);
     let mut cost = Cost::new();
-    let verdict = {
-        // The root span's depth-0 exit flushes this thread's buffered
-        // counters, histograms, and trace events before the reads below.
+    let (verdict, recording) = disjunctive_db::obs::record(true, || {
         let _root = disjunctive_db::obs::span("cmd.trace");
         cfg.infers_formula(&db, &formula, &mut cost)
-            .map_err(|e| e.to_string())?
-    };
+    });
+    let verdict = verdict.map_err(|e| e.to_string())?;
     drop(guard);
-    let counters = disjunctive_db::obs::snapshot().diff(&before);
-    let hists = disjunctive_db::obs::hist_snapshot();
-    disjunctive_db::obs::clear_sink();
-    let events = sink.take();
+    let disjunctive_db::obs::Recording {
+        counters,
+        histograms: hists,
+        events,
+    } = recording;
     let report = disjunctive_db::obs::TraceReport::build(&events);
     if opts.flag("json") {
         let doc = Json::obj([

@@ -41,7 +41,7 @@
 //! | [`workloads`] | deterministic instance generators |
 //! | [`ground`] | Datalog∨ front end: variables, safety, grounding |
 //! | [`analysis`] | static analysis: dependency graph, fragment classifier, lints |
-//! | [`obs`] | zero-dependency observability: counters, spans, event sinks, JSON |
+//! | [`obs`] | zero-dependency observability: counters, spans, trace events, `record` scopes, JSON |
 //! | [`serve`] | fault-tolerant multi-tenant query server + chaos harness |
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
