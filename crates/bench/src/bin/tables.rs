@@ -4,20 +4,31 @@
 //! For every (semantics, problem) cell the binary runs the implemented
 //! decision procedure over a scaling instance family, reporting median
 //! wall-clock time, NP-oracle calls and CEGAR candidate counts, plus the
-//! lower-bound evidence (verified reductions, QBF hard-family scaling).
+//! lower-bound evidence (verified reductions, QBF hard-family scaling),
+//! then times the ablations and engineering choices (oracle, N-set,
+//! fixpoint, minimization and candidate strategies; the slice, magic and
+//! Horn routes against the generic procedures; the planner's overhead;
+//! pool widths). It is the one place the workspace times anything; the
+//! committed counts are reproduced by `tests/committed_counts.rs`.
 //!
 //! ```text
 //! cargo run -p ddb-bench --bin tables --release
 //! ```
 
+use ddb_analysis::PlanQuery;
 use ddb_bench::families;
 use ddb_bench::harness::{measure_median, table_header, CellReport, Measurement};
-use ddb_core::{SemanticsConfig, SemanticsId};
-use ddb_logic::{Database, Formula};
-use ddb_models::Cost;
+use ddb_core::reduct::gl_reduct;
+use ddb_core::{parallel, profile, RoutingMode, SemanticsConfig, SemanticsId};
+use ddb_ground::{ground_magic, ground_reduced};
+use ddb_logic::cnf::{database_to_cnf, Cnf};
+use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
+use ddb_models::{circumscribe, classical, fixpoint, minimal, Cost, Partition};
 use ddb_reductions::qbf::random_forall_exists;
 use ddb_reductions::{dsm_hardness, gcwa_hardness, sat_reductions, uminsat};
-use ddb_workloads::queries;
+use ddb_sat::{dpll, Solver};
+use ddb_workloads::{queries, structured};
+use std::time::Duration;
 
 const SEEDS: u64 = 5;
 
@@ -217,22 +228,7 @@ fn table2(cells: &mut Vec<CellReport>) {
             Exist,
             "O(1) (stratifiability asserts consistency)",
             SLOW,
-            |n, s| {
-                // Integrity-free stratified family: the O(1) path.
-                let mut db = families::stratified_random(n, s);
-                let rules: Vec<_> = db
-                    .rules()
-                    .iter()
-                    .filter(|r| !r.is_integrity())
-                    .cloned()
-                    .collect();
-                let mut clean = Database::new(db.symbols().clone());
-                for r in rules {
-                    clean.add_rule(r);
-                }
-                std::mem::swap(&mut db, &mut clean);
-                db
-            },
+            families::stratified_consistent,
             "expected flat, 0 oracle calls",
         ),
     );
@@ -463,6 +459,449 @@ fn beyond_the_paper() {
     println!();
 }
 
+/// Median repetitions per ablation point.
+const AB_ITERS: u64 = 5;
+
+/// A variant of an ablation row: its label and one run on the prebuilt
+/// instance.
+type Variant<'a, I> = (&'a str, &'a dyn Fn(&I, &mut Cost) -> bool);
+
+/// Prints one ablation row: for every size, the median time of each
+/// variant on the same prebuilt instance, with its SAT calls when it
+/// makes any.
+fn ablation<I>(
+    label: &str,
+    key: &str,
+    sizes: &[usize],
+    build: impl Fn(usize) -> I,
+    variants: &[Variant<'_, I>],
+) {
+    let points: Vec<String> = sizes
+        .iter()
+        .map(|&n| {
+            let inst = build(n);
+            let runs: Vec<String> = variants
+                .iter()
+                .map(|(name, run)| {
+                    let m = measure_median(n, AB_ITERS, |_seed, cost| run(&inst, cost));
+                    let sat = match m.cost.sat_calls {
+                        0 => String::new(),
+                        calls => format!(" ({calls} sat)"),
+                    };
+                    format!("{name} {:.2?}{sat}", m.time)
+                        .trim_start()
+                        .to_owned()
+                })
+                .collect();
+            format!("{key}={n}: {}", runs.join(" vs "))
+        })
+        .collect();
+    println!("| {label} | {} |", points.join("; "));
+}
+
+/// Stable-model existence testing raw SAT models as candidates, each
+/// blocked exactly — the strategy AB-5 compares against minimize-first.
+/// The candidate solver's calls are billed too.
+fn stable_exists_raw_candidates(db: &Database, cost: &mut Cost) -> bool {
+    let n = db.num_atoms();
+    let mut candidates = Solver::from_cnf(&database_to_cnf(db));
+    candidates.ensure_vars(n);
+    let found = loop {
+        if !candidates.solve().unwrap().is_sat() {
+            break false;
+        }
+        let m = Interpretation::from_atoms(n, candidates.model().iter().filter(|a| a.index() < n));
+        if minimal::is_minimal_model(&gl_reduct(db, &m), &m, cost).unwrap() {
+            break true;
+        }
+        let blocking: Vec<Literal> = (0..n)
+            .map(|i| {
+                let a = Atom::new(i as u32);
+                Literal::with_sign(a, !m.contains(a))
+            })
+            .collect();
+        if !candidates.add_clause(&blocking) {
+            break false;
+        }
+    };
+    cost.absorb(&candidates);
+    found
+}
+
+/// A ⟨P;Q;Z⟩ partition with the first `p_pct`% of atoms in P and half
+/// of the rest in Q.
+fn partition(n: usize, p_pct: usize) -> Partition {
+    let p_end = n * p_pct / 100;
+    let q_end = p_end + (n - p_end) / 2;
+    Partition::from_p_q(
+        n,
+        (0..p_end).map(|i| Atom::new(i as u32)),
+        (p_end..q_end).map(|i| Atom::new(i as u32)),
+    )
+}
+
+/// One route against the generic procedure on the same query.
+fn route_vs_generic(
+    label: &str,
+    key: &str,
+    sizes: &[usize],
+    id: SemanticsId,
+    case: impl Fn(usize) -> (Database, Formula),
+) {
+    let auto = SemanticsConfig::new(id);
+    let generic = SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
+    let run = |cfg: &SemanticsConfig, (db, f): &(Database, Formula), cost: &mut Cost| {
+        cfg.infers_formula(db, f, cost).is_ok()
+    };
+    ablation(
+        label,
+        key,
+        sizes,
+        case,
+        &[
+            ("routed", &|i, cost| run(&auto, i, cost)),
+            ("generic", &|i, cost| run(&generic, i, cost)),
+        ],
+    );
+}
+
+/// The planner's overhead: building the whole plan tree must stay under
+/// 1% of the generic solve it lets dispatch avoid, slowest plan against
+/// slowest generic solve, on the slicing corpus instance.
+fn planner_overhead() {
+    const PLAN_ITERS: u64 = 50;
+    let db = structured::sliceable_towers(3, 3);
+    let f = Formula::from(Atom::new(4).pos());
+    let q = PlanQuery::of(&f);
+    let (mut plan_worst, mut generic_worst) = (Duration::ZERO, Duration::ZERO);
+    let mut points = Vec::new();
+    for id in [SemanticsId::Ccwa, SemanticsId::Dsm, SemanticsId::Pdsm] {
+        let cfg = SemanticsConfig::new(id);
+        let generic = cfg.clone().with_routing(RoutingMode::Generic);
+        let plan = measure_median(0, PLAN_ITERS, |_, _| cfg.plan(&db, &q).is_ok());
+        let routed = measure_median(0, PLAN_ITERS, |_, cost| {
+            cfg.infers_formula(&db, &f, cost).is_ok()
+        });
+        let slow = measure_median(0, PLAN_ITERS, |_, cost| {
+            generic.infers_formula(&db, &f, cost).is_ok()
+        });
+        plan_worst = plan_worst.max(plan.time);
+        generic_worst = generic_worst.max(slow.time);
+        points.push(format!(
+            "{}: plan {:.2?} vs routed {:.2?} vs generic {:.2?}",
+            id.name(),
+            plan.time,
+            routed.time,
+            slow.time
+        ));
+    }
+    let pct = 100.0 * plan_worst.as_secs_f64() / generic_worst.as_secs_f64().max(1e-9);
+    println!(
+        "| Planner overhead: plan vs routed vs generic solve, c₁ on sliceable_towers(3,3) | {}; \
+         slowest plan = {pct:.3}% of slowest generic solve (bound: < 1%) |",
+        points.join("; ")
+    );
+    assert!(
+        pct < 1.0,
+        "planner overhead must be \u{226a} 1% of the generic solve, got {pct:.3}%"
+    );
+}
+
+fn ablations() {
+    println!("\n## Ablations and engineering\n");
+    println!(
+        "Median of {AB_ITERS} runs per point on one prebuilt instance; SAT calls in \
+         parentheses where a variant makes any.\n"
+    );
+    println!("| ablation | measured (median) |\n|---|---|");
+    let cnf = |seed: u64| move |n: usize| database_to_cnf(&families::phase_transition(n, seed));
+    let cdcl = |cnf: &Cnf, minimize: bool| {
+        let mut s = Solver::from_cnf(cnf);
+        s.set_clause_minimization(minimize);
+        s.solve().unwrap().is_sat()
+    };
+    ablation(
+        "AB-1 oracle: CDCL vs DPLL (3-CNF @ 4.26)",
+        "n",
+        &[20, 30, 40],
+        cnf(21),
+        &[
+            ("CDCL", &|c, _| cdcl(c, true)),
+            ("DPLL", &|c, _| dpll::is_sat(c).unwrap()),
+        ],
+    );
+    ablation(
+        "CDCL learnt-clause minimization on vs off (3-CNF @ 4.26)",
+        "n",
+        &[40, 60, 80],
+        cnf(33),
+        &[
+            ("on", &|c, _| cdcl(c, true)),
+            ("off", &|c, _| cdcl(c, false)),
+        ],
+    );
+    ablation(
+        "AB-2 GCWA N-set: direct (one Σᵖ₂ query per atom) vs O(log n) census",
+        "n",
+        &[12, 16, 24],
+        |n| families::table1_random(n, 17),
+        &[
+            ("direct", &|db, cost| {
+                ddb_core::gcwa::false_atoms(db, cost).unwrap().count() > 0
+            }),
+            ("census", &|db, cost| {
+                ddb_core::gcwa::census_false_atoms(db, cost).unwrap() > 0
+            }),
+        ],
+    );
+    ablation(
+        "AB-3 DDR fixpoint: active-atom closure vs explicit T↑ω (layered)",
+        "n",
+        &[8, 12, 16],
+        families::layered,
+        &[
+            ("closure", &|db, _| fixpoint::active_atoms(db).count() > 0),
+            ("explicit", &|db, _| {
+                fixpoint::model_state(db, 1_000_000).unwrap().is_some()
+            }),
+        ],
+    );
+    ablation(
+        "AB-4 MM(DB) ⊨ F: CEGAR vs full minimal-model enumeration",
+        "n",
+        &[10, 14, 18],
+        |n| {
+            let f = queries::random_formula(n, 6, 9);
+            (families::table1_random(n, 37), f)
+        },
+        &[
+            ("CEGAR", &|(db, f), cost| {
+                circumscribe::holds_in_all_minimal_models(db, f, cost).unwrap()
+            }),
+            ("enumerate", &|(db, f), cost| {
+                minimal::minimal_models(db, cost)
+                    .unwrap()
+                    .iter()
+                    .all(|m| f.eval(m))
+            }),
+        ],
+    );
+    ablation(
+        "AB-5 DSM existence: minimize-first vs raw SAT candidates (false parity)",
+        "n",
+        &[2, 3, 4],
+        |n| families::dsm_exist_hard(n as u32),
+        &[
+            ("minimize-first", &|db, cost| {
+                ddb_core::dsm::has_model(db, cost).unwrap()
+            }),
+            ("raw", &stable_exists_raw_candidates),
+        ],
+    );
+    ablation(
+        "Minimal-model shrink: incremental vs fresh solver per step",
+        "n",
+        &[32, 64, 128],
+        |n| families::table1_random(n, 41),
+        &[
+            ("incremental", &|db, cost| {
+                shrink(db, cost, minimal::pz_minimize)
+            }),
+            ("fresh", &|db, cost| {
+                shrink(db, cost, minimal::pz_minimize_fresh)
+            }),
+        ],
+    );
+    ablation(
+        "Minimal-model counting: per component vs enumeration (k even loops, 2^k models)",
+        "k",
+        &[4, 6, 8],
+        families::even_loops,
+        &[
+            ("componentwise", &|db, cost| {
+                ddb_models::components::count_minimal_models(db, cost).unwrap() > 0
+            }),
+            ("enumerate", &|db, cost| {
+                !minimal::minimal_models(db, cost).unwrap().is_empty()
+            }),
+        ],
+    );
+    ablation(
+        "EGCWA derived clauses by Berge dualization (k disjoint pairs, 2^k models)",
+        "k",
+        &[4, 6, 8],
+        |k| {
+            let src: String = (0..k).map(|i| format!("a{i} | b{i}. ")).collect();
+            ddb_logic::parse::parse_program(&src).unwrap()
+        },
+        &[("", &|db, cost| {
+            ddb_core::egcwa::derived_integrity_clauses(db, 1_000_000, cost)
+                .unwrap()
+                .is_some()
+        })],
+    );
+    ablation(
+        "CCWA literal by the share of atoms in P (n=24, half the rest fixed)",
+        "P%",
+        &[25, 50, 100],
+        |p| {
+            let n = 24;
+            let lit = Formula::from(queries::random_literal(n, 5));
+            (families::table1_random(n, 31), partition(n, p), lit)
+        },
+        &[("", &|(db, part, lit), cost| {
+            ddb_core::ccwa::infers_formula(db, part, lit, cost).unwrap()
+        })],
+    );
+    ablation(
+        "DSM enumeration on k even loops (2^k models)",
+        "k",
+        &[2, 4, 6],
+        families::even_loops,
+        &[("", &|db, cost| {
+            !ddb_core::dsm::models(db, cost).unwrap().is_empty()
+        })],
+    );
+    ablation(
+        "PDSM enumeration on k even loops (3^k partial models)",
+        "k",
+        &[2, 3, 4],
+        families::even_loops,
+        &[("", &|db, cost| {
+            !ddb_core::pdsm::models(db, cost).unwrap().is_empty()
+        })],
+    );
+    route_vs_generic(
+        "Horn route vs generic: GCWA ¬xₙ on a Horn chain",
+        "n",
+        &[200, 800],
+        SemanticsId::Gcwa,
+        |n| {
+            let lit = Atom::new((n - 1) as u32).neg();
+            (families::tractable_chain(n), Formula::from(lit))
+        },
+    );
+    route_vs_generic(
+        "Slice route vs generic: CCWA c₁",
+        "towers",
+        &[1, 2, 3],
+        SemanticsId::Ccwa,
+        families::sliceable_c1,
+    );
+    route_vs_generic(
+        "Slice route vs generic: DSM c₁",
+        "towers",
+        &[2, 4, 8],
+        SemanticsId::Dsm,
+        families::sliceable_c1,
+    );
+    route_vs_generic(
+        "Slice route vs generic: PDSM ¬g",
+        "towers",
+        &[1, 2, 3, 4],
+        SemanticsId::Pdsm,
+        families::sliceable_not_goal,
+    );
+    const LIMIT: usize = 1_000_000;
+    ablation(
+        "Grounding bound_chains(16, depth): magic vs whole program",
+        "depth",
+        &[16, 64, 128],
+        families::bound_chains,
+        &[
+            ("magic", &|(prog, q, _), _| {
+                ground_magic(prog, q, LIMIT).is_ok()
+            }),
+            ("whole", &|(prog, _, _), _| {
+                ground_reduced(prog, LIMIT).is_ok()
+            }),
+        ],
+    );
+    route_vs_generic(
+        "Magic route vs generic: GCWA reach(c0,n<depth>) on the whole grounding",
+        "depth",
+        &[16, 64, 128],
+        SemanticsId::Gcwa,
+        |depth| {
+            let (prog, _, name) = families::bound_chains(depth);
+            let whole = ground_reduced(&prog, LIMIT).unwrap();
+            let atom = whole.symbols().lookup(&name).unwrap();
+            (whole, Formula::atom(atom))
+        },
+    );
+    planner_overhead();
+    pool_widths();
+}
+
+/// The three pool-routed surfaces at 1/2/4/8 worker threads. Answers
+/// and bills are width-independent (`crates/core/tests/parallel.rs`);
+/// only the time may move, and only on a host with that many cores.
+fn pool_widths() {
+    const WIDTHS: &[usize] = &[1, 2, 4, 8];
+    let cfg = |id: SemanticsId, w: usize| SemanticsConfig::new(id).with_threads(w);
+    ablation(
+        "Pool: DSM existence over 12 islands (sliceable_towers(12,4))",
+        "threads",
+        WIDTHS,
+        |w| {
+            (
+                cfg(SemanticsId::Dsm, w),
+                structured::sliceable_towers(12, 4),
+            )
+        },
+        &[("", &|(c, db): &(SemanticsConfig, Database), cost| {
+            c.has_model(db, cost).is_ok()
+        })],
+    );
+    let atoms: Vec<Formula> = (0..8).map(|i| Formula::atom(Atom::new(i))).collect();
+    ablation(
+        "Pool: batch of 8 GCWA atom queries (sliceable_towers(2,3))",
+        "threads",
+        WIDTHS,
+        |w| {
+            (
+                cfg(SemanticsId::Gcwa, w),
+                structured::sliceable_towers(2, 3),
+            )
+        },
+        &[("", &|(c, db): &(SemanticsConfig, Database), cost| {
+            let answers = parallel::infers_formulas_batch(c, db, &atoms).unwrap();
+            answers.iter().for_each(|(_, bill)| cost.merge(bill));
+            !answers.is_empty()
+        })],
+    );
+    ablation(
+        "Pool: the 30-cell profile matrix (sliceable_towers(2,2))",
+        "threads",
+        WIDTHS,
+        |w| (w, structured::sliceable_towers(2, 2)),
+        &[("", &|(w, db): &(usize, Database), cost| {
+            let f = Formula::atom(Atom::new(0));
+            let cells = profile::profile_all_budgeted(db, Atom::new(0).pos(), &f, None, *w);
+            cells.iter().for_each(|c| cost.merge(&c.cost));
+            !cells.is_empty()
+        })],
+    );
+}
+
+/// One shrink of a classical model to a minimal one with `minimize`.
+fn shrink(
+    db: &Database,
+    cost: &mut Cost,
+    minimize: fn(
+        &Database,
+        &Interpretation,
+        &Partition,
+        &mut Cost,
+    ) -> ddb_obs::Governed<Interpretation>,
+) -> bool {
+    let part = Partition::minimize_all(db.num_atoms());
+    let m = classical::some_model(db, cost)
+        .unwrap()
+        .expect("positive DB");
+    minimize(db, &m, &part, cost).is_ok()
+}
+
 /// Prints the cell row and keeps the report for the `--json` summary.
 fn emit(cells: &mut Vec<CellReport>, c: CellReport) {
     println!("{}", c.render());
@@ -481,6 +920,16 @@ fn main() {
             }
         }
     }
+    // Open the metrics file before the sweep, so an unwritable path
+    // fails in milliseconds rather than after minutes of measuring.
+    let fail = |path: &str, e: std::io::Error| -> ! {
+        eprintln!("failed to write cell metrics to {path}: {e}");
+        std::process::exit(1);
+    };
+    let json_file = json_path.map(|path| match std::fs::File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => fail(&path, e),
+    });
     println!("# Tables 1 & 2 of Eiter & Gottlob (PODS 1993), regenerated\n");
     println!(
         "Every cell: paper claim | measured growth shape over the sweep | \
@@ -491,8 +940,10 @@ fn main() {
     table2(&mut cells);
     lower_bounds();
     beyond_the_paper();
-    if let Some(path) = json_path {
+    ablations();
+    if let Some((path, mut file)) = json_file {
         use ddb_obs::json::Json;
+        use std::io::Write as _;
         let doc = Json::obj([
             ("version", Json::UInt(1)),
             (
@@ -500,9 +951,9 @@ fn main() {
                 Json::Arr(cells.iter().map(CellReport::to_json).collect()),
             ),
         ]);
-        match std::fs::write(&path, doc.render_pretty()) {
+        match file.write_all(doc.render_pretty().as_bytes()) {
             Ok(()) => eprintln!("wrote cell metrics to {path}"),
-            Err(e) => eprintln!("failed to write cell metrics to {path}: {e}"),
+            Err(e) => fail(&path, e),
         }
     }
 }

@@ -1,6 +1,8 @@
 //! Instance families behind each table cell.
 
-use ddb_logic::Database;
+use ddb_ground::parse::parse_datalog;
+use ddb_ground::{DatalogProgram, PredAtom};
+use ddb_logic::{Atom, Database, Formula, Rule};
 use ddb_reductions::gcwa_hardness::{forall_exists_to_gcwa, GcwaInstance};
 use ddb_reductions::qbf::random_forall_exists;
 use ddb_workloads::random::{random_db, random_stratified_db, DbSpec};
@@ -28,9 +30,20 @@ pub fn stratified_random(n: usize, seed: u64) -> Database {
     random_stratified_db(n, 2 * n, 3.min(n.max(1)), seed)
 }
 
+/// [`stratified_random`] without its integrity clauses: the family of the
+/// O(1) ICWA existence cell (stratifiability alone asserts a model).
+pub fn stratified_consistent(n: usize, seed: u64) -> Database {
+    let raw = stratified_random(n, seed);
+    let mut db = Database::new(raw.symbols().clone());
+    for r in raw.rules().iter().filter(|r| !r.is_integrity()) {
+        db.add_rule(r.clone());
+    }
+    db
+}
+
 /// The Πᵖ₂-hard family: QBF reductions with `nx` universal variables
 /// (instance difficulty is exponential in `nx`, the quantity the
-/// lower-bound benches scale).
+/// lower-bound sweeps scale).
 pub fn qbf_hard(nx: u32, ny: u32, seed: u64) -> GcwaInstance {
     let clauses = (2 * (nx + ny)) as usize;
     forall_exists_to_gcwa(&random_forall_exists(nx, ny, clauses, 3, seed))
@@ -72,15 +85,47 @@ pub fn sliceable(towers: usize) -> Database {
     structured::sliceable_towers(towers, 2)
 }
 
+/// Tower 0's first-stage closure atom `c₁` of [`sliceable`] (layout:
+/// c₀ d₀ a₁ b₁ c₁ …), queried positively: its relevance slice has five
+/// atoms however many towers exist.
+pub fn sliceable_c1(towers: usize) -> (Database, Formula) {
+    (sliceable(towers), Formula::from(Atom::new(4).pos()))
+}
+
+/// [`sliceable`] plus `g :- c₁, d₀.` over a fresh atom `g`, queried for
+/// `¬g`. `c₁` needs `c₀`, which excludes `d₀` in every minimal model, so
+/// `¬g` is inferred, and a route that does not slice walks every minimal
+/// model of the product database to show it.
+pub fn sliceable_not_goal(towers: usize) -> (Database, Formula) {
+    let mut db = sliceable(towers);
+    let g = db.symbols_mut().fresh_atom("g");
+    db.add_rule(Rule::new([g], [Atom::new(4), Atom::new(1)], []));
+    (db, Formula::from(g.neg()))
+}
+
+/// Chains in the [`bound_chains`] family.
+pub const BOUND_CHAINS: usize = 16;
+
+/// The goal-directed grounding family: [`BOUND_CHAINS`] independent
+/// chains of length `depth` sharing one recursive reachability rule set,
+/// with the query bound to chain 0's last node. Returns the program, the
+/// query atom, and the query's ground name. Whole-program grounding pays
+/// for every chain; magic grounding and the magic route for one.
+pub fn bound_chains(depth: usize) -> (DatalogProgram, PredAtom, String) {
+    let (source, query) = structured::bound_chains(BOUND_CHAINS, depth);
+    let prog = parse_datalog(&source).expect("bound_chains parses");
+    let q = parse_datalog(&format!("{query}."))
+        .expect("query atom parses")
+        .rules[0]
+        .head[0]
+        .clone();
+    (prog, q, query)
+}
+
 /// NP-complete existence family (Table 2 EGCWA row): random 3-CNF near
 /// the phase transition, as a deductive database.
 pub fn phase_transition(n: usize, seed: u64) -> Database {
     structured::phase_transition_db(n, 4.26, 3, seed)
-}
-
-/// Σᵖ₂ existence family for DSM: even loops plus a guarded odd loop.
-pub fn stable_trap(k: usize) -> Database {
-    structured::odd_loop_trap(k)
 }
 
 /// Stable-model enumeration family: `2^k` stable models.

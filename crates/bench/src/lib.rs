@@ -9,19 +9,18 @@
 //!   for the tractable cells, phase-transition CNFs for the NP cells);
 //! * [`harness`] — measurement plumbing: timed runs with oracle-cost
 //!   capture, growth-shape classification (per-doubling time ratios), and
-//!   the row/cell report structures the `tables` binary prints;
-//! * [`microbench`] — the zero-dependency criterion-compatible shim
-//!   the bench binaries run on (offline build, no external crates);
-//! * `benches/` — benchmark groups, one per table row, plus the ablations
-//!   called out in DESIGN.md (CDCL vs DPLL oracle, direct vs census GCWA,
-//!   explicit fixpoint vs active-atom closure).
+//!   the row/cell report structures the `tables` binary prints.
 //!
+//! `tables` is the one place that times anything: the paper's cells, the
+//! lower-bound families, and the ablations (CDCL vs DPLL, direct vs
+//! census GCWA, sliced and magic routes vs generic, pool widths, …).
 //! Run `cargo run -p ddb-bench --bin tables --release` to regenerate the
-//! paper-vs-measured report recorded in `EXPERIMENTS.md`.
+//! paper-vs-measured report recorded in `EXPERIMENTS.md`. The counts the
+//! repository commits (`BENCH_*.json`) are reproduced by the gate test
+//! `tests/committed_counts.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod families;
 pub mod harness;
-pub mod microbench;

@@ -47,7 +47,7 @@ pub fn false_atoms(db: &Database, cost: &mut Cost) -> Governed<Interpretation> {
 /// decided by a single CEGAR search for a *set* of minimal models covering
 /// `k` atoms.
 ///
-/// This is an ablation target (`bench_gcwa`): it demonstrates the
+/// This is an ablation target (AB-2 in the `tables` report): it demonstrates the
 /// `P^{Σᵖ₂}[O(log n)]` upper-bound structure without being needed for
 /// correctness (inference uses [`false_atoms`]).
 pub fn census_false_atoms(db: &Database, cost: &mut Cost) -> Governed<usize> {

@@ -6,8 +6,8 @@
 //! funneled through [`SemanticsTraits`], and [`traits_for`] is the one
 //! place those traits are derived from a [`SemanticsConfig`]:
 //!
-//! * the minimal-model determinedness of formula queries (GCWA/CCWA keep
-//!   non-minimal models — see [`crate::slicing::admission`]);
+//! * the minimal-model determinedness of formula queries
+//!   ([`mm_determined`], which `ddb slice` and `ddb rewrite` read too);
 //! * the peel gate ([`crate::slicing::peel_mode`]);
 //! * the HCF shift (DSM only) and the Horn collapse (default structure
 //!   only);
@@ -36,12 +36,24 @@ pub fn problem_of(q: &PlanQuery) -> Problem {
     }
 }
 
+/// Whether a query's answer under `id` is determined by the
+/// minimal-model set — the precondition of the positive-exact slice
+/// admission and of dead-rule pruning. Literal answers are, under all ten
+/// semantics. Formula answers are too, except under GCWA and CCWA: their
+/// characteristic model sets keep **non-minimal** models, and a non-slice
+/// rule whose head is inferred false turns into an invisible constraint
+/// on them (`c :- a, b.` with `¬c` inferred prunes the non-minimal
+/// `{a, b}`).
+pub fn mm_determined(id: SemanticsId, literal_query: bool) -> bool {
+    literal_query || !matches!(id, SemanticsId::Gcwa | SemanticsId::Ccwa)
+}
+
 /// Derives the routing-relevant traits of `cfg` for one problem — the
 /// single source of the facts the planner kernel consumes.
 pub fn traits_for(cfg: &SemanticsConfig, problem: Problem) -> SemanticsTraits {
     SemanticsTraits {
         name: cfg.id.name(),
-        mm_determined_formulas: !matches!(cfg.id, SemanticsId::Gcwa | SemanticsId::Ccwa),
+        mm_determined_formulas: mm_determined(cfg.id, false),
         peel_negation: crate::slicing::peel_mode(cfg.id),
         hcf_shift: cfg.id == SemanticsId::Dsm,
         horn_collapse: cfg.has_default_structure(),

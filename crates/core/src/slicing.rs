@@ -42,7 +42,7 @@
 //!    the slice — even when the slice boundary is read by outside rules.
 //!    GCWA and CCWA keep non-minimal models in their characteristic sets,
 //!    so for them this admission is restricted to literal queries (see
-//!    [`admission`]).
+//!    [`crate::planner::mm_determined`]).
 //! 2. **Split-closed slices** ([`Admission::Product`]): no non-slice rule
 //!    mentions a slice atom, so the database is a disjoint union and every
 //!    semantics factors as a product. One correction is owed: when the
@@ -66,6 +66,7 @@
 //! stops being unique.
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
+use crate::planner::mm_determined;
 use ddb_analysis::{project_slice, project_top, Fragments, Peel, Prepared, Slice};
 use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
@@ -78,21 +79,16 @@ pub use ddb_analysis::Admission;
 /// admitting or blocking precondition).
 ///
 /// The positive-exact admission requires the query's answer to be
-/// determined by the minimal-model set, which projects onto the slice.
-/// That holds for every semantics on formulas *except* GCWA and CCWA:
-/// their characteristic model sets keep **non-minimal** models, and a
-/// non-slice rule whose head is inferred false turns into an invisible
-/// constraint on them (`c :- a, b.` with `¬c` inferred prunes the
-/// non-minimal `{a, b}`). Literal inference is minimal-model-determined
-/// for all ten, so `literal_query` re-admits GCWA/CCWA.
+/// determined by the minimal-model set, which projects onto the slice;
+/// [`crate::planner::mm_determined`] says when it is, the same fact the
+/// planner's traits carry.
 pub fn admission(
     id: SemanticsId,
     frags: &Fragments,
     slice: &Slice,
     literal_query: bool,
 ) -> Admission {
-    let mm_determined = literal_query || !matches!(id, SemanticsId::Gcwa | SemanticsId::Ccwa);
-    ddb_analysis::admission(frags, slice, mm_determined)
+    ddb_analysis::admission(frags, slice, mm_determined(id, literal_query))
 }
 
 /// How the peel may run for this semantics: `None` when peeling is

@@ -123,3 +123,28 @@ fn concurrent_recordings_match_uncontended_ones() {
         }
     });
 }
+
+/// Keeping trace events is observation only: under all ten semantics, a
+/// scope that keeps them asks the oracle the same questions and records
+/// the same counts as one that does not, and the latency histogram holds
+/// one sample per SAT call either way.
+#[test]
+fn keeping_events_changes_no_count() {
+    let db = ddb_workloads::structured::sliceable_towers(2, 3);
+    let f = Formula::Atom(Atom::new(0));
+    let mut total = 0;
+    for id in SemanticsId::ALL {
+        let cfg = SemanticsConfig::new(id);
+        let run = |events| {
+            let mut cost = Cost::new();
+            let (_, rec) = record(events, || cfg.infers_formula(&db, &f, &mut cost));
+            let samples = rec.histograms.count("sat.solve.ns");
+            (cost.sat_calls, counts(&rec.counters), samples)
+        };
+        let quiet = run(false);
+        assert_eq!(quiet.2, quiet.0, "{id}: one latency sample per SAT call");
+        assert_eq!(run(true), quiet, "{id}: keeping events changed the bill");
+        total += quiet.0;
+    }
+    assert!(total > 0, "the query must exercise the oracle");
+}

@@ -288,9 +288,9 @@ pub fn pz_minimal_models(
 }
 
 /// Like [`pz_minimal_models`] but rebuilding a fresh expander solver for
-/// every signature — kept as the ablation baseline the incremental
-/// `Expander` is measured against (the `minimization: incremental vs
-/// fresh` family of benches, and the oracle-count non-regression test).
+/// every signature — kept as the baseline the incremental `Expander` is
+/// checked against (the oracle-count non-regression test in
+/// `tests/brute_cross_check.rs`).
 pub fn pz_minimal_models_fresh(
     db: &Database,
     part: &Partition,

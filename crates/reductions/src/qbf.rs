@@ -160,7 +160,7 @@ pub fn random_forall_exists(
 /// witness `Y` differs for every `X` — the worst case for
 /// counterexample-guided procedures, which must refute one
 /// assignment-signature at a time. This is the scaling family behind the
-/// Πᵖ₂ lower-bound benches.
+/// Πᵖ₂ lower-bound rows of the `tables` report.
 pub fn parity_family(n: u32) -> ForallExistsCnf {
     assert!(n >= 1);
     let x = |i: u32| i; // universal variables 0..n

@@ -151,7 +151,7 @@ pub fn sliceable_towers(towers: usize, height: usize) -> Database {
 /// and the magic rewrite confine the work to one chain — grounded-rule
 /// counts drop by a factor of `chains` against whole-program grounding
 /// while the answer is identical. The scaling family behind the
-/// `bench_magic` group.
+/// grounding counts in `BENCH_magic.json`.
 pub fn bound_chains(chains: usize, depth: usize) -> (String, String) {
     let mut source = String::new();
     for c in 0..chains {
@@ -184,33 +184,6 @@ pub fn even_loops(k: usize) -> Database {
         db.add_rule(Rule::new([a], [], [b]));
         db.add_rule(Rule::new([b], [], [a]));
     }
-    db
-}
-
-/// `k` even loops plus one odd loop guarded by all the `aᵢ`:
-/// stable-model existence requires checking (worst case) every loop
-/// assignment before concluding **no** — a hard family for the
-/// Σᵖ₂-complete DSM-existence cell.
-pub fn odd_loop_trap(k: usize) -> Database {
-    let mut symbols = Symbols::new();
-    let pairs: Vec<(Atom, Atom)> = (0..k)
-        .map(|i| {
-            (
-                symbols.intern(&format!("a{i}")),
-                symbols.intern(&format!("b{i}")),
-            )
-        })
-        .collect();
-    let trap = symbols.intern("trap");
-    let mut db = Database::new(symbols);
-    for &(a, b) in &pairs {
-        db.add_rule(Rule::new([a], [], [b]));
-        db.add_rule(Rule::new([b], [], [a]));
-    }
-    // trap ← a₀ ∧ … ∧ a_{k-1} ∧ ¬trap: any stable model choosing all aᵢ
-    // is destroyed; all others survive — unless k = 0, where nothing does.
-    db.add_rule(Rule::new([trap], pairs.iter().map(|&(a, _)| a), [trap]));
-    db.add_rule(Rule::integrity(pairs.iter().map(|&(a, _)| a), [trap]));
     db
 }
 

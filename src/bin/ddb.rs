@@ -902,6 +902,7 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
 /// printed program is the one the slice route executes.
 fn rewrite_cmd(args: &[String]) -> Result<(), String> {
     use disjunctive_db::analysis::{demand_closure, magic, prunes_dead, Prepared, Slice};
+    use disjunctive_db::core::planner::mm_determined;
     use disjunctive_db::core::slicing::{admission, Admission};
     let opts = parse_opts(args)?;
     let db = load(&opts)?;
@@ -918,9 +919,8 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
     let prepared = Prepared::borrowed(&db);
     let frags = prepared.fragments();
     let semantics = semantics_or_all(&opts)?;
-    let mm_determined =
-        |id: SemanticsId| literal_query || !matches!(id, SemanticsId::Gcwa | SemanticsId::Ccwa);
-    let prunes = |id: SemanticsId| prunes_dead(&db, &frags, &query_atoms, mm_determined(id));
+    let prunes =
+        |id: SemanticsId| prunes_dead(&db, &frags, &query_atoms, mm_determined(id, literal_query));
     // At most two distinct restrictions exist: the one for
     // minimal-model-determined answers and, when that one prunes, the
     // unpruned one GCWA/CCWA formula queries take.
