@@ -59,8 +59,8 @@ pub use fragments::{classify, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
 pub use magic::{MagicProgram, MAGIC_PREFIX};
 pub use plan::{
-    admission, bound_query, build_plan, decide, plan_lints, prunes_dead, Admission, Decision,
-    PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
+    admission, bound_query, build_plan, decide, plan_lints, prunes_dead, tail_route, Admission,
+    Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
 };
 pub use prepared::{AsPrepared, Prepared};
 pub use report::{analyze, AnalysisReport};

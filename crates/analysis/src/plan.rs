@@ -363,10 +363,20 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
             }
         }
     }
-    if t.hcf_shift && frags.head_cycle_free {
-        return leaf(RouteKind::Hcf, blocked);
+    leaf(tail_route(t, &frags), blocked)
+}
+
+/// The leaf the waterfall bottoms out on when no reduction applies (or an
+/// executor abandons its route): the HCF shift for a semantics that has
+/// one on a head-cycle-free database unless routing is forced generic,
+/// the generic procedure otherwise. The planner and the dispatcher's
+/// fallback both read it.
+pub fn tail_route(t: &SemanticsTraits, frags: &Fragments) -> RouteKind {
+    if t.hcf_shift && frags.head_cycle_free && !t.generic_only {
+        RouteKind::Hcf
+    } else {
+        RouteKind::Generic
     }
-    leaf(RouteKind::Generic, blocked)
 }
 
 /// One node of the plan tree `ddb explain` prints: the decided route, the

@@ -353,7 +353,7 @@ fn lower_bounds() {
             cnf.iter()
                 .all(|c| c.iter().any(|&(v, s)| (bits >> v & 1 == 1) == s))
         });
-        if ddb_core::egcwa::has_model(&db, &mut cost).unwrap() == brute {
+        if ddb_core::ecwa::has_model(&db, &mut cost).unwrap() == brute {
             agree += 1;
         }
     }
@@ -646,8 +646,9 @@ fn ablations() {
         &[12, 16, 24],
         |n| families::table1_random(n, 17),
         &[
-            ("direct", &|db, cost| {
-                ddb_core::gcwa::false_atoms(db, cost).unwrap().count() > 0
+            ("direct", &|db: &Database, cost| {
+                let all = Partition::minimize_all(db.num_atoms());
+                ddb_core::ccwa::false_atoms(db, &all, cost).unwrap().count() > 0
             }),
             ("census", &|db, cost| {
                 ddb_core::gcwa::census_false_atoms(db, cost).unwrap() > 0
@@ -750,7 +751,9 @@ fn ablations() {
             (families::table1_random(n, 31), partition(n, p), lit)
         },
         &[("", &|(db, part, lit), cost| {
-            ddb_core::ccwa::infers_formula(db, part, lit, cost).unwrap()
+            ddb_core::ccwa::countermodel(db, part, lit, cost)
+                .unwrap()
+                .is_none()
         })],
     );
     ablation(

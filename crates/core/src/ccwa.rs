@@ -7,19 +7,23 @@
 //!
 //! `CCWA(DB) = {M ∈ M(DB) : ∀x ∈ P. MM(DB;P;Z) ⊨ ¬x ⇒ M ⊨ ¬x}`.
 //!
-//! GCWA is the special case `P = V`, `Q = Z = ∅`.
+//! GCWA is the special case `P = V`, `Q = Z = ∅`, and runs here: the
+//! dispatcher calls this module with [`Partition::minimize_all`] for it.
 //!
 //! * Formula (and literal) inference: compute the CCWA-false set
 //!   `N ⊆ P` (`|P|` Σᵖ₂ queries — or `O(log n)` with the census ablation),
-//!   then one coNP entailment `DB ∪ ¬N ⊨ F`. The paper places this in
+//!   then one coNP entailment `DB ∪ ¬N ⊨ F`, searched for as its
+//!   countermodel ([`countermodel`]). The paper places this in
 //!   `P^{Σᵖ₂}[O(log n)]` and proves Πᵖ₂-hardness; unlike GCWA, no
 //!   literal-inference shortcut to a single Πᵖ₂ query is available, since
 //!   a model in `CCWA(DB)` need not sit above a ⟨P;Z⟩-minimal model with
 //!   the *same fixed part*.
 //! * Model existence: `CCWA(DB) ⊇ MM(DB;P;Z)`, so nonemptiness is again
 //!   plain satisfiability (one SAT call).
+//! * Enumeration: the models of `DB ∪ ¬N`, the same clauses the
+//!   countermodel search solves.
 
-use ddb_logic::{Database, Formula, Interpretation, Literal};
+use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::{circumscribe, classical, Cost, Partition};
 use ddb_obs::Governed;
 
@@ -36,17 +40,18 @@ pub fn false_atoms(db: &Database, part: &Partition, cost: &mut Cost) -> Governed
     Ok(out)
 }
 
-/// Formula inference `CCWA(DB) ⊨ F`: compute `N`, then `DB ∪ ¬N ⊨ F`.
-pub fn infers_formula(
+/// Formula inference `CCWA(DB) ⊨ F` as a countermodel search: compute
+/// `N`, then look for a model of `DB ∪ ¬N ∧ ¬F` — a CCWA model falsifying
+/// `F`. `None` means `F` is inferred.
+pub fn countermodel(
     db: &Database,
     part: &Partition,
     f: &Formula,
     cost: &mut Cost,
-) -> Governed<bool> {
-    let _span = ddb_obs::span("ccwa.infers_formula");
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("ccwa.countermodel");
     let n_set = false_atoms(db, part, cost)?;
-    let units: Vec<Literal> = n_set.iter().map(|a| a.neg()).collect();
-    classical::entails(db, &units, f, cost)
+    classical::countermodel(db, &n_set, f, cost)
 }
 
 /// Model existence: `CCWA(DB) ≠ ∅ ⟺ DB` satisfiable.
@@ -55,22 +60,23 @@ pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
     classical::is_satisfiable(db, cost)
 }
 
-/// The characteristic model set `CCWA(DB)` (enumerative; test/example
-/// sized).
+/// The characteristic model set `CCWA(DB)`: the models of `DB ∪ ¬N`,
+/// enumerated directly (exponentially many in the worst case).
 pub fn models(db: &Database, part: &Partition, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("ccwa.models");
     let n_set = false_atoms(db, part, cost)?;
-    Ok(classical::all_models(db, cost)?
-        .into_iter()
-        .filter(|m| n_set.iter().all(|x| !m.contains(x)))
-        .collect())
+    classical::models(db, &n_set, cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
-    use ddb_logic::Atom;
+    use ddb_logic::{Atom, Literal};
+
+    fn infers(db: &Database, part: &Partition, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, part, f, cost)?.is_none())
+    }
 
     fn part_pq(db: &Database, p: &[&str], q: &[&str]) -> Partition {
         Partition::from_p_q(
@@ -89,7 +95,7 @@ mod tests {
             for sign in [true, false] {
                 let l = Literal::with_sign(Atom::new(i as u32), sign);
                 assert_eq!(
-                    infers_formula(&db, &part, &Formula::from(l), &mut cost).unwrap(),
+                    infers(&db, &part, &Formula::from(l), &mut cost).unwrap(),
                     crate::gcwa::infers_literal(&db, l, &mut cost).unwrap(),
                     "atom {i} sign {sign}"
                 );
@@ -105,14 +111,14 @@ mod tests {
         let db = parse_program("a | b.").unwrap();
         let part = part_pq(&db, &["a"], &["b"]);
         let mut cost = Cost::new();
-        assert!(!infers_formula(
+        assert!(!infers(
             &db,
             &part,
             &Formula::from(db.symbols().lookup("a").unwrap().neg()),
             &mut cost
         )
         .unwrap());
-        assert!(!infers_formula(
+        assert!(!infers(
             &db,
             &part,
             &Formula::from(db.symbols().lookup("b").unwrap().neg()),
@@ -129,7 +135,7 @@ mod tests {
         let db = parse_program("a | b.").unwrap();
         let part = part_pq(&db, &["a"], &[]);
         let mut cost = Cost::new();
-        assert!(infers_formula(
+        assert!(infers(
             &db,
             &part,
             &Formula::from(db.symbols().lookup("a").unwrap().neg()),
@@ -149,7 +155,7 @@ mod tests {
             let f = parse_formula(text, db.symbols()).unwrap();
             let expected = cm.iter().all(|m| f.eval(m));
             assert_eq!(
-                infers_formula(&db, &part, &f, &mut cost).unwrap(),
+                infers(&db, &part, &f, &mut cost).unwrap(),
                 expected,
                 "{text}"
             );

@@ -40,32 +40,33 @@ pub fn false_atoms(db: &Database) -> Interpretation {
 /// Literal inference `DDR(DB) ⊨ ℓ`.
 ///
 /// Fast path (zero oracle calls): negative literal over an integrity-free
-/// database — `⊨ ¬x ⟺ x` inactive. Everything else is one coNP
-/// entailment `DB ∪ ¬N ⊨ ℓ`.
+/// database — `⊨ ¬x ⟺ x` inactive. Everything else is the countermodel
+/// search of [`countermodel`].
 pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("ddr.infers_literal");
     assert!(
         !db.has_negation(),
         "DDR is defined for databases without negation"
     );
-    let n_set = false_atoms(db);
     if lit.is_negative() && !db.has_integrity_clauses() {
-        return Ok(n_set.contains(lit.atom()));
+        return Ok(false_atoms(db).contains(lit.atom()));
     }
-    let units: Vec<Literal> = n_set.iter().map(|a| a.neg()).collect();
-    classical::entails(db, &units, &lit.into(), cost)
+    Ok(countermodel(db, &lit.into(), cost)?.is_none())
 }
 
-/// Formula inference `DDR(DB) ⊨ F`: one coNP entailment `DB ∪ ¬N ⊨ F`.
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("ddr.infers_formula");
+/// Formula inference `DDR(DB) ⊨ F` as a countermodel search: a model of
+/// `DB ∪ ¬N ∧ ¬F`, or `None` when `F` is inferred. One coNP check.
+pub fn countermodel(
+    db: &Database,
+    f: &Formula,
+    cost: &mut Cost,
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("ddr.countermodel");
     assert!(
         !db.has_negation(),
         "DDR is defined for databases without negation"
     );
-    let n_set = false_atoms(db);
-    let units: Vec<Literal> = n_set.iter().map(|a| a.neg()).collect();
-    classical::entails(db, &units, f, cost)
+    classical::countermodel(db, &false_atoms(db), f, cost)
 }
 
 /// Model existence `DDR(DB) ≠ ∅`. `O(1)` without integrity clauses (the
@@ -85,25 +86,25 @@ pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
     Ok(classical::some_model_with(db, &units, cost)?.is_some())
 }
 
-/// The characteristic model set `DDR(DB)` (enumerative; test/example
-/// sized).
+/// The characteristic model set `DDR(DB)`: the models of `DB ∪ ¬N`,
+/// enumerated directly (exponentially many in the worst case).
 pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     let _span = ddb_obs::span("ddr.models");
     assert!(
         !db.has_negation(),
         "DDR is defined for databases without negation"
     );
-    let n_set = false_atoms(db);
-    Ok(classical::all_models(db, cost)?
-        .into_iter()
-        .filter(|m| n_set.iter().all(|x| !m.contains(x)))
-        .collect())
+    classical::models(db, &false_atoms(db), cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
+
+    fn infers(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, f, cost)?.is_none())
+    }
 
     fn lit(db: &Database, name: &str, positive: bool) -> Literal {
         Literal::with_sign(db.symbols().lookup(name).unwrap(), positive)
@@ -164,11 +165,7 @@ mod tests {
         for text in ["!c", "!d", "a | b", "!(a & b)", "c -> d"] {
             let f = parse_formula(text, db.symbols()).unwrap();
             let expected = dm.iter().all(|m| f.eval(m));
-            assert_eq!(
-                infers_formula(&db, &f, &mut cost).unwrap(),
-                expected,
-                "{text}"
-            );
+            assert_eq!(infers(&db, &f, &mut cost).unwrap(), expected, "{text}");
         }
     }
 
@@ -186,7 +183,7 @@ mod tests {
     fn rejects_negation() {
         let db = parse_program("a :- not b.").unwrap();
         let mut cost = Cost::new();
-        let _ = infers_formula(&db, &Formula::True, &mut cost).unwrap();
+        let _ = infers(&db, &Formula::True, &mut cost).unwrap();
     }
 
     #[test]
@@ -195,7 +192,8 @@ mod tests {
         let db = parse_program("a | b. c :- a, b. e :- d.").unwrap();
         let mut cost = Cost::new();
         let ddr = models(&db, &mut cost).unwrap();
-        let gcwa = crate::gcwa::models(&db, &mut cost).unwrap();
+        let all = ddb_models::Partition::minimize_all(db.num_atoms());
+        let gcwa = crate::ccwa::models(&db, &all, &mut cost).unwrap();
         for m in &gcwa {
             assert!(ddr.contains(m));
         }

@@ -21,6 +21,7 @@
 //! complete are bit-for-bit identical to unbudgeted runs.
 
 use crate::icwa::Layers;
+use crate::witness::Countermodel;
 use ddb_analysis::{
     AsPrepared, Diagnostic, Fragments, PlanData, PlanNode, PlanQuery, Prepared, RouteKind,
     SemanticsTraits,
@@ -283,11 +284,6 @@ impl Enumeration {
         }
         self.models
     }
-
-    /// The models collected so far, complete or not.
-    pub fn into_models(self) -> Vec<Interpretation> {
-        self.models
-    }
 }
 
 impl From<Governed<Vec<Interpretation>>> for Enumeration {
@@ -400,10 +396,14 @@ impl SemanticsConfig {
         self
     }
 
+    /// The ⟨P;Q;Z⟩ partition the CCWA/ECWA procedures run under: the
+    /// configured one for CCWA and ECWA (minimize-all by default), and
+    /// `P = V` for GCWA and EGCWA, which are CCWA and ECWA there.
     fn partition_for(&self, db: &Database) -> Partition {
-        self.partition
-            .clone()
-            .unwrap_or_else(|| Partition::minimize_all(db.num_atoms()))
+        match (self.id, &self.partition) {
+            (SemanticsId::Ccwa | SemanticsId::Ecwa, Some(part)) => part.clone(),
+            _ => Partition::minimize_all(db.num_atoms()),
+        }
     }
 
     /// Whether this semantics is defined for `db`'s syntactic class;
@@ -446,21 +446,6 @@ impl SemanticsConfig {
             },
             1,
         );
-    }
-
-    /// The leaf the reduction waterfall bottoms out on when no reduction
-    /// applies (or an executor abandons its route): the HCF shift for DSM
-    /// on head-cycle-free databases, the generic procedure otherwise.
-    /// Mirrors the tail of the planner kernel's waterfall.
-    fn tail_route(&self, frags: &Fragments) -> RouteKind {
-        if self.routing != RoutingMode::Generic
-            && self.id == SemanticsId::Dsm
-            && frags.head_cycle_free
-        {
-            RouteKind::Hcf
-        } else {
-            RouteKind::Generic
-        }
     }
 
     /// The Horn collapse (all ten semantics = the least model) only holds
@@ -564,7 +549,7 @@ impl SemanticsConfig {
             Some(Err(i)) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
             _ => {}
         }
-        let tail = self.tail_route(&frags);
+        let tail = ddb_analysis::tail_route(&self.traits(&q), &frags);
         Self::note_leaf(tail);
         if tail == RouteKind::Hcf {
             return Ok(crate::route::hcf_dsm_infers_formula(db, f, cost).into());
@@ -573,23 +558,38 @@ impl SemanticsConfig {
             (SemanticsId::Gcwa, Some(lit)) => crate::gcwa::infers_literal(db, lit, cost),
             (SemanticsId::Ddr, Some(lit)) => crate::ddr::infers_literal(db, lit, cost),
             (SemanticsId::Pws, Some(lit)) => crate::pws::infers_literal(db, lit, cost),
-            (SemanticsId::Gcwa, None) => crate::gcwa::infers_formula(db, f, cost),
-            (SemanticsId::Ddr, None) => crate::ddr::infers_formula(db, f, cost),
-            (SemanticsId::Pws, None) => crate::pws::infers_formula(db, f, cost),
-            (SemanticsId::Egcwa, _) => crate::egcwa::infers_formula(db, f, cost),
-            (SemanticsId::Ccwa, _) => {
-                crate::ccwa::infers_formula(db, &self.partition_for(db), f, cost)
-            }
-            (SemanticsId::Ecwa, _) => {
-                crate::ecwa::infers_formula(db, &self.partition_for(db), f, cost)
-            }
-            (SemanticsId::Perf, _) => crate::perf::infers_formula(db, f, cost),
-            (SemanticsId::Icwa, _) => {
-                crate::icwa::infers_formula(db, &self.icwa_layers(p), f, cost)
-            }
-            (SemanticsId::Dsm, _) => crate::dsm::infers_formula(db, f, cost),
-            (SemanticsId::Pdsm, _) => crate::pdsm::infers_formula(db, f, cost),
+            _ => self.countermodel(p, f, cost).map(|c| c.is_none()),
         }))
+    }
+
+    /// The generic procedure of formula inference, as the countermodel
+    /// search it is: a characteristic model falsifying `f` (for PDSM, a
+    /// partial stable model where `f` is not 1), or `None` when `f` is
+    /// inferred. GCWA and EGCWA run as CCWA and ECWA at `P = V`.
+    pub(crate) fn countermodel(
+        &self,
+        p: &Prepared,
+        f: &Formula,
+        cost: &mut Cost,
+    ) -> Governed<Option<Countermodel>> {
+        let db = p.db();
+        let total = match self.id {
+            SemanticsId::Gcwa | SemanticsId::Ccwa => {
+                crate::ccwa::countermodel(db, &self.partition_for(db), f, cost)
+            }
+            SemanticsId::Egcwa | SemanticsId::Ecwa => {
+                crate::ecwa::countermodel(db, &self.partition_for(db), f, cost)
+            }
+            SemanticsId::Ddr => crate::ddr::countermodel(db, f, cost),
+            SemanticsId::Pws => crate::pws::countermodel(db, f, cost),
+            SemanticsId::Perf => crate::perf::countermodel(db, f, cost),
+            SemanticsId::Icwa => crate::icwa::countermodel(db, &self.icwa_layers(p), f, cost),
+            SemanticsId::Dsm => crate::dsm::countermodel(db, f, cost),
+            SemanticsId::Pdsm => {
+                return Ok(crate::pdsm::countermodel(db, f, cost)?.map(Countermodel::Partial));
+            }
+        };
+        Ok(total?.map(Countermodel::Total))
     }
 
     /// The paper's *∃ model* problem: is the semantics non-empty for `db`?
@@ -626,16 +626,14 @@ impl SemanticsConfig {
             }
             _ => {}
         }
-        let tail = self.tail_route(&frags);
+        let tail = ddb_analysis::tail_route(&self.traits(&q), &frags);
         Self::note_leaf(tail);
         if tail == RouteKind::Hcf {
             return Ok(crate::route::hcf_dsm_has_model(db, cost).into());
         }
         Ok(Verdict::from(match self.id {
-            SemanticsId::Gcwa => crate::gcwa::has_model(db, cost),
-            SemanticsId::Egcwa => crate::egcwa::has_model(db, cost),
-            SemanticsId::Ccwa => crate::ccwa::has_model(db, cost),
-            SemanticsId::Ecwa => crate::ecwa::has_model(db, cost),
+            SemanticsId::Gcwa | SemanticsId::Ccwa => crate::ccwa::has_model(db, cost),
+            SemanticsId::Egcwa | SemanticsId::Ecwa => crate::ecwa::has_model(db, cost),
             SemanticsId::Ddr => crate::ddr::has_model(db, cost),
             SemanticsId::Pws => crate::pws::has_model(db, cost),
             SemanticsId::Perf => crate::perf::has_model(db, cost),
@@ -674,22 +672,10 @@ impl SemanticsConfig {
             _ => {}
         }
         let governed: Governed<Vec<Interpretation>> = match self.id {
-            SemanticsId::Gcwa => crate::gcwa::models(db, cost),
-            SemanticsId::Egcwa => {
-                // EGCWA(DB) = MM(DB), and the minimal-model enumerator
-                // verifies each model before yielding it — so a tripped
-                // budget can still hand back the models found so far.
-                let _span = ddb_obs::span("egcwa.models");
-                let (models, interrupted) = ddb_models::minimal::minimal_models_partial(db, cost);
-                if let Some(i) = &interrupted {
-                    note_interrupt(i);
-                }
-                return Ok(Enumeration {
-                    models,
-                    interrupted,
-                });
+            SemanticsId::Gcwa | SemanticsId::Ccwa => {
+                crate::ccwa::models(db, &self.partition_for(db), cost)
             }
-            SemanticsId::Ccwa => crate::ccwa::models(db, &self.partition_for(db), cost),
+            SemanticsId::Egcwa => return Ok(crate::egcwa::models(db, cost)),
             SemanticsId::Ecwa => crate::ecwa::models(db, &self.partition_for(db), cost),
             SemanticsId::Ddr => crate::ddr::models(db, cost),
             SemanticsId::Pws => crate::pws::models(db, cost),

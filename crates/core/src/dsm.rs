@@ -68,13 +68,18 @@ pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     minimal::completions(db, &minimize_all(db), cost, stable(db))
 }
 
-/// Formula inference `DSM(DB) ⊨ F`: true in every stable model
-/// (vacuously true when none exists). The walk runs on `DB ∧ ¬F` and
-/// stops at the first stable countermodel.
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("dsm.infers_formula");
+/// Formula inference `DSM(DB) ⊨ F` (true in every stable model, vacuously
+/// so when none exists) as a countermodel search: the walk runs on
+/// `DB ∧ ¬F` and stops at the first stable countermodel; `None` means `F`
+/// is inferred.
+pub fn countermodel(
+    db: &Database,
+    f: &Formula,
+    cost: &mut Cost,
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("dsm.countermodel");
     let not_f = f.clone().negated();
-    Ok(first(db, &minimize_all(db), Some(&not_f), cost, stable(db))?.is_none())
+    first(db, &minimize_all(db), Some(&not_f), cost, stable(db))
 }
 
 /// Batch cautious inference: in **one** enumeration pass, computes the
@@ -136,6 +141,10 @@ mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
 
+    fn infers(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, f, cost)?.is_none())
+    }
+
     fn interp(db: &Database, names: &[&str]) -> Interpretation {
         Interpretation::from_atoms(
             db.num_atoms(),
@@ -161,7 +170,7 @@ mod tests {
         assert!(!has_model(&db, &mut cost).unwrap());
         // Cautious inference is vacuous.
         let f = parse_formula("false", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &f, &mut cost).unwrap());
+        assert!(infers(&db, &f, &mut cost).unwrap());
     }
 
     #[test]
@@ -204,8 +213,8 @@ mod tests {
         assert_eq!(models(&db, &mut cost).unwrap(), vec![interp(&db, &["p"])]);
         let p = db.symbols().lookup("p").unwrap();
         let q = db.symbols().lookup("q").unwrap();
-        assert!(infers_formula(&db, &Formula::from(p.pos()), &mut cost).unwrap());
-        assert!(infers_formula(&db, &Formula::from(q.neg()), &mut cost).unwrap());
+        assert!(infers(&db, &Formula::from(p.pos()), &mut cost).unwrap());
+        assert!(infers(&db, &Formula::from(q.neg()), &mut cost).unwrap());
     }
 
     #[test]
@@ -226,7 +235,7 @@ mod tests {
         );
         // c is cautiously false.
         let c = db.symbols().lookup("c").unwrap();
-        assert!(infers_formula(&db, &Formula::from(c.neg()), &mut cost).unwrap());
+        assert!(infers(&db, &Formula::from(c.neg()), &mut cost).unwrap());
     }
 
     #[test]
@@ -234,11 +243,11 @@ mod tests {
         let db = parse_program("a :- not b. b :- not a. c :- a. c :- b.").unwrap();
         let mut cost = Cost::new();
         let f = parse_formula("c", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &f, &mut cost).unwrap());
+        assert!(infers(&db, &f, &mut cost).unwrap());
         let g = parse_formula("a", db.symbols()).unwrap();
-        assert!(!infers_formula(&db, &g, &mut cost).unwrap());
+        assert!(!infers(&db, &g, &mut cost).unwrap());
         let h = parse_formula("a | b", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &h, &mut cost).unwrap());
+        assert!(infers(&db, &h, &mut cost).unwrap());
     }
 
     #[test]
@@ -257,12 +266,12 @@ mod tests {
                 let a = ddb_logic::Atom::new(i as u32);
                 assert_eq!(
                     t.contains(a),
-                    infers_formula(&db, &Formula::from(a.pos()), &mut cost).unwrap(),
+                    infers(&db, &Formula::from(a.pos()), &mut cost).unwrap(),
                     "{src}: positive {i}"
                 );
                 assert_eq!(
                     f.contains(a),
-                    infers_formula(&db, &Formula::from(a.neg()), &mut cost).unwrap(),
+                    infers(&db, &Formula::from(a.neg()), &mut cost).unwrap(),
                     "{src}: negative {i}"
                 );
             }

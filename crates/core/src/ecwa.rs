@@ -3,7 +3,9 @@
 //! McCarthy's circumscription as defined by Lifschitz \[14\] (CIRC).
 //!
 //! `ECWA_{P;Z}(DB) = MM(DB;P;Z) = CIRC_{P;Z}(DB)`: the ⟨P;Z⟩-minimal
-//! models. EGCWA is the special case `Q = Z = ∅`.
+//! models. EGCWA is the special case `P = V`, `Q = Z = ∅`, and runs here:
+//! the dispatcher calls this module with [`Partition::minimize_all`] for
+//! its inference and existence.
 //!
 //! Inference (literal and formula) is truth in all ⟨P;Z⟩-minimal models —
 //! one Πᵖ₂ CEGAR query; the paper shows Πᵖ₂-completeness. Model existence
@@ -21,15 +23,17 @@ use ddb_logic::{Database, Formula, Interpretation};
 use ddb_models::{brute, circumscribe, classical, minimal, Cost, Partition};
 use ddb_obs::Governed;
 
-/// Formula inference `ECWA_{P;Z}(DB) ⊨ F`: one Πᵖ₂ CEGAR query.
-pub fn infers_formula(
+/// Formula inference `ECWA_{P;Z}(DB) ⊨ F` as a countermodel search: a
+/// ⟨P;Z⟩-minimal model falsifying `F`, or `None` when `F` is inferred.
+/// One Πᵖ₂ CEGAR query.
+pub fn countermodel(
     db: &Database,
     part: &Partition,
     f: &Formula,
     cost: &mut Cost,
-) -> Governed<bool> {
-    let _span = ddb_obs::span("ecwa.infers_formula");
-    circumscribe::holds_in_all_pz_minimal_models(db, part, f, cost)
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("ecwa.countermodel");
+    circumscribe::find_pz_minimal_model_satisfying(db, part, &f.clone().negated(), cost)
 }
 
 /// Model existence: `MM(DB;P;Z) ≠ ∅ ⟺ DB` satisfiable. `O(1)` for
@@ -88,6 +92,10 @@ mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
 
+    fn infers(db: &Database, part: &Partition, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, part, f, cost)?.is_none())
+    }
+
     fn part_pq(db: &Database, p: &[&str], q: &[&str]) -> Partition {
         Partition::from_p_q(
             db.num_atoms(),
@@ -101,11 +109,14 @@ mod tests {
         let db = parse_program("a | b. c :- a, b.").unwrap();
         let part = Partition::minimize_all(db.num_atoms());
         let mut cost = Cost::new();
+        let mm = minimal::minimal_models(&db, &mut cost).unwrap();
         for text in ["!c", "!(a & b)", "a | b", "!a"] {
             let f = parse_formula(text, db.symbols()).unwrap();
+            // EGCWA(DB) = MM(DB).
+            let expected = mm.iter().all(|m| f.eval(m));
             assert_eq!(
-                infers_formula(&db, &part, &f, &mut cost).unwrap(),
-                crate::egcwa::infers_formula(&db, &f, &mut cost).unwrap(),
+                infers(&db, &part, &f, &mut cost).unwrap(),
+                expected,
                 "{text}"
             );
         }
@@ -153,8 +164,11 @@ mod tests {
         let mut cost = Cost::new();
         for text in ["!a", "!c", "!(a & c)", "b -> (c | d)"] {
             let f = parse_formula(text, db.symbols()).unwrap();
-            if crate::ccwa::infers_formula(&db, &part, &f, &mut cost).unwrap() {
-                assert!(infers_formula(&db, &part, &f, &mut cost).unwrap(), "{text}");
+            if crate::ccwa::countermodel(&db, &part, &f, &mut cost)
+                .unwrap()
+                .is_none()
+            {
+                assert!(infers(&db, &part, &f, &mut cost).unwrap(), "{text}");
             }
         }
     }
@@ -168,10 +182,10 @@ mod tests {
         let part = part_pq(&db, &["a"], &["b"]);
         let mut cost = Cost::new();
         let na = parse_formula("!a", db.symbols()).unwrap();
-        assert!(!infers_formula(&db, &part, &na, &mut cost).unwrap());
+        assert!(!infers(&db, &part, &na, &mut cost).unwrap());
         // With b varying instead, ¬a is inferred.
         let part2 = part_pq(&db, &["a"], &[]);
-        assert!(infers_formula(&db, &part2, &na, &mut cost).unwrap());
+        assert!(infers(&db, &part2, &na, &mut cost).unwrap());
     }
 
     #[test]

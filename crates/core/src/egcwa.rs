@@ -7,38 +7,36 @@
 //! `EGCWA(DB) = MM(DB)` — the characterization the paper uses, and the one
 //! implemented here.
 //!
-//! * Literal and formula inference: truth in all minimal models — one Πᵖ₂
-//!   CEGAR query (Πᵖ₂-complete; hardness via the 2QBF reduction in
-//!   `ddb-reductions`).
-//! * Model existence: `MM(DB) ≠ ∅ ⟺ DB` satisfiable. For *positive* DBs
-//!   this is `O(1)` (the full interpretation is always a model); with
-//!   integrity clauses it is one SAT call (NP-complete — Table 2).
+//! EGCWA is ECWA with `P = V` (`Q = Z = ∅`), and the dispatcher runs it
+//! as such: inference (literal and formula) is truth in all minimal
+//! models, one Πᵖ₂ CEGAR query (Πᵖ₂-complete; hardness via the 2QBF
+//! reduction in `ddb-reductions`); model existence is `O(1)` for positive
+//! databases and one SAT call with integrity clauses (NP-complete — Table
+//! 2). This module holds what EGCWA has beyond ECWA:
+//!
+//! * **Partial-result enumeration** ([`models`]): the minimal-model walk
+//!   verifies each model before yielding it, so a tripped budget still
+//!   hands back the models found so far.
+//! * **The derived integrity clauses** ([`derived_integrity_clauses`]),
+//!   by hypergraph (Berge) dualization.
 
-use ddb_logic::{Database, Formula, Interpretation};
-use ddb_models::{circumscribe, classical, minimal, Cost};
+use crate::dispatch::{note_interrupt, Enumeration};
+use ddb_logic::{Database, Interpretation};
+use ddb_models::{minimal, Cost};
 use ddb_obs::Governed;
 
-/// Formula inference `EGCWA(DB) ⊨ F`: truth in all minimal models.
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("egcwa.infers_formula");
-    circumscribe::holds_in_all_minimal_models(db, f, cost)
-}
-
-/// Model existence. `O(1)` for databases without integrity clauses (a
-/// positive database is satisfied by the full interpretation; stripping
-/// down yields a minimal model), one SAT call otherwise.
-pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("egcwa.has_model");
-    if !db.has_integrity_clauses() && !db.has_negation() {
-        return Ok(true); // O(1): V ⊨ DB, so MM(DB) ≠ ∅.
-    }
-    classical::is_satisfiable(db, cost)
-}
-
-/// The characteristic model set `EGCWA(DB) = MM(DB)`.
-pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
+/// The characteristic model set `EGCWA(DB) = MM(DB)`. An exhausted budget
+/// yields the models verified before it tripped, with `interrupted` set.
+pub fn models(db: &Database, cost: &mut Cost) -> Enumeration {
     let _span = ddb_obs::span("egcwa.models");
-    minimal::minimal_models(db, cost)
+    let (models, interrupted) = minimal::minimal_models_partial(db, cost);
+    if let Some(i) = &interrupted {
+        note_interrupt(i);
+    }
+    Enumeration {
+        models,
+        interrupted,
+    }
 }
 
 /// The integrity clauses EGCWA adds: the subset-minimal atom sets
@@ -91,8 +89,25 @@ pub fn derived_integrity_clauses(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RoutingMode, SemanticsConfig, SemanticsId};
     use ddb_logic::parse::{parse_formula, parse_program};
-    use ddb_logic::{Atom, Literal};
+    use ddb_logic::{Atom, Formula, Literal};
+
+    /// A semantics as the dispatcher runs it on the generic route.
+    fn generic(id: SemanticsId) -> SemanticsConfig {
+        SemanticsConfig::new(id).with_routing(RoutingMode::Generic)
+    }
+
+    fn infers(id: SemanticsId, db: &Database, f: &Formula, cost: &mut Cost) -> bool {
+        generic(id).infers_formula(db, f, cost).unwrap().definite()
+    }
+
+    fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
+        Ok(generic(SemanticsId::Egcwa)
+            .has_model(db, cost)
+            .unwrap()
+            .definite())
+    }
 
     #[test]
     fn egcwa_infers_integrity_clauses_gcwa_misses() {
@@ -102,9 +117,9 @@ mod tests {
         let db = parse_program("a | b.").unwrap();
         let mut cost = Cost::new();
         let f = parse_formula("!(a & b)", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &f, &mut cost).unwrap());
+        assert!(infers(SemanticsId::Egcwa, &db, &f, &mut cost));
         // GCWA does not infer it: {a,b} ∈ GCWA(DB).
-        assert!(!crate::gcwa::infers_formula(&db, &f, &mut cost).unwrap());
+        assert!(!infers(SemanticsId::Gcwa, &db, &f, &mut cost));
     }
 
     #[test]
@@ -116,7 +131,7 @@ mod tests {
             for sign in [true, false] {
                 let l = Literal::with_sign(Atom::new(i as u32), sign);
                 assert_eq!(
-                    infers_formula(&db, &Formula::from(l), &mut cost).unwrap(),
+                    infers(SemanticsId::Egcwa, &db, &Formula::from(l), &mut cost),
                     crate::gcwa::infers_literal(&db, l, &mut cost).unwrap()
                 );
             }
@@ -144,7 +159,7 @@ mod tests {
         let db = parse_program("a | b. b | c.").unwrap();
         let mut cost = Cost::new();
         assert_eq!(
-            models(&db, &mut cost).unwrap(),
+            models(&db, &mut cost),
             minimal::minimal_models(&db, &mut cost).unwrap()
         );
     }

@@ -4,41 +4,26 @@
 //! of `DB` that also satisfy every negative literal `¬x` whose atom is
 //! false in all minimal models (the *GCWA-false* atoms `N`).
 //!
-//! Complexity structure implemented here (matching the paper's bounds):
+//! GCWA is CCWA with `P = V` (`Q = Z = ∅`), and the dispatcher runs it as
+//! such: formula inference computes the GCWA-false set `N` (`|V|` Σᵖ₂
+//! queries, [`crate::ccwa::false_atoms`]) and searches for a model of
+//! `DB ∪ ¬N ∧ ¬F` (one coNP check); model existence is one SAT call
+//! (`MM(DB) ⊆ GCWA(DB)`, and every satisfiable finite database has a
+//! minimal model); enumeration lists the models of `DB ∪ ¬N`. This module
+//! holds what GCWA has beyond CCWA:
 //!
-//! * **Literal inference is one Πᵖ₂ query.** `GCWA(DB) ⊨ ℓ ⟺ MM(DB) ⊨ ℓ`
-//!   for literals of either sign: every model in `GCWA(DB)` contains a
-//!   minimal model, and `MM(DB) ⊆ GCWA(DB)` (a minimal model trivially
-//!   satisfies all GCWA-false negations). So a single
-//!   [`ddb_models::circumscribe::holds_in_all_minimal_models`] call decides
-//!   it — "it suffices to check a restricted set of DB models".
-//! * **Formula inference** computes the GCWA-false set `N` (`|V|` Σᵖ₂
-//!   queries) and finishes with one coNP entailment `DB ∪ ¬N ⊨ F`. The
-//!   `O(log n)`-query census variant of \[7\] is exposed as
-//!   [`census_false_atoms`] for the ablation bench.
-//! * **Model existence** is a single SAT call: `GCWA(DB) ≠ ∅ ⟺ DB`
-//!   satisfiable, because `MM(DB) ⊆ GCWA(DB)` and every satisfiable finite
-//!   database has a minimal model.
+//! * **Literal inference is one Πᵖ₂ query** ([`infers_literal`]).
+//!   `GCWA(DB) ⊨ ℓ ⟺ MM(DB) ⊨ ℓ` for literals of either sign: every model
+//!   in `GCWA(DB)` contains a minimal model, and `MM(DB) ⊆ GCWA(DB)` (a
+//!   minimal model trivially satisfies all GCWA-false negations). So a
+//!   single [`ddb_models::circumscribe::holds_in_all_minimal_models`] call
+//!   decides it — "it suffices to check a restricted set of DB models".
+//! * **The census.** The `O(log n)`-query census variant of \[7\] counts
+//!   `|N|` ([`census_false_atoms`], ablation AB-2).
 
 use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
-use ddb_models::{circumscribe, classical, minimal, Cost, Partition};
+use ddb_models::{circumscribe, Cost, Partition};
 use ddb_obs::Governed;
-
-/// The set `N` of GCWA-false atoms: atoms false in every minimal model.
-/// `|V|` Σᵖ₂-style queries (one CEGAR run per atom).
-pub fn false_atoms(db: &Database, cost: &mut Cost) -> Governed<Interpretation> {
-    let n = db.num_atoms();
-    let part = Partition::minimize_all(n);
-    let mut out = Interpretation::empty(n);
-    for i in 0..n {
-        let a = Atom::new(i as u32);
-        let f = Formula::atom(a);
-        if !circumscribe::exists_pz_minimal_model_satisfying(db, &part, &f, cost)? {
-            out.insert(a);
-        }
-    }
-    Ok(out)
-}
 
 /// Counts `|N|` with `O(log |V|)` Σᵖ₂-style queries, the census technique
 /// of Eiter & Gottlob \[7\]: binary-search the largest `k` such that some
@@ -49,7 +34,7 @@ pub fn false_atoms(db: &Database, cost: &mut Cost) -> Governed<Interpretation> {
 ///
 /// This is an ablation target (AB-2 in the `tables` report): it demonstrates the
 /// `P^{Σᵖ₂}[O(log n)]` upper-bound structure without being needed for
-/// correctness (inference uses [`false_atoms`]).
+/// correctness (inference uses [`crate::ccwa::false_atoms`]).
 pub fn census_false_atoms(db: &Database, cost: &mut Cost) -> Governed<usize> {
     let n = db.num_atoms();
     // Binary search on t = number of atoms occurring in some minimal model.
@@ -113,40 +98,28 @@ pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<
     circumscribe::holds_in_all_minimal_models(db, &lit.into(), cost)
 }
 
-/// Formula inference `GCWA(DB) ⊨ F`: compute `N`, then `DB ∪ ¬N ⊨ F`.
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("gcwa.infers_formula");
-    let n_set = false_atoms(db, cost)?;
-    let units: Vec<Literal> = n_set.iter().map(|a| a.neg()).collect();
-    classical::entails(db, &units, f, cost)
-}
-
-/// Model existence: `GCWA(DB) ≠ ∅ ⟺ DB` satisfiable (one SAT call).
-pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("gcwa.has_model");
-    classical::is_satisfiable(db, cost)
-}
-
-/// The characteristic model set `GCWA(DB)` (enumerative; test/example
-/// sized). Computes `N`, then enumerates the models of `DB ∪ ¬N`.
-pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
-    let _span = ddb_obs::span("gcwa.models");
-    let n_set = false_atoms(db, cost)?;
-    Ok(classical::all_models(db, cost)?
-        .into_iter()
-        .filter(|m| n_set.iter().all(|x| !m.contains(x)))
-        .collect())
-}
-
-/// Convenience: some minimal model (a canonical member of `GCWA(DB)`).
-pub fn witness(db: &Database, cost: &mut Cost) -> Governed<Option<Interpretation>> {
-    minimal::some_minimal_model(db, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RoutingMode, SemanticsConfig, SemanticsId};
     use ddb_logic::parse::{parse_formula, parse_program};
+    use ddb_models::minimal;
+
+    /// GCWA as the dispatcher runs it on the generic route.
+    fn gcwa() -> SemanticsConfig {
+        SemanticsConfig::new(SemanticsId::Gcwa).with_routing(RoutingMode::Generic)
+    }
+
+    /// The GCWA-false atoms: CCWA's at `P = V`.
+    fn false_atoms(db: &Database, cost: &mut Cost) -> Governed<Interpretation> {
+        crate::ccwa::false_atoms(db, &Partition::minimize_all(db.num_atoms()), cost)
+    }
+
+    /// Formula inference by the `N`-set procedure, also on literals.
+    fn infers(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        let part = Partition::minimize_all(db.num_atoms());
+        Ok(crate::ccwa::countermodel(db, &part, f, cost)?.is_none())
+    }
 
     fn lit(db: &Database, name: &str, positive: bool) -> Literal {
         Literal::with_sign(db.symbols().lookup(name).unwrap(), positive)
@@ -189,28 +162,24 @@ mod tests {
         let db = parse_program("a | b. c :- a, b.").unwrap();
         let mut cost = Cost::new();
         let f = parse_formula("!c | a", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &f, &mut cost).unwrap());
+        assert!(infers(&db, &f, &mut cost).unwrap());
         let g = parse_formula("!a", db.symbols()).unwrap();
-        assert!(!infers_formula(&db, &g, &mut cost).unwrap());
+        assert!(!infers(&db, &g, &mut cost).unwrap());
         // a ∨ b is classical, hence GCWA-inferred.
         let h = parse_formula("a | b", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &h, &mut cost).unwrap());
+        assert!(infers(&db, &h, &mut cost).unwrap());
     }
 
     #[test]
     fn formula_vs_models_reference() {
         let db = parse_program("a | b. b | c. d :- a, c.").unwrap();
         let mut cost = Cost::new();
-        let gm = models(&db, &mut cost).unwrap();
+        let gm = gcwa().models(&db, &mut cost).unwrap();
         assert!(!gm.is_empty());
         for text in ["!d", "a | c", "b | (a & c)", "!a", "a -> !c"] {
             let f = parse_formula(text, db.symbols()).unwrap();
             let expected = gm.iter().all(|m| f.eval(m));
-            assert_eq!(
-                infers_formula(&db, &f, &mut cost).unwrap(),
-                expected,
-                "{text}"
-            );
+            assert_eq!(infers(&db, &f, &mut cost).unwrap(), expected, "{text}");
         }
     }
 
@@ -225,7 +194,7 @@ mod tests {
                 let l = lit(&db, name, sign);
                 assert_eq!(
                     infers_literal(&db, l, &mut cost).unwrap(),
-                    infers_formula(&db, &l.into(), &mut cost).unwrap(),
+                    infers(&db, &l.into(), &mut cost).unwrap(),
                     "{name} {sign}"
                 );
             }
@@ -235,8 +204,15 @@ mod tests {
     #[test]
     fn model_existence_is_satisfiability() {
         let mut cost = Cost::new();
-        assert!(has_model(&parse_program("a | b. :- a.").unwrap(), &mut cost).unwrap());
-        assert!(!has_model(&parse_program("a. :- a.").unwrap(), &mut cost).unwrap());
+        let exists = |src: &str, cost: &mut Cost| {
+            gcwa()
+                .has_model(&parse_program(src).unwrap(), cost)
+                .unwrap()
+                .definite()
+        };
+        assert!(exists("a | b. :- a.", &mut cost));
+        assert!(!exists("a. :- a.", &mut cost));
+        assert_eq!(cost.sat_calls, 2, "one SAT call each");
     }
 
     #[test]
@@ -259,7 +235,7 @@ mod tests {
     fn gcwa_models_contain_minimal_models() {
         let db = parse_program("a | b. c | d :- a.").unwrap();
         let mut cost = Cost::new();
-        let gm = models(&db, &mut cost).unwrap();
+        let gm = gcwa().models(&db, &mut cost).unwrap();
         for m in minimal::minimal_models(&db, &mut cost).unwrap() {
             assert!(gm.contains(&m));
         }

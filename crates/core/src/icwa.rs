@@ -111,12 +111,6 @@ impl Layers {
     }
 }
 
-/// Whether `m ∈ ICWA(DB)`: ⟨Pᵢ;Zᵢ⟩-minimal model of every prefix —
-/// `r` oracle calls.
-pub fn is_icwa_model(layers: &Layers, m: &Interpretation, cost: &mut Cost) -> Governed<bool> {
-    minimal_in_layers(layers, layers.len(), m, cost)
-}
-
 /// Whether `m` is a ⟨Pᵢ;Zᵢ⟩-minimal model of each of the first `k`
 /// prefixes — `k` oracle calls.
 fn minimal_in_layers(
@@ -159,17 +153,18 @@ pub fn models(db: &Database, layers: &Layers, cost: &mut Cost) -> Governed<Vec<I
     minimal::completions(db, &layers.walked, cost, below_top(layers))
 }
 
-/// Formula inference `ICWA(DB) ⊨ F`: the walk on `DB ∧ ¬F` finds no ICWA
-/// model (the paper's Theorem 4.1 upper-bound shape).
-pub fn infers_formula(
+/// Formula inference `ICWA(DB) ⊨ F` as a countermodel search: the first
+/// ICWA model the walk on `DB ∧ ¬F` visits, or `None` when `F` is inferred
+/// (the paper's Theorem 4.1 upper-bound shape).
+pub fn countermodel(
     db: &Database,
     layers: &Layers,
     f: &Formula,
     cost: &mut Cost,
-) -> Governed<bool> {
-    let _span = ddb_obs::span("icwa.infers_formula");
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("icwa.countermodel");
     let not_f = f.clone().negated();
-    Ok(first(db, &layers.walked, Some(&not_f), cost, below_top(layers))?.is_none())
+    first(db, &layers.walked, Some(&not_f), cost, below_top(layers))
 }
 
 /// Model existence `ICWA(DB) ≠ ∅`. `O(1)` for stratified databases
@@ -185,6 +180,10 @@ pub fn has_model(db: &Database, layers: &Layers, cost: &mut Cost) -> Governed<bo
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
+
+    fn infers(db: &Database, layers: &Layers, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, layers, f, cost)?.is_none())
+    }
 
     fn layers_of(db: &Database) -> Layers {
         let strata = db.stratification().expect("stratified");
@@ -208,7 +207,7 @@ mod tests {
         let mut cost = Cost::new();
         assert_eq!(
             models(&db, &layers, &mut cost).unwrap(),
-            crate::egcwa::models(&db, &mut cost).unwrap()
+            crate::egcwa::models(&db, &mut cost).expect_complete()
         );
     }
 
@@ -223,7 +222,7 @@ mod tests {
             vec![interp(&db, &["a", "c"])]
         );
         let b = db.symbols().lookup("b").unwrap();
-        assert!(infers_formula(&db, &layers, &Formula::from(b.neg()), &mut cost).unwrap());
+        assert!(infers(&db, &layers, &Formula::from(b.neg()), &mut cost).unwrap());
     }
 
     #[test]
@@ -256,7 +255,7 @@ mod tests {
             let f = parse_formula(text, db.symbols()).unwrap();
             let expected = icwa_models.iter().all(|m| f.eval(m));
             assert_eq!(
-                infers_formula(&db, &layers, &f, &mut cost).unwrap(),
+                infers(&db, &layers, &f, &mut cost).unwrap(),
                 expected,
                 "{text}"
             );
@@ -291,8 +290,8 @@ mod tests {
         let layers = Layers::new(&db, &strata, &z);
         let mut cost = Cost::new();
         let nb = parse_formula("!b", db.symbols()).unwrap();
-        assert!(!infers_formula(&db, &layers, &nb, &mut cost).unwrap());
+        assert!(!infers(&db, &layers, &nb, &mut cost).unwrap());
         let na = parse_formula("!a", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &layers, &na, &mut cost).unwrap());
+        assert!(infers(&db, &layers, &na, &mut cost).unwrap());
     }
 }

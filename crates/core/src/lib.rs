@@ -18,12 +18,15 @@
 //! | [`dsm`] | Disjunctive stable models | `M ∈ MM(DB^M)` (GL-reduct) |
 //! | [`pdsm`] | Partial (3-valued) disjunctive stable models | 3-valued reduct + truth-minimal 3-valued models |
 //!
-//! Every module exposes the paper's decision problems — `infers_formula`
-//! (a literal is a one-literal formula) and `has_model` (is the semantics
-//! non-empty for `DB`?) — plus a `models` enumerator used by tests and
-//! examples, all threading a [`ddb_models::Cost`] for oracle accounting.
-//! [`gcwa`], [`ddr`] and [`pws`] also expose `infers_literal`, because
-//! their literal algorithms differ from their formula ones. The
+//! Each module codes the paper's decision problems once — formula
+//! inference as a `countermodel` search (a characteristic model
+//! falsifying the formula, `None` when it is inferred; a literal is a
+//! one-literal formula) and `has_model` (is the semantics non-empty for
+//! `DB`?) — plus a `models` enumerator, all threading a
+//! [`ddb_models::Cost`] for oracle accounting. GCWA and EGCWA are CCWA and
+//! ECWA at `P = V` and run there; [`gcwa`] and [`egcwa`] hold only what
+//! differs. [`gcwa`], [`ddr`] and [`pws`] also expose `infers_literal`,
+//! because their literal algorithms differ from their formula ones. The
 //! [`dispatch`] module gives a uniform, enum-indexed entry point for each
 //! problem; it takes a plain [`ddb_logic::Database`] or a [`Prepared`]
 //! one ([`AsPrepared`]), whose per-database analysis facts are computed

@@ -211,18 +211,24 @@ pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<PartialInterpretat
     Ok(out)
 }
 
-/// Formula inference `PDSM(DB) ⊨ F`: `F` has value 1 in every partial
-/// stable model (vacuously true when none exists).
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("pdsm.infers_formula");
+/// Formula inference `PDSM(DB) ⊨ F` (`F` has value 1 in every partial
+/// stable model, vacuously so when none exists) as a countermodel search:
+/// the first partial stable model where `F` is not 1, or `None` when `F`
+/// is inferred.
+pub fn countermodel(
+    db: &Database,
+    f: &Formula,
+    cost: &mut Cost,
+) -> Governed<Option<PartialInterpretation>> {
+    let _span = ddb_obs::span("pdsm.countermodel");
     let not_value1 = encode_ge1(f, db.num_atoms()).negated();
-    let mut holds = true;
+    let mut found = None;
     for_each_partial_stable(db, Some(&not_value1), cost, |i| {
         debug_assert_ne!(f.eval3(i), TruthValue::True);
-        holds = false;
+        found = Some(i.clone());
         false
     })?;
-    Ok(holds)
+    Ok(found)
 }
 
 /// Model existence: does `db` have a partial stable model?
@@ -240,6 +246,14 @@ pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
 mod tests {
     use super::*;
     use ddb_logic::parse::{parse_formula, parse_program};
+
+    fn infers(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, f, cost)?.is_none())
+    }
+
+    fn dsm_infers(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(crate::dsm::countermodel(db, f, cost)?.is_none())
+    }
 
     fn partial(db: &Database, tru: &[&str], undef: &[&str]) -> PartialInterpretation {
         let n = db.num_atoms();
@@ -327,10 +341,10 @@ mod tests {
         let mut cost = Cost::new();
         let b_lit = db.symbols().lookup("b").unwrap().pos();
         let a_lit = db.symbols().lookup("a").unwrap().pos();
-        assert!(infers_formula(&db, &Formula::from(b_lit), &mut cost).unwrap());
-        assert!(!infers_formula(&db, &Formula::from(a_lit), &mut cost).unwrap());
-        assert!(!infers_formula(&db, &Formula::from(a_lit.complement()), &mut cost).unwrap());
-        assert!(crate::dsm::infers_formula(&db, &Formula::from(a_lit), &mut cost).unwrap());
+        assert!(infers(&db, &Formula::from(b_lit), &mut cost).unwrap());
+        assert!(!infers(&db, &Formula::from(a_lit), &mut cost).unwrap());
+        assert!(!infers(&db, &Formula::from(a_lit.complement()), &mut cost).unwrap());
+        assert!(dsm_infers(&db, &Formula::from(a_lit), &mut cost).unwrap());
         // vacuous
     }
 
@@ -340,12 +354,12 @@ mod tests {
         let mut cost = Cost::new();
         // c is true in all three partial stable models.
         let f = parse_formula("c", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &f, &mut cost).unwrap());
+        assert!(infers(&db, &f, &mut cost).unwrap());
         // a ∨ b has value ½ in the all-undefined model → not inferred
         // (contrast DSM, where it holds in both stable models).
         let g = parse_formula("a | b", db.symbols()).unwrap();
-        assert!(!infers_formula(&db, &g, &mut cost).unwrap());
-        assert!(crate::dsm::infers_formula(&db, &g, &mut cost).unwrap());
+        assert!(!infers(&db, &g, &mut cost).unwrap());
+        assert!(dsm_infers(&db, &g, &mut cost).unwrap());
     }
 
     #[test]

@@ -155,12 +155,17 @@ pub fn models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
     minimal::completions(db, &minimize_all(db), cost, perfect(db))
 }
 
-/// Formula inference `PERF(DB) ⊨ F` (vacuously true when no perfect model
-/// exists): the walk on `DB ∧ ¬F` finds no perfect model.
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("perf.infers_formula");
+/// Formula inference `PERF(DB) ⊨ F` as a countermodel search: the first
+/// perfect model the walk on `DB ∧ ¬F` visits, or `None` when `F` is
+/// inferred (vacuously so when no perfect model exists).
+pub fn countermodel(
+    db: &Database,
+    f: &Formula,
+    cost: &mut Cost,
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("perf.countermodel");
     let not_f = f.clone().negated();
-    Ok(first(db, &minimize_all(db), Some(&not_f), cost, perfect(db))?.is_none())
+    first(db, &minimize_all(db), Some(&not_f), cost, perfect(db))
 }
 
 /// Model existence: does `db` have a perfect model? (Σᵖ₂-complete for
@@ -174,6 +179,10 @@ pub fn has_model(db: &Database, cost: &mut Cost) -> Governed<bool> {
 mod tests {
     use super::*;
     use ddb_logic::parse::parse_program;
+
+    fn infers(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
+        Ok(countermodel(db, f, cost)?.is_none())
+    }
 
     fn interp(db: &Database, names: &[&str]) -> Interpretation {
         Interpretation::from_atoms(
@@ -215,7 +224,7 @@ mod tests {
             vec![interp(&db, &["a", "c"])]
         );
         let b = db.symbols().lookup("b").unwrap();
-        assert!(infers_formula(&db, &Formula::from(b.neg()), &mut cost).unwrap());
+        assert!(infers(&db, &Formula::from(b.neg()), &mut cost).unwrap());
     }
 
     #[test]

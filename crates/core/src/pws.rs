@@ -357,19 +357,27 @@ pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<
     if lit.is_negative() && !db.has_integrity_clauses() {
         return Ok(!fixpoint::active_atoms(db).contains(lit.atom()));
     }
-    infers_formula(db, &lit.into(), cost)
+    Ok(countermodel(db, &lit.into(), cost)?.is_none())
 }
 
-/// Formula inference `PWS(DB) ⊨ F`: one SAT call on the possible-model
-/// encoding conjoined with `¬F`.
-pub fn infers_formula(db: &Database, f: &Formula, cost: &mut Cost) -> Governed<bool> {
-    let _span = ddb_obs::span("pws.infers_formula");
+/// Formula inference `PWS(DB) ⊨ F` as a countermodel search: one SAT call
+/// on the possible-model encoding conjoined with `¬F`; a model of it,
+/// projected to the vocabulary, is a possible model falsifying `F`.
+pub fn countermodel(
+    db: &Database,
+    f: &Formula,
+    cost: &mut Cost,
+) -> Governed<Option<Interpretation>> {
+    let _span = ddb_obs::span("pws.countermodel");
     let mut b = CnfBuilder::from(possible_model_cnf(db));
     b.assert_formula(&f.clone().negated());
     let mut solver = Solver::from_cnf(&b.finish());
     let result = solver.solve();
     cost.absorb(&solver);
-    Ok(!result?.is_sat())
+    let n = db.num_atoms();
+    Ok(result?
+        .is_sat()
+        .then(|| Interpretation::from_atoms(n, solver.model().iter().filter(|a| a.index() < n))))
 }
 
 /// Model existence `PWS(DB) ≠ ∅`. `O(1)` without integrity clauses (the
@@ -491,11 +499,11 @@ mod tests {
         for text in ["a | b", "!(a & b) | c", "c -> a", "!c", "b | c"] {
             let f = parse_formula(text, db.symbols()).unwrap();
             let expected = pm.iter().all(|m| f.eval(m));
-            assert_eq!(
-                infers_formula(&db, &f, &mut cost).unwrap(),
-                expected,
-                "{text}"
-            );
+            let counter = countermodel(&db, &f, &mut cost).unwrap();
+            assert_eq!(counter.is_none(), expected, "{text}");
+            if let Some(m) = counter {
+                assert!(pm.contains(&m) && !f.eval(&m), "{text}");
+            }
         }
     }
 
@@ -522,8 +530,10 @@ mod tests {
         let db = parse_program("a | b. c :- a, b.").unwrap();
         let mut cost = Cost::new();
         let f = parse_formula("c -> (a & b)", db.symbols()).unwrap();
-        assert!(infers_formula(&db, &f, &mut cost).unwrap());
-        assert!(!crate::ddr::infers_formula(&db, &f, &mut cost).unwrap());
+        assert_eq!(countermodel(&db, &f, &mut cost).unwrap(), None);
+        assert!(crate::ddr::countermodel(&db, &f, &mut cost)
+            .unwrap()
+            .is_some());
     }
 
     #[test]

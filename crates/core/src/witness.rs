@@ -4,18 +4,28 @@
 //!
 //! Witnesses turn the decision procedures into explainable ones: the
 //! guess half of every "guess-and-check" upper bound in the paper is a
-//! certificate, and this module hands it to the caller. The test suite
+//! certificate. Each semantics' formula procedure already searches for
+//! it — inference is "no countermodel exists" — so this module only maps
+//! the dispatcher's generic leaf ([`Countermodel`]) into a
+//! [`QueryOutcome`], and adds PDSM's value-1 brave search. The test suite
 //! checks that every witness (a) falsifies the query and (b) belongs to
 //! the semantics' characteristic model set.
 
-use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
-use crate::icwa::Layers;
+use crate::dispatch::{note_interrupt, SemanticsConfig, SemanticsId, Unsupported, Verdict};
 use ddb_analysis::AsPrepared;
-use ddb_logic::cnf::CnfBuilder;
-use ddb_logic::{Database, Formula, Interpretation, PartialInterpretation, TruthValue};
-use ddb_models::{circumscribe, Cost, Partition};
-use ddb_obs::{Governed, Interrupted};
-use ddb_sat::Solver;
+use ddb_logic::{Formula, Interpretation, PartialInterpretation, TruthValue};
+use ddb_models::Cost;
+use ddb_obs::Interrupted;
+
+/// A characteristic model refuting a cautious inference: two-valued, or
+/// three-valued for PDSM.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Countermodel {
+    /// A characteristic model falsifying the query.
+    Total(Interpretation),
+    /// A partial stable model where the query's value is not 1.
+    Partial(PartialInterpretation),
+}
 
 /// Outcome of an explained inference query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,146 +50,29 @@ impl QueryOutcome {
     }
 }
 
-/// Finds a model of `DB ∪ units ∧ ¬F` projected to the vocabulary.
-fn refuting_model(
-    db: &Database,
-    units: &Interpretation,
-    f: &Formula,
-    cost: &mut Cost,
-) -> Governed<Option<Interpretation>> {
-    let n = db.num_atoms();
-    let mut b = CnfBuilder::new(n);
-    b.add_database(db);
-    for a in units.iter() {
-        b.add_clause(vec![a.neg()]);
-    }
-    b.assert_formula(&f.clone().negated());
-    let cnf = b.finish();
-    let mut solver = Solver::from_cnf(&cnf);
-    solver.ensure_vars(cnf.num_vars.max(n));
-    let result = solver.solve();
-    cost.absorb(&solver);
-    if !result?.is_sat() {
-        return Ok(None);
-    }
-    let full = solver.model();
-    let mut m = Interpretation::empty(n);
-    for a in full.iter().filter(|a| a.index() < n) {
-        m.insert(a);
-    }
-    Ok(Some(m))
-}
-
 /// Explains formula inference under `cfg`: `Inferred`, a countermodel
 /// from the semantics' characteristic model set, or `Unknown` when the
-/// installed [`ddb_obs::Budget`] tripped mid-search.
+/// installed [`ddb_obs::Budget`] tripped mid-search. Runs the generic
+/// procedure the dispatcher's leaf runs, on the whole database, so it
+/// pays what a query routed generically pays for the same formula.
 pub fn explain_formula(
     cfg: &SemanticsConfig,
-    db: &Database,
+    db: &impl AsPrepared,
     f: &Formula,
     cost: &mut Cost,
 ) -> Result<QueryOutcome, Unsupported> {
     let _span = ddb_obs::span("witness.explain_formula");
-    cfg.check_applicable(db)?;
-    let n = db.num_atoms();
-    let neg = f.clone().negated();
-    let run = |cost: &mut Cost| -> Governed<QueryOutcome> {
-        Ok(match cfg.id {
-            SemanticsId::Gcwa => {
-                let n_set = crate::gcwa::false_atoms(db, cost)?;
-                refuting_model(db, &n_set, f, cost)?
-                    .map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Ccwa => {
-                let part = cfg
-                    .partition
-                    .clone()
-                    .unwrap_or_else(|| Partition::minimize_all(n));
-                let n_set = crate::ccwa::false_atoms(db, &part, cost)?;
-                refuting_model(db, &n_set, f, cost)?
-                    .map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Egcwa => {
-                let part = Partition::minimize_all(n);
-                circumscribe::find_pz_minimal_model_satisfying(db, &part, &neg, cost)?
-                    .map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Ecwa => {
-                let part = cfg
-                    .partition
-                    .clone()
-                    .unwrap_or_else(|| Partition::minimize_all(n));
-                circumscribe::find_pz_minimal_model_satisfying(db, &part, &neg, cost)?
-                    .map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Ddr => {
-                let n_set = crate::ddr::false_atoms(db);
-                refuting_model(db, &n_set, f, cost)?
-                    .map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Pws => {
-                // Possible-model encoding ∧ ¬F.
-                let mut b = CnfBuilder::from(crate::pws::possible_model_cnf(db));
-                b.assert_formula(&neg);
-                let cnf = b.finish();
-                let mut solver = Solver::from_cnf(&cnf);
-                solver.ensure_vars(cnf.num_vars.max(n));
-                let result = solver.solve();
-                cost.absorb(&solver);
-                if result?.is_sat() {
-                    let full = solver.model();
-                    let mut m = Interpretation::empty(n);
-                    for a in full.iter().filter(|a| a.index() < n) {
-                        m.insert(a);
-                    }
-                    QueryOutcome::Countermodel(m)
-                } else {
-                    QueryOutcome::Inferred
-                }
-            }
-            // The walk on `DB ∧ ¬F` stops at the first countermodel.
-            SemanticsId::Perf | SemanticsId::Icwa | SemanticsId::Dsm => {
-                let mut found = None;
-                let visit = |m: &Interpretation| {
-                    found = Some(m.clone());
-                    false
-                };
-                match cfg.id {
-                    SemanticsId::Perf => {
-                        crate::perf::for_each_perfect_model(db, Some(&neg), cost, visit)
-                    }
-                    SemanticsId::Dsm => {
-                        crate::dsm::for_each_stable_model(db, Some(&neg), cost, visit)
-                    }
-                    _ => {
-                        let strata = db.stratification().expect("checked stratifiable");
-                        let z = cfg
-                            .icwa_varying
-                            .clone()
-                            .unwrap_or_else(|| Interpretation::empty(n));
-                        let layers = Layers::new(db, &strata, &z);
-                        crate::icwa::for_each_icwa_model(db, &layers, Some(&neg), cost, visit)
-                    }
-                }?;
-                found.map_or(QueryOutcome::Inferred, QueryOutcome::Countermodel)
-            }
-            SemanticsId::Pdsm => {
-                let not_value1 = crate::pdsm::encode_ge1(f, n).negated();
-                let mut found = None;
-                crate::pdsm::for_each_partial_stable(db, Some(&not_value1), cost, |p| {
-                    found = Some(p.clone());
-                    false
-                })?;
-                found.map_or(QueryOutcome::Inferred, QueryOutcome::CountermodelPartial)
+    db.with_prepared(|p| {
+        cfg.check_applicable(p)?;
+        Ok(match cfg.countermodel(p, f, cost) {
+            Ok(None) => QueryOutcome::Inferred,
+            Ok(Some(Countermodel::Total(m))) => QueryOutcome::Countermodel(m),
+            Ok(Some(Countermodel::Partial(p))) => QueryOutcome::CountermodelPartial(p),
+            Err(i) => {
+                note_interrupt(&i);
+                QueryOutcome::Unknown(i)
             }
         })
-    };
-    Ok(match run(cost) {
-        Ok(outcome) => outcome,
-        Err(i) => {
-            crate::dispatch::note_interrupt(&i);
-            QueryOutcome::Unknown(i)
-        }
     })
 }
 
@@ -208,7 +101,7 @@ pub fn brave_infers_formula(
             Ok(match result {
                 Ok(()) => Verdict::from(found),
                 Err(i) => {
-                    crate::dispatch::note_interrupt(&i);
+                    note_interrupt(&i);
                     Verdict::Unknown(i)
                 }
             })
@@ -222,12 +115,10 @@ pub fn brave_infers_formula(
                 Verdict::Unknown(i) => return Ok(Verdict::Unknown(i)),
                 Verdict::True => {}
             }
-            Ok(
-                match explain_formula(cfg, p.db(), &f.clone().negated(), cost)? {
-                    QueryOutcome::Unknown(i) => Verdict::Unknown(i),
-                    out => Verdict::from(!out.is_inferred()),
-                },
-            )
+            Ok(match explain_formula(cfg, p, &f.clone().negated(), cost)? {
+                QueryOutcome::Unknown(i) => Verdict::Unknown(i),
+                out => Verdict::from(!out.is_inferred()),
+            })
         }
     })
 }

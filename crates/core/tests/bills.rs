@@ -148,3 +148,60 @@ fn keeping_events_changes_no_count() {
     }
     assert!(total > 0, "the query must exercise the oracle");
 }
+
+/// `--explain` answers on the generic procedure: over the random
+/// databases, for all ten semantics, `explain_formula` returns a
+/// countermodel exactly when the generically routed query answers false,
+/// and pays the same bill — except for the GCWA/DDR/PWS literal
+/// procedures, which answer a one-literal query without a countermodel.
+/// Every countermodel falsifies the query and belongs to the semantics'
+/// model set.
+#[test]
+fn explain_pays_the_generic_query_bill() {
+    use ddb_core::witness::{explain_formula, QueryOutcome};
+    use ddb_core::RoutingMode;
+    use ddb_logic::TruthValue;
+    let dbs = databases();
+    let (mut refuted, mut inferred) = (0, 0);
+    for (i, db) in dbs.iter().enumerate() {
+        let random = ddb_workloads::queries::random_formula(db.num_atoms(), 4, i as u64);
+        for f in [query(db, i), random] {
+            for id in SemanticsId::ALL {
+                let cfg = SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
+                let case = format!("db {i}, {id}, {f:?}");
+                let mut asked = Cost::new();
+                let Ok(verdict) = cfg.infers_formula(db, &f, &mut asked) else {
+                    continue; // DDR/PWS on negation, ICWA unstratified
+                };
+                let mut explained = Cost::new();
+                let outcome = explain_formula(&cfg, db, &f, &mut explained).unwrap();
+                assert_eq!(verdict.definite(), outcome.is_inferred(), "{case}");
+                let shortcut = f.as_literal().is_some()
+                    && matches!(id, SemanticsId::Gcwa | SemanticsId::Ddr | SemanticsId::Pws);
+                if !shortcut {
+                    assert_eq!(format!("{explained:?}"), format!("{asked:?}"), "{case}");
+                }
+                match outcome {
+                    QueryOutcome::Inferred => inferred += 1,
+                    QueryOutcome::Countermodel(m) => {
+                        assert!(!f.eval(&m), "{case}: the countermodel must falsify");
+                        let models = cfg.models(db, &mut Cost::new()).unwrap();
+                        assert!(models.contains(&m), "{case}: the countermodel must belong");
+                        refuted += 1;
+                    }
+                    QueryOutcome::CountermodelPartial(p) => {
+                        assert_ne!(f.eval3(&p), TruthValue::True, "{case}");
+                        let models = ddb_core::pdsm::models(db, &mut Cost::new()).unwrap();
+                        assert!(models.contains(&p), "{case}: the countermodel must belong");
+                        refuted += 1;
+                    }
+                    QueryOutcome::Unknown(i) => panic!("{case}: no budget installed, got {i}"),
+                }
+            }
+        }
+    }
+    assert!(
+        refuted > 100 && inferred > 100,
+        "{refuted} refuted, {inferred} inferred"
+    );
+}

@@ -574,7 +574,7 @@ fn ground_active(
                 Activation::Restricted(v, firsts) => Some((v.as_str(), firsts)),
             };
             let mut new_heads: Vec<(String, Vec<String>)> = Vec::new();
-            let mut new_rules: Vec<GroundRule> = Vec::new();
+            let mut new_rules: BTreeSet<GroundRule> = BTreeSet::new();
             join(
                 &rule.body_pos,
                 0,
@@ -599,7 +599,7 @@ fn ground_active(
                                 .collect();
                             new_heads.push((inst.pred, tuple));
                         }
-                        new_rules.push(ground);
+                        new_rules.insert(ground);
                     }
                     Ok(())
                 },

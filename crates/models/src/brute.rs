@@ -68,7 +68,8 @@ mod tests {
         let mut cost = Cost::new();
         assert_eq!(
             models(&db),
-            crate::classical::all_models(&db, &mut cost).unwrap()
+            crate::classical::models(&db, &Interpretation::empty(db.num_atoms()), &mut cost)
+                .unwrap()
         );
     }
 

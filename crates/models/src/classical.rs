@@ -37,26 +37,45 @@ pub fn is_satisfiable(db: &Database, cost: &mut Cost) -> Governed<bool> {
     Ok(some_model(db, cost)?.is_some())
 }
 
-/// Classical entailment `DB ∪ units ⊨ F`: one coNP check
-/// (`DB ∧ units ∧ ¬F` unsatisfiable).
-pub fn entails(db: &Database, units: &[Literal], f: &Formula, cost: &mut Cost) -> Governed<bool> {
+/// The clauses of `DB ∪ ¬N`: the database with every atom of `closed`
+/// asserted false — the closed-world theory of GCWA, CCWA and DDR.
+fn closed_world(db: &Database, closed: &Interpretation) -> CnfBuilder {
     let mut b = CnfBuilder::new(db.num_atoms());
     b.add_database(db);
-    for &l in units {
-        b.add_clause(vec![l]);
+    for a in closed.iter() {
+        b.add_clause(vec![a.neg()]);
     }
+    b
+}
+
+/// A countermodel to the entailment `DB ∪ ¬N ⊨ F` (`N` = `closed`): a
+/// model of `DB ∧ ¬N ∧ ¬F` projected to the vocabulary, or `None` when the
+/// entailment holds. One coNP check.
+pub fn countermodel(
+    db: &Database,
+    closed: &Interpretation,
+    f: &Formula,
+    cost: &mut Cost,
+) -> Governed<Option<Interpretation>> {
+    let mut b = closed_world(db, closed);
     b.assert_formula(&f.clone().negated());
     let mut solver = Solver::from_cnf(&b.finish());
     let result = solver.solve();
     cost.absorb(&solver);
-    Ok(!result?.is_sat())
+    let sat = result?.is_sat();
+    Ok(sat.then(|| project(&solver.model(), db.num_atoms())))
 }
 
-/// Enumerates every classical model of `DB` (exponentially many in the
-/// worst case — intended for reference computations and tests).
-pub fn all_models(db: &Database, cost: &mut Cost) -> Governed<Vec<Interpretation>> {
+/// Every model of `DB ∪ ¬N` (`N` = `closed`), sorted — exponentially many
+/// in the worst case. Only those models are enumerated, so a `max_models`
+/// budget is charged one unit per model returned.
+pub fn models(
+    db: &Database,
+    closed: &Interpretation,
+    cost: &mut Cost,
+) -> Governed<Vec<Interpretation>> {
     ddb_obs::counter_bump("models.classical.enumerations", 1);
-    enumerate_projected(&database_to_cnf(db), db.num_atoms(), cost)
+    enumerate_projected(&closed_world(db, closed).finish(), db.num_atoms(), cost)
 }
 
 /// Every model of `cnf` projected onto its first `project_to` variables,
@@ -114,34 +133,46 @@ mod tests {
     #[test]
     fn entailment() {
         let db = parse_program("a | b. :- a.").unwrap();
+        let none = Interpretation::empty(db.num_atoms());
         let mut cost = Cost::new();
         let f = parse_formula("b", db.symbols()).unwrap();
-        assert!(entails(&db, &[], &f, &mut cost).unwrap());
+        assert_eq!(countermodel(&db, &none, &f, &mut cost).unwrap(), None);
         let g = parse_formula("a", db.symbols()).unwrap();
-        assert!(!entails(&db, &[], &g, &mut cost).unwrap());
+        let m = countermodel(&db, &none, &g, &mut cost).unwrap().unwrap();
+        assert!(db.satisfied_by(&m) && !g.eval(&m));
     }
 
     #[test]
     fn entailment_with_units() {
-        let db = parse_program("c :- a, b.").unwrap();
+        // a ∨ b, c ← a: closing a forces b and leaves c free.
+        let db = parse_program("a | b. c :- a.").unwrap();
         let syms = db.symbols();
-        let (a, b) = (syms.lookup("a").unwrap(), syms.lookup("b").unwrap());
-        let f = parse_formula("c", syms).unwrap();
+        let closed = Interpretation::from_atoms(3, [syms.lookup("a").unwrap()]);
+        let none = Interpretation::empty(3);
+        let f = parse_formula("b", syms).unwrap();
         let mut cost = Cost::new();
-        assert!(!entails(&db, &[], &f, &mut cost).unwrap());
-        assert!(entails(&db, &[a.pos(), b.pos()], &f, &mut cost).unwrap());
+        assert!(countermodel(&db, &none, &f, &mut cost).unwrap().is_some());
+        assert_eq!(countermodel(&db, &closed, &f, &mut cost).unwrap(), None);
+        let g = parse_formula("!c", syms).unwrap();
+        let m = countermodel(&db, &closed, &g, &mut cost).unwrap().unwrap();
+        assert!(!m.contains(syms.lookup("a").unwrap()) && !g.eval(&m));
     }
 
     #[test]
     fn all_models_of_small_db() {
         let db = parse_program("a | b. :- a, b.").unwrap();
         let mut cost = Cost::new();
-        let models = all_models(&db, &mut cost).unwrap();
-        assert_eq!(models.len(), 2); // {a}, {b}
-        for m in &models {
+        let all = models(&db, &Interpretation::empty(2), &mut cost).unwrap();
+        assert_eq!(all.len(), 2); // {a}, {b}
+        for m in &all {
             assert!(db.satisfied_by(m));
             assert_eq!(m.count(), 1);
         }
+        let a = db.symbols().lookup("a").unwrap();
+        let closed = Interpretation::from_atoms(2, [a]);
+        let closed_world = models(&db, &closed, &mut cost).unwrap();
+        assert_eq!(closed_world.len(), 1); // {b}
+        assert!(!closed_world[0].contains(a));
     }
 
     #[test]
@@ -149,7 +180,10 @@ mod tests {
         let db = parse_program("a. :- a.").unwrap();
         let f = parse_formula("false", db.symbols()).unwrap();
         let mut cost = Cost::new();
-        assert!(entails(&db, &[], &f, &mut cost).unwrap());
+        assert_eq!(
+            countermodel(&db, &Interpretation::empty(1), &f, &mut cost).unwrap(),
+            None
+        );
     }
 
     #[test]

@@ -525,7 +525,8 @@ mod tests {
         let mut cost = Cost::new();
         let got = pz_minimal_models(&db, &part, &mut cost).unwrap();
         // Reference: filter all models by pairwise lt.
-        let all = crate::classical::all_models(&db, &mut cost).unwrap();
+        let none = Interpretation::empty(db.num_atoms());
+        let all = crate::classical::models(&db, &none, &mut cost).unwrap();
         let expected: Vec<Interpretation> = all
             .iter()
             .filter(|m| !all.iter().any(|m2| part.lt(m2, m)))

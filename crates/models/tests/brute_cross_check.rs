@@ -3,7 +3,7 @@
 //! Driven by the in-repo deterministic PRNG (formerly proptest).
 
 use ddb_logic::rng::XorShift64Star;
-use ddb_logic::{Atom, Database, Formula, Rule};
+use ddb_logic::{Atom, Database, Formula, Interpretation, Rule};
 use ddb_models::{brute, circumscribe, classical, fixpoint, minimal, Cost, Partition};
 
 const N: usize = 5;
@@ -63,6 +63,23 @@ fn random_formula(rng: &mut XorShift64Star, depth: usize) -> Formula {
     }
 }
 
+/// Random closed set `N` of atoms (each atom with probability ¼), the
+/// negations a closed-world semantics adds to `DB`.
+fn random_closed(rng: &mut XorShift64Star) -> Interpretation {
+    Interpretation::from_atoms(
+        N,
+        (0..N as u32).filter(|_| rng.gen_bool(0.25)).map(Atom::new),
+    )
+}
+
+/// The brute-force models of `DB ∪ ¬N`.
+fn closed_models(db: &Database, closed: &Interpretation) -> Vec<Interpretation> {
+    brute::models(db)
+        .into_iter()
+        .filter(|m| closed.iter().all(|a| !m.contains(a)))
+        .collect()
+}
+
 /// Random partition of the `N` atoms into P/Q/Z.
 fn random_partition(rng: &mut XorShift64Star) -> Partition {
     let assignment: Vec<u8> = (0..N).map(|_| rng.gen_range(0, 3) as u8).collect();
@@ -80,10 +97,11 @@ fn sat_models_match_brute() {
     let mut rng = XorShift64Star::seed_from_u64(0xB01);
     for case in 0..CASES {
         let db = random_db(&mut rng, true, true);
+        let closed = random_closed(&mut rng);
         let mut cost = Cost::new();
         assert_eq!(
-            classical::all_models(&db, &mut cost).unwrap(),
-            brute::models(&db),
+            classical::models(&db, &closed, &mut cost).unwrap(),
+            closed_models(&db, &closed),
             "case {case}"
         );
     }
@@ -233,13 +251,15 @@ fn entailment_matches_brute() {
     for case in 0..CASES {
         let db = random_db(&mut rng, true, true);
         let f = random_formula(&mut rng, 3);
+        let closed = random_closed(&mut rng);
         let mut cost = Cost::new();
-        let expected = brute::holds_in_all(&brute::models(&db), &f);
-        assert_eq!(
-            classical::entails(&db, &[], &f, &mut cost).unwrap(),
-            expected,
-            "case {case}"
-        );
+        let expected = brute::holds_in_all(&closed_models(&db, &closed), &f);
+        let counter = classical::countermodel(&db, &closed, &f, &mut cost).unwrap();
+        assert_eq!(counter.is_none(), expected, "case {case}");
+        if let Some(m) = counter {
+            assert!(db.satisfied_by(&m) && !f.eval(&m), "case {case}");
+            assert!(closed.iter().all(|a| !m.contains(a)), "case {case}");
+        }
     }
 }
 

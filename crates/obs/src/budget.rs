@@ -201,12 +201,6 @@ impl Budget {
         self
     }
 
-    /// Sets an absolute deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Caps total SAT-solver conflicts.
     pub fn with_max_conflicts(mut self, n: u64) -> Self {
         self.max_conflicts = Some(n);

@@ -51,15 +51,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64`, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::UInt(n) => Some(*n as f64),
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -147,7 +147,7 @@ mod tests {
             );
             // EGCWA model existence coincides with satisfiability.
             assert_eq!(
-                ddb_core::egcwa::has_model(&db, &mut cost).unwrap(),
+                ddb_core::ecwa::has_model(&db, &mut cost).unwrap(),
                 brute_sat(4, &cnf),
                 "seed {seed}"
             );
@@ -170,12 +170,16 @@ mod tests {
             let unsat = !brute_sat(3, &cnf);
             let mut cost = Cost::new();
             assert_eq!(
-                ddb_core::ddr::infers_formula(&q.db, &q.query, &mut cost).unwrap(),
+                ddb_core::ddr::countermodel(&q.db, &q.query, &mut cost)
+                    .unwrap()
+                    .is_none(),
                 unsat,
                 "DDR seed {seed}"
             );
             assert_eq!(
-                ddb_core::pws::infers_formula(&q.db, &q.query, &mut cost).unwrap(),
+                ddb_core::pws::countermodel(&q.db, &q.query, &mut cost)
+                    .unwrap()
+                    .is_none(),
                 unsat,
                 "PWS seed {seed}"
             );

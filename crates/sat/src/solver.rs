@@ -586,22 +586,6 @@ impl Solver {
         Ok((learnt, blevel))
     }
 
-    /// Backtracks all search state to the root level, discarding any
-    /// partial assignment (learnt clauses and level-0 facts are kept).
-    /// This runs automatically when a solve is interrupted by the budget
-    /// layer; it is public so callers can re-establish (and tests can
-    /// verify) the quiescent state explicitly.
-    pub fn reset_search(&mut self) {
-        self.cancel_until(0);
-    }
-
-    /// True when no decision is outstanding — the state in which clauses
-    /// may be added and a fresh `solve` started. Holds after any
-    /// completed or interrupted `solve` call.
-    pub fn is_quiescent(&self) -> bool {
-        self.decision_level() == 0
-    }
-
     fn cancel_until(&mut self, level: usize) {
         if self.decision_level() <= level {
             return;

@@ -241,11 +241,6 @@ impl ServerHandle {
         self.shared.initiate_shutdown();
     }
 
-    /// Whether shutdown has been initiated.
-    pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
     /// A cloneable shutdown signal that outlives the borrow of the
     /// handle — hand it to a watcher thread (the CLI's
     /// `--drain-on-stdin-close`) while [`ServerHandle::join`] blocks.

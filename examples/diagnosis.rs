@@ -86,11 +86,15 @@ fn main() {
     let part = Partition::from_p_q(db.num_atoms(), ab_atoms, []);
     println!(
         "\nCIRC(ab; lines) ⊨ ab1 ∨ ab2: {}",
-        disjunctive_db::core::ecwa::infers_formula(&db, &part, &some_ab, &mut cost).unwrap()
+        disjunctive_db::core::ecwa::countermodel(&db, &part, &some_ab, &mut cost)
+            .unwrap()
+            .is_none()
     );
     println!(
         "CIRC(ab; lines) ⊨ ¬(ab1 ∧ ab2): {}",
-        disjunctive_db::core::ecwa::infers_formula(&db, &part, &not_both, &mut cost).unwrap()
+        disjunctive_db::core::ecwa::countermodel(&db, &part, &not_both, &mut cost)
+            .unwrap()
+            .is_none()
     );
 
     println!(

@@ -31,13 +31,18 @@ fn main() {
     // and each inner scope holds one question's counters.
     let ((egcwa_answer, dsm_answer), all) = obs::record(true, || {
         // EGCWA: holds iff the formula is true in every minimal model.
-        let (egcwa_answer, egcwa) =
-            obs::record(false, || egcwa::infers_formula(&db, &query, &mut cost));
+        let (egcwa_answer, egcwa) = obs::record(false, || {
+            let all = Partition::minimize_all(db.num_atoms());
+            ecwa::countermodel(&db, &all, &query, &mut cost)
+        });
         oracle_report("EGCWA formula inference", &egcwa);
         // DSM: holds iff the formula is true in every disjunctive stable model.
-        let (dsm_answer, dsm) = obs::record(false, || dsm::infers_formula(&db, &query, &mut cost));
+        let (dsm_answer, dsm) = obs::record(false, || dsm::countermodel(&db, &query, &mut cost));
         oracle_report("DSM formula inference", &dsm);
-        (egcwa_answer.unwrap(), dsm_answer.unwrap())
+        (
+            egcwa_answer.unwrap().is_none(),
+            dsm_answer.unwrap().is_none(),
+        )
     });
 
     println!("EGCWA infers the query: {egcwa_answer}");

@@ -89,11 +89,15 @@ fn main() {
     println!("\nDB₃ = {{ suspect_a ∨ suspect_b.  alibi_b. }}");
     println!(
         "  GCWA (close everything)      ⊨ ¬suspect_a: {}",
-        disjunctive_db::core::gcwa::infers_formula(&db3, &nsa, &mut cost).unwrap()
+        SemanticsConfig::new(SemanticsId::Gcwa)
+            .infers_formula(&db3, &nsa, &mut cost)
+            .unwrap()
     );
     println!(
         "  CCWA (P={{suspect_a}}, Q={{alibi_b}}, Z=rest) ⊨ ¬suspect_a: {}",
-        disjunctive_db::core::ccwa::infers_formula(&db3, &part, &nsa, &mut cost).unwrap()
+        disjunctive_db::core::ccwa::countermodel(&db3, &part, &nsa, &mut cost)
+            .unwrap()
+            .is_none()
     );
 
     println!(

@@ -274,6 +274,18 @@ input is propositional program syntax, or Datalog∨ with --datalog
 (auto-detected for .dlv files and sources containing predicate atoms)
 semantics: gcwa egcwa ccwa ecwa|circ ddr|wgcwa pws|pms perf icwa dsm pdsm cwa";
 
+/// The bare flags some command reads.
+const FLAGS: &str = "brave explain datalog full partial stats json strict execute \
+                     drain-on-stdin-close";
+
+/// The `--key value` options some command reads, besides the resource
+/// limits of [`Limits::FIELDS`].
+const VALUE_KEYS: &str = "addr atom cell-timeout-ms db fail-after-max flame formula id \
+                          idle-timeout-ms literal max-frame-bytes max-sessions op \
+                          partition-p partition-q query queue read-timeout-ms retry-after-ms \
+                          rounds seed semantics target threads top trace-chrome trace-json \
+                          workers write-timeout-ms";
+
 /// Minimal flag parser: positional file + `--key value` pairs + bare flags.
 struct Opts {
     file: Option<String>,
@@ -291,22 +303,15 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
-            if matches!(
-                key,
-                "brave"
-                    | "explain"
-                    | "datalog"
-                    | "full"
-                    | "partial"
-                    | "stats"
-                    | "json"
-                    | "strict"
-                    | "execute"
-                    | "drain-on-stdin-close"
-            ) {
+            let listed = |list: &str| list.split_whitespace().any(|k| k == key);
+            if listed(FLAGS) {
                 opts.flags.push(key.to_owned());
                 i += 1;
             } else {
+                let limit = Limits::FIELDS.iter().any(|f| f.replace('_', "-") == key);
+                if !limit && !listed(VALUE_KEYS) {
+                    return Err(format!("unknown flag `--{key}`"));
+                }
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} needs a value"))?;

@@ -24,7 +24,8 @@
 //! assert!(gcwa::infers_literal(&db, treat.neg(), &mut cost).unwrap());
 //! // …while `grounded` holds in every minimal model:
 //! let grounded = parse_formula("grounded", db.symbols()).unwrap();
-//! assert!(egcwa::infers_formula(&db, &grounded, &mut cost).unwrap());
+//! let egcwa = SemanticsConfig::new(SemanticsId::Egcwa);
+//! assert!(egcwa.infers_formula(&db, &grounded, &mut cost).unwrap().definite());
 //! // The weaker DDR does not close `treat` (it occurs in T↑ω):
 //! assert!(!ddr::infers_literal(&db, treat.neg(), &mut cost).unwrap());
 //! ```

@@ -17,14 +17,16 @@ fn ddb() -> Command {
 }
 
 /// A `ddb serve` child on an ephemeral port serving `vase`, `layers`, the
-/// partition database `ab` (`a | b.`) and `four` (`a | b. c | d.`, four
-/// minimal models), each of the last two in a file of the test's own;
-/// killed on drop.
+/// partition database `ab` (`a | b.`), `four` (`a | b. c | d.`, four
+/// minimal models) and `closed` (two GCWA models among seven classical
+/// ones), each of the last three in a file of the test's own; killed on
+/// drop.
 struct Served {
     child: Child,
     addr: String,
     ab: String,
     four: String,
+    closed: String,
 }
 
 impl Served {
@@ -43,6 +45,7 @@ impl Served {
         };
         let ab = file("ab", "a | b.\n");
         let four = file("four", "a | b. c | d.\n");
+        let closed = file("closed", "a | b. c :- d, a. d :- c, b. c | d :- a, b.\n");
         let mut child = ddb()
             .args([
                 "serve",
@@ -53,6 +56,8 @@ impl Served {
                 &format!("ab={ab}"),
                 "--db",
                 &format!("four={four}"),
+                "--db",
+                &format!("closed={closed}"),
                 "--addr",
                 "127.0.0.1:0",
             ])
@@ -74,6 +79,7 @@ impl Served {
             addr,
             ab,
             four,
+            closed,
         }
     }
 
@@ -113,6 +119,7 @@ impl Drop for Served {
         let _ = self.child.wait();
         std::fs::remove_file(&self.ab).ok();
         std::fs::remove_file(&self.four).ok();
+        std::fs::remove_file(&self.closed).ok();
     }
 }
 
@@ -209,6 +216,33 @@ fn max_models_trips_every_minimal_model_walk() {
             "0 model(s)"
         };
         assert!(local.0.starts_with(kept), "{flags}: {local:?}");
+    }
+}
+
+/// GCWA and CCWA enumerate the models of `DB ∪ ¬N` directly, so
+/// `--max-models` counts answers (plus the CEGAR witnesses that compute
+/// `N`), not every classical model of `DB`.
+#[test]
+fn max_models_counts_closed_world_answers() {
+    let server = Served::start("max_models_counts_closed_world_answers");
+    let closed = server.closed.clone();
+    for sem in ["gcwa", "ccwa"] {
+        let flags = format!("--semantics {sem} --max-models 4");
+        let [local, served] = server.both("models", &closed, "closed", &flags);
+        assert_eq!(local, served, "{flags}");
+        assert_eq!(local.2, 0, "{flags}: {local:?}");
+        let listed: Vec<&str> = local.0.lines().skip(1).map(str::trim).collect();
+        assert!(
+            local.0.starts_with("2 model(s) under "),
+            "{flags}: {local:?}"
+        );
+        assert_eq!(listed, ["{a}", "{b}"], "{flags}");
+        // The two witnesses that put `a` and `b` outside `N` are charged
+        // too, so three models are not enough.
+        let flags = format!("--semantics {sem} --max-models 3");
+        let [local, served] = server.both("models", &closed, "closed", &flags);
+        assert_eq!(local, served, "{flags}");
+        assert_eq!(local.2, 3, "{flags} trips: {local:?}");
     }
 }
 

@@ -48,6 +48,36 @@ fn usage_parse_and_io_failures_exit_four() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A misspelled flag is a usage error naming it, not a silently ignored
+/// pair: `--max-oracle-call 0` (for `--max-oracle-calls 0`) would
+/// otherwise run the query unbudgeted and exit 0.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let query = [
+        "query",
+        "examples/vase.dl",
+        "--semantics",
+        "dsm",
+        "--literal",
+        "treat",
+    ];
+    let run = |extra: &[&str]| ddb().args(query).args(extra).output().unwrap();
+    let typo = run(&["--max-oracle-call", "0"]);
+    assert_eq!(typo.status.code(), Some(4));
+    assert!(typo.stdout.is_empty(), "nothing is answered");
+    let err = String::from_utf8_lossy(&typo.stderr);
+    assert!(err.contains("unknown flag `--max-oracle-call`"), "{err}");
+    assert_eq!(run(&["--max-oracle-calls", "0"]).status.code(), Some(3));
+    let bogus = run(&["--bogus", "1"]);
+    assert_eq!(bogus.status.code(), Some(4));
+    assert!(String::from_utf8_lossy(&bogus.stderr).contains("`--bogus`"));
+    // Every command shares the one parser, `check` included.
+    assert_eq!(
+        exit_code(ddb().args(["check", "examples/vase.dl", "--strickt"])),
+        4
+    );
+}
+
 #[test]
 fn check_exit_codes_are_not_disturbed_by_the_new_contract() {
     // `ddb check` keeps its 0/1/2 contract; only 3 and 4 are new.

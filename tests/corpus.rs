@@ -314,23 +314,25 @@ fn literal_and_one_literal_formula_are_one_query() {
                 let mut cost = Cost::new();
                 let wrapped = cfg.infers_formula(db, &Formula::and([f.clone()]), &mut cost);
                 assert_eq!(wrapped.unwrap(), verdict, "{what}: And([literal])");
+                let all = Partition::minimize_all(db.num_atoms());
                 let own = match id {
                     SemanticsId::Gcwa => Some((
                         gcwa::infers_literal(db, lit, &mut cost),
-                        gcwa::infers_formula(db, &f, &mut cost),
+                        ccwa::countermodel(db, &all, &f, &mut cost),
                     )),
                     SemanticsId::Ddr => Some((
                         ddr::infers_literal(db, lit, &mut cost),
-                        ddr::infers_formula(db, &f, &mut cost),
+                        ddr::countermodel(db, &f, &mut cost),
                     )),
                     SemanticsId::Pws => Some((
                         pws::infers_literal(db, lit, &mut cost),
-                        pws::infers_formula(db, &f, &mut cost),
+                        pws::countermodel(db, &f, &mut cost),
                     )),
                     _ => None,
                 };
                 if let Some((by_literal, by_formula)) = own {
-                    assert_eq!(by_literal.unwrap(), by_formula.unwrap(), "{what}: module");
+                    let by_formula = by_formula.unwrap().is_none();
+                    assert_eq!(by_literal.unwrap(), by_formula, "{what}: module");
                 }
             }
         }

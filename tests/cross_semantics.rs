@@ -43,9 +43,15 @@ fn inference_strength_ordering() {
         let db = random_db(&DbSpec::positive(5, 8), seed);
         let f = random_formula(5, 5, seed);
         let mut cost = Cost::new();
-        let ddr = disjunctive_db::core::ddr::infers_formula(&db, &f, &mut cost).unwrap();
-        let gcwa = disjunctive_db::core::gcwa::infers_formula(&db, &f, &mut cost).unwrap();
-        let egcwa = disjunctive_db::core::egcwa::infers_formula(&db, &f, &mut cost).unwrap();
+        let mut infers = |id| {
+            SemanticsConfig::new(id)
+                .infers_formula(&db, &f, &mut cost)
+                .unwrap()
+                .definite()
+        };
+        let ddr = infers(SemanticsId::Ddr);
+        let gcwa = infers(SemanticsId::Gcwa);
+        let egcwa = infers(SemanticsId::Egcwa);
         if ddr {
             assert!(gcwa, "DDR ⊨ F ⇒ GCWA ⊨ F (seed {seed})");
         }
@@ -124,14 +130,26 @@ fn ccwa_between_gcwa_and_nothing() {
         let mut cost = Cost::new();
         let all_p = Partition::minimize_all(db.num_atoms());
         let no_p = Partition::from_p_q(db.num_atoms(), [], []);
+        let ccwa = |part: &Partition, cost: &mut Cost| {
+            disjunctive_db::core::ccwa::countermodel(&db, part, &f, cost)
+                .unwrap()
+                .is_none()
+        };
+        let gcwa = SemanticsConfig::new(SemanticsId::Gcwa)
+            .infers_formula(&db, &f, &mut cost)
+            .unwrap()
+            .definite();
         assert_eq!(
-            disjunctive_db::core::ccwa::infers_formula(&db, &all_p, &f, &mut cost),
-            disjunctive_db::core::gcwa::infers_formula(&db, &f, &mut cost),
+            ccwa(&all_p, &mut cost),
+            gcwa,
             "CCWA(P=V) = GCWA (seed {seed})"
         );
-        let classical = disjunctive_db::models::classical::entails(&db, &[], &f, &mut cost);
+        let none = Interpretation::empty(db.num_atoms());
+        let classical = disjunctive_db::models::classical::countermodel(&db, &none, &f, &mut cost)
+            .unwrap()
+            .is_none();
         assert_eq!(
-            disjunctive_db::core::ccwa::infers_formula(&db, &no_p, &f, &mut cost),
+            ccwa(&no_p, &mut cost),
             classical,
             "CCWA(P=∅) = classical (seed {seed})"
         );

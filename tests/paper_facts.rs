@@ -19,7 +19,8 @@ fn section_2_running_example() {
     db.add_rule(Rule::fact([a, b]));
 
     let mut cost = Cost::new();
-    let m = disjunctive_db::models::classical::all_models(&db, &mut cost).unwrap();
+    let none = Interpretation::empty(3);
+    let m = disjunctive_db::models::classical::models(&db, &none, &mut cost).unwrap();
     assert_eq!(m.len(), 6, "2^3 minus the two a=b=0 interpretations");
 
     let mm = disjunctive_db::models::minimal::minimal_models(&db, &mut cost).unwrap();
@@ -43,7 +44,10 @@ fn example_3_1() {
     // Chan's improvement motivation: GCWA does infer ¬c here.
     assert!(gcwa::infers_literal(&db, c.neg(), &mut cost).unwrap());
     // And EGCWA (= minimal models) likewise.
-    assert!(egcwa::infers_formula(&db, &Formula::from(c.neg()), &mut cost).unwrap());
+    assert!(SemanticsConfig::new(SemanticsId::Egcwa)
+        .infers_formula(&db, &Formula::from(c.neg()), &mut cost)
+        .unwrap()
+        .definite());
 }
 
 /// `EGCWA(DB) = MM(DB)` — the paper's stated characterization.
@@ -160,8 +164,10 @@ fn theorem_4_2_degenerate_stratification() {
         .infers_formula(&inst.db, &Formula::from(inst.w.neg()), &mut cost)
         .unwrap()
         .definite();
-    let egcwa_ans =
-        egcwa::infers_formula(&inst.db, &Formula::from(inst.w.neg()), &mut cost).unwrap();
+    let egcwa_ans = SemanticsConfig::new(SemanticsId::Egcwa)
+        .infers_formula(&inst.db, &Formula::from(inst.w.neg()), &mut cost)
+        .unwrap()
+        .definite();
     assert_eq!(icwa_ans, egcwa_ans);
     assert!(icwa_ans, "parity family is valid");
 }
