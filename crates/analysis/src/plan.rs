@@ -1,7 +1,8 @@
 //! The static query planner: every routing decision the dispatcher can
-//! take — Horn fixpoint, HCF shift, demand (relevance) slice,
-//! splitting-set peel, island decomposition, generic oracle procedure —
-//! reified in one auditable structure *before* anything runs.
+//! take — the `O(1)` existence leaf, Horn fixpoint, HCF shift, demand
+//! (relevance) slice, splitting-set peel, island decomposition, generic
+//! oracle procedure — reified in one auditable structure *before* anything
+//! runs.
 //!
 //! The planner is deliberately split in two layers:
 //!
@@ -23,7 +24,9 @@
 //! by `ddb_core` (this crate does not know the ten semantics by name):
 //! which closures are minimal-model-determined, whether the peel may cross
 //! negation, whether the HCF shift applies, and the paper's complexity
-//! class for the (semantics, problem) cell.
+//! class for the (semantics, problem) cell in both of its tables (Table 1
+//! on positive databases, Table 2 otherwise); each plan node prints the
+//! one its own (sub-)database falls under.
 //!
 //! Plan-level lints (`DDB012`–`DDB018`, see [`plan_lints`]) report
 //! query-dependent findings: unbound argument positions under goal-directed
@@ -134,8 +137,24 @@ pub struct SemanticsTraits {
     /// Whether routing is forced to the generic procedure
     /// (`RoutingMode::Generic`).
     pub generic_only: bool,
-    /// The paper's complexity class for this (semantics, problem) cell.
-    pub class: &'static str,
+    /// The paper's complexity class for this (semantics, problem) cell on
+    /// positive databases (Table 1).
+    pub class_positive: &'static str,
+    /// The paper's complexity class for this cell on every other database
+    /// (Table 2).
+    pub class_general: &'static str,
+}
+
+impl SemanticsTraits {
+    /// The paper's class for this cell on a database with fragments
+    /// `frags`: Table 1's when it is positive, Table 2's otherwise.
+    pub fn class(&self, frags: &Fragments) -> &'static str {
+        if frags.positive {
+            self.class_positive
+        } else {
+            self.class_general
+        }
+    }
 }
 
 /// The query shape being planned (atoms only — the planner needs the
@@ -188,6 +207,10 @@ impl PlanQuery {
 /// counter the execution actually bumped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteKind {
+    /// Model existence on a positive database: `true` without the oracle,
+    /// the `O(1)` existence column of Table 1 (a positive database has a
+    /// minimal model, and every semantics keeps one).
+    Positive,
     /// Polynomial least-model fixpoint (Horn collapse).
     Horn,
     /// Head-cycle-free shift to a normal program (DSM).
@@ -208,6 +231,7 @@ impl RouteKind {
     /// The label the matching `route.<label>` counter uses.
     pub fn label(self) -> &'static str {
         match self {
+            RouteKind::Positive => "positive",
             RouteKind::Horn => "horn",
             RouteKind::Hcf => "hcf",
             RouteKind::Slice => "slice",
@@ -222,7 +246,7 @@ impl RouteKind {
 /// never recomputes the analysis that justified it.
 #[derive(Clone, Debug)]
 pub enum PlanData {
-    /// No payload (Horn / HCF / generic leaves).
+    /// No payload (positive / Horn / HCF / generic leaves).
     Leaf,
     /// The admitted demand closure.
     Slice {
@@ -269,7 +293,8 @@ enum Scope {
     /// The residual of an existence peel: islands may still fire, but the
     /// peel is spent and slicing needs query atoms.
     IslandsOnly,
-    /// Inner calls (`no_slice` configurations): Horn / HCF / generic only.
+    /// Inner calls (`no_slice` configurations): positive / Horn / HCF /
+    /// generic only.
     Tail,
 }
 
@@ -295,6 +320,9 @@ fn leaf(route: RouteKind, blocked: Option<usize>) -> Decision {
 fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Decision {
     if t.generic_only {
         return leaf(RouteKind::Generic, None);
+    }
+    if matches!(q, PlanQuery::Existence) && p.fragments().positive {
+        return leaf(RouteKind::Positive, None);
     }
     if scope == Scope::IslandsOnly {
         // The residual of an existence peel: the dispatcher tries the
@@ -380,9 +408,9 @@ pub fn tail_route(t: &SemanticsTraits, frags: &Fragments) -> RouteKind {
 }
 
 /// One node of the plan tree `ddb explain` prints: the decided route, the
-/// sub-database's size, the predicted complexity class, a sound upper
-/// bound on oracle calls for the whole subtree, and the child plans the
-/// route delegates to.
+/// sub-database's size, the predicted complexity class (the paper's cell
+/// on the node's own fragment), a sound upper bound on oracle calls for
+/// the whole subtree, and the child plans the route delegates to.
 #[derive(Clone, Debug)]
 pub struct PlanNode {
     /// The route this node takes.
@@ -391,8 +419,9 @@ pub struct PlanNode {
     pub atoms: usize,
     /// Rules in this node's (sub-)database.
     pub rules: usize,
-    /// Predicted complexity class (`"P"` on the polynomial fast paths,
-    /// the paper's cell class otherwise).
+    /// Predicted complexity class (`"P"` on the Horn collapse, the
+    /// paper's cell class for the node's fragment otherwise — `"O(1)"` on
+    /// the positive existence leaf).
     pub class: &'static str,
     /// Upper bound on NP-oracle calls for this subtree (saturating).
     pub oracle_bound: u64,
@@ -461,10 +490,15 @@ pub fn build_plan(db: &impl AsPrepared, t: &SemanticsTraits, q: &PlanQuery) -> P
     db.with_prepared(|p| build(p, t, q, Scope::Full))
 }
 
-fn plan_leaf(route: RouteKind, db: &Database, t: &SemanticsTraits, detail: String) -> PlanNode {
-    let (class, bound) = match route {
-        RouteKind::Horn => ("P", 0),
-        _ => (t.class, oracle_call_bound(db.num_atoms(), db.len())),
+fn plan_leaf(route: RouteKind, p: &Prepared, t: &SemanticsTraits, detail: String) -> PlanNode {
+    let db = p.db();
+    let class = match route {
+        RouteKind::Horn => "P",
+        _ => t.class(&p.fragments()),
+    };
+    let bound = match route {
+        RouteKind::Horn | RouteKind::Positive => 0,
+        _ => oracle_call_bound(db.num_atoms(), db.len()),
     };
     PlanNode {
         route,
@@ -485,15 +519,21 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
     let blocked = d.blocked;
     let mut node = match d.data {
         PlanData::Leaf => match d.route {
+            RouteKind::Positive => plan_leaf(
+                RouteKind::Positive,
+                p,
+                t,
+                "positive database: a minimal model exists, no oracle call".into(),
+            ),
             RouteKind::Horn => plan_leaf(
                 RouteKind::Horn,
-                db,
+                p,
                 t,
                 "Horn collapse: polynomial least-model fixpoint".into(),
             ),
             RouteKind::Hcf => plan_leaf(
                 RouteKind::Hcf,
-                db,
+                p,
                 t,
                 "head-cycle-free: shift to a normal program, polynomial stability checks".into(),
             ),
@@ -504,7 +544,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 } else {
                     "generic oracle procedure on the whole database".to_owned()
                 };
-                plan_leaf(RouteKind::Generic, db, t, detail)
+                plan_leaf(RouteKind::Generic, p, t, detail)
             }
         },
         PlanData::Slice { slice, admission } => {
@@ -549,7 +589,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 route: RouteKind::Slice,
                 atoms: db.num_atoms(),
                 rules: db.len(),
-                class: t.class,
+                class: t.class(&p.fragments()),
                 oracle_bound: sum_bounds(&children),
                 detail,
                 children,
@@ -592,7 +632,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 route: RouteKind::Split,
                 atoms: db.num_atoms(),
                 rules: db.len(),
-                class: t.class,
+                class: t.class(&p.fragments()),
                 oracle_bound: sum_bounds(&children),
                 detail,
                 children,
@@ -621,7 +661,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 route: RouteKind::Islands,
                 atoms: db.num_atoms(),
                 rules: db.len(),
-                class: t.class,
+                class: t.class(&p.fragments()),
                 oracle_bound: sum_bounds(&children),
                 detail,
                 children,
@@ -753,13 +793,45 @@ mod tests {
             horn_collapse: true,
             reductions: true,
             generic_only: false,
-            class,
+            class_positive: "O(1)",
+            class_general: class,
         }
     }
 
     #[test]
+    fn positive_existence_is_a_zero_bound_leaf_in_every_scope() {
+        let t = traits("NP-complete");
+        // Before every other route: the Horn collapse and the islands
+        // would fire on these databases otherwise.
+        for src in ["a. b :- a.", "a | b. x | y.", "f. a | b :- f."] {
+            let db = parse_program(src).unwrap();
+            let plan = build_plan(&db, &t, &PlanQuery::Existence);
+            assert_eq!(plan.route, RouteKind::Positive, "{src}");
+            assert_eq!(plan.oracle_bound, 0, "{src}");
+            assert_eq!(plan.class, "O(1)", "{src}");
+            assert!(plan.children.is_empty(), "{src}");
+            // Never for enumeration, never under generic routing.
+            let d = decide(&db, &t, &PlanQuery::Enumeration);
+            assert_ne!(d.route, RouteKind::Positive, "{src}");
+            let mut generic = t.clone();
+            generic.generic_only = true;
+            let d = decide(&db, &generic, &PlanQuery::Existence);
+            assert_eq!(d.route, RouteKind::Generic, "{src}");
+        }
+        // Inside an island decomposition: the positive island is a leaf
+        // of its own, the island with an integrity clause is not.
+        let db = parse_program("a | b. x | y. :- x, y.").unwrap();
+        let plan = build_plan(&db, &t, &PlanQuery::Existence);
+        assert_eq!(plan.route, RouteKind::Islands);
+        assert_eq!(plan.class, "NP-complete");
+        let routes: Vec<RouteKind> = plan.children.iter().map(|c| c.route).collect();
+        assert_eq!(routes, [RouteKind::Positive, RouteKind::Generic]);
+        assert_eq!(plan.oracle_bound, plan.children[1].oracle_bound);
+    }
+
+    #[test]
     fn horn_db_plans_horn_with_zero_bound() {
-        let db = parse_program("a. b :- a.").unwrap();
+        let db = parse_program("a. b :- a. :- c.").unwrap();
         let t = traits("Πᵖ₂-complete");
         let plan = build_plan(&db, &t, &PlanQuery::Existence);
         assert_eq!(plan.route, RouteKind::Horn);
@@ -813,8 +885,10 @@ mod tests {
 
     #[test]
     fn existence_peel_then_islands_on_residual() {
-        // The fact layer peels; the residual has two disjunctive islands.
-        let db = parse_program("f. a | b :- f. x | y.").unwrap();
+        // The fact layer peels; the residual has two disjunctive islands,
+        // each with an integrity clause (a positive island would be the
+        // positive existence leaf).
+        let db = parse_program("f. a | b :- f. :- a, b. x | y. :- x, y.").unwrap();
         let t = traits("Σᵖ₂-complete");
         let plan = build_plan(&db, &t, &PlanQuery::Existence);
         assert_eq!(plan.route, RouteKind::Split);
@@ -831,7 +905,7 @@ mod tests {
     fn islands_without_peel() {
         let mut t = traits("NP-complete");
         t.peel_negation = None;
-        let db = parse_program("a | b. x | y.").unwrap();
+        let db = parse_program("a | b. :- a, b. x | y.").unwrap();
         let plan = build_plan(&db, &t, &PlanQuery::Existence);
         assert_eq!(plan.route, RouteKind::Islands);
         assert_eq!(plan.children.len(), 2);

@@ -18,8 +18,9 @@
 use ddb_analysis::PlanQuery;
 use ddb_bench::families;
 use ddb_bench::harness::{measure_median, table_header, CellReport, Measurement};
+use ddb_core::profile::{self, paper_cell, Fragment, Problem};
 use ddb_core::reduct::gl_reduct;
-use ddb_core::{parallel, profile, RoutingMode, SemanticsConfig, SemanticsId};
+use ddb_core::{parallel, RoutingMode, SemanticsConfig, SemanticsId};
 use ddb_ground::{ground_magic, ground_reduced};
 use ddb_logic::cnf::{database_to_cnf, Cnf};
 use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
@@ -44,11 +45,11 @@ enum Task {
 }
 
 impl Task {
-    fn label(self) -> &'static str {
+    fn problem(self) -> Problem {
         match self {
-            Task::Lit | Task::NegLit => "lit",
-            Task::Form => "form",
-            Task::Exist => "exist",
+            Task::Lit | Task::NegLit => Problem::Literal,
+            Task::Form => Problem::Formula,
+            Task::Exist => Problem::Existence,
         }
     }
 }
@@ -80,36 +81,66 @@ fn run_task(cfg: &SemanticsConfig, db: &Database, task: Task, seed: u64, cost: &
     }
 }
 
+/// The configuration a table cell runs under. CCWA minimizes the first
+/// half of the atoms and lets the rest vary: at the default `P = V` its
+/// literals are GCWA's single Πᵖ₂ query, and its cells would stop
+/// measuring the `N`-set procedure behind the Δᵖ₃[O(log n)] bound.
+fn config(id: SemanticsId, db: &Database) -> SemanticsConfig {
+    let cfg = SemanticsConfig::new(id);
+    match id {
+        SemanticsId::Ccwa => {
+            let n = db.num_atoms();
+            let half = (0..n / 2).map(|i| Atom::new(i as u32));
+            cfg.with_partition(Partition::from_p_q(n, half, []))
+        }
+        _ => cfg,
+    }
+}
+
+/// What the evidence column says about [`config`]'s CCWA partition.
+const CCWA_PARTITION: &str =
+    "P = first half of the atoms, Z = the rest (P ≠ V: the N-set procedure)";
+
 fn sweep(
     id: SemanticsId,
     task: Task,
     sizes: &[usize],
     family: impl Fn(usize, u64) -> Database,
 ) -> Vec<Measurement> {
-    let cfg = SemanticsConfig::new(id);
     sizes
         .iter()
         .map(|&n| {
+            // Instances are built before the clock starts: a cell times
+            // the decision procedure, not the instance generator.
+            let cases: Vec<(Database, SemanticsConfig)> = (0..SEEDS)
+                .map(|seed| {
+                    let db = family(n, seed);
+                    let cfg = config(id, &db);
+                    (db, cfg)
+                })
+                .collect();
             measure_median(n, SEEDS, |seed, cost| {
-                let db = family(n, seed);
-                run_task(&cfg, &db, task, seed.wrapping_add(1000), cost)
+                let (db, cfg) = &cases[seed as usize];
+                run_task(cfg, db, task, seed.wrapping_add(1000), cost)
             })
         })
         .collect()
 }
 
+/// One table cell: the paper's claim for (`id`, `task`) on `fragment`
+/// ([`paper_cell`]) beside the sweep measured on `family`.
 fn cell(
     id: SemanticsId,
     task: Task,
-    paper: &'static str,
+    fragment: Fragment,
     sizes: &[usize],
     family: impl Fn(usize, u64) -> Database,
     evidence: &str,
 ) -> CellReport {
     CellReport {
         semantics: id.name().to_owned(),
-        task: task.label(),
-        paper_claim: paper,
+        task: task.problem().name(),
+        paper_claim: paper_cell(id, task.problem(), fragment),
         points: sweep(id, task, sizes, family),
         evidence: evidence.to_owned(),
     }
@@ -128,23 +159,19 @@ fn table1(cells: &mut Vec<CellReport>) {
     use SemanticsId::*;
     use Task::*;
     let pos = |n: usize, s: u64| families::table1_random(n, s);
+    let t1 = Fragment::Positive;
 
-    for (id, lit_claim, form_claim, sizes) in [
-        (Gcwa, "Πᵖ₂-complete", "Πᵖ₂-hard, in Δᵖ₃[O(log n)]", MID),
-        (Ddr, "in P *(Chan [5])*", "coNP-complete", FAST),
-        (Pws, "in P *(Chan [5])*", "coNP-complete", FAST),
-        (Egcwa, "Πᵖ₂-complete", "Πᵖ₂-complete", MID),
-        (
-            Ccwa,
-            "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-            "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-            MID,
-        ),
-        (Ecwa, "Πᵖ₂-complete", "Πᵖ₂-complete", MID),
-        (Icwa, "Πᵖ₂-complete", "Πᵖ₂-complete", SLOW),
-        (Perf, "Πᵖ₂-complete", "Πᵖ₂-complete", SLOW),
-        (Dsm, "Πᵖ₂-complete", "Πᵖ₂-complete", SLOW),
-        (Pdsm, "Πᵖ₂-complete", "Πᵖ₂-complete", PDSM_SIZES),
+    for (id, sizes) in [
+        (Gcwa, MID),
+        (Ddr, FAST),
+        (Pws, FAST),
+        (Egcwa, MID),
+        (Ccwa, MID),
+        (Ecwa, MID),
+        (Icwa, SLOW),
+        (Perf, SLOW),
+        (Dsm, SLOW),
+        (Pdsm, PDSM_SIZES),
     ] {
         let lit = match id {
             Ddr | Pws => NegLit,
@@ -152,22 +179,21 @@ fn table1(cells: &mut Vec<CellReport>) {
         };
         let ev_lit = match id {
             Ddr | Pws => "negative literals: 0 oracle calls on the fast path",
-            Gcwa | Egcwa | Ecwa | Icwa | Perf | Dsm | Pdsm => {
-                "hardness via verified 2QBF reduction (see lower-bounds section)"
-            }
-            _ => "",
+            Ccwa => CCWA_PARTITION,
+            _ => "hardness via verified 2QBF reduction (see lower-bounds section)",
         };
-        emit(cells, cell(id, lit, lit_claim, sizes, pos, ev_lit));
-        emit(cells, cell(id, Form, form_claim, sizes, pos, ""));
+        let ev_form = if id == Ccwa { CCWA_PARTITION } else { "" };
+        emit(cells, cell(id, lit, t1, sizes, pos, ev_lit));
+        emit(cells, cell(id, Form, t1, sizes, pos, ev_form));
         emit(
             cells,
             cell(
                 id,
                 Exist,
-                "O(1) (positive DBs always have models)",
+                t1,
                 sizes,
                 pos,
-                "expected flat/trivial",
+                "positive DBs always have models: the positive route, 0 oracle calls",
             ),
         );
     }
@@ -181,71 +207,43 @@ fn table2(cells: &mut Vec<CellReport>) {
     let ded = |n: usize, s: u64| families::table2_random(n, s);
     let strat = |n: usize, s: u64| families::stratified_random(n, s);
     let norm = |n: usize, s: u64| families::normal_random(n, s);
+    let t2 = Fragment::General;
 
-    for (id, lit_claim, form_claim, exist_claim, sizes) in [
-        (
-            Gcwa,
-            "Πᵖ₂-complete",
-            "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-            "NP-complete (≡ SAT)",
-            MID,
-        ),
-        (
-            Ddr,
-            "coNP-complete *(Chan [5])*",
-            "coNP-complete",
-            "NP-complete (≡ SAT of DB ∪ ¬N)",
-            FAST,
-        ),
-        (
-            Pws,
-            "coNP-complete *(Chan [5])*",
-            "coNP-complete",
-            "NP-complete (possible-model SAT)",
-            FAST,
-        ),
-        (Egcwa, "Πᵖ₂-complete", "Πᵖ₂-complete", "NP-complete", MID),
-        (
-            Ccwa,
-            "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-            "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-            "NP-complete (≡ SAT)",
-            MID,
-        ),
-        (Ecwa, "Πᵖ₂-complete", "Πᵖ₂-complete", "NP-complete", MID),
+    for (id, exist_evidence, sizes) in [
+        (Gcwa, "≡ SAT", MID),
+        (Ddr, "≡ SAT of DB ∪ ¬N", FAST),
+        (Pws, "possible-model SAT", FAST),
+        (Egcwa, "", MID),
+        (Ccwa, "≡ SAT", MID),
+        (Ecwa, "", MID),
     ] {
-        emit(cells, cell(id, Lit, lit_claim, sizes, ded, ""));
-        emit(cells, cell(id, Form, form_claim, sizes, ded, ""));
-        emit(cells, cell(id, Exist, exist_claim, sizes, ded, ""));
+        let ev = if id == Ccwa { CCWA_PARTITION } else { "" };
+        emit(cells, cell(id, Lit, t2, sizes, ded, ev));
+        emit(cells, cell(id, Form, t2, sizes, ded, ev));
+        emit(cells, cell(id, Exist, t2, sizes, ded, exist_evidence));
     }
     // Stratified / normal rows.
-    emit(cells, cell(Icwa, Lit, "Πᵖ₂-complete", SLOW, strat, ""));
-    emit(cells, cell(Icwa, Form, "Πᵖ₂-complete", SLOW, strat, ""));
+    emit(cells, cell(Icwa, Lit, t2, SLOW, strat, ""));
+    emit(cells, cell(Icwa, Form, t2, SLOW, strat, ""));
     emit(
         cells,
         cell(
             Icwa,
             Exist,
-            "O(1) (stratifiability asserts consistency)",
+            t2,
             SLOW,
             families::stratified_consistent,
-            "expected flat, 0 oracle calls",
+            "integrity-free stratified family: expected flat, 0 oracle calls",
         ),
     );
     for id in [Perf, Dsm] {
-        emit(cells, cell(id, Lit, "Πᵖ₂-complete", SLOW, norm, ""));
-        emit(cells, cell(id, Form, "Πᵖ₂-complete", SLOW, norm, ""));
-        emit(cells, cell(id, Exist, "Σᵖ₂-complete", SLOW, norm, ""));
+        emit(cells, cell(id, Lit, t2, SLOW, norm, ""));
+        emit(cells, cell(id, Form, t2, SLOW, norm, ""));
+        emit(cells, cell(id, Exist, t2, SLOW, norm, ""));
     }
-    emit(cells, cell(Pdsm, Lit, "Πᵖ₂-complete", PDSM_SIZES, norm, ""));
-    emit(
-        cells,
-        cell(Pdsm, Form, "Πᵖ₂-complete", PDSM_SIZES, norm, ""),
-    );
-    emit(
-        cells,
-        cell(Pdsm, Exist, "Σᵖ₂-complete", PDSM_SIZES, norm, ""),
-    );
+    emit(cells, cell(Pdsm, Lit, t2, PDSM_SIZES, norm, ""));
+    emit(cells, cell(Pdsm, Form, t2, PDSM_SIZES, norm, ""));
+    emit(cells, cell(Pdsm, Exist, t2, PDSM_SIZES, norm, ""));
 
     // NP-complete existence on the intended hard family.
     emit(
@@ -253,10 +251,10 @@ fn table2(cells: &mut Vec<CellReport>) {
         cell(
             Egcwa,
             Exist,
-            "NP-complete — phase-transition 3-CNF family",
+            t2,
             &[40, 80, 120, 160],
             families::phase_transition,
-            "CDCL oracle at clause/var ratio 4.26",
+            "phase-transition 3-CNF family: CDCL oracle at clause/var ratio 4.26",
         ),
     );
 }
@@ -570,8 +568,7 @@ fn route_vs_generic(
 /// slowest generic solve, on the slicing corpus instance.
 fn planner_overhead() {
     const PLAN_ITERS: u64 = 50;
-    let db = structured::sliceable_towers(3, 3);
-    let f = Formula::from(Atom::new(4).pos());
+    let (db, f) = families::sliceable_not_goal(3);
     let q = PlanQuery::of(&f);
     let (mut plan_worst, mut generic_worst) = (Duration::ZERO, Duration::ZERO);
     let mut points = Vec::new();
@@ -597,7 +594,7 @@ fn planner_overhead() {
     }
     let pct = 100.0 * plan_worst.as_secs_f64() / generic_worst.as_secs_f64().max(1e-9);
     println!(
-        "| Planner overhead: plan vs routed vs generic solve, c₁ on sliceable_towers(3,3) | {}; \
+        "| Planner overhead: plan vs routed vs generic solve, ¬g on sliceable_not_goal(3) | {}; \
          slowest plan = {pct:.3}% of slowest generic solve (bound: < 1%) |",
         points.join("; ")
     );
@@ -785,11 +782,11 @@ fn ablations() {
         },
     );
     route_vs_generic(
-        "Slice route vs generic: CCWA c₁",
+        "Slice route vs generic: CCWA ¬g",
         "towers",
         &[1, 2, 3],
         SemanticsId::Ccwa,
-        families::sliceable_c1,
+        families::sliceable_not_goal,
     );
     route_vs_generic(
         "Slice route vs generic: DSM c₁",
@@ -843,15 +840,10 @@ fn pool_widths() {
     const WIDTHS: &[usize] = &[1, 2, 4, 8];
     let cfg = |id: SemanticsId, w: usize| SemanticsConfig::new(id).with_threads(w);
     ablation(
-        "Pool: DSM existence over 12 islands (sliceable_towers(12,4))",
+        "Pool: DSM existence over 12 islands (guarded_towers(12,4))",
         "threads",
         WIDTHS,
-        |w| {
-            (
-                cfg(SemanticsId::Dsm, w),
-                structured::sliceable_towers(12, 4),
-            )
-        },
+        |w| (cfg(SemanticsId::Dsm, w), structured::guarded_towers(12, 4)),
         &[("", &|(c, db): &(SemanticsConfig, Database), cost| {
             c.has_model(db, cost).is_ok()
         })],
@@ -936,7 +928,8 @@ fn main() {
     println!("# Tables 1 & 2 of Eiter & Gottlob (PODS 1993), regenerated\n");
     println!(
         "Every cell: paper claim | measured growth shape over the sweep | \
-         median wall-clock + oracle accounting (sat calls / CEGAR candidates)."
+         median wall-clock + median oracle counts, each taken on its own over the seeds \
+         (sat calls / CEGAR candidates)."
     );
     let mut cells = Vec::new();
     table1(&mut cells);

@@ -49,18 +49,44 @@ pub fn measure(size: usize, f: impl FnOnce(&mut Cost) -> bool) -> Measurement {
     }
 }
 
-/// Runs `f` over `iters` seeds and keeps the median-time measurement
-/// (answers may differ across seeds; the median is by time).
+/// Runs `f` over `iters` seeds and reports their medians ([`median`]).
 pub fn measure_median(
     size: usize,
     iters: u64,
     mut f: impl FnMut(u64, &mut Cost) -> bool,
 ) -> Measurement {
-    let mut runs: Vec<Measurement> = (0..iters)
+    let runs: Vec<Measurement> = (0..iters)
         .map(|seed| measure(size, |cost| f(seed, cost)))
         .collect();
-    runs.sort_by_key(|m| m.time);
-    runs.swap_remove(runs.len() / 2)
+    median(size, &runs)
+}
+
+/// The median of each quantity over `runs`, taken independently: the
+/// median time, the median of every cost count, and the majority answer.
+/// A run's counts depend only on its seed, so the reported counts repeat
+/// from one sweep to the next whichever run happens to be slowest.
+///
+/// # Panics
+/// Panics when `runs` is empty.
+pub fn median(size: usize, runs: &[Measurement]) -> Measurement {
+    fn mid<T: Ord + Copy>(runs: &[Measurement], key: impl Fn(&Measurement) -> T) -> T {
+        let mut values: Vec<T> = runs.iter().map(key).collect();
+        values.sort_unstable();
+        values[values.len() / 2]
+    }
+    Measurement {
+        size,
+        time: mid(runs, |m| m.time),
+        cost: Cost {
+            sat_calls: mid(runs, |m| m.cost.sat_calls),
+            candidates: mid(runs, |m| m.cost.candidates),
+            decisions: mid(runs, |m| m.cost.decisions),
+            conflicts: mid(runs, |m| m.cost.conflicts),
+            propagations: mid(runs, |m| m.cost.propagations),
+            peak_clauses: mid(runs, |m| m.cost.peak_clauses),
+        },
+        answer: mid(runs, |m| m.answer),
+    }
 }
 
 /// Growth classification from per-doubling time ratios.
@@ -226,6 +252,40 @@ mod tests {
         assert_eq!(m.size, 5);
         assert_eq!(m.cost.candidates, 3);
         assert!(m.answer);
+    }
+
+    #[test]
+    fn median_counts_do_not_follow_the_timings() {
+        let runs: Vec<Measurement> = [(7, 40), (3, 10), (9, 20), (1, 50), (5, 30)]
+            .into_iter()
+            .map(|(sat, micros)| {
+                let mut m = fake(16, micros);
+                m.cost.sat_calls = sat;
+                m.cost.candidates = 10 - sat;
+                m.answer = sat > 4;
+                m
+            })
+            .collect();
+        let reference = median(16, &runs);
+        assert_eq!(reference.cost.sat_calls, 5);
+        assert_eq!(reference.cost.candidates, 5);
+        assert!(reference.answer, "three of five runs answer true");
+        assert_eq!(reference.time, Duration::from_micros(30));
+        // Every rotation of the timings over the same runs, and a
+        // reversal: the time's median stays, and so does every count.
+        let times: Vec<Duration> = runs.iter().map(|m| m.time).collect();
+        for shift in 1..runs.len() {
+            for reversed in [false, true] {
+                let mut shuffled = runs.clone();
+                for (i, m) in shuffled.iter_mut().enumerate() {
+                    let j = (i + shift) % times.len();
+                    m.time = times[if reversed { times.len() - 1 - j } else { j }];
+                }
+                let got = median(16, &shuffled);
+                assert_eq!(format!("{:?}", got.cost), format!("{:?}", reference.cost));
+                assert_eq!((got.time, got.answer), (reference.time, reference.answer));
+            }
+        }
     }
 
     #[test]

@@ -202,9 +202,9 @@ fn slicing_counts() -> Vec<Entry> {
     type Case = fn(usize) -> (Database, Formula);
     let rows: [(&str, SemanticsId, Case, &[usize]); 3] = [
         (
-            "CCWA c1",
+            "CCWA not g",
             SemanticsId::Ccwa,
-            families::sliceable_c1,
+            families::sliceable_not_goal,
             &[1, 2, 3],
         ),
         (

@@ -14,10 +14,15 @@
 //!   `N ⊆ P` (`|P|` Σᵖ₂ queries — or `O(log n)` with the census ablation),
 //!   then one coNP entailment `DB ∪ ¬N ⊨ F`, searched for as its
 //!   countermodel ([`countermodel`]). The paper places this in
-//!   `P^{Σᵖ₂}[O(log n)]` and proves Πᵖ₂-hardness; unlike GCWA, no
-//!   literal-inference shortcut to a single Πᵖ₂ query is available, since
-//!   a model in `CCWA(DB)` need not sit above a ⟨P;Z⟩-minimal model with
-//!   the *same fixed part*.
+//!   `P^{Σᵖ₂}[O(log n)]` and proves Πᵖ₂-hardness.
+//! * Literal inference at `P = V` (GCWA) is one Πᵖ₂ query: the countermodel
+//!   of a literal `ℓ` is a minimal model falsifying it, found by the same
+//!   walk as `MM(DB) ⊨ ℓ` (see [`crate::gcwa`]). Every other partition
+//!   takes the `N`-set procedure. With `Z` nonempty the shortcut would be
+//!   wrong: a model in `CCWA(DB)` need not sit above a ⟨P;Z⟩-minimal
+//!   model that agrees with it on `Z` (`a | b. a | c. b | c.` with
+//!   `P = {a, c}`, `Z = {b}`: every ⟨P;Z⟩-minimal model contains `b`, the
+//!   CCWA model `{a, c}` does not).
 //! * Model existence: `CCWA(DB) ⊇ MM(DB;P;Z)`, so nonemptiness is again
 //!   plain satisfiability (one SAT call).
 //! * Enumeration: the models of `DB ∪ ¬N`, the same clauses the
@@ -43,6 +48,11 @@ pub fn false_atoms(db: &Database, part: &Partition, cost: &mut Cost) -> Governed
 /// Formula inference `CCWA(DB) ⊨ F` as a countermodel search: compute
 /// `N`, then look for a model of `DB ∪ ¬N ∧ ¬F` — a CCWA model falsifying
 /// `F`. `None` means `F` is inferred.
+///
+/// At `P = V` a literal `ℓ` skips `N`: its countermodel is a minimal model
+/// satisfying `¬ℓ`, which lies in `MM(DB) ⊆ CCWA(DB)`. When none exists,
+/// `ℓ` holds in every model of `CCWA(DB)`: a positive `ℓ` holds in every
+/// model above a minimal one, and a negative `ℓ = ¬x` puts `x` in `N`.
 pub fn countermodel(
     db: &Database,
     part: &Partition,
@@ -50,6 +60,11 @@ pub fn countermodel(
     cost: &mut Cost,
 ) -> Governed<Option<Interpretation>> {
     let _span = ddb_obs::span("ccwa.countermodel");
+    let minimize_all = part.q().is_empty_set() && part.z().is_empty_set();
+    if minimize_all && f.as_literal().is_some() {
+        let not_f = f.clone().negated();
+        return circumscribe::find_pz_minimal_model_satisfying(db, part, &not_f, cost);
+    }
     let n_set = false_atoms(db, part, cost)?;
     classical::countermodel(db, &n_set, f, cost)
 }
@@ -142,6 +157,22 @@ mod tests {
             &mut cost
         )
         .unwrap());
+    }
+
+    #[test]
+    fn varying_atoms_keep_literals_off_the_minimal_model_walk() {
+        let db = parse_program("a | b. a | c. b | c.").unwrap();
+        let part = part_pq(&db, &["a", "c"], &[]);
+        let b = Formula::atom(db.symbols().lookup("b").unwrap());
+        let mut cost = Cost::new();
+        // The ⟨P;Z⟩-minimal models are {a, b} and {b, c}: all contain b …
+        assert!(circumscribe::holds_in_all_pz_minimal_models(&db, &part, &b, &mut cost).unwrap());
+        // … but N is empty, so {a, c} is a CCWA model, and b is not inferred.
+        let m = countermodel(&db, &part, &b, &mut cost)
+            .unwrap()
+            .expect("a countermodel");
+        assert!(!b.eval(&m));
+        assert_eq!(m.count(), 2);
     }
 
     #[test]

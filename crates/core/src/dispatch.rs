@@ -440,6 +440,7 @@ impl SemanticsConfig {
     fn note_leaf(route: RouteKind) {
         ddb_obs::counter_bump(
             match route {
+                RouteKind::Positive => "route.positive",
                 RouteKind::Horn => "route.horn",
                 RouteKind::Hcf => "route.hcf",
                 _ => "route.generic",
@@ -505,7 +506,8 @@ impl SemanticsConfig {
     /// The paper's *inference of a literal* and *inference of a formula*
     /// problems: a one-literal formula ([`Formula::as_literal`]) is planned
     /// as a literal query ([`PlanQuery::of`]) and answered by the
-    /// semantics' literal procedure where it has its own (GCWA, DDR, PWS).
+    /// semantics' literal procedure where it has its own (DDR, PWS; GCWA's
+    /// single Πᵖ₂ query is CCWA's countermodel search at `P = V`).
     ///
     /// Runs under a `dispatch.query` trace span with its wall time in the
     /// `dispatch.query.ns` histogram; slice/split routes re-enter the
@@ -555,7 +557,6 @@ impl SemanticsConfig {
             return Ok(crate::route::hcf_dsm_infers_formula(db, f, cost).into());
         }
         Ok(Verdict::from(match (self.id, f.as_literal()) {
-            (SemanticsId::Gcwa, Some(lit)) => crate::gcwa::infers_literal(db, lit, cost),
             (SemanticsId::Ddr, Some(lit)) => crate::ddr::infers_literal(db, lit, cost),
             (SemanticsId::Pws, Some(lit)) => crate::pws::infers_literal(db, lit, cost),
             _ => self.countermodel(p, f, cost).map(|c| c.is_none()),
@@ -593,6 +594,8 @@ impl SemanticsConfig {
     }
 
     /// The paper's *∃ model* problem: is the semantics non-empty for `db`?
+    /// On a positive database the planner's existence leaf answers `true`
+    /// at no cost (Table 1's `O(1)` column), unless routing is generic.
     /// Traced like [`SemanticsConfig::infers_formula`] (`dispatch.query`
     /// span, `dispatch.query.ns` histogram).
     pub fn has_model(&self, db: &impl AsPrepared, cost: &mut Cost) -> Result<Verdict, Unsupported> {
@@ -606,6 +609,10 @@ impl SemanticsConfig {
         let q = PlanQuery::Existence;
         let d = ddb_analysis::decide(p, &self.traits(&q), &q);
         match d.data {
+            PlanData::Leaf if d.route == RouteKind::Positive => {
+                Self::note_leaf(RouteKind::Positive);
+                return Ok(Verdict::True);
+            }
             PlanData::Peel { peel } => {
                 match crate::slicing::run_exist_split(self, p, &peel, cost) {
                     Ok(Some(ans)) => return Ok(ans.into()),

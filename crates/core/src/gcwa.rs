@@ -15,9 +15,11 @@
 //! * **Literal inference is one Πᵖ₂ query** ([`infers_literal`]).
 //!   `GCWA(DB) ⊨ ℓ ⟺ MM(DB) ⊨ ℓ` for literals of either sign: every model
 //!   in `GCWA(DB)` contains a minimal model, and `MM(DB) ⊆ GCWA(DB)` (a
-//!   minimal model trivially satisfies all GCWA-false negations). So a
-//!   single [`ddb_models::circumscribe::holds_in_all_minimal_models`] call
-//!   decides it — "it suffices to check a restricted set of DB models".
+//!   minimal model trivially satisfies all GCWA-false negations). So one
+//!   minimal-model walk for a countermodel of `ℓ` decides it — "it
+//!   suffices to check a restricted set of DB models". CCWA's countermodel
+//!   search takes this walk for every literal at `P = V`
+//!   ([`crate::ccwa::countermodel`]), so the dispatcher needs no GCWA arm.
 //! * **The census.** The `O(log n)`-query census variant of \[7\] counts
 //!   `|N|` ([`census_false_atoms`], ablation AB-2).
 
@@ -82,7 +84,7 @@ fn at_least_k_atoms_occur(db: &Database, k: usize, cost: &mut Cost) -> Governed<
 }
 
 /// Literal inference `GCWA(DB) ⊨ ℓ`: a single Πᵖ₂ CEGAR query
-/// (`MM(DB) ⊨ ℓ`).
+/// (`MM(DB) ⊨ ℓ`), run as CCWA's countermodel search at `P = V`.
 ///
 /// ```
 /// use ddb_logic::parse::parse_program;
@@ -95,7 +97,8 @@ fn at_least_k_atoms_occur(db: &Database, k: usize, cost: &mut Cost) -> Governed<
 /// ```
 pub fn infers_literal(db: &Database, lit: Literal, cost: &mut Cost) -> Governed<bool> {
     let _span = ddb_obs::span("gcwa.infers_literal");
-    circumscribe::holds_in_all_minimal_models(db, &lit.into(), cost)
+    let part = Partition::minimize_all(db.num_atoms());
+    Ok(crate::ccwa::countermodel(db, &part, &lit.into(), cost)?.is_none())
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! * the HCF shift (DSM only) and the Horn collapse (default structure
 //!   only);
 //! * the routing mode and the `no_slice` inner-call marker;
-//! * the paper's complexity class for the (semantics, problem) cell
-//!   ([`crate::profile::paper_complexity`]).
+//! * the paper's complexity class for the (semantics, problem) cell, in
+//!   Table 1 and in Table 2 ([`crate::profile::paper_cell`]).
 //!
 //! `dispatch` calls the kernel on every query and executes the returned
 //! [`Decision`]; `ddb explain` calls [`SemanticsConfig::plan`], which
@@ -21,7 +21,7 @@
 //! into it, so the predicted route always matches the executed one.
 
 use crate::dispatch::{RoutingMode, SemanticsConfig, SemanticsId};
-use crate::profile::{paper_complexity, Problem};
+use crate::profile::{paper_cell, Fragment, Problem};
 use ddb_analysis::{Decision, Fragments, PlanQuery, Prepared, SemanticsTraits};
 use ddb_logic::Database;
 
@@ -61,7 +61,8 @@ pub fn traits_for(cfg: &SemanticsConfig, problem: Problem) -> SemanticsTraits {
             && !cfg.no_slice
             && cfg.has_default_structure(),
         generic_only: cfg.routing == RoutingMode::Generic,
-        class: paper_complexity(cfg.id, problem),
+        class_positive: paper_cell(cfg.id, problem, Fragment::Positive),
+        class_general: paper_cell(cfg.id, problem, Fragment::General),
     }
 }
 
@@ -104,10 +105,29 @@ mod tests {
 
     #[test]
     fn decide_routes_horn_on_horn_dbs() {
-        let db = parse_program("a. b :- a.").unwrap();
+        let db = parse_program("a. b :- a. :- c.").unwrap();
         let frags = classify(&db);
         let cfg = SemanticsConfig::new(SemanticsId::Pdsm);
         let d = decide(&cfg, &db, &frags, &PlanQuery::Existence);
         assert_eq!(d.route, RouteKind::Horn);
+    }
+
+    #[test]
+    fn positive_existence_reads_table_one() {
+        let db = parse_program("a | b. c :- a, b.").unwrap();
+        for id in SemanticsId::ALL {
+            let plan = SemanticsConfig::new(id)
+                .plan(&db, &PlanQuery::Existence)
+                .unwrap();
+            assert_eq!(plan.route, RouteKind::Positive, "{id}");
+            assert_eq!((plan.class, plan.oracle_bound), ("O(1)", 0), "{id}");
+            let generic = SemanticsConfig::new(id).with_routing(RoutingMode::Generic);
+            let plan = generic.plan(&db, &PlanQuery::Existence).unwrap();
+            assert_eq!(plan.route, RouteKind::Generic, "{id}");
+            assert_eq!(
+                plan.class, "O(1)",
+                "{id}: the class is the cell's, not the route's"
+            );
+        }
     }
 }

@@ -44,37 +44,57 @@ impl Problem {
     }
 }
 
-/// The complexity class Eiter & Gottlob's Table 2 (general disjunctive
-/// deductive databases) assigns to a (semantics, problem) cell.
+/// The database class a paper cell is read for: Table 1 covers positive
+/// databases (no negation, no integrity clauses), Table 2 everything else.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+pub enum Fragment {
+    /// No negation and no integrity clauses: Table 1.
+    Positive,
+    /// Integrity clauses or negation: Table 2.
+    General,
+}
+
+impl Fragment {
+    /// The fragment of a database whose positivity is `positive`.
+    pub fn of(positive: bool) -> Fragment {
+        if positive {
+            Fragment::Positive
+        } else {
+            Fragment::General
+        }
+    }
+}
+
+/// The complexity class Eiter & Gottlob's tables assign to a (semantics,
+/// problem) cell: Table 1 on positive databases, Table 2 otherwise. The
+/// one statement of both tables — `traits_for` (and so the classes
+/// `ddb explain` prints), `ddb profile` and the `tables` claim column all
+/// read it.
 ///
-/// These strings agree with the paper-claim column of the benchmark
-/// `tables` binary; the profile output prints them beside the observed
-/// oracle counts so the two can be eyeballed together.
-pub fn paper_complexity(id: SemanticsId, problem: Problem) -> &'static str {
+/// Model existence is `O(1)` on positive databases under every semantics:
+/// a positive database is satisfiable, and each semantics keeps at least
+/// one of its minimal models. Table 2's ICWA existence cell is `O(1)` on
+/// the stratified databases without integrity clauses the paper reads it
+/// for ("stratifiability asserts consistency"); with integrity clauses it
+/// is satisfiability, NP-complete as for EGCWA.
+pub fn paper_cell(id: SemanticsId, problem: Problem, fragment: Fragment) -> &'static str {
+    use Fragment::*;
     use Problem::*;
     use SemanticsId::*;
-    match (id, problem) {
-        (Gcwa, Literal) => "Πᵖ₂-complete",
-        (Gcwa, Formula) => "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-        (Gcwa, Existence) => "NP-complete",
-        (Ddr, Literal) | (Ddr, Formula) => "coNP-complete",
-        (Ddr, Existence) => "NP-complete",
-        (Pws, Literal) | (Pws, Formula) => "coNP-complete",
-        (Pws, Existence) => "NP-complete",
-        (Egcwa, Literal) | (Egcwa, Formula) => "Πᵖ₂-complete",
-        (Egcwa, Existence) => "NP-complete",
-        (Ccwa, Literal) | (Ccwa, Formula) => "Πᵖ₂-hard, in Δᵖ₃[O(log n)]",
-        (Ccwa, Existence) => "NP-complete",
-        (Ecwa, Literal) | (Ecwa, Formula) => "Πᵖ₂-complete",
-        (Ecwa, Existence) => "NP-complete",
-        (Icwa, Literal) | (Icwa, Formula) => "Πᵖ₂-complete",
-        (Icwa, Existence) => "NP-complete",
-        (Perf, Literal) | (Perf, Formula) => "Πᵖ₂-complete",
-        (Perf, Existence) => "Σᵖ₂-complete",
-        (Dsm, Literal) | (Dsm, Formula) => "Πᵖ₂-complete",
-        (Dsm, Existence) => "Σᵖ₂-complete",
-        (Pdsm, Literal) | (Pdsm, Formula) => "Πᵖ₂-complete",
-        (Pdsm, Existence) => "Σᵖ₂-complete",
+    const P2: &str = "Πᵖ₂-complete";
+    const D3: &str = "Πᵖ₂-hard, in Δᵖ₃[O(log n)]";
+    match (fragment, id, problem) {
+        (Positive, _, Existence) => "O(1)",
+        (General, Gcwa | Egcwa | Ccwa | Ecwa | Ddr | Pws, Existence) => "NP-complete",
+        (General, Icwa, Existence) => {
+            "O(1) without integrity clauses (stratifiability asserts consistency), NP-complete with them"
+        }
+        (General, Perf | Dsm | Pdsm, Existence) => "Σᵖ₂-complete",
+        (Positive, Ddr | Pws, Literal) => "in P (Chan [5])",
+        (General, Ddr | Pws, Literal) => "coNP-complete (Chan [5])",
+        (_, Ddr | Pws, Formula) => "coNP-complete",
+        (_, Ccwa, _) | (_, Gcwa, Formula) => D3,
+        (_, Gcwa | Egcwa | Ecwa | Icwa | Perf | Dsm | Pdsm, _) => P2,
     }
 }
 
@@ -85,6 +105,9 @@ pub struct CellProfile {
     pub semantics: SemanticsId,
     /// The decision problem.
     pub problem: Problem,
+    /// The paper's class for the cell on this database's fragment
+    /// ([`paper_cell`]).
+    pub paper_class: &'static str,
     /// The decision, or `None` if the semantics is undefined for this
     /// database class (see `unsupported`) or the cell's budget tripped
     /// (see `interrupted`).
@@ -99,8 +122,8 @@ pub struct CellProfile {
     /// Reason the cell is inapplicable, when `answer` is `None`.
     pub unsupported: Option<String>,
     /// Which dispatch route served this cell (`"horn"`, `"slice"`,
-    /// `"split"`, `"islands"`, `"hcf"`, or `"generic"`), read off the
-    /// `route.*` counters; `None` when the cell was unsupported or
+    /// `"split"`, `"islands"`, `"positive"`, `"hcf"`, or `"generic"`),
+    /// read off the `route.*` counters; `None` when the cell was unsupported or
     /// routing never ran. Slice/split/islands outrank the others:
     /// their recursive inner calls bump the plain counters too, but the
     /// query was claimed by the reduction.
@@ -111,10 +134,11 @@ pub struct CellProfile {
 /// under its own [`ddb_obs::record`] scope, so sibling cells running
 /// concurrently on other workers never show up in it.
 fn route_of(recording: &ddb_obs::Recording) -> Option<&'static str> {
-    const ROUTES: [(&str, &str); 6] = [
+    const ROUTES: [(&str, &str); 7] = [
         ("route.slice", "slice"),
         ("route.split", "split"),
         ("route.islands", "islands"),
+        ("route.positive", "positive"),
         ("route.horn", "horn"),
         ("route.hcf", "hcf"),
         ("route.generic", "generic"),
@@ -131,10 +155,7 @@ impl CellProfile {
         Json::obj([
             ("semantics", Json::Str(self.semantics.name().to_owned())),
             ("problem", Json::Str(self.problem.name().to_owned())),
-            (
-                "paper_class",
-                Json::Str(paper_complexity(self.semantics, self.problem).to_owned()),
-            ),
+            ("paper_class", Json::Str(self.paper_class.to_owned())),
             (
                 "answer",
                 match self.answer {
@@ -208,6 +229,7 @@ pub fn profile_cell(
     CellProfile {
         semantics: cfg.id,
         problem,
+        paper_class: paper_cell(cfg.id, problem, Fragment::of(db.is_positive())),
         answer,
         interrupted,
         cost,
@@ -257,7 +279,7 @@ pub fn profile_all_budgeted(
 
 /// Render profiles as an aligned text table: one row per semantics, one
 /// column group (oracle calls + wall time) per problem, with the paper's
-/// predicted class for the literal-inference column.
+/// predicted class of each cell on the profiled database's fragment.
 pub fn render_table(cells: &[CellProfile]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -270,14 +292,16 @@ pub fn render_table(cells: &[CellProfile]) -> String {
     ));
     for id in SemanticsId::ALL {
         let mut row = format!("{:<14}", id.name());
+        let mut classes = Vec::new();
         for problem in Problem::ALL {
             let cell = cells
                 .iter()
                 .find(|c| c.semantics == id && c.problem == problem);
+            classes.push(cell.map_or("-", |c| c.paper_class));
             match cell {
                 Some(c) if c.answer.is_some() => {
                     let fast = match c.route {
-                        Some("horn") | Some("hcf") => "*",
+                        Some("horn") | Some("hcf") | Some("positive") => "*",
                         Some("slice") | Some("split") | Some("islands") => "~",
                         _ => "",
                     };
@@ -299,21 +323,18 @@ pub fn render_table(cells: &[CellProfile]) -> String {
                 None => row.push_str(&format!(" {:>24}", "-")),
             }
         }
-        row.push_str(&format!(
-            "  {} / {} / {}",
-            paper_complexity(id, Problem::Literal),
-            paper_complexity(id, Problem::Formula),
-            paper_complexity(id, Problem::Existence)
-        ));
+        row.push_str(&format!("  {}", classes.join(" / ")));
         out.push(' ');
         out.push_str(row.trim_end());
         out.push('\n');
     }
     if cells
         .iter()
-        .any(|c| matches!(c.route, Some("horn") | Some("hcf")))
+        .any(|c| matches!(c.route, Some("horn") | Some("hcf") | Some("positive")))
     {
-        out.push_str(" * served by an analysis fast path (route.horn / route.hcf)\n");
+        out.push_str(
+            " * served by an analysis fast path (route.horn / route.hcf / route.positive)\n",
+        );
     }
     if cells
         .iter()
@@ -355,12 +376,22 @@ mod tests {
         assert_eq!(cells.len(), 30);
         // Positive database: every semantics applies; every cell answered.
         assert!(cells.iter().all(|c| c.answer.is_some()));
-        // Oracle-backed existence checks cost at least one SAT call for
-        // the NP-complete cells.
+        // Table 1's existence cells are O(1): answered without the oracle.
+        for c in cells.iter().filter(|c| c.problem == Problem::Existence) {
+            assert_eq!(c.answer, Some(true), "{:?}", c.semantics);
+            assert_eq!(c.route, Some("positive"), "{:?}", c.semantics);
+            assert_eq!(c.cost.sat_calls, 0, "{:?}", c.semantics);
+            assert_eq!(c.paper_class, "O(1)", "{:?}", c.semantics);
+        }
+        // With an integrity clause, oracle-backed existence checks cost
+        // at least one SAT call for the NP-complete cells.
+        let guarded = parse_program("a | b. c :- a, b. :- c.").unwrap();
+        let cells = profile_all(&guarded, lit, &f);
         let gcwa_exist = cells
             .iter()
             .find(|c| c.semantics == SemanticsId::Gcwa && c.problem == Problem::Existence)
             .unwrap();
+        assert_eq!(gcwa_exist.paper_class, "NP-complete");
         assert!(gcwa_exist.cost.sat_calls >= 1);
     }
 
@@ -381,8 +412,14 @@ mod tests {
     fn complexity_table_is_total_and_json_renders() {
         for id in SemanticsId::ALL {
             for p in Problem::ALL {
-                assert!(!paper_complexity(id, p).is_empty());
+                for fragment in [Fragment::Positive, Fragment::General] {
+                    assert!(!paper_cell(id, p, fragment).is_empty());
+                }
             }
+            assert_eq!(
+                paper_cell(id, Problem::Existence, Fragment::Positive),
+                "O(1)"
+            );
         }
         let db = parse_program("a | b.").unwrap();
         let f = parse_formula("a", db.symbols()).unwrap();

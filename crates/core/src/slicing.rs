@@ -210,8 +210,9 @@ pub(crate) fn run_peel(
 /// Executes a decided peel route for model existence: solve the
 /// deterministic bottom, then evaluate the residual's weakly-connected
 /// islands (memoized with the peel in `prepared`) on the worker pool
-/// ([`crate::parallel::islands_has_model`]); a single-island residual
-/// falls through to an inner existence check.
+/// ([`crate::parallel::islands_has_model`]); a single-island or positive
+/// residual falls through to an inner existence check (a positive one is
+/// the planner's existence leaf, which it tries before the islands).
 pub(crate) fn run_exist_split(
     cfg: &SemanticsConfig,
     prepared: &Prepared,
@@ -220,9 +221,11 @@ pub(crate) fn run_exist_split(
 ) -> Governed<Option<bool>> {
     note_split(p);
     let mode = peel_mode(cfg.id).expect("only peelable semantics take the split route");
-    let parts = prepared.peel_islands(mode);
-    if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, parts, cost)? {
-        return Ok(Some(ans));
+    if !p.residual.is_positive() {
+        let parts = prepared.peel_islands(mode);
+        if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, parts, cost)? {
+            return Ok(Some(ans));
+        }
     }
     definite(inner(cfg).has_model(&p.residual, cost))
 }

@@ -152,8 +152,9 @@ fn keeping_events_changes_no_count() {
 /// `--explain` answers on the generic procedure: over the random
 /// databases, for all ten semantics, `explain_formula` returns a
 /// countermodel exactly when the generically routed query answers false,
-/// and pays the same bill — except for the GCWA/DDR/PWS literal
-/// procedures, which answer a one-literal query without a countermodel.
+/// and pays the same bill — except for the DDR/PWS literal procedures,
+/// which answer a one-literal query without a countermodel. (GCWA's
+/// literal query is its countermodel search.)
 /// Every countermodel falsifies the query and belongs to the semantics'
 /// model set.
 #[test]
@@ -176,8 +177,8 @@ fn explain_pays_the_generic_query_bill() {
                 let mut explained = Cost::new();
                 let outcome = explain_formula(&cfg, db, &f, &mut explained).unwrap();
                 assert_eq!(verdict.definite(), outcome.is_inferred(), "{case}");
-                let shortcut = f.as_literal().is_some()
-                    && matches!(id, SemanticsId::Gcwa | SemanticsId::Ddr | SemanticsId::Pws);
+                let shortcut =
+                    f.as_literal().is_some() && matches!(id, SemanticsId::Ddr | SemanticsId::Pws);
                 if !shortcut {
                     assert_eq!(format!("{explained:?}"), format!("{asked:?}"), "{case}");
                 }
@@ -204,4 +205,54 @@ fn explain_pays_the_generic_query_bill() {
         refuted > 100 && inferred > 100,
         "{refuted} refuted, {inferred} inferred"
     );
+}
+
+/// GCWA is CCWA at `P = V`: over the random databases, for every literal,
+/// CCWA without a partition gives GCWA's verdict at GCWA's bill, routed
+/// and generic. With a partition that minimizes only part of the
+/// vocabulary, CCWA keeps its `N`-set procedure, which must agree with
+/// filtering its characteristic models.
+#[test]
+fn ccwa_literals_are_gcwa_at_p_equals_v() {
+    use ddb_core::RoutingMode;
+    use ddb_logic::Literal;
+    use ddb_models::Partition;
+    let mut partitioned = 0;
+    for (i, db) in databases().iter().enumerate() {
+        let n = db.num_atoms();
+        let literals: Vec<Formula> = (0..n as u32)
+            .flat_map(|a| [true, false].map(|sign| Literal::with_sign(Atom::new(a), sign)))
+            .map(Formula::from)
+            .collect();
+        for routing in [RoutingMode::Auto, RoutingMode::Generic] {
+            let ask = |id: SemanticsId, f: &Formula| {
+                let mut cost = Cost::new();
+                let cfg = SemanticsConfig::new(id).with_routing(routing);
+                let v = cfg.infers_formula(db, f, &mut cost).unwrap().definite();
+                (v, format!("{cost:?}"))
+            };
+            for f in &literals {
+                assert_eq!(
+                    ask(SemanticsId::Ccwa, f),
+                    ask(SemanticsId::Gcwa, f),
+                    "db {i}, {routing:?}, {f:?}"
+                );
+            }
+        }
+        // P = the first half of the atoms, Q = half of the rest.
+        let part = Partition::from_p_q(
+            n,
+            (0..n / 2).map(|a| Atom::new(a as u32)),
+            (n / 2..n * 3 / 4).map(|a| Atom::new(a as u32)),
+        );
+        let models = ddb_core::ccwa::models(db, &part, &mut Cost::new()).unwrap();
+        let cfg = SemanticsConfig::new(SemanticsId::Ccwa).with_partition(part);
+        for f in &literals {
+            let got = cfg.infers_formula(db, f, &mut Cost::new()).unwrap();
+            let expected = models.iter().all(|m| f.eval(m));
+            assert_eq!(got.definite(), expected, "db {i}, P ≠ V, {f:?}");
+            partitioned += 1;
+        }
+    }
+    assert!(partitioned >= 40 * 12, "{partitioned} partitioned literals");
 }

@@ -158,8 +158,11 @@ fn batch_inference_matches_sequential_loop_on_corpus() {
 
 /// A database whose dependency graph is many disjoint islands, so
 /// existence checks route through the worker pool at every width ≥ 2.
+/// Each tower carries an integrity clause, so no island is positive:
+/// every worker's existence check asks the oracle instead of taking the
+/// `O(1)` positive leaf.
 fn many_islands() -> Database {
-    ddb_workloads::structured::sliceable_towers(8, 3)
+    ddb_workloads::structured::guarded_towers(8, 3)
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! The acceptance property of the static planner: on random databases,
 //! for every semantics and every decision problem, the route the plan
 //! tree predicts is exactly the route dispatch takes, and the observed
-//! oracle calls never exceed the plan's static bound.
+//! oracle calls never exceed the plan's static bound — a plan bounded by
+//! zero (the positive existence leaf, the Horn collapse) makes no SAT
+//! call at all.
 //!
 //! Both sides run through the same decision kernel
 //! (`ddb_analysis::decide`), so a mismatch here means the plan
@@ -24,7 +26,8 @@ const SEEDS_PER_SPEC: u64 = 40;
 
 /// Every route the planner can choose. The match below stops compiling
 /// when a variant is added, so the coverage audit cannot miss it.
-const ROUTES: [RouteKind; 6] = [
+const ROUTES: [RouteKind; 7] = [
+    RouteKind::Positive,
     RouteKind::Horn,
     RouteKind::Hcf,
     RouteKind::Slice,
@@ -34,7 +37,8 @@ const ROUTES: [RouteKind; 6] = [
 ];
 
 const _: fn(RouteKind) = |r| match r {
-    RouteKind::Horn
+    RouteKind::Positive
+    | RouteKind::Horn
     | RouteKind::Hcf
     | RouteKind::Slice
     | RouteKind::Split
@@ -94,6 +98,17 @@ fn predicted_route_and_bound_hold_on_random_dbs() {
                     Some(plan.route.label()),
                     "{id:?} {problem:?} route mismatch ({name}) on {db:?}"
                 );
+                if plan.oracle_bound == 0 {
+                    assert_eq!(
+                        cell.cost.sat_calls, 0,
+                        "{id:?} {problem:?}: a zero-bound plan called the oracle ({name})"
+                    );
+                }
+                if plan.route == RouteKind::Positive {
+                    assert_eq!(*problem, Problem::Existence, "{id:?} ({name})");
+                    assert_eq!(cell.answer, Some(true), "{id:?} ({name})");
+                    assert_eq!(plan.class, "O(1)", "{id:?} ({name})");
+                }
                 assert!(
                     cell.cost.sat_calls <= plan.oracle_bound,
                     "{id:?} {problem:?}: {} sat calls exceed static bound {} \

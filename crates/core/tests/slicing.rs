@@ -166,10 +166,12 @@ fn layered_db(layers: usize) -> Database {
 #[test]
 fn sliced_literal_inference_pays_strictly_fewer_oracle_calls() {
     let db = layered_db(4);
-    // PDSM and ICWA refute ¬c1 on their first minimal candidate either
-    // way, so they get an inferred query: `g :- c1, d0.` holds in no
-    // minimal model (c1 needs c0, which excludes d0), and only the slice
-    // avoids walking every minimal model to show ¬g.
+    // CCWA, PDSM and ICWA refute c1 or ¬c1 on their first minimal
+    // candidate either way (CCWA's default-partition literals are GCWA's
+    // single minimal-model walk), so they get an inferred query:
+    // `g :- c1, d0.` holds in no minimal model (c1 needs c0, which
+    // excludes d0), and only the slice avoids walking every minimal model
+    // to show ¬g.
     let mut with_goal = db.clone();
     let goal = with_goal.symbols_mut().fresh_atom("g");
     with_goal.add_rule(Rule::new([goal], [Atom::new(4), Atom::new(1)], []));
@@ -177,7 +179,7 @@ fn sliced_literal_inference_pays_strictly_fewer_oracle_calls() {
     // of 14 atoms, and the semantics whose literal procedures enumerate
     // characteristic models pay per model they no longer see.
     for (id, db, lit) in [
-        (SemanticsId::Ccwa, &db, Atom::new(4).pos()),
+        (SemanticsId::Ccwa, &with_goal, goal.neg()),
         (SemanticsId::Icwa, &with_goal, goal.neg()),
         (SemanticsId::Dsm, &db, Atom::new(4).pos()),
         (SemanticsId::Pdsm, &with_goal, goal.neg()),

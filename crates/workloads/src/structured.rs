@@ -133,6 +133,21 @@ pub fn sliceable_towers(towers: usize, height: usize) -> Database {
     db
 }
 
+/// [`sliceable_towers`] with an integrity clause `:- a₁, b₁.` over each
+/// tower's first stage. The towers stay independent islands, but none is
+/// positive, so model existence on each one is an oracle question — the
+/// premise of the island and worker-pool measurements, which a positive
+/// island answers without the oracle.
+pub fn guarded_towers(towers: usize, height: usize) -> Database {
+    let mut db = sliceable_towers(towers, height);
+    let per = 2 + 3 * height;
+    for t in 0..towers {
+        let a1 = (t * per + 2) as u32;
+        db.add_rule(Rule::integrity([Atom::new(a1), Atom::new(a1 + 1)], []));
+    }
+    db
+}
+
 /// `chains` independent linear chains of `depth` edges, written as a
 /// **non-ground** Datalog∨ program with the chain identifier in every
 /// first argument, plus one bound query atom:
@@ -225,6 +240,15 @@ mod tests {
         // Its unique model is everything.
         let full = Interpretation::full(100);
         assert!(db.satisfied_by(&full));
+    }
+
+    #[test]
+    fn guarded_towers_are_deductive_islands() {
+        let db = guarded_towers(3, 2);
+        assert_eq!(db.class(), DbClass::Deductive);
+        assert_eq!(db.len(), sliceable_towers(3, 2).len() + 3);
+        // Taking both first-stage atoms of a tower violates its clause.
+        assert!(!db.satisfied_by(&Interpretation::full(db.num_atoms())));
     }
 
     #[test]

@@ -51,15 +51,16 @@
 //!
 //! ddb explain <file> [--query "<f>"] [--semantics <name>] [--json] [--execute]
 //!     The static query plan: per semantics, the route tree the
-//!     dispatcher will take for the query (Horn / hcf / slice / split /
-//!     islands / generic), annotated with the paper's complexity
-//!     class and a sound upper bound on oracle calls per node, plus the
-//!     binding-pattern adornments of the query's backward slice and the
-//!     plan lints DDB012–DDB018. `--max-oracle-calls <n>` declares the
-//!     budget DDB015 checks plans against. With `--execute`, each planned
-//!     cell also runs and the predicted route and bound are audited
-//!     against the observed `route.*` counters and oracle-call totals;
-//!     any mismatch exits 1.
+//!     dispatcher will take for the query — model existence without
+//!     `--query` — (positive / Horn / hcf / slice / split / islands /
+//!     generic), annotated with the paper's complexity class (Table 1 on
+//!     positive nodes, Table 2 otherwise) and a sound upper bound on
+//!     oracle calls per node, plus the binding-pattern adornments of the
+//!     query's backward slice and the plan lints DDB012–DDB018.
+//!     `--max-oracle-calls <n>` declares the budget DDB015 checks plans
+//!     against. With `--execute`, each planned cell also runs and the
+//!     predicted route and bound are audited against the observed
+//!     `route.*` counters and oracle-call totals; any mismatch exits 1.
 //!
 //! ddb trace <file> --query "<f>" [--semantics <name>] [--top <n>] [--json]
 //!     Run the query under a full event trace and print the aggregated
@@ -229,8 +230,9 @@ const USAGE: &str = "usage:
       (observed 10-semantics x 3-problems oracle-call matrix vs paper classes;
        with a per-cell budget, exhausted cells are marked ?<resource>)
   ddb explain <file> [--query \"<f>\"] [--semantics <name>] [--json] [--execute]
-      (static query plan: per semantics the route tree dispatch will take,
-       with predicted complexity classes and oracle-call bounds, adornment
+      (static query plan, model existence without --query: per semantics
+       the route tree dispatch will take, with the paper's complexity
+       classes (Table 1 on positive nodes) and oracle-call bounds, adornment
        analysis, and plan lints DDB012-DDB018; --max-oracle-calls <n>
        declares the budget DDB015 checks plans against; --execute runs each
        planned cell and audits predicted route/bound vs the observed
@@ -274,17 +276,70 @@ input is propositional program syntax, or Datalog∨ with --datalog
 (auto-detected for .dlv files and sources containing predicate atoms)
 semantics: gcwa egcwa ccwa ecwa|circ ddr|wgcwa pws|pms perf icwa dsm pdsm cwa";
 
-/// The bare flags some command reads.
+/// The bare flags some command reads; every other option takes a value.
 const FLAGS: &str = "brave explain datalog full partial stats json strict execute \
                      drain-on-stdin-close";
 
-/// The `--key value` options some command reads, besides the resource
-/// limits of [`Limits::FIELDS`].
-const VALUE_KEYS: &str = "addr atom cell-timeout-ms db fail-after-max flame formula id \
-                          idle-timeout-ms literal max-frame-bytes max-sessions op \
-                          partition-p partition-q query queue read-timeout-ms retry-after-ms \
-                          rounds seed semantics target threads top trace-chrome trace-json \
-                          workers write-timeout-ms";
+/// The options each command reads: its bare flags and `--key value` keys,
+/// where `LIMITS` stands for the resource limits of [`Limits::FIELDS`] and
+/// `OBSERVE` for the outputs [`observe`] writes.
+const COMMAND_OPTIONS: &[(&str, &str)] = &[
+    ("classify", "datalog"),
+    ("check", "datalog json strict"),
+    ("slice", "datalog query semantics json"),
+    ("rewrite", "datalog query semantics json threads"),
+    (
+        "models",
+        "datalog semantics partial partition-p partition-q threads LIMITS OBSERVE",
+    ),
+    (
+        "query",
+        "datalog semantics formula literal brave explain partition-p partition-q threads \
+         LIMITS OBSERVE",
+    ),
+    (
+        "exists",
+        "datalog semantics partition-p partition-q threads LIMITS OBSERVE",
+    ),
+    ("wfs", "datalog"),
+    ("ground", "full"),
+    ("proof", "datalog atom"),
+    (
+        "profile",
+        "datalog literal formula cell-timeout-ms threads LIMITS OBSERVE",
+    ),
+    (
+        "explain",
+        "datalog query semantics json execute partition-p partition-q threads LIMITS",
+    ),
+    (
+        "trace",
+        "datalog query semantics top json stats partition-p partition-q threads LIMITS",
+    ),
+    (
+        "serve",
+        "db addr max-sessions workers queue read-timeout-ms write-timeout-ms idle-timeout-ms \
+         max-frame-bytes retry-after-ms threads drain-on-stdin-close LIMITS",
+    ),
+    (
+        "call",
+        "addr op db id target semantics formula literal brave explain partial partition-p \
+         partition-q threads json datalog LIMITS",
+    ),
+    ("chaos", "addr rounds seed fail-after-max db formula"),
+];
+
+/// Whether `command` reads `--key`, expanding `LIMITS` and `OBSERVE`.
+/// With `command` `None`: whether any command reads it.
+fn reads_option(command: Option<&str>, key: &str) -> bool {
+    let limit = Limits::FIELDS.iter().any(|f| f.replace('_', "-") == key);
+    let observe = matches!(key, "stats" | "trace-json" | "trace-chrome" | "flame");
+    COMMAND_OPTIONS
+        .iter()
+        .filter(|(name, _)| command.is_none_or(|c| c == *name))
+        .flat_map(|(_, keys)| keys.split_whitespace())
+        .any(|k| k == key || (k == "LIMITS" && limit) || (k == "OBSERVE" && observe))
+}
 
 /// Minimal flag parser: positional file + `--key value` pairs + bare flags.
 struct Opts {
@@ -293,7 +348,10 @@ struct Opts {
     flags: Vec<String>,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parses `command`'s arguments. An option no command reads is an
+/// unknown flag; one that `command` does not read is a usage error too,
+/// so a flag is never silently ignored.
+fn parse_opts(command: &str, args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         file: None,
         values: Vec::new(),
@@ -303,15 +361,16 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
-            let listed = |list: &str| list.split_whitespace().any(|k| k == key);
-            if listed(FLAGS) {
+            if !reads_option(None, key) {
+                return Err(format!("unknown flag `--{key}`"));
+            }
+            if !reads_option(Some(command), key) {
+                return Err(format!("`ddb {command}` does not read `--{key}`"));
+            }
+            if FLAGS.split_whitespace().any(|k| k == key) {
                 opts.flags.push(key.to_owned());
                 i += 1;
             } else {
-                let limit = Limits::FIELDS.iter().any(|f| f.replace('_', "-") == key);
-                if !limit && !listed(VALUE_KEYS) {
-                    return Err(format!("unknown flag `--{key}`"));
-                }
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} needs a value"))?;
@@ -656,7 +715,7 @@ fn render_partial(db: &Database, p: &PartialInterpretation) -> String {
 }
 
 fn classify(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("classify", args)?;
     let db = load(&opts)?;
     oprintln!("atoms:              {}", db.num_atoms());
     oprintln!("rules:              {}", db.len());
@@ -683,7 +742,7 @@ fn classify(args: &[String]) -> Result<(), String> {
 /// malformed command lines surface as `Err` (exit 1 via `main`).
 fn check_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::analysis::{analyze, Severity};
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("check", args)?;
     let path = opts.file.as_deref().ok_or("missing <file> argument")?;
     let fail = |msg: String| -> Result<u8, String> {
         eprintln!("error: {msg}");
@@ -759,7 +818,7 @@ fn check_cmd(args: &[String]) -> Result<u8, String> {
 fn slice_cmd(args: &[String]) -> Result<(), String> {
     use disjunctive_db::analysis::{layering, relevant_slice, DepGraph, Fragments};
     use disjunctive_db::core::slicing::{admission, peel_mode, Admission};
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("slice", args)?;
     let db = load(&opts)?;
     let raw = opts.value("query").ok_or("missing --query <formula>")?;
     let formula = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
@@ -909,7 +968,7 @@ fn rewrite_cmd(args: &[String]) -> Result<(), String> {
     use disjunctive_db::analysis::{demand_closure, magic, prunes_dead, Prepared, Slice};
     use disjunctive_db::core::planner::mm_determined;
     use disjunctive_db::core::slicing::{admission, Admission};
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("rewrite", args)?;
     let db = load(&opts)?;
     // --threads is accepted for CLI uniformity; the rewrite is a pure
     // static analysis, so the output is identical at every width.
@@ -1087,7 +1146,7 @@ fn emit(line: &str) -> bool {
 /// and printed by [`print_response`] — the path `ddb call` prints served
 /// answers through.
 fn answer_cmd(args: &[String], op: Op) -> Result<u8, String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(op.name(), args)?;
     let db = load(&opts)?;
     if op == Op::Query && opts.values_all("formula").len() > 1 {
         return query_batch(&opts, &db);
@@ -1294,7 +1353,7 @@ fn query_batch(opts: &Opts, db: &Database) -> Result<u8, String> {
 }
 
 fn profile_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("profile", args)?;
     let db = load(&opts)?;
     if db.num_atoms() == 0 {
         return Err("profile needs a database with at least one atom".into());
@@ -1354,18 +1413,14 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
         adorn, bound_query, magic, plan_lints, DomainEstimate, PlanData, PlanNode, PlanQuery,
     };
     use disjunctive_db::core::planner::problem_of;
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("explain", args)?;
     let db = load(&opts)?;
-    // The planned query: --query, else the first atom as a positive
-    // literal (matching `ddb profile`'s default), else model existence.
+    // The planned query: --query, else model existence, the one problem
+    // that needs no query.
     let (query_label, formula) = match opts.value("query") {
         Some(raw) => {
             let f = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
             (raw.to_owned(), Some(f))
-        }
-        None if db.num_atoms() > 0 => {
-            let a = Atom::new(0);
-            (db.symbols().name(a).to_owned(), Some(a.pos().into()))
         }
         None => ("(model existence)".to_owned(), None),
     };
@@ -1589,7 +1644,7 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
 /// attributed oracle calls, and p50/p90/p99 latency per tree node, built
 /// from the events of one `record` scope.
 fn trace_cmd(args: &[String]) -> Result<u8, String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("trace", args)?;
     let db = load(&opts)?;
     let raw = opts.value("query").ok_or("missing --query \"<formula>\"")?;
     let formula = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
@@ -1644,7 +1699,7 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
 }
 
 fn ground_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("ground", args)?;
     let path = opts.file.as_deref().ok_or("missing <file> argument")?;
     let program = parse_datalog(&read_source(path)?).map_err(|e| e.to_string())?;
     let db = if opts.flag("full") {
@@ -1663,7 +1718,7 @@ fn ground_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn proof_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("proof", args)?;
     let db = load(&opts)?;
     if db.has_negation() {
         return Err("DDR proofs need a database without negation".into());
@@ -1695,7 +1750,7 @@ fn proof_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn wfs_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("wfs", args)?;
     let db = load(&opts)?;
     if !wfs::is_normal_program(&db) {
         return Err("WFS needs a normal program (exactly one head atom per rule)".into());
@@ -1722,7 +1777,7 @@ fn wfs_cmd(args: &[String]) -> Result<(), String> {
 /// `forbid(unsafe_code)` zero-dependency build cannot install.
 fn serve_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::serve::{catalog::name_from_path, Catalog, Server, ServerConfig};
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("serve", args)?;
     let mut config = ServerConfig::default();
     let mut catalog = Catalog::new();
     if let Some(path) = opts.file.as_deref() {
@@ -1799,7 +1854,7 @@ fn serve_cmd(args: &[String]) -> Result<u8, String> {
 /// carry are usage errors, never silently dropped.
 fn call_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::serve::chaos::Client;
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("call", args)?;
     let addr = opts.value("addr").ok_or("missing --addr <host:port>")?;
     if opts.flag("explain") || opts.flag("partial") || opts.values_all("formula").len() > 1 {
         return Err("--explain, --partial and batched --formula are local-only".into());
@@ -1820,7 +1875,7 @@ fn call_cmd(args: &[String]) -> Result<u8, String> {
 /// report; any violated robustness check exits 1.
 fn chaos_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::serve::{run_chaos, ChaosConfig};
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("chaos", args)?;
     let addr = opts.value("addr").ok_or("missing --addr <host:port>")?;
     let mut config = ChaosConfig {
         addr: addr.to_owned(),
@@ -1852,14 +1907,17 @@ mod tests {
 
     #[test]
     fn parse_opts_splits_values_and_flags() {
-        let opts = parse_opts(&args(&[
-            "file.dl",
-            "--semantics",
-            "gcwa",
-            "--explain",
-            "--formula",
-            "a & b",
-        ]))
+        let opts = parse_opts(
+            "query",
+            &args(&[
+                "file.dl",
+                "--semantics",
+                "gcwa",
+                "--explain",
+                "--formula",
+                "a & b",
+            ]),
+        )
         .unwrap();
         assert_eq!(opts.file.as_deref(), Some("file.dl"));
         assert_eq!(opts.value("semantics"), Some("gcwa"));
@@ -1870,8 +1928,47 @@ mod tests {
 
     #[test]
     fn parse_opts_rejects_dangling_value_flag() {
-        assert!(parse_opts(&args(&["f.dl", "--semantics"])).is_err());
-        assert!(parse_opts(&args(&["a.dl", "b.dl"])).is_err());
+        assert!(parse_opts("query", &args(&["f.dl", "--semantics"])).is_err());
+        assert!(parse_opts("query", &args(&["a.dl", "b.dl"])).is_err());
+    }
+
+    #[test]
+    fn parse_opts_rejects_options_the_command_does_not_read() {
+        let err = |command: &str, list: &[&str]| {
+            parse_opts(command, &args(list)).err().expect("rejected")
+        };
+        assert_eq!(
+            err("ground", &["f.dlv", "--semantics", "dsm"]),
+            "`ddb ground` does not read `--semantics`"
+        );
+        assert_eq!(
+            err("wfs", &["f", "--max-models", "1"]),
+            "`ddb wfs` does not read `--max-models`"
+        );
+        assert!(err("exists", &["f", "--formula", "a"]).contains("--formula"));
+        assert!(err("trace", &["f", "--flame", "x"]).contains("--flame"));
+        // The groups expand: every command that lists them reads them.
+        let ok = |command: &str, list: &[&str]| parse_opts(command, &args(list)).is_ok();
+        assert!(ok("profile", &["f", "--max-conflicts", "1", "--stats"]));
+        assert!(ok("trace", &["f", "--stats"]));
+    }
+
+    #[test]
+    fn every_flag_is_read_by_some_command() {
+        for flag in FLAGS.split_whitespace() {
+            assert!(reads_option(None, flag), "--{flag} is read by no command");
+        }
+        for &(command, keys) in COMMAND_OPTIONS {
+            assert!(
+                run(&args(&[command, "--bogus-option", "1"]))
+                    .unwrap_err()
+                    .contains("unknown flag"),
+                "{command} must be dispatched by `run`"
+            );
+            for key in keys.split_whitespace() {
+                assert!(reads_option(Some(command), key), "{command} --{key}");
+            }
+        }
     }
 
     #[test]
@@ -1888,36 +1985,39 @@ mod tests {
     fn every_limit_is_a_flag() {
         for name in Limits::FIELDS {
             let flag = format!("--{}", name.replace('_', "-"));
-            let opts = parse_opts(&args(&["f.dl", &flag, "7"])).unwrap();
+            let opts = parse_opts("query", &args(&["f.dl", &flag, "7"])).unwrap();
             let limits = opts.limits().unwrap();
             assert_eq!(limits.to_json().render(), format!(r#"{{"{name}":7}}"#));
             assert!(opts.budget().unwrap().is_some(), "{flag} installs a budget");
-            let bad = parse_opts(&args(&["f.dl", &flag, "soon"])).unwrap();
+            let bad = parse_opts("query", &args(&["f.dl", &flag, "soon"])).unwrap();
             assert!(bad.limits().is_err(), "{flag} rejects a non-integer");
         }
     }
 
     #[test]
     fn request_from_carries_every_wire_flag() {
-        let opts = parse_opts(&args(&[
-            "--db",
-            "ab",
-            "--semantics",
-            "ccwa",
-            "--partition-p",
-            "a, b,",
-            "--partition-q",
-            "c",
-            "--literal",
-            "-a",
-            "--brave",
-            "--threads",
-            "2",
-            "--fail-after",
-            "3",
-            "--id",
-            "job-1",
-        ]))
+        let opts = parse_opts(
+            "call",
+            &args(&[
+                "--db",
+                "ab",
+                "--semantics",
+                "ccwa",
+                "--partition-p",
+                "a, b,",
+                "--partition-q",
+                "c",
+                "--literal",
+                "-a",
+                "--brave",
+                "--threads",
+                "2",
+                "--fail-after",
+                "3",
+                "--id",
+                "job-1",
+            ]),
+        )
         .unwrap();
         let request = request_from(&opts, Op::Query).unwrap();
         assert_eq!(request.partition_p, ["a", "b"]);
@@ -1928,9 +2028,9 @@ mod tests {
         assert_eq!(request.limits.fail_after, Some(3));
         assert_eq!(request.id_key().as_deref(), Some("job-1"));
         // Query ops default to EGCWA, like the local commands.
-        let bare = request_from(&parse_opts(&[]).unwrap(), Op::Exists).unwrap();
+        let bare = request_from(&parse_opts("call", &[]).unwrap(), Op::Exists).unwrap();
         assert_eq!(bare.semantics.as_deref(), Some("egcwa"));
-        let ping = request_from(&parse_opts(&[]).unwrap(), Op::Ping).unwrap();
+        let ping = request_from(&parse_opts("call", &[]).unwrap(), Op::Ping).unwrap();
         assert_eq!(ping.semantics, None);
     }
 

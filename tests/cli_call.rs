@@ -18,15 +18,17 @@ fn ddb() -> Command {
 
 /// A `ddb serve` child on an ephemeral port serving `vase`, `layers`, the
 /// partition database `ab` (`a | b.`), `four` (`a | b. c | d.`, four
-/// minimal models) and `closed` (two GCWA models among seven classical
-/// ones), each of the last three in a file of the test's own; killed on
-/// drop.
+/// minimal models), `closed` (two GCWA models among seven classical
+/// ones) and `guarded` (`a | b. :- a, b.`, whose integrity clause makes
+/// existence an oracle question), each of the last four in a file of the
+/// test's own; killed on drop.
 struct Served {
     child: Child,
     addr: String,
     ab: String,
     four: String,
     closed: String,
+    guarded: String,
 }
 
 impl Served {
@@ -46,6 +48,7 @@ impl Served {
         let ab = file("ab", "a | b.\n");
         let four = file("four", "a | b. c | d.\n");
         let closed = file("closed", "a | b. c :- d, a. d :- c, b. c | d :- a, b.\n");
+        let guarded = file("guarded", "a | b. :- a, b.\n");
         let mut child = ddb()
             .args([
                 "serve",
@@ -58,6 +61,8 @@ impl Served {
                 &format!("four={four}"),
                 "--db",
                 &format!("closed={closed}"),
+                "--db",
+                &format!("guarded={guarded}"),
                 "--addr",
                 "127.0.0.1:0",
             ])
@@ -80,6 +85,7 @@ impl Served {
             ab,
             four,
             closed,
+            guarded,
         }
     }
 
@@ -120,6 +126,7 @@ impl Drop for Served {
         std::fs::remove_file(&self.ab).ok();
         std::fs::remove_file(&self.four).ok();
         std::fs::remove_file(&self.closed).ok();
+        std::fs::remove_file(&self.guarded).ok();
     }
 }
 
@@ -178,17 +185,26 @@ fn partition_queries_match_local() {
 #[test]
 fn tripped_budgets_match_local() {
     let server = Served::start("tripped_budgets_match_local");
-    for (op, flags) in [
-        ("query", "--semantics gcwa --formula -treat --fail-after 3"),
+    let vase = ("examples/vase.dl", "vase");
+    // Existence on the positive vase database is Table 1's O(1) cell and
+    // never asks the oracle; the guarded database's integrity clause does.
+    let guarded = (server.guarded.as_str(), "guarded");
+    for (op, (file, db), flags) in [
         (
             "query",
+            vase,
+            "--semantics gcwa --formula -treat --fail-after 3",
+        ),
+        (
+            "query",
+            vase,
             "--semantics dsm --literal treat --max-oracle-calls 0",
         ),
-        ("exists", "--semantics pdsm --max-oracle-calls 0"),
-        ("models", "--semantics gcwa --max-models 1"),
-        ("models", "--semantics dsm --fail-after 1"),
+        ("exists", guarded, "--semantics pdsm --max-oracle-calls 0"),
+        ("models", vase, "--semantics gcwa --max-models 1"),
+        ("models", vase, "--semantics dsm --fail-after 1"),
     ] {
-        let [local, served] = server.both(op, "examples/vase.dl", "vase", flags);
+        let [local, served] = server.both(op, file, db, flags);
         assert_eq!(local.2, 3, "{op} {flags} trips: {local:?}");
         assert!(local.1.contains("unknown ("), "{local:?}");
         assert_eq!(local, served, "{op} {flags}");

@@ -42,6 +42,55 @@ fn explain_is_byte_identical_across_runs_and_thread_widths() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Without `--query`, explain plans model existence. On a positive
+/// database that is Table 1's `O(1)` cell for all ten semantics: the
+/// positive leaf, bound 0, and the audit sees no oracle call. An integrity
+/// clause moves the database to Table 2, and its classes with it.
+#[test]
+fn explain_prints_table_one_classes_on_positive_nodes() {
+    let positive = temp_file("table1", "a | b. c :- a, b.");
+    let out = ddb()
+        .args(["explain", &positive, "--execute"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("query `(model existence)` (exist problem)"),
+        "{text}"
+    );
+    let leaves = text
+        .lines()
+        .filter(|l| l.contains("positive [3 atoms, 2 rules] class O(1), <= 0 oracle calls"));
+    assert_eq!(leaves.count(), 10, "{text}");
+    let audits = text.lines().filter(|l| {
+        l.contains("route predicted=positive observed=positive; sat_calls=0 (bound 0) — ok")
+    });
+    assert_eq!(audits.count(), 10, "{text}");
+    // A negative DDR literal: Chan's P cell of Table 1 on the positive
+    // database, coNP-complete (Table 2) once an integrity clause joins.
+    let guarded = temp_file("table2", "a | b. c :- a, b. :- c, a.");
+    for (path, class) in [
+        (&positive, "in P (Chan [5])"),
+        (&guarded, "coNP-complete (Chan [5])"),
+    ] {
+        let out = ddb()
+            .args(["explain", path, "--query", "-c", "--semantics", "ddr"])
+            .output()
+            .unwrap();
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains(&format!("class {class},")), "{path}: {text}");
+    }
+    let out = ddb()
+        .args(["explain", &guarded, "--semantics", "gcwa"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("class NP-complete,"), "{text}");
+    std::fs::remove_file(&positive).ok();
+    std::fs::remove_file(&guarded).ok();
+}
+
 #[test]
 fn explain_prints_one_plan_per_semantics_with_routes_and_bounds() {
     let path = temp_file("shape", MIXED);

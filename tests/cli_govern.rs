@@ -78,6 +78,31 @@ fn unknown_flags_are_usage_errors() {
     );
 }
 
+/// A known flag on a command that does not read it is a usage error too:
+/// `ground` takes no semantics and `wfs` no budget, so running either as
+/// if it did would silently ignore the flag.
+#[test]
+fn flags_a_command_does_not_read_are_usage_errors() {
+    for (args, flag) in [
+        (
+            &["ground", "examples/reach.dlv", "--semantics", "dsm"][..],
+            "--semantics",
+        ),
+        (&["wfs", "f", "--max-models", "1"], "--max-models"),
+    ] {
+        let out = ddb().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(4), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is answered");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("`{flag}`")), "{args:?}: {err}");
+    }
+    // The same flags where the command reads them still run.
+    assert_eq!(
+        exit_code(ddb().args(["ground", "examples/reach.dlv", "--full"])),
+        0
+    );
+}
+
 #[test]
 fn check_exit_codes_are_not_disturbed_by_the_new_contract() {
     // `ddb check` keeps its 0/1/2 contract; only 3 and 4 are new.

@@ -77,16 +77,20 @@ fn query_trace_is_valid_json_with_counters_and_events() {
     // The counters object records the NP-oracle calls the decision made.
     let counters = doc.get("counters").unwrap();
     assert!(counters.get("sat.solves").unwrap().as_u64().unwrap() >= 1);
-    // Events include spans for the semantics entry point, and the stream
-    // is well-nested.
+    // Events include spans for the semantics entry point (GCWA literals
+    // run as CCWA's countermodel search at P = V), and the stream is
+    // well-nested.
     let events = doc.get("events").unwrap().as_arr().unwrap();
     assert!(!events.is_empty());
-    let has_gcwa_span = events.iter().any(|e| {
+    let has_entry_span = events.iter().any(|e| {
         e.get("name")
             .and_then(|n| n.as_str())
-            .is_some_and(|n| n.starts_with("gcwa."))
+            .is_some_and(|n| n == "ccwa.countermodel")
     });
-    assert!(has_gcwa_span, "expected a gcwa.* span in the event stream");
+    assert!(
+        has_entry_span,
+        "expected a ccwa.countermodel span in the event stream"
+    );
 }
 
 #[test]
@@ -138,9 +142,19 @@ fn profile_prints_matrix_table() {
 
 #[test]
 fn stats_flag_prints_counter_table() {
+    // A query that asks the oracle: existence on the positive vase
+    // database is answered without it.
     let vase = vase();
     let out = ddb()
-        .args(["exists", &vase, "--semantics", "gcwa", "--stats"])
+        .args([
+            "query",
+            &vase,
+            "--semantics",
+            "gcwa",
+            "--literal",
+            "-treat",
+            "--stats",
+        ])
         .output()
         .unwrap();
     assert!(out.status.success());
