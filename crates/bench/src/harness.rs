@@ -49,7 +49,8 @@ pub fn measure(size: usize, f: impl FnOnce(&mut Cost) -> bool) -> Measurement {
     }
 }
 
-/// Runs `f` over `iters` seeds and reports their medians ([`median`]).
+/// Runs `f` over `iters` seeds and reports the median of each quantity,
+/// each taken on its own (`median`).
 pub fn measure_median(
     size: usize,
     iters: u64,
@@ -68,7 +69,7 @@ pub fn measure_median(
 ///
 /// # Panics
 /// Panics when `runs` is empty.
-pub fn median(size: usize, runs: &[Measurement]) -> Measurement {
+fn median(size: usize, runs: &[Measurement]) -> Measurement {
     fn mid<T: Ord + Copy>(runs: &[Measurement], key: impl Fn(&Measurement) -> T) -> T {
         let mut values: Vec<T> = runs.iter().map(key).collect();
         values.sort_unstable();

@@ -54,17 +54,6 @@ pub enum Fragment {
     General,
 }
 
-impl Fragment {
-    /// The fragment of a database whose positivity is `positive`.
-    pub fn of(positive: bool) -> Fragment {
-        if positive {
-            Fragment::Positive
-        } else {
-            Fragment::General
-        }
-    }
-}
-
 /// The complexity class Eiter & Gottlob's tables assign to a (semantics,
 /// problem) cell: Table 1 on positive databases, Table 2 otherwise. The
 /// one statement of both tables — `traits_for` (and so the classes
@@ -220,6 +209,11 @@ pub fn profile_cell(
         (outcome, started.elapsed().as_nanos() as u64)
     });
     let route = route_of(&recording);
+    let fragment = if db.is_positive() {
+        Fragment::Positive
+    } else {
+        Fragment::General
+    };
     let (answer, interrupted, unsupported) = match outcome {
         Ok(Verdict::True) => (Some(true), None, None),
         Ok(Verdict::False) => (Some(false), None, None),
@@ -229,7 +223,7 @@ pub fn profile_cell(
     CellProfile {
         semantics: cfg.id,
         problem,
-        paper_class: paper_cell(cfg.id, problem, Fragment::of(db.is_positive())),
+        paper_class: paper_cell(cfg.id, problem, fragment),
         answer,
         interrupted,
         cost,
