@@ -128,6 +128,27 @@ impl Fragments {
     }
 }
 
+/// The database class a paper cell is read for: Table 1 covers positive
+/// databases (no negation, no integrity clauses), Table 2 everything else.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+pub enum Fragment {
+    /// No negation and no integrity clauses: Table 1.
+    Positive,
+    /// Integrity clauses or negation: Table 2.
+    General,
+}
+
+impl Fragment {
+    /// The table a database with fragment flags `frags` is read under.
+    pub fn of(frags: &Fragments) -> Fragment {
+        if frags.positive {
+            Fragment::Positive
+        } else {
+            Fragment::General
+        }
+    }
+}
+
 /// Convenience: classify `db` without keeping the graph around (a
 /// throwaway [`crate::Prepared`] memo; keep one to classify once).
 pub fn classify(db: &Database) -> Fragments {

@@ -55,12 +55,12 @@ pub mod transform;
 pub use adorn::{adorn, Adornments, PredicateAdornment};
 pub use cost::{oracle_call_bound, DomainEstimate};
 pub use ddb_logic::depgraph::{DepGraph, EdgeKind, Sccs};
-pub use fragments::{classify, Fragments};
+pub use fragments::{classify, Fragment, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
 pub use magic::{MagicProgram, MAGIC_PREFIX};
 pub use plan::{
-    admission, bound_query, build_plan, decide, plan_lints, prunes_dead, tail_route, Admission,
-    Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
+    admission, bound_query, build_plan, decide, decide_peel_residual, plan_lints, prunes_dead,
+    tail_route, Admission, Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
 };
 pub use prepared::{AsPrepared, Prepared};
 pub use report::{analyze, AnalysisReport};

@@ -36,7 +36,7 @@
 
 use crate::adorn::{split_predicate, Adornments};
 use crate::cost::{display_bound, oracle_call_bound};
-use crate::fragments::Fragments;
+use crate::fragments::{Fragment, Fragments};
 use crate::lints::Diagnostic;
 use crate::magic::MAGIC_PREFIX;
 use crate::prepared::{AsPrepared, Prepared};
@@ -149,10 +149,9 @@ impl SemanticsTraits {
     /// The paper's class for this cell on a database with fragments
     /// `frags`: Table 1's when it is positive, Table 2's otherwise.
     pub fn class(&self, frags: &Fragments) -> &'static str {
-        if frags.positive {
-            self.class_positive
-        } else {
-            self.class_general
+        match Fragment::of(frags) {
+            Fragment::Positive => self.class_positive,
+            Fragment::General => self.class_general,
         }
     }
 }
@@ -290,11 +289,9 @@ pub struct Decision {
 enum Scope {
     /// Top-level entry and slice children: the full waterfall.
     Full,
-    /// The residual of an existence peel: islands may still fire, but the
-    /// peel is spent and slicing needs query atoms.
-    IslandsOnly,
     /// Inner calls (`no_slice` configurations): positive / Horn / HCF /
-    /// generic only.
+    /// generic only. The residual of an existence peel may still take its
+    /// islands first ([`decide_peel_residual`]).
     Tail,
 }
 
@@ -321,24 +318,8 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
     if t.generic_only {
         return leaf(RouteKind::Generic, None);
     }
-    if matches!(q, PlanQuery::Existence) && p.fragments().positive {
+    if positive_existence(p, q) {
         return leaf(RouteKind::Positive, None);
-    }
-    if scope == Scope::IslandsOnly {
-        // The residual of an existence peel: the dispatcher tries the
-        // island decomposition before handing the residual to the inner
-        // (tail) call, even when the residual is Horn.
-        let parts = p.islands();
-        if parts.len() >= 2 {
-            return Decision {
-                route: RouteKind::Islands,
-                data: PlanData::Islands {
-                    parts: parts.clone(),
-                },
-                blocked: None,
-            };
-        }
-        return decide_scoped(p, t, q, Scope::Tail);
     }
     let (db, frags) = (p.db(), p.fragments());
     if frags.horn && t.horn_collapse {
@@ -392,6 +373,40 @@ fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope)
         }
     }
     leaf(tail_route(t, &frags), blocked)
+}
+
+/// The `O(1)` existence leaf's test, tried before every other route in
+/// every scope: model existence on a positive database.
+fn positive_existence(p: &Prepared, q: &PlanQuery) -> bool {
+    matches!(q, PlanQuery::Existence) && p.fragments().positive
+}
+
+/// The route model existence takes on the residual of `p`'s existence
+/// peel (the [`RouteKind::Split`] route of [`decide`]), where `residual`
+/// is that residual's memo: the positive leaf, then the residual's
+/// islands (memoized with the peel in `p`), then the tail — even on a
+/// Horn residual. The peel is spent and slicing needs query atoms. The
+/// plan tree's residual node and the split executor both take this
+/// decision, so execution follows the plan.
+pub fn decide_peel_residual(p: &Prepared, residual: &Prepared, t: &SemanticsTraits) -> Decision {
+    let q = PlanQuery::Existence;
+    if positive_existence(residual, &q) {
+        return leaf(RouteKind::Positive, None);
+    }
+    let mode = t
+        .peel_negation
+        .expect("only a peelable semantics takes the split route");
+    let parts = p.peel_islands(mode);
+    if parts.len() >= 2 {
+        return Decision {
+            route: RouteKind::Islands,
+            data: PlanData::Islands {
+                parts: parts.clone(),
+            },
+            blocked: None,
+        };
+    }
+    decide_scoped(residual, t, &q, Scope::Tail)
 }
 
 /// The leaf the waterfall bottoms out on when no reduction applies (or an
@@ -514,8 +529,11 @@ fn plan_leaf(route: RouteKind, p: &Prepared, t: &SemanticsTraits, detail: String
 }
 
 fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> PlanNode {
+    build_decided(p, t, q, decide_scoped(p, t, q, scope))
+}
+
+fn build_decided(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, d: Decision) -> PlanNode {
     let db = p.db();
-    let d = decide_scoped(p, t, q, scope);
     let blocked = d.blocked;
     let mut node = match d.data {
         PlanData::Leaf => match d.route {
@@ -598,32 +616,29 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
             }
         }
         PlanData::Peel { peel } => {
-            let (child_q, child_scope) = match q {
+            let child_q = match q {
                 PlanQuery::Literal(a) => match peel.decided[a.index()] {
-                    None => (PlanQuery::Literal(*a), Scope::Tail),
+                    None => PlanQuery::Literal(*a),
                     // A decided query atom degenerates to a constant
                     // formula over the residual.
-                    Some(_) => (PlanQuery::Formula(Vec::new()), Scope::Tail),
+                    Some(_) => PlanQuery::Formula(Vec::new()),
                 },
-                PlanQuery::Formula(atoms) => (
-                    PlanQuery::Formula(
-                        atoms
-                            .iter()
-                            .copied()
-                            .filter(|a| peel.decided[a.index()].is_none())
-                            .collect(),
-                    ),
-                    Scope::Tail,
+                PlanQuery::Formula(atoms) => PlanQuery::Formula(
+                    atoms
+                        .iter()
+                        .copied()
+                        .filter(|a| peel.decided[a.index()].is_none())
+                        .collect(),
                 ),
-                PlanQuery::Existence => (PlanQuery::Existence, Scope::IslandsOnly),
+                PlanQuery::Existence => PlanQuery::Existence,
                 PlanQuery::Enumeration => unreachable!("peel route never serves enumeration"),
             };
-            let children = vec![build(
-                &Prepared::borrowed(&peel.residual),
-                t,
-                &child_q,
-                child_scope,
-            )];
+            let residual = Prepared::borrowed(&peel.residual);
+            let d = match child_q {
+                PlanQuery::Existence => decide_peel_residual(p, &residual, t),
+                _ => decide_scoped(&residual, t, &child_q, Scope::Tail),
+            };
+            let children = vec![build_decided(&residual, t, &child_q, d)];
             let detail = format!(
                 "splitting-set peel decides {} atom(s) in {} bottom component(s); recurse on the residual",
                 peel.num_decided, peel.components_decided
@@ -636,7 +651,7 @@ fn build(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Plan
                 oracle_bound: sum_bounds(&children),
                 detail,
                 children,
-                data: PlanData::Peel { peel },
+                data: PlanData::Peel { peel: peel.clone() },
                 blocked: None,
             }
         }

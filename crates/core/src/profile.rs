@@ -13,6 +13,7 @@
 //! subcommand prints.
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Verdict};
+pub use ddb_analysis::Fragment;
 use ddb_logic::{Database, Formula, Literal};
 use ddb_models::Cost;
 use ddb_obs::json::Json;
@@ -42,16 +43,6 @@ impl Problem {
             Problem::Existence => "exist",
         }
     }
-}
-
-/// The database class a paper cell is read for: Table 1 covers positive
-/// databases (no negation, no integrity clauses), Table 2 everything else.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum Fragment {
-    /// No negation and no integrity clauses: Table 1.
-    Positive,
-    /// Integrity clauses or negation: Table 2.
-    General,
 }
 
 /// The complexity class Eiter & Gottlob's tables assign to a (semantics,
@@ -209,11 +200,7 @@ pub fn profile_cell(
         (outcome, started.elapsed().as_nanos() as u64)
     });
     let route = route_of(&recording);
-    let fragment = if db.is_positive() {
-        Fragment::Positive
-    } else {
-        Fragment::General
-    };
+    let fragment = Fragment::of(&ddb_analysis::classify(db));
     let (answer, interrupted, unsupported) = match outcome {
         Ok(Verdict::True) => (Some(true), None, None),
         Ok(Verdict::False) => (Some(false), None, None),

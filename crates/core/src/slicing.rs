@@ -66,8 +66,11 @@
 //! stops being unique.
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
-use crate::planner::mm_determined;
-use ddb_analysis::{project_slice, project_top, Fragments, Peel, Prepared, Slice};
+use crate::planner::{mm_determined, traits_for};
+use crate::profile::Problem;
+use ddb_analysis::{
+    decide_peel_residual, project_slice, project_top, Fragments, Peel, PlanData, Prepared, Slice,
+};
 use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
 use ddb_obs::Governed;
@@ -208,11 +211,11 @@ pub(crate) fn run_peel(
 }
 
 /// Executes a decided peel route for model existence: solve the
-/// deterministic bottom, then evaluate the residual's weakly-connected
-/// islands (memoized with the peel in `prepared`) on the worker pool
-/// ([`crate::parallel::islands_has_model`]); a single-island or positive
-/// residual falls through to an inner existence check (a positive one is
-/// the planner's existence leaf, which it tries before the islands).
+/// deterministic bottom, then answer on the residual as the planner
+/// decides for it ([`ddb_analysis::decide_peel_residual`]): its
+/// weakly-connected islands (memoized with the peel in `prepared`) on the
+/// worker pool ([`crate::parallel::islands_has_model`]), or an inner
+/// existence check.
 pub(crate) fn run_exist_split(
     cfg: &SemanticsConfig,
     prepared: &Prepared,
@@ -220,14 +223,14 @@ pub(crate) fn run_exist_split(
     cost: &mut Cost,
 ) -> Governed<Option<bool>> {
     note_split(p);
-    let mode = peel_mode(cfg.id).expect("only peelable semantics take the split route");
-    if !p.residual.is_positive() {
-        let parts = prepared.peel_islands(mode);
-        if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, parts, cost)? {
+    let residual = Prepared::borrowed(&p.residual);
+    let traits = traits_for(cfg, Problem::Existence);
+    if let PlanData::Islands { parts } = decide_peel_residual(prepared, &residual, &traits).data {
+        if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, &parts, cost)? {
             return Ok(Some(ans));
         }
     }
-    definite(inner(cfg).has_model(&p.residual, cost))
+    definite(inner(cfg).has_model(&residual, cost))
 }
 
 #[cfg(test)]
@@ -269,6 +272,41 @@ mod tests {
         });
         assert!(spent.get("route.slice.blocked") > 0);
         assert_eq!(spent.get("route.slice"), 0);
+    }
+
+    #[test]
+    fn exist_split_follows_the_planned_residual_route() {
+        use ddb_analysis::{PlanQuery, RouteKind};
+        // `e.` and the integrity clause over the undefined `f` peel away,
+        // leaving the two islands `a | b.` and `x | y.`. Positive, they are
+        // the existence leaf; with `:- a, b.` they run as islands.
+        for (src, residual) in [
+            ("e. :- f. a | b :- e. x | y :- e.", RouteKind::Positive),
+            (
+                "e. :- f. a | b :- e. x | y :- e. :- a, b.",
+                RouteKind::Islands,
+            ),
+        ] {
+            let db = parse_program(src).unwrap();
+            for id in SemanticsId::ALL
+                .into_iter()
+                .filter(|&id| peel_mode(id).is_some())
+            {
+                let cfg = SemanticsConfig::new(id);
+                let plan = cfg.plan(&db, &PlanQuery::Existence).unwrap();
+                assert_eq!(plan.route, RouteKind::Split, "{id} {src}");
+                assert_eq!(plan.children[0].route, residual, "{id} {src}");
+                let mut cost = Cost::new();
+                let mut ans = false;
+                let spent =
+                    counters_after(|| ans = cfg.has_model(&db, &mut cost).unwrap().definite());
+                assert!(ans, "{id} {src}");
+                assert_eq!(spent.get("route.split"), 1, "{id} {src}");
+                let islands = u64::from(residual == RouteKind::Islands);
+                assert_eq!(spent.get("route.islands"), islands, "{id} {src}");
+                assert!(spent.get("route.positive") > 0, "{id} {src}");
+            }
+        }
     }
 
     #[test]
