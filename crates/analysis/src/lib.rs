@@ -25,7 +25,8 @@
 //!   deterministic bottom levels of the SCC condensation and partially
 //!   evaluate their consequences into a smaller residual program;
 //! * the **static query planner** ([`plan`]): the routing decision kernel
-//!   ([`decide`]) dispatch executes, and the full predicted plan tree
+//!   ([`decide`], and [`decide_scoped`] at the recursive positions of a
+//!   [`Scope`]) dispatch executes, and the full predicted plan tree
 //!   ([`build_plan`]) `ddb explain` prints, with binding-pattern
 //!   adornments ([`adorn()`]) and the domain/cost estimators ([`cost`])
 //!   feeding its class and oracle-call bounds;
@@ -59,8 +60,9 @@ pub use fragments::{classify, Fragment, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
 pub use magic::{MagicProgram, MAGIC_PREFIX};
 pub use plan::{
-    admission, bound_query, build_plan, decide, decide_peel_residual, plan_lints, prunes_dead,
-    tail_route, Admission, Decision, PlanData, PlanNode, PlanQuery, RouteKind, SemanticsTraits,
+    admission, bound_query, build_plan, decide, decide_peel_residual, decide_scoped, plan_lints,
+    prunes_dead, Admission, Decision, PlanData, PlanNode, PlanQuery, RouteKind, Scope,
+    SemanticsTraits,
 };
 pub use prepared::{AsPrepared, Prepared};
 pub use report::{analyze, AnalysisReport};

@@ -10,15 +10,17 @@
 //!   [`Fragments`], the semantics' [`SemanticsTraits`] and a [`PlanQuery`],
 //!   pick the route the dispatcher must take and hand back the route's
 //!   payload (the [`Slice`], [`Peel`] or island list) so execution never
-//!   recomputes it. `ddb_core::dispatch` calls this on every query; its
-//!   waterfall mirrors — and now *is* — the routing policy.
+//!   recomputes it. `ddb_core::dispatch` calls it ([`decide_scoped`]) at
+//!   every position of its recursion; its waterfall *is* the routing
+//!   policy.
 //! * [`build_plan`] — the full **plan tree** for `ddb explain`: recursing
-//!   through the reductions exactly as execution would (slice → inner
-//!   query, peel → residual, islands → per-island existence), annotating
-//!   every node with the predicted complexity class and a sound upper
-//!   bound on oracle calls ([`crate::cost::oracle_call_bound`]). Because
-//!   both layers call the same decision kernel on the same inputs, the
-//!   predicted route always matches the executed route.
+//!   through the reductions exactly as execution would (slice → sub-query,
+//!   peel → residual, islands → per-island existence), annotating every
+//!   node with the predicted complexity class and a sound upper bound on
+//!   oracle calls ([`crate::cost::oracle_call_bound`]). Because both
+//!   layers call the same decision kernel on the same inputs and
+//!   [`Scope`]s, the predicted routes match the executed ones node for
+//!   node.
 //!
 //! The semantics-specific knowledge lives in [`SemanticsTraits`], filled in
 //! by `ddb_core` (this crate does not know the ten semantics by name):
@@ -131,8 +133,8 @@ pub struct SemanticsTraits {
     /// structure only).
     pub horn_collapse: bool,
     /// Whether the query-directed reductions (slice / split / islands) are
-    /// on the table at all: auto routing, not an inner call, default
-    /// structure.
+    /// on the table at all: auto routing and default structure. A
+    /// [`Scope::Tail`] position drops them whatever this says.
     pub reductions: bool,
     /// Whether routing is forced to the generic procedure
     /// (`RoutingMode::Generic`).
@@ -239,6 +241,20 @@ impl RouteKind {
             RouteKind::Generic => "generic",
         }
     }
+
+    /// The `route.<label>` counter execution bumps when it takes this
+    /// route.
+    pub fn counter(self) -> &'static str {
+        match self {
+            RouteKind::Positive => "route.positive",
+            RouteKind::Horn => "route.horn",
+            RouteKind::Hcf => "route.hcf",
+            RouteKind::Slice => "route.slice",
+            RouteKind::Split => "route.split",
+            RouteKind::Islands => "route.islands",
+            RouteKind::Generic => "route.generic",
+        }
+    }
 }
 
 /// The payload a decided route carries so execution (and the plan tree)
@@ -284,14 +300,18 @@ pub struct Decision {
     pub blocked: Option<usize>,
 }
 
-/// How much of the reduction waterfall a recursive plan position may use.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scope {
+/// How much of the reduction waterfall a plan position may use. The
+/// positions of the plan tree and the executor's recursion are the same:
+/// both pass the scope each child gets.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Scope {
     /// Top-level entry and slice children: the full waterfall.
     Full,
-    /// Inner calls (`no_slice` configurations): positive / Horn / HCF /
-    /// generic only. The residual of an existence peel may still take its
-    /// islands first ([`decide_peel_residual`]).
+    /// The product correction's top part, each island and a peel's
+    /// residual: positive / Horn / HCF / generic only, so a residual never
+    /// re-peels atoms whose rules the peel consumed. The residual of an
+    /// existence peel may still take its islands first
+    /// ([`decide_peel_residual`]).
     Tail,
 }
 
@@ -314,7 +334,9 @@ fn leaf(route: RouteKind, blocked: Option<usize>) -> Decision {
     }
 }
 
-fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Decision {
+/// [`decide`] at a recursive position: `scope` says how much of the
+/// reduction waterfall the position may use.
+pub fn decide_scoped(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, scope: Scope) -> Decision {
     if t.generic_only {
         return leaf(RouteKind::Generic, None);
     }
@@ -381,16 +403,24 @@ fn positive_existence(p: &Prepared, q: &PlanQuery) -> bool {
     matches!(q, PlanQuery::Existence) && p.fragments().positive
 }
 
-/// The route model existence takes on the residual of `p`'s existence
-/// peel (the [`RouteKind::Split`] route of [`decide`]), where `residual`
-/// is that residual's memo: the positive leaf, then the residual's
-/// islands (memoized with the peel in `p`), then the tail — even on a
-/// Horn residual. The peel is spent and slicing needs query atoms. The
-/// plan tree's residual node and the split executor both take this
-/// decision, so execution follows the plan.
-pub fn decide_peel_residual(p: &Prepared, residual: &Prepared, t: &SemanticsTraits) -> Decision {
-    let q = PlanQuery::Existence;
-    if positive_existence(residual, &q) {
+/// The route `q` takes on the residual of `p`'s peel (the
+/// [`RouteKind::Split`] route of [`decide`]), where `residual` is that
+/// residual's memo and `q` the query over it. Inference takes the tail
+/// scope. Existence takes the positive leaf, then the residual's islands
+/// (memoized with the peel in `p`), then the tail — even on a Horn
+/// residual. The peel is spent and slicing needs query atoms. The plan
+/// tree's residual node and the split executor both take this decision,
+/// so execution follows the plan.
+pub fn decide_peel_residual(
+    p: &Prepared,
+    residual: &Prepared,
+    t: &SemanticsTraits,
+    q: &PlanQuery,
+) -> Decision {
+    if !matches!(q, PlanQuery::Existence) {
+        return decide_scoped(residual, t, q, Scope::Tail);
+    }
+    if positive_existence(residual, q) {
         return leaf(RouteKind::Positive, None);
     }
     let mode = t
@@ -406,15 +436,13 @@ pub fn decide_peel_residual(p: &Prepared, residual: &Prepared, t: &SemanticsTrai
             blocked: None,
         };
     }
-    decide_scoped(residual, t, &q, Scope::Tail)
+    decide_scoped(residual, t, q, Scope::Tail)
 }
 
-/// The leaf the waterfall bottoms out on when no reduction applies (or an
-/// executor abandons its route): the HCF shift for a semantics that has
-/// one on a head-cycle-free database unless routing is forced generic,
-/// the generic procedure otherwise. The planner and the dispatcher's
-/// fallback both read it.
-pub fn tail_route(t: &SemanticsTraits, frags: &Fragments) -> RouteKind {
+/// The leaf the waterfall bottoms out on when no reduction applies: the
+/// HCF shift for a semantics that has one on a head-cycle-free database
+/// unless routing is forced generic, the generic procedure otherwise.
+fn tail_route(t: &SemanticsTraits, frags: &Fragments) -> RouteKind {
     if t.hcf_shift && frags.head_cycle_free && !t.generic_only {
         RouteKind::Hcf
     } else {
@@ -634,10 +662,7 @@ fn build_decided(p: &Prepared, t: &SemanticsTraits, q: &PlanQuery, d: Decision) 
                 PlanQuery::Enumeration => unreachable!("peel route never serves enumeration"),
             };
             let residual = Prepared::borrowed(&peel.residual);
-            let d = match child_q {
-                PlanQuery::Existence => decide_peel_residual(p, &residual, t),
-                _ => decide_scoped(&residual, t, &child_q, Scope::Tail),
-            };
+            let d = decide_peel_residual(p, &residual, t, &child_q);
             let children = vec![build_decided(&residual, t, &child_q, d)];
             let detail = format!(
                 "splitting-set peel decides {} atom(s) in {} bottom component(s); recurse on the residual",

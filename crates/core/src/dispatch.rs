@@ -23,7 +23,7 @@
 use crate::icwa::Layers;
 use crate::witness::Countermodel;
 use ddb_analysis::{
-    AsPrepared, Diagnostic, Fragments, PlanData, PlanNode, PlanQuery, Prepared, RouteKind,
+    AsPrepared, Decision, Diagnostic, PlanData, PlanNode, PlanQuery, Prepared, RouteKind, Scope,
     SemanticsTraits,
 };
 use ddb_logic::{Database, Formula, Interpretation};
@@ -135,9 +135,9 @@ impl fmt::Display for Unsupported {
 impl std::error::Error for Unsupported {}
 
 /// Records an interrupt surfacing as an `Unknown` verdict (or incomplete
-/// enumeration) at the dispatch boundary. The underlying trip was already
-/// counted in `govern.interrupts.<resource>` by the budget layer; this
-/// counts how many *answers* degraded.
+/// enumeration) at the dispatch boundary, once per public call. The
+/// underlying trip was already counted in `govern.interrupts.<resource>`
+/// by the budget layer; this counts how many *answers* degraded.
 pub(crate) fn note_interrupt(i: &Interrupted) {
     ddb_obs::counter_bump("govern.unknown", 1);
     ddb_obs::counter_bump(
@@ -359,9 +359,26 @@ pub struct SemanticsConfig {
     /// because the decomposition is taken regardless of width and results
     /// are folded in component order.
     pub threads: usize,
-    /// Suppresses the slice/split/island routes on recursive inner calls
-    /// (see [`crate::slicing`]); never set on user-built configurations.
-    pub(crate) no_slice: bool,
+}
+
+/// What a dispatcher query asks of a (sub-)database: the inference of a
+/// formula, or model existence. The route executors recurse with it.
+#[derive(Clone, Copy)]
+pub(crate) enum Ask<'f> {
+    /// Is the formula inferred?
+    Infer(&'f Formula),
+    /// Is the semantics non-empty?
+    Exists,
+}
+
+impl Ask<'_> {
+    /// The query shape the planner decides on.
+    pub(crate) fn query(self) -> PlanQuery {
+        match self {
+            Ask::Infer(f) => PlanQuery::of(f),
+            Ask::Exists => PlanQuery::Existence,
+        }
+    }
 }
 
 impl SemanticsConfig {
@@ -373,7 +390,6 @@ impl SemanticsConfig {
             icwa_varying: None,
             routing: RoutingMode::default(),
             threads: 1,
-            no_slice: false,
         }
     }
 
@@ -409,13 +425,20 @@ impl SemanticsConfig {
     /// Whether this semantics is defined for `db`'s syntactic class;
     /// returns the reason when it is not.
     pub fn check_applicable(&self, db: &impl AsPrepared) -> Result<(), Unsupported> {
-        db.with_prepared(|p| self.prepare(p).map(drop))
+        db.with_prepared(|p| self.prepare(p))
     }
 
-    /// Applicability from the shared fragment flags (no re-derivation of
+    /// Shared prologue of every public query: rejects inapplicable
+    /// combinations from the memo's fragment flags (no re-derivation of
     /// `has_negation`/stratifiability per semantics). On rejection the
     /// [`Unsupported`] carries the analyzer's lint where one exists.
-    fn check_fragments(&self, db: &Database, frags: &Fragments) -> Result<(), Unsupported> {
+    ///
+    /// Only the top level checks: every sub-database a route recurses on
+    /// (a slice, its top part, an island, a peel residual) keeps a subset
+    /// of the rules, or partially evaluates them, so a negation-free or
+    /// stratified database stays one.
+    fn prepare(&self, p: &Prepared) -> Result<(), Unsupported> {
+        let frags = p.fragments();
         match self.id {
             SemanticsId::Ddr | SemanticsId::Pws if !frags.deductive => Err(Unsupported {
                 semantics: self.id,
@@ -425,28 +448,13 @@ impl SemanticsConfig {
             SemanticsId::Icwa if !frags.stratified => Err(Unsupported {
                 semantics: self.id,
                 reason: "database is not stratifiable".into(),
-                lint: ddb_analysis::analyze(db)
+                lint: ddb_analysis::analyze(p.db())
                     .diagnostics
                     .into_iter()
                     .find(|d| d.code == "DDB007"),
             }),
             _ => Ok(()),
         }
-    }
-
-    /// Records a taken leaf route in the `route.*` counters (the
-    /// slice/split/island routes bump their own `route.slice*` /
-    /// `route.split*` / `route.islands*` families at their executors).
-    fn note_leaf(route: RouteKind) {
-        ddb_obs::counter_bump(
-            match route {
-                RouteKind::Positive => "route.positive",
-                RouteKind::Horn => "route.horn",
-                RouteKind::Hcf => "route.hcf",
-                _ => "route.generic",
-            },
-            1,
-        );
     }
 
     /// The Horn collapse (all ten semantics = the least model) only holds
@@ -465,20 +473,12 @@ impl SemanticsConfig {
         }
     }
 
-    /// Shared prologue of every query: read the fragments from the memo,
-    /// reject inapplicable combinations. The fragments ride along so the
-    /// executors can consult them.
-    fn prepare(&self, p: &Prepared) -> Result<Fragments, Unsupported> {
-        let frags = p.fragments();
-        self.check_fragments(p.db(), &frags)?;
-        Ok(frags)
-    }
-
     /// The static plan tree for (`db`, `query`) under this configuration —
-    /// the backend of `ddb explain`. The root route equals the route the
-    /// dispatcher executes on the same query by construction: both sides
-    /// feed the same [`ddb_analysis::SemanticsTraits`] (via
-    /// [`crate::planner::traits_for`]) into the same decision kernel.
+    /// the backend of `ddb explain`. Every node's route equals the route
+    /// the dispatcher executes at the same position by construction: both
+    /// sides feed the same [`ddb_analysis::SemanticsTraits`] (via
+    /// [`crate::planner::traits_for`]) into the same decision kernel, with
+    /// the same [`Scope`] per position.
     pub fn plan(&self, db: &impl AsPrepared, query: &PlanQuery) -> Result<PlanNode, Unsupported> {
         db.with_prepared(|p| {
             self.prepare(p)?;
@@ -487,7 +487,7 @@ impl SemanticsConfig {
     }
 
     /// The routing traits of this configuration for `query`'s problem.
-    fn traits(&self, query: &PlanQuery) -> SemanticsTraits {
+    pub(crate) fn traits(&self, query: &PlanQuery) -> SemanticsTraits {
         crate::planner::traits_for(self, crate::planner::problem_of(query))
     }
 
@@ -510,57 +510,93 @@ impl SemanticsConfig {
     /// single Πᵖ₂ query is CCWA's countermodel search at `P = V`).
     ///
     /// Runs under a `dispatch.query` trace span with its wall time in the
-    /// `dispatch.query.ns` histogram; slice/split routes re-enter the
-    /// dispatcher on sub-databases, which shows up as nested
-    /// `dispatch.query` spans in timelines.
+    /// `dispatch.query.ns` histogram; the slice/split/island routes run
+    /// their sub-databases under nested `dispatch.query` spans.
     pub fn infers_formula(
         &self,
         db: &impl AsPrepared,
         f: &Formula,
         cost: &mut Cost,
     ) -> Result<Verdict, Unsupported> {
-        db.with_prepared(|p| self.infers(p, f, cost))
+        db.with_prepared(|p| {
+            self.prepare(p)?;
+            Ok(self.run(p, Ask::Infer(f), Scope::Full, cost).into())
+        })
     }
 
-    fn infers(&self, p: &Prepared, f: &Formula, cost: &mut Cost) -> Result<Verdict, Unsupported> {
+    /// The paper's *∃ model* problem: is the semantics non-empty for `db`?
+    /// On a positive database the planner's existence leaf answers `true`
+    /// at no cost (Table 1's `O(1)` column), unless routing is generic.
+    /// Traced like [`SemanticsConfig::infers_formula`] (`dispatch.query`
+    /// span, `dispatch.query.ns` histogram).
+    pub fn has_model(&self, db: &impl AsPrepared, cost: &mut Cost) -> Result<Verdict, Unsupported> {
+        db.with_prepared(|p| {
+            self.prepare(p)?;
+            Ok(self.run(p, Ask::Exists, Scope::Full, cost).into())
+        })
+    }
+
+    /// The one executor of inference and existence: decides `ask` on `p`
+    /// at a `scope` position of the plan and executes the decision. Every
+    /// route recurses through here (or, for a peel residual, through
+    /// [`SemanticsConfig::execute`] on the residual's own decision), so
+    /// execution walks the plan tree [`SemanticsConfig::plan`] prints.
+    /// An interrupt propagates as `Err` to the public call, which turns it
+    /// into one `Unknown` verdict.
+    pub(crate) fn run(
+        &self,
+        p: &Prepared,
+        ask: Ask<'_>,
+        scope: Scope,
+        cost: &mut Cost,
+    ) -> Governed<bool> {
         let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
-        let frags = self.prepare(p)?;
-        let db = p.db();
-        let q = PlanQuery::of(f);
-        let d = ddb_analysis::decide(p, &self.traits(&q), &q);
+        let q = ask.query();
+        let d = ddb_analysis::decide_scoped(p, &self.traits(&q), &q, scope);
+        self.execute(p, ask, d, cost)
+    }
+
+    /// Executes the planner's decision `d` for `ask` on `p`. The reductions
+    /// shrink the database and recurse; the leaves answer.
+    pub(crate) fn execute(
+        &self,
+        p: &Prepared,
+        ask: Ask<'_>,
+        d: Decision,
+        cost: &mut Cost,
+    ) -> Governed<bool> {
         if d.blocked.is_some() {
             ddb_obs::counter_bump("route.slice.blocked", 1);
         }
-        // The reductions go first: they shrink the database, and the
-        // recursive call still rides the HCF (or Horn) fast path on the
-        // smaller one. `Ok(None)` means the executor abandoned the route
-        // (an inner call hit `Unsupported`); fall through to the leaf tail.
-        let reduced = match d.data {
-            PlanData::Slice { slice, admission } => Some(crate::slicing::run_slice(
-                self, db, &slice, admission, f, cost,
-            )),
-            PlanData::Peel { peel } => Some(crate::slicing::run_peel(self, &peel, f, cost)),
-            PlanData::Leaf if d.route == RouteKind::Horn => {
-                Self::note_leaf(RouteKind::Horn);
-                return Ok(crate::route::horn_infers_formula(p, f).into());
+        let db = p.db();
+        match (d.data, ask) {
+            (PlanData::Slice { slice, admission }, Ask::Infer(f)) => {
+                crate::slicing::run_slice(self, db, &slice, admission, f, cost)
             }
-            _ => None,
-        };
-        match reduced {
-            Some(Ok(Some(ans))) => return Ok(ans.into()),
-            Some(Err(i)) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-            _ => {}
+            (PlanData::Peel { peel }, ask) => crate::slicing::run_split(self, p, &peel, ask, cost),
+            (PlanData::Islands { parts }, Ask::Exists) => {
+                crate::parallel::run_islands(self, db, &parts, cost)
+            }
+            (PlanData::Leaf, ask) => {
+                ddb_obs::counter_bump(d.route.counter(), 1);
+                match (d.route, ask) {
+                    (RouteKind::Positive, Ask::Exists) => Ok(true),
+                    (RouteKind::Horn, Ask::Infer(f)) => Ok(crate::route::horn_infers_formula(p, f)),
+                    (RouteKind::Horn, Ask::Exists) => Ok(crate::route::horn_has_model(p)),
+                    (RouteKind::Hcf, Ask::Infer(f)) => {
+                        crate::route::hcf_dsm_infers_formula(db, f, cost)
+                    }
+                    (RouteKind::Hcf, Ask::Exists) => crate::route::hcf_dsm_has_model(db, cost),
+                    (_, Ask::Infer(f)) => match (self.id, f.as_literal()) {
+                        (SemanticsId::Ddr, Some(lit)) => crate::ddr::infers_literal(db, lit, cost),
+                        (SemanticsId::Pws, Some(lit)) => crate::pws::infers_literal(db, lit, cost),
+                        _ => Ok(self.countermodel(p, f, cost)?.is_none()),
+                    },
+                    (_, Ask::Exists) => self.generic_has_model(p, cost),
+                }
+            }
+            _ => unreachable!("the planner slices only inference and islands only existence"),
         }
-        let tail = ddb_analysis::tail_route(&self.traits(&q), &frags);
-        Self::note_leaf(tail);
-        if tail == RouteKind::Hcf {
-            return Ok(crate::route::hcf_dsm_infers_formula(db, f, cost).into());
-        }
-        Ok(Verdict::from(match (self.id, f.as_literal()) {
-            (SemanticsId::Ddr, Some(lit)) => crate::ddr::infers_literal(db, lit, cost),
-            (SemanticsId::Pws, Some(lit)) => crate::pws::infers_literal(db, lit, cost),
-            _ => self.countermodel(p, f, cost).map(|c| c.is_none()),
-        }))
     }
 
     /// The generic procedure of formula inference, as the countermodel
@@ -593,61 +629,20 @@ impl SemanticsConfig {
         Ok(total?.map(Countermodel::Total))
     }
 
-    /// The paper's *∃ model* problem: is the semantics non-empty for `db`?
-    /// On a positive database the planner's existence leaf answers `true`
-    /// at no cost (Table 1's `O(1)` column), unless routing is generic.
-    /// Traced like [`SemanticsConfig::infers_formula`] (`dispatch.query`
-    /// span, `dispatch.query.ns` histogram).
-    pub fn has_model(&self, db: &impl AsPrepared, cost: &mut Cost) -> Result<Verdict, Unsupported> {
-        db.with_prepared(|p| self.exists(p, cost))
-    }
-
-    fn exists(&self, p: &Prepared, cost: &mut Cost) -> Result<Verdict, Unsupported> {
-        let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
-        let frags = self.prepare(p)?;
+    /// The generic procedure of model existence. ICWA builds its layers
+    /// only when the walk runs.
+    fn generic_has_model(&self, p: &Prepared, cost: &mut Cost) -> Governed<bool> {
         let db = p.db();
-        let q = PlanQuery::Existence;
-        let d = ddb_analysis::decide(p, &self.traits(&q), &q);
-        match d.data {
-            PlanData::Leaf if d.route == RouteKind::Positive => {
-                Self::note_leaf(RouteKind::Positive);
-                return Ok(Verdict::True);
-            }
-            PlanData::Peel { peel } => {
-                match crate::slicing::run_exist_split(self, p, &peel, cost) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
-            PlanData::Islands { parts } => {
-                match crate::parallel::islands_has_model(self, db, &parts, cost) {
-                    Ok(Some(ans)) => return Ok(ans.into()),
-                    Ok(None) => {}
-                    Err(i) => return Ok(Verdict::from(Governed::<bool>::Err(i))),
-                }
-            }
-            PlanData::Leaf if d.route == RouteKind::Horn => {
-                Self::note_leaf(RouteKind::Horn);
-                return Ok(crate::route::horn_has_model(p).into());
-            }
-            _ => {}
-        }
-        let tail = ddb_analysis::tail_route(&self.traits(&q), &frags);
-        Self::note_leaf(tail);
-        if tail == RouteKind::Hcf {
-            return Ok(crate::route::hcf_dsm_has_model(db, cost).into());
-        }
-        Ok(Verdict::from(match self.id {
+        match self.id {
             SemanticsId::Gcwa | SemanticsId::Ccwa => crate::ccwa::has_model(db, cost),
             SemanticsId::Egcwa | SemanticsId::Ecwa => crate::ecwa::has_model(db, cost),
             SemanticsId::Ddr => crate::ddr::has_model(db, cost),
             SemanticsId::Pws => crate::pws::has_model(db, cost),
             SemanticsId::Perf => crate::perf::has_model(db, cost),
-            SemanticsId::Icwa => crate::icwa::has_model(db, &self.icwa_layers(p), cost),
+            SemanticsId::Icwa => crate::icwa::has_model(db, || self.icwa_layers(p), cost),
             SemanticsId::Dsm => crate::dsm::has_model(db, cost),
             SemanticsId::Pdsm => crate::pdsm::has_model(db, cost),
-        }))
+        }
     }
 
     /// The characteristic (two-valued) model set, where the semantics has
@@ -668,7 +663,7 @@ impl SemanticsConfig {
         // ever returns a leaf route for `PlanQuery::Enumeration`.
         let q = PlanQuery::Enumeration;
         let d = ddb_analysis::decide(p, &self.traits(&q), &q);
-        Self::note_leaf(d.route);
+        ddb_obs::counter_bump(d.route.counter(), 1);
         match d.route {
             RouteKind::Horn => {
                 return Ok(Enumeration::complete(crate::route::horn_models(p)));

@@ -5,7 +5,7 @@
 //! construction** — answers, model sets and oracle-call totals are
 //! byte-identical at every [`SemanticsConfig::threads`] width:
 //!
-//! * **Island decomposition** (`islands_has_model`): the weakly-connected
+//! * **Island decomposition** (`run_islands`): the weakly-connected
 //!   dependency islands of [`ddb_analysis::islands`] share no atom and no
 //!   rule, so the database is their disjoint union and every semantics in
 //!   the paper factors over it as a product. Model existence is then the
@@ -24,17 +24,15 @@
 //! (split atomically, first-come first-served), a parent trip cancels
 //! every worker, and counter totals merge back deterministically.
 
-use crate::dispatch::{SemanticsConfig, Unsupported, Verdict};
-use ddb_analysis::{project_slice, Prepared, Slice};
+use crate::dispatch::{Ask, SemanticsConfig, Unsupported, Verdict};
+use ddb_analysis::{project_slice, Prepared, RouteKind, Scope, Slice};
 use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
 use ddb_obs::{Governed, Interrupted};
 
 /// Model existence over `parts`, the weakly-connected islands of `db` (as
 /// the planner or the prepared memo computed them), evaluated on the
-/// worker pool. Returns `Ok(None)` when the database has fewer than two
-/// islands (nothing to decompose — the caller falls through to its
-/// sequential routes).
+/// worker pool, each island at a tail-scope position of the plan.
 ///
 /// Soundness: islands partition both atoms and rules, so a model of `db`
 /// is exactly a union of models, one per island, for every semantics here
@@ -43,26 +41,21 @@ use ddb_obs::{Governed, Interrupted};
 /// query `False` even when sibling islands were interrupted; otherwise any
 /// interrupted island makes the query `Unknown` (the first one in island
 /// order is reported, independent of scheduling).
-pub(crate) fn islands_has_model(
+pub(crate) fn run_islands(
     cfg: &SemanticsConfig,
     db: &Database,
     parts: &[Slice],
     cost: &mut Cost,
-) -> Governed<Option<bool>> {
-    if parts.len() < 2 {
-        return Ok(None);
-    }
-    ddb_obs::counter_bump("route.islands", 1);
+) -> Governed<bool> {
+    ddb_obs::counter_bump(RouteKind::Islands.counter(), 1);
     ddb_obs::counter_bump("route.islands.components", parts.len() as u64);
-    let icfg = crate::slicing::inner(cfg);
     let jobs: Vec<_> = parts
         .iter()
         .map(|island| {
             let (sub, _) = project_slice(db, island);
-            let icfg = icfg.clone();
             move || {
                 let mut c = Cost::new();
-                let v = icfg.has_model(&sub, &mut c);
+                let v = cfg.run(&Prepared::borrowed(&sub), Ask::Exists, Scope::Tail, &mut c);
                 (v, c)
             }
         })
@@ -71,30 +64,20 @@ pub(crate) fn islands_has_model(
     // Fold in island order: costs merge unconditionally (every job ran to
     // its own completion or trip), False beats Unknown, the first
     // interrupt in island order is the one reported.
-    let mut empty_island = false;
+    let mut all_have_models = true;
     let mut first_interrupt: Option<Interrupted> = None;
     for (v, c) in results {
         cost.merge(&c);
         match v {
-            Ok(Verdict::True) => {}
-            Ok(Verdict::False) => empty_island = true,
-            Ok(Verdict::Unknown(i)) => {
-                // `has_model` already counted this degradation via
-                // `note_interrupt`; just remember the earliest one.
+            Ok(has) => all_have_models &= has,
+            Err(i) => {
                 first_interrupt.get_or_insert(i);
             }
-            // Unreachable in practice: the caller checked applicability on
-            // the whole database and islands only restrict it. Abandon the
-            // route rather than guess.
-            Err(_) => return Ok(None),
         }
     }
-    if empty_island {
-        return Ok(Some(false));
-    }
     match first_interrupt {
-        Some(i) => Err(i),
-        None => Ok(Some(true)),
+        Some(i) if all_have_models => Err(i),
+        _ => Ok(all_have_models),
     }
 }
 

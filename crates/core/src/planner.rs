@@ -11,14 +11,16 @@
 //! * the peel gate ([`crate::slicing::peel_mode`]);
 //! * the HCF shift (DSM only) and the Horn collapse (default structure
 //!   only);
-//! * the routing mode and the `no_slice` inner-call marker;
+//! * the routing mode;
 //! * the paper's complexity class for the (semantics, problem) cell, in
 //!   Table 1 and in Table 2 ([`crate::profile::paper_cell`]).
 //!
-//! `dispatch` calls the kernel on every query and executes the returned
-//! [`Decision`]; `ddb explain` calls [`SemanticsConfig::plan`], which
-//! builds the plan tree from the same kernel — both feed the *same* traits
-//! into it, so the predicted route always matches the executed one.
+//! `dispatch` calls the kernel ([`ddb_analysis::decide_scoped`]) at every
+//! position of its recursion and executes the returned [`Decision`];
+//! `ddb explain` calls [`SemanticsConfig::plan`], which builds the plan
+//! tree from the same kernel — both feed the *same* traits and the same
+//! [`ddb_analysis::Scope`] per position into it, so the predicted routes
+//! always match the executed ones.
 
 use crate::dispatch::{RoutingMode, SemanticsConfig, SemanticsId};
 use crate::profile::{paper_cell, Fragment, Problem};
@@ -57,9 +59,7 @@ pub fn traits_for(cfg: &SemanticsConfig, problem: Problem) -> SemanticsTraits {
         peel_negation: crate::slicing::peel_mode(cfg.id),
         hcf_shift: cfg.id == SemanticsId::Dsm,
         horn_collapse: cfg.has_default_structure(),
-        reductions: cfg.routing == RoutingMode::Auto
-            && !cfg.no_slice
-            && cfg.has_default_structure(),
+        reductions: cfg.routing == RoutingMode::Auto && cfg.has_default_structure(),
         generic_only: cfg.routing == RoutingMode::Generic,
         class_positive: paper_cell(cfg.id, problem, Fragment::Positive),
         class_general: paper_cell(cfg.id, problem, Fragment::General),
@@ -76,7 +76,7 @@ pub fn decide(cfg: &SemanticsConfig, db: &Database, frags: &Fragments, q: &PlanQ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddb_analysis::{classify, RouteKind};
+    use ddb_analysis::{classify, decide_scoped, RouteKind, Scope};
     use ddb_logic::parse::parse_program;
 
     #[test]
@@ -97,10 +97,27 @@ mod tests {
 
     #[test]
     fn inner_configs_lose_the_reductions() {
-        let inner = crate::slicing::inner(&SemanticsConfig::new(SemanticsId::Dsm));
-        let t = traits_for(&inner, Problem::Existence);
-        assert!(!t.reductions, "no_slice must disable slice/split/islands");
-        assert!(t.horn_collapse, "but the Horn collapse stays");
+        // Inner positions of the plan (a product correction's top part,
+        // an island, a peel residual) decide at `Scope::Tail`.
+        let t = traits_for(&SemanticsConfig::new(SemanticsId::Dsm), Problem::Existence);
+        let q = PlanQuery::Existence;
+        let islands = parse_program("a | b. :- a, b. x | y. :- x, y.").unwrap();
+        let islands = Prepared::borrowed(&islands);
+        assert_eq!(
+            decide_scoped(&islands, &t, &q, Scope::Full).route,
+            RouteKind::Islands
+        );
+        assert_ne!(
+            decide_scoped(&islands, &t, &q, Scope::Tail).route,
+            RouteKind::Islands,
+            "Scope::Tail must disable slice/split/islands"
+        );
+        let horn = parse_program("a. b :- a. :- c.").unwrap();
+        assert_eq!(
+            decide_scoped(&Prepared::borrowed(&horn), &t, &q, Scope::Tail).route,
+            RouteKind::Horn,
+            "but the Horn collapse stays"
+        );
     }
 
     #[test]

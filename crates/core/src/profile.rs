@@ -14,6 +14,7 @@
 
 use crate::dispatch::{SemanticsConfig, SemanticsId, Verdict};
 pub use ddb_analysis::Fragment;
+use ddb_analysis::RouteKind;
 use ddb_logic::{Database, Formula, Literal};
 use ddb_models::Cost;
 use ddb_obs::json::Json;
@@ -101,32 +102,30 @@ pub struct CellProfile {
     pub wall_ns: u64,
     /// Reason the cell is inapplicable, when `answer` is `None`.
     pub unsupported: Option<String>,
-    /// Which dispatch route served this cell (`"horn"`, `"slice"`,
-    /// `"split"`, `"islands"`, `"positive"`, `"hcf"`, or `"generic"`),
-    /// read off the `route.*` counters; `None` when the cell was unsupported or
-    /// routing never ran. Slice/split/islands outrank the others:
-    /// their recursive inner calls bump the plain counters too, but the
-    /// query was claimed by the reduction.
-    pub route: Option<&'static str>,
+    /// Which dispatch route served this cell, read off the `route.*`
+    /// counters; `None` when the cell was unsupported or routing never
+    /// ran. Slice/split/islands outrank the others: their sub-databases
+    /// bump the leaf counters too, but the query was claimed by the
+    /// reduction.
+    pub route: Option<RouteKind>,
 }
 
 /// The highest-precedence route in a cell's recording. The cell records
 /// under its own [`ddb_obs::record`] scope, so sibling cells running
 /// concurrently on other workers never show up in it.
-fn route_of(recording: &ddb_obs::Recording) -> Option<&'static str> {
-    const ROUTES: [(&str, &str); 7] = [
-        ("route.slice", "slice"),
-        ("route.split", "split"),
-        ("route.islands", "islands"),
-        ("route.positive", "positive"),
-        ("route.horn", "horn"),
-        ("route.hcf", "hcf"),
-        ("route.generic", "generic"),
+fn route_of(recording: &ddb_obs::Recording) -> Option<RouteKind> {
+    const PRECEDENCE: [RouteKind; 7] = [
+        RouteKind::Slice,
+        RouteKind::Split,
+        RouteKind::Islands,
+        RouteKind::Positive,
+        RouteKind::Horn,
+        RouteKind::Hcf,
+        RouteKind::Generic,
     ];
-    ROUTES
+    PRECEDENCE
         .into_iter()
-        .find(|(name, _)| recording.counters.get(name) > 0)
-        .map(|(_, label)| label)
+        .find(|r| recording.counters.get(r.counter()) > 0)
 }
 
 impl CellProfile {
@@ -167,7 +166,7 @@ impl CellProfile {
             (
                 "route",
                 match self.route {
-                    Some(r) => Json::Str(r.to_owned()),
+                    Some(r) => Json::Str(r.label().to_owned()),
                     None => Json::Null,
                 },
             ),
@@ -281,16 +280,11 @@ pub fn render_table(cells: &[CellProfile]) -> String {
             classes.push(cell.map_or("-", |c| c.paper_class));
             match cell {
                 Some(c) if c.answer.is_some() => {
-                    let fast = match c.route {
-                        Some("horn") | Some("hcf") | Some("positive") => "*",
-                        Some("slice") | Some("split") | Some("islands") => "~",
-                        _ => "",
-                    };
                     row.push_str(&format!(
                         " {:>24}",
                         format!(
                             "{}{} calls, {}",
-                            fast,
+                            route_marker(c.route),
                             c.cost.sat_calls,
                             human_ns(c.wall_ns)
                         )
@@ -309,18 +303,12 @@ pub fn render_table(cells: &[CellProfile]) -> String {
         out.push_str(row.trim_end());
         out.push('\n');
     }
-    if cells
-        .iter()
-        .any(|c| matches!(c.route, Some("horn") | Some("hcf") | Some("positive")))
-    {
+    if cells.iter().any(|c| route_marker(c.route) == "*") {
         out.push_str(
             " * served by an analysis fast path (route.horn / route.hcf / route.positive)\n",
         );
     }
-    if cells
-        .iter()
-        .any(|c| matches!(c.route, Some("slice") | Some("split") | Some("islands")))
-    {
+    if cells.iter().any(|c| route_marker(c.route) == "~") {
         out.push_str(
             " ~ answered on a query-relevant slice, split residual or island decomposition (route.slice / route.split / route.islands)\n",
         );
@@ -329,6 +317,17 @@ pub fn render_table(cells: &[CellProfile]) -> String {
         out.push_str(" ?<resource> cell budget exhausted before the procedure decided\n");
     }
     out
+}
+
+/// The table's marker of a cell's route: `*` for an analysis fast path,
+/// `~` for a reduction to sub-databases, nothing for the generic
+/// procedure.
+fn route_marker(route: Option<RouteKind>) -> &'static str {
+    match route {
+        Some(RouteKind::Horn | RouteKind::Hcf | RouteKind::Positive) => "*",
+        Some(RouteKind::Slice | RouteKind::Split | RouteKind::Islands) => "~",
+        Some(RouteKind::Generic) | None => "",
+    }
 }
 
 fn human_ns(ns: u64) -> String {
@@ -360,7 +359,7 @@ mod tests {
         // Table 1's existence cells are O(1): answered without the oracle.
         for c in cells.iter().filter(|c| c.problem == Problem::Existence) {
             assert_eq!(c.answer, Some(true), "{:?}", c.semantics);
-            assert_eq!(c.route, Some("positive"), "{:?}", c.semantics);
+            assert_eq!(c.route, Some(RouteKind::Positive), "{:?}", c.semantics);
             assert_eq!(c.cost.sat_calls, 0, "{:?}", c.semantics);
             assert_eq!(c.paper_class, "O(1)", "{:?}", c.semantics);
         }
@@ -418,7 +417,13 @@ mod tests {
         // Horn database: every applicable cell rides the Horn fast path
         // and pays no oracle calls.
         for c in cells.iter().filter(|c| c.answer.is_some()) {
-            assert_eq!(c.route, Some("horn"), "{:?}/{:?}", c.semantics, c.problem);
+            assert_eq!(
+                c.route,
+                Some(RouteKind::Horn),
+                "{:?}/{:?}",
+                c.semantics,
+                c.problem
+            );
             assert_eq!(c.cost.sat_calls, 0, "{:?}/{:?}", c.semantics, c.problem);
         }
         assert!(render_table(&cells).contains("fast path"));

@@ -26,10 +26,11 @@
 //! planner ([`crate::planner`], backed by [`ddb_analysis::decide`]):
 //! dispatch asks the planner and hands the decision's payload — the
 //! admitted [`Slice`] or the [`Peel`] — to the executors here
-//! (`run_slice`, `run_peel`, `run_exist_split`). This module never
-//! re-derives the analysis that justified the route; it only runs it and
-//! records it in the `route.slice*` / `route.split*` counters surfaced by
-//! `ddb profile`.
+//! (`run_slice`, `run_split`). This module never re-derives the analysis
+//! that justified the route; it only runs it, recursing into the
+//! dispatcher's executor with the [`Scope`] the plan tree gives each
+//! child, and records it in the `route.slice*` / `route.split*` counters
+//! surfaced by `ddb profile`.
 //!
 //! # Soundness preconditions
 //!
@@ -65,11 +66,11 @@
 //! underivable atom is no longer forced false, and the bottom solution
 //! stops being unique.
 
-use crate::dispatch::{SemanticsConfig, SemanticsId, Unsupported, Verdict};
-use crate::planner::{mm_determined, traits_for};
-use crate::profile::Problem;
+use crate::dispatch::{Ask, SemanticsConfig, SemanticsId};
+use crate::planner::mm_determined;
 use ddb_analysis::{
-    decide_peel_residual, project_slice, project_top, Fragments, Peel, PlanData, Prepared, Slice,
+    decide_peel_residual, project_slice, project_top, Fragments, Peel, Prepared, RouteKind, Scope,
+    Slice,
 };
 use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
@@ -117,43 +118,13 @@ pub fn peel_mode(id: SemanticsId) -> Option<bool> {
     }
 }
 
-/// An inner configuration that must not re-enter the slice/split/island
-/// routes (residual programs would otherwise recurse forever on atoms
-/// whose rules were consumed by the peel).
-pub(crate) fn inner(cfg: &SemanticsConfig) -> SemanticsConfig {
-    SemanticsConfig {
-        no_slice: true,
-        ..cfg.clone()
-    }
-}
-
-/// Folds an inner-call result into the route's three-way outcome:
-/// a definite verdict is the route's answer, an `Unsupported` inner call
-/// abandons the route (`Ok(None)` → generic fallback), and a budget
-/// interrupt propagates (`Err`) so the top level reports `Unknown` instead
-/// of silently re-running the whole database.
-fn definite(r: Result<Verdict, Unsupported>) -> Governed<Option<bool>> {
-    match r {
-        Ok(Verdict::True) => Ok(Some(true)),
-        Ok(Verdict::False) => Ok(Some(false)),
-        Ok(Verdict::Unknown(i)) => Err(i),
-        Err(_) => Ok(None),
-    }
-}
-
-/// Records the taken peel in the `route.split*` counters.
-fn note_split(p: &Peel) {
-    ddb_obs::counter_bump("route.split", 1);
-    ddb_obs::counter_bump("route.split.decided_atoms", p.num_decided as u64);
-    ddb_obs::counter_bump("route.split.components", p.components_decided as u64);
-}
-
 /// Executes an admitted slice route for an inference query: project the
-/// slice, re-enter the dispatcher on the sub-database (the recursive call
-/// may still peel it or ride the Horn fast path), and apply the product
+/// slice, answer on the sub-database at a full-scope position (it may
+/// still peel or ride the Horn fast path; re-slicing a projected slice is
+/// a no-op, since the closure is already whole), and apply the product
 /// correction when a cautious `false` must survive an independent top
 /// part. Renaming atoms keeps a one-literal query a literal, so the
-/// recursive call plans it as one.
+/// sub-query is planned as one.
 pub(crate) fn run_slice(
     cfg: &SemanticsConfig,
     db: &Database,
@@ -161,76 +132,63 @@ pub(crate) fn run_slice(
     admission: Admission,
     f: &Formula,
     cost: &mut Cost,
-) -> Governed<Option<bool>> {
-    ddb_obs::counter_bump("route.slice", 1);
+) -> Governed<bool> {
+    ddb_obs::counter_bump(RouteKind::Slice.counter(), 1);
     ddb_obs::counter_bump(
         "route.slice.dropped_rules",
         (db.len() - slice.rules.len()) as u64,
     );
     let (sub, map) = project_slice(db, slice);
-    // Re-slicing the projected slice is a no-op (the closure is already
-    // whole), so the recursive call may still peel it or ride the Horn
-    // fast path.
     let f_sub = f.map_atoms(&mut |a| {
         Formula::Atom(map.to_sub[a.index()].expect("query atom is in its slice"))
     });
-    let ans = definite(cfg.infers_formula(&sub, &f_sub, cost))?;
-    let Some(ans) = ans else {
-        return Ok(None);
-    };
+    let sub = Prepared::borrowed(&sub);
+    let ans = cfg.run(&sub, Ask::Infer(&f_sub), Scope::Full, cost)?;
     if ans || admission == Admission::PositiveExact {
-        return Ok(Some(ans));
+        return Ok(ans);
     }
     // Product correction: a cautious `false` on the slice only transfers
     // to the whole database when the independent top part has a model at
     // all — an empty top model set makes every inference vacuously true.
     let (top, _) = project_top(db, slice);
-    match definite(inner(cfg).has_model(&top, cost))? {
-        Some(has) => Ok(Some(!has)),
-        None => Ok(None),
-    }
+    Ok(!cfg.run(&Prepared::borrowed(&top), Ask::Exists, Scope::Tail, cost)?)
 }
 
-/// Executes a decided peel route for an inference query: substitute the
-/// decided atoms into the formula and answer on the residual with an
-/// inner (non-re-slicing) configuration. A literal over an undecided atom
-/// stays a literal; over a decided one it becomes a constant.
-pub(crate) fn run_peel(
-    cfg: &SemanticsConfig,
-    p: &Peel,
-    f: &Formula,
-    cost: &mut Cost,
-) -> Governed<Option<bool>> {
-    note_split(p);
-    let f_res = f.map_atoms(&mut |a| match p.decided[a.index()] {
-        Some(true) => Formula::True,
-        Some(false) => Formula::False,
-        None => Formula::Atom(a),
-    });
-    definite(inner(cfg).infers_formula(&p.residual, &f_res, cost))
-}
-
-/// Executes a decided peel route for model existence: solve the
-/// deterministic bottom, then answer on the residual as the planner
-/// decides for it ([`ddb_analysis::decide_peel_residual`]): its
-/// weakly-connected islands (memoized with the peel in `prepared`) on the
-/// worker pool ([`crate::parallel::islands_has_model`]), or an inner
-/// existence check.
-pub(crate) fn run_exist_split(
+/// Executes a decided peel route: substitute the decided atoms into an
+/// inference query (a literal over an undecided atom stays a literal,
+/// over a decided one it becomes a constant), then answer on the residual
+/// as the planner decides for it ([`ddb_analysis::decide_peel_residual`]):
+/// at a tail-scope position, where existence may first take the
+/// residual's islands (memoized with the peel in `prepared`).
+pub(crate) fn run_split(
     cfg: &SemanticsConfig,
     prepared: &Prepared,
-    p: &Peel,
+    peel: &Peel,
+    ask: Ask<'_>,
     cost: &mut Cost,
-) -> Governed<Option<bool>> {
-    note_split(p);
-    let residual = Prepared::borrowed(&p.residual);
-    let traits = traits_for(cfg, Problem::Existence);
-    if let PlanData::Islands { parts } = decide_peel_residual(prepared, &residual, &traits).data {
-        if let Some(ans) = crate::parallel::islands_has_model(cfg, &p.residual, &parts, cost)? {
-            return Ok(Some(ans));
+) -> Governed<bool> {
+    ddb_obs::counter_bump(RouteKind::Split.counter(), 1);
+    ddb_obs::counter_bump("route.split.decided_atoms", peel.num_decided as u64);
+    ddb_obs::counter_bump("route.split.components", peel.components_decided as u64);
+    let f_res;
+    let ask = match ask {
+        Ask::Infer(f) => {
+            f_res = f.map_atoms(&mut |a| match peel.decided[a.index()] {
+                Some(true) => Formula::True,
+                Some(false) => Formula::False,
+                None => Formula::Atom(a),
+            });
+            Ask::Infer(&f_res)
         }
-    }
-    definite(inner(cfg).has_model(&residual, cost))
+        Ask::Exists => Ask::Exists,
+    };
+    let residual = Prepared::borrowed(&peel.residual);
+    let q = ask.query();
+    let d = decide_peel_residual(prepared, &residual, &cfg.traits(&q), &q);
+    // The residual runs under a span of its own, as every sub-database
+    // `SemanticsConfig::run` decides does.
+    let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
+    cfg.execute(&residual, ask, d, cost)
 }
 
 #[cfg(test)]

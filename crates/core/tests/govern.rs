@@ -6,7 +6,7 @@
 //! solver stack reusable.
 
 use ddb_core::{SemanticsConfig, SemanticsId, Verdict};
-use ddb_logic::parse::parse_program;
+use ddb_logic::parse::{parse_formula, parse_program};
 use ddb_logic::{Atom, Database, Formula};
 use ddb_models::Cost;
 use ddb_obs::{budget, Budget, Resource};
@@ -217,4 +217,53 @@ fn cancellation_from_another_thread_is_prompt_and_leaves_clean_state() {
     let after = cfg.models(&small, &mut cost).expect("EGCWA applies");
     assert!(after.is_complete(), "post-cancel run must be ungoverned");
     assert!(!after.models.is_empty());
+}
+
+#[test]
+fn one_degraded_answer_counts_one_unknown() {
+    // Each query takes a reduction whose sub-databases all need the
+    // oracle: a slice, a peel whose residual falls into two islands, and
+    // three islands. A zero-oracle budget trips once, and the one public
+    // call reports one `Unknown`, however many sub-databases it reached.
+    let cases = [
+        (
+            "a | b. c :- a. c :- b. x | y. z :- x.",
+            Some("c"),
+            "route.slice",
+        ),
+        (
+            "f. a | b :- f. :- a, b. x | y. :- x, y.",
+            None,
+            "route.split",
+        ),
+        (
+            "a | b. :- a, b. x | y. :- x, y. p | q. :- p, q.",
+            None,
+            "route.islands",
+        ),
+    ];
+    let cfg = SemanticsConfig::new(SemanticsId::Egcwa);
+    for (src, query, route) in cases {
+        let db = parse_program(src).unwrap();
+        let f = query.map(|q| parse_formula(q, db.symbols()).unwrap());
+        let guard = Budget::unlimited().with_max_oracle_calls(0).install();
+        let mut cost = Cost::new();
+        let (verdict, rec) = ddb_obs::record(false, || match &f {
+            Some(f) => cfg.infers_formula(&db, f, &mut cost),
+            None => cfg.has_model(&db, &mut cost),
+        });
+        drop(guard);
+        assert!(
+            matches!(verdict, Ok(Verdict::Unknown(_))),
+            "{src}: {verdict:?}"
+        );
+        assert_eq!(rec.counters.get(route), 1, "{src}");
+        assert_eq!(
+            rec.counters.get("govern.interrupts.oracle_calls"),
+            1,
+            "{src}"
+        );
+        assert_eq!(rec.counters.get("govern.unknown"), 1, "{src}");
+        assert_eq!(rec.counters.get("govern.unknown.oracle_calls"), 1, "{src}");
+    }
 }

@@ -12,12 +12,14 @@
 //!
 //! The sweep also tallies the routes it checks: every [`RouteKind`] must
 //! be predicted and taken at least once, so no route escapes the
-//! property.
+//! property. A second sweep holds the whole tree to the execution: each
+//! route's `route.*` count is its node count in the plan.
 
-use ddb_analysis::{PlanQuery, RouteKind};
+use ddb_analysis::{Admission, PlanData, PlanNode, PlanQuery, RouteKind};
 use ddb_core::profile::{profile_cell, Problem};
 use ddb_core::{SemanticsConfig, SemanticsId};
 use ddb_logic::{Atom, Database, Formula};
+use ddb_models::Cost;
 use ddb_workloads::random::{random_db, DbSpec};
 use ddb_workloads::structured;
 use std::collections::BTreeMap;
@@ -46,8 +48,10 @@ const _: fn(RouteKind) = |r| match r {
     | RouteKind::Generic => {}
 };
 
-#[test]
-fn predicted_route_and_bound_hold_on_random_dbs() {
+/// The swept databases: 120 random ones (`random` of them), then a Horn
+/// chain and a tower family — random specs this small are never Horn, so
+/// these make every route show up.
+fn databases() -> Vec<(String, Database)> {
     let specs = [
         DbSpec::positive(8, 14),
         DbSpec::deductive(8, 14),
@@ -60,24 +64,34 @@ fn predicted_route_and_bound_hold_on_random_dbs() {
             dbs.push((format!("spec {si} seed {seed}"), db));
         }
     }
-    let random = dbs.len();
-    // Random specs this small are never Horn; the corpus adds a Horn
-    // chain and a tower family, so every route is exercised.
     dbs.push(("horn_chain(8)".into(), structured::horn_chain(8)));
     dbs.push((
         "sliceable_towers(2,2)".into(),
         structured::sliceable_towers(2, 2),
     ));
+    dbs
+}
+
+/// The three problems' cells: the problem, its plan query and the query
+/// formula (existence ignores it).
+fn cells() -> [(Problem, PlanQuery, Formula); 3] {
     let lit = Formula::from(Atom::new(0).pos());
     let f = Formula::Or(vec![
         Formula::Atom(Atom::new(1)),
         Formula::Atom(Atom::new(2)).negated(),
     ]);
-    let cells = [
-        (Problem::Literal, PlanQuery::of(&lit), &lit),
-        (Problem::Formula, PlanQuery::of(&f), &f),
-        (Problem::Existence, PlanQuery::Existence, &f),
-    ];
+    [
+        (Problem::Literal, PlanQuery::of(&lit), lit),
+        (Problem::Formula, PlanQuery::of(&f), f.clone()),
+        (Problem::Existence, PlanQuery::Existence, f),
+    ]
+}
+
+#[test]
+fn predicted_route_and_bound_hold_on_random_dbs() {
+    let dbs = databases();
+    let random = dbs.len() - 2;
+    let cells = cells();
     let mut checked = 0usize;
     // Routes checked, by label: each one was both predicted and taken,
     // since the two are asserted equal before it is counted.
@@ -95,7 +109,7 @@ fn predicted_route_and_bound_hold_on_random_dbs() {
                 }
                 assert_eq!(
                     cell.route,
-                    Some(plan.route.label()),
+                    Some(plan.route),
                     "{id:?} {problem:?} route mismatch ({name}) on {db:?}"
                 );
                 if plan.oracle_bound == 0 {
@@ -133,4 +147,72 @@ fn predicted_route_and_bound_hold_on_random_dbs() {
             route.label()
         );
     }
+}
+
+/// Tallies `node`'s subtree into `counts`: per route label, the nodes
+/// execution always reaches and the nodes it may reach. The top-existence
+/// child of a `Product` slice runs only on a `false` slice answer, so its
+/// subtree is only "may".
+fn tally(node: &PlanNode, optional: bool, counts: &mut BTreeMap<&'static str, (u64, u64)>) {
+    let (must, may) = counts.entry(node.route.label()).or_default();
+    *must += u64::from(!optional);
+    *may += 1;
+    let product = matches!(
+        node.data,
+        PlanData::Slice {
+            admission: Admission::Product,
+            ..
+        }
+    );
+    for (i, child) in node.children.iter().enumerate() {
+        tally(child, optional || (product && i == 1), counts);
+    }
+}
+
+#[test]
+fn every_plan_node_is_executed_once() {
+    let mut dbs = databases();
+    dbs.push((
+        "sliceable_towers(3,3)".into(),
+        structured::sliceable_towers(3, 3),
+    ));
+    let (mut equal, mut bounded) = (0usize, 0usize);
+    for (name, db) in &dbs {
+        for id in SemanticsId::ALL {
+            let cfg = SemanticsConfig::new(id);
+            for (problem, q, query) in &cells() {
+                let Ok(plan) = cfg.plan(db, q) else {
+                    continue;
+                };
+                let mut cost = Cost::new();
+                let (outcome, recording) = ddb_obs::record(false, || match problem {
+                    Problem::Existence => cfg.has_model(db, &mut cost),
+                    _ => cfg.infers_formula(db, query, &mut cost),
+                });
+                if outcome.is_err() {
+                    continue;
+                }
+                let mut counts = BTreeMap::new();
+                tally(&plan, false, &mut counts);
+                for route in ROUTES {
+                    let (must, may) = counts.get(route.label()).copied().unwrap_or_default();
+                    let got = recording.counters.get(route.counter());
+                    assert!(
+                        must <= got && got <= may,
+                        "{id:?} {problem:?} ({name}): {} ran {got} times, the plan has \
+                         {must} certain and {may} possible nodes\n{}",
+                        route.counter(),
+                        plan.render()
+                    );
+                    if must == may {
+                        equal += 1;
+                    } else {
+                        bounded += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(equal >= 10_000, "too few route counts checked: {equal}");
+    assert!(bounded > 0, "no product slice's optional child was checked");
 }

@@ -1463,22 +1463,20 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
         .map(|slice| magic::rewrite(&db, &query_atoms, slice));
     // --execute: run each planned cell and compare prediction to
     // observation. Existence-only audits ignore the query formula.
-    let mut audits: Vec<(SemanticsId, &PlanNode, profile::CellProfile)> = Vec::new();
-    let mut audit_failures = 0usize;
+    // A cell is ok when it is unsupported or takes the predicted route
+    // within the plan's oracle-call bound.
+    let mut audits: Vec<(SemanticsId, &PlanNode, profile::CellProfile, bool)> = Vec::new();
     if opts.flag("execute") {
         let f_q = formula.unwrap_or(Formula::True);
         for (id, cfg, plan) in &explained {
             let Ok(plan) = plan else { continue };
             let cell = profile::profile_cell(cfg, &db, problem, &f_q, None);
-            if cell.unsupported.is_none()
-                && (cell.route != Some(plan.route.label())
-                    || cell.cost.sat_calls > plan.oracle_bound)
-            {
-                audit_failures += 1;
-            }
-            audits.push((*id, plan, cell));
+            let ok = cell.unsupported.is_some()
+                || (cell.route == Some(plan.route) && cell.cost.sat_calls <= plan.oracle_bound);
+            audits.push((*id, plan, cell, ok));
         }
     }
+    let audit_failures = audits.iter().filter(|(.., ok)| !ok).count();
     if opts.flag("json") {
         let plans_json: Vec<Json> = explained
             .iter()
@@ -1496,13 +1494,14 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
             .collect();
         let audits_json: Vec<Json> = audits
             .iter()
-            .map(|(id, plan, cell)| {
+            .map(|(id, plan, cell, ok)| {
                 Json::obj([
                     ("semantics", Json::Str(id.name().to_owned())),
                     ("predicted_route", Json::Str(plan.route.label().to_owned())),
                     (
                         "observed_route",
-                        cell.route.map_or(Json::Null, |r| Json::Str(r.to_owned())),
+                        cell.route
+                            .map_or(Json::Null, |r| Json::Str(r.label().to_owned())),
                     ),
                     ("oracle_bound", Json::UInt(plan.oracle_bound)),
                     ("observed_sat_calls", Json::UInt(cell.cost.sat_calls)),
@@ -1512,14 +1511,7 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
                             .as_ref()
                             .map_or(Json::Null, |r| Json::Str(r.clone())),
                     ),
-                    (
-                        "ok",
-                        Json::Bool(
-                            cell.unsupported.is_some()
-                                || (cell.route == Some(plan.route.label())
-                                    && cell.cost.sat_calls <= plan.oracle_bound),
-                        ),
-                    ),
+                    ("ok", Json::Bool(*ok)),
                 ])
             })
             .collect();
@@ -1610,25 +1602,19 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
     }
     if opts.flag("execute") {
         oprintln!();
-        for (id, plan, cell) in &audits {
+        for (id, plan, cell, ok) in &audits {
             if let Some(reason) = &cell.unsupported {
                 oprintln!("audit {}: skipped ({})", id.name(), reason);
                 continue;
             }
-            let route_ok = cell.route == Some(plan.route.label());
-            let bound_ok = cell.cost.sat_calls <= plan.oracle_bound;
             oprintln!(
                 "audit {}: route predicted={} observed={}; sat_calls={} (bound {}) — {}",
                 id.name(),
                 plan.route.label(),
-                cell.route.unwrap_or("-"),
+                cell.route.map_or("-", |r| r.label()),
                 cell.cost.sat_calls,
                 disjunctive_db::analysis::cost::display_bound(plan.oracle_bound),
-                if route_ok && bound_ok {
-                    "ok"
-                } else {
-                    "MISMATCH"
-                },
+                if *ok { "ok" } else { "MISMATCH" },
             );
         }
         if audit_failures > 0 {
