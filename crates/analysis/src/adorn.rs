@@ -22,8 +22,7 @@
 //!
 //! A predicate with a free position means goal-directed evaluation cannot
 //! restrict it to the query's constants — the planner surfaces this as lint
-//! `DDB012`, and it is the precondition the magic-sets transform
-//! ([`crate::magic`]) keys on.
+//! `DDB012`, and it is the precondition a magic-sets transform keys on.
 
 use crate::slice::relevant_slice;
 use ddb_logic::{Atom, Database};

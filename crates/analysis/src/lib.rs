@@ -30,9 +30,6 @@
 //!   ([`build_plan`]) `ddb explain` prints, with binding-pattern
 //!   adornments ([`adorn()`]) and the domain/cost estimators ([`cost`])
 //!   feeding its class and oracle-call bounds;
-//! * the **magic-sets rewrite** ([`magic`]): the guarded program
-//!   transform ([`magic::rewrite`]) of a query's demand closure that
-//!   `ddb rewrite` prints, with SIP strategy selection ([`sip`]);
 //! * **prepared databases** ([`Prepared`]): the facts above that depend
 //!   only on the database — fragments, stratification, the supportable
 //!   closure, rule indexes, peels and islands — memoized per database, so
@@ -43,12 +40,10 @@ pub mod adorn;
 pub mod cost;
 pub mod fragments;
 pub mod lints;
-pub mod magic;
 pub mod plan;
 pub mod prepared;
 pub mod report;
 pub mod schedule;
-pub mod sip;
 pub mod slice;
 pub mod splitting;
 pub mod transform;
@@ -58,7 +53,6 @@ pub use cost::{oracle_call_bound, DomainEstimate};
 pub use ddb_logic::depgraph::{DepGraph, EdgeKind, Sccs};
 pub use fragments::{classify, Fragment, Fragments};
 pub use lints::{lint, Diagnostic, Severity};
-pub use magic::{MagicProgram, MAGIC_PREFIX};
 pub use plan::{
     admission, bound_query, build_plan, decide, decide_peel_residual, decide_scoped, plan_lints,
     prunes_dead, Admission, Decision, PlanData, PlanNode, PlanQuery, RouteKind, Scope,

@@ -21,12 +21,10 @@
 //! | DDB013 | warning  | planned route has an exponential oracle bound   |
 //! | DDB014 | info     | ineffective slice: query slice = whole program  |
 //! | DDB015 | warning  | plan infeasible under the oracle-call budget    |
-//! | DDB016 | info     | magic rewrite inadmissible for this semantics   |
-//! | DDB017 | info     | unbound adornment makes the magic rewrite a no-op |
-//! | DDB018 | warning  | atom collides with the `magic__` namespace      |
+//! | DDB016 | info     | demand restriction inadmissible for this semantics |
 //!
 //! `DDB001`–`DDB011` come from the database-level [`lint`] pass;
-//! `DDB012`–`DDB018` are query-dependent and emitted by the planner
+//! `DDB012`–`DDB016` are query-dependent and emitted by the planner
 //! ([`crate::plan::plan_lints`]) for `ddb explain`.
 //!
 //! Diagnostics are emitted in a fully deterministic order: sorted by code,
@@ -183,48 +181,19 @@ impl Diagnostic {
         }
     }
 
-    /// `DDB016` — a bound query's demand closure (the restriction the
-    /// magic-sets rewrite guards) is proper, but the admission analysis
-    /// rejects it for this semantics; the blocking rule witnesses why the
-    /// closure boundary is not exact.
-    pub fn magic_inadmissible(semantics: &str, rule_index: usize, rule_text: &str) -> Self {
+    /// `DDB016` — a bound query's demand restriction (its slice,
+    /// [`crate::slice::demand_closure`]) is proper, but the admission
+    /// analysis rejects it for this semantics; the blocking rule witnesses
+    /// why the slice boundary is not exact.
+    pub fn demand_inadmissible(semantics: &str, rule_index: usize, rule_text: &str) -> Self {
         Diagnostic {
             code: "DDB016",
             severity: Severity::Info,
             message: format!(
-                "magic rewrite inadmissible under {semantics}: the restriction is not answer-preserving for this semantics, so the query falls back to a wider route"
+                "demand restriction inadmissible under {semantics}: the query's slice is not answer-preserving for this semantics, so the query falls back to a wider route"
             ),
             rule: Some(rule_index),
             snippet: Some(rule_text.to_owned()),
-        }
-    }
-
-    /// `DDB017` — the query binds no argument constants, so every
-    /// predicate is adorned all-free and the magic rewrite degenerates to
-    /// guarding the whole program.
-    pub fn magic_noop() -> Self {
-        Diagnostic {
-            code: "DDB017",
-            severity: Severity::Info,
-            message:
-                "unbound adornment: the query fixes no argument constants, so the magic rewrite demands every rule and cannot reduce the grounding"
-                    .into(),
-            rule: None,
-            snippet: None,
-        }
-    }
-
-    /// `DDB018` — an input atom already lives in the reserved `magic__`
-    /// namespace, so the rewrite's fresh predicates could capture it.
-    pub fn magic_collision(name: &str) -> Self {
-        Diagnostic {
-            code: "DDB018",
-            severity: Severity::Warning,
-            message: format!(
-                "atom `{name}` collides with the reserved `magic__` predicate namespace used by the magic-sets rewrite"
-            ),
-            rule: None,
-            snippet: None,
         }
     }
 
@@ -746,16 +715,11 @@ mod tests {
         let d = Diagnostic::infeasible_plan("GCWA", 4096, 100);
         assert_eq!((d.code, d.severity), ("DDB015", Severity::Warning));
         assert!(d.message.contains("4096") && d.message.contains("100"));
-        let d = Diagnostic::magic_inadmissible("GCWA", 2, "d :- c.");
+        let d = Diagnostic::demand_inadmissible("GCWA", 2, "d :- c.");
         assert_eq!((d.code, d.severity), ("DDB016", Severity::Info));
         assert_eq!(d.rule, Some(2));
         assert_eq!(d.snippet.as_deref(), Some("d :- c."));
         assert!(d.message.contains("GCWA"));
-        let d = Diagnostic::magic_noop();
-        assert_eq!((d.code, d.severity), ("DDB017", Severity::Info));
-        let d = Diagnostic::magic_collision("magic__p(a)");
-        assert_eq!((d.code, d.severity), ("DDB018", Severity::Warning));
-        assert!(d.message.contains("magic__p(a)"));
     }
 
     #[test]

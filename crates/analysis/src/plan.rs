@@ -30,17 +30,16 @@
 //! on positive databases, Table 2 otherwise); each plan node prints the
 //! one its own (sub-)database falls under.
 //!
-//! Plan-level lints (`DDB012`–`DDB018`, see [`plan_lints`]) report
+//! Plan-level lints (`DDB012`–`DDB016`, see [`plan_lints`]) report
 //! query-dependent findings: unbound argument positions under goal-directed
 //! evaluation, predicted exponential blowup, ineffective slices, plans
-//! infeasible under a declared oracle-call budget, and the magic-rewrite
-//! findings (inadmissible rewrite, no-op rewrite, namespace collision).
+//! infeasible under a declared oracle-call budget, and a bound query whose
+//! demand restriction is inadmissible.
 
 use crate::adorn::{split_predicate, Adornments};
 use crate::cost::{display_bound, oracle_call_bound};
 use crate::fragments::{Fragment, Fragments};
 use crate::lints::Diagnostic;
-use crate::magic::MAGIC_PREFIX;
 use crate::prepared::{AsPrepared, Prepared};
 use crate::slice::{demand_closure, project_slice, project_top, relevant_slice, Slice};
 use crate::splitting::Peel;
@@ -92,18 +91,18 @@ pub fn admission(frags: &Fragments, slice: &Slice, mm_determined: bool) -> Admis
 
 /// Whether some query atom fixes argument constants (`p(a)`, not `p`) —
 /// a bound query in the magic-sets sense. Only bound queries prune dead
-/// rules from their demand closure ([`prunes_dead`]), raise `DDB016`
-/// when it is blocked, and get the rewritten program in `ddb explain`.
+/// rules from their demand closure ([`prunes_dead`]) and raise `DDB016`
+/// when it is blocked.
 pub fn bound_query(db: &Database, query_atoms: &[Atom]) -> bool {
     query_atoms
         .iter()
         .any(|&a| !split_predicate(db.symbols().name(a)).1.is_empty())
 }
 
-/// The dead-rule pruning gate of a query's demand closure
-/// ([`demand_closure`]), shared by the planner and `ddb rewrite`.
-/// Pruning is sound exactly for minimal-model-determined answers on
-/// positive databases (see [`crate::magic`]), and is attempted only for
+/// The planner's dead-rule pruning gate for a query's demand closure
+/// ([`demand_closure`]). Pruning is sound exactly for
+/// minimal-model-determined answers on positive databases (the argument
+/// is in the [`crate::slice`] module docs), and is attempted only for
 /// bound queries.
 pub fn prunes_dead(
     db: &Database,
@@ -724,7 +723,7 @@ fn sum_bounds(children: &[PlanNode]) -> u64 {
 /// blowup (`DDB013`).
 pub const EXPONENTIAL_LINT_THRESHOLD: u64 = 1 << 20;
 
-/// The query-dependent plan lints `DDB012`–`DDB018` for one `ddb explain`
+/// The query-dependent plan lints `DDB012`–`DDB016` for one `ddb explain`
 /// run over a set of per-semantics plans (`plans` pairs a display name
 /// with each semantics' root node). Sorted by code, matching the
 /// deterministic lint order of `ddb check`.
@@ -746,27 +745,11 @@ pub fn plan_lints(
         .find_map(|(name, p)| p.blocked.map(|i| (name, i)))
         .filter(|_| bound_query(db, query_atoms))
     {
-        out.push(Diagnostic::magic_inadmissible(
+        out.push(Diagnostic::demand_inadmissible(
             name,
             i,
             &display_rule(&db.rules()[i], db.symbols()),
         ));
-    }
-    // DDB017 — a first-order (ground-atom) database queried without any
-    // bound argument constants: the magic rewrite would demand everything.
-    let first_order = db
-        .symbols()
-        .atoms()
-        .any(|a| !split_predicate(db.symbols().name(a)).1.is_empty());
-    if first_order && !query_atoms.is_empty() && adornments.bound_constants.is_empty() {
-        out.push(Diagnostic::magic_noop());
-    }
-    // DDB018 — input atoms already inside the reserved magic namespace.
-    for a in db.symbols().atoms() {
-        let n = db.symbols().name(a);
-        if n.starts_with(MAGIC_PREFIX) {
-            out.push(Diagnostic::magic_collision(n));
-        }
     }
     if let Some((name, plan)) = plans
         .iter()
@@ -1081,45 +1064,11 @@ mod tests {
         assert_eq!(d.blocked, Some(2));
         let plan = build_plan(&db, &t, &q);
         assert_eq!(plan.blocked, Some(2));
-        // DDB016 names the blocking rule; no collision, no no-op.
+        // DDB016 names the blocking rule.
         let ad = crate::adorn::adorn(&db, q.atoms());
         let lints = plan_lints(&db, q.atoms(), &[("TEST", &plan)], &ad, None);
         let d16 = lints.iter().find(|d| d.code == "DDB016").expect("DDB016");
         assert_eq!(d16.rule, Some(2));
-        assert!(lints.iter().all(|d| d.code != "DDB017"));
-        assert!(lints.iter().all(|d| d.code != "DDB018"));
-    }
-
-    #[test]
-    fn unbound_first_order_query_lints_magic_noop() {
-        // `p(a)`/`p(b)` make the database first-order, but the query atom
-        // `flag` binds no constants: DDB017.
-        let db = ground_db(&[
-            (&["p(a)"], &[], &[]),
-            (&["p(b)"], &[], &[]),
-            (&["flag"], &["p(a)", "p(b)"], &[]),
-        ]);
-        let t = traits("Πᵖ₂-complete");
-        let q = PlanQuery::Literal(ground_atom(&db, "flag"));
-        let plan = build_plan(&db, &t, &q);
-        let ad = crate::adorn::adorn(&db, q.atoms());
-        let lints = plan_lints(&db, q.atoms(), &[("TEST", &plan)], &ad, None);
-        assert!(lints.iter().any(|d| d.code == "DDB017"), "{lints:?}");
-    }
-
-    #[test]
-    fn magic_namespace_collision_lints_ddb018() {
-        let db = ground_db(&[
-            (&["magic__p(a)"], &[], &[]),
-            (&["q(a)"], &["magic__p(a)"], &[]),
-        ]);
-        let t = traits("Πᵖ₂-complete");
-        let q = PlanQuery::Literal(ground_atom(&db, "q(a)"));
-        let plan = build_plan(&db, &t, &q);
-        let ad = crate::adorn::adorn(&db, q.atoms());
-        let lints = plan_lints(&db, q.atoms(), &[("TEST", &plan)], &ad, None);
-        let d18 = lints.iter().find(|d| d.code == "DDB018").expect("DDB018");
-        assert!(d18.message.contains("magic__p(a)"));
     }
 
     #[test]

@@ -28,6 +28,25 @@
 //!
 //! `crates/core`'s dispatcher checks these preconditions per semantics and
 //! falls back to the generic whole-database procedure when neither holds.
+//!
+//! ## Demand closure and dead rules
+//!
+//! A bound query (one fixing argument constants, `p(a)` rather than `p`)
+//! is answered on its **demand closure** ([`demand_closure`]): the
+//! relevance closure minus *dead* rules, whose positive body has an atom
+//! outside the supportable fixpoint ([`supportable_atoms`]). This is the
+//! set of rules a goal-directed (magic-sets) evaluation could ever fire.
+//! Pruning is sound exactly for minimal-model-determined answers on
+//! **positive** databases: a rule whose positive body can never be
+//! derived never fires in any minimal model. With negation a dead body
+//! atom can still flip answers through `not`, so the planner's gate
+//! ([`crate::plan::prunes_dead`]) leaves pruning off there and the
+//! closure is the relevance slice.
+//!
+//! A dropped dead rule whose head is demanded reads the closure, so it
+//! always blocks the split-closure side condition: the product admission
+//! and dead pruning never combine, and the only admission that ever sees
+//! a pruned closure is `PositiveExact` — exactly the sound case.
 
 use crate::prepared::Prepared;
 use ddb_logic::{Atom, Database, Interpretation, Rule, Symbols};
@@ -82,10 +101,9 @@ pub fn relevant_slice(db: &Database, query_atoms: &[Atom]) -> Slice {
 /// With `prune_dead`, dead rules (a positive body atom outside the
 /// supportable closure, [`Prepared::closure`]) never join and never
 /// propagate demand into their bodies; those whose head the closure
-/// reaches are recorded in [`Slice::dropped_dead`]. This is the
-/// restriction a magic-guarded evaluation can fire ([`crate::magic`]).
-/// Pruning is sound only for minimal-model-determined answers on
-/// positive databases ([`crate::plan::prunes_dead`] is the gate). The
+/// reaches are recorded in [`Slice::dropped_dead`]. Pruning is sound
+/// only for minimal-model-determined answers on positive databases (see
+/// the [module docs](self); [`crate::plan::prunes_dead`] is the gate). The
 /// split-closure data is judged against every non-kept rule, dropped
 /// dead rules included, so a pruned closure whose boundary a dropped
 /// rule reads is never reported split-closed.
@@ -247,6 +265,26 @@ mod tests {
     use super::*;
     use ddb_logic::parse::{display_rule, parse_program};
 
+    fn atom(db: &Database, name: &str) -> Atom {
+        db.symbols()
+            .atoms()
+            .find(|&a| db.symbols().name(a) == name)
+            .expect("atom exists")
+    }
+
+    /// Ground databases with parenthesized atom names come from the
+    /// datalog grounder, not the propositional parser, so tests intern
+    /// them directly.
+    fn ground_db(rules: &[(&[&str], &[&str])]) -> Database {
+        let mut db = Database::with_fresh_atoms(0);
+        for (head, body) in rules {
+            let h: Vec<Atom> = head.iter().map(|n| db.symbols_mut().intern(n)).collect();
+            let b: Vec<Atom> = body.iter().map(|n| db.symbols_mut().intern(n)).collect();
+            db.add_rule(Rule::new(h, b, Vec::<Atom>::new()));
+        }
+        db
+    }
+
     fn atoms_named(db: &Database, slice: &Slice) -> Vec<String> {
         slice
             .atoms
@@ -312,6 +350,44 @@ mod tests {
         let s = relevant_slice(&db, &[]);
         assert!(s.atoms.is_empty() && s.rules.is_empty());
         assert!(s.split_closed);
+    }
+
+    #[test]
+    fn dead_rules_are_pruned_and_block_the_split() {
+        // Rule 1 demands r(b) but its body atom ghost(x) is unsupportable,
+        // so it can never fire: pruning keeps the restriction to the fact.
+        let db = ground_db(&[
+            (&["r(b)"], &[]),
+            (&["r(b)"], &["ghost(x)"]),
+            (&["q(z)"], &[]),
+        ]);
+        let q = [atom(&db, "r(b)")];
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
+        assert_eq!(m.rules, vec![0]);
+        assert_eq!(m.dropped_dead, vec![1]);
+        // The dropped rule's head reads the restriction, so it must not
+        // be reported split-closed (product would be unsound here).
+        assert!(!m.split_closed);
+        assert_eq!(m.blocking_rule, Some(1));
+        // ghost(x) never joined the demand set.
+        assert!(!m.in_slice.contains(atom(&db, "ghost(x)")));
+    }
+
+    #[test]
+    fn pruning_beats_the_plain_slice() {
+        // The relevance slice chases the dead rule's body; the magic
+        // restriction does not.
+        let db = ground_db(&[
+            (&["r(b)"], &[]),
+            (&["r(b)"], &["ghost(x)"]),
+            (&["ghost(x)"], &["ghost(y)"]),
+        ]);
+        let q = [atom(&db, "r(b)")];
+        let plain = relevant_slice(&db, &q);
+        let m = demand_closure(&Prepared::borrowed(&db), &q, true);
+        assert_eq!(plain.rules, vec![0, 1, 2]);
+        assert_eq!(m.rules, vec![0]);
+        assert!(m.rules.len() < plain.rules.len());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! place those traits are derived from a [`SemanticsConfig`]:
 //!
 //! * the minimal-model determinedness of formula queries
-//!   ([`mm_determined`], which `ddb slice` and `ddb rewrite` read too);
+//!   ([`mm_determined`], which `ddb slice` reads too);
 //! * the peel gate ([`crate::slicing::peel_mode`]);
 //! * the HCF shift (DSM only) and the Horn collapse (default structure
 //!   only);

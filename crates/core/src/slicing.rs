@@ -8,14 +8,12 @@
 //!   backward-reachable from them can influence its truth value. For
 //!   bound queries (argument constants fixed by the query) on positive
 //!   databases the closure also skips dead rules whose positive body can
-//!   never be derived — the restriction of the magic-sets rewrite, sound
-//!   there because a never-firing rule fires in no minimal model
+//!   never be derived — the rules a magic-sets evaluation could fire,
+//!   sound there because a never-firing rule fires in no minimal model
 //!   ([`ddb_analysis::prunes_dead`]). When the soundness precondition
 //!   ([`Admission`]) holds, inference runs on the projected slice — a
 //!   strictly smaller database, so the oracle sees strictly smaller CNFs
-//!   (and may even collapse to the Horn fast path). Answering on the
-//!   projected slice is answer-equivalent to running the guarded rewrite
-//!   `ddb rewrite` prints.
+//!   (and may even collapse to the Horn fast path).
 //! * **Splitting-set peeling** ([`ddb_analysis::peel`]): the
 //!   deterministic bottom components of the SCC condensation have a
 //!   unique solution computable in polynomial time; partially evaluating

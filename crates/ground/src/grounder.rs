@@ -300,8 +300,8 @@ fn head_activation(head: &PredAtom, demand: &BTreeMap<String, DemandSet>) -> Act
 /// The static demand fixpoint: which predicates (and which first
 /// arguments) can reach the query top-down. Demand flows from an
 /// activated head through the positive body, the negative body and the
-/// disjunctive sibling heads, mirroring the demand rules of the magic
-/// rewrite in `ddb-analysis`.
+/// disjunctive sibling heads, as the demand closure
+/// (`ddb_analysis::demand_closure`) does on ground rules.
 fn demand_fixpoint(prog: &DatalogProgram, query: &PredAtom) -> BTreeMap<String, DemandSet> {
     let mut demand: BTreeMap<String, DemandSet> = BTreeMap::new();
     let seed = match query.args.first() {

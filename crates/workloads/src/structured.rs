@@ -163,7 +163,7 @@ pub fn guarded_towers(towers: usize, height: usize) -> Database {
 /// Returns `(program_source, query_atom)`; the query asks for the last
 /// node of chain 0 (`reach(c0,n<depth>)`). Because the bound first
 /// argument is invariant through the recursion, goal-directed grounding
-/// and the magic rewrite confine the work to one chain — grounded-rule
+/// and the demand closure confine the work to one chain — grounded-rule
 /// counts drop by a factor of `chains` against whole-program grounding
 /// while the answer is identical. The scaling family behind the
 /// grounding counts in `BENCH_magic.json`.

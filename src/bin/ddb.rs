@@ -16,15 +16,6 @@
 //!     query, the SCC condensation layers, and — per semantics — which
 //!     soundness precondition admits (or blocks) answering on the slice.
 //!
-//! ddb rewrite <file> --query "<f>" [--semantics <name>] [--json]
-//!     The magic-sets rewrite of the query: the demand closure the
-//!     planner routes it through (dead rules pruned when the query is
-//!     bound, the database positive and the query
-//!     minimal-model-determined),
-//!     rendered as a guarded program with `magic__` seeds and demand
-//!     rules, and — per semantics — whether the rewrite is admitted or
-//!     which rule blocks it.
-//!
 //! ddb models <file> --semantics <name> [--partition-p a,b] [--partition-q c]
 //!     Enumerate the characteristic models of a semantics.
 //!
@@ -56,11 +47,12 @@
 //!     generic), annotated with the paper's complexity class (Table 1 on
 //!     positive nodes, Table 2 otherwise) and a sound upper bound on
 //!     oracle calls per node, plus the binding-pattern adornments of the
-//!     query's backward slice and the plan lints DDB012–DDB018.
+//!     query's backward slice and the plan lints DDB012–DDB016.
 //!     `--max-oracle-calls <n>` declares the budget DDB015 checks plans
-//!     against. With `--execute`, each planned cell also runs and the
-//!     predicted route and bound are audited against the observed
-//!     `route.*` counters and oracle-call totals; any mismatch exits 1.
+//!     against; it is the one resource limit explain reads. With
+//!     `--execute`, each planned cell also runs and the predicted route
+//!     and bound are audited against the observed `route.*` counters and
+//!     oracle-call totals; any mismatch exits 1.
 //!
 //! ddb trace <file> --query "<f>" [--semantics <name>] [--top <n>] [--json]
 //!     Run the query under a full event trace and print the aggregated
@@ -192,7 +184,6 @@ fn run(args: &[String]) -> Result<u8, String> {
         "classify" => classify(&args[1..]).map(|()| 0),
         "check" => check_cmd(&args[1..]),
         "slice" => slice_cmd(&args[1..]).map(|()| 0),
-        "rewrite" => rewrite_cmd(&args[1..]).map(|()| 0),
         "models" => answer_cmd(&args[1..], Op::Models),
         "query" => answer_cmd(&args[1..], Op::Query),
         "exists" => answer_cmd(&args[1..], Op::Exists),
@@ -215,9 +206,6 @@ const USAGE: &str = "usage:
       exit 0 clean, 1 warning lints, 2 errors; --strict treats warnings as errors)
   ddb slice  <file> --query \"<f>\" [--semantics <name>] [--json]
       (query-relevant slice, condensation layers, per-semantics admission)
-  ddb rewrite <file> --query \"<f>\" [--semantics <name>] [--json]
-      (magic-sets rewrite: the demand restriction with dead rules pruned,
-       the guarded magic__ program, and per-semantics admission)
   ddb models <file> --semantics <name> [--partition-p a,b] [--partition-q c] [--partial]
   ddb query  <file> --semantics <name> (--formula \"<f>\" | --literal [-]<atom>) [--brave] [--explain]
       (--formula may be repeated: the batch shares one analysis pass and
@@ -233,7 +221,7 @@ const USAGE: &str = "usage:
       (static query plan, model existence without --query: per semantics
        the route tree dispatch will take, with the paper's complexity
        classes (Table 1 on positive nodes) and oracle-call bounds, adornment
-       analysis, and plan lints DDB012-DDB018; --max-oracle-calls <n>
+       analysis, and plan lints DDB012-DDB016; --max-oracle-calls <n>
        declares the budget DDB015 checks plans against; --execute runs each
        planned cell and audits predicted route/bound vs the observed
        route.* counters and sat calls — a mismatch exits 1)
@@ -287,7 +275,6 @@ const COMMAND_OPTIONS: &[(&str, &str)] = &[
     ("classify", "datalog"),
     ("check", "datalog json strict"),
     ("slice", "datalog query semantics json"),
-    ("rewrite", "datalog query semantics json threads"),
     (
         "models",
         "datalog semantics partial partition-p partition-q threads LIMITS OBSERVE",
@@ -310,7 +297,8 @@ const COMMAND_OPTIONS: &[(&str, &str)] = &[
     ),
     (
         "explain",
-        "datalog query semantics json execute partition-p partition-q threads LIMITS",
+        "datalog query semantics json execute partition-p partition-q threads \
+         max-oracle-calls",
     ),
     (
         "trace",
@@ -958,181 +946,6 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ddb rewrite`: print the magic-sets rewrite of a query — the demand
-/// closure the planner routes the query through, rendered as a guarded
-/// program with `magic__` seeds and demand rules, plus the per-semantics
-/// admission verdicts. Dead rules are dropped under the planner's own
-/// gate ([`prunes_dead`](disjunctive_db::analysis::prunes_dead)), so the
-/// printed program is the one the slice route executes.
-fn rewrite_cmd(args: &[String]) -> Result<(), String> {
-    use disjunctive_db::analysis::{demand_closure, magic, prunes_dead, Prepared, Slice};
-    use disjunctive_db::core::planner::mm_determined;
-    use disjunctive_db::core::slicing::{admission, Admission};
-    let opts = parse_opts("rewrite", args)?;
-    let db = load(&opts)?;
-    // --threads is accepted for CLI uniformity; the rewrite is a pure
-    // static analysis, so the output is identical at every width.
-    let _ = threads_from(&opts)?;
-    let raw = opts.value("query").ok_or("missing --query <formula>")?;
-    let formula = parse_query(raw, db.symbols()).map_err(|e| e.to_string())?;
-    let query_atoms = formula.atoms();
-    if query_atoms.is_empty() {
-        return Err("the query mentions no atoms; nothing to rewrite".into());
-    }
-    let literal_query = formula.as_literal().is_some();
-    let prepared = Prepared::borrowed(&db);
-    let frags = prepared.fragments();
-    let semantics = semantics_or_all(&opts)?;
-    let prunes =
-        |id: SemanticsId| prunes_dead(&db, &frags, &query_atoms, mm_determined(id, literal_query));
-    // At most two distinct restrictions exist: the one for
-    // minimal-model-determined answers and, when that one prunes, the
-    // unpruned one GCWA/CCWA formula queries take.
-    let prune = prunes_dead(&db, &frags, &query_atoms, true);
-    let restriction = demand_closure(&prepared, &query_atoms, prune);
-    let needs_unpruned = prune && semantics.iter().any(|&id| !prunes(id));
-    let unpruned: Option<Slice> =
-        needs_unpruned.then(|| demand_closure(&prepared, &query_atoms, false));
-    let restriction_of = |id: SemanticsId| -> &Slice {
-        match &unpruned {
-            Some(r) if !prunes(id) => r,
-            _ => &restriction,
-        }
-    };
-    let admission_label = |a: Admission| match a {
-        Admission::PositiveExact => "positive-exact",
-        Admission::Product => "product",
-        Admission::Blocked => "blocked (generic fallback)",
-    };
-    let program = magic::rewrite(&db, &query_atoms, &restriction);
-    let program_unpruned = unpruned
-        .as_ref()
-        .map(|r| magic::rewrite(&db, &query_atoms, r));
-    if opts.flag("json") {
-        let restriction_json = |r: &Slice, prog: &magic::MagicProgram| {
-            Json::obj([
-                ("pruned", Json::Bool(!r.dropped_dead.is_empty())),
-                ("atoms", Json::UInt(r.atoms.len() as u64)),
-                (
-                    "rules",
-                    Json::Arr(r.rules.iter().map(|&i| Json::UInt(i as u64)).collect()),
-                ),
-                (
-                    "dropped_dead",
-                    Json::Arr(
-                        r.dropped_dead
-                            .iter()
-                            .map(|&i| Json::UInt(i as u64))
-                            .collect(),
-                    ),
-                ),
-                ("split_closed", Json::Bool(r.split_closed)),
-                (
-                    "blocking_rule",
-                    r.blocking_rule.map_or(Json::Null, |i| Json::UInt(i as u64)),
-                ),
-                ("program", prog.to_json()),
-            ])
-        };
-        let mut restrictions = vec![restriction_json(&restriction, &program)];
-        if let (Some(r), Some(p)) = (unpruned.as_ref(), program_unpruned.as_ref()) {
-            restrictions.push(restriction_json(r, p));
-        }
-        let admissions: Vec<Json> = semantics
-            .iter()
-            .map(|&id| {
-                let r = restriction_of(id);
-                let adm = admission(id, &frags, r, literal_query);
-                Json::obj([
-                    ("semantics", Json::Str(id.to_string())),
-                    ("admission", Json::Str(admission_label(adm).to_owned())),
-                    ("pruning", Json::Bool(prunes(id))),
-                    (
-                        "blocking_rule",
-                        match r.blocking_rule {
-                            Some(i) if adm == Admission::Blocked => Json::UInt(i as u64),
-                            _ => Json::Null,
-                        },
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Json::obj([
-            (
-                "file",
-                Json::Str(opts.file.as_deref().unwrap_or("-").into()),
-            ),
-            ("query", Json::Str(raw.to_owned())),
-            ("literal_query", Json::Bool(literal_query)),
-            ("positive", Json::Bool(frags.positive)),
-            ("restrictions", Json::Arr(restrictions)),
-            ("admissions", Json::Arr(admissions)),
-        ]);
-        oprint!("{}", doc.render_pretty());
-        return Ok(());
-    }
-    oprintln!(
-        "rewrite of {} for query `{raw}` ({} query)",
-        opts.file.as_deref().unwrap_or("-"),
-        if literal_query { "literal" } else { "formula" },
-    );
-    let describe = |label: &str, r: &Slice| {
-        oprintln!(
-            "{label}: {} of {} atom(s), {} of {} rule(s), {} dead rule(s) dropped, split-closed: {}",
-            r.atoms.len(),
-            db.num_atoms(),
-            r.rules.len(),
-            db.len(),
-            r.dropped_dead.len(),
-            if r.split_closed { "yes" } else { "no" },
-        );
-    };
-    describe("restriction", &restriction);
-    if let Some(r) = unpruned.as_ref() {
-        describe("restriction (gcwa/ccwa formula queries, no pruning)", r);
-    }
-    oprintln!("admission:");
-    for &id in &semantics {
-        let r = restriction_of(id);
-        let adm = admission(id, &frags, r, literal_query);
-        let witness = match r.blocking_rule {
-            Some(i) if adm == Admission::Blocked => format!(
-                " — rule #{i}: {}",
-                display_rule(&db.rules()[i], db.symbols())
-            ),
-            _ => String::new(),
-        };
-        oprintln!(
-            "  {:<13} {}{}",
-            id.to_string(),
-            admission_label(adm),
-            witness
-        );
-    }
-    let show_program = |label: &str, prog: &magic::MagicProgram| {
-        oprintln!();
-        oprintln!(
-            "{label} ({} seed(s), {} rule(s)):",
-            prog.seeds.len(),
-            prog.rules.len(),
-        );
-        for line in prog.render().lines() {
-            oprintln!("  {line}");
-        }
-        if !prog.collisions.is_empty() {
-            oprintln!(
-                "  collisions with the magic__ namespace: {}",
-                prog.collisions.join(", ")
-            );
-        }
-    };
-    show_program("rewritten program", &program);
-    if let Some(p) = program_unpruned.as_ref() {
-        show_program("rewritten program (no pruning)", p);
-    }
-    Ok(())
-}
-
 /// Writes one stdout line through [`out`]. Returns `false` once the pipe
 /// is gone so unbounded enumeration loops can stop emitting early.
 fn emit(line: &str) -> bool {
@@ -1400,7 +1213,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
 /// `ddb explain`: print the static query plan — per semantics, the route
 /// tree the dispatcher will take for the query, with predicted complexity
 /// classes and sound oracle-call bounds — plus the adornment analysis of
-/// the query's backward slice and the plan lints `DDB012`–`DDB015`. With
+/// the query's backward slice and the plan lints `DDB012`–`DDB016`. With
 /// `--execute`, each planned cell also runs and the predicted route and
 /// bound are audited against the observed `route.*` counters and
 /// oracle-call totals; any mismatch exits 1.
@@ -1409,9 +1222,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
 /// `--threads` widths (the worker pool changes wall-clock only, never
 /// answers or oracle-call totals).
 fn explain_cmd(args: &[String]) -> Result<u8, String> {
-    use disjunctive_db::analysis::{
-        adorn, bound_query, magic, plan_lints, DomainEstimate, PlanData, PlanNode, PlanQuery,
-    };
+    use disjunctive_db::analysis::{adorn, plan_lints, DomainEstimate, PlanNode, PlanQuery};
     use disjunctive_db::core::planner::problem_of;
     let opts = parse_opts("explain", args)?;
     let db = load(&opts)?;
@@ -1426,7 +1237,7 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
     };
     let plan_query = formula.as_ref().map_or(PlanQuery::Existence, PlanQuery::of);
     let problem = problem_of(&plan_query);
-    let oracle_budget = opts.limits()?.max_oracle_calls;
+    let oracle_budget = opts.u64("max-oracle-calls")?;
     let ids = semantics_or_all(&opts)?;
     // One plan per semantics, each configured as `ddb query` configures
     // it (partition, width); unsupported combinations are reported, not
@@ -1450,17 +1261,6 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
         .filter_map(|(id, _, p)| p.as_ref().ok().map(|p| (id.name(), p)))
         .collect();
     let lints = plan_lints(&db, &query_atoms, &plan_refs, &adornments, oracle_budget);
-    // When a bound query routes through its demand closure, the magic
-    // rewrite of that closure is part of the explanation (taken from the
-    // plan itself, so the rendered program is the one executed).
-    let magic_rewrite = explained
-        .iter()
-        .find_map(|(_, _, plan)| match plan.as_ref().map(|p| &p.data) {
-            Ok(PlanData::Slice { slice, .. }) => Some(slice),
-            _ => None,
-        })
-        .filter(|_| bound_query(&db, &query_atoms))
-        .map(|slice| magic::rewrite(&db, &query_atoms, slice));
     // --execute: run each planned cell and compare prediction to
     // observation. Existence-only audits ignore the query formula.
     // A cell is ok when it is unsupported or takes the predicted route
@@ -1528,12 +1328,6 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
             ("adornments", adornments.to_json()),
             ("plans", Json::Arr(plans_json)),
             (
-                "rewrite",
-                magic_rewrite
-                    .as_ref()
-                    .map_or(Json::Null, magic::MagicProgram::to_json),
-            ),
-            (
                 "lints",
                 Json::Arr(
                     lints
@@ -1585,13 +1379,6 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
                 }
             }
             Err(reason) => oprintln!("== {} — unsupported: {}", id.name(), reason),
-        }
-    }
-    if let Some(prog) = &magic_rewrite {
-        oprintln!();
-        oprintln!("rewritten program (magic):");
-        for line in prog.render().lines() {
-            oprintln!("  {line}");
         }
     }
     if !lints.is_empty() {

@@ -233,12 +233,13 @@ fn explain_audits_the_partition_query_runs() {
 }
 
 #[test]
-fn rewrite_restriction_is_the_slice_the_plan_executes() {
+fn slice_report_is_the_slice_the_plan_executes() {
     // `b :- ghost.` is dead, but the propositional query `b` is unbound,
-    // so the planner keeps it; the magic.dlv queries are bound, and the
-    // formula one sends GCWA/CCWA to the unpruned restriction.
+    // so the planner keeps it; the magic.dlv queries are bound, and their
+    // demand closures drop no dead rule, so `ddb slice` reports exactly the
+    // rules every semantics' slice node executes.
     let path = temp_file(
-        "rewrite",
+        "slice",
         "a | z. b :- a. b :- ghost. ghost :- ghost2. x | y.",
     );
     for (file, query) in [
@@ -246,40 +247,37 @@ fn rewrite_restriction_is_the_slice_the_plan_executes() {
         ("examples/magic.dlv", "ancestor(t1,m)"),
         ("examples/magic.dlv", "ancestor(t1,m) & ancestor(t1,b)"),
     ] {
-        let rewrite = json_of(&["rewrite", file, "--query", query, "--json"]);
+        let slice = json_of(&["slice", file, "--query", query, "--json"]);
         let explain = json_of(&["explain", file, "--query", query, "--json"]);
-        let restrictions = rewrite
-            .get("restrictions")
-            .and_then(|r| r.as_arr())
-            .unwrap();
-        let admissions = rewrite.get("admissions").and_then(|a| a.as_arr()).unwrap();
+        let rules = slice.get("slice_rules").and_then(|r| r.as_arr()).unwrap();
+        let admissions = slice.get("admissions").and_then(|a| a.as_arr()).unwrap();
         let plans = explain.get("plans").and_then(|p| p.as_arr()).unwrap();
         assert_eq!(admissions.len(), plans.len());
         for (admission, plan) in admissions.iter().zip(plans) {
             let name = admission.get("semantics").and_then(|s| s.as_str()).unwrap();
             assert_eq!(plan.get("semantics").and_then(|s| s.as_str()), Some(name));
-            // The second restriction, when printed, is the unpruned one.
-            let pruning = admission.get("pruning").and_then(|p| p.as_bool()).unwrap();
-            let restriction = restrictions
-                .get(usize::from(!pruning))
-                .unwrap_or(&restrictions[0]);
-            let rules = restriction.get("rules").and_then(|r| r.as_arr()).unwrap();
             let tree = plan.get("plan").unwrap();
             assert_eq!(
                 tree.get("route").and_then(|r| r.as_str()),
                 Some("slice"),
                 "{file} `{query}` {name}"
             );
-            // Both sides are demand closures of the same query, pruned or
-            // not, and a pruned closure is a subset of the unpruned one:
-            // equal sizes mean equal rule sets.
+            // Both sides close the same query; equal sizes of a closure
+            // and its subset mean equal rule sets.
             let executed = tree.get("children").and_then(|c| c.as_arr()).unwrap()[0]
                 .get("rules")
                 .and_then(|r| r.as_u64());
             assert_eq!(
                 executed,
                 Some(rules.len() as u64),
-                "{file} `{query}` {name}: rewrite and plan restrictions differ"
+                "{file} `{query}` {name}: slice report and plan differ"
+            );
+            // The plan names the admission `ddb slice` reports.
+            let admitted = admission.get("admission").and_then(|a| a.as_str()).unwrap();
+            let detail = tree.get("detail").and_then(|d| d.as_str()).unwrap();
+            assert!(
+                detail.ends_with(&format!("(admission: {admitted})")),
+                "{file} `{query}` {name}: {detail} vs {admitted}"
             );
         }
     }

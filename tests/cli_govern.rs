@@ -31,6 +31,13 @@ fn exit_code(cmd: &mut Command) -> i32 {
 fn usage_parse_and_io_failures_exit_four() {
     // Unknown subcommand.
     assert_eq!(exit_code(ddb().args(["frobnicate"])), 4);
+    let out = ddb()
+        .args(["rewrite", "examples/magic.dlv", "--query", "ancestor(t1,m)"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command `rewrite`"), "{err}");
     // Unreadable input file.
     assert_eq!(
         exit_code(ddb().args(["query", "/nonexistent/nope.dl", "--literal", "a"])),
@@ -79,18 +86,30 @@ fn unknown_flags_are_usage_errors() {
 }
 
 /// A known flag on a command that does not read it is a usage error too:
-/// `ground` takes no semantics and `wfs` no budget, so running either as
-/// if it did would silently ignore the flag.
+/// `ground` takes no semantics, `wfs` no budget, and `explain` reads only
+/// `--max-oracle-calls` (as the DDB015 threshold; its `--execute` audits
+/// run unbudgeted), so running any of them as if it did would silently
+/// ignore the flag.
 #[test]
 fn flags_a_command_does_not_read_are_usage_errors() {
-    for (args, flag) in [
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
         (
-            &["ground", "examples/reach.dlv", "--semantics", "dsm"][..],
+            vec!["ground", "examples/reach.dlv", "--semantics", "dsm"],
             "--semantics",
         ),
-        (&["wfs", "f", "--max-models", "1"], "--max-models"),
+        (vec!["wfs", "f", "--max-models", "1"], "--max-models"),
+    ];
+    let explain = "explain examples/vase.dl --execute --semantics pdsm";
+    for flag in [
+        "--timeout-ms",
+        "--max-conflicts",
+        "--max-models",
+        "--fail-after",
     ] {
-        let out = ddb().args(args).output().unwrap();
+        cases.push((explain.split(' ').chain([flag, "1"]).collect(), flag));
+    }
+    for (args, flag) in cases {
+        let out = ddb().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(4), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing is answered");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -99,6 +118,10 @@ fn flags_a_command_does_not_read_are_usage_errors() {
     // The same flags where the command reads them still run.
     assert_eq!(
         exit_code(ddb().args(["ground", "examples/reach.dlv", "--full"])),
+        0
+    );
+    assert_eq!(
+        exit_code(ddb().args(["explain", "examples/vase.dl", "--max-oracle-calls", "1"])),
         0
     );
 }
