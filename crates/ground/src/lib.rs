@@ -16,10 +16,14 @@
 //!     * [`grounder::ground_full`] — the exact Herbrand instantiation,
 //!       equivalent for **every** semantics (exponential in rule arity);
 //!       the tests use it as the oracle;
-//!     * the grounding loop instantiates the *active* rules against a
-//!       per-predicate first-argument index of the possibly-true closure
-//!       until nothing new is derived, then drops negated literals whose
-//!       atom never became possible. [`grounder::ground_magic`] is
+//!     * the grounding loop is a semi-naive fixpoint over interned
+//!       tuples: constants and `(predicate, arity)` pairs become `u32`
+//!       ids, each relation's possibly-true tuples are stored flat behind
+//!       a first-argument index, and each round joins the *active* rules
+//!       only on bindings that use a tuple the previous round derived.
+//!       Rules are deduplicated on their ground-atom ids; at the fixpoint,
+//!       negated literals whose atom never became possible are dropped and
+//!       the distinct rules are rendered once. [`grounder::ground_magic`] is
 //!       *goal-directed* grounding for one bound query atom: a static
 //!       per-predicate first-argument demand fixpoint decides which rules
 //!       can reach the query, and only those are active — the

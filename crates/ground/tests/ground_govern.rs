@@ -109,12 +109,24 @@ fn cancel_flag_trips_grounding_immediately() {
     flag.store(false, Ordering::SeqCst);
 }
 
+/// Checkpoints between two reads of the wall clock (`DEADLINE_STRIDE` in
+/// `ddb_obs::budget`).
+const DEADLINE_STRIDE: u64 = 64;
+
 #[test]
 fn deadline_trips_during_grounding() {
     // A saturating workload: dense joins keep the grounder busy long
-    // enough for an already-expired deadline to be observed (deadlines
-    // are polled every DEADLINE_STRIDE checkpoints).
+    // enough for an already-expired deadline to be observed. Deadlines are
+    // polled every DEADLINE_STRIDE checkpoints, so the run must make at
+    // least that many for the trip to be reachable at all.
     let prog = parse_datalog(&bound_chains(6, 24).0).unwrap();
+    let total = probe(|| {
+        ground_reduced(&prog, 10_000_000).unwrap();
+    });
+    assert!(
+        total >= DEADLINE_STRIDE,
+        "bound_chains(6,24) makes only {total} checkpoints, fewer than the deadline stride"
+    );
     let guard = Budget::unlimited()
         .with_timeout(std::time::Duration::from_millis(0))
         .install();
