@@ -59,13 +59,26 @@ impl PredAtom {
     /// Panics if the atom contains variables.
     pub fn ground_name(&self) -> String {
         assert!(self.is_ground(), "ground_name on non-ground atom {self}");
-        if self.args.is_empty() {
-            self.pred.clone()
-        } else {
-            let args: Vec<String> = self.args.iter().map(Term::to_string).collect();
-            format!("{}({})", self.pred, args.join(","))
-        }
+        let args: Vec<String> = self.args.iter().map(Term::to_string).collect();
+        ground_atom_name(&self.pred, &args)
     }
+}
+
+/// The propositional name of the ground atom `pred(args…)`: `p(a,b)`, or
+/// `p` for arity 0.
+pub(crate) fn ground_atom_name<S: AsRef<str>>(pred: &str, args: &[S]) -> String {
+    if args.is_empty() {
+        return pred.to_owned();
+    }
+    let mut name = format!("{pred}(");
+    for (i, arg) in args.iter().enumerate() {
+        if i > 0 {
+            name.push(',');
+        }
+        name.push_str(arg.as_ref());
+    }
+    name.push(')');
+    name
 }
 
 impl fmt::Display for PredAtom {
