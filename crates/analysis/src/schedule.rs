@@ -10,9 +10,8 @@
 //! disjoint union and every semantics in the paper factors over it as a
 //! product: a model of `DB` is exactly a union of models, one per island,
 //! and model-theoretic properties (minimality, stability, perfection,
-//! the closed-world closures) are checked islandwise. Same-layer SCC
-//! components that the sequential peel visits one after another therefore
-//! become independent jobs for the worker pool.
+//! the closed-world closures) are checked islandwise, and model existence
+//! is asked once per island.
 //!
 //! Each island is returned as a [`Slice`] that is split-closed by
 //! construction, so [`crate::project_slice`] projects it to a standalone
@@ -60,8 +59,7 @@ impl Dsu {
 
 /// Decomposes `db` into its weakly-connected dependency islands, each a
 /// split-closed [`Slice`] (atoms ascending, rule indices ascending),
-/// ordered by smallest atom index — a deterministic job list for the
-/// worker pool.
+/// ordered by smallest atom index.
 ///
 /// Degenerate inputs collapse to one whole-database island: a rule with
 /// no atoms (the empty integrity clause — no models for any semantics)

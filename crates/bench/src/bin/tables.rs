@@ -7,8 +7,8 @@
 //! lower-bound evidence (verified reductions, QBF hard-family scaling),
 //! then times the ablations and engineering choices (oracle, N-set,
 //! fixpoint, minimization and candidate strategies; the slice, magic and
-//! Horn routes against the generic procedures; the planner's overhead;
-//! pool widths). It is the one place the workspace times anything; the
+//! Horn routes against the generic procedures; the planner's overhead).
+//! It is the one place the workspace times anything; the
 //! committed counts are reproduced by `tests/committed_counts.rs`.
 //!
 //! ```text
@@ -18,9 +18,9 @@
 use ddb_analysis::PlanQuery;
 use ddb_bench::families;
 use ddb_bench::harness::{measure_median, table_header, CellReport, Measurement};
-use ddb_core::profile::{self, paper_cell, Fragment, Problem};
+use ddb_core::profile::{paper_cell, Fragment, Problem};
 use ddb_core::reduct::gl_reduct;
-use ddb_core::{parallel, RoutingMode, SemanticsConfig, SemanticsId};
+use ddb_core::{RoutingMode, SemanticsConfig, SemanticsId};
 use ddb_ground::{ground_magic, ground_reduced};
 use ddb_logic::cnf::{database_to_cnf, Cnf};
 use ddb_logic::{Atom, Database, Formula, Interpretation, Literal};
@@ -826,7 +826,6 @@ fn ablations() {
             (whole, Formula::atom(atom))
         },
     );
-    pool_widths();
     // Both overhead rows print before either is checked.
     let overheads = [
         planner_overhead(
@@ -847,52 +846,6 @@ fn ablations() {
             "planner overhead must be \u{226a} 1% of the generic solve, got {pct:.3}%"
         );
     }
-}
-
-/// The three pool-routed surfaces at 1/2/4/8 worker threads. Answers
-/// and bills are width-independent (`crates/core/tests/parallel.rs`);
-/// only the time may move, and only on a host with that many cores.
-fn pool_widths() {
-    const WIDTHS: &[usize] = &[1, 2, 4, 8];
-    let cfg = |id: SemanticsId, w: usize| SemanticsConfig::new(id).with_threads(w);
-    ablation(
-        "Pool: DSM existence over 12 islands (guarded_towers(12,4))",
-        "threads",
-        WIDTHS,
-        |w| (cfg(SemanticsId::Dsm, w), structured::guarded_towers(12, 4)),
-        &[("", &|(c, db): &(SemanticsConfig, Database), cost| {
-            c.has_model(db, cost).is_ok()
-        })],
-    );
-    let atoms: Vec<Formula> = (0..8).map(|i| Formula::atom(Atom::new(i))).collect();
-    ablation(
-        "Pool: batch of 8 GCWA atom queries (sliceable_towers(2,3))",
-        "threads",
-        WIDTHS,
-        |w| {
-            (
-                cfg(SemanticsId::Gcwa, w),
-                structured::sliceable_towers(2, 3),
-            )
-        },
-        &[("", &|(c, db): &(SemanticsConfig, Database), cost| {
-            let answers = parallel::infers_formulas_batch(c, db, &atoms).unwrap();
-            answers.iter().for_each(|(_, bill)| cost.merge(bill));
-            !answers.is_empty()
-        })],
-    );
-    ablation(
-        "Pool: the 30-cell profile matrix (sliceable_towers(2,2))",
-        "threads",
-        WIDTHS,
-        |w| (w, structured::sliceable_towers(2, 2)),
-        &[("", &|(w, db): &(usize, Database), cost| {
-            let f = Formula::atom(Atom::new(0));
-            let cells = profile::profile_all_budgeted(db, Atom::new(0).pos(), &f, None, *w);
-            cells.iter().for_each(|c| cost.merge(&c.cost));
-            !cells.is_empty()
-        })],
-    );
 }
 
 /// One shrink of a classical model to a minimal one with `minimize`.

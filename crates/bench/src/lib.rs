@@ -13,7 +13,7 @@
 //!
 //! `tables` is the one place that times anything: the paper's cells, the
 //! lower-bound families, and the ablations (CDCL vs DPLL, direct vs
-//! census GCWA, sliced and magic routes vs generic, pool widths, …).
+//! census GCWA, sliced and magic routes vs generic, …).
 //! Run `cargo run -p ddb-bench --bin tables --release` to regenerate the
 //! paper-vs-measured report recorded in `EXPERIMENTS.md`. The counts the
 //! repository commits (`BENCH_*.json`) are reproduced by the gate test

@@ -353,12 +353,6 @@ pub struct SemanticsConfig {
     pub icwa_varying: Option<Interpretation>,
     /// Whether analysis-driven fast paths may be taken.
     pub routing: RoutingMode,
-    /// Worker-pool width for the component-parallel routes (see
-    /// [`crate::parallel`]). `1` (the default) evaluates inline on the
-    /// calling thread; any value yields answers byte-identical to `1`,
-    /// because the decomposition is taken regardless of width and results
-    /// are folded in component order.
-    pub threads: usize,
 }
 
 /// What a dispatcher query asks of a (sub-)database: the inference of a
@@ -389,7 +383,6 @@ impl SemanticsConfig {
             partition: None,
             icwa_varying: None,
             routing: RoutingMode::default(),
-            threads: 1,
         }
     }
 
@@ -402,13 +395,6 @@ impl SemanticsConfig {
     /// Sets the routing mode (see [`RoutingMode`]).
     pub fn with_routing(mut self, routing: RoutingMode) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Sets the worker-pool width (`0` is clamped to `1`). Answers do not
-    /// depend on the width — only wall-clock time does.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -575,7 +561,7 @@ impl SemanticsConfig {
             }
             (PlanData::Peel { peel }, ask) => crate::slicing::run_split(self, p, &peel, ask, cost),
             (PlanData::Islands { parts }, Ask::Exists) => {
-                crate::parallel::run_islands(self, db, &parts, cost)
+                crate::slicing::run_islands(self, db, &parts, cost)
             }
             (PlanData::Leaf, ask) => {
                 ddb_obs::counter_bump(d.route.counter(), 1);
@@ -695,6 +681,29 @@ impl SemanticsConfig {
     }
 }
 
+/// Decides [`SemanticsConfig::infers_formula`] for many formulas against
+/// one database, sharing one [`Prepared`] memo, so a single
+/// applicability and classification pass. The result is index-aligned
+/// with `formulas`, each verdict with its own oracle bill, exactly as a
+/// loop of single queries would answer.
+pub fn infers_formulas_batch(
+    cfg: &SemanticsConfig,
+    db: &Database,
+    formulas: &[Formula],
+) -> Result<Vec<(Verdict, Cost)>, Unsupported> {
+    let prepared = Prepared::borrowed(db);
+    cfg.check_applicable(&prepared)?;
+    ddb_obs::counter_bump("pool.batch.formulas", formulas.len() as u64);
+    formulas
+        .iter()
+        .map(|f| {
+            let mut cost = Cost::new();
+            let verdict = cfg.infers_formula(&prepared, f, &mut cost)?;
+            Ok((verdict, cost))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,5 +812,37 @@ mod tests {
         assert_ne!(unknown, false);
         assert!(!unknown.is_definite());
         assert!(unknown.interrupted().is_some());
+    }
+
+    #[test]
+    fn batch_matches_sequential_loop() {
+        let db = parse_program("a | b. c :- a. c :- b. x | y. :- x, y.").unwrap();
+        let texts = ["c", "!c", "x | y", "a & x", "!(a & b)"];
+        let formulas: Vec<Formula> = texts
+            .iter()
+            .map(|t| parse_formula(t, db.symbols()).unwrap())
+            .collect();
+        for id in SemanticsId::ALL {
+            let cfg = SemanticsConfig::new(id);
+            let seq: Vec<_> = formulas
+                .iter()
+                .map(|f| {
+                    let mut c = Cost::new();
+                    let v = cfg.infers_formula(&db, f, &mut c).unwrap();
+                    (v, c.sat_calls)
+                })
+                .collect();
+            let got = infers_formulas_batch(&cfg, &db, &formulas).unwrap();
+            let got: Vec<_> = got.into_iter().map(|(v, c)| (v, c.sat_calls)).collect();
+            assert_eq!(got, seq, "{id}");
+        }
+    }
+
+    #[test]
+    fn batch_rejects_inapplicable_semantics_up_front() {
+        let db = parse_program("a :- not b.").unwrap();
+        let f = parse_formula("a", db.symbols()).unwrap();
+        let cfg = SemanticsConfig::new(SemanticsId::Ddr);
+        assert!(infers_formulas_batch(&cfg, &db, &[f]).is_err());
     }
 }

@@ -49,10 +49,8 @@
 //! * [`slicing`] — execution of the query-relevant slicing and
 //!   splitting-set routes the planner decides, shrinking the database a
 //!   query reasons over (backs `ddb slice` and the
-//!   `route.slice*`/`route.split*` counters);
-//! * [`parallel`] — component-parallel model existence over dependency
-//!   islands and batched formula queries on the budget-inheriting worker
-//!   pool (backs `--threads` and the `route.islands`/`pool.*` counters);
+//!   `route.slice*`/`route.split*` counters) and of model existence
+//!   over dependency islands (`route.islands*`);
 //! * [`reduct`] — the Gelfond–Lifschitz and three-valued reducts shared
 //!   by DSM/PDSM/WFS.
 
@@ -68,7 +66,6 @@ pub mod ecwa;
 pub mod egcwa;
 pub mod gcwa;
 pub mod icwa;
-pub mod parallel;
 pub mod pdsm;
 pub mod perf;
 pub mod planner;
@@ -82,5 +79,7 @@ pub mod wfs;
 pub mod witness;
 
 pub use ddb_analysis::{AsPrepared, Prepared};
-pub use dispatch::{Enumeration, RoutingMode, SemanticsConfig, SemanticsId, Unsupported, Verdict};
-pub use parallel::infers_formulas_batch;
+pub use dispatch::{
+    infers_formulas_batch, Enumeration, RoutingMode, SemanticsConfig, SemanticsId, Unsupported,
+    Verdict,
+};

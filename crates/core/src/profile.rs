@@ -222,39 +222,31 @@ pub fn profile_cell(
 /// Profile all ten semantics on all three problems: the full 10×3 observed
 /// oracle-call matrix for `db`, in the paper's table order.
 pub fn profile_all(db: &Database, lit: Literal, f: &Formula) -> Vec<CellProfile> {
-    profile_all_budgeted(db, lit, f, None, 1)
+    profile_all_budgeted(db, lit, f, None)
 }
 
 /// [`profile_all`] with a per-cell budget (the `ddb profile
-/// --cell-timeout-ms` machinery) and a worker-pool width (the `ddb profile
-/// --threads` machinery). Each cell gets a fresh installation of
+/// --cell-timeout-ms` machinery). Each cell gets a fresh installation of
 /// `cell_budget`, so one slow Πᵖ₂ cell cannot starve the rest of the
-/// matrix — it is marked interrupted and the sweep moves on. The thirty
-/// cells are independent jobs: `threads > 1` evaluates them concurrently
-/// on the budget-inheriting pool, and the returned vector is in the
-/// paper's table order at every width (workers return indexed results).
+/// matrix — it is marked interrupted and the sweep moves on. Cells come
+/// back in the paper's table order.
 pub fn profile_all_budgeted(
     db: &Database,
     lit: Literal,
     f: &Formula,
     cell_budget: Option<&Budget>,
-    threads: usize,
 ) -> Vec<CellProfile> {
     let _span = ddb_obs::span("profile.all");
     let lit = &Formula::from(lit);
-    let jobs: Vec<_> = SemanticsId::ALL
+    SemanticsId::ALL
         .into_iter()
         .flat_map(|id| Problem::ALL.into_iter().map(move |problem| (id, problem)))
         .map(|(id, problem)| {
-            let cell_budget = cell_budget.cloned();
-            move || {
-                let cfg = SemanticsConfig::new(id);
-                let q = if problem == Problem::Literal { lit } else { f };
-                profile_cell(&cfg, db, problem, q, cell_budget.as_ref())
-            }
+            let cfg = SemanticsConfig::new(id);
+            let q = if problem == Problem::Literal { lit } else { f };
+            profile_cell(&cfg, db, problem, q, cell_budget)
         })
-        .collect();
-    ddb_obs::run_indexed(threads, jobs)
+        .collect()
 }
 
 /// Render profiles as an aligned text table: one row per semantics, one
@@ -439,7 +431,7 @@ mod tests {
         let db = parse_program("a | b. c :- a. c :- b.").unwrap();
         let f = parse_formula("c", db.symbols()).unwrap();
         let budget = Budget::unlimited().with_max_oracle_calls(0);
-        let cells = profile_all_budgeted(&db, ddb_logic::Atom::new(0).pos(), &f, Some(&budget), 1);
+        let cells = profile_all_budgeted(&db, ddb_logic::Atom::new(0).pos(), &f, Some(&budget));
         assert_eq!(cells.len(), 30);
         assert!(cells.iter().any(|c| c.interrupted.is_some()));
         for c in cells.iter().filter(|c| c.interrupted.is_some()) {
@@ -451,29 +443,6 @@ mod tests {
         }
         assert!(render_table(&cells).contains("?oracle_calls"));
         assert!(render_table(&cells).contains("cell budget exhausted"));
-    }
-
-    #[test]
-    fn parallel_profile_matches_sequential_cell_for_cell() {
-        let db = parse_program("a | b. c :- a. c :- b. x | y. :- x, y.").unwrap();
-        let f = parse_formula("c & !x | c & !y", db.symbols()).unwrap();
-        let lit = ddb_logic::Atom::new(0).pos();
-        let reference = profile_all_budgeted(&db, lit, &f, None, 1);
-        for threads in [2, 4, 8] {
-            let got = profile_all_budgeted(&db, lit, &f, None, threads);
-            assert_eq!(got.len(), reference.len());
-            for (g, r) in got.iter().zip(&reference) {
-                assert_eq!(g.semantics, r.semantics, "order must be table order");
-                assert_eq!(g.problem, r.problem, "order must be table order");
-                assert_eq!(g.answer, r.answer, "{:?}/{:?}", r.semantics, r.problem);
-                assert_eq!(g.route, r.route, "{:?}/{:?}", r.semantics, r.problem);
-                assert_eq!(
-                    g.cost.sat_calls, r.cost.sat_calls,
-                    "{:?}/{:?}",
-                    r.semantics, r.problem
-                );
-            }
-        }
     }
 
     #[test]

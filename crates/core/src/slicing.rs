@@ -1,4 +1,5 @@
-//! Execution of the query-relevant slicing and splitting-set routes.
+//! Execution of the query-relevant slicing, splitting-set and island
+//! routes.
 //!
 //! Two complementary reductions that shrink the database a query
 //! actually has to reason over, both driven by the static analyzer:
@@ -20,15 +21,19 @@
 //!   it into the rest leaves a smaller residual program that answers the
 //!   same queries after substituting the decided atoms into the formula.
 //!
+//! Model existence may also split the database into its weakly-connected
+//! dependency islands ([`ddb_analysis::islands`]) and ask each one in
+//! turn (`run_islands`).
+//!
 //! The *decision* of which route a query takes lives in the static
 //! planner ([`crate::planner`], backed by [`ddb_analysis::decide`]):
 //! dispatch asks the planner and hands the decision's payload — the
-//! admitted [`Slice`] or the [`Peel`] — to the executors here
-//! (`run_slice`, `run_split`). This module never re-derives the analysis
-//! that justified the route; it only runs it, recursing into the
-//! dispatcher's executor with the [`Scope`] the plan tree gives each
-//! child, and records it in the `route.slice*` / `route.split*` counters
-//! surfaced by `ddb profile`.
+//! admitted [`Slice`], the [`Peel`] or the islands — to the executors
+//! here (`run_slice`, `run_split`, `run_islands`). This module never
+//! re-derives the analysis that justified the route; it only runs it,
+//! recursing into the dispatcher's executor with the [`Scope`] the plan
+//! tree gives each child, and records it in the `route.slice*` /
+//! `route.split*` / `route.islands*` counters surfaced by `ddb profile`.
 //!
 //! # Soundness preconditions
 //!
@@ -72,7 +77,7 @@ use ddb_analysis::{
 };
 use ddb_logic::{Database, Formula};
 use ddb_models::Cost;
-use ddb_obs::Governed;
+use ddb_obs::{Governed, Interrupted};
 
 pub use ddb_analysis::Admission;
 
@@ -187,6 +192,43 @@ pub(crate) fn run_split(
     // `SemanticsConfig::run` decides does.
     let _q = ddb_obs::hist_span("dispatch.query", "dispatch.query.ns");
     cfg.execute(&residual, ask, d, cost)
+}
+
+/// Executes the islands route of model existence over `parts`, the
+/// weakly-connected islands of `db` (as the planner or the prepared memo
+/// computed them), each island at a tail-scope position of the plan.
+///
+/// Soundness: islands partition both atoms and rules, so a model of `db`
+/// is exactly a union of models, one per island, for every semantics here
+/// (the product admission above). Hence `db` has a model iff every island
+/// does. Every island is asked, in island order, with no short-circuit,
+/// so the oracle bill does not depend on which island is empty. A
+/// definitely-empty island decides the whole query `false` even when
+/// another island was interrupted; otherwise any interrupted island makes
+/// the query `Unknown`, and the first one in island order is reported.
+pub(crate) fn run_islands(
+    cfg: &SemanticsConfig,
+    db: &Database,
+    parts: &[Slice],
+    cost: &mut Cost,
+) -> Governed<bool> {
+    ddb_obs::counter_bump(RouteKind::Islands.counter(), 1);
+    ddb_obs::counter_bump("route.islands.components", parts.len() as u64);
+    let mut all_have_models = true;
+    let mut first_interrupt: Option<Interrupted> = None;
+    for island in parts {
+        let (sub, _) = project_slice(db, island);
+        match cfg.run(&Prepared::borrowed(&sub), Ask::Exists, Scope::Tail, cost) {
+            Ok(has) => all_have_models &= has,
+            Err(i) => {
+                first_interrupt.get_or_insert(i);
+            }
+        }
+    }
+    match first_interrupt {
+        Some(i) if all_have_models => Err(i),
+        _ => Ok(all_have_models),
+    }
 }
 
 #[cfg(test)]
@@ -336,5 +378,55 @@ mod tests {
         assert_eq!(spent.get("route.slice"), 0);
         assert_eq!(spent.get("route.split"), 0);
         assert!(spent.get("route.generic") > 0);
+    }
+
+    fn two_island_db() -> Database {
+        parse_program("a | b. c :- a. c :- b. x | y. :- x, y.").unwrap()
+    }
+
+    #[test]
+    fn island_route_answers_existence() {
+        let db = two_island_db();
+        for id in SemanticsId::ALL {
+            let cfg = SemanticsConfig::new(id);
+            let mut cost = Cost::new();
+            let Ok(v) = cfg.has_model(&db, &mut cost) else {
+                continue;
+            };
+            assert_eq!(v, true, "{id}");
+        }
+    }
+
+    #[test]
+    fn empty_island_decides_false() {
+        // Second island is unsatisfiable: x|y forced, both forbidden.
+        let db = parse_program("a | b. x | y. :- x. :- y.").unwrap();
+        let cfg = SemanticsConfig::new(SemanticsId::Dsm);
+        let mut cost = Cost::new();
+        assert_eq!(cfg.has_model(&db, &mut cost).unwrap(), false);
+    }
+
+    #[test]
+    fn island_counters_fire() {
+        let db = two_island_db();
+        let cfg = SemanticsConfig::new(SemanticsId::Egcwa);
+        let mut cost = Cost::new();
+        let spent = counters_after(|| {
+            cfg.has_model(&db, &mut cost).unwrap();
+        });
+        assert_eq!(spent.get("route.islands"), 1);
+        assert_eq!(spent.get("route.islands.components"), 2);
+    }
+
+    #[test]
+    fn exhausted_budget_degrades_islands_to_unknown() {
+        let db = two_island_db();
+        let _g = ddb_obs::Budget::unlimited()
+            .with_max_oracle_calls(0)
+            .install();
+        let cfg = SemanticsConfig::new(SemanticsId::Egcwa);
+        let mut cost = Cost::new();
+        let v = cfg.has_model(&db, &mut cost).unwrap();
+        assert!(matches!(v, crate::Verdict::Unknown(_)), "got {v}");
     }
 }

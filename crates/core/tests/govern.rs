@@ -3,9 +3,10 @@
 //! deterministic fault injection at every checkpoint never panics and
 //! never produces a wrong definite verdict, and cooperative cancellation
 //! from another thread degrades promptly to `Unknown` while leaving the
-//! solver stack reusable.
+//! solver stack reusable. The same holds on the islands route and for a
+//! batch of formulas.
 
-use ddb_core::{SemanticsConfig, SemanticsId, Verdict};
+use ddb_core::{infers_formulas_batch, SemanticsConfig, SemanticsId, Verdict};
 use ddb_logic::parse::{parse_formula, parse_program};
 use ddb_logic::{Atom, Database, Formula};
 use ddb_models::Cost;
@@ -265,5 +266,122 @@ fn one_degraded_answer_counts_one_unknown() {
         );
         assert_eq!(rec.counters.get("govern.unknown"), 1, "{src}");
         assert_eq!(rec.counters.get("govern.unknown.oracle_calls"), 1, "{src}");
+    }
+}
+
+/// A database whose model existence takes the islands route: eight
+/// towers, each with an integrity clause, so every island asks the oracle.
+fn many_islands() -> Database {
+    ddb_workloads::structured::guarded_towers(8, 3)
+}
+
+#[test]
+fn fault_trip_on_the_islands_route_is_a_typed_unknown() {
+    // A fault after a handful of checkpoints degrades the verdict to a
+    // typed Unknown, never a wrong answer, and the thread is clean
+    // afterwards.
+    let db = many_islands();
+    let cfg = SemanticsConfig::new(SemanticsId::Gcwa);
+    let guard = Budget::unlimited().fail_after(3).install();
+    let mut cost = Cost::new();
+    let got = cfg.has_model(&db, &mut cost).unwrap();
+    drop(guard);
+    match got.as_bool() {
+        Some(b) => assert!(b, "a definite answer must be correct"),
+        None => assert_eq!(
+            got.interrupted()
+                .expect("unknown carries its trip")
+                .resource,
+            Resource::FaultInjection
+        ),
+    }
+    assert!(!budget::active(), "the guard uninstalled its budget");
+    let mut cost = Cost::new();
+    let after = cfg.has_model(&db, &mut cost).unwrap();
+    assert_eq!(after.as_bool(), Some(true), "post-trip state");
+}
+
+#[test]
+fn zero_oracle_budget_on_the_islands_route_reports_oracle_calls() {
+    let db = many_islands();
+    let cfg = SemanticsConfig::new(SemanticsId::Gcwa);
+    let guard = Budget::unlimited().with_max_oracle_calls(0).install();
+    let mut cost = Cost::new();
+    let got = cfg.has_model(&db, &mut cost).unwrap();
+    drop(guard);
+    let interrupt = got
+        .interrupted()
+        .expect("zero-oracle budget cannot answer a SAT question");
+    assert_eq!(interrupt.resource, Resource::OracleCalls);
+}
+
+#[test]
+fn batch_inference_matches_one_query_at_a_time_on_corpus() {
+    let a = |i: u32| Formula::Atom(Atom::new(i));
+    let formulas: Vec<Formula> = vec![
+        a(0),
+        a(1).negated(),
+        Formula::Or(vec![a(0), a(1)]),
+        Formula::And(vec![a(0), a(2).negated()]),
+        a(1).implies(a(0)),
+    ];
+    for (di, src) in CORPUS.iter().enumerate() {
+        let db = parse_program(src).unwrap();
+        for id in SemanticsId::ALL {
+            let cfg = SemanticsConfig::new(id);
+            let one_at_a_time: Option<Vec<(Verdict, Cost)>> = formulas
+                .iter()
+                .map(|f| {
+                    let mut c = Cost::new();
+                    cfg.infers_formula(&db, f, &mut c).ok().map(|v| (v, c))
+                })
+                .collect();
+            let batch = infers_formulas_batch(&cfg, &db, &formulas).ok();
+            match (&one_at_a_time, &batch) {
+                (None, None) => {}
+                (Some(seq), Some(bat)) => {
+                    assert_eq!(seq.len(), bat.len());
+                    for (fi, ((sv, sc), (bv, bc))) in seq.iter().zip(bat).enumerate() {
+                        assert_eq!(sv, bv, "{id} db {di} formula {fi}: batch verdict");
+                        assert_eq!(
+                            sc.sat_calls, bc.sat_calls,
+                            "{id} db {di} formula {fi}: batch oracle bill"
+                        );
+                    }
+                }
+                _ => panic!("{id} db {di}: applicability diverged"),
+            }
+        }
+    }
+}
+
+#[test]
+fn batch_inference_stops_under_a_trip_without_wrong_answers() {
+    // GCWA formula inference is exponential in the number of towers, and
+    // this test is about interrupt plumbing, so two towers suffice.
+    let db = ddb_workloads::structured::sliceable_towers(2, 2);
+    let formulas: Vec<Formula> = (0..6).map(|i| Formula::Atom(Atom::new(i))).collect();
+    let cfg = SemanticsConfig::new(SemanticsId::Gcwa);
+    let mut baseline = Vec::new();
+    for f in &formulas {
+        let mut c = Cost::new();
+        baseline.push(cfg.infers_formula(&db, f, &mut c).unwrap());
+    }
+    let guard = Budget::unlimited().fail_after(2).install();
+    let governed = infers_formulas_batch(&cfg, &db, &formulas).unwrap();
+    drop(guard);
+    for (fi, ((v, _), truth)) in governed.iter().zip(&baseline).enumerate() {
+        match v.as_bool() {
+            Some(b) => assert_eq!(
+                Some(b),
+                truth.as_bool(),
+                "formula {fi}: interrupted batch may not flip a verdict"
+            ),
+            None => assert_eq!(
+                v.interrupted().expect("unknown carries its trip").resource,
+                Resource::FaultInjection,
+                "formula {fi}"
+            ),
+        }
     }
 }

@@ -181,3 +181,26 @@ fn head_cycle_stays_on_generic_route() {
     assert!(!ddb_analysis::classify(&db).head_cycle_free);
     assert_routes_agree(SemanticsId::Dsm, &db);
 }
+
+/// Model existence on `guarded_towers(8,3)` takes the islands route: its
+/// eight towers share no atom. Each tower carries an integrity clause, so
+/// no island is positive and every island asks the oracle instead of
+/// taking the `O(1)` positive leaf.
+#[test]
+fn islands_route_fires_and_agrees_with_generic() {
+    let db = ddb_workloads::structured::guarded_towers(8, 3);
+    let generic = SemanticsConfig::new(SemanticsId::Gcwa).with_routing(RoutingMode::Generic);
+    let mut cost = Cost::new();
+    let base = generic.has_model(&db, &mut cost).unwrap();
+    assert_eq!(base.as_bool(), Some(true));
+    let cfg = SemanticsConfig::new(SemanticsId::Gcwa);
+    let mut cost = Cost::new();
+    let (routed, rec) = ddb_obs::record(false, || cfg.has_model(&db, &mut cost).unwrap());
+    assert_eq!(routed, base);
+    assert_eq!(
+        rec.counters.get("route.islands"),
+        1,
+        "the islands route must fire"
+    );
+    assert_eq!(rec.counters.get("route.islands.components"), 8);
+}

@@ -22,10 +22,11 @@ pub struct Symbols {
     table: Arc<Table>,
 }
 
+/// Each name is stored once, shared by `names` and `index`.
 #[derive(Clone, Default)]
 struct Table {
-    names: Vec<String>,
-    index: HashMap<String, Atom>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, Atom>,
 }
 
 impl Symbols {
@@ -42,8 +43,9 @@ impl Symbols {
         let table = Arc::make_mut(&mut self.table);
         let a =
             Atom::new(u32::try_from(table.names.len()).expect("vocabulary exceeds u32::MAX atoms"));
-        table.names.push(name.to_owned());
-        table.index.insert(name.to_owned(), a);
+        let name: Arc<str> = Arc::from(name);
+        table.names.push(Arc::clone(&name));
+        table.index.insert(name, a);
         a
     }
 

@@ -25,18 +25,16 @@
 //! - **Sticky**: once tripped, a governor keeps returning the same
 //!   [`Interrupted`] until uninstalled, so unwinding code cannot
 //!   accidentally resume past an exhausted budget.
-//! - **Cross-thread**: the mutable state of an installed governor lives
-//!   behind an `Arc` of atomics, so [`handle`]/[`BudgetHandle::install`]
-//!   can mirror the whole governor stack onto worker threads. Workers
-//!   charge the *same* counters (caps split atomically across threads),
-//!   and a trip on any thread — parent deadline, cancel flag, cap — is
-//!   observed by every mirror at its next checkpoint.
+//! - **Per thread**: a governor governs the thread that installed it,
+//!   and only that thread reads or charges its counters. Cancel flags are
+//!   the one shared state: another thread (a server's shutdown, a
+//!   client's `cancel`) raises them.
 //!
 //! Each trip increments a `govern.interrupts.<resource>` counter; each
 //! uninstall adds the governor's checkpoint count to `govern.checkpoints`.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,32 +70,6 @@ impl Resource {
             Resource::FaultInjection => "fault_injection",
             Resource::Invariant => "invariant",
         }
-    }
-
-    /// Non-zero tag for the atomic trip flag (0 means "not tripped").
-    fn tag(self) -> u8 {
-        match self {
-            Resource::Deadline => 1,
-            Resource::Conflicts => 2,
-            Resource::OracleCalls => 3,
-            Resource::Models => 4,
-            Resource::Cancelled => 5,
-            Resource::FaultInjection => 6,
-            Resource::Invariant => 7,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Resource> {
-        Some(match tag {
-            1 => Resource::Deadline,
-            2 => Resource::Conflicts,
-            3 => Resource::OracleCalls,
-            4 => Resource::Models,
-            5 => Resource::Cancelled,
-            6 => Resource::FaultInjection,
-            7 => Resource::Invariant,
-            _ => return None,
-        })
     }
 }
 
@@ -290,22 +262,16 @@ impl Budget {
             (None, Some(t)) => Some(Instant::now() + t),
             (None, None) => None,
         };
-        let shared = Arc::new(Shared {
+        let frame = Frame {
             budget: self,
             deadline,
-            checkpoints: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            oracle_calls: AtomicU64::new(0),
-            models: AtomicU64::new(0),
-            tripped: AtomicU8::new(0),
-            trip_checkpoint: AtomicU64::new(0),
-        });
-        GOVERNORS.with(|g| {
-            g.borrow_mut().push(Frame {
-                shared,
-                owned: true,
-            });
-        });
+            checkpoints: Cell::new(0),
+            conflicts: Cell::new(0),
+            oracle_calls: Cell::new(0),
+            models: Cell::new(0),
+            tripped: Cell::new(None),
+        };
+        GOVERNORS.with(|g| g.borrow_mut().push(frame));
         BudgetGuard { _private: () }
     }
 }
@@ -337,96 +303,79 @@ impl Consumed {
     }
 }
 
-/// The cross-thread state of one installed governor: immutable limits
-/// plus atomically shared consumption counters and trip flag. Every
-/// thread mirroring this governor (via [`BudgetHandle`]) charges the
-/// same atomics, so caps split across workers and a trip anywhere is
-/// sticky everywhere.
-struct Shared {
+/// One installed governor: its limits and what has been consumed under
+/// it. Only the installing thread reads it, so the counters are cells.
+struct Frame {
     budget: Budget,
     deadline: Option<Instant>,
-    checkpoints: AtomicU64,
-    conflicts: AtomicU64,
-    oracle_calls: AtomicU64,
-    models: AtomicU64,
-    /// `Resource::tag()` of the first trip, or 0 while not tripped.
-    tripped: AtomicU8,
-    trip_checkpoint: AtomicU64,
+    checkpoints: Cell<u64>,
+    conflicts: Cell<u64>,
+    oracle_calls: Cell<u64>,
+    models: Cell<u64>,
+    /// The first trip and its checkpoint index, reported from then on.
+    tripped: Cell<Option<(Resource, u64)>>,
 }
 
-impl Shared {
+/// Adds one to `counter` and returns the new value.
+fn bump(counter: &Cell<u64>) -> u64 {
+    let v = counter.get() + 1;
+    counter.set(v);
+    v
+}
+
+impl Frame {
     fn consumed(&self) -> Consumed {
         Consumed {
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            oracle_calls: self.oracle_calls.load(Ordering::Relaxed),
-            models: self.models.load(Ordering::Relaxed),
+            checkpoints: self.checkpoints.get(),
+            conflicts: self.conflicts.get(),
+            oracle_calls: self.oracle_calls.get(),
+            models: self.models.get(),
         }
     }
 
-    fn current_trip(&self) -> Option<Interrupted> {
-        Resource::from_tag(self.tripped.load(Ordering::Acquire)).map(|resource| Interrupted {
-            resource,
-            checkpoint: self.trip_checkpoint.load(Ordering::Acquire),
-            partial: None,
-        })
-    }
-
-    /// Records the first trip (CAS-guarded so exactly one thread wins and
-    /// bumps the `govern.interrupts.*` counter) and returns the sticky
-    /// interruption, which may be an earlier trip from another thread.
-    fn trip(&self, resource: Resource, checkpoint: u64) -> Interrupted {
-        // Publish the checkpoint before the tag so a reader that sees the
-        // tag (Acquire) also sees a plausible checkpoint.
-        self.trip_checkpoint
-            .fetch_max(checkpoint, Ordering::Release);
-        match self
-            .tripped
-            .compare_exchange(0, resource.tag(), Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => {
-                counter_trip(resource);
-                Interrupted {
-                    resource,
-                    checkpoint,
-                    partial: None,
-                }
-            }
-            Err(_) => self.current_trip().unwrap_or(Interrupted {
+    /// Counts one checkpoint and `charge`, then checks every limit. Once
+    /// tripped, it reports the first trip and counts nothing more.
+    fn drive(&self, charge: Charge) -> Governed<()> {
+        if let Some((resource, checkpoint)) = self.tripped.get() {
+            return Err(Interrupted {
                 resource,
                 checkpoint,
                 partial: None,
-            }),
+            });
         }
-    }
-
-    /// The cap-relevant value of one counter: the charging thread's own
-    /// post-increment value when this call charged `resource` (so exactly
-    /// `max` charges succeed even under cross-thread races), otherwise
-    /// the current shared total (monotone, so a trip is always sound).
-    fn cap_value(
-        &self,
-        resource: Resource,
-        charged: Option<(Resource, u64)>,
-        counter: &AtomicU64,
-    ) -> u64 {
-        match charged {
-            Some((r, v)) if r == resource => v,
-            _ => counter.load(Ordering::Relaxed),
-        }
+        let checkpoints = bump(&self.checkpoints);
+        let coarse = match charge {
+            Charge::None => false,
+            Charge::Conflict => {
+                bump(&self.conflicts);
+                false
+            }
+            Charge::OracleCall => {
+                bump(&self.oracle_calls);
+                true
+            }
+            Charge::Model => {
+                bump(&self.models);
+                true
+            }
+        };
+        let Some(resource) = self.check(checkpoints, coarse) else {
+            return Ok(());
+        };
+        self.tripped.set(Some((resource, checkpoints)));
+        counter_trip(resource);
+        Err(Interrupted {
+            resource,
+            checkpoint: checkpoints,
+            partial: None,
+        })
     }
 
     /// Returns the resource that tripped, if any. `coarse` marks the
     /// rarer charge events (oracle calls, models) where the wall clock is
     /// always consulted regardless of the stride. `checkpoints` is this
-    /// call's post-increment checkpoint index; `charged` is the counter
-    /// this call incremented, with its post-increment value.
-    fn check(
-        &self,
-        checkpoints: u64,
-        coarse: bool,
-        charged: Option<(Resource, u64)>,
-    ) -> Option<Resource> {
+    /// call's checkpoint index.
+    fn check(&self, checkpoints: u64, coarse: bool) -> Option<Resource> {
         let b = &self.budget;
         if let Some(n) = b.fail_after {
             // `fail_after(n)` lets n checkpoints pass, then trips — so a
@@ -440,20 +389,18 @@ impl Shared {
                 return Some(Resource::Cancelled);
             }
         }
-        if let Some(max) = b.max_conflicts {
-            if self.cap_value(Resource::Conflicts, charged, &self.conflicts) > max {
-                return Some(Resource::Conflicts);
-            }
+        if b.max_conflicts
+            .is_some_and(|max| self.conflicts.get() > max)
+        {
+            return Some(Resource::Conflicts);
         }
-        if let Some(max) = b.max_oracle_calls {
-            if self.cap_value(Resource::OracleCalls, charged, &self.oracle_calls) > max {
-                return Some(Resource::OracleCalls);
-            }
+        if b.max_oracle_calls
+            .is_some_and(|max| self.oracle_calls.get() > max)
+        {
+            return Some(Resource::OracleCalls);
         }
-        if let Some(max) = b.max_models {
-            if self.cap_value(Resource::Models, charged, &self.models) > max {
-                return Some(Resource::Models);
-            }
+        if b.max_models.is_some_and(|max| self.models.get() > max) {
+            return Some(Resource::Models);
         }
         if let Some(deadline) = self.deadline {
             if (coarse || checkpoints.is_multiple_of(DEADLINE_STRIDE)) && Instant::now() >= deadline
@@ -465,24 +412,12 @@ impl Shared {
     }
 }
 
-/// One entry of a thread's governor stack. `owned` frames were pushed by
-/// [`Budget::install`] on this thread and report `govern.checkpoints` on
-/// drop; mirror frames (pushed by [`BudgetHandle::install`]) share the
-/// same [`Shared`] and report nothing, so totals are never double-counted.
-struct Frame {
-    shared: Arc<Shared>,
-    owned: bool,
-}
-
 thread_local! {
     static GOVERNORS: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII guard for an installed [`Budget`]; uninstalls on drop.
-///
-/// Not `Send`: a budget governs the thread that installed it. Worker
-/// threads inherit it through [`handle`]/[`BudgetHandle::install`], and
-/// must be joined before this guard drops (the pool does this).
+/// RAII guard for an installed [`Budget`]; uninstalls on drop. A budget
+/// governs the thread that installed it, so drop the guard there.
 pub struct BudgetGuard {
     _private: (),
 }
@@ -490,13 +425,9 @@ pub struct BudgetGuard {
 impl Drop for BudgetGuard {
     fn drop(&mut self) {
         let checkpoints = GOVERNORS.with(|g| {
-            g.borrow_mut().pop().map_or(0, |frame| {
-                if frame.owned {
-                    frame.shared.checkpoints.load(Ordering::Relaxed)
-                } else {
-                    0
-                }
-            })
+            g.borrow_mut()
+                .pop()
+                .map_or(0, |frame| frame.checkpoints.get())
         });
         if checkpoints > 0 {
             crate::counter_bump("govern.checkpoints", checkpoints);
@@ -510,95 +441,8 @@ pub fn active() -> bool {
 }
 
 /// The innermost governor's consumption so far, if one is installed.
-/// Under a mirrored stack this is the shared total across all threads
-/// charging the same governor.
 pub fn consumed() -> Option<Consumed> {
-    GOVERNORS.with(|g| g.borrow().last().map(|frame| frame.shared.consumed()))
-}
-
-/// A cloneable, `Send + Sync` snapshot of the current thread's governor
-/// stack, for handing budgets to worker threads.
-///
-/// Captured with [`handle`] on the parent; each worker calls
-/// [`BudgetHandle::install`] on entry. The mirrored governors share the
-/// parent's deadline, cancel flag, caps, and consumption counters, so:
-///
-/// - caps are split atomically across all threads (the sum of work is
-///   bounded, exactly as in a sequential run);
-/// - a trip on any thread (parent or worker) is observed by every other
-///   thread at its next checkpoint, with the same typed [`Interrupted`];
-/// - the parent's [`consumed`] totals after joining workers equal the
-///   sum of all threads' charges, deterministically.
-#[derive(Clone, Default)]
-pub struct BudgetHandle {
-    /// Outermost governor first, matching the stack order on the parent.
-    frames: Vec<Arc<Shared>>,
-}
-
-impl BudgetHandle {
-    /// True when the capturing thread had no governors installed
-    /// (installing the handle is then a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Mirrors the captured governor stack onto the current thread,
-    /// returning an RAII guard that removes the mirrors on drop. Nested
-    /// installs compose: budgets installed on the worker afterwards sit
-    /// inside the mirrored stack, exactly as on the parent.
-    pub fn install(&self) -> HandleGuard {
-        GOVERNORS.with(|g| {
-            let mut stack = g.borrow_mut();
-            for shared in &self.frames {
-                stack.push(Frame {
-                    shared: Arc::clone(shared),
-                    owned: false,
-                });
-            }
-        });
-        HandleGuard {
-            count: self.frames.len(),
-        }
-    }
-
-    /// The sticky interruption of the innermost already-tripped governor,
-    /// if any — lets schedulers skip work without installing the handle.
-    pub fn tripped(&self) -> Option<Interrupted> {
-        self.frames
-            .iter()
-            .rev()
-            .find_map(|shared| shared.current_trip())
-    }
-}
-
-/// Captures the current thread's governor stack as a [`BudgetHandle`]
-/// that worker threads can [`install`](BudgetHandle::install).
-pub fn handle() -> BudgetHandle {
-    BudgetHandle {
-        frames: GOVERNORS.with(|g| {
-            g.borrow()
-                .iter()
-                .map(|frame| Arc::clone(&frame.shared))
-                .collect()
-        }),
-    }
-}
-
-/// RAII guard for a mirrored governor stack; removes the mirrors on
-/// drop. Not `Send`: it must drop on the thread that installed it.
-pub struct HandleGuard {
-    count: usize,
-}
-
-impl Drop for HandleGuard {
-    fn drop(&mut self) {
-        GOVERNORS.with(|g| {
-            let mut stack = g.borrow_mut();
-            for _ in 0..self.count {
-                stack.pop();
-            }
-        });
-    }
+    GOVERNORS.with(|g| g.borrow().last().map(Frame::consumed))
 }
 
 fn counter_trip(resource: Resource) {
@@ -634,39 +478,11 @@ enum Charge {
 
 fn drive(charge: Charge) -> Governed<()> {
     GOVERNORS.with(|g| {
-        let governors = g.borrow();
-        if governors.is_empty() {
-            return Ok(());
-        }
         let mut result = Ok(());
-        for frame in governors.iter().rev() {
-            let sh = &*frame.shared;
-            if let Some(trip) = sh.current_trip() {
-                // Sticky: keep reporting the first trip of the
-                // innermost exhausted governor.
-                if result.is_ok() {
-                    result = Err(trip);
-                }
-                continue;
-            }
-            let checkpoints = sh.checkpoints.fetch_add(1, Ordering::Relaxed) + 1;
-            let (coarse, charged) = match charge {
-                Charge::None => (false, None),
-                Charge::Conflict => {
-                    let v = sh.conflicts.fetch_add(1, Ordering::Relaxed) + 1;
-                    (false, Some((Resource::Conflicts, v)))
-                }
-                Charge::OracleCall => {
-                    let v = sh.oracle_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                    (true, Some((Resource::OracleCalls, v)))
-                }
-                Charge::Model => {
-                    let v = sh.models.fetch_add(1, Ordering::Relaxed) + 1;
-                    (true, Some((Resource::Models, v)))
-                }
-            };
-            if let Some(resource) = sh.check(checkpoints, coarse, charged) {
-                let trip = sh.trip(resource, checkpoints);
+        // Innermost first; every governor counts, and the innermost trip
+        // is the one reported.
+        for frame in g.borrow().iter().rev() {
+            if let Err(trip) = frame.drive(charge) {
                 if result.is_ok() {
                     result = Err(trip);
                 }
@@ -892,97 +708,5 @@ mod tests {
         assert!(Interrupted::invariant("broken")
             .to_string()
             .contains("invariant"));
-    }
-
-    #[test]
-    fn handle_mirrors_budget_onto_workers() {
-        let _g = Budget::unlimited().with_max_oracle_calls(4).install();
-        charge_oracle_call().unwrap();
-        let h = handle();
-        assert!(!h.is_empty());
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert!(!active());
-                let _m = h.install();
-                assert!(active());
-                // Charges land on the parent's shared counters.
-                charge_oracle_call().unwrap();
-                charge_oracle_call().unwrap();
-            })
-            .join()
-            .unwrap();
-        });
-        // Parent sees the worker's charges: 3 of 4 used.
-        assert_eq!(consumed().unwrap().oracle_calls, 3);
-        charge_oracle_call().unwrap();
-        assert_eq!(
-            charge_oracle_call().unwrap_err().resource,
-            Resource::OracleCalls
-        );
-    }
-
-    #[test]
-    fn caps_split_atomically_across_threads() {
-        // Two workers race over a shared 10-call budget: exactly 10 calls
-        // succeed in total, no matter the interleaving.
-        let _g = Budget::unlimited().with_max_oracle_calls(10).install();
-        let h = handle();
-        let ok = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let _m = h.install();
-                    while charge_oracle_call().is_ok() {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn parent_trip_cancels_workers() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let _g = Budget::unlimited().with_cancel_flag(flag.clone()).install();
-        let h = handle();
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _m = h.install();
-                let mut err = None;
-                for _ in 0..1_000_000 {
-                    if let Err(e) = checkpoint() {
-                        err = Some(e);
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                err.expect("worker observed the parent's cancellation")
-            });
-            // Parent raises the flag; the worker must stop with the same
-            // typed interruption at its next checkpoint.
-            flag.store(true, Ordering::Relaxed);
-            let err = worker.join().unwrap();
-            assert_eq!(err.resource, Resource::Cancelled);
-        });
-        assert_eq!(checkpoint().unwrap_err().resource, Resource::Cancelled);
-    }
-
-    #[test]
-    fn handle_reports_sticky_trip_without_install() {
-        let _g = Budget::unlimited().with_max_models(0).install();
-        let h = handle();
-        assert!(h.tripped().is_none());
-        charge_model().unwrap_err();
-        assert_eq!(h.tripped().unwrap().resource, Resource::Models);
-    }
-
-    #[test]
-    fn empty_handle_is_a_noop() {
-        let h = handle();
-        assert!(h.is_empty());
-        let _m = h.install();
-        assert!(!active());
-        assert!(checkpoint().is_ok());
     }
 }

@@ -13,14 +13,14 @@
 //!   `models.circ.candidates`, `sat.clauses.peak`.
 //! - **Histograms** ([`hist_record`]) — log-bucketed latency/size
 //!   distributions (~2 significant digits), e.g. `sat.solve.ns`,
-//!   `cegar.round.ns`, `pool.job.ns`, with p50/p90/p99 readouts.
+//!   `cegar.round.ns`, with p50/p90/p99 readouts.
 //! - **Spans** ([`span()`], [`hist_span`]) — RAII-guarded hierarchical
 //!   timing for decision procedures, e.g. `gcwa.infers_literal`. Each span
 //!   contributes `span.<name>.calls` and `span.<name>.ns` counters.
 //! - **Recording** ([`record`], [`Recording`], [`snapshot`],
 //!   [`hist_snapshot`]) — all of the above land in one per-thread
 //!   recorder. A `record` scope returns exactly what one piece of work
-//!   recorded, pool workers included, and optionally its trace events
+//!   recorded on its thread, and optionally its trace events
 //!   ([`TraceEvent`]: thread id + per-thread ordinal + event); finished
 //!   scopes fold into the process registry that the snapshots read.
 //! - **Traces** ([`chrome_trace`], [`folded_stacks`], [`TraceReport`]) —
@@ -54,17 +54,13 @@ pub mod budget;
 pub mod counters;
 pub mod histogram;
 pub mod json;
-pub mod pool;
 pub mod recorder;
 pub mod span;
 pub mod trace;
 
-pub use budget::{
-    Budget, BudgetGuard, BudgetHandle, Consumed, Governed, HandleGuard, Interrupted, Resource,
-};
+pub use budget::{Budget, BudgetGuard, Consumed, Governed, Interrupted, Resource};
 pub use counters::CounterSnapshot;
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use pool::run_indexed;
 pub use recorder::{
     counter_bump, counter_bump_max, flush, hist_record, hist_snapshot, record, snapshot, Recording,
 };

@@ -4,13 +4,11 @@
 //! a span entry or exit, a trace event — lands in this thread's one
 //! recorder: no lock, and no allocation once a name has been seen on the
 //! thread (a histogram regrows its buckets after each flush). Pending
-//! values move on at four flush points: outermost span exit, the end of a
-//! [`record`] scope, pool worker exit and [`flush`]. They go to the
-//! innermost open scope on the thread, or to the process registry when
-//! none is open. A finished scope folds into its parent, and
-//! the outermost one into the registry, which [`snapshot`] and
-//! [`hist_snapshot`] read. [`crate::run_indexed`] workers inherit the
-//! caller's scope: each hands its values back to the caller on exit.
+//! values move on at three flush points: outermost span exit, the end of
+//! a [`record`] scope and [`flush`]. They go to the innermost open scope
+//! on the thread, or to the process registry when none is open. A
+//! finished scope folds into its parent, and the outermost one into the
+//! registry, which [`snapshot`] and [`hist_snapshot`] read.
 //!
 //! Counters, gauges, histograms and the `span.<name>.calls`/`.ns` pairs
 //! share one interned slot table per thread. Each slot keeps the value
@@ -103,7 +101,7 @@ fn registry() -> std::sync::MutexGuard<'static, Table> {
 
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
-/// One open [`record`] scope, or the frame a pool worker collects into.
+/// One open [`record`] scope.
 struct Scope {
     table: Table,
     /// Whether this scope asked for trace events.
@@ -323,16 +321,15 @@ pub(crate) fn exit(name: &'static str, depth: usize, dur_ns: u64) {
 }
 
 /// Moves this thread's pending values into its innermost open scope, or
-/// into the registry when none is open. Spans, scopes and pool workers
-/// flush on their own; call this after bumping outside all of them on a
+/// into the registry when none is open. Spans and scopes flush on their
+/// own; call this after bumping outside all of them on a
 /// long-lived thread whose values others read through [`snapshot`].
 pub fn flush() {
     with(Recorder::flush);
 }
 
 /// What a [`record`] scope saw: every counter, gauge and histogram value
-/// recorded on this thread, and on the pool workers it fanned out to,
-/// while the scope was open.
+/// recorded on this thread while the scope was open.
 #[derive(Debug, Clone, Default)]
 pub struct Recording {
     /// Counters, gauges and span `calls`/`ns` pairs.
@@ -377,9 +374,9 @@ impl Drop for Unwind {
 /// (spans, counter updates, interrupts), as [`crate::chrome_trace`],
 /// [`crate::folded_stacks`] and [`crate::TraceReport`] read them.
 ///
-/// Scopes nest, and pool workers inherit the innermost one. A finished
-/// scope folds into its parent, and the outermost one into the process
-/// registry, so [`snapshot`] still sees everything.
+/// Scopes nest. A finished scope folds into its parent, and the
+/// outermost one into the process registry, so [`snapshot`] still sees
+/// everything.
 pub fn record<R>(events: bool, f: impl FnOnce() -> R) -> (R, Recording) {
     with(|r| r.open(events));
     let unwind = Unwind;
@@ -394,38 +391,6 @@ pub fn record<R>(events: bool, f: impl FnOnce() -> R) -> (R, Recording) {
         events,
     };
     (out, recording)
-}
-
-/// A pool worker's recorded values, handed back to the thread that fanned
-/// out.
-pub(crate) struct Handoff(Table, Vec<TraceEvent>);
-
-/// Whether [`crate::run_indexed`] workers keep trace events: they inherit
-/// the caller's scope.
-pub(crate) fn keeps_events() -> bool {
-    with(|r| r.keeps_events())
-}
-
-/// Runs `work` on a pool worker under the caller's scope, given by
-/// [`keeps_events`] on the caller, and returns what it recorded.
-pub(crate) fn on_worker(events: bool, work: impl FnOnce()) -> Handoff {
-    with(|r| r.open(events));
-    work();
-    let (table, events) = with(Recorder::close);
-    Handoff(table, events)
-}
-
-impl Handoff {
-    /// Folds a worker's values into the calling thread's innermost scope
-    /// (or the registry) and queues its trace events there.
-    pub(crate) fn absorb(self) {
-        with(|r| {
-            r.fold_out(self.0);
-            if r.keeps_events() {
-                r.events.extend(self.1);
-            }
-        });
-    }
 }
 
 /// The registry's counters. Flushes the calling thread first, so

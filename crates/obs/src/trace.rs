@@ -5,8 +5,8 @@
 //! Each event is stamped into a [`TraceEvent`] with a dense thread id and
 //! a monotone per-thread ordinal. A recording's stream is a set of
 //! *tracks* (one per thread), each internally ordered; cross-track order
-//! reflects when pool workers handed their events back, not wall-clock
-//! order. The consumers here respect that:
+//! reflects how the streams were joined, not wall-clock order. The
+//! consumers here respect that:
 //!
 //! - [`chrome_trace`] renders Chrome trace-event JSON (open in Perfetto
 //!   or `chrome://tracing`) with one track per thread — spans as `B`/`E`
@@ -72,7 +72,7 @@ pub enum Event {
 /// `thread` is a small stable id assigned in first-emission order (the
 /// main thread is almost always 0); `ordinal` increments per emitting
 /// thread, so `(thread, ordinal)` totally orders each thread's events —
-/// a *track* — even after pool workers' events join the caller's stream.
+/// a *track* — even after several threads' streams are joined.
 /// Order across tracks is **not** meaningful; align tracks by `at_ns`
 /// instead.
 #[derive(Debug, Clone, PartialEq)]

@@ -192,19 +192,22 @@ fn bumped_counter_events_carry_thread_totals() {
 
 #[test]
 fn events_carry_thread_ids_and_monotone_ordinals() {
-    let ((), rec) = record(true, || {
-        {
-            let _a = span("test.ord.main");
+    let ((), rec) = record(true, || drop(span("test.ord.main")));
+    let mut events = rec.events;
+    // Each thread records into its own scope and stamps its own track.
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| record(true, || drop(span("test.ord.worker"))).1.events))
+            .collect();
+        for w in workers {
+            events.extend(w.join().unwrap());
         }
-        let jobs: Vec<_> = (0..2).map(|_| || drop(span("test.ord.worker"))).collect();
-        ddb_obs::run_indexed(2, jobs);
     });
-    let events = rec.events;
     let mut threads: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
     for te in &events {
         threads.entry(te.thread).or_default().push(te.ordinal);
     }
-    assert!(threads.len() >= 2, "main and worker tracks present");
+    assert_eq!(threads.len(), 3, "main and worker tracks present");
     for (thread, ords) in &threads {
         for w in ords.windows(2) {
             assert!(w[0] < w[1], "ordinals not monotone on track {thread}");

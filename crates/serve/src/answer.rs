@@ -55,14 +55,9 @@ pub fn verdict_fields(answer: impl Into<String>, verdict: &Verdict) -> Vec<(&'st
     fields
 }
 
-/// The semantics configuration a request names: its semantics, its
-/// CCWA/ECWA partition, and its `threads`, clamped to `max_threads`.
-/// `cwa` is CLI-only and rejected here.
-pub fn semantics_config(
-    request: &Request,
-    db: &Database,
-    max_threads: usize,
-) -> Result<SemanticsConfig, WireError> {
+/// The semantics configuration a request names: its semantics and its
+/// CCWA/ECWA partition. `cwa` is CLI-only and rejected here.
+pub fn semantics_config(request: &Request, db: &Database) -> Result<SemanticsConfig, WireError> {
     let name = request
         .semantics
         .as_deref()
@@ -88,8 +83,7 @@ pub fn semantics_config(
         let q = collect(&request.partition_q)?;
         cfg = cfg.with_partition(Partition::from_p_q(db.num_atoms(), p, q));
     }
-    let threads = request.threads.unwrap_or(1).min(max_threads.max(1));
-    Ok(cfg.with_threads(threads))
+    Ok(cfg)
 }
 
 /// The query a request asks: its `formula` (see [`parse_query`]) or its
@@ -116,10 +110,9 @@ pub fn query_formula(request: &Request, db: &Database) -> Result<Formula, WireEr
 pub fn answer_request(
     request: &Request,
     prepared: &Prepared<'_>,
-    max_threads: usize,
 ) -> Result<Vec<(&'static str, Json)>, WireError> {
     let db = prepared.db();
-    let cfg = semantics_config(request, db, max_threads)?;
+    let cfg = semantics_config(request, db)?;
     let unsupported = |e: ddb_core::Unsupported| WireError::usage(e.to_string());
     let mut cost = Cost::new();
     let mut fields = match request.op {

@@ -318,9 +318,6 @@ pub struct Request {
     pub literal: Option<String>,
     /// Brave instead of cautious inference.
     pub brave: bool,
-    /// Worker-pool width for component-parallel evaluation (clamped by
-    /// the server's configured maximum).
-    pub threads: Option<usize>,
     /// Client resource limits.
     pub limits: Limits,
     /// `cancel`: the target request id (rendered form).
@@ -360,7 +357,6 @@ impl Request {
             ("formula", text(&self.formula)),
             ("literal", text(&self.literal)),
             ("brave", self.brave.then_some(Json::Bool(true))),
-            ("threads", self.threads.map(|n| Json::UInt(n as u64))),
             (
                 "limits",
                 (self.limits != Limits::default()).then(|| self.limits.to_json()),
@@ -463,11 +459,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         Some(l @ Json::Obj(_)) => Limits::read(|name| field_u64(l, name)).map_err(&fail)?,
         Some(_) => return Err(fail(WireError::usage("field `limits` must be an object"))),
     };
-    let threads = match field_u64(&value, "threads").map_err(&fail)? {
-        None => None,
-        Some(0) => return Err(fail(WireError::usage("field `threads` must be positive"))),
-        Some(n) => Some(usize::try_from(n).unwrap_or(usize::MAX)),
-    };
     let target = match value.get("target") {
         None | Some(Json::Null) => None,
         Some(v) => Some(render_id(v)),
@@ -492,7 +483,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         formula,
         literal,
         brave,
-        threads,
         limits,
         target,
         source,
@@ -531,7 +521,7 @@ mod tests {
     fn parses_a_full_query_frame() {
         let req = parse_request(
             r#"{"id":7,"op":"query","db":"vase","semantics":"gcwa","formula":"-treat",
-                "brave":false,"threads":2,
+                "brave":false,
                 "limits":{"timeout_ms":500,"max_oracle_calls":10,"fail_after":3}}"#,
         )
         .unwrap();
@@ -539,7 +529,6 @@ mod tests {
         assert_eq!(req.db.as_deref(), Some("vase"));
         assert_eq!(req.semantics.as_deref(), Some("gcwa"));
         assert_eq!(req.formula.as_deref(), Some("-treat"));
-        assert_eq!(req.threads, Some(2));
         assert_eq!(req.limits.timeout_ms, Some(500));
         assert_eq!(req.limits.max_oracle_calls, Some(10));
         assert_eq!(req.limits.fail_after, Some(3));
@@ -567,7 +556,6 @@ mod tests {
             r#"{"op":5}"#,
             r#"{"op":"query","db":7}"#,
             r#"{"op":"query","limits":{"timeout_ms":"soon"}}"#,
-            r#"{"op":"query","threads":0}"#,
             r#"{"op":"query","brave":"very"}"#,
             r#"{"op":"query","partition_p":[1]}"#,
         ] {
@@ -585,7 +573,7 @@ mod tests {
     }
 
     /// A seeded random request: every op, any subset of limits, optional
-    /// partitions, `brave`/`threads`, and a string, numeric or no `id`.
+    /// partitions, `brave`, and a string, numeric or no `id`.
     fn random_request(rng: &mut ddb_logic::rng::XorShift64Star) -> Request {
         const OPS: [Op; 9] = [
             Op::Ping,
@@ -625,7 +613,6 @@ mod tests {
             formula: text(rng),
             literal: text(rng),
             brave: rng.gen_bool(0.5),
-            threads: rng.gen_bool(0.5).then(|| rng.gen_range(1, 64)),
             limits: Limits::read(|_| Ok::<_, ()>(rng.gen_bool(0.5).then(|| rng.next_u64())))
                 .unwrap(),
             target: text(rng),

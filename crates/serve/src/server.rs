@@ -23,9 +23,8 @@
 //!   stops the accept loop, trips every in-flight budget via its cancel
 //!   flag, drains sessions, and reports what was served and shed.
 //!
-//! Query evaluation itself rides the budget-inheriting worker pool
-//! (`ddb_obs::pool`) through `SemanticsConfig::with_threads`, so
-//! component-parallel routes stay governed by the session's budget.
+//! Each query is evaluated on its session's thread, under the budget that
+//! session installed.
 
 use crate::answer::answer_request;
 use crate::catalog::{load_source, Catalog, LoadError, GROUNDING_LIMIT};
@@ -76,8 +75,6 @@ pub struct ServerConfig {
     /// Server-side default budget; the effective per-request budget is
     /// `defaults ∩ client limits` ([`Budget::intersect`]).
     pub defaults: Budget,
-    /// Clamp for the per-request `threads` field.
-    pub max_query_threads: usize,
     /// Ground-rule limit for `load` requests.
     pub grounding_limit: usize,
 }
@@ -95,7 +92,6 @@ impl Default for ServerConfig {
             max_frame_bytes: 1 << 20,
             retry_after_ms: 250,
             defaults: Budget::unlimited(),
-            max_query_threads: 8,
             grounding_limit: GROUNDING_LIMIT,
         }
     }
@@ -775,7 +771,7 @@ fn run_query_class(
     request: &Request,
 ) -> Result<Vec<(&'static str, Json)>, WireError> {
     let prepared = resolve_db(shared, request)?;
-    answer_request(request, &prepared, shared.config.max_query_threads)
+    answer_request(request, &prepared)
 }
 
 /// The `load` body: parse/ground under the request budget, then publish

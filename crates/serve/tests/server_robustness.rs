@@ -467,3 +467,41 @@ fn partial_frame_after_a_pipelined_request_hits_the_read_timeout() {
     let report = handle.join();
     assert_eq!(report.sessions_leaked, 0, "leaked sessions: {report}");
 }
+
+/// The server reads no `threads` field: a frame that carries one, at any
+/// value, gets the same answer as the same frame without it.
+#[test]
+fn a_threads_field_does_not_change_the_answer() {
+    let handle = Server::start(ServerConfig::default(), vase_catalog()).expect("server starts");
+    let addr = handle.addr().to_string();
+    let mut c = Client::connect(&addr, Duration::from_secs(30)).unwrap();
+    // `wall_ms` is the one field that depends on the clock.
+    let mut answer = |frame: String| match c.call(&frame).unwrap() {
+        Json::Obj(fields) => {
+            Json::Obj(fields.into_iter().filter(|(k, _)| k != "wall_ms").collect())
+        }
+        other => panic!("not an object: {}", other.render()),
+    };
+    for (op, query) in [
+        ("query", r#","formula":"-treat""#),
+        ("exists", ""),
+        ("models", ""),
+    ] {
+        let frame = |extra: &str| {
+            format!(r#"{{"id":1,"op":"{op}","db":"vase","semantics":"gcwa"{query}{extra}}}"#)
+        };
+        let plain = answer(frame(""));
+        assert_eq!(
+            plain.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            plain.render()
+        );
+        for extra in [r#","threads":2"#, r#","threads":0"#] {
+            let with = answer(frame(extra));
+            assert_eq!(with, plain, "{op} with {extra}");
+        }
+    }
+    handle.shutdown();
+    assert_eq!(handle.join().sessions_leaked, 0);
+}

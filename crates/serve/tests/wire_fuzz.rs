@@ -13,7 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Valid frames as mutation seeds — one per op class, plus edge shapes.
 fn seed_frames() -> Vec<String> {
     vec![
-        r#"{"id":1,"op":"query","db":"vase","semantics":"gcwa","formula":"-treat","brave":true,"threads":2,"limits":{"timeout_ms":500,"max_oracle_calls":10,"max_conflicts":3,"max_models":7,"fail_after":2}}"#.to_owned(),
+        r#"{"id":1,"op":"query","db":"vase","semantics":"gcwa","formula":"-treat","brave":true,"limits":{"timeout_ms":500,"max_oracle_calls":10,"max_conflicts":3,"max_models":7,"fail_after":2}}"#.to_owned(),
         r#"{"id":"s-1","op":"models","db":"layers","semantics":"pdsm","partition_p":["a","b"],"partition_q":["c"]}"#.to_owned(),
         r#"{"op":"exists","db":"vase","semantics":"dsm"}"#.to_owned(),
         r#"{"op":"load","db":"new","source":"a | b. c :- a.","datalog":false}"#.to_owned(),

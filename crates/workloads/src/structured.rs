@@ -136,8 +136,8 @@ pub fn sliceable_towers(towers: usize, height: usize) -> Database {
 /// [`sliceable_towers`] with an integrity clause `:- a₁, b₁.` over each
 /// tower's first stage. The towers stay independent islands, but none is
 /// positive, so model existence on each one is an oracle question — the
-/// premise of the island and worker-pool measurements, which a positive
-/// island answers without the oracle.
+/// premise of the island-route checks, which a positive island answers
+/// without the oracle.
 pub fn guarded_towers(towers: usize, height: usize) -> Database {
     let mut db = sliceable_towers(towers, height);
     let per = 2 + 3 * height;

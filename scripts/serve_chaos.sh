@@ -14,11 +14,10 @@
 #   5. drain by closing the server's stdin — the daemon must exit 0 and
 #      report zero leaked sessions.
 #
-# Usage: scripts/serve_chaos.sh [threads]   (DDB overrides the binary path)
+# Usage: scripts/serve_chaos.sh   (DDB overrides the binary path)
 set -euo pipefail
 
 DDB="${DDB:-./target/debug/ddb}"
-THREADS="${1:-1}"
 WORK="$(mktemp -d)"
 SERVER_PID=""
 
@@ -31,11 +30,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== serve smoke (--threads $THREADS)"
+echo "== serve smoke"
 mkfifo "$WORK/stdin"
 printf 'a | b.\n' > "$WORK/ab.dl"
 "$DDB" serve examples/vase.dl --db layers=examples/layers.dlv --db "ab=$WORK/ab.dl" \
-    --threads "$THREADS" --workers 4 --queue 8 --drain-on-stdin-close \
+    --workers 4 --queue 8 --drain-on-stdin-close \
     < "$WORK/stdin" > "$WORK/out" 2> "$WORK/err" &
 SERVER_PID=$!
 # Hold the write end of the server's stdin; closing fd 9 later is the
@@ -125,4 +124,4 @@ SERVER_PID=""
 cat "$WORK/err"
 [ "$rc" -eq 0 ] || { echo "server exited $rc"; exit 1; }
 grep -q "leaked 0" "$WORK/err" || { echo "drain report leaked sessions"; exit 1; }
-echo "== serve smoke ok (--threads $THREADS)"
+echo "== serve smoke ok"

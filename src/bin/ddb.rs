@@ -23,9 +23,8 @@
 //! ddb query <file> --semantics <name> --literal [-]<atom> [--explain]
 //!     Decide (cautious or brave) inference; --explain prints a
 //!     countermodel when the query is not inferred. `--formula` may be
-//!     repeated: the batch shares one parse/analysis pass and the
-//!     formulas are decided concurrently on `--threads` workers, printing
-//!     one `<formula>: <verdict>` line each, in command order.
+//!     repeated: the batch shares one parse/analysis pass and prints one
+//!     `<formula>: <verdict>` line each, in command order.
 //!
 //! ddb exists <file> --semantics <name>
 //!     The paper's model-existence problem.
@@ -66,11 +65,8 @@
 //! `--trace-json <file>` (write a structured trace — counters,
 //! histograms, thread-stamped events, answer — as JSON),
 //! `--trace-chrome <file>` (Chrome trace-event JSON, loadable in
-//! Perfetto / `chrome://tracing`, one track per pool worker),
-//! `--flame <file>` (folded stacks for inferno / `flamegraph.pl`), and
-//! `--threads <n>` (worker-pool width for component-parallel evaluation:
-//! independent dependency islands, batched formulas and profile cells run
-//! concurrently; answers are byte-identical at every width).
+//! Perfetto / `chrome://tracing`), and `--flame <file>` (folded stacks
+//! for inferno / `flamegraph.pl`).
 //!
 //! Resource limits (models/query/exists; per cell on profile):
 //!   --timeout-ms <n>  --max-oracle-calls <n>  --max-conflicts <n>
@@ -85,7 +81,7 @@
 //! perf, icwa, dsm, pdsm, cwa. `<file>` may be `-` for stdin.
 //! ```
 
-use disjunctive_db::core::{cwa, parallel, profile, wfs, witness, Prepared};
+use disjunctive_db::core::{cwa, infers_formulas_batch, profile, wfs, witness, Prepared};
 use disjunctive_db::ground::{ground_reduced, parse::parse_datalog};
 use disjunctive_db::obs::json::Json;
 use disjunctive_db::prelude::*;
@@ -209,7 +205,7 @@ const USAGE: &str = "usage:
   ddb models <file> --semantics <name> [--partition-p a,b] [--partition-q c] [--partial]
   ddb query  <file> --semantics <name> (--formula \"<f>\" | --literal [-]<atom>) [--brave] [--explain]
       (--formula may be repeated: the batch shares one analysis pass and
-       runs concurrently on --threads workers, one verdict line each)
+       prints one verdict line each, in command order)
   ddb exists <file> --semantics <name>
   ddb wfs    <file>
   ddb ground <file> [--full]          (print the grounded program)
@@ -233,14 +229,14 @@ const USAGE: &str = "usage:
   ddb serve  [<file>] [--db name=path]... [--addr host:port] [--max-sessions <n>]
       [--workers <n>] [--queue <n>] [--read-timeout-ms <n>] [--write-timeout-ms <n>]
       [--idle-timeout-ms <n>] [--max-frame-bytes <n>] [--retry-after-ms <n>]
-      [--threads <n>] [--drain-on-stdin-close] [resource limits]
+      [--drain-on-stdin-close] [resource limits]
       (multi-tenant query server over a newline-framed JSON protocol;
        resource limits become the server-side default budget, intersected
        with each request's declared limits; overload sheds with a typed
        `overloaded` response; `shutdown` op or stdin close drains cleanly)
   ddb call   --addr host:port [--op <op>] [--db <name>] [--semantics <name>]
       [--formula \"<f>\" | --literal [-]<atom>] [--brave] [--id <id>]
-      [--target <id>] [--threads <n>] [--json] [<file>] [resource limits]
+      [--target <id>] [--json] [<file>] [resource limits]
       (one-shot client; stdout, stderr and exit match the corresponding CLI
        command byte-for-byte: 0 ok, 3 resource/overloaded, 4 parse/usage/
        internal; --explain, --partial and batched --formula are refused;
@@ -250,11 +246,9 @@ const USAGE: &str = "usage:
       (attack a running server: malformed frames, oversized payloads,
        half-closes, disconnects, concurrent cancels, fault-injection sweep;
        exit 1 if any robustness check fails)
-models/query/exists/profile also take: --stats  --threads <n>  --trace-json <file>
-  --trace-chrome <file> (Chrome trace-event JSON for Perfetto, one track
-   per worker)  --flame <file> (folded stacks for inferno/FlameGraph)
-  (--threads evaluates independent dependency islands, batched formulas and
-   profile cells concurrently; answers are identical at every width)
+models/query/exists/profile also take: --stats  --trace-json <file>
+  --trace-chrome <file> (Chrome trace-event JSON for Perfetto)
+  --flame <file> (folded stacks for inferno/FlameGraph)
 resource limits (models/query/exists; applied per cell on profile):
   --timeout-ms <n>  --max-oracle-calls <n>  --max-conflicts <n>
   --max-models <n>  --fail-after <n>
@@ -277,42 +271,41 @@ const COMMAND_OPTIONS: &[(&str, &str)] = &[
     ("slice", "datalog query semantics json"),
     (
         "models",
-        "datalog semantics partial partition-p partition-q threads LIMITS OBSERVE",
+        "datalog semantics partial partition-p partition-q LIMITS OBSERVE",
     ),
     (
         "query",
-        "datalog semantics formula literal brave explain partition-p partition-q threads \
-         LIMITS OBSERVE",
+        "datalog semantics formula literal brave explain partition-p partition-q LIMITS \
+         OBSERVE",
     ),
     (
         "exists",
-        "datalog semantics partition-p partition-q threads LIMITS OBSERVE",
+        "datalog semantics partition-p partition-q LIMITS OBSERVE",
     ),
     ("wfs", "datalog"),
     ("ground", "full"),
     ("proof", "datalog atom"),
     (
         "profile",
-        "datalog literal formula cell-timeout-ms threads LIMITS OBSERVE",
+        "datalog literal formula cell-timeout-ms LIMITS OBSERVE",
     ),
     (
         "explain",
-        "datalog query semantics json execute partition-p partition-q threads \
-         max-oracle-calls",
+        "datalog query semantics json execute partition-p partition-q max-oracle-calls",
     ),
     (
         "trace",
-        "datalog query semantics top json stats partition-p partition-q threads LIMITS",
+        "datalog query semantics top json stats partition-p partition-q LIMITS",
     ),
     (
         "serve",
         "db addr max-sessions workers queue read-timeout-ms write-timeout-ms idle-timeout-ms \
-         max-frame-bytes retry-after-ms threads drain-on-stdin-close LIMITS",
+         max-frame-bytes retry-after-ms drain-on-stdin-close LIMITS",
     ),
     (
         "call",
         "addr op db id target semantics formula literal brave explain partial partition-p \
-         partition-q threads json datalog LIMITS",
+         partition-q json datalog LIMITS",
     ),
     ("chaos", "addr rounds seed fail-after-max db formula"),
 ];
@@ -420,19 +413,6 @@ impl Opts {
     }
 }
 
-/// Parses `--threads N` (worker-pool width for component-parallel
-/// evaluation); defaults to 1 (fully sequential, no pool). Answers are
-/// identical at every width — only wall-clock time changes.
-fn threads_from(opts: &Opts) -> Result<usize, String> {
-    match opts.value("threads") {
-        None => Ok(1),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("--threads needs a positive integer, got `{v}`")),
-        },
-    }
-}
-
 fn read_source(path: &str) -> Result<String, String> {
     if path == "-" {
         let mut s = String::new();
@@ -486,10 +466,6 @@ fn request_from(opts: &Opts, op: Op) -> Result<Request, String> {
         formula: text("formula"),
         literal: text("literal"),
         brave: opts.flag("brave"),
-        threads: opts
-            .value("threads")
-            .map(|_| threads_from(opts))
-            .transpose()?,
         limits: opts.limits()?,
         target: text("target"),
         datalog: (source.is_some() && opts.flag("datalog")).then_some(true),
@@ -975,8 +951,7 @@ fn answer_cmd(args: &[String], op: Op) -> Result<u8, String> {
         let guard = budget.map(Budget::install);
         let fields = match answer_local(&opts, &request, &db)? {
             Some(fields) => fields,
-            None => answer_request(&request, &Prepared::borrowed(&db), usize::MAX)
-                .map_err(|e| e.message)?,
+            None => answer_request(&request, &Prepared::borrowed(&db)).map_err(|e| e.message)?,
         };
         let consumed = disjunctive_db::obs::budget::consumed();
         drop(guard);
@@ -1042,7 +1017,7 @@ fn answer_local(
             Err(i) => tripped(&i),
         },
         Op::Query if opts.flag("explain") && !request.brave => {
-            let cfg = semantics_config(request, db, usize::MAX).map_err(|e| e.message)?;
+            let cfg = semantics_config(request, db).map_err(|e| e.message)?;
             let outcome = witness::explain_formula(&cfg, db, &formula()?, &mut cost)
                 .map_err(|e| e.to_string())?;
             let refuted = verdict_text(Op::Query, false, Some(false));
@@ -1099,9 +1074,8 @@ fn answer_local(
 }
 
 /// Batched `ddb query`: repeated `--formula` occurrences share one
-/// parse/analysis/applicability pass and are decided concurrently on
-/// `--threads` workers. Results print in command order regardless of
-/// width, so the output is byte-identical to querying one at a time.
+/// parse/analysis/applicability pass. Results print in command order,
+/// byte-identical to querying one at a time.
 fn query_batch(opts: &Opts, db: &Database) -> Result<u8, String> {
     if opts.value("literal").is_some() {
         return Err("--literal cannot be combined with a batch of --formula".into());
@@ -1122,12 +1096,11 @@ fn query_batch(opts: &Opts, db: &Database) -> Result<u8, String> {
         .iter()
         .map(|s| parse_query(s, db.symbols()).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
-    let cfg = semantics_config(&request, db, usize::MAX).map_err(|e| e.message)?;
+    let cfg = semantics_config(&request, db).map_err(|e| e.message)?;
     let budget = opts.budget()?;
     let (answered, observation) = observe(opts, "cmd.query", || -> Result<_, String> {
         let guard = budget.map(Budget::install);
-        let results =
-            parallel::infers_formulas_batch(&cfg, db, &formulas).map_err(|e| e.to_string())?;
+        let results = infers_formulas_batch(&cfg, db, &formulas).map_err(|e| e.to_string())?;
         let mut total = Cost::new();
         let mut interrupted: Option<Interrupted> = None;
         let mut answers = Vec::with_capacity(results.len());
@@ -1192,9 +1165,8 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
                 .with_timeout(Duration::from_millis(ms)),
         );
     }
-    let threads = threads_from(&opts)?;
     let (cells, observation) = observe(&opts, "cmd.profile", || {
-        profile::profile_all_budgeted(&db, lit, &f, cell_budget.as_ref(), threads)
+        profile::profile_all_budgeted(&db, lit, &f, cell_budget.as_ref())
     });
     oprintln!(
         "profile of {} ({} atoms, {} rules); query literal `{}{}`",
@@ -1218,9 +1190,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
 /// bound are audited against the observed `route.*` counters and
 /// oracle-call totals; any mismatch exits 1.
 ///
-/// The output is deterministic: identical across repeated runs and across
-/// `--threads` widths (the worker pool changes wall-clock only, never
-/// answers or oracle-call totals).
+/// The output is deterministic: identical across repeated runs.
 fn explain_cmd(args: &[String]) -> Result<u8, String> {
     use disjunctive_db::analysis::{adorn, plan_lints, DomainEstimate, PlanNode, PlanQuery};
     use disjunctive_db::core::planner::problem_of;
@@ -1242,8 +1212,7 @@ fn explain_cmd(args: &[String]) -> Result<u8, String> {
     // One plan per semantics, each configured as `ddb query` configures
     // it (partition, width); unsupported combinations are reported, not
     // fatal (a sweep over all ten must survive DDR/PWS on negation).
-    let base = semantics_config(&request_from(&opts, Op::Query)?, &db, usize::MAX)
-        .map_err(|e| e.message)?;
+    let base = semantics_config(&request_from(&opts, Op::Query)?, &db).map_err(|e| e.message)?;
     let explained: Vec<(SemanticsId, SemanticsConfig, Result<PlanNode, String>)> = ids
         .into_iter()
         .map(|id| {
@@ -1424,8 +1393,7 @@ fn trace_cmd(args: &[String]) -> Result<u8, String> {
     let top = opts.u64("top")?.unwrap_or(0) as usize;
     // The query's semantics, partition and width, defaulting to EGCWA
     // like `ddb query`, so a bare `ddb trace <file> --query ...` works.
-    let cfg = semantics_config(&request_from(&opts, Op::Query)?, &db, usize::MAX)
-        .map_err(|e| e.message)?;
+    let cfg = semantics_config(&request_from(&opts, Op::Query)?, &db).map_err(|e| e.message)?;
     let budget = opts.budget()?;
     let guard = budget.map(Budget::install);
     let mut cost = Cost::new();
@@ -1597,9 +1565,6 @@ fn serve_cmd(args: &[String]) -> Result<u8, String> {
     }
     if let Some(ms) = opts.u64("retry-after-ms")? {
         config.retry_after_ms = ms;
-    }
-    if opts.value("threads").is_some() {
-        config.max_query_threads = threads_from(&opts)?;
     }
     config.defaults = opts.limits()?.to_budget();
     let handle = Server::start(config, catalog)?;
@@ -1783,8 +1748,6 @@ mod tests {
                 "--literal",
                 "-a",
                 "--brave",
-                "--threads",
-                "2",
                 "--fail-after",
                 "3",
                 "--id",
@@ -1797,7 +1760,6 @@ mod tests {
         assert_eq!(request.partition_q, ["c"]);
         assert_eq!(request.literal.as_deref(), Some("-a"));
         assert!(request.brave);
-        assert_eq!(request.threads, Some(2));
         assert_eq!(request.limits.fail_after, Some(3));
         assert_eq!(request.id_key().as_deref(), Some("job-1"));
         // Query ops default to EGCWA, like the local commands.

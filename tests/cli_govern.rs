@@ -2,14 +2,17 @@
 //! the exit-code contract (4 = usage/parse/IO, 3 = resource-exhausted),
 //! diagnostics on stderr, deterministic oracle-budget exhaustion, the
 //! wall-clock timeout on a Σᵖ₂-hard instance, per-cell profile budgets,
-//! and the budget fields of the `--trace-json` document.
+//! the budget fields of the `--trace-json` document, batched `--formula`
+//! queries (ordering, flag conflicts, budgets), and EPIPE tolerance when
+//! a downstream consumer closes the pipe early.
 
 use ddb_reductions::dsm_hardness::exists_forall_to_dsm_existence;
 use ddb_reductions::gcwa_hardness::forall_exists_to_gcwa;
 use ddb_reductions::qbf::parity_family;
 use disjunctive_db::obs::json::{parse, Json};
 use disjunctive_db::prelude::display_database;
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn ddb() -> Command {
@@ -99,6 +102,22 @@ fn flags_a_command_does_not_read_are_usage_errors() {
         ),
         (vec!["wfs", "f", "--max-models", "1"], "--max-models"),
     ];
+    // No command reads a worker-pool width.
+    for command in [
+        "models examples/vase.dl",
+        "query examples/vase.dl --literal treat",
+        "exists examples/vase.dl",
+        "profile examples/vase.dl",
+        "explain examples/vase.dl",
+        "trace examples/vase.dl --query treat",
+        "serve examples/vase.dl",
+        "call --addr 127.0.0.1:9 --op ping",
+    ] {
+        cases.push((
+            command.split(' ').chain(["--threads", "2"]).collect(),
+            "--threads",
+        ));
+    }
     let explain = "explain examples/vase.dl --execute --semantics pdsm";
     for flag in [
         "--timeout-ms",
@@ -245,4 +264,130 @@ fn trace_json_carries_interruption_and_consumption() {
     assert_eq!(consumed.get("oracle_calls").and_then(Json::as_u64), Some(1));
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn batch_query_answers_in_command_line_order() {
+    let path = temp_file("batch", "a | b. c :- a. c :- b.");
+    let out = ddb()
+        .args([
+            "query",
+            &path,
+            "--semantics",
+            "gcwa",
+            "--formula",
+            "c",
+            "--formula",
+            "a & b",
+            "--formula",
+            "a | b",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code().unwrap(), 0);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(
+        lines,
+        vec!["c: inferred", "a & b: not inferred", "a | b: inferred"],
+        "one line per formula, in command order"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn batch_rejects_incompatible_flags() {
+    let path = temp_file("batchbad", "a | b.");
+    let batch = ["--formula", "a", "--formula", "b"];
+    for extra in [&["--literal", "a"][..], &["--brave"], &["--explain"]] {
+        let mut args = vec!["query", path.as_str()];
+        args.extend_from_slice(&batch);
+        args.extend_from_slice(extra);
+        assert_eq!(exit_code(ddb().args(&args)), 4, "extra {extra:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn batch_under_zero_oracle_budget_exits_exhausted() {
+    let path = temp_file("batchgov", "a | b. c :- a. c :- b.");
+    let out = ddb()
+        .args([
+            "query",
+            &path,
+            "--semantics",
+            "gcwa",
+            "--formula",
+            "c",
+            "--formula",
+            "a | b",
+            "--max-oracle-calls",
+            "0",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code().unwrap(), 3, "resource-exhausted exit");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("unknown"), "three-valued answers: {stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("oracle_calls"),
+        "stderr names the exhausted resource: {stderr}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Spawns `ddb` with `args`, reads at most `keep` bytes of stdout, then
+/// closes the pipe and waits — the downstream-`head` scenario.
+fn run_with_early_close(args: &[&str], keep: usize) -> std::process::ExitStatus {
+    let mut child = ddb()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning ddb");
+    let mut stdout = child.stdout.take().unwrap();
+    let mut buf = vec![0u8; keep.max(1)];
+    let _ = stdout.read(&mut buf);
+    drop(stdout); // EPIPE for every later write
+    let status = child.wait().expect("waiting for ddb");
+    let mut err = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut err).ok();
+    assert!(
+        !err.contains("panicked"),
+        "closed pipe must not panic: {err}"
+    );
+    status
+}
+
+#[test]
+fn closed_stdout_pipe_never_panics() {
+    // `ddb ... | head -1` writes to a closed pipe mid-report. The binary
+    // must swallow the broken pipe and exit through its normal path
+    // instead of aborting on an io panic.
+    let path = temp_file("epipe", "a | b. c :- a. c :- b. d | e :- c.");
+    let profile = run_with_early_close(&["profile", &path], 8);
+    assert_eq!(profile.code(), Some(0), "profile under closed pipe");
+    let check = run_with_early_close(&["check", &path, "--json"], 8);
+    assert!(
+        check.code().is_some(),
+        "check must exit, not die on a signal"
+    );
+    let batch = run_with_early_close(
+        &[
+            "query",
+            &path,
+            "--semantics",
+            "egcwa",
+            "--formula",
+            "c",
+            "--formula",
+            "d | e",
+            "--formula",
+            "a | b",
+        ],
+        4,
+    );
+    assert_eq!(batch.code(), Some(0), "batch query under closed pipe");
+    std::fs::remove_file(&path).ok();
 }

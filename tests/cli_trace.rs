@@ -166,8 +166,8 @@ fn stats_flag_prints_counter_table() {
 }
 
 /// A formula batch on the layered datalog example: four independent
-/// questions, so `--threads` has real work to fan out.
-fn batch_args<'a>(layers: &'a str, threads: &'a str) -> Vec<&'a str> {
+/// questions.
+fn batch_args(layers: &str) -> Vec<&str> {
     vec![
         "query",
         layers,
@@ -181,8 +181,6 @@ fn batch_args<'a>(layers: &'a str, threads: &'a str) -> Vec<&'a str> {
         "audited(acme)",
         "--semantics",
         "egcwa",
-        "--threads",
-        threads,
     ]
 }
 
@@ -209,10 +207,10 @@ fn trace_json_events_carry_thread_and_monotone_ordinals() {
 }
 
 #[test]
-fn chrome_trace_has_balanced_tracks_per_worker() {
+fn chrome_trace_has_balanced_named_tracks() {
     let layers = layers();
     let path = trace_path("chrome");
-    let mut args = batch_args(&layers, "4");
+    let mut args = batch_args(&layers);
     args.extend(["--trace-chrome", &path]);
     let out = ddb().args(&args).output().unwrap();
     assert!(
@@ -259,10 +257,7 @@ fn chrome_trace_has_balanced_tracks_per_worker() {
         stacks.values().all(Vec::is_empty),
         "every track must close all spans"
     );
-    assert!(
-        span_tracks.len() >= 2,
-        "expected main + at least one worker track, got {span_tracks:?}"
-    );
+    assert!(!span_tracks.is_empty(), "no span track in the chrome trace");
     for t in &span_tracks {
         assert!(named_tracks.contains(t), "track {t} has no thread_name");
     }
@@ -315,30 +310,22 @@ fn flame_stacks_sum_to_root_inclusive_time() {
 }
 
 #[test]
-fn histogram_counts_match_across_thread_widths() {
+fn every_sat_call_records_one_latency_sample() {
     let layers = layers();
-    let observe = |threads: &str| -> (u64, u64) {
-        let doc = run_and_parse(&format!("width{threads}"), &batch_args(&layers, threads));
-        let solves = doc
-            .get("counters")
-            .unwrap()
-            .get("sat.solves")
-            .map_or(0, |j| j.as_u64().unwrap());
-        let hist_count = doc
-            .get("histograms")
-            .unwrap()
-            .get("sat.solve.ns")
-            .map_or(0, |h| h.get("count").unwrap().as_u64().unwrap());
-        (solves, hist_count)
-    };
-    let w1 = observe("1");
-    let w2 = observe("2");
-    let w8 = observe("8");
-    assert!(w1.0 > 0, "the batch must call the oracle");
-    assert_eq!(w1, w2, "histogram/counter totals must not depend on width");
-    assert_eq!(w1, w8, "histogram/counter totals must not depend on width");
+    let doc = run_and_parse("latency", &batch_args(&layers));
+    let solves = doc
+        .get("counters")
+        .unwrap()
+        .get("sat.solves")
+        .map_or(0, |j| j.as_u64().unwrap());
+    let hist_count = doc
+        .get("histograms")
+        .unwrap()
+        .get("sat.solve.ns")
+        .map_or(0, |h| h.get("count").unwrap().as_u64().unwrap());
+    assert!(solves > 0, "the batch must call the oracle");
     assert_eq!(
-        w1.0, w1.1,
+        solves, hist_count,
         "every SAT call records exactly one latency sample"
     );
 }

@@ -295,7 +295,7 @@ fn literal_and_one_literal_formula_are_one_query() {
                     let frame =
                         format!(r#"{{"op":"query","db":"d","semantics":"{wire_name}",{field}}}"#);
                     let request = protocol::parse_request(&frame).unwrap();
-                    let served = answer::answer_request(&request, &prepared, 1);
+                    let served = answer::answer_request(&request, &prepared);
                     let Ok(fields) = served else {
                         assert!(cell.unsupported.is_some(), "{what}: {field}");
                         continue;
